@@ -15,6 +15,7 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -116,7 +117,7 @@ class LegacySimulator {
 // pays O(log n) sift moves of 56-byte entries per operation and the calendar
 // queue stays O(1).
 
-// Long enough that slot-vector capacity warm-up (a one-time cost in real
+// Long enough that the queue's node-pool warm-up (a one-time cost in real
 // runs) amortizes away instead of dominating the per-iteration numbers.
 constexpr std::uint64_t kChainEvents = 1000000;
 
@@ -202,6 +203,54 @@ void BM_EventKernelMixedDelaysLegacyHeap(benchmark::State& state) {
 }
 BENCHMARK(BM_EventKernelMixedDelaysLegacyHeap)->Unit(benchmark::kMillisecond);
 
+/// Kernel-only load with a loaded host's queue shape: a few hundred pending
+/// events whose delays spread log-uniformly over the hot-path hop range
+/// (~2.7k to ~290k ticks), so over a run nearly every L0 slot and L1 bucket
+/// is touched. The fixed-delay chains above keep a handful of slots hot and
+/// never pay for a wide footprint; this bench does.
+constexpr std::size_t kHostShapeChains = 384;
+constexpr std::size_t kHostShapeDelays = 1024;
+
+std::array<Tick, kHostShapeDelays> host_shape_delays() {
+  std::array<Tick, kHostShapeDelays> d{};
+  Rng rng(2024);
+  const double lo = std::log(static_cast<double>(ns(2.7)));
+  const double hi = std::log(static_cast<double>(ns(290)));
+  for (Tick& t : d) t = static_cast<Tick>(std::exp(lo + (hi - lo) * rng.uniform()));
+  return d;
+}
+
+struct HostShapeChain {
+  sim::Simulator* s;
+  const std::array<Tick, kHostShapeDelays>* delays;
+  std::uint64_t i;
+  std::array<std::uint64_t, 4> payload;  // pad to the 56 B request-closure shape
+  void operator()() const {
+    if (s->events_executed() < kChainEvents)
+      s->schedule((*delays)[i % kHostShapeDelays], HostShapeChain{s, delays, i + 7, payload});
+  }
+};
+
+void BM_EventKernelHostShape(benchmark::State& state) {
+  static const auto delays = host_shape_delays();
+  std::uint64_t events = 0;
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    const std::uint64_t a0 = alloc_count();
+    for (std::uint64_t c = 0; c < kHostShapeChains; ++c)
+      sim.schedule_at(static_cast<Tick>(c), HostShapeChain{&sim, &delays, c * 131, {}});
+    sim.run_until(ms(1000));
+    allocs += alloc_count() - a0;
+    events += sim.events_executed();
+    benchmark::DoNotOptimize(sim.events_executed());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["allocs_per_event"] =
+      static_cast<double>(allocs) / static_cast<double>(events ? events : 1);
+}
+BENCHMARK(BM_EventKernelHostShape)->Unit(benchmark::kMillisecond);
+
 // ---- MC-channel microbenchmark ---------------------------------------------
 // Synthetic closed-loop enqueue stream straight into one mc::Channel -- no
 // CHA/CPU above it and (almost) no kernel dispatch beside the channel's own
@@ -263,7 +312,7 @@ void BM_McChannelOnly(benchmark::State& state) {
   std::uint64_t cancelled = 0;
   std::uint64_t deduped = 0;
   // One stream reused across iterations: the first batch warms the calendar
-  // queue's slot vectors (a one-time cost in real runs), so the measured
+  // queue's node pool (a one-time cost in real runs), so the measured
   // iterations report steady-state work -- where allocs/line must be zero.
   McStream s(write_fraction, random_addresses);
   s.pump();
@@ -371,14 +420,13 @@ core::RunOptions sweep_options() {
   return o;
 }
 
-/// The headline sweep on the checkpoint/fork engine: a SweepCache held
-/// across sweeps, as a figure driver holds one across its whole figure.
-/// The untimed setup sweep warms the per-prefix checkpoints once; the
-/// timed iterations then measure the steady-state cost of re-sweeping
-/// against the warm cache (forks + memoized windows) -- "warm once, sweep
-/// everywhere". BM_ColdQuadrantSweep below is the same sweep built cold
-/// and keeps the warm-up path itself gated.
-void BM_SerialQuadrantSweep(benchmark::State& state) {
+/// Re-sweeping against a warm SweepCache, as a figure driver holding one
+/// across its whole figure does. The untimed setup sweep simulates every
+/// window once; each timed sweep is then answered entirely from the outcome
+/// memo (outcome_hits counts them), so this times warm-cache memo lookups,
+/// not simulation. BM_ColdQuadrantSweep below is the same sweep simulated
+/// cold and is the one that measures simulation work.
+void BM_QuadrantSweepWarmMemoHits(benchmark::State& state) {
   const auto host = core::cascade_lake();
   core::C2MSpec c2m;
   c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
@@ -401,7 +449,7 @@ void BM_SerialQuadrantSweep(benchmark::State& state) {
   state.counters["outcome_hits"] = static_cast<double>(cache.stats().outcome_hits);
   state.counters["outcome_misses"] = static_cast<double>(cache.stats().outcome_misses);
 }
-BENCHMARK(BM_SerialQuadrantSweep)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_QuadrantSweepWarmMemoHits)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The same sweep built cold every time (the pre-fork reference): keeps the
 /// cold construction+warmup path itself perf-gated.
@@ -475,15 +523,16 @@ BENCHMARK(BM_ParallelQuadrantSweep)
 
 // ---- fleet-scale sweep -----------------------------------------------------
 
-/// A 1000-host fleet with 10 distinct config fingerprints (ISSUE/ROADMAP
-/// acceptance scenario). With zero measurement jitter every replica of a
-/// fingerprint is a bit-identical simulation, so a full fleet run costs 10
-/// fingerprints x 3 cold windows plus 990 x 3 memoized window lookups: the
-/// per-host marginal cost is a memo lookup, not a warmup. items/s is
-/// hosts/s; the cache counters make the dedup auditable in the JSON output
-/// (30 checkpoint misses, 2970 outcome hits per run, every run).
+/// A 50-host fleet with 10 distinct config fingerprints. Measurement
+/// jitter gives every replica its own window length, so no window is a memo
+/// hit: each fingerprint's three window prefixes are warmed cold once (30
+/// checkpoint misses per run) and every other window forks from them and
+/// simulates its own measurement (120 checkpoint hits, 0 outcome hits).
+/// items/s is hosts/s; the cache counters keep that split auditable in the
+/// JSON output.
 std::string fleet_bench_scenario(int templates, int hosts_per_template) {
-  std::string s = "fleet bench\nseed 3\nwarmup_us 20\nmeasure_us 60\n";
+  std::string s =
+      "fleet bench\nseed 3\nwarmup_us 20\nmeasure_us 60\nmeasure_jitter_pct 20\n";
   for (int i = 0; i < templates; ++i) {
     // Distinct fingerprints via workload x core-count (the CLX preset has 8
     // cores, so the sweep folds at 5 and switches application).
@@ -498,21 +547,24 @@ std::string fleet_bench_scenario(int templates, int hosts_per_template) {
 }
 
 void BM_FleetSweep(benchmark::State& state) {
-  const auto sc = fleet::Scenario::parse(fleet_bench_scenario(10, 100));
+  const auto sc = fleet::Scenario::parse(fleet_bench_scenario(10, 5));
   fleet::RunnerOptions opt;
   opt.threads = static_cast<unsigned>(state.range(0));
   std::uint64_t hosts = 0;
+  std::uint64_t cp_hits = 0;
   std::uint64_t cp_misses = 0;
   std::uint64_t memo_hits = 0;
   for (auto _ : state) {
     const fleet::FleetReport r = fleet::run_fleet(sc, opt);
     hosts += r.hosts;
+    cp_hits += r.cache.checkpoint_hits;
     cp_misses += r.cache.checkpoint_misses;
     memo_hits += r.cache.outcome_hits;
     benchmark::DoNotOptimize(r.agg.hosts);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(hosts));
   const double iters = static_cast<double>(state.iterations() ? state.iterations() : 1);
+  state.counters["checkpoint_hits_per_run"] = static_cast<double>(cp_hits) / iters;
   state.counters["checkpoint_misses_per_run"] = static_cast<double>(cp_misses) / iters;
   state.counters["outcome_hits_per_run"] = static_cast<double>(memo_hits) / iters;
 }

@@ -2,16 +2,15 @@
 
 #include <bit>
 
-#include "common/check.hpp"
-
 namespace hostnet::sim {
 
 namespace {
 
-/// First set bit at index >= from in `bits` (no wraparound), or npos.
+constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+
+/// First set bit at index >= from in `bits` (no wraparound), or kNpos.
 template <std::size_t N>
 std::size_t find_bit_ge(const std::array<std::uint64_t, N>& bits, std::size_t from) {
-  constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
   std::size_t word = from / 64;
   if (word >= N) return kNpos;
   std::uint64_t w = bits[word] & (~std::uint64_t{0} << (from % 64));
@@ -22,27 +21,34 @@ std::size_t find_bit_ge(const std::array<std::uint64_t, N>& bits, std::size_t fr
   }
 }
 
-constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+template <std::size_t N>
+void set_bit(std::array<std::uint64_t, N>& bits, std::size_t i) {
+  bits[i / 64] |= std::uint64_t{1} << (i % 64);
+}
 
 }  // namespace
 
-void CalendarQueue::push(Tick at, Event ev) {
-  assert(at >= win_start_ && "cannot schedule before the current window");
-  // cursor_ is the last popped tick: a push behind it could never fire and
-  // would silently break same-tick FIFO determinism.
-  HOSTNET_INVARIANT(at >= cursor_ && at >= win_start_,
-                    "calendar-queue monotonicity: push at tick %lld behind "
-                    "cursor %lld (window start %lld)",
-                    static_cast<long long>(at), static_cast<long long>(cursor_),
-                    static_cast<long long>(win_start_));
+void CalendarQueue::grow() {
+  // Chunks are never reallocated, so node addresses -- and a closure that is
+  // running in one -- survive growth. Amortized: the pool reaches its
+  // high-water mark during warm-up and is recycled from then on.
+  const auto base = static_cast<Handle>(chunks_.size() * kChunkNodes);
+  chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
+  // Thread the new nodes so the lowest index is handed out first.
+  for (std::size_t i = kChunkNodes; i-- > 0;) {
+    chunks_.back()[i].next = free_;
+    free_ = base + static_cast<Handle>(i);
+  }
+}
+
+void CalendarQueue::link(Handle h) {
   ++size_;
+  const Tick at = node(h).at;
   if (at < win_start_ + Tick(kNumSlots)) {
     // Hot path: within the current window -- append to the one-tick slot.
-    Slot& s = slots_[static_cast<std::size_t>(at & kSlotMask)];
-    if (s.events.empty())
-      slot_bits_[static_cast<std::size_t>(at & kSlotMask) / 64] |=
-          std::uint64_t{1} << (static_cast<std::size_t>(at & kSlotMask) % 64);
-    s.events.push_back(std::move(ev));
+    const auto slot = static_cast<std::size_t>(at & kSlotMask);
+    if (slots_[slot].head == kNil) set_bit(slot_bits_, slot);
+    append(slots_[slot], h);
     return;
   }
   if (at < win_start_ + kHorizon) {
@@ -51,16 +57,16 @@ void CalendarQueue::push(Tick at, Event ev) {
     if (!overflow_.empty() && overflow_.begin()->first <= at) {
       auto it = overflow_.find(at);
       if (it != overflow_.end()) {
-        it->second.push_back(std::move(ev));
+        append(it->second, h);
         return;
       }
     }
     const std::size_t b = bucket_index(at);
-    if (buckets_[b].empty()) bucket_bits_[b / 64] |= std::uint64_t{1} << (b % 64);
-    buckets_[b].push_back(TimedEvent{at, std::move(ev)});
+    if (buckets_[b].head == kNil) set_bit(bucket_bits_, b);
+    append(buckets_[b], h);
     return;
   }
-  overflow_[at].push_back(std::move(ev));
+  append(overflow_[at], h);
 }
 
 Tick CalendarQueue::scan_l0(Tick from) const {
@@ -85,39 +91,39 @@ void CalendarQueue::advance_to(Tick target) {
   win_start_ = target & ~kSlotMask;
   cursor_ = win_start_;
   const std::size_t cb = bucket_index(win_start_);
-  auto& bucket = buckets_[cb];
-  if (!bucket.empty()) {
+  List& bucket = buckets_[cb];
+  if (bucket.head != kNil) {
     bucket_bits_[cb / 64] &= ~(std::uint64_t{1} << (cb % 64));
-    for (TimedEvent& te : bucket) {
-      assert(te.at >= win_start_ && te.at < win_start_ + Tick(kNumSlots));
-      const std::size_t slot = static_cast<std::size_t>(te.at & kSlotMask);
-      Slot& s = slots_[slot];
-      if (s.events.empty()) slot_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
-      s.events.push_back(std::move(te.fn));
+    for (Handle h = bucket.head; h != kNil;) {
+      const Handle next = node(h).next;
+      const Tick at = node(h).at;
+      assert(at >= win_start_ && at < win_start_ + Tick(kNumSlots));
+      const auto slot = static_cast<std::size_t>(at & kSlotMask);
+      if (slots_[slot].head == kNil) set_bit(slot_bits_, slot);
+      append(slots_[slot], h);
+      h = next;
     }
-    bucket.clear();
+    bucket = List{};
   }
-  // Overflow ticks that now fall inside the window move into L0. A tick's
-  // FIFO lives either here or in the L1 bucket, never both, so migration
-  // order between the two cannot reorder same-tick events.
+  // Overflow ticks that now fall inside the window are spliced into L0 whole.
+  // A tick's FIFO lives either here or in the L1 bucket, never both, so
+  // migration order between the two cannot reorder same-tick events.
   while (!overflow_.empty() && overflow_.begin()->first < win_start_ + Tick(kNumSlots)) {
     auto it = overflow_.begin();
-    const std::size_t slot = static_cast<std::size_t>(it->first & kSlotMask);
-    Slot& s = slots_[slot];
-    if (s.events.empty()) slot_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
-    for (Event& e : it->second) s.events.push_back(std::move(e));
+    const auto slot = static_cast<std::size_t>(it->first & kSlotMask);
+    List& dst = slots_[slot];
+    if (dst.head == kNil) {
+      set_bit(slot_bits_, slot);
+      dst = it->second;
+    } else {
+      node(dst.tail).next = it->second.head;
+      dst.tail = it->second.tail;
+    }
     overflow_.erase(it);
   }
 }
 
-Tick CalendarQueue::next_tick(Tick bound) {
-  if (size_ == 0) return kNoEvent;
-  // Fast path: the slot at the cursor tick still holds unpopped events
-  // (common when many events share a tick), so no bitmap scan is needed.
-  // Slots hold exactly one tick's events, so a non-drained cursor slot can
-  // only mean more events at cursor_ itself.
-  const Slot& cur = slots_[static_cast<std::size_t>(cursor_ & kSlotMask)];
-  if (cur.head < cur.events.size()) return cursor_;
+Tick CalendarQueue::next_tick_slow(Tick bound) {
   for (;;) {
     const Tick t = scan_l0(cursor_ > win_start_ ? cursor_ : win_start_);
     if (t != kNoEvent) return t;
@@ -138,6 +144,14 @@ Tick CalendarQueue::next_tick(Tick bound) {
   }
 }
 
+void CalendarQueue::save_list(const List& l, std::vector<Snapshot::Item>& out) const {
+  for (Handle h = l.head; h != kNil; h = node(h).next) {
+    const Node& n = node(h);
+    assert(n.ev.clonable() && "pending event not checkpointable");
+    out.push_back(Snapshot::Item{n.at, n.ev.clone()});
+  }
+}
+
 void CalendarQueue::save_state(Snapshot& out) const {
   out.win_start = win_start_;
   out.cursor = cursor_;
@@ -147,49 +161,48 @@ void CalendarQueue::save_state(Snapshot& out) const {
   // win_start_ is kNumSlots-aligned (advance_to masks it), so slot index i
   // holds exactly tick win_start_ + i and index order is tick order.
   assert((win_start_ & kSlotMask) == 0);
-  for (std::size_t i = 0; i < kNumSlots; ++i) {
-    const Slot& s = slots_[i];
-    for (std::size_t j = s.head; j < s.events.size(); ++j) {
-      assert(s.events[j].clonable() && "pending event not checkpointable");
-      out.l0.push_back(Snapshot::Item{win_start_ + Tick(i), s.events[j].clone()});
-    }
-  }
-  for (std::size_t b = 0; b < kNumBuckets; ++b)
-    for (const TimedEvent& te : buckets_[b]) {
-      assert(te.fn.clonable() && "pending event not checkpointable");
-      out.l1.push_back(Snapshot::Item{te.at, te.fn.clone()});
-    }
-  for (const auto& [at, events] : overflow_)
-    for (const Event& e : events) {
-      assert(e.clonable() && "pending event not checkpointable");
-      out.overflow.push_back(Snapshot::Item{at, e.clone()});
-    }
+  for (const List& l : slots_) save_list(l, out.l0);
+  for (const List& l : buckets_) save_list(l, out.l1);
+  for (const auto& [at, l] : overflow_) save_list(l, out.overflow);
 }
 
 void CalendarQueue::load_state(const Snapshot& s) {
-  for (Slot& slot : slots_) {
-    slot.events.clear();  // keeps capacity -- restore allocates nothing once warm
-    slot.head = 0;
-  }
-  for (auto& b : buckets_) b.clear();
+  // Destroy every pending closure and thread all nodes onto the free list,
+  // lowest index first; the chunks themselves are kept.
+  free_ = kNil;
+  for (std::size_t c = chunks_.size(); c-- > 0;)
+    for (std::size_t i = kChunkNodes; i-- > 0;) {
+      Node& n = chunks_[c][i];
+      n.ev.reset();
+      n.next = free_;
+      free_ = static_cast<Handle>(c * kChunkNodes + i);
+    }
+  slots_.fill(List{});
+  buckets_.fill(List{});
   slot_bits_ = {};
   bucket_bits_ = {};
   overflow_.clear();
   win_start_ = s.win_start;
   cursor_ = s.cursor;
   size_ = s.l0.size() + s.l1.size() + s.overflow.size();
+  const auto adopt = [this](const Snapshot::Item& it, List& l) {
+    const Handle h = acquire();
+    node(h).ev = it.ev.clone();
+    node(h).at = it.at;
+    append(l, h);
+  };
   for (const Snapshot::Item& it : s.l0) {
     assert(it.at >= win_start_ && it.at < win_start_ + Tick(kNumSlots));
     const auto slot = static_cast<std::size_t>(it.at & kSlotMask);
-    slot_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
-    slots_[slot].events.push_back(it.ev.clone());
+    set_bit(slot_bits_, slot);
+    adopt(it, slots_[slot]);
   }
   for (const Snapshot::Item& it : s.l1) {
     const std::size_t b = bucket_index(it.at);
-    bucket_bits_[b / 64] |= std::uint64_t{1} << (b % 64);
-    buckets_[b].push_back(TimedEvent{it.at, it.ev.clone()});
+    set_bit(bucket_bits_, b);
+    adopt(it, buckets_[b]);
   }
-  for (const Snapshot::Item& it : s.overflow) overflow_[it.at].push_back(it.ev.clone());
+  for (const Snapshot::Item& it : s.overflow) adopt(it, overflow_[it.at]);
 }
 
 bool CalendarQueue::audit_identical(const Snapshot& a, const Snapshot& b) {
@@ -203,22 +216,6 @@ bool CalendarQueue::audit_identical(const Snapshot& a, const Snapshot& b) {
   };
   return levels_match(a.l0, b.l0) && levels_match(a.l1, b.l1) &&
          levels_match(a.overflow, b.overflow);
-}
-
-Event CalendarQueue::pop_at(Tick at) {
-  assert(at >= win_start_ && at < win_start_ + Tick(kNumSlots));
-  Slot& s = slots_[static_cast<std::size_t>(at & kSlotMask)];
-  assert(s.head < s.events.size());
-  Event ev = std::move(s.events[s.head++]);
-  if (s.head == s.events.size()) {
-    s.events.clear();  // keeps capacity for the next lap of the window
-    s.head = 0;
-    slot_bits_[static_cast<std::size_t>(at & kSlotMask) / 64] &=
-        ~(std::uint64_t{1} << (static_cast<std::size_t>(at & kSlotMask) % 64));
-  }
-  --size_;
-  cursor_ = at;
-  return ev;
 }
 
 }  // namespace hostnet::sim

@@ -8,14 +8,14 @@
 // src/mc, src/iio and src/net out of the allocator.
 //
 // Inline storage additionally requires the callable to be trivially
-// copyable. That makes a moved Event a raw 64-byte memcpy with no indirect
-// call -- moves happen 2-3x per event (into the slot vector, out on pop) so
-// this is the difference between ~1 and ~4 indirect calls per simulated
-// event. Hot-path closures capture only pointers, Requests and Ticks and
-// are all trivially copyable; anything else (owning captures, large or
-// over-aligned callables) transparently falls back to the heap, where the
-// stored pointer is itself trivially copyable and the same memcpy move
-// applies.
+// copyable, so a moved Event is a raw 64-byte memcpy with no indirect call
+// and destruction is free. The kernel never moves a scheduled event: the
+// calendar queue emplace()s the closure straight into a pooled node and
+// fires it there (DESIGN.md section 4a). Hot-path closures capture only
+// pointers, Requests and Ticks and are all trivially copyable; anything
+// else (owning captures, large or over-aligned callables) transparently
+// falls back to the heap, where the stored pointer is itself trivially
+// copyable and the same memcpy move applies.
 #pragma once
 
 #include <cassert>
@@ -38,6 +38,15 @@ class Event {
   template <typename F, typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, Event> && std::is_invocable_v<D&>>>
   Event(F&& fn) {  // NOLINT(google-explicit-constructor): drop-in for std::function
+    emplace(std::forward<F>(fn));
+  }
+
+  /// Destroy the current callable (if any) and construct `fn` in place --
+  /// the calendar queue's construct-once path.
+  template <typename F, typename D = std::decay_t<F>>
+  void emplace(F&& fn) {
+    static_assert(!std::is_same_v<D, Event>, "emplace the closure itself, not an Event");
+    reset();
     if constexpr (fits_inline<D>()) {
       // The three properties the inline representation relies on, spelled
       // out (fits_inline() implies them; restated so a change there cannot

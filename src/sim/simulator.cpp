@@ -1,28 +1,14 @@
 #include "sim/simulator.hpp"
 
-#include <cassert>
-#include <utility>
-
-#include "common/check.hpp"
-
 namespace hostnet::sim {
-
-void Simulator::schedule_at(Tick at, Event fn) {
-  assert(at >= now_ && "cannot schedule into the past");
-  HOSTNET_INVARIANT(at >= now_,
-                    "simulator time monotonicity: event scheduled at tick %lld "
-                    "but the clock is already at %lld",
-                    static_cast<long long>(at), static_cast<long long>(now_));
-  queue_.push(at, std::move(fn));
-}
 
 bool Simulator::step() {
   const Tick at = queue_.next_tick();
   if (at == CalendarQueue::kNoEvent) return false;
-  Event fn = queue_.pop_at(at);
+  const CalendarQueue::Handle h = queue_.pop(at);
   now_ = at;
   ++executed_;
-  fn();
+  queue_.fire(h);
   return true;
 }
 
@@ -33,10 +19,10 @@ void Simulator::run_until(Tick until) {
     // land behind the window. See CalendarQueue::next_tick.
     const Tick at = queue_.next_tick(until);
     if (at == CalendarQueue::kNoEvent || at > until) break;
-    Event fn = queue_.pop_at(at);
+    const CalendarQueue::Handle h = queue_.pop(at);
     now_ = at;
     ++executed_;
-    fn();
+    queue_.fire(h);
   }
   if (now_ < until) now_ = until;
 }

@@ -3,12 +3,17 @@
 // A single Simulator owns the clock and the pending-event queue. Events are
 // bucketed by tick with FIFO same-tick buckets (see calendar_queue.hpp), so
 // simulations are deterministic by construction: two events scheduled for
-// the same tick fire in the order they were scheduled. The schedule/fire
-// path performs no heap allocation for closures up to Event::kInlineBytes.
+// the same tick fire in the order they were scheduled. A scheduled closure
+// is constructed once, in its queue node, and fired there; the
+// schedule/fire path performs no heap allocation for closures up to
+// Event::kInlineBytes once the queue's node pool has warmed up.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <utility>
 
+#include "common/check.hpp"
 #include "common/units.hpp"
 #include "sim/calendar_queue.hpp"
 #include "sim/event.hpp"
@@ -24,10 +29,21 @@ class Simulator {
   Tick now() const { return now_; }
 
   /// Schedule `fn` to run at absolute time `at` (must be >= now()).
-  void schedule_at(Tick at, Event fn);
+  template <typename F>
+  void schedule_at(Tick at, F&& fn) {
+    assert(at >= now_ && "cannot schedule into the past");
+    HOSTNET_INVARIANT(at >= now_,
+                      "simulator time monotonicity: event scheduled at tick %lld "
+                      "but the clock is already at %lld",
+                      static_cast<long long>(at), static_cast<long long>(now_));
+    queue_.emplace(at, std::forward<F>(fn));
+  }
 
   /// Schedule `fn` to run `delay` ticks from now.
-  void schedule(Tick delay, Event fn) { schedule_at(now_ + delay, std::move(fn)); }
+  template <typename F>
+  void schedule(Tick delay, F&& fn) {
+    schedule_at(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Run events until the queue is empty or the clock passes `until`.
   /// The clock is left at `until`, even if the queue dried up earlier.

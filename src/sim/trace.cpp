@@ -9,10 +9,13 @@ void Tracer::flush() {
   if (f == nullptr) return;
   // Chrome tracing JSON array format; timestamps are microseconds (double).
   std::fputs("[\n", f);
-  bool first = true;
+  // Metadata record: how many events the cap refused (0 for a full trace).
+  std::fprintf(f,
+               "{\"name\":\"hostnet_trace\",\"ph\":\"M\",\"pid\":1,"
+               "\"args\":{\"dropped_events\":%llu,\"max_events\":%zu}}",
+               static_cast<unsigned long long>(dropped_), max_events_);
   for (const Event& e : events_) {
-    if (!first) std::fputs(",\n", f);
-    first = false;
+    std::fputs(",\n", f);
     const double ts_us = static_cast<double>(e.ts) / kMicrosecond;
     switch (e.kind) {
       case kSpan: {
@@ -39,6 +42,11 @@ void Tracer::flush() {
   }
   std::fputs("\n]\n", f);
   std::fclose(f);
+  if (dropped_ != 0)
+    std::fprintf(stderr,
+                 "hostnet tracer: %s is truncated: dropped %llu events past the "
+                 "%zu-event cap\n",
+                 path_.c_str(), static_cast<unsigned long long>(dropped_), max_events_);
 }
 
 }  // namespace hostnet::sim

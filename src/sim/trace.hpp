@@ -9,11 +9,17 @@
 //   ... run ...
 //   tracer.flush();                      // or let the destructor do it
 //
+// A tracer keeps at most `max_events` events; later ones are counted, not
+// stored. flush() records the count in the trace's metadata and warns on
+// stderr when any were dropped, so a truncated trace never passes for a
+// complete one.
+//
 // The global hook keeps the hot paths free of plumbing; tracing is a
 // debugging aid, not a measurement surface, and costs nothing when no
 // global tracer is installed.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -25,7 +31,13 @@ namespace hostnet::sim {
 
 class Tracer {
  public:
-  explicit Tracer(std::string path) : path_(std::move(path)) { events_.reserve(1 << 16); }
+  /// Default cap: ~hundreds of MB of JSON.
+  static constexpr std::size_t kDefaultMaxEvents = 4u << 20;
+
+  explicit Tracer(std::string path, std::size_t max_events = kDefaultMaxEvents)
+      : path_(std::move(path)), max_events_(max_events) {
+    events_.reserve(std::min<std::size_t>(max_events_, 1 << 16));
+  }
   ~Tracer() { flush(); }
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -33,23 +45,22 @@ class Tracer {
   /// A span: `name` from `start` lasting `dur` on track `tid`.
   void complete_event(const char* name, const char* cat, Tick start, Tick dur,
                       std::uint32_t tid) {
-    if (events_.size() >= kMaxEvents) return;
-    events_.push_back(Event{name, cat, start, dur, tid, kSpan, 0.0});
+    record(Event{name, cat, start, dur, tid, kSpan, 0.0});
   }
 
   /// A zero-duration marker.
   void instant(const char* name, const char* cat, Tick at, std::uint32_t tid) {
-    if (events_.size() >= kMaxEvents) return;
-    events_.push_back(Event{name, cat, at, 0, tid, kInstant, 0.0});
+    record(Event{name, cat, at, 0, tid, kInstant, 0.0});
   }
 
   /// A counter sample (rendered as a chart track).
   void counter(const char* name, Tick at, double value) {
-    if (events_.size() >= kMaxEvents) return;
-    events_.push_back(Event{name, "counter", at, 0, 0, kCounter, value});
+    record(Event{name, "counter", at, 0, 0, kCounter, value});
   }
 
   std::size_t size() const { return events_.size(); }
+  /// Events refused because the tracer was full.
+  std::uint64_t dropped() const { return dropped_; }
 
   void flush();
 
@@ -72,10 +83,18 @@ class Tracer {
     Kind kind;
     double value;
   };
-  static constexpr std::size_t kMaxEvents = 4u << 20;  // ~hundreds of MB of JSON
+
+  void record(const Event& e) {
+    if (events_.size() < max_events_)
+      events_.push_back(e);
+    else
+      ++dropped_;
+  }
 
   std::string path_;
+  std::size_t max_events_;
   std::vector<Event> events_;
+  std::uint64_t dropped_ = 0;
   bool flushed_ = false;
   static inline Tracer* global_ = nullptr;
 };

@@ -73,11 +73,11 @@ TEST(CheckedInvariantDeathTest, SchedulingIntoThePastTripsMonotonicity) {
 
 TEST(CheckedInvariantDeathTest, CalendarPushBehindCursorTripsMonotonicity) {
   sim::CalendarQueue q;
-  q.push(ns(10), [] {});
+  q.emplace(ns(10), [] {});
   const Tick at = q.next_tick();
   ASSERT_EQ(at, ns(10));
-  (void)q.pop_at(at);  // cursor is now at ns(10)
-  EXPECT_DEATH(q.push(ns(2), [] {}), "HOSTNET_INVARIANT");
+  q.fire(q.pop(at));  // cursor is now at ns(10)
+  EXPECT_DEATH(q.emplace(ns(2), [] {}), "HOSTNET_INVARIANT");
 }
 
 #else  // !HOSTNET_CHECKED

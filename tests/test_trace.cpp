@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/host_system.hpp"
 #include "sim/trace.hpp"
@@ -39,6 +40,42 @@ TEST(Tracer, WritesWellFormedJson) {
   }
   EXPECT_EQ(depth, 0);
   std::remove(path);
+}
+
+TEST(Tracer, CountsAndReportsEventsPastTheCap) {
+  const std::string path = ::testing::TempDir() + "hostnet_test_trace_cap.json";
+  testing::internal::CaptureStderr();
+  {
+    Tracer t(path, /*max_events=*/4);
+    for (int i = 0; i < 10; ++i) t.instant("tick", "cat", ns(i), 0);
+    t.counter("occ", ns(11), 1.0);
+    EXPECT_EQ(t.size(), 4u);
+    EXPECT_EQ(t.dropped(), 7u);
+    t.flush();
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("dropped 7 events"), std::string::npos) << err;
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string s = ss.str();
+  EXPECT_NE(s.find("\"dropped_events\":7"), std::string::npos);
+  EXPECT_NE(s.find("\"max_events\":4"), std::string::npos);
+  std::remove(path.c_str());
+
+  // A trace within its cap reports zero drops and prints no warning.
+  testing::internal::CaptureStderr();
+  {
+    Tracer t(path, 4);
+    t.instant("tick", "cat", ns(1), 0);
+    EXPECT_EQ(t.dropped(), 0u);
+  }
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  std::ifstream in2(path);
+  std::stringstream ss2;
+  ss2 << in2.rdbuf();
+  EXPECT_NE(ss2.str().find("\"dropped_events\":0"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST(Tracer, GlobalHookCapturesSimulationEvents) {
