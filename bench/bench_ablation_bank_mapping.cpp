@@ -25,14 +25,20 @@ void run_variants(const std::vector<Variant>& variants) {
   const auto opt = core::default_run_options();
   Table t({"variant", "iso C2M GB/s (2c)", "C2M degr (2c)", "rowmiss iso", "rowmiss colo",
            "P2M degr"});
+  core::Plan plan;
+  std::vector<core::ColocationRef> refs;
   for (const auto& v : variants) {
     core::C2MSpec c2m;
     c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
     c2m.cores = 2;
     core::P2MSpec p2m;
     p2m.storage = workloads::fio_p2m_write(v.host, workloads::p2m_region());
-    const auto o = core::run_colocation(v.host, c2m, p2m, opt);
-    t.row({v.name, Table::num(o.iso_c2m.c2m_score, 1),
+    refs.push_back(plan.colocation(v.host, c2m, p2m, opt));
+  }
+  const auto out = core::execute(plan);
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const auto o = out[refs[i]];
+    t.row({variants[i].name, Table::num(o.iso_c2m.c2m_score, 1),
            Table::num(o.c2m_degradation()) + "x",
            Table::pct(o.iso_c2m.metrics.row_miss_ratio_read * 100),
            Table::pct(o.colo.metrics.row_miss_ratio_read * 100),

@@ -49,15 +49,21 @@ int main() {
   banner("Ablation: MC write-drain policy (quadrant 3, 4 C2M cores)");
   Table t({"policy", "C2M degr", "P2M degr", "P2M-W lat (ns)", "N_waiting", "WPQ full",
            "switch cycles/us"});
+  core::Plan plan;
+  std::vector<core::ColocationRef> refs;
   for (const auto& v : variants) {
     core::C2MSpec c2m;
     c2m.workload = workloads::c2m_read_write(workloads::c2m_core_region(0));
     c2m.cores = 4;
     core::P2MSpec p2m;
     p2m.storage = workloads::fio_p2m_write(v.host, workloads::p2m_region());
-    const auto o = core::run_colocation(v.host, c2m, p2m, opt);
+    refs.push_back(plan.colocation(v.host, c2m, p2m, opt));
+  }
+  const auto out = core::execute(plan);
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const auto o = out[refs[i]];
     const auto& m = o.colo.metrics;
-    t.row({v.name, Table::num(o.c2m_degradation()) + "x",
+    t.row({variants[i].name, Table::num(o.c2m_degradation()) + "x",
            Table::num(o.p2m_degradation()) + "x", Table::num(m.p2m_write.latency_ns, 0),
            Table::num(m.n_waiting, 1), Table::pct(m.wpq_full_fraction * 100),
            Table::num(m.mc_switch_cycles / m.window_ns * 1000, 1)});

@@ -26,9 +26,11 @@ void run_host(const core::HostConfig& host, const std::vector<std::uint32_t>& co
 
     banner(host.name + (c2m_writes ? ": quadrant 3" : ": quadrant 1"));
     Table t({"C2M cores", "C2M degr", "P2M degr", "mem util", "regime"});
-    const auto sweep = core::sweep_c2m_cores(host, c2m, p2m, cores, opt);
+    core::Plan plan;
+    const auto sweep = plan.core_sweep(host, c2m, p2m, cores, opt);
+    const auto out = core::execute(plan);
     for (std::size_t i = 0; i < sweep.size(); ++i) {
-      const auto& o = sweep[i];
+      const auto o = out[sweep[i]];
       t.row({std::to_string(cores[i]), Table::num(o.c2m_degradation()) + "x",
              Table::num(o.p2m_degradation()) + "x",
              Table::pct(o.colo.metrics.total_mem_gbps() / host.dram_peak_gb_per_s() * 100),

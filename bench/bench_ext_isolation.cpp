@@ -41,10 +41,12 @@ int main() {
     core::P2MSpec p2m;
     p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
     banner("policy: " + pol.name);
-    for (std::uint32_t n : {2u, 4u, 6u}) {
-      c2m.cores = n;
-      const auto o = core::run_colocation(host, c2m, p2m, opt);
-      t.row({std::to_string(n), Table::num(o.c2m_degradation()) + "x",
+    core::Plan plan;
+    const auto sweep = plan.core_sweep(host, c2m, p2m, {2, 4, 6}, opt);
+    const auto out = core::execute(plan);
+    for (const core::ColocationRef& ref : sweep) {
+      const auto o = out[ref];
+      t.row({std::to_string(o.colo.metrics.c2m_cores), Table::num(o.c2m_degradation()) + "x",
              Table::num(o.p2m_degradation()) + "x", Table::num(o.colo.p2m_score, 1),
              Table::num(o.colo.metrics.p2m_write.latency_ns, 0)});
     }

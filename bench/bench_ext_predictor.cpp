@@ -32,16 +32,19 @@ int main() {
     banner(std::string("Predictor vs simulator: ") + q.name);
     Table t({"C2M cores", "C2M sim", "C2M pred", "err", "P2M sim", "P2M pred", "err",
              "regime pred/sim"});
-    for (std::uint32_t n : {1u, 2u, 4u, 6u}) {
-      core::C2MSpec c2m;
-      c2m.workload = q.c2m_writes
-                         ? workloads::c2m_read_write(workloads::c2m_core_region(0))
-                         : workloads::c2m_read(workloads::c2m_core_region(0));
-      c2m.cores = n;
-      core::P2MSpec p2m;
-      p2m.storage = q.p2m_writes ? workloads::fio_p2m_write(host, workloads::p2m_region())
-                                 : workloads::fio_p2m_read(host, workloads::p2m_region());
-      const auto sim = core::run_colocation(host, c2m, p2m, opt);
+    core::C2MSpec c2m;
+    c2m.workload = q.c2m_writes ? workloads::c2m_read_write(workloads::c2m_core_region(0))
+                                : workloads::c2m_read(workloads::c2m_core_region(0));
+    core::P2MSpec p2m;
+    p2m.storage = q.p2m_writes ? workloads::fio_p2m_write(host, workloads::p2m_region())
+                               : workloads::fio_p2m_read(host, workloads::p2m_region());
+    const std::vector<std::uint32_t> cores{1, 2, 4, 6};
+    core::Plan plan;
+    const auto sweep = plan.core_sweep(host, c2m, p2m, cores, opt);
+    const auto out = core::execute(plan);
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+      const std::uint32_t n = cores[i];
+      const auto sim = out[sweep[i]];
 
       analytic::PredictorWorkload wl;
       wl.c2m_cores = n;

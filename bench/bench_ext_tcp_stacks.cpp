@@ -61,16 +61,18 @@ int main() {
       p2m.name = p2m.tcp->name;
 
       Table t({"C2M cores", "C2M degr", "Net degr", "Net GB/s", "regime"});
-      core::SweepCache cache;
-      const auto sweep = core::sweep_c2m_cores(hc, c2m, p2m, cores, opt, &cache);
+      core::Plan plan;
+      const auto sweep = plan.core_sweep(hc, c2m, p2m, cores, opt);
+      const auto out = core::execute(plan);
       Onset& o = onsets[q][s];
       for (std::size_t i = 0; i < sweep.size(); ++i) {
-        const core::Regime r = sweep[i].regime();
+        const auto pt = out[sweep[i]];
+        const core::Regime r = pt.regime();
         if (r == core::Regime::kBlue && o.blue == 0) o.blue = cores[i];
         if (r == core::Regime::kRed && o.red == 0) o.red = cores[i];
-        t.row({std::to_string(cores[i]), Table::num(sweep[i].c2m_degradation()) + "x",
-               Table::num(sweep[i].p2m_degradation()) + "x",
-               Table::num(sweep[i].colo.p2m_score, 2), core::to_string(r)});
+        t.row({std::to_string(cores[i]), Table::num(pt.c2m_degradation()) + "x",
+               Table::num(pt.p2m_degradation()) + "x", Table::num(pt.colo.p2m_score, 2),
+               core::to_string(r)});
       }
       banner(std::string("stack: ") + core::to_string(stacks[s]));
       t.print();

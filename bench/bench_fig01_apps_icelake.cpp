@@ -16,19 +16,19 @@ using namespace hostnet;
 
 namespace {
 
-void run_app(const char* title, const core::HostConfig& host, const core::C2MSpec& base,
-             const std::vector<std::uint32_t>& cores) {
-  auto opt = core::default_run_options();
-  core::P2MSpec p2m;
-  p2m.name = "FIO";
-  p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
+struct App {
+  const char* title;
+  core::C2MSpec c2m;
+  std::vector<core::ColocationRef> sweep;
+};
 
-  banner(title);
+void print_app(const App& app, const core::HostConfig& host, const core::Outcomes& out,
+               const std::vector<std::uint32_t>& cores) {
+  banner(app.title);
   Table t({"C2M cores", "C2M degr", "P2M degr", "C2M mem GB/s", "P2M mem GB/s",
            "mem util", "P2M GB/s"});
-  const auto sweep = core::sweep_c2m_cores(host, base, p2m, cores, opt);
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const auto& o = sweep[i];
+  for (std::size_t i = 0; i < app.sweep.size(); ++i) {
+    const auto o = out[app.sweep[i]];
     const auto& m = o.colo.metrics;
     t.row({std::to_string(cores[i]), Table::num(o.c2m_degradation()) + "x",
            Table::num(o.p2m_degradation()) + "x", Table::num(m.c2m_mem_gbps(), 1),
@@ -46,21 +46,24 @@ int main() {
   // The Ice Lake testbed runs with DDIO permanently enabled (section 2.1).
   host.cha.ddio = true;
   const std::vector<std::uint32_t> cores{4, 8, 12, 16, 20, 24, 28};
+  const auto opt = core::default_run_options();
+  core::P2MSpec p2m;
+  p2m.name = "FIO";
+  p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
 
-  {
-    core::C2MSpec redis;
-    redis.name = "Redis (YCSB-C)";
-    redis.workload = workloads::redis_read(workloads::c2m_core_region(0));
-    run_app("Fig 1(a,c): Redis + FIO on Ice Lake (queries/s degradation)", host, redis,
-            cores);
-  }
-  {
-    core::C2MSpec gapbs;
-    gapbs.name = "GAPBS PageRank";
-    gapbs.workload = workloads::gapbs_pr(workloads::c2m_shared_region());
-    gapbs.per_core_region = false;  // one shared graph
-    run_app("Fig 1(b,d): GAPBS-PR + FIO on Ice Lake (slowdown = degradation)", host,
-            gapbs, cores);
-  }
+  App redis{"Fig 1(a,c): Redis + FIO on Ice Lake (queries/s degradation)", {}, {}};
+  redis.c2m.name = "Redis (YCSB-C)";
+  redis.c2m.workload = workloads::redis_read(workloads::c2m_core_region(0));
+  App gapbs{"Fig 1(b,d): GAPBS-PR + FIO on Ice Lake (slowdown = degradation)", {}, {}};
+  gapbs.c2m.name = "GAPBS PageRank";
+  gapbs.c2m.workload = workloads::gapbs_pr(workloads::c2m_shared_region());
+  gapbs.c2m.per_core_region = false;  // one shared graph
+
+  // Both sweeps in one plan: the executor runs their windows side by side.
+  core::Plan plan;
+  for (App* app : {&redis, &gapbs}) app->sweep = plan.core_sweep(host, app->c2m, p2m, cores, opt);
+  const auto out = core::execute(plan);
+  print_app(redis, host, out, cores);
+  print_app(gapbs, host, out, cores);
   return 0;
 }

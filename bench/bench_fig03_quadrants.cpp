@@ -5,8 +5,8 @@
 // degradation (isolated/colocated) and the colocated memory-bandwidth
 // breakdown -- the left/right columns of each quadrant in the figure.
 //
-// Sweep points run on the parallel sweep engine (HOSTNET_THREADS to cap);
-// results are bit-identical to the serial protocol.
+// All four sweeps run as one plan on the executor (HOSTNET_THREADS to cap);
+// results are bit-identical to running the windows one by one.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -34,6 +34,8 @@ int main() {
       {"Quadrant 4: C2M-ReadWrite + P2M-Read", true, false},
   };
 
+  core::Plan plan;
+  std::vector<std::vector<core::ColocationRef>> sweeps;
   for (const auto& q : quadrants) {
     core::C2MSpec c2m;
     c2m.name = q.c2m_writes ? "C2M-ReadWrite" : "C2M-Read";
@@ -44,13 +46,16 @@ int main() {
     p2m.storage = q.p2m_writes ? workloads::fio_p2m_write(host, workloads::p2m_region())
                                : workloads::fio_p2m_read(host, workloads::p2m_region());
 
-    const auto sweep = core::sweep_c2m_cores_parallel(host, c2m, p2m, cores, opt);
+    sweeps.push_back(plan.core_sweep(host, c2m, p2m, cores, opt));
+  }
+  const auto out = core::execute(plan);
 
-    banner(q.title);
+  for (std::size_t qi = 0; qi < sweeps.size(); ++qi) {
+    banner(quadrants[qi].title);
     Table t({"C2M cores", "C2M degr", "P2M degr", "C2M GB/s", "P2M GB/s", "mem total",
              "regime"});
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      const auto& o = sweep[i];
+    for (std::size_t i = 0; i < sweeps[qi].size(); ++i) {
+      const auto o = out[sweeps[qi][i]];
       const auto& m = o.colo.metrics;
       t.row({std::to_string(cores[i]), Table::num(o.c2m_degradation()) + "x",
              Table::num(o.p2m_degradation()) + "x", Table::num(m.c2m_mem_gbps(), 1),

@@ -26,17 +26,17 @@ int main() {
   core::P2MSpec p2m;
   p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
 
+  core::Plan plan;
+  const auto sweep = plan.core_sweep(host, c2m, p2m, cores, opt);
+  const auto out = core::execute(plan);
   struct Row {
     std::uint32_t n;
     core::Metrics iso;
     core::Metrics colo;
   };
   std::vector<Row> rows;
-  for (auto n : cores) {
-    c2m.cores = n;
-    rows.push_back(Row{n, core::run_workloads(host, c2m, std::nullopt, opt).metrics,
-                       core::run_workloads(host, c2m, p2m, opt).metrics});
-  }
+  for (std::size_t i = 0; i < cores.size(); ++i)
+    rows.push_back(Row{cores[i], out[sweep[i].iso_c2m].metrics, out[sweep[i].colo].metrics});
 
   banner("Fig 7(a,b,c): C2M-Read domain latency, RPQ occupancy, row miss ratio");
   Table a({"C2M cores", "lat iso (ns)", "lat colo (ns)", "RPQ iso", "RPQ colo",
@@ -66,7 +66,7 @@ int main() {
   Table e({"C2M cores", "P2M-Write lat (ns)", "WPQ full", "IIO wr occ (avg)",
            "IIO wr occ (max)", "P2M GB/s"});
   {
-    const auto iso_p2m = core::run_workloads(host, std::nullopt, p2m, opt).metrics;
+    const auto& iso_p2m = out[sweep.front().iso_p2m].metrics;
     e.row({"0", Table::num(iso_p2m.p2m_write.latency_ns, 1),
            Table::pct(iso_p2m.wpq_full_fraction * 100),
            Table::num(iso_p2m.p2m_write.credits_in_use, 1),

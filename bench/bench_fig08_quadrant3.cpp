@@ -28,17 +28,21 @@ int main() {
   core::P2MSpec p2m;
   p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
 
+  core::Plan plan;  // windows 2i / 2i+1: isolated / colocated at cores[i]
+  for (auto n : cores) {
+    c2m.cores = n;
+    plan.add(host, c2m, std::nullopt, opt);
+    plan.add(host, c2m, p2m, opt);
+  }
+  const auto out = core::execute(plan);
   struct Row {
     std::uint32_t n;
     core::Metrics iso;
     core::Metrics colo;
   };
   std::vector<Row> rows;
-  for (auto n : cores) {
-    c2m.cores = n;
-    rows.push_back(Row{n, core::run_workloads(host, c2m, std::nullopt, opt).metrics,
-                       core::run_workloads(host, c2m, p2m, opt).metrics});
-  }
+  for (std::size_t i = 0; i < cores.size(); ++i)
+    rows.push_back(Row{cores[i], out[2 * i].metrics, out[2 * i + 1].metrics});
 
   banner("Fig 8(a,b,c): C2M latency, RPQ occupancy, row miss ratio");
   Table a({"C2M cores", "LFB iso (ns)", "LFB colo (ns)", "RPQ iso", "RPQ colo",

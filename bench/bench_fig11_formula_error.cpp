@@ -20,24 +20,32 @@ using namespace hostnet;
 
 namespace {
 
-analytic::Constants calibrate(const core::HostConfig& host, const core::RunOptions& opt) {
-  analytic::Constants c;
-  // Unloaded C2M-Read domain latency: single isolated core.
+/// The calibration windows: unloaded C2M-Read (a single isolated core),
+/// unloaded P2M-Write (the low-load 4KB QD1 probe) and isolated P2M-Read,
+/// which at low load is link-limited with spare credits (L = O*64/T).
+struct Calibration {
+  std::size_t c2m_read, p2m_write, p2m_read;
+};
+
+Calibration plan_calibration(core::Plan& plan, const core::HostConfig& host,
+                             const core::RunOptions& opt) {
   core::C2MSpec c2m;
   c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
   c2m.cores = 1;
-  c.c2m_read_ns = core::run_workloads(host, c2m, std::nullopt, opt).metrics.lfb_latency_ns;
-  // Unloaded P2M-Write domain latency: low-load 4KB QD1 probe.
   core::P2MSpec probe;
   probe.storage = workloads::fio_4k_qd1(host, workloads::p2m_region());
-  c.p2m_write_ns =
-      core::run_workloads(host, std::nullopt, probe, opt).metrics.p2m_write.latency_ns;
-  // Unloaded P2M-Read domain latency: isolated P2M-Read at low load is
-  // link-limited with spare credits; L = O*64/T by Little's law.
   core::P2MSpec rd;
   rd.storage = workloads::fio_p2m_read(host, workloads::p2m_region());
-  const auto m = core::run_workloads(host, std::nullopt, rd, opt).metrics;
-  c.p2m_read_ns = m.p2m_read.latency_ns;
+  return Calibration{plan.add(host, c2m, std::nullopt, opt),
+                     plan.add(host, std::nullopt, probe, opt),
+                     plan.add(host, std::nullopt, rd, opt)};
+}
+
+analytic::Constants constants_from(const Calibration& cal, const core::Outcomes& out) {
+  analytic::Constants c;
+  c.c2m_read_ns = out[cal.c2m_read].metrics.lfb_latency_ns;
+  c.p2m_write_ns = out[cal.p2m_write].metrics.p2m_write.latency_ns;
+  c.p2m_read_ns = out[cal.p2m_read].metrics.p2m_read.latency_ns;
   c.c2m_write_ns = 10.0;
   return c;
 }
@@ -61,7 +69,6 @@ int main() {
   const core::HostConfig host = core::cascade_lake();
   const auto opt = core::default_run_options();
   const std::vector<std::uint32_t> cores{1, 2, 3, 4, 5, 6};
-  const auto constants = calibrate(host, opt);
 
   struct Quad {
     const char* name;
@@ -75,6 +82,11 @@ int main() {
       {"Quadrant 4 (C2M-ReadWrite + P2M-Read)", true, false},
   };
 
+  // Calibration and every colocated window in one plan; colo[q][i] is
+  // quadrant q at cores[i].
+  core::Plan plan;
+  const Calibration cal = plan_calibration(plan, host, opt);
+  std::vector<std::vector<std::size_t>> colo;
   for (const auto& q : quads) {
     core::C2MSpec c2m;
     c2m.workload = q.c2m_writes ? workloads::c2m_read_write(workloads::c2m_core_region(0))
@@ -82,6 +94,17 @@ int main() {
     core::P2MSpec p2m;
     p2m.storage = q.p2m_writes ? workloads::fio_p2m_write(host, workloads::p2m_region())
                                : workloads::fio_p2m_read(host, workloads::p2m_region());
+    colo.emplace_back();
+    for (auto n : cores) {
+      c2m.cores = n;
+      colo.back().push_back(plan.add(host, c2m, p2m, opt));
+    }
+  }
+  const auto out = core::execute(plan);
+  const auto constants = constants_from(cal, out);
+
+  for (std::size_t qi = 0; qi < colo.size(); ++qi) {
+    const Quad& q = quads[qi];
     const auto c2m_kind = q.c2m_writes ? analytic::DomainKind::kC2MReadWrite
                                        : analytic::DomainKind::kC2MRead;
     const auto p2m_kind =
@@ -89,16 +112,15 @@ int main() {
 
     banner(std::string("Fig 11: formula error, ") + q.name);
     Table t({"C2M cores", "C2M err", "C2M err (+CHA)", "P2M err", "P2M err (+CHA)"});
-    for (auto n : cores) {
-      c2m.cores = n;
-      const auto m = core::run_workloads(host, c2m, p2m, opt).metrics;
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+      const auto& m = out[colo[qi][i]].metrics;
       const auto e_c = analytic::estimate(c2m_kind, m, host.mc.timing, constants);
       const auto e_cc = analytic::estimate(c2m_kind, m, host.mc.timing, constants,
                                            {.add_cha_admission_delay = true});
       const auto e_p = analytic::estimate(p2m_kind, m, host.mc.timing, constants);
       const auto e_pc = analytic::estimate(p2m_kind, m, host.mc.timing, constants,
                                            {.add_cha_admission_delay = true});
-      t.row({std::to_string(n),
+      t.row({std::to_string(cores[i]),
              Table::pct(relative_error_pct(e_c.throughput_gbps, measured_gbps(c2m_kind, m))),
              Table::pct(relative_error_pct(e_cc.throughput_gbps, measured_gbps(c2m_kind, m))),
              Table::pct(relative_error_pct(e_p.throughput_gbps, measured_gbps(p2m_kind, m))),

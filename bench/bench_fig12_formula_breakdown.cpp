@@ -2,6 +2,7 @@
 // components for all four quadrants (switching delay, write/read
 // head-of-line blocking, top-of-queue PRE/ACT delay; plus the CHA
 // admission delay for quadrant 3).
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -70,12 +71,16 @@ int main() {
     bool c2m_writes;
     bool p2m_writes;
   };
+  // The last entry, quadrant 3, gets both C2M (read) and P2M (write)
+  // breakdowns plus the CHA delay.
   const Quad quads[] = {
       {"Fig 12(a): quadrant 1 C2M read-delay breakdown", false, true},
       {"Fig 12(b): quadrant 2 C2M read-delay breakdown", false, false},
       {"Fig 12(c): quadrant 4 C2M read-delay breakdown", true, false},
+      {"Fig 12(d): quadrant 3 C2M read-delay breakdown (+CHA)", true, true},
   };
 
+  core::Plan plan;  // window q * cores.size() + i: quadrant q at cores[i]
   for (const auto& q : quads) {
     core::C2MSpec c2m;
     c2m.workload = q.c2m_writes ? workloads::c2m_read_write(workloads::c2m_core_region(0))
@@ -83,29 +88,22 @@ int main() {
     core::P2MSpec p2m;
     p2m.storage = q.p2m_writes ? workloads::fio_p2m_write(host, workloads::p2m_region())
                                : workloads::fio_p2m_read(host, workloads::p2m_region());
-    std::vector<core::Metrics> ms;
     for (auto n : cores) {
       c2m.cores = n;
-      ms.push_back(core::run_workloads(host, c2m, p2m, opt).metrics);
+      plan.add(host, c2m, p2m, opt);
     }
-    print_read_breakdown(q.name, cores, ms, host.mc.timing, false);
   }
+  const auto out = core::execute(plan);
 
-  // Quadrant 3: both C2M (read) and P2M (write) breakdowns + CHA delay.
-  {
-    core::C2MSpec c2m;
-    c2m.workload = workloads::c2m_read_write(workloads::c2m_core_region(0));
-    core::P2MSpec p2m;
-    p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
+  for (std::size_t qi = 0; qi < std::size(quads); ++qi) {
     std::vector<core::Metrics> ms;
-    for (auto n : cores) {
-      c2m.cores = n;
-      ms.push_back(core::run_workloads(host, c2m, p2m, opt).metrics);
-    }
-    print_read_breakdown("Fig 12(d): quadrant 3 C2M read-delay breakdown (+CHA)", cores,
-                         ms, host.mc.timing, true);
-    print_write_breakdown("Fig 12(e): quadrant 3 P2M write-delay breakdown (+CHA)", cores,
-                          ms, host.mc.timing);
+    for (std::size_t i = 0; i < cores.size(); ++i)
+      ms.push_back(out[qi * cores.size() + i].metrics);
+    const bool q3 = quads[qi].c2m_writes && quads[qi].p2m_writes;
+    print_read_breakdown(quads[qi].name, cores, ms, host.mc.timing, q3);
+    if (q3)
+      print_write_breakdown("Fig 12(e): quadrant 3 P2M write-delay breakdown (+CHA)", cores,
+                            ms, host.mc.timing);
   }
   return 0;
 }

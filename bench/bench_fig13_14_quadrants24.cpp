@@ -26,14 +26,14 @@ void run_quadrant(const char* title, const core::HostConfig& host, bool c2m_writ
   p2m.storage = workloads::fio_p2m_read(host, workloads::p2m_region());
 
   // Two measurement windows (iso, colo) per core count, all independent --
-  // run them as one batch on the parallel sweep engine.
-  std::vector<core::WorkloadPoint> points;
+  // run them as one plan on the executor.
+  core::Plan plan;
   for (auto n : cores) {
     c2m.cores = n;
-    points.push_back({host, c2m, std::nullopt});
-    points.push_back({host, c2m, p2m});
+    plan.add(host, c2m, std::nullopt, opt);
+    plan.add(host, c2m, p2m, opt);
   }
-  const auto results = core::run_workload_points(points, opt);
+  const auto results = core::execute(plan);
 
   banner(title);
   Table t({"C2M cores", "LFB iso (ns)", "LFB colo (ns)", "RPQ iso", "RPQ colo",

@@ -8,6 +8,8 @@
 // Expected trends: C2M apps degrade, P2M is unaffected; DDIO worsens C2M
 // degradation only when colocated with P2M-Write (LLC allocations /
 // evictions); with P2M-Read, DDIO on/off is identical.
+#include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -19,30 +21,47 @@ using namespace hostnet;
 
 namespace {
 
-void run_combo(const char* title, const core::C2MSpec& base, bool p2m_writes) {
+const std::vector<std::uint32_t> kCores{1, 2, 4, 6};
+
+/// One app x P2M combination: per core count, the colocation with DDIO off
+/// [0] and on [1].
+struct Combo {
+  const char* title;
+  std::vector<std::array<core::ColocationRef, 2>> points;
+};
+
+Combo plan_combo(core::Plan& plan, const char* title, const core::C2MSpec& base,
+                 bool p2m_writes) {
   auto opt = core::default_run_options();
   opt.warmup = std::max(opt.warmup, us(600));
-  const std::vector<std::uint32_t> cores{1, 2, 4, 6};
-
-  banner(title);
-  Table t({"C2M cores", "C2M degr (DDIO on)", "C2M degr (DDIO off)", "P2M degr (on)",
-           "P2M degr (off)"});
-  for (auto n : cores) {
+  Combo combo{title, {}};
+  for (auto n : kCores) {
     core::C2MSpec c2m = base;
     c2m.cores = n;
-    std::array<core::ColocationOutcome, 2> out;
+    std::array<core::ColocationRef, 2> refs;
     for (int ddio = 0; ddio < 2; ++ddio) {
       core::HostConfig host = core::cascade_lake();
       host.cha.ddio = ddio == 1;
       core::P2MSpec p2m;
       p2m.storage = p2m_writes ? workloads::fio_p2m_write(host, workloads::p2m_region())
                                : workloads::fio_p2m_read(host, workloads::p2m_region());
-      out[ddio] = core::run_colocation(host, c2m, p2m, opt);
+      refs[ddio] = plan.colocation(host, c2m, p2m, opt);
     }
-    t.row({std::to_string(n), Table::num(out[1].c2m_degradation()) + "x",
-           Table::num(out[0].c2m_degradation()) + "x",
-           Table::num(out[1].p2m_degradation()) + "x",
-           Table::num(out[0].p2m_degradation()) + "x"});
+    combo.points.push_back(refs);
+  }
+  return combo;
+}
+
+void print_combo(const Combo& combo, const core::Outcomes& out) {
+  banner(combo.title);
+  Table t({"C2M cores", "C2M degr (DDIO on)", "C2M degr (DDIO off)", "P2M degr (on)",
+           "P2M degr (off)"});
+  for (std::size_t i = 0; i < kCores.size(); ++i) {
+    const auto off = out[combo.points[i][0]];
+    const auto on = out[combo.points[i][1]];
+    t.row({std::to_string(kCores[i]), Table::num(on.c2m_degradation()) + "x",
+           Table::num(off.c2m_degradation()) + "x", Table::num(on.p2m_degradation()) + "x",
+           Table::num(off.p2m_degradation()) + "x"});
   }
   t.print();
 }
@@ -80,11 +99,16 @@ core::C2MSpec gapbs_pr_spec() {
 }  // namespace
 
 int main() {
-  run_combo("Fig 15: Redis-Write (C2M-RW) + P2M-Write", redis_write_spec(), true);
-  run_combo("Fig 15: GAPBS-BC (C2M-RW) + P2M-Write", gapbs_bc_spec(), true);
-  run_combo("Fig 16: Redis-Read (C2M-Read) + P2M-Read", redis_read_spec(), false);
-  run_combo("Fig 16: GAPBS-PR (C2M-Read) + P2M-Read", gapbs_pr_spec(), false);
-  run_combo("Fig 17: Redis-Write (C2M-RW) + P2M-Read", redis_write_spec(), false);
-  run_combo("Fig 17: GAPBS-BC (C2M-RW) + P2M-Read", gapbs_bc_spec(), false);
+  core::Plan plan;
+  const Combo combos[] = {
+      plan_combo(plan, "Fig 15: Redis-Write (C2M-RW) + P2M-Write", redis_write_spec(), true),
+      plan_combo(plan, "Fig 15: GAPBS-BC (C2M-RW) + P2M-Write", gapbs_bc_spec(), true),
+      plan_combo(plan, "Fig 16: Redis-Read (C2M-Read) + P2M-Read", redis_read_spec(), false),
+      plan_combo(plan, "Fig 16: GAPBS-PR (C2M-Read) + P2M-Read", gapbs_pr_spec(), false),
+      plan_combo(plan, "Fig 17: Redis-Write (C2M-RW) + P2M-Read", redis_write_spec(), false),
+      plan_combo(plan, "Fig 17: GAPBS-BC (C2M-RW) + P2M-Read", gapbs_bc_spec(), false),
+  };
+  const auto out = core::execute(plan);
+  for (const Combo& c : combos) print_combo(c, out);
   return 0;
 }

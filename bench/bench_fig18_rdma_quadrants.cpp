@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "core/experiment.hpp"
 #include "net/rdma.hpp"
 #include "workloads/workloads.hpp"
 
@@ -32,20 +33,24 @@ int main() {
       {"RDMA Quadrant 4: C2M-ReadWrite + ib_read_bw (P2M-Read)", true, false},
   };
 
+  core::Plan plan;
+  std::vector<std::vector<core::ColocationRef>> sweeps;
   for (const auto& q : quads) {
     core::C2MSpec c2m;
     c2m.workload = q.c2m_writes ? workloads::c2m_read_write(workloads::c2m_core_region(0))
                                 : workloads::c2m_read(workloads::c2m_core_region(0));
-    net::RdmaSpec rdma;
-    rdma.write_traffic = q.p2m_writes;
+    const core::P2MSpec p2m = q.p2m_writes ? net::rdma_write_p2m() : net::rdma_read_p2m();
+    sweeps.push_back(plan.core_sweep(host, c2m, p2m, cores, opt));
+  }
+  const auto out = core::execute(plan);
 
-    banner(q.title);
+  for (std::size_t qi = 0; qi < sweeps.size(); ++qi) {
+    banner(quads[qi].title);
     Table t({"C2M cores", "C2M degr", "RoCE degr", "C2M mem GB/s", "P2M mem GB/s",
              "PFC pause"});
-    for (auto n : cores) {
-      c2m.cores = n;
-      const auto o = net::run_rdma_colocation(host, c2m, rdma, opt);
-      t.row({std::to_string(n), Table::num(o.c2m_degradation()) + "x",
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+      const auto o = out[sweeps[qi][i]];
+      t.row({std::to_string(cores[i]), Table::num(o.c2m_degradation()) + "x",
              Table::num(o.p2m_degradation()) + "x",
              Table::num(o.colo.metrics.c2m_mem_gbps(), 1),
              Table::num(o.colo.metrics.p2m_mem_gbps(), 1),

@@ -31,18 +31,24 @@ void run_case(const char* title, bool c2m_writes) {
     iso_net = rx.goodput_gbps(host.sim().now());
   }
 
-  banner(title);
-  Table t({"C2M cores", "Memory app degr", "Network app degr", "loss rate",
-           "C2M mem GB/s", "P2M mem GB/s"});
+  // Isolated memory app at each core count (window i: cores[i]).
+  const auto wl = c2m_writes ? workloads::c2m_read_write(workloads::c2m_core_region(0))
+                             : workloads::c2m_read(workloads::c2m_core_region(0));
+  core::Plan plan;
   for (auto n : cores) {
-    auto wl = c2m_writes ? workloads::c2m_read_write(workloads::c2m_core_region(0))
-                         : workloads::c2m_read(workloads::c2m_core_region(0));
-    // Isolated memory app at this core count.
     core::C2MSpec c2m;
     c2m.workload = wl;
     c2m.cores = n;
-    const double iso_mem =
-        core::run_workloads(hc, c2m, std::nullopt, opt).c2m_score;
+    plan.add(hc, c2m, std::nullopt, opt);
+  }
+  const auto iso = core::execute(plan);
+
+  banner(title);
+  Table t({"C2M cores", "Memory app degr", "Network app degr", "loss rate",
+           "C2M mem GB/s", "P2M mem GB/s"});
+  for (std::size_t ci = 0; ci < cores.size(); ++ci) {
+    const std::uint32_t n = cores[ci];
+    const double iso_mem = iso[ci].c2m_score;
 
     core::HostSystem host(hc);
     for (std::uint32_t i = 0; i < n; ++i) {

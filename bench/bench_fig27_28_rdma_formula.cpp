@@ -6,37 +6,16 @@
 
 #include "analytic/formula.hpp"
 #include "common/table.hpp"
+#include "core/experiment.hpp"
 #include "net/rdma.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace hostnet;
 
-namespace {
-
-analytic::Constants calibrate(const core::HostConfig& host, const core::RunOptions& opt) {
-  analytic::Constants c;
-  core::C2MSpec c2m;
-  c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
-  c2m.cores = 1;
-  c.c2m_read_ns =
-      core::run_workloads(host, c2m, std::nullopt, opt).metrics.lfb_latency_ns;
-  net::RdmaSpec wr;
-  const auto mw = net::run_rdma(host, std::nullopt, wr, opt).metrics;
-  c.p2m_write_ns = mw.p2m_write.latency_ns;
-  net::RdmaSpec rd;
-  rd.write_traffic = false;
-  const auto mr = net::run_rdma(host, std::nullopt, rd, opt).metrics;
-  c.p2m_read_ns = mr.p2m_read.latency_ns;
-  return c;
-}
-
-}  // namespace
-
 int main() {
   const core::HostConfig host = core::cascade_lake();
   const auto opt = core::default_run_options();
   const std::vector<std::uint32_t> cores{1, 2, 3, 4, 5, 6};
-  const auto constants = calibrate(host, opt);
 
   struct Quad {
     const char* name;
@@ -50,12 +29,34 @@ int main() {
       {"RDMA Quadrant 4", true, false},
   };
 
+  // Calibration (unloaded C2M-Read, isolated ib_write_bw and ib_read_bw) and
+  // every colocated window in one plan; colo[q][i] is quadrant q at cores[i].
+  core::Plan plan;
+  core::C2MSpec one_core;
+  one_core.workload = workloads::c2m_read(workloads::c2m_core_region(0));
+  const std::size_t cal_c2m = plan.add(host, one_core, std::nullopt, opt);
+  const std::size_t cal_wr = plan.add(host, std::nullopt, net::rdma_write_p2m(), opt);
+  const std::size_t cal_rd = plan.add(host, std::nullopt, net::rdma_read_p2m(), opt);
+  std::vector<std::vector<std::size_t>> colo;
   for (const auto& q : quads) {
     core::C2MSpec c2m;
     c2m.workload = q.c2m_writes ? workloads::c2m_read_write(workloads::c2m_core_region(0))
                                 : workloads::c2m_read(workloads::c2m_core_region(0));
-    net::RdmaSpec rdma;
-    rdma.write_traffic = q.p2m_writes;
+    const core::P2MSpec p2m = q.p2m_writes ? net::rdma_write_p2m() : net::rdma_read_p2m();
+    colo.emplace_back();
+    for (auto n : cores) {
+      c2m.cores = n;
+      colo.back().push_back(plan.add(host, c2m, p2m, opt));
+    }
+  }
+  const auto out = core::execute(plan);
+  analytic::Constants constants;
+  constants.c2m_read_ns = out[cal_c2m].metrics.lfb_latency_ns;
+  constants.p2m_write_ns = out[cal_wr].metrics.p2m_write.latency_ns;
+  constants.p2m_read_ns = out[cal_rd].metrics.p2m_read.latency_ns;
+
+  for (std::size_t qi = 0; qi < colo.size(); ++qi) {
+    const Quad& q = quads[qi];
     const auto c2m_kind = q.c2m_writes ? analytic::DomainKind::kC2MReadWrite
                                        : analytic::DomainKind::kC2MRead;
     const auto p2m_kind =
@@ -64,16 +65,15 @@ int main() {
     banner(std::string("Fig 27/28: formula on ") + q.name);
     Table t({"C2M cores", "C2M err (+CHA)", "P2M err (+CHA)", "Switching", "HoL other",
              "HoL same", "TopOfQueue"});
-    for (auto n : cores) {
-      c2m.cores = n;
-      const auto m = net::run_rdma(host, c2m, rdma, opt).metrics;
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+      const auto& m = out[colo[qi][i]].metrics;
       const analytic::EstimateOptions eo{.add_cha_admission_delay = true};
       const auto ec = analytic::estimate(c2m_kind, m, host.mc.timing, constants, eo);
       const auto ep = analytic::estimate(p2m_kind, m, host.mc.timing, constants, eo);
       const double meas_c = m.c2m_read.throughput_gbps;
       const double meas_p = q.p2m_writes ? m.p2m_write.throughput_gbps
                                          : m.p2m_read.throughput_gbps;
-      t.row({std::to_string(n),
+      t.row({std::to_string(cores[i]),
              Table::pct(relative_error_pct(ec.throughput_gbps, meas_c)),
              Table::pct(relative_error_pct(ep.throughput_gbps, meas_p)),
              Table::num(ec.breakdown.switching_ns, 1) + "ns",

@@ -78,20 +78,18 @@ void run_case(const char* title, bool c2m_writes, const analytic::Constants& con
 int main() {
   const core::HostConfig hc = core::cascade_lake();
   const auto opt = core::default_run_options();
+  // Calibration: unloaded C2M-Read (one core) and P2M-Write (4KB QD1 probe).
+  core::C2MSpec c2m;
+  c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
+  core::P2MSpec probe;
+  probe.storage = workloads::fio_4k_qd1(hc, workloads::p2m_region());
+  core::Plan plan;
+  plan.add(hc, c2m, std::nullopt, opt);
+  plan.add(hc, std::nullopt, probe, opt);
+  const auto cal = core::execute(plan);
   analytic::Constants constants;
-  {
-    core::C2MSpec c2m;
-    c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
-    c2m.cores = 1;
-    constants.c2m_read_ns =
-        core::run_workloads(hc, c2m, std::nullopt, opt).metrics.lfb_latency_ns;
-  }
-  {
-    core::P2MSpec probe;
-    probe.storage = workloads::fio_4k_qd1(hc, workloads::p2m_region());
-    constants.p2m_write_ns =
-        core::run_workloads(hc, std::nullopt, probe, opt).metrics.p2m_write.latency_ns;
-  }
+  constants.c2m_read_ns = cal[0].metrics.lfb_latency_ns;
+  constants.p2m_write_ns = cal[1].metrics.p2m_write.latency_ns;
   run_case("Fig 29 (top) / Fig 30: C2MRead + TCP Rx formula accuracy", false, constants);
   run_case("Fig 29 (bottom) / Fig 30: C2MReadWrite + TCP Rx formula accuracy", true,
            constants);

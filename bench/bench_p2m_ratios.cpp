@@ -25,14 +25,21 @@ int main() {
            (c2m_writes ? "C2M-ReadWrite" : "C2M-Read"));
     Table t({"storage write%", "C2M degr", "P2M degr", "P2M GB/s", "P2M-W lat (ns)",
              "regime"});
-    for (double wr_pct : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+    const std::vector<double> mixes{0.0, 0.25, 0.5, 0.75, 1.0};
+    core::Plan plan;
+    std::vector<core::ColocationRef> refs;
+    for (double wr_pct : mixes) {
       core::P2MSpec p2m;
       // Storage writes are host reads: host-write fraction = 1 - wr_pct.
       iio::StorageConfig sc = workloads::fio_p2m_write(host, workloads::p2m_region());
       sc.mixed_fraction = wr_pct;  // fraction flipped to host reads
       p2m.storage = sc;
-      const auto o = core::run_colocation(host, c2m, p2m, opt);
-      t.row({Table::pct(wr_pct * 100, 0), Table::num(o.c2m_degradation()) + "x",
+      refs.push_back(plan.colocation(host, c2m, p2m, opt));
+    }
+    const auto out = core::execute(plan);
+    for (std::size_t i = 0; i < mixes.size(); ++i) {
+      const auto o = out[refs[i]];
+      t.row({Table::pct(mixes[i] * 100, 0), Table::num(o.c2m_degradation()) + "x",
              Table::num(o.p2m_degradation()) + "x", Table::num(o.colo.p2m_score, 1),
              Table::num(o.colo.metrics.p2m_write.latency_ns, 0),
              core::to_string(o.regime())});

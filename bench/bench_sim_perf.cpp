@@ -433,14 +433,13 @@ void BM_QuadrantSweepWarmMemoHits(benchmark::State& state) {
   core::P2MSpec p2m;
   p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
   const std::vector<std::uint32_t> cores{1, 2, 3, 4};
-  const auto opt = sweep_options();
+  core::Plan plan;
+  plan.core_sweep(host, c2m, p2m, cores, sweep_options());
   core::SweepCache cache;
-  benchmark::DoNotOptimize(
-      core::sweep_c2m_cores(host, c2m, p2m, cores, opt, &cache, core::SweepMode::kFork));
+  benchmark::DoNotOptimize(core::run_windows(plan, &cache).windows.data());
   for (auto _ : state) {
-    auto sweep =
-        core::sweep_c2m_cores(host, c2m, p2m, cores, opt, &cache, core::SweepMode::kFork);
-    benchmark::DoNotOptimize(sweep.data());
+    auto out = core::run_windows(plan, &cache);
+    benchmark::DoNotOptimize(out.windows.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cores.size()));
   state.counters["checkpoints"] = static_cast<double>(cache.checkpoints());
@@ -460,11 +459,11 @@ void BM_ColdQuadrantSweep(benchmark::State& state) {
   core::P2MSpec p2m;
   p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
   const std::vector<std::uint32_t> cores{1, 2, 3, 4};
-  const auto opt = sweep_options();
+  core::Plan plan;
+  plan.core_sweep(host, c2m, p2m, cores, sweep_options());
   for (auto _ : state) {
-    auto sweep =
-        core::sweep_c2m_cores(host, c2m, p2m, cores, opt, nullptr, core::SweepMode::kCold);
-    benchmark::DoNotOptimize(sweep.data());
+    auto out = core::execute(plan, {1, core::SweepMode::kCold});
+    benchmark::DoNotOptimize(out.windows.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cores.size()));
 }
@@ -504,11 +503,12 @@ void BM_ParallelQuadrantSweep(benchmark::State& state) {
   core::P2MSpec p2m;
   p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
   const std::vector<std::uint32_t> cores{1, 2, 3, 4};
-  const auto opt = sweep_options();
+  core::Plan plan;
+  plan.core_sweep(host, c2m, p2m, cores, sweep_options());
   const auto threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    auto sweep = core::sweep_c2m_cores_parallel(host, c2m, p2m, cores, opt, threads);
-    benchmark::DoNotOptimize(sweep.data());
+    auto out = core::execute(plan, {threads, core::SweepMode::kAuto});
+    benchmark::DoNotOptimize(out.windows.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cores.size()));
   state.counters["threads"] = threads;

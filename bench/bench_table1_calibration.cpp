@@ -16,42 +16,37 @@ namespace {
 
 void calibrate(const core::HostConfig& host, std::uint32_t seq_cores) {
   const auto opt = core::default_run_options();
+  core::C2MSpec seq;
+  seq.workload = workloads::c2m_read(workloads::c2m_core_region(0));
+  seq.cores = seq_cores;
+  core::C2MSpec one = seq;
+  one.cores = 1;
+  core::P2MSpec qd1;
+  qd1.storage = workloads::fio_4k_qd1(host, workloads::p2m_region());
+  core::P2MSpec fio;
+  fio.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
+  core::Plan plan;
+  plan.add(host, seq, std::nullopt, opt);
+  plan.add(host, one, std::nullopt, opt);
+  plan.add(host, std::nullopt, qd1, opt);
+  plan.add(host, std::nullopt, fio, opt);
+  const auto out = core::execute(plan);
+
   banner("Calibration: " + host.name);
   Table t({"property", "value", "paper"});
   t.row({"theoretical DRAM BW (GB/s)", Table::num(host.dram_peak_gb_per_s(), 1),
          host.dram.channels == 2 ? "46.9" : "102.4"});
-  {
-    core::C2MSpec c2m;
-    c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
-    c2m.cores = seq_cores;
-    const auto m = core::run_workloads(host, c2m, std::nullopt, opt).metrics;
-    t.row({"seq-read saturation (" + std::to_string(seq_cores) + " cores)",
-           Table::pct(m.total_mem_gbps() / host.dram_peak_gb_per_s() * 100), ">90%"});
-  }
-  {
-    core::C2MSpec c2m;
-    c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
-    c2m.cores = 1;
-    const auto m = core::run_workloads(host, c2m, std::nullopt, opt).metrics;
-    t.row({"unloaded C2M-Read latency (ns)", Table::num(m.lfb_latency_ns, 1), "~70"});
-    t.row({"LFB credits (max occupancy)", std::to_string(m.lfb_max_occupancy), "10-12"});
-  }
-  {
-    core::P2MSpec p2m;
-    p2m.storage = workloads::fio_4k_qd1(host, workloads::p2m_region());
-    const auto m = core::run_workloads(host, std::nullopt, p2m, opt).metrics;
-    t.row({"unloaded P2M-Write latency (ns)", Table::num(m.p2m_write.latency_ns, 1),
-           "~300"});
-  }
-  {
-    core::P2MSpec p2m;
-    p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
-    const auto m = core::run_workloads(host, std::nullopt, p2m, opt).metrics;
-    t.row({"P2M-Write throughput (GB/s)", Table::num(m.p2m_dev_gbps, 1),
-           host.dram.channels == 2 ? "~14 (PCIe)" : "~28 (PCIe)"});
-    t.row({"IIO write credits", std::to_string(host.iio.write_credits),
-           host.dram.channels == 2 ? "~92" : "(2 stacks)"});
-  }
+  t.row({"seq-read saturation (" + std::to_string(seq_cores) + " cores)",
+         Table::pct(out[0].metrics.total_mem_gbps() / host.dram_peak_gb_per_s() * 100), ">90%"});
+  t.row({"unloaded C2M-Read latency (ns)", Table::num(out[1].metrics.lfb_latency_ns, 1), "~70"});
+  t.row({"LFB credits (max occupancy)", std::to_string(out[1].metrics.lfb_max_occupancy),
+         "10-12"});
+  t.row({"unloaded P2M-Write latency (ns)",
+         Table::num(out[2].metrics.p2m_write.latency_ns, 1), "~300"});
+  t.row({"P2M-Write throughput (GB/s)", Table::num(out[3].metrics.p2m_dev_gbps, 1),
+         host.dram.channels == 2 ? "~14 (PCIe)" : "~28 (PCIe)"});
+  t.row({"IIO write credits", std::to_string(host.iio.write_credits),
+         host.dram.channels == 2 ? "~92" : "(2 stacks)"});
   t.print();
 }
 

@@ -31,6 +31,7 @@ int main() {
 
   Table t({"IIO wr credits", "C2M load (cores)", "P2M-W latency (ns)", "P2M GB/s",
            "target met"});
+  core::Plan plan;
   for (std::uint32_t credits : {92u, 128u, 184u, 256u}) {
     for (std::uint32_t load : {0u, 4u}) {
       core::HostConfig h = host;
@@ -44,12 +45,15 @@ int main() {
       }
       core::P2MSpec p2m;
       p2m.storage = workloads::fio_p2m_write(h, workloads::p2m_region());
-      const auto out = core::run_workloads(h, c2m, p2m, opt);
-      t.row({std::to_string(credits), std::to_string(load),
-             Table::num(out.metrics.p2m_write.latency_ns, 0),
-             Table::num(out.p2m_score, 1),
-             out.p2m_score >= 0.97 * target_gbps ? "yes" : "NO"});
+      plan.add(h, c2m, p2m, opt);
     }
+  }
+  const auto out = core::execute(plan);
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const core::Window& w = plan.windows()[i];
+    t.row({std::to_string(w.host.iio.write_credits), std::to_string(w.c2m ? w.c2m->cores : 0),
+           Table::num(out[i].metrics.p2m_write.latency_ns, 0), Table::num(out[i].p2m_score, 1),
+           out[i].p2m_score >= 0.97 * target_gbps ? "yes" : "NO"});
   }
   t.print();
 

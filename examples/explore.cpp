@@ -86,11 +86,11 @@ int main(int argc, char** argv) {
 
   banner("explore: " + host.name + ", " + kind + " x" + std::to_string(c2m.cores) +
          " + p2m-" + pkind);
-  const auto o = p2m.storage ? core::run_colocation(host, c2m, p2m, opt)
-                             : core::ColocationOutcome{
-                                   core::run_workloads(host, c2m, std::nullopt, opt),
-                                   {},
-                                   core::run_workloads(host, c2m, std::nullopt, opt)};
+  // Without a P2M placement the colocation is the lone C2M window.
+  core::Plan plan;
+  const auto ref = plan.colocation(
+      host, c2m, p2m.storage ? std::optional<core::P2MSpec>(p2m) : std::nullopt, opt);
+  const auto o = core::execute(plan)[ref];
   const auto& m = o.colo.metrics;
 
   Table t({"metric", "value"});

@@ -30,9 +30,11 @@ int main() {
            "mem util", "regime"});
   const std::vector<std::uint32_t> cores{1, 2, 3, 4, 5, 6};
   std::uint32_t best = 0;
-  const auto sweep = core::sweep_c2m_cores(host, redis, ingest, cores, opt);
+  core::Plan plan;
+  const auto sweep = plan.core_sweep(host, redis, ingest, cores, opt);
+  const auto out = core::execute(plan);
   for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const auto& o = sweep[i];
+    const auto o = out[sweep[i]];
     const double per_core = 1.0 / cores[i] / 1000.0;
     t.row({std::to_string(cores[i]), Table::num(o.iso_c2m.c2m_score * per_core, 1),
            Table::num(o.colo.c2m_score * per_core, 1),

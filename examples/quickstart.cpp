@@ -22,7 +22,9 @@ int main() {
   p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
 
   const auto opt = core::default_run_options();
-  const auto out = core::run_colocation(host, c2m, p2m, opt);
+  core::Plan plan;
+  const auto ref = plan.colocation(host, c2m, p2m, opt);
+  const auto out = core::execute(plan)[ref];
 
   banner("Colocation on " + host.name + " (4 C2M cores + NVMe P2M writes)");
   Table t({"side", "isolated", "colocated", "degradation"});

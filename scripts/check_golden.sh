@@ -8,6 +8,12 @@
 # cleared (the simulation is fully deterministic, so the outputs are
 # machine-independent) and diffed against its golden.
 #
+# The benches run concurrently. Each bench gets HOSTNET_THREADS worker
+# threads (default 1; results never depend on it), and at most
+# nproc / HOSTNET_THREADS benches run at once, so jobs x threads never
+# exceeds the CPU count. Each bench's output is captured and diffed on its
+# own; the report lists benches in a fixed (name) order.
+#
 # Usage:
 #   scripts/check_golden.sh [--update] [bench_build_dir]
 #     bench_build_dir   defaults to build/bench
@@ -15,9 +21,10 @@
 #                       (do this only when an output change is intended,
 #                       and say why in the commit message)
 #
-# Exit status: 0 = all outputs byte-identical (or updated), 1 = divergence
-# or a bench without a golden, 77 = nothing to check (no bench binaries --
-# e.g. a tests-only sanitizer build; CTest's SKIP_RETURN_CODE).
+# Exit status: 0 = all outputs byte-identical (or updated), 1 = divergence,
+# a failing bench or a bench without a golden, 77 = nothing to check (no
+# bench binaries -- e.g. a tests-only sanitizer build; CTest's
+# SKIP_RETURN_CODE).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -45,24 +52,62 @@ if [[ ${#benches[@]} -eq 0 ]]; then
   exit 77
 fi
 
+threads="${HOSTNET_THREADS:-1}"
+if ! [[ "${threads}" =~ ^[1-9][0-9]*$ ]]; then
+  echo "check_golden: HOSTNET_THREADS='${threads}' is not a positive integer" >&2
+  exit 1
+fi
+jobs=$(( $(nproc) / threads ))
+(( jobs >= 1 )) || jobs=1
+
 mkdir -p "${golden_dir}"
-tmp_out="$(mktemp)"
-trap 'rm -f "${tmp_out}"' EXIT
+out_dir="$(mktemp -d)"
+trap 'rm -rf "${out_dir}"' EXIT
+
+# The env overrides shorten CI measurement windows; goldens are captured
+# at the default windows so they are comparable across environments.
+# HOSTNET_FORK_SWEEPS=1 routes every plan through the checkpoint/fork
+# engine: the goldens double as the proof that forked windows are
+# byte-identical to the cold runs the goldens were captured from.
+run_bench() {
+  local name
+  name="$(basename "$1")"
+  local rc=0 start=${EPOCHREALTIME}
+  env -u HOSTNET_MEASURE_US -u HOSTNET_WARMUP_US \
+      HOSTNET_FORK_SWEEPS=1 HOSTNET_THREADS="${threads}" \
+      "$1" > "${out_dir}/${name}.out" 2> "${out_dir}/${name}.err" || rc=$?
+  echo "${rc}" > "${out_dir}/${name}.rc"
+  awk -v a="${start}" -v b="${EPOCHREALTIME}" 'BEGIN { printf "%.1f s", b - a }' \
+      > "${out_dir}/${name}.time"
+}
+
+running=0
+for bin in "${benches[@]}"; do
+  if (( running >= jobs )); then
+    wait -n
+    running=$((running - 1))
+  fi
+  run_bench "${bin}" &
+  running=$((running + 1))
+done
+wait
 
 failures=0
 for bin in "${benches[@]}"; do
   name="$(basename "${bin}")"
+  out="${out_dir}/${name}.out"
   golden="${golden_dir}/${name}.txt"
-  # The env overrides shorten CI measurement windows; goldens are captured
-  # at the default windows so they are comparable across environments.
-  # HOSTNET_FORK_SWEEPS=1 routes every sweep through the checkpoint/fork
-  # engine: the goldens double as the proof that forked sweeps are
-  # byte-identical to the cold runs the goldens were captured from.
-  env -u HOSTNET_MEASURE_US -u HOSTNET_WARMUP_US \
-      HOSTNET_FORK_SWEEPS=1 "${bin}" > "${tmp_out}"
+  rc="$(cat "${out_dir}/${name}.rc")"
+  took="$(cat "${out_dir}/${name}.time")"
+  if [[ "${rc}" != 0 ]]; then
+    echo "FAILED   ${name}: exit status ${rc} (${took})"
+    head -20 "${out_dir}/${name}.err" || true
+    failures=$((failures + 1))
+    continue
+  fi
   if [[ "${mode}" == "update" ]]; then
-    cp "${tmp_out}" "${golden}"
-    echo "updated  ${name}"
+    cp "${out}" "${golden}"
+    echo "updated  ${name} (${took})"
     continue
   fi
   if [[ ! -f "${golden}" ]]; then
@@ -71,21 +116,21 @@ for bin in "${benches[@]}"; do
     failures=$((failures + 1))
     continue
   fi
-  if diff -u "${golden}" "${tmp_out}" > /dev/null; then
-    echo "ok       ${name}"
+  if diff -u "${golden}" "${out}" > /dev/null; then
+    echo "ok       ${name} (${took})"
   else
-    echo "DIFFERS  ${name}:"
-    diff -u "${golden}" "${tmp_out}" | head -40 || true
+    echo "DIFFERS  ${name} (${took}):"
+    diff -u "${golden}" "${out}" | head -40 || true
     failures=$((failures + 1))
   fi
 done
 
+if [[ ${failures} -gt 0 ]]; then
+  echo "check_golden: ${failures} bench(es) failed or diverged from bench/goldens/" >&2
+  exit 1
+fi
 if [[ "${mode}" == "update" ]]; then
   echo "check_golden: goldens updated (${#benches[@]} bench(es))"
   exit 0
 fi
-if [[ ${failures} -gt 0 ]]; then
-  echo "check_golden: ${failures} bench(es) diverged from bench/goldens/" >&2
-  exit 1
-fi
-echo "check_golden: OK (${#benches[@]} bench(es) byte-identical)"
+echo "check_golden: OK (${#benches[@]} bench(es) byte-identical, ${jobs} at a time x ${threads} thread(s))"

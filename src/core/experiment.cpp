@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -20,17 +21,35 @@ std::string to_string(TcpStackKind kind) {
 
 namespace {
 // Installed once at static-init time by src/net; read-only afterwards, so
-// parallel sweep workers can share it without synchronization.
-TcpFactory installed_tcp_factory = nullptr;
+// executor workers can share it without synchronization.
+P2MTransportFactory installed_transport_factory = nullptr;
+
+/// A window-length override in microseconds, or `fallback` when `var` is
+/// unset. Rejects anything but a finite number (a typo must not silently
+/// run a 0 us window).
+Tick env_us(const char* var, Tick fallback, bool allow_zero) {
+  const char* e = std::getenv(var);
+  if (!e) return fallback;
+  char* end = nullptr;
+  const double v = std::strtod(e, &end);
+  if (end == e || *end != '\0' || !std::isfinite(v))
+    throw std::invalid_argument(std::string(var) + "='" + e + "' is not a number of microseconds");
+  const Tick t = us(v);
+  if (v < 0 || (t <= 0 && !allow_zero))
+    throw std::invalid_argument(std::string(var) + "='" + e + "' must be " +
+                                (allow_zero ? "non-negative" : "positive"));
+  return t;
+}
+
 }  // namespace
 
-void set_tcp_factory(TcpFactory f) { installed_tcp_factory = f; }
-TcpFactory tcp_factory() { return installed_tcp_factory; }
+void set_p2m_transport_factory(P2MTransportFactory f) { installed_transport_factory = f; }
+P2MTransportFactory p2m_transport_factory() { return installed_transport_factory; }
 
 RunOptions default_run_options() {
   RunOptions o;
-  if (const char* e = std::getenv("HOSTNET_MEASURE_US")) o.measure = us(std::atof(e));
-  if (const char* e = std::getenv("HOSTNET_WARMUP_US")) o.warmup = us(std::atof(e));
+  o.measure = env_us("HOSTNET_MEASURE_US", o.measure, /*allow_zero=*/false);
+  o.warmup = env_us("HOSTNET_WARMUP_US", o.warmup, /*allow_zero=*/true);
   return o;
 }
 
@@ -174,20 +193,71 @@ void enc_p2m(std::string& s, const std::optional<P2MSpec>& p2m) {
     enc(s, tc.ring_packets);
     enc(s, tc.base_rtt);
   }
+  enc(s, static_cast<std::uint8_t>(p2m->rdma_write.has_value()));
+  if (p2m->rdma_write) enc(s, p2m->rdma_write->wire_gb_per_s);
 }
 
 /// Build the transport requested by `p2m` (nullptr when none). Must run at
 /// the same construction position on the cold and fork paths -- after cores
-/// and storage -- because the receiver attaches ExternalHooks and event
+/// and storage -- because the transport attaches ExternalHooks and event
 /// ordering depends on registration order.
-std::unique_ptr<TcpTransport> make_tcp(HostSystem& host, const std::optional<P2MSpec>& p2m) {
-  if (!p2m || !p2m->tcp) return nullptr;
-  TcpFactory f = tcp_factory();
+std::unique_ptr<P2MTransport> make_transport(HostSystem& host,
+                                             const std::optional<P2MSpec>& p2m) {
+  if (!p2m || (!p2m->tcp && !p2m->rdma_write)) return nullptr;
+  if (p2m->tcp && p2m->rdma_write)
+    throw std::invalid_argument("P2MSpec '" + p2m->name +
+                                "' places both a TCP and an RDMA-write transport");
+  P2MTransportFactory f = p2m_transport_factory();
   if (!f)
     throw std::logic_error(
-        "P2MSpec requests a TCP transport but no factory is installed; "
+        "P2MSpec requests a network transport but no factory is installed; "
         "link hostnet_net (net::install_tcp_factory)");
-  return f(host, *p2m->tcp);
+  return f(host, *p2m);
+}
+
+bool fork_sweeps_default() {
+  static const bool on = [] {
+    const char* e = std::getenv("HOSTNET_FORK_SWEEPS");
+    if (!e) return false;
+    return std::strcmp(e, "1") == 0 || std::strcmp(e, "on") == 0 ||
+           std::strcmp(e, "true") == 0;
+  }();
+  return on;
+}
+
+/// A built (not yet run) host with the window's workloads placed, in the
+/// one construction order both paths use -- cores, then storage, then the
+/// transport: component seeds and registry order depend on it.
+struct BuiltHost {
+  HostSystem host;
+  /// The placed transport, when any: its hooks capture `this`, so it must
+  /// live exactly as long as the host.
+  std::unique_ptr<P2MTransport> transport;
+
+  explicit BuiltHost(const Window& w) : host(w.host, w.opt.seed) {
+    if (w.c2m) add_c2m(host, *w.c2m);
+    if (w.p2m && w.p2m->storage) host.add_storage(*w.p2m->storage);
+    transport = make_transport(host, w.p2m);
+  }
+
+  RunOutcome collect(const Window& w) {
+    RunOutcome out;
+    out.metrics = host.collect();
+    if (w.c2m)
+      out.c2m_score = episodic(*w.c2m) ? out.metrics.queries_per_sec : out.metrics.c2m_app_gbps;
+    if (w.p2m) {
+      const Tick now = host.sim().now();
+      out.p2m_score = transport ? transport->goodput_gbps(now) : out.metrics.p2m_dev_gbps;
+      if (transport) out.pause_fraction = transport->pause_fraction(now);
+    }
+    return out;
+  }
+};
+
+/// Outcome-memo key: the fingerprint plus the measure window.
+std::string window_key(std::string fingerprint, Tick measure) {
+  fingerprint.append(reinterpret_cast<const char*>(&measure), sizeof(measure));
+  return fingerprint;
 }
 
 }  // namespace
@@ -208,70 +278,28 @@ std::string config_fingerprint(const HostConfig& host, const std::optional<C2MSp
 // -- SweepCache ---------------------------------------------------------------
 
 struct SweepCache::Entry {
-  HostSystem host;
-  /// The warmed host's TCP receiver, when the point places one: its hooks
-  /// capture `this`, so it must live exactly as long as the cached host.
-  std::unique_ptr<TcpTransport> tcp;
+  BuiltHost built;
   HostSnapshot snap;
-  Entry(const HostConfig& hc, std::uint64_t seed) : host(hc, seed) {}
+  explicit Entry(const Window& w) : built(w) {}
 };
 
 SweepCache::SweepCache() = default;
 SweepCache::~SweepCache() = default;
 
-void SweepCache::clear() {
-  checkpoints_.clear();
-  outcomes_.clear();
-  stats_ = Stats{};
-}
-
-SweepCache& thread_sweep_cache() {
-  thread_local SweepCache cache;
-  return cache;
-}
-
-bool fork_sweeps_default() {
-  static const bool on = [] {
-    const char* e = std::getenv("HOSTNET_FORK_SWEEPS");
-    if (!e) return false;
-    return std::strcmp(e, "1") == 0 || std::strcmp(e, "on") == 0 ||
-           std::strcmp(e, "true") == 0;
-  }();
-  return on;
-}
-
-RunOutcome run_workloads(const HostConfig& hc, const std::optional<C2MSpec>& c2m,
-                         const std::optional<P2MSpec>& p2m, const RunOptions& opt,
-                         SweepCache* cache, SweepMode mode) {
-  if (!cache && (mode == SweepMode::kFork ||
-                 (mode == SweepMode::kAuto && fork_sweeps_default())))
-    cache = &thread_sweep_cache();
-  if (mode == SweepMode::kCold) cache = nullptr;
-
+RunOutcome run_window(const Window& w, SweepCache* cache) {
   if (!cache) {
-    // Cold reference path: build, warm, measure -- one host per point.
-    HostSystem host(hc, opt.seed);
-    if (c2m) add_c2m(host, *c2m);
-    if (p2m && p2m->storage) host.add_storage(*p2m->storage);
-    const std::unique_ptr<TcpTransport> tcp = make_tcp(host, p2m);
-    host.run(opt.warmup, opt.measure);
-
-    RunOutcome out;
-    out.metrics = host.collect();
-    if (c2m)
-      out.c2m_score = episodic(*c2m) ? out.metrics.queries_per_sec : out.metrics.c2m_app_gbps;
-    if (p2m)
-      out.p2m_score = tcp ? tcp->goodput_gbps(host.sim().now()) : out.metrics.p2m_dev_gbps;
-    return out;
+    // Cold reference path: build, warm, measure -- one host per window.
+    BuiltHost b(w);
+    b.host.run(w.opt.warmup, w.opt.measure);
+    return b.collect(w);
   }
 
   // Fork path. Checkpoint key = everything that shapes construction +
   // warmup; outcome key additionally pins the measure window. A full
   // outcome hit is a deterministic replay, so returning the memoized
   // RunOutcome is bit-identical to re-simulating it.
-  const std::string key = config_fingerprint(hc, c2m, p2m, opt.seed, opt.warmup);
-  std::string okey = key;
-  okey.append(reinterpret_cast<const char*>(&opt.measure), sizeof(opt.measure));
+  const std::string key = config_fingerprint(w.host, w.c2m, w.p2m, w.opt.seed, w.opt.warmup);
+  std::string okey = window_key(key, w.opt.measure);
   if (auto it = cache->outcomes_.find(okey); it != cache->outcomes_.end()) {
     ++cache->stats_.outcome_hits;
     return it->second;
@@ -282,127 +310,112 @@ RunOutcome run_workloads(const HostConfig& hc, const std::optional<C2MSpec>& c2m
   if (auto it = cache->checkpoints_.find(key); it != cache->checkpoints_.end()) {
     ++cache->stats_.checkpoint_hits;
     e = it->second.get();
-    e->host.restore(e->snap);
+    e->built.host.restore(e->snap);
   } else {
     ++cache->stats_.checkpoint_misses;
-    auto entry = std::make_unique<SweepCache::Entry>(hc, opt.seed);
-    // Identical construction order to the cold path (cores, then storage,
-    // then the TCP receiver): component seeds and registry order depend on
-    // it.
-    if (c2m) add_c2m(entry->host, *c2m);
-    if (p2m && p2m->storage) entry->host.add_storage(*p2m->storage);
-    entry->tcp = make_tcp(entry->host, p2m);
+    auto entry = std::make_unique<SweepCache::Entry>(w);
     // run(warmup, 0) warms and resets counters, leaving the host at the
     // measurement quiesce point: run_until() drains every event at or
     // before the boundary tick, so this plus run_more(measure) replays the
     // exact event sequence of a cold run(warmup, measure).
-    entry->host.run(opt.warmup, 0);
-    entry->host.save_state(entry->snap);
+    entry->built.host.run(w.opt.warmup, 0);
+    entry->built.host.save_state(entry->snap);
     e = entry.get();
     cache->checkpoints_.emplace(key, std::move(entry));
   }
 
-  e->host.run_more(opt.measure);
-  RunOutcome out;
-  out.metrics = e->host.collect();
-  if (c2m)
-    out.c2m_score = episodic(*c2m) ? out.metrics.queries_per_sec : out.metrics.c2m_app_gbps;
-  if (p2m)
-    out.p2m_score = e->tcp ? e->tcp->goodput_gbps(e->host.sim().now()) : out.metrics.p2m_dev_gbps;
+  e->built.host.run_more(w.opt.measure);
+  const RunOutcome out = e->built.collect(w);
   cache->outcomes_.emplace(std::move(okey), out);
   return out;
 }
 
-ColocationOutcome run_colocation(const HostConfig& host, const C2MSpec& c2m,
-                                 const P2MSpec& p2m, const RunOptions& opt,
-                                 SweepCache* cache, SweepMode mode) {
-  ColocationOutcome o;
-  o.iso_c2m = run_workloads(host, c2m, std::nullopt, opt, cache, mode);
-  o.iso_p2m = run_workloads(host, std::nullopt, p2m, opt, cache, mode);
-  o.colo = run_workloads(host, c2m, p2m, opt, cache, mode);
-  return o;
+// -- Plan + execute -------------------------------------------------------------
+
+std::size_t Plan::add(const HostConfig& host, const std::optional<C2MSpec>& c2m,
+                      const std::optional<P2MSpec>& p2m, const RunOptions& opt) {
+  windows_.push_back(Window{host, c2m, p2m, opt});
+  return windows_.size() - 1;
 }
 
-std::vector<RunOutcome> run_workload_points(const std::vector<WorkloadPoint>& points,
-                                            const RunOptions& opt, unsigned nthreads,
-                                            SweepMode mode) {
-  std::vector<RunOutcome> out(points.size());
-  run_parallel(
-      points.size(),
-      [&](std::size_t i) {
-        const WorkloadPoint& p = points[i];
-        // cache=nullptr: forking points resolve the worker thread's own
-        // thread_sweep_cache(), so threads never share a cache.
-        out[i] = run_workloads(p.host, p.c2m, p.p2m, opt, nullptr, mode);
-      },
-      nthreads);
-  return out;
+ColocationRef Plan::colocation(const HostConfig& host, const std::optional<C2MSpec>& c2m,
+                               const std::optional<P2MSpec>& p2m, const RunOptions& opt) {
+  ColocationRef r;
+  if (c2m) r.iso_c2m = add(host, c2m, std::nullopt, opt);
+  if (p2m) r.iso_p2m = add(host, std::nullopt, p2m, opt);
+  r.colo = c2m && p2m ? add(host, c2m, p2m, opt) : c2m ? r.iso_c2m : r.iso_p2m;
+  return r;
 }
 
-std::vector<ColocationOutcome> run_colocation_points(const std::vector<ColocationPoint>& points,
-                                                     const RunOptions& opt, unsigned nthreads,
-                                                     SweepMode mode) {
-  std::vector<ColocationOutcome> out(points.size());
-  run_parallel(
-      points.size() * 3,
-      [&](std::size_t job) {
-        const ColocationPoint& p = points[job / 3];
-        ColocationOutcome& o = out[job / 3];
-        switch (job % 3) {
-          case 0: o.iso_c2m = run_workloads(p.host, p.c2m, std::nullopt, opt, nullptr, mode); break;
-          case 1: o.iso_p2m = run_workloads(p.host, std::nullopt, p.p2m, opt, nullptr, mode); break;
-          default: o.colo = run_workloads(p.host, p.c2m, p.p2m, opt, nullptr, mode); break;
-        }
-      },
-      nthreads);
-  return out;
-}
-
-std::vector<ColocationOutcome> sweep_c2m_cores_parallel(const HostConfig& host, C2MSpec c2m,
-                                                        const P2MSpec& p2m,
-                                                        const std::vector<std::uint32_t>& cores,
-                                                        const RunOptions& opt, unsigned nthreads,
-                                                        SweepMode mode) {
-  std::vector<ColocationOutcome> out(cores.size());
-  RunOutcome iso_p2m;
-  // Job 0 measures the shared iso_p2m window; jobs 2i+1 / 2i+2 measure point
-  // i's iso-C2M and colocated windows.
-  run_parallel(
-      cores.size() * 2 + 1,
-      [&](std::size_t job) {
-        if (job == 0) {
-          iso_p2m = run_workloads(host, std::nullopt, p2m, opt, nullptr, mode);
-          return;
-        }
-        C2MSpec spec = c2m;
-        spec.cores = cores[(job - 1) / 2];
-        ColocationOutcome& o = out[(job - 1) / 2];
-        if (job % 2 == 1)
-          o.iso_c2m = run_workloads(host, spec, std::nullopt, opt, nullptr, mode);
-        else
-          o.colo = run_workloads(host, spec, p2m, opt, nullptr, mode);
-      },
-      nthreads);
-  for (auto& o : out) o.iso_p2m = iso_p2m;
-  return out;
-}
-
-std::vector<ColocationOutcome> sweep_c2m_cores(const HostConfig& host, C2MSpec c2m,
-                                               const P2MSpec& p2m,
-                                               const std::vector<std::uint32_t>& cores,
-                                               const RunOptions& opt, SweepCache* cache,
-                                               SweepMode mode) {
-  const RunOutcome iso_p2m = run_workloads(host, std::nullopt, p2m, opt, cache, mode);
-  std::vector<ColocationOutcome> out;
-  out.reserve(cores.size());
+std::vector<ColocationRef> Plan::core_sweep(const HostConfig& host, C2MSpec c2m,
+                                            const P2MSpec& p2m,
+                                            const std::vector<std::uint32_t>& cores,
+                                            const RunOptions& opt) {
+  const std::size_t iso_p2m = add(host, std::nullopt, p2m, opt);
+  std::vector<ColocationRef> refs;
+  refs.reserve(cores.size());
   for (std::uint32_t n : cores) {
     c2m.cores = n;
-    ColocationOutcome o;
-    o.iso_c2m = run_workloads(host, c2m, std::nullopt, opt, cache, mode);
-    o.iso_p2m = iso_p2m;
-    o.colo = run_workloads(host, c2m, p2m, opt, cache, mode);
-    out.push_back(std::move(o));
+    ColocationRef r;
+    r.iso_c2m = add(host, c2m, std::nullopt, opt);
+    r.iso_p2m = iso_p2m;
+    r.colo = add(host, c2m, p2m, opt);
+    refs.push_back(r);
   }
+  return refs;
+}
+
+ColocationOutcome Outcomes::operator[](const ColocationRef& r) const {
+  auto at = [this](std::size_t i) {
+    return i == ColocationRef::kNone ? RunOutcome{} : windows[i];
+  };
+  return ColocationOutcome{at(r.iso_c2m), at(r.iso_p2m), at(r.colo)};
+}
+
+Outcomes run_windows(const Plan& plan, SweepCache* cache) {
+  Outcomes out;
+  out.windows.reserve(plan.size());
+  for (const Window& w : plan.windows()) out.windows.push_back(run_window(w, cache));
+  return out;
+}
+
+Outcomes execute(const Plan& plan, const ExecOptions& opt) {
+  const bool fork =
+      opt.mode == SweepMode::kFork || (opt.mode == SweepMode::kAuto && fork_sweeps_default());
+  const std::vector<Window>& ws = plan.windows();
+
+  // Jobs in first-appearance order. Forking jobs gather every window of one
+  // fingerprint, so they share its warmup through the job's cache; cold jobs
+  // gather only identical windows. Either way each distinct window is
+  // simulated once.
+  std::vector<std::vector<std::size_t>> jobs;
+  std::unordered_map<std::string, std::size_t> job_of;
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    std::string key = config_fingerprint(ws[i].host, ws[i].c2m, ws[i].p2m, ws[i].opt.seed,
+                                         ws[i].opt.warmup);
+    if (!fork) key = window_key(std::move(key), ws[i].opt.measure);
+    const auto [it, fresh] = job_of.emplace(std::move(key), jobs.size());
+    if (fresh) jobs.emplace_back();
+    jobs[it->second].push_back(i);
+  }
+
+  Outcomes out;
+  out.windows.resize(ws.size());
+  std::vector<SweepCache::Stats> stats(jobs.size());
+  run_parallel(
+      jobs.size(),
+      [&](std::size_t j) {
+        if (!fork) {
+          const RunOutcome o = run_window(ws[jobs[j].front()], nullptr);
+          for (std::size_t i : jobs[j]) out.windows[i] = o;
+          return;
+        }
+        SweepCache cache;  // freed with the job: warmed hosts never outlive it
+        for (std::size_t i : jobs[j]) out.windows[i] = run_window(ws[i], &cache);
+        stats[j] = cache.stats();
+      },
+      opt.threads);
+  for (const SweepCache::Stats& s : stats) out.cache.add(s);
   return out;
 }
 

@@ -1,6 +1,7 @@
-// Colocation experiment harness: run a C2M workload and a P2M workload in
+// The experiment executor: run a C2M workload and a P2M workload in
 // isolation and colocated, and report per-side performance degradation --
-// the measurement protocol behind every figure in the paper.
+// the measurement protocol behind every figure in the paper -- as a Plan of
+// measurement windows handed to one execute().
 #pragma once
 
 #include <cstdint>
@@ -32,12 +33,13 @@ struct C2MSpec {
   /// read GB/s otherwise (chosen automatically).
 };
 
-// -- TCP transports (the pluggable-stack seam; implemented in src/net) --------
+// -- P2M transports (the network seam; implemented in src/net) ----------------
 //
-// The DCTCP receiver case study grew into a family of congestion-control
-// stacks (net::TcpStack). The experiment harness stays net-agnostic: a
-// P2MSpec may request a TCP transport by spec, and the concrete receiver is
-// built through a factory that src/net installs (core cannot link net).
+// The network case studies -- a family of TCP congestion-control stacks
+// (net::TcpStack) and an RDMA-write NIC with PFC -- are P2M placements like
+// storage. The executor stays net-agnostic: a P2MSpec requests a transport
+// by spec, and the concrete model is built through a factory that src/net
+// installs (core cannot link net).
 
 /// Which congestion-control stack drives the TCP sender model.
 enum class TcpStackKind : std::uint8_t {
@@ -62,24 +64,35 @@ struct TcpSpec {
   Tick base_rtt = us(40);
 };
 
-/// What the harness needs from a running TCP receiver: the measurement
-/// surface that scores a TCP-backed P2M placement. Implemented by
-/// net::TcpReceiver; owned by the caller of the factory (the receiver
-/// registers its simulation hooks with the HostSystem itself).
-class TcpTransport {
- public:
-  virtual ~TcpTransport() = default;
-  virtual double goodput_gbps(Tick now) const = 0;  ///< copied payload GB/s
-  virtual double loss_rate() const = 0;             ///< dropped / offered
-  virtual double avg_cwnd() const = 0;              ///< epoch-sampled mean cwnd
+/// RDMA write placement (ib_write_bw): a RoCE NIC with PFC generating
+/// line-rate inbound DMA writes. The remaining NIC knobs (MTU, RX buffer,
+/// pause thresholds) stay fixed inside src/net.
+struct RdmaWriteSpec {
+  double wire_gb_per_s = 12.25;  ///< ~98 Gbps effective
 };
 
-/// Factory building a concrete transport onto `host` per `spec`. Installed
-/// once at startup by src/net (net::install_tcp_factory); run_workloads
-/// throws std::logic_error on a TCP spec when no factory is present.
-using TcpFactory = std::unique_ptr<TcpTransport> (*)(HostSystem& host, const TcpSpec& spec);
-void set_tcp_factory(TcpFactory f);
-TcpFactory tcp_factory();
+struct P2MSpec;
+
+/// What the executor needs from a transport that carries a P2M placement
+/// (a TCP receiver, an RDMA-write NIC): its score and its PFC pause
+/// fraction. Built by the factory src/net installs; owned by the caller of
+/// the factory (the transport registers its simulation hooks with the
+/// HostSystem itself).
+class P2MTransport {
+ public:
+  virtual ~P2MTransport() = default;
+  virtual double goodput_gbps(Tick now) const = 0;    ///< delivered payload GB/s
+  virtual double pause_fraction(Tick now) const = 0;  ///< PFC-paused time / window
+};
+
+/// Factory building the transport a P2MSpec places (its `tcp` or
+/// `rdma_write` field) onto `host`. Installed once at startup by src/net
+/// (net::install_tcp_factory); the executor throws std::logic_error on a
+/// transport placement when no factory is present.
+using P2MTransportFactory = std::unique_ptr<P2MTransport> (*)(HostSystem& host,
+                                                              const P2MSpec& spec);
+void set_p2m_transport_factory(P2MTransportFactory f);
+P2MTransportFactory p2m_transport_factory();
 
 struct P2MSpec {
   std::string name = "p2m";
@@ -87,6 +100,9 @@ struct P2MSpec {
   /// TCP receiver placement (DMA writes through the IIO, like storage
   /// writes, plus kernel-copy C2M traffic). Scored by transport goodput.
   std::optional<TcpSpec> tcp{};
+  /// RDMA write placement, scored by the bytes the NIC accepts off the wire.
+  /// (RDMA read is a storage placement: workloads::rdma_read.)
+  std::optional<RdmaWriteSpec> rdma_write{};
 };
 
 struct RunOptions {
@@ -97,62 +113,71 @@ struct RunOptions {
 
 /// Reads the default measurement window, honoring HOSTNET_MEASURE_US and
 /// HOSTNET_WARMUP_US environment overrides (useful to shorten CI runs).
+/// Throws std::invalid_argument naming the variable when an override is not
+/// a number, the measure window is not positive or the warmup is negative.
 RunOptions default_run_options();
 
 struct RunOutcome {
   Metrics metrics{};
-  double c2m_score = 0;  ///< queries/s (episodic) or core read GB/s
-  double p2m_score = 0;  ///< device DMA GB/s
+  double c2m_score = 0;       ///< queries/s (episodic) or core read GB/s
+  double p2m_score = 0;       ///< device DMA GB/s, or the transport's goodput
+  double pause_fraction = 0;  ///< PFC-paused fraction of the window (RDMA write)
 };
 
-// -- checkpoint/fork sweeps (DESIGN.md section 4e) ----------------------------
+// -- checkpoint/fork engine (DESIGN.md section 4e) ----------------------------
 //
-// A sweep measures many points that share a (host config, workloads, seed,
-// warmup) prefix. The fork engine warms a prototype host once per shared
-// prefix, snapshots it at the post-warmup reset_counters() quiesce point,
-// and forks every subsequent point of that prefix from the checkpoint
-// instead of re-warming.
+// Windows that share a (host config, workloads, seed, warmup) prefix can
+// share a warmup: the fork engine warms a prototype host once per prefix,
+// snapshots it at the post-warmup reset_counters() quiesce point, and forks
+// every further window of that prefix from the checkpoint instead of
+// re-warming.
 //
-// Warmup-sharing caveat: two points share a warmed checkpoint ONLY when
+// Warmup-sharing caveat: two windows share a warmed checkpoint ONLY when
 // config_fingerprint() -- a canonical field-by-field encoding of every
-// simulation input -- matches exactly. A point whose warmup genuinely
+// simulation input -- matches exactly. A window whose warmup genuinely
 // differs (any config field, workload field, seed, or warmup length) gets a
 // different fingerprint and warms independently; sharing is explicit and
 // auditable through SweepCache::stats(). Forked outcomes are bit-identical
 // to cold runs because the simulation is deterministic and the checkpoint
 // restores the complete host state, including the pending-event queue.
 
-/// How run_workloads executes a point.
+/// How execute() runs a plan's windows.
 enum class SweepMode : std::uint8_t {
-  kAuto,  ///< fork iff a cache is passed or HOSTNET_FORK_SWEEPS=1 is set
-  kCold,  ///< always build + warm a fresh host (reference behaviour)
-  kFork,  ///< fork from the calling thread's SweepCache checkpoints
+  kAuto,  ///< kFork iff HOSTNET_FORK_SWEEPS=1/on/true is set, else kCold
+  kCold,  ///< build + warm a fresh host per distinct window (reference)
+  kFork,  ///< warm once per fingerprint, fork the other windows from it
 };
 
 /// Canonical fingerprint of one simulation configuration: every field of
 /// the host config and workload specs plus seed and warmup, encoded
 /// field-by-field (never whole-struct memcpy -- padding bytes are
 /// indeterminate). Equal fingerprints guarantee identical construction and
-/// warmup; used as the SweepCache checkpoint key.
+/// warmup; used as the SweepCache checkpoint key and execute()'s job key.
 std::string config_fingerprint(const HostConfig& host, const std::optional<C2MSpec>& c2m,
                                const std::optional<P2MSpec>& p2m, std::uint64_t seed,
                                Tick warmup);
 
+/// One measurement window: build `host` with the placed workloads, warm for
+/// opt.warmup, measure for opt.measure.
+struct Window {
+  HostConfig host;
+  std::optional<C2MSpec> c2m;
+  std::optional<P2MSpec> p2m;
+  RunOptions opt;
+};
+
 class SweepCache;
 
-/// Build a host with the given workloads and run one measurement window.
-/// With a cache (explicit, or resolved per `mode`), the warmed host is
-/// checkpointed and reused: same-fingerprint points restore instead of
-/// re-warming, and fully-identical (fingerprint + measure) reruns return
-/// the memoized outcome -- legitimate because the simulation is
-/// deterministic. Results are bit-identical to cold runs either way.
-RunOutcome run_workloads(const HostConfig& host, const std::optional<C2MSpec>& c2m,
-                         const std::optional<P2MSpec>& p2m, const RunOptions& opt,
-                         SweepCache* cache = nullptr, SweepMode mode = SweepMode::kAuto);
+/// The executor's per-window step: run `w` through `cache` -- restoring a
+/// warmed checkpoint of its fingerprint, or memo-hitting an identical
+/// earlier window -- or cold when `cache` is null. Results are bit-identical
+/// either way.
+RunOutcome run_window(const Window& w, SweepCache* cache);
 
-/// Checkpoint + outcome cache for forked sweeps. Single-threaded (use one
-/// per thread; thread_sweep_cache() below); owns the warmed prototype
-/// hosts, so it is expensive while alive and cheap to clear().
+/// Checkpoint + outcome cache of the fork engine. Single-threaded; owns the
+/// warmed prototype hosts, so it is expensive while alive. execute() gives
+/// each job its own and frees it when the job ends; the fleet runner keeps
+/// one per shard.
 class SweepCache {
  public:
   SweepCache();
@@ -161,13 +186,13 @@ class SweepCache {
   SweepCache& operator=(const SweepCache&) = delete;
 
   struct Stats {
-    std::uint64_t checkpoint_hits = 0;    ///< points forked from a warm host
+    std::uint64_t checkpoint_hits = 0;    ///< windows forked from a warm host
     std::uint64_t checkpoint_misses = 0;  ///< prefixes warmed cold
     std::uint64_t outcome_hits = 0;       ///< fully-memoized reruns
     std::uint64_t outcome_misses = 0;
 
-    /// Fold another cache's counters in (the fleet runner sums its shards'
-    /// caches into one observable fork-reuse figure; fleet/runner.hpp).
+    /// Fold another cache's counters in (execute() and the fleet runner sum
+    /// their jobs' caches into one observable fork-reuse figure).
     void add(const Stats& o) {
       checkpoint_hits += o.checkpoint_hits;
       checkpoint_misses += o.checkpoint_misses;
@@ -178,27 +203,14 @@ class SweepCache {
   const Stats& stats() const { return stats_; }
 
   std::size_t checkpoints() const { return checkpoints_.size(); }
-  std::size_t outcomes() const { return outcomes_.size(); }
-  void clear();
 
  private:
-  friend RunOutcome run_workloads(const HostConfig&, const std::optional<C2MSpec>&,
-                                  const std::optional<P2MSpec>&, const RunOptions&,
-                                  SweepCache*, SweepMode);
+  friend RunOutcome run_window(const Window&, SweepCache*);
   struct Entry;  ///< a warmed HostSystem + its quiesce-point checkpoint
   std::unordered_map<std::string, std::unique_ptr<Entry>> checkpoints_;
   std::unordered_map<std::string, RunOutcome> outcomes_;  ///< key + measure window
   Stats stats_;
 };
-
-/// The calling thread's SweepCache (function-local thread_local: persistent
-/// worker-pool threads keep their caches across batches; destroyed at
-/// thread exit).
-SweepCache& thread_sweep_cache();
-
-/// True when HOSTNET_FORK_SWEEPS=1/on/true is set: SweepMode::kAuto points
-/// then fork through thread_sweep_cache(). Read once per process.
-bool fork_sweeps_default();
 
 struct ColocationOutcome {
   RunOutcome iso_c2m;
@@ -215,68 +227,81 @@ struct ColocationOutcome {
   Regime regime() const { return classify_regime(c2m_degradation(), p2m_degradation()); }
 };
 
-/// The full isolation/colocation protocol for one configuration point.
-ColocationOutcome run_colocation(const HostConfig& host, const C2MSpec& c2m,
-                                 const P2MSpec& p2m, const RunOptions& opt,
-                                 SweepCache* cache = nullptr,
-                                 SweepMode mode = SweepMode::kAuto);
-
-/// Sweep the number of C2M cores (the x-axis of most paper figures).
-/// iso_p2m is measured once and shared across points. With a cache/fork
-/// mode the iso-P2M prefix (which every point shares) and each per-count
-/// prefix warm once; see the warmup-sharing caveat above.
-std::vector<ColocationOutcome> sweep_c2m_cores(const HostConfig& host, C2MSpec c2m,
-                                               const P2MSpec& p2m,
-                                               const std::vector<std::uint32_t>& cores,
-                                               const RunOptions& opt,
-                                               SweepCache* cache = nullptr,
-                                               SweepMode mode = SweepMode::kAuto);
-
-// -- parallel sweep engine ---------------------------------------------------
+// -- the experiment executor (DESIGN.md section 4a) ---------------------------
 //
-// Every sweep point builds its own HostSystem from the same (config, seed)
-// inputs as the serial path and shares no mutable state with other points,
-// so the parallel variants below return results bit-identical to running the
-// same points serially, in input order. Worker count: explicit `nthreads`,
-// else the HOSTNET_THREADS environment override, else hardware concurrency
-// (see core/parallel.hpp).
+// Every figure measures windows: a C2M and a P2M workload isolated and
+// colocated, usually across a sweep. A Plan lists the windows; execute()
+// decides which of them are the same simulation, which share a warmup, and
+// where they run:
+//   * identical windows (same fingerprint and measure length) are simulated
+//     once -- e.g. the iso-P2M window every point of a core sweep shares;
+//   * windows are grouped by config_fingerprint() into jobs on the
+//     run_parallel worker pool; under kFork each job owns a SweepCache, so
+//     its windows share one warmup, and the cache is freed with the job;
+//   * outcomes come back in plan order, bit-identical for any thread count
+//     and for cold vs fork.
 
-/// One (host, workload) configuration of a batched run_workloads sweep.
-struct WorkloadPoint {
-  HostConfig host;
-  std::optional<C2MSpec> c2m;
-  std::optional<P2MSpec> p2m;
+/// Indices of one colocation's windows in a Plan. A single-sided placement
+/// has one window: `colo` aliases it and the missing side is kNone (its
+/// outcome reads as a default RunOutcome).
+struct ColocationRef {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t iso_c2m = kNone;
+  std::size_t iso_p2m = kNone;
+  std::size_t colo = kNone;
 };
 
-/// Parallel map of run_workloads over `points`; results in input order.
-/// Forking points (`mode`, or HOSTNET_FORK_SWEEPS under kAuto) use each
-/// worker thread's thread_sweep_cache(), which persists across batches on
-/// the worker pool.
-std::vector<RunOutcome> run_workload_points(const std::vector<WorkloadPoint>& points,
-                                            const RunOptions& opt, unsigned nthreads = 0,
-                                            SweepMode mode = SweepMode::kAuto);
+/// An ordered list of measurement windows.
+class Plan {
+ public:
+  /// Append one window; returns its index.
+  std::size_t add(const HostConfig& host, const std::optional<C2MSpec>& c2m,
+                  const std::optional<P2MSpec>& p2m, const RunOptions& opt);
 
-/// One colocation configuration (the unit of a multi-point sweep).
-struct ColocationPoint {
-  HostConfig host;
-  C2MSpec c2m;
-  P2MSpec p2m;
+  /// Append the colocation protocol: the iso-C2M, iso-P2M and colocated
+  /// windows, or the lone window of a single-sided placement.
+  ColocationRef colocation(const HostConfig& host, const std::optional<C2MSpec>& c2m,
+                           const std::optional<P2MSpec>& p2m, const RunOptions& opt);
+
+  /// Sweep the number of C2M cores (the x-axis of most paper figures): one
+  /// iso-P2M window shared by every point, then per count the iso-C2M and
+  /// colocated windows.
+  std::vector<ColocationRef> core_sweep(const HostConfig& host, C2MSpec c2m,
+                                        const P2MSpec& p2m,
+                                        const std::vector<std::uint32_t>& cores,
+                                        const RunOptions& opt);
+
+  const std::vector<Window>& windows() const { return windows_; }
+  std::size_t size() const { return windows_.size(); }
+
+ private:
+  std::vector<Window> windows_;
 };
 
-/// Parallel variant of run_colocation over many points. Each point expands
-/// to its three measurement windows (iso C2M, iso P2M, colocated), which are
-/// scheduled as independent jobs for load balancing.
-std::vector<ColocationOutcome> run_colocation_points(const std::vector<ColocationPoint>& points,
-                                                     const RunOptions& opt, unsigned nthreads = 0,
-                                                     SweepMode mode = SweepMode::kAuto);
+struct ExecOptions {
+  /// Worker threads: 0 = parallel_threads() (HOSTNET_THREADS override, else
+  /// hardware concurrency). Never changes results.
+  unsigned threads = 0;
+  SweepMode mode = SweepMode::kAuto;
+};
 
-/// Parallel variant of sweep_c2m_cores: identical protocol (iso_p2m is
-/// measured once and shared across points) and bit-identical results.
-std::vector<ColocationOutcome> sweep_c2m_cores_parallel(const HostConfig& host, C2MSpec c2m,
-                                                        const P2MSpec& p2m,
-                                                        const std::vector<std::uint32_t>& cores,
-                                                        const RunOptions& opt,
-                                                        unsigned nthreads = 0,
-                                                        SweepMode mode = SweepMode::kAuto);
+/// The outcomes of a plan, one per window in plan order.
+struct Outcomes {
+  std::vector<RunOutcome> windows;
+  /// Fork-engine counters summed over the caches execute() owned (zero when
+  /// cold, and from run_windows, whose caller owns the cache).
+  SweepCache::Stats cache;
+
+  const RunOutcome& operator[](std::size_t window) const { return windows[window]; }
+  ColocationOutcome operator[](const ColocationRef& r) const;
+};
+
+/// Run every window of `plan` (see the section comment above).
+Outcomes execute(const Plan& plan, const ExecOptions& opt = {});
+
+/// Run `plan`'s windows in order on the calling thread through run_window
+/// and `cache` (null: cold). The per-host step of the fleet runner, whose
+/// fingerprint shards own their caches.
+Outcomes run_windows(const Plan& plan, SweepCache* cache);
 
 }  // namespace hostnet::core

@@ -27,9 +27,8 @@ thread_local bool tl_in_pool_job = false;
 
 /// Persistent worker pool. Threads are spawned on first use, grow to the
 /// largest worker count ever requested, and live until process exit --
-/// per-batch construction cost (thread spawn, stack faults) is paid once,
-/// and thread_local state on the workers (notably the fork engine's
-/// SweepCache) persists across batches. One batch runs at a time; the
+/// per-batch construction cost (thread spawn, stack faults) is paid once.
+/// One batch runs at a time; the
 /// caller participates in its own batch, and a batch admits at most the
 /// requested number of pool workers, so HOSTNET_THREADS semantics are
 /// unchanged from the spawn-per-call engine.

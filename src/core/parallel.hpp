@@ -1,14 +1,12 @@
 // Worker-pool parallel-for for sweep workloads.
 //
-// Every paper figure is a sweep of independent simulation points; each point
-// owns its HostSystem (and therefore its Simulator, RNG streams, and
-// counters), so points can run on separate threads with no shared mutable
+// Every paper figure is a plan of independent measurement windows; each
+// window owns its HostSystem (and therefore its Simulator, RNG streams, and
+// counters), so windows can run on separate threads with no shared mutable
 // state and bit-identical results to a serial run. This header provides the
-// minimal engine for that: run N independent jobs on a PERSISTENT pool --
-// worker threads are spawned on first use and reused across batches, so a
-// sweep of many small batches pays thread spawn/teardown once, and
-// thread_local state on the workers (the fork engine's SweepCache) survives
-// between batches.
+// minimal engine core::execute runs on: N independent jobs on a PERSISTENT
+// pool -- worker threads are spawned on first use and reused across
+// batches, so many small batches pay thread spawn/teardown once.
 //
 // Thread-count policy: the HOSTNET_THREADS environment variable overrides;
 // otherwise std::thread::hardware_concurrency() is used. A batch admits at

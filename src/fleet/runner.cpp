@@ -14,33 +14,11 @@ struct Shard {
   std::vector<std::size_t> hosts;
 };
 
-/// The colocation protocol for one host. Single-sided hosts (only one
-/// tenant placed) run their lone window once and reuse it as both the
-/// isolated and "colocated" outcome -- degradation 1.0, regime kNone.
-core::ColocationOutcome run_host(const HostTemplate& t, const core::RunOptions& opt,
-                                 core::SweepCache* cache, core::SweepMode mode) {
-  core::ColocationOutcome o;
-  if (t.c2m && t.p2m) {
-    o.iso_c2m = core::run_workloads(t.host, t.c2m, std::nullopt, opt, cache, mode);
-    o.iso_p2m = core::run_workloads(t.host, std::nullopt, t.p2m, opt, cache, mode);
-    o.colo = core::run_workloads(t.host, t.c2m, t.p2m, opt, cache, mode);
-  } else if (t.c2m) {
-    o.iso_c2m = core::run_workloads(t.host, t.c2m, std::nullopt, opt, cache, mode);
-    o.colo = o.iso_c2m;
-  } else {
-    o.iso_p2m = core::run_workloads(t.host, std::nullopt, t.p2m, opt, cache, mode);
-    o.colo = o.iso_p2m;
-  }
-  return o;
-}
-
 }  // namespace
 
 FleetReport run_fleet(const Scenario& sc, const RunnerOptions& opt) {
   const std::vector<HostInstance> hosts = sc.expand();
   const std::vector<HostTemplate>& templates = sc.templates();
-  const core::SweepMode mode =
-      opt.mode == core::SweepMode::kCold ? core::SweepMode::kCold : core::SweepMode::kFork;
 
   // The fingerprint is a pure function of the template (measurement jitter
   // changes only the window length, never construction or warmup), so it is
@@ -76,10 +54,15 @@ FleetReport run_fleet(const Scenario& sc, const RunnerOptions& opt) {
         // The shard's SweepCache owns its warmed prototype hosts; replicas
         // of its fingerprint fork from (or memo-hit) those checkpoints.
         core::SweepCache cache;
-        core::SweepCache* cptr = mode == core::SweepMode::kFork ? &cache : nullptr;
+        core::SweepCache* cptr = opt.mode == core::SweepMode::kCold ? nullptr : &cache;
         for (std::size_t hi : shards[s].hosts) {
-          const HostInstance& h = hosts[hi];
-          aggs[s].add_host(templates[h.tmpl], run_host(templates[h.tmpl], h.opt, cptr, mode));
+          // The executor's per-host step: the colocation protocol's windows
+          // (one window for a single-sided host -- degradation 1.0, regime
+          // kNone) run in order through the shard's cache.
+          const HostTemplate& t = templates[hosts[hi].tmpl];
+          core::Plan plan;
+          const core::ColocationRef ref = plan.colocation(t.host, t.c2m, t.p2m, hosts[hi].opt);
+          aggs[s].add_host(t, core::run_windows(plan, cptr)[ref]);
         }
         cache_stats[s] = cache.stats();
       },

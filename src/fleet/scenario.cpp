@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "net/rdma.hpp"
 #include "net/tcp_stack.hpp"
 #include "workloads/workloads.hpp"
 
@@ -106,8 +107,8 @@ iio::StorageConfig p2m_workload(std::size_t line, const core::HostConfig& host,
   if (wl == "fio_read") return workloads::fio_p2m_read(host, workloads::p2m_region());
   if (wl == "fio_4k_qd1") return workloads::fio_4k_qd1(host, workloads::p2m_region());
   throw ScenarioError(line, "unknown p2m workload '" + wl +
-                                "' (want fio_write, fio_read, fio_4k_qd1, "
-                                "tcp_dctcp, tcp_bbr or tcp_davis)");
+                                "' (want fio_write, fio_read, fio_4k_qd1, rdma_write, "
+                                "rdma_read, tcp_dctcp, tcp_bbr or tcp_davis)");
 }
 
 }  // namespace
@@ -262,7 +263,12 @@ class ScenarioParser {
         if (!tcp_stack_override_.empty())
           throw ScenarioError(tcp_stack_line_,
                               "'set tcp.stack' needs a tcp_* p2m placement in this template");
-        spec.storage = p2m_workload(p2m_line_, tmpl_.host, p2m_workload_);
+        if (p2m_workload_ == "rdma_write")
+          spec = net::rdma_write_p2m();
+        else if (p2m_workload_ == "rdma_read")
+          spec = net::rdma_read_p2m();
+        else
+          spec.storage = p2m_workload(p2m_line_, tmpl_.host, p2m_workload_);
       }
       tmpl_.p2m = spec;
     } else if (!tcp_stack_override_.empty()) {

@@ -26,12 +26,13 @@
 //
 // C2M workloads: c2m_read, c2m_read_write, redis_read, redis_write,
 // gapbs_pr, gapbs_bc. P2M workloads: fio_write, fio_read, fio_4k_qd1
-// (storage DMA; workloads/workloads.hpp) or tcp_dctcp, tcp_bbr, tcp_davis
-// (a full net::TcpReceiver behind the named congestion-control stack;
-// net/tcp_stack.hpp). `set tcp.stack` rewrites a tcp_* placement's stack --
-// handy for templates that differ only in CC -- and is an error without
-// one. fio link rates follow the template's PCIe config, so specs are
-// built when the template's `end` is reached.
+// (storage DMA; workloads/workloads.hpp), rdma_write (a RoCE NIC with PFC;
+// net/rdma.hpp), rdma_read (ib_read_bw, a line-rate DMA reader), or
+// tcp_dctcp, tcp_bbr, tcp_davis (a full net::TcpReceiver behind the named
+// congestion-control stack; net/tcp_stack.hpp). `set tcp.stack` rewrites
+// a tcp_* placement's stack -- handy for templates that differ only in
+// CC -- and is an error without one. fio link rates follow the template's
+// PCIe config, so specs are built when the template's `end` is reached.
 //
 // Replicas of a template are bit-identical simulations (same seed by
 // design: that is what lets the runner memoize them; see runner.hpp).

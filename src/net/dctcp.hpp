@@ -190,18 +190,20 @@ class CopyCore final : public mem::Completer, public cha::ChaClient {
 /// control lives behind the TcpStack the config selects; the engine owns
 /// the event sites (send, accept/drop, ACK, epoch) and feeds them through
 /// TransportTelemetry.
-class TcpReceiver final : public core::TcpTransport {
+class TcpReceiver final : public core::P2MTransport {
  public:
   TcpReceiver(core::HostSystem& host, const TcpConfig& cfg);
 
   // -- measurement ------------------------------------------------------------
   /// Application goodput: copied payload bytes over the window (GB/s).
   double goodput_gbps(Tick now) const override;
+  /// The receiver's NIC is lossy (ECN): never PFC-paused.
+  double pause_fraction(Tick) const override { return 0; }
   /// P2M throughput: bytes the NIC DMA-wrote toward memory (GB/s).
   double p2m_gbps(Tick now) const;
-  double loss_rate() const override;  ///< dropped / offered packets
-  double mark_fraction() const;       ///< ECN-marked / accepted packets
-  double avg_cwnd() const override;
+  double loss_rate() const;      ///< dropped / offered packets
+  double mark_fraction() const;  ///< ECN-marked / accepted packets
+  double avg_cwnd() const;       ///< epoch-sampled mean cwnd over the window
   double copy_lfb_latency_ns() const;
   double copy_lfb_occupancy(Tick now) const;
   const NicDevice& nic() const { return *nic_; }

@@ -78,6 +78,7 @@ class NicDevice final : public iio::Device {
   std::uint64_t buffer_occupancy_bytes() const { return buffer_bytes_; }
   bool paused() const { return paused_; }
   double pause_fraction(Tick now) const;
+  Tick window_start() const { return window_start_; }  ///< last counter reset
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
   // Config (sim_, iio_, cfg_, t_*) and the packet_delivered_ wiring are

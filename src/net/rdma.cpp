@@ -1,97 +1,71 @@
 #include "net/rdma.hpp"
 
+#include "net/tcp_stack.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hostnet::net {
 
 namespace {
 
-void add_c2m_cores(core::HostSystem& host, const core::C2MSpec& spec) {
-  for (std::uint32_t i = 0; i < spec.cores; ++i) {
-    cpu::CoreWorkload wl = spec.workload;
-    if (spec.per_core_region)
-      wl.region.base += static_cast<std::uint64_t>(i) * spec.region_stride;
-    host.add_core(wl);
+class RdmaWriteTransport final : public core::P2MTransport {
+ public:
+  RdmaWriteTransport(core::HostSystem& host, double wire_gb_per_s)
+      : nic_(attach_rdma_write_nic(host, wire_gb_per_s)) {}
+
+  double goodput_gbps(Tick now) const override {
+    return gb_per_s(nic_->bytes_accepted(), now - nic_->window_start());
   }
-}
+  double pause_fraction(Tick now) const override { return nic_->pause_fraction(now); }
+
+ private:
+  std::unique_ptr<NicDevice> nic_;
+};
 
 }  // namespace
 
-RdmaHost make_rdma_host(const core::HostConfig& hc,
-                        const std::optional<core::C2MSpec>& c2m,
-                        const std::optional<RdmaSpec>& rdma, std::uint64_t seed) {
-  RdmaHost r;
-  r.host = std::make_unique<core::HostSystem>(hc, seed);
-  if (c2m) add_c2m_cores(*r.host, *c2m);
-  if (rdma) {
-    if (rdma->write_traffic) {
-      NicConfig nc = rdma->nic;
-      nc.wire_gb_per_s = rdma->wire_gb_per_s;
-      nc.pcie_gb_per_s = hc.pcie_write_gb_per_s;
-      nc.autonomous = true;
-      nc.pfc = true;
-      if (nc.region.bytes == 0 || nc.region.base == 0) nc.region = workloads::p2m_region();
-      r.nic_storage = std::make_unique<NicDevice>(r.host->sim(), r.host->iio(), nc);
-      r.nic = r.nic_storage.get();
-      NicDevice* nic = r.nic;
-      r.host->attach(core::ExternalHooks{
-          [nic] { nic->start(); },
-          [nic](Tick now) { nic->reset_counters(now); },
-          [nic]() -> std::shared_ptr<const void> {
-            auto snap = std::make_shared<NicDevice::Snapshot>();
-            nic->save_state(*snap);
-            return snap;
-          },
-          [nic](const std::shared_ptr<const void>& blob) {
-            nic->load_state(*static_cast<const NicDevice::Snapshot*>(blob.get()));
-          }});
-    } else {
-      // ib_read_bw: the NIC streams server memory out to the wire -- a
-      // line-rate sequential DMA reader.
-      iio::StorageConfig sc;
-      sc.host_op = mem::Op::kRead;
-      sc.request_bytes = 1ull << 20;
-      sc.queue_depth = 8;
-      sc.link_gb_per_s = rdma->wire_gb_per_s;
-      sc.per_request_latency = us(2);
-      sc.region = workloads::p2m_region();
-      r.host->add_storage(sc);
-    }
-  }
-  return r;
+std::unique_ptr<NicDevice> attach_rdma_write_nic(core::HostSystem& host, double wire_gb_per_s) {
+  NicConfig nc;
+  nc.wire_gb_per_s = wire_gb_per_s;
+  nc.pcie_gb_per_s = host.config().pcie_write_gb_per_s;
+  nc.autonomous = true;
+  nc.pfc = true;
+  nc.region = workloads::p2m_region();
+  auto nic = std::make_unique<NicDevice>(host.sim(), host.iio(), nc);
+  NicDevice* n = nic.get();
+  host.attach(core::ExternalHooks{
+      [n] { n->start(); },
+      [n](Tick now) { n->reset_counters(now); },
+      [n]() -> std::shared_ptr<const void> {
+        auto snap = std::make_shared<NicDevice::Snapshot>();
+        n->save_state(*snap);
+        return snap;
+      },
+      [n](const std::shared_ptr<const void>& blob) {
+        n->load_state(*static_cast<const NicDevice::Snapshot*>(blob.get()));
+      }});
+  return nic;
 }
 
-RdmaRunOutcome run_rdma(const core::HostConfig& hc,
-                        const std::optional<core::C2MSpec>& c2m,
-                        const std::optional<RdmaSpec>& rdma, const core::RunOptions& opt) {
-  RdmaHost rh = make_rdma_host(hc, c2m, rdma, opt.seed);
-  rh.host->run(opt.warmup, opt.measure);
-  RdmaRunOutcome out;
-  out.metrics = rh.host->collect();
-  if (c2m) {
-    const bool episodic = c2m->workload.episode_reads + c2m->workload.episode_writes > 0;
-    out.c2m_score = episodic ? out.metrics.queries_per_sec : out.metrics.c2m_app_gbps;
-  }
-  if (rdma) {
-    if (rdma->write_traffic && rh.nic != nullptr) {
-      out.p2m_score =
-          gb_per_s(rh.nic->bytes_accepted(), ns(out.metrics.window_ns));
-      out.pause_fraction = rh.nic->pause_fraction(rh.host->sim().now());
-    } else {
-      out.p2m_score = out.metrics.p2m_dev_gbps;
-    }
-  }
-  return out;
+std::unique_ptr<core::P2MTransport> make_rdma_write_transport(core::HostSystem& host,
+                                                              const core::RdmaWriteSpec& spec) {
+  return std::make_unique<RdmaWriteTransport>(host, spec.wire_gb_per_s);
 }
 
-RdmaColocationOutcome run_rdma_colocation(const core::HostConfig& hc,
-                                          const core::C2MSpec& c2m, const RdmaSpec& rdma,
-                                          const core::RunOptions& opt) {
-  RdmaColocationOutcome o;
-  o.iso_c2m = run_rdma(hc, c2m, std::nullopt, opt);
-  o.iso_p2m = run_rdma(hc, std::nullopt, rdma, opt);
-  o.colo = run_rdma(hc, c2m, rdma, opt);
-  return o;
+core::P2MSpec rdma_write_p2m(const core::RdmaWriteSpec& spec) {
+  // The placement is built through the net layer's factory; referencing it
+  // here links it into binaries that use RDMA but nothing TCP.
+  install_tcp_factory();
+  core::P2MSpec p;
+  p.name = "rdma_write";
+  p.rdma_write = spec;
+  return p;
+}
+
+core::P2MSpec rdma_read_p2m() {
+  core::P2MSpec p;
+  p.name = "rdma_read";
+  p.storage = workloads::rdma_read();
+  return p;
 }
 
 }  // namespace hostnet::net

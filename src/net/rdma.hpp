@@ -1,14 +1,15 @@
-// RDMA (RoCE/PFC) case-study harness (paper Appendix C.1/D.1).
+// RDMA (RoCE/PFC) case study (paper Appendix C.1/D.1) as P2M placements.
 //
 // Server-side P2M traffic is generated by a ConnectX-5-like NIC:
 //   * ib_write_bw -> inbound writes: the autonomous NicDevice with PFC
-//     (P2M-Write traffic; PFC pause fraction is a first-class metric);
+//     (P2M-Write traffic; PFC pause fraction is a first-class metric). A
+//     P2M transport placement: rdma_write_p2m() below.
 //   * ib_read_bw  -> the NIC DMA-reads server memory to feed the wire
-//     (P2M-Read traffic; modeled as a line-rate streaming DMA reader).
+//     (P2M-Read traffic): a line-rate streaming DMA reader, the storage
+//     placement workloads::rdma_read().
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "core/experiment.hpp"
 #include "core/host_system.hpp"
@@ -16,48 +17,23 @@
 
 namespace hostnet::net {
 
-struct RdmaSpec {
-  bool write_traffic = true;     ///< ib_write_bw (true) vs ib_read_bw (false)
-  double wire_gb_per_s = 12.25;  ///< ~98 Gbps effective
-  NicConfig nic{};               ///< used for write traffic (PFC etc.)
-};
+/// Attach an ib_write_bw NIC to `host`: autonomous line-rate arrivals at
+/// `wire_gb_per_s`, PFC on, DMA into workloads::p2m_region(). Registers
+/// full ExternalHooks, so the host stays checkpointable; the NIC must live
+/// as long as the host runs.
+std::unique_ptr<NicDevice> attach_rdma_write_nic(
+    core::HostSystem& host, double wire_gb_per_s = core::RdmaWriteSpec{}.wire_gb_per_s);
 
-/// A host plus its NIC, wired and ready to run.
-struct RdmaHost {
-  std::unique_ptr<core::HostSystem> host;
-  NicDevice* nic = nullptr;  ///< owned via host.attach closure storage below
-  std::unique_ptr<NicDevice> nic_storage;
-};
+/// The transport the P2M factory builds for a `rdma_write` placement,
+/// scored by the wire bytes the NIC accepts (GB/s).
+std::unique_ptr<core::P2MTransport> make_rdma_write_transport(core::HostSystem& host,
+                                                              const core::RdmaWriteSpec& spec);
 
-RdmaHost make_rdma_host(const core::HostConfig& hc,
-                        const std::optional<core::C2MSpec>& c2m,
-                        const std::optional<RdmaSpec>& rdma, std::uint64_t seed);
+/// The ib_write_bw P2M placement (name "rdma_write").
+core::P2MSpec rdma_write_p2m(const core::RdmaWriteSpec& spec = {});
 
-struct RdmaRunOutcome {
-  core::Metrics metrics{};
-  double c2m_score = 0;
-  double p2m_score = 0;        ///< wire throughput accepted by the NIC (GB/s)
-  double pause_fraction = 0;   ///< PFC paused time fraction
-};
-
-RdmaRunOutcome run_rdma(const core::HostConfig& hc,
-                        const std::optional<core::C2MSpec>& c2m,
-                        const std::optional<RdmaSpec>& rdma, const core::RunOptions& opt);
-
-struct RdmaColocationOutcome {
-  RdmaRunOutcome iso_c2m;
-  RdmaRunOutcome iso_p2m;
-  RdmaRunOutcome colo;
-  double c2m_degradation() const {
-    return colo.c2m_score > 0 ? iso_c2m.c2m_score / colo.c2m_score : 0;
-  }
-  double p2m_degradation() const {
-    return colo.p2m_score > 0 ? iso_p2m.p2m_score / colo.p2m_score : 0;
-  }
-};
-
-RdmaColocationOutcome run_rdma_colocation(const core::HostConfig& hc,
-                                          const core::C2MSpec& c2m, const RdmaSpec& rdma,
-                                          const core::RunOptions& opt);
+/// The ib_read_bw P2M placement (name "rdma_read"): storage
+/// workloads::rdma_read at the default wire rate.
+core::P2MSpec rdma_read_p2m();
 
 }  // namespace hostnet::net

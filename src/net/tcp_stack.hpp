@@ -323,9 +323,10 @@ std::optional<core::TcpSpec> tcp_p2m_workload(const std::string& name);
 /// nullopt for anything else.
 std::optional<core::TcpStackKind> tcp_stack_kind(const std::string& name);
 
-/// Point core::run_workloads at the net-layer transport factory. Idempotent;
-/// runs at static-init time whenever this translation unit is linked, and
-/// callable explicitly by embedders that want to be certain.
+/// Point the core executor at the net layer's P2M transport factory (TCP
+/// receivers and RDMA-write NICs). Idempotent; runs at static-init time
+/// whenever net/tcp_stacks.cpp is linked, and callable explicitly by
+/// embedders that want to be certain.
 void install_tcp_factory();
 
 }  // namespace hostnet::net

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "net/dctcp.hpp"
+#include "net/rdma.hpp"
 
 namespace hostnet::net {
 
@@ -212,13 +213,15 @@ std::optional<core::TcpStackKind> tcp_stack_kind(const std::string& name) {
 
 namespace {
 
-std::unique_ptr<core::TcpTransport> make_tcp_transport(core::HostSystem& host,
-                                                       const core::TcpSpec& spec) {
-  return std::make_unique<TcpReceiver>(host, tcp_config(spec));
+std::unique_ptr<core::P2MTransport> make_p2m_transport(core::HostSystem& host,
+                                                       const core::P2MSpec& spec) {
+  if (spec.tcp) return std::make_unique<TcpReceiver>(host, tcp_config(*spec.tcp));
+  return make_rdma_write_transport(host, *spec.rdma_write);
 }
 
 // Self-registration: any binary that references this TU (every TcpReceiver
-// user and the fleet grammar do) gets the factory installed before main().
+// user, the fleet grammar and net::rdma_write_p2m do) gets the factory
+// installed before main().
 const bool kTcpFactoryInstalled [[maybe_unused]] = [] {
   install_tcp_factory();
   return true;
@@ -226,6 +229,6 @@ const bool kTcpFactoryInstalled [[maybe_unused]] = [] {
 
 }  // namespace
 
-void install_tcp_factory() { core::set_tcp_factory(&make_tcp_transport); }
+void install_tcp_factory() { core::set_p2m_transport_factory(&make_p2m_transport); }
 
 }  // namespace hostnet::net

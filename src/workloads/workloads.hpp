@@ -24,6 +24,11 @@
 //   fio_p2m_read   100% storage writes, 8 MB sequential -> DMA reads
 //   fio_4k_qd1     4 KB storage reads at QD1: the low-load probe used to
 //                  measure unloaded P2M-Write domain latency (Fig 6c)
+//
+// RDMA (RoCE, Appendix C.1):
+//   rdma_read      ib_read_bw at the server: the NIC streams server memory to
+//                  the wire, a line-rate sequential DMA reader (P2M-Read).
+//                  ib_write_bw is a NIC placement: net::rdma_write_p2m().
 #pragma once
 
 #include "core/presets.hpp"
@@ -132,6 +137,19 @@ inline iio::StorageConfig fio_4k_qd1(const core::HostConfig& host, mem::Region r
   s.link_gb_per_s = host.pcie_write_gb_per_s;
   s.per_request_latency = us(8);
   s.region = r;
+  return s;
+}
+
+// -- RDMA ----------------------------------------------------------------------
+
+inline iio::StorageConfig rdma_read(double wire_gb_per_s = 12.25) {
+  iio::StorageConfig s;
+  s.host_op = mem::Op::kRead;
+  s.request_bytes = 1ull << 20;
+  s.queue_depth = 8;
+  s.link_gb_per_s = wire_gb_per_s;
+  s.per_request_latency = us(2);
+  s.region = p2m_region();
   return s;
 }
 

@@ -131,7 +131,9 @@ TEST(FormulaAccuracy, Quadrant1C2MWithinBand) {
   c2m.cores = 4;
   core::P2MSpec p2m;
   p2m.storage = workloads::fio_p2m_write(hc, workloads::p2m_region());
-  const auto m = core::run_workloads(hc, c2m, p2m, fast()).metrics;
+  core::Plan plan;
+  plan.add(hc, c2m, p2m, fast());
+  const auto m = core::execute(plan)[0].metrics;
   Constants c;
   c.c2m_read_ns = 69.0;
   const auto e = estimate(DomainKind::kC2MRead, m, hc.mc.timing, c);
@@ -145,7 +147,9 @@ TEST(FormulaAccuracy, Quadrant1P2MWithinBand) {
   c2m.cores = 4;
   core::P2MSpec p2m;
   p2m.storage = workloads::fio_p2m_write(hc, workloads::p2m_region());
-  const auto m = core::run_workloads(hc, c2m, p2m, fast()).metrics;
+  core::Plan plan;
+  plan.add(hc, c2m, p2m, fast());
+  const auto m = core::execute(plan)[0].metrics;
   Constants c;
   c.p2m_write_ns = 302.0;
   const auto e = estimate(DomainKind::kP2MWrite, m, hc.mc.timing, c);
@@ -161,7 +165,9 @@ TEST(FormulaAccuracy, Quadrant3ChaCorrectionReducesError) {
   c2m.cores = 6;
   core::P2MSpec p2m;
   p2m.storage = workloads::fio_p2m_write(hc, workloads::p2m_region());
-  const auto m = core::run_workloads(hc, c2m, p2m, fast()).metrics;
+  core::Plan plan;
+  plan.add(hc, c2m, p2m, fast());
+  const auto m = core::execute(plan)[0].metrics;
   Constants c;
   c.c2m_read_ns = 69.0;
   const auto plain = estimate(DomainKind::kC2MReadWrite, m, hc.mc.timing, c);

@@ -1,6 +1,7 @@
 // Tests for the checkpoint/fork engine (DESIGN.md section 4e): snapshot /
-// restore replay identity, the same-host and external-hook contracts, and
-// fork-from-checkpoint sweeps bit-identical to cold runs across presets.
+// restore replay identity, the same-host and external-hook contracts,
+// forked windows bit-identical to cold runs across presets, and the
+// executor's cold/fork x thread-count identity and reuse counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -188,7 +189,7 @@ TEST(Checkpoint, DctcpReceiverRoundTrips) {
   EXPECT_GT(goodput1, 0.0);
 }
 
-// -- fork-from-checkpoint sweeps ---------------------------------------------
+// -- fork-from-checkpoint windows --------------------------------------------
 
 RunOptions fast_options() {
   RunOptions o;
@@ -198,18 +199,12 @@ RunOptions fast_options() {
   return o;
 }
 
-struct Preset {
-  HostConfig host;
-  std::optional<C2MSpec> c2m;
-  std::optional<P2MSpec> p2m;
-};
-
 /// Three host presets x distinct workload mixes: the differential matrix.
-std::vector<Preset> differential_presets() {
-  std::vector<Preset> presets;
+std::vector<Window> differential_presets() {
+  std::vector<Window> presets;
 
   {  // Cascade Lake, C2M-Read vs P2M-Write (the paper's Figure 2 quadrant).
-    Preset p;
+    Window p;
     p.host = cascade_lake();
     C2MSpec c2m;
     c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
@@ -221,7 +216,7 @@ std::vector<Preset> differential_presets() {
     presets.push_back(p);
   }
   {  // Ice Lake, read-write cores vs P2M-Read.
-    Preset p;
+    Window p;
     p.host = ice_lake();
     C2MSpec c2m;
     c2m.workload = workloads::c2m_read_write(workloads::c2m_core_region(0));
@@ -233,7 +228,7 @@ std::vector<Preset> differential_presets() {
     presets.push_back(p);
   }
   {  // Single-channel Cascade Lake variant, C2M only.
-    Preset p;
+    Window p;
     p.host = cascade_lake();
     p.host.name = "cascade-lake-1ch";
     p.host.dram.channels = 1;
@@ -243,23 +238,21 @@ std::vector<Preset> differential_presets() {
     p.c2m = c2m;
     presets.push_back(p);
   }
+  for (Window& p : presets) p.opt = fast_options();
   return presets;
 }
 
 TEST(ForkSweep, DifferentialBitIdenticalToColdAcrossPresets) {
-  const RunOptions opt = fast_options();
-  for (const Preset& p : differential_presets()) {
+  for (const Window& p : differential_presets()) {
     SweepCache cache;
-    const RunOutcome cold = run_workloads(p.host, p.c2m, p.p2m, opt, nullptr, SweepMode::kCold);
+    const RunOutcome cold = run_window(p, nullptr);
     // First forked run warms the checkpoint; the second restores from it.
     // Both must match the cold reference bit-for-bit.
-    const RunOutcome fork1 = run_workloads(p.host, p.c2m, p.p2m, opt, &cache, SweepMode::kFork);
-    RunOptions longer = opt;
-    longer.measure = opt.measure * 2;
-    const RunOutcome cold_long =
-        run_workloads(p.host, p.c2m, p.p2m, longer, nullptr, SweepMode::kCold);
-    const RunOutcome fork_long =
-        run_workloads(p.host, p.c2m, p.p2m, longer, &cache, SweepMode::kFork);
+    const RunOutcome fork1 = run_window(p, &cache);
+    Window longer = p;
+    longer.opt.measure = p.opt.measure * 2;
+    const RunOutcome cold_long = run_window(longer, nullptr);
+    const RunOutcome fork_long = run_window(longer, &cache);
     expect_identical(cold, fork1);
     expect_identical(cold_long, fork_long);
     EXPECT_EQ(cache.stats().checkpoint_misses, 1u) << p.host.name;
@@ -268,35 +261,32 @@ TEST(ForkSweep, DifferentialBitIdenticalToColdAcrossPresets) {
 }
 
 TEST(ForkSweep, OutcomeMemoizationAndStats) {
-  const RunOptions opt = fast_options();
-  const Preset p = differential_presets().front();
+  const Window p = differential_presets().front();
   SweepCache cache;
 
-  const RunOutcome first = run_workloads(p.host, p.c2m, p.p2m, opt, &cache);
+  const RunOutcome first = run_window(p, &cache);
   EXPECT_EQ(cache.stats().checkpoint_misses, 1u);
   EXPECT_EQ(cache.stats().outcome_misses, 1u);
   EXPECT_EQ(cache.checkpoints(), 1u);
 
   // Identical (fingerprint, measure) rerun: memoized, no simulation at all.
-  const RunOutcome again = run_workloads(p.host, p.c2m, p.p2m, opt, &cache);
+  const RunOutcome again = run_window(p, &cache);
   EXPECT_EQ(cache.stats().outcome_hits, 1u);
   expect_identical(first, again);
 
   // A different seed is a different fingerprint: it must warm its own
   // checkpoint, never share (the warmup-sharing caveat in experiment.hpp).
-  RunOptions reseeded = opt;
-  reseeded.seed = opt.seed + 1;
-  run_workloads(p.host, p.c2m, p.p2m, reseeded, &cache);
+  Window reseeded = p;
+  reseeded.opt.seed = p.opt.seed + 1;
+  run_window(reseeded, &cache);
   EXPECT_EQ(cache.stats().checkpoint_misses, 2u);
   EXPECT_EQ(cache.checkpoints(), 2u);
-
-  cache.clear();
-  EXPECT_EQ(cache.checkpoints(), 0u);
 }
 
 TEST(ForkSweep, CoreSweepBitIdenticalToCold) {
-  // The headline use: sweep_c2m_cores with forking enabled must reproduce
-  // the cold sweep exactly -- every isolated and colocated window.
+  // The headline use: a core sweep executed with forking must reproduce the
+  // cold sweep exactly -- every isolated and colocated window -- and reuse
+  // exactly what the one-cache serial protocol reuses.
   const HostConfig host = cascade_lake();
   const RunOptions opt = fast_options();
   C2MSpec c2m;
@@ -305,23 +295,76 @@ TEST(ForkSweep, CoreSweepBitIdenticalToCold) {
   p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
   const std::vector<std::uint32_t> cores{1, 2, 3};
 
-  const auto cold = sweep_c2m_cores(host, c2m, p2m, cores, opt, nullptr, SweepMode::kCold);
-  SweepCache cache;
-  const auto forked = sweep_c2m_cores(host, c2m, p2m, cores, opt, &cache, SweepMode::kFork);
-  ASSERT_EQ(forked.size(), cold.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    expect_identical(forked[i].iso_c2m, cold[i].iso_c2m);
-    expect_identical(forked[i].iso_p2m, cold[i].iso_p2m);
-    expect_identical(forked[i].colo, cold[i].colo);
+  Plan plan;
+  plan.core_sweep(host, c2m, p2m, cores, opt);
+  const Outcomes cold = execute(plan, {0, SweepMode::kCold});
+  const Outcomes forked = execute(plan, {0, SweepMode::kFork});
+  ASSERT_EQ(forked.windows.size(), cold.windows.size());
+  for (std::size_t i = 0; i < plan.size(); ++i) expect_identical(forked[i], cold[i]);
+  EXPECT_EQ(cold.cache.checkpoint_misses + cold.cache.checkpoint_hits, 0u);
+
+  // The shared iso-P2M window and each per-count window warm once; nothing
+  // repeats, so nothing forks or memo-hits -- the counts of one SweepCache
+  // walked through the same windows in order.
+  SweepCache serial;
+  run_windows(plan, &serial);
+  EXPECT_EQ(forked.cache.checkpoint_misses, 1u + 2u * cores.size());
+  EXPECT_EQ(forked.cache.checkpoint_misses, serial.stats().checkpoint_misses);
+  EXPECT_EQ(forked.cache.checkpoint_hits, serial.stats().checkpoint_hits);
+  EXPECT_EQ(forked.cache.outcome_hits, serial.stats().outcome_hits);
+}
+
+TEST(Executor, BitIdenticalAcrossThreadsAndColdFork) {
+  // One plan mixing shared warmups (two measure lengths per fingerprint)
+  // and repeats, under every (threads, mode) combination.
+  Plan plan;
+  for (const Window& p : differential_presets()) {
+    plan.add(p.host, p.c2m, p.p2m, p.opt);
+    RunOptions longer = p.opt;
+    longer.measure = p.opt.measure * 2;
+    plan.add(p.host, p.c2m, p.p2m, longer);
+    plan.add(p.host, p.c2m, p.p2m, p.opt);
   }
-  // The shared iso-P2M window is measured once; per-count prefixes each
-  // warm their own checkpoint.
-  EXPECT_GT(cache.stats().checkpoint_misses, 0u);
+  const Outcomes ref = execute(plan, {1, SweepMode::kCold});
+  for (const ExecOptions eo : {ExecOptions{4, SweepMode::kCold}, ExecOptions{1, SweepMode::kFork},
+                               ExecOptions{4, SweepMode::kFork}}) {
+    const Outcomes out = execute(plan, eo);
+    ASSERT_EQ(out.windows.size(), plan.size());
+    for (std::size_t i = 0; i < plan.size(); ++i) expect_identical(out[i], ref[i]);
+  }
+}
+
+TEST(Executor, RepeatedWindowsSimulateOnce) {
+  // Two identical colocations plus a longer colocated window: 7 windows, 4
+  // distinct, 3 fingerprints. Forked, each fingerprint warms once, the
+  // longer window forks from its warm host and the three repeats are memo
+  // hits -- exactly what one SweepCache walking the windows in order does.
+  const Window p = differential_presets().front();
+  Plan plan;
+  const ColocationRef a = plan.colocation(p.host, p.c2m, p.p2m, p.opt);
+  const ColocationRef b = plan.colocation(p.host, p.c2m, p.p2m, p.opt);
+  RunOptions longer = p.opt;
+  longer.measure = p.opt.measure * 2;
+  plan.add(p.host, p.c2m, p.p2m, longer);
+
+  const Outcomes out = execute(plan, {4, SweepMode::kFork});
+  EXPECT_EQ(out.cache.checkpoint_misses, 3u);
+  EXPECT_EQ(out.cache.checkpoint_hits, 1u);
+  EXPECT_EQ(out.cache.outcome_hits, 3u);
+  EXPECT_EQ(out.cache.outcome_misses, 4u);
+  SweepCache serial;
+  run_windows(plan, &serial);
+  EXPECT_EQ(serial.stats().checkpoint_misses, out.cache.checkpoint_misses);
+  EXPECT_EQ(serial.stats().checkpoint_hits, out.cache.checkpoint_hits);
+  EXPECT_EQ(serial.stats().outcome_hits, out.cache.outcome_hits);
+
+  expect_identical(out[a.colo], out[b.colo]);
+  expect_identical(out[a.iso_p2m], out[b.iso_p2m]);
 }
 
 TEST(ForkSweep, FingerprintSeparatesEveryInput) {
-  const Preset p = differential_presets().front();
-  const RunOptions opt = fast_options();
+  const Window p = differential_presets().front();
+  const RunOptions opt = p.opt;
   const std::string base =
       config_fingerprint(p.host, p.c2m, p.p2m, opt.seed, opt.warmup);
   EXPECT_EQ(base, config_fingerprint(p.host, p.c2m, p.p2m, opt.seed, opt.warmup));

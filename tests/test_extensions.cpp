@@ -124,7 +124,9 @@ TEST(Isolation, PeripheralWritePriorityRestoresP2M) {
     host.cha.write_tracker_peripheral_reserve = priority ? 48 : 0;
     core::P2MSpec p2m;
     p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
-    return core::run_colocation(host, c2m, p2m, fast());
+    core::Plan plan;
+    const core::ColocationRef ref = plan.colocation(host, c2m, p2m, fast());
+    return core::execute(plan)[ref];
   };
   const auto base = run(false);
   const auto iso = run(true);
@@ -248,7 +250,9 @@ TEST(Predictor, TracksSimulatorWithinCoarseBand) {
   c2m.cores = 4;
   core::P2MSpec p2m;
   p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
-  const auto sim = core::run_colocation(host, c2m, p2m, fast());
+  core::Plan plan;
+  const core::ColocationRef ref = plan.colocation(host, c2m, p2m, fast());
+  const auto sim = core::execute(plan)[ref];
 
   analytic::PredictorWorkload wl;
   wl.c2m_cores = 4;

@@ -5,6 +5,7 @@
 // the fingerprint dedup actually happens.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "common/histogram.hpp"
@@ -177,6 +178,82 @@ TEST(FleetScenario, ParsesTcpStackPlacements) {
   EXPECT_EQ(sc.templates()[2].p2m->name, "tcp_davis");
 }
 
+// RDMA placements: ib_write_bw (a PFC NIC behind the transport factory) at
+// quadrants 1 and 3, 1/3/5 C2M cores, plus ib_read_bw. Measurement jitter
+// gives every replica its own window, so replicas fork from the warmed
+// NIC-attached host instead of memo-hitting.
+constexpr const char* kRdmaScenario = R"(
+fleet rdma
+seed 3
+warmup_us 20
+measure_us 60
+measure_jitter_pct 25
+
+template q1-1
+  c2m app c2m_read cores=1
+  p2m roce rdma_write
+end
+template q1-3
+  c2m app c2m_read cores=3
+  p2m roce rdma_write
+end
+template q1-5
+  c2m app c2m_read cores=5
+  p2m roce rdma_write
+end
+template q3-1
+  c2m app c2m_read_write cores=1
+  p2m roce rdma_write
+end
+template q3-3
+  c2m app c2m_read_write cores=3
+  p2m roce rdma_write
+end
+template q3-5
+  c2m app c2m_read_write cores=5
+  p2m roce rdma_write
+end
+template rd
+  c2m app c2m_read cores=3
+  p2m roce rdma_read
+end
+
+hosts 2 q1-1
+hosts 2 q1-3
+hosts 2 q1-5
+hosts 2 q3-1
+hosts 2 q3-3
+hosts 2 q3-5
+hosts 2 rd
+)";
+
+TEST(FleetScenario, ParsesRdmaPlacements) {
+  const fleet::Scenario sc = fleet::Scenario::parse(kRdmaScenario);
+  ASSERT_EQ(sc.templates().size(), 7u);
+  const std::optional<core::P2MSpec>& wr = sc.templates()[0].p2m;
+  ASSERT_TRUE(wr.has_value());
+  EXPECT_EQ(wr->name, "rdma_write");
+  ASSERT_TRUE(wr->rdma_write.has_value());
+  EXPECT_FALSE(wr->storage.has_value());
+  EXPECT_FALSE(wr->tcp.has_value());
+  const std::optional<core::P2MSpec>& rd = sc.templates()[6].p2m;
+  ASSERT_TRUE(rd.has_value());
+  EXPECT_EQ(rd->name, "rdma_read");
+  ASSERT_TRUE(rd->storage.has_value());
+  EXPECT_EQ(rd->storage->host_op, mem::Op::kRead);
+  EXPECT_FALSE(rd->rdma_write.has_value());
+
+  // The unknown-workload error lists the RDMA placements.
+  try {
+    fleet::Scenario::parse("fleet f\ntemplate t\n  p2m a rdma\nend\nhosts 1 t\n");
+    ADD_FAILURE() << "expected ScenarioError";
+  } catch (const fleet::ScenarioError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rdma_write"), std::string::npos) << what;
+    EXPECT_NE(what.find("rdma_read"), std::string::npos) << what;
+  }
+}
+
 TEST(FleetHistogram, MergeMatchesCombinedStream) {
   LatencyHistogram a, b, both;
   for (int i = 1; i <= 1000; ++i) {
@@ -277,6 +354,21 @@ TEST(FleetRunner, MixedStacksShardAndForkBitIdentically) {
   // memoizes.
   EXPECT_EQ(fork.cache.checkpoint_misses, 3u * 3u);
   EXPECT_EQ(fork.cache.outcome_hits, 3u * 3u);
+}
+
+TEST(FleetRunner, RdmaWriteForksBitIdenticallyToCold) {
+  // The first forked hosts with a PFC NIC attached: the NIC's state rides
+  // the checkpoint through its external hooks, so every jittered replica
+  // restored from the warmed host must match its cold run bit-for-bit.
+  const fleet::Scenario sc = fleet::Scenario::parse(kRdmaScenario);
+  const fleet::FleetReport fork = run(sc, 2, core::SweepMode::kFork);
+  const fleet::FleetReport cold = run(sc, 2, core::SweepMode::kCold);
+  expect_same_results(sc, fork, cold);
+  EXPECT_EQ(fork.fingerprints, 7u);
+  EXPECT_EQ(fork.cache.checkpoint_misses, 3u * 7u);
+  EXPECT_GT(fork.cache.checkpoint_hits, 0u) << "jittered replicas must fork, not re-warm";
+  // Quadrant 3 at 5 cores is red: the RoCE tenant degrades under PFC.
+  EXPECT_GT(fork.agg.regime_count(core::Regime::kRed), 0u);
 }
 
 TEST(FleetRunner, SingleSidedHostsAreRegimeNone) {

@@ -2,6 +2,10 @@
 // determinism, and metric self-consistency.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
+
 #include "core/experiment.hpp"
 #include "core/host_system.hpp"
 #include "workloads/workloads.hpp"
@@ -156,12 +160,41 @@ TEST(Experiment, DefaultRunOptionsHonorEnv) {
   unsetenv("HOSTNET_WARMUP_US");
 }
 
+TEST(Experiment, MalformedWindowEnvOverridesAreRejected) {
+  // A typo must not silently run a 0 us window: the error names the variable.
+  auto error_for = [](const char* var, const char* value) -> std::string {
+    setenv(var, value, 1);
+    std::string what;
+    try {
+      default_run_options();
+    } catch (const std::invalid_argument& e) {
+      what = e.what();
+    }
+    unsetenv(var);
+    return what;
+  };
+  for (const char* bad : {"abc", "", "12us", "nan", "inf", "0", "-5"})
+    EXPECT_NE(error_for("HOSTNET_MEASURE_US", bad).find("HOSTNET_MEASURE_US"),
+              std::string::npos)
+        << "'" << bad << "'";
+  for (const char* bad : {"abc", "1e", "-1"})
+    EXPECT_NE(error_for("HOSTNET_WARMUP_US", bad).find("HOSTNET_WARMUP_US"), std::string::npos)
+        << "'" << bad << "'";
+  // A zero warmup is legitimate (measure from a cold host).
+  EXPECT_EQ(error_for("HOSTNET_WARMUP_US", "0"), "");
+  setenv("HOSTNET_WARMUP_US", "0", 1);
+  EXPECT_EQ(default_run_options().warmup, 0);
+  unsetenv("HOSTNET_WARMUP_US");
+}
+
 TEST(Experiment, PerCoreRegionsAreDisjoint) {
   C2MSpec spec;
   spec.workload = workloads::c2m_read(workloads::c2m_core_region(0));
   spec.cores = 4;
   const HostConfig hc = cascade_lake();
-  const auto out = run_workloads(hc, spec, std::nullopt, fast());
+  Plan plan;
+  plan.add(hc, spec, std::nullopt, fast());
+  const RunOutcome out = execute(plan)[0];
   EXPECT_EQ(out.metrics.c2m_cores, 4u);
   EXPECT_GT(out.c2m_score, 0.0);
 }

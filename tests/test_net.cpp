@@ -1,7 +1,8 @@
 // Tests for the networking case-study models: NIC (PFC / lossy+ECN), the
-// RDMA harness, and the DCTCP receiver.
+// RDMA placements on the executor, and the DCTCP receiver.
 #include <gtest/gtest.h>
 
+#include "core/experiment.hpp"
 #include "core/host_system.hpp"
 #include "net/dctcp.hpp"
 #include "net/nic_device.hpp"
@@ -106,15 +107,20 @@ TEST(NicDevice, TxPathOffByDefault) {
   EXPECT_EQ(nic.bytes_tx(), 0u);
 }
 
+/// The colocation protocol with an RDMA P2M placement.
+core::ColocationOutcome colocate_rdma(const core::C2MSpec& c2m, const core::P2MSpec& rdma) {
+  core::Plan plan;
+  const core::ColocationRef ref = plan.colocation(core::cascade_lake(), c2m, rdma, fast());
+  return core::execute(plan)[ref];
+}
+
 TEST(Rdma, WriteTrafficShowsBlueRegime) {
   // RDMA quadrant 1 (Appendix C): C2M-Read degrades, RoCE throughput does
   // not, and PFC stays quiet.
-  const auto hc = core::cascade_lake();
   core::C2MSpec c2m;
   c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
   c2m.cores = 3;
-  RdmaSpec rdma;
-  const auto o = run_rdma_colocation(hc, c2m, rdma, fast());
+  const auto o = colocate_rdma(c2m, rdma_write_p2m());
   EXPECT_GT(o.c2m_degradation(), 1.15);
   EXPECT_LT(o.p2m_degradation(), 1.05);
   EXPECT_LT(o.colo.pause_fraction, 0.05);
@@ -123,27 +129,38 @@ TEST(Rdma, WriteTrafficShowsBlueRegime) {
 TEST(Rdma, RedRegimeTriggersPfcPauses) {
   // RDMA quadrant 3 at high C2M load: P2M degrades and the NIC spends a
   // significant fraction of time paused (paper: 22-43%).
-  const auto hc = core::cascade_lake();
   core::C2MSpec c2m;
   c2m.workload = workloads::c2m_read_write(workloads::c2m_core_region(0));
   c2m.cores = 5;
-  RdmaSpec rdma;
-  const auto o = run_rdma_colocation(hc, c2m, rdma, fast());
+  const auto o = colocate_rdma(c2m, rdma_write_p2m());
   EXPECT_GT(o.p2m_degradation(), 1.3);
   EXPECT_GT(o.colo.pause_fraction, 0.15);
   EXPECT_EQ(o.colo.metrics.channels, 2u);
 }
 
 TEST(Rdma, ReadTrafficUnaffectedInBlueRegime) {
-  const auto hc = core::cascade_lake();
   core::C2MSpec c2m;
   c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
   c2m.cores = 3;
-  RdmaSpec rdma;
-  rdma.write_traffic = false;
-  const auto o = run_rdma_colocation(hc, c2m, rdma, fast());
+  const auto o = colocate_rdma(c2m, rdma_read_p2m());
   EXPECT_LT(o.p2m_degradation(), 1.05);
   EXPECT_GT(o.c2m_degradation(), 1.1);
+  EXPECT_EQ(o.colo.pause_fraction, 0.0);  // a DMA reader: no PFC
+}
+
+TEST(Rdma, WritePlacementIsFingerprinted) {
+  // The NIC placement and its wire rate shape construction, so they must
+  // reach the fingerprint (forking and fleet sharding depend on it).
+  const auto hc = core::cascade_lake();
+  const auto fp = [&](const std::optional<core::P2MSpec>& p2m) {
+    return core::config_fingerprint(hc, std::nullopt, p2m, 1, us(10));
+  };
+  core::P2MSpec slow = rdma_write_p2m({6.0});
+  EXPECT_NE(fp(rdma_write_p2m()), fp(std::nullopt));
+  EXPECT_NE(fp(rdma_write_p2m()), fp(slow));
+  core::P2MSpec named_like_write = rdma_read_p2m();
+  named_like_write.name = "rdma_write";
+  EXPECT_NE(fp(rdma_write_p2m()), fp(named_like_write));
 }
 
 TEST(Dctcp, IsolatedReceiverReachesWireRate) {

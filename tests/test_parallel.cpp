@@ -1,6 +1,7 @@
 // Tests for the parallel sweep engine: the worker pool itself
-// (core/parallel.hpp) and the parallel experiment sweeps built on it
-// (bit-identical to the serial protocol, results in input order).
+// (core/parallel.hpp) and the experiment executor built on it (outcomes in
+// plan order, bit-identical to running each window alone, identical windows
+// simulated once).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -126,13 +127,15 @@ TEST(ParallelSweep, TwoQuadrantColocationBitIdenticalToSerial) {
   P2MSpec p2m;
   p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
 
-  const std::vector<ColocationPoint> points{{host, read_spec, p2m}, {host, rw_spec, p2m}};
-  const auto par = run_colocation_points(points, opt, 4);
-  ASSERT_EQ(par.size(), points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto serial = run_colocation(points[i].host, points[i].c2m, points[i].p2m, opt);
-    expect_identical(par[i], serial);
-  }
+  Plan plan;
+  const ColocationRef read = plan.colocation(host, read_spec, p2m, opt);
+  const ColocationRef rw = plan.colocation(host, rw_spec, p2m, opt);
+  const Outcomes par = execute(plan, {4, SweepMode::kCold});
+  const Outcomes serial = execute(plan, {1, SweepMode::kCold});
+  expect_identical(par[read], serial[read]);
+  expect_identical(par[rw], serial[rw]);
+  // The two colocations repeat the same iso-P2M window.
+  expect_identical(par[read].iso_p2m, par[rw].iso_p2m);
 }
 
 TEST(ParallelSweep, CoreSweepBitIdenticalAndInInputOrder) {
@@ -145,14 +148,17 @@ TEST(ParallelSweep, CoreSweepBitIdenticalAndInInputOrder) {
   p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
   const std::vector<std::uint32_t> cores{1, 2, 3};
 
-  const auto serial = sweep_c2m_cores(host, c2m, p2m, cores, opt);
-  const auto par = sweep_c2m_cores_parallel(host, c2m, p2m, cores, opt, 4);
-  ASSERT_EQ(par.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) expect_identical(par[i], serial[i]);
-
-  // Degradation must grow with core count in this quadrant, which doubles as
-  // an input-order check on the parallel results.
-  EXPECT_GT(par.back().colo.metrics.c2m_cores, par.front().colo.metrics.c2m_cores);
+  Plan plan;
+  const std::vector<ColocationRef> sweep = plan.core_sweep(host, c2m, p2m, cores, opt);
+  ASSERT_EQ(plan.size(), 1 + 2 * cores.size());  // one shared iso-P2M window
+  const Outcomes par = execute(plan, {4, SweepMode::kAuto});
+  ASSERT_EQ(par.windows.size(), plan.size());
+  for (std::size_t i = 0; i < plan.size(); ++i)
+    expect_identical(par[i], run_window(plan.windows()[i], nullptr));
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    EXPECT_EQ(par[sweep[i]].colo.metrics.c2m_cores, cores[i]);
+    EXPECT_EQ(sweep[i].iso_p2m, sweep.front().iso_p2m);
+  }
 }
 
 TEST(ParallelSweep, WorkloadPointsMatchDirectRuns) {
@@ -165,14 +171,49 @@ TEST(ParallelSweep, WorkloadPointsMatchDirectRuns) {
   P2MSpec p2m;
   p2m.storage = workloads::fio_p2m_read(host, workloads::p2m_region());
 
-  const std::vector<WorkloadPoint> points{
-      {host, c2m, std::nullopt}, {host, std::nullopt, p2m}, {host, c2m, p2m}};
-  const auto par = run_workload_points(points, opt, 3);
-  ASSERT_EQ(par.size(), points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto serial = run_workloads(points[i].host, points[i].c2m, points[i].p2m, opt);
-    expect_identical(par[i], serial);
+  Plan plan;
+  plan.add(host, c2m, std::nullopt, opt);
+  plan.add(host, std::nullopt, p2m, opt);
+  plan.add(host, c2m, p2m, opt);
+  const Outcomes par = execute(plan, {3, SweepMode::kAuto});
+  ASSERT_EQ(par.windows.size(), plan.size());
+  for (std::size_t i = 0; i < plan.size(); ++i)
+    expect_identical(par[i], run_window(plan.windows()[i], nullptr));
+}
+
+TEST(Executor, OutcomesInPlanOrder) {
+  // Core counts in scrambled order, many more windows than threads: each
+  // outcome must land at its own window's index.
+  const HostConfig host = cascade_lake();
+  RunOptions opt = fast_options();
+  opt.measure = us(30);
+  C2MSpec c2m;
+  c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
+  const std::vector<std::uint32_t> cores{3, 1, 4, 1, 5, 2, 6, 2, 3, 5};
+  Plan plan;
+  for (std::uint32_t n : cores) {
+    c2m.cores = n;
+    plan.add(host, c2m, std::nullopt, opt);
   }
+  const Outcomes out = execute(plan, {4, SweepMode::kCold});
+  ASSERT_EQ(out.windows.size(), cores.size());
+  for (std::size_t i = 0; i < cores.size(); ++i)
+    EXPECT_EQ(out[i].metrics.c2m_cores, cores[i]) << "window " << i;
+}
+
+TEST(Executor, SingleSidedColocationIsOneWindow) {
+  const HostConfig host = cascade_lake();
+  C2MSpec c2m;
+  c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
+  Plan plan;
+  const ColocationRef ref = plan.colocation(host, c2m, std::nullopt, fast_options());
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(ref.colo, ref.iso_c2m);
+  EXPECT_EQ(ref.iso_p2m, ColocationRef::kNone);
+  const ColocationOutcome o = execute(plan)[ref];
+  EXPECT_EQ(o.c2m_degradation(), 1.0);
+  EXPECT_EQ(o.regime(), Regime::kNone);
+  EXPECT_EQ(o.iso_p2m.p2m_score, 0.0);
 }
 
 }  // namespace

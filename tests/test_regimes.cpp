@@ -42,11 +42,18 @@ P2MSpec p2m_read_spec(const HostConfig& hc) {
   return s;
 }
 
+/// The colocation protocol for one configuration, as a one-entry plan.
+ColocationOutcome colocate(const HostConfig& hc, const C2MSpec& c2m, const P2MSpec& p2m) {
+  Plan plan;
+  const ColocationRef ref = plan.colocation(hc, c2m, p2m, fast());
+  return execute(plan)[ref];
+}
+
 TEST(Regimes, Quadrant1IsBlue) {
   // C2M-Read + P2M-Write: C2M degrades even though memory bandwidth is far
   // from saturated; P2M is unaffected (spare domain credits).
   const HostConfig hc = cascade_lake();
-  const auto o = run_colocation(hc, c2m_read_spec(2), p2m_write_spec(hc), fast());
+  const auto o = colocate(hc, c2m_read_spec(2), p2m_write_spec(hc));
   EXPECT_GT(o.c2m_degradation(), 1.15);
   EXPECT_LT(o.p2m_degradation(), 1.05);
   EXPECT_EQ(o.regime(), Regime::kBlue);
@@ -56,15 +63,15 @@ TEST(Regimes, Quadrant1IsBlue) {
 
 TEST(Regimes, Quadrant2IsBlueAndMilderThanQuadrant1) {
   const HostConfig hc = cascade_lake();
-  const auto q1 = run_colocation(hc, c2m_read_spec(2), p2m_write_spec(hc), fast());
-  const auto q2 = run_colocation(hc, c2m_read_spec(2), p2m_read_spec(hc), fast());
+  const auto q1 = colocate(hc, c2m_read_spec(2), p2m_write_spec(hc));
+  const auto q2 = colocate(hc, c2m_read_spec(2), p2m_read_spec(hc));
   EXPECT_LT(q2.p2m_degradation(), 1.05);
   EXPECT_LT(q2.c2m_degradation(), q1.c2m_degradation());
 }
 
 TEST(Regimes, Quadrant3TurnsRedOnceBandwidthSaturates) {
   const HostConfig hc = cascade_lake();
-  const auto o = run_colocation(hc, c2m_rw_spec(4), p2m_write_spec(hc), fast());
+  const auto o = colocate(hc, c2m_rw_spec(4), p2m_write_spec(hc));
   EXPECT_GT(o.c2m_degradation(), 1.1);
   EXPECT_GT(o.p2m_degradation(), 1.3);
   EXPECT_EQ(o.regime(), Regime::kRed);
@@ -76,13 +83,13 @@ TEST(Regimes, Quadrant3LowLoadIsStillBlueish) {
   // With one C2M core, P2M is unaffected (paper: "with 2 or fewer C2M
   // cores, similar to quadrants 1 and 2").
   const HostConfig hc = cascade_lake();
-  const auto o = run_colocation(hc, c2m_rw_spec(1), p2m_write_spec(hc), fast());
+  const auto o = colocate(hc, c2m_rw_spec(1), p2m_write_spec(hc));
   EXPECT_LT(o.p2m_degradation(), 1.1);
 }
 
 TEST(Regimes, Quadrant4IsBlue) {
   const HostConfig hc = cascade_lake();
-  const auto o = run_colocation(hc, c2m_rw_spec(3), p2m_read_spec(hc), fast());
+  const auto o = colocate(hc, c2m_rw_spec(3), p2m_read_spec(hc));
   EXPECT_GT(o.c2m_degradation(), 1.1);
   EXPECT_LT(o.p2m_degradation(), 1.06);
 }
@@ -91,9 +98,12 @@ TEST(Regimes, BlueRegimeRootCauses) {
   // Section 5.1: colocation inflates C2M-Read domain latency via MC
   // queueing and row-miss increase, while domain credits stay pinned.
   const HostConfig hc = cascade_lake();
-  const auto opt = fast();
-  const auto iso = run_workloads(hc, c2m_read_spec(2), std::nullopt, opt);
-  const auto colo = run_workloads(hc, c2m_read_spec(2), p2m_write_spec(hc), opt);
+  Plan plan;
+  plan.add(hc, c2m_read_spec(2), std::nullopt, fast());
+  plan.add(hc, c2m_read_spec(2), p2m_write_spec(hc), fast());
+  const Outcomes out = execute(plan);
+  const RunOutcome& iso = out[0];
+  const RunOutcome& colo = out[1];
   EXPECT_GT(colo.metrics.lfb_latency_ns, 1.15 * iso.metrics.lfb_latency_ns);
   EXPECT_GT(colo.metrics.avg_rpq_occupancy, iso.metrics.avg_rpq_occupancy);
   EXPECT_GT(colo.metrics.row_miss_ratio_read, 2.0 * iso.metrics.row_miss_ratio_read);
@@ -104,8 +114,9 @@ TEST(Regimes, BlueRegimeP2MHasSpareCredits) {
   // The P2M-Write domain tolerates latency inflation because its credits
   // are not fully utilized (~65 of 92 needed at PCIe line rate).
   const HostConfig hc = cascade_lake();
-  const auto colo =
-      run_workloads(hc, c2m_read_spec(4), p2m_write_spec(hc), fast());
+  Plan plan;
+  plan.add(hc, c2m_read_spec(4), p2m_write_spec(hc), fast());
+  const auto colo = execute(plan)[0];
   EXPECT_LT(colo.metrics.p2m_write.credits_in_use, 0.9 * hc.iio.write_credits);
   EXPECT_NEAR(colo.metrics.p2m_dev_gbps, 14.0, 0.5);
 }
@@ -115,9 +126,12 @@ TEST(Regimes, RedRegimeWpqBackpressureSignature) {
   // the CHA write backlog (N_waiting) grows; P2M-Write latency inflates
   // and its credits pin at the IIO buffer size.
   const HostConfig hc = cascade_lake();
-  const auto opt = fast();
-  const auto lo = run_workloads(hc, c2m_rw_spec(1), p2m_write_spec(hc), opt);
-  const auto hi = run_workloads(hc, c2m_rw_spec(5), p2m_write_spec(hc), opt);
+  Plan plan;
+  plan.add(hc, c2m_rw_spec(1), p2m_write_spec(hc), fast());
+  plan.add(hc, c2m_rw_spec(5), p2m_write_spec(hc), fast());
+  const Outcomes out = execute(plan);
+  const RunOutcome& lo = out[0];
+  const RunOutcome& hi = out[1];
   EXPECT_GT(hi.metrics.wpq_full_fraction, 0.5);
   EXPECT_GT(hi.metrics.n_waiting, 10 * std::max(1.0, lo.metrics.n_waiting));
   EXPECT_GT(hi.metrics.p2m_write.latency_ns, 1.5 * lo.metrics.p2m_write.latency_ns);
@@ -129,7 +143,9 @@ TEST(Regimes, CzmWriteDomainShieldedFromMcBackpressure) {
   // far smaller latency inflation than the P2M-Write domain (spans the MC)
   // under write backlog.
   const HostConfig hc = cascade_lake();
-  const auto hi = run_workloads(hc, c2m_rw_spec(4), p2m_write_spec(hc), fast());
+  Plan plan;
+  plan.add(hc, c2m_rw_spec(4), p2m_write_spec(hc), fast());
+  const auto hi = execute(plan)[0];
   EXPECT_LT(hi.metrics.c2m_write.latency_ns, 0.5 * hi.metrics.p2m_write.latency_ns);
 }
 
@@ -155,7 +171,7 @@ TEST_P(QuadrantSweep, P2MWriteNeverDegradesInQuadrant1) {
   // Property over the full core sweep: quadrant 1 stays blue.
   const HostConfig hc = cascade_lake();
   const auto o =
-      run_colocation(hc, c2m_read_spec(GetParam()), p2m_write_spec(hc), fast());
+      colocate(hc, c2m_read_spec(GetParam()), p2m_write_spec(hc));
   EXPECT_LT(o.p2m_degradation(), 1.05) << GetParam() << " cores";
   EXPECT_GT(o.c2m_degradation(), 1.1) << GetParam() << " cores";
 }

@@ -1,8 +1,8 @@
 // Tests for the pluggable TCP stack framework (net/tcp_stack.hpp): the
 // DCTCP differential against the pre-refactor receiver arithmetic,
 // per-stack snapshot -> run -> restore -> replay identity, fork-vs-cold
-// bit-identity through core::run_workloads, and the stack kind's reach
-// into core::config_fingerprint().
+// bit-identity through the executor's per-window step, and the stack kind's
+// reach into core::config_fingerprint().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -177,29 +177,27 @@ TEST_P(TcpStackParam, ForkSweepBitIdenticalToCold) {
   // The SweepCache path: a TCP transport built through the core factory
   // must fork from its warmup checkpoint bit-identically to a cold run,
   // for every stack.
-  core::RunOptions opt;
-  opt.warmup = us(30);
-  opt.measure = us(100);
-  opt.seed = 7;
-  const core::HostConfig host = core::cascade_lake();
+  core::Window w;
+  w.host = core::cascade_lake();
+  w.opt.warmup = us(30);
+  w.opt.measure = us(100);
+  w.opt.seed = 7;
   core::C2MSpec c2m;
   c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
   c2m.cores = 2;
+  w.c2m = c2m;
   core::P2MSpec p2m;
   p2m.tcp = tcp_spec(GetParam());
   p2m.name = p2m.tcp->name;
+  w.p2m = p2m;
 
   core::SweepCache cache;
-  const core::RunOutcome cold =
-      core::run_workloads(host, c2m, p2m, opt, nullptr, core::SweepMode::kCold);
-  const core::RunOutcome fork1 =
-      core::run_workloads(host, c2m, p2m, opt, &cache, core::SweepMode::kFork);
-  core::RunOptions longer = opt;
-  longer.measure = opt.measure * 2;
-  const core::RunOutcome cold_long =
-      core::run_workloads(host, c2m, p2m, longer, nullptr, core::SweepMode::kCold);
-  const core::RunOutcome fork_long =
-      core::run_workloads(host, c2m, p2m, longer, &cache, core::SweepMode::kFork);
+  const core::RunOutcome cold = core::run_window(w, nullptr);
+  const core::RunOutcome fork1 = core::run_window(w, &cache);
+  core::Window longer = w;
+  longer.opt.measure = w.opt.measure * 2;
+  const core::RunOutcome cold_long = core::run_window(longer, nullptr);
+  const core::RunOutcome fork_long = core::run_window(longer, &cache);
   expect_identical(cold, fork1);
   expect_identical(cold_long, fork_long);
   EXPECT_EQ(cache.stats().checkpoint_misses, 1u);
@@ -219,7 +217,7 @@ INSTANTIATE_TEST_SUITE_P(AllStacks, TcpStackParam,
 
 TEST(TcpStacks, FactoryInstalledByLinking) {
   // Linking net/tcp_stacks.cpp installs the transport factory before main.
-  ASSERT_NE(core::tcp_factory(), nullptr);
+  ASSERT_NE(core::p2m_transport_factory(), nullptr);
 }
 
 TEST(TcpStacks, FingerprintSeparatesStackKinds) {
