@@ -251,6 +251,51 @@ void BM_EventKernelHostShape(benchmark::State& state) {
 }
 BENCHMARK(BM_EventKernelHostShape)->Unit(benchmark::kMillisecond);
 
+/// Adversarial in-slot ordering for the calendar queue's sorted L0 slots.
+/// Each batch files kDenseSlotTicks events at distinct ticks of one
+/// 32-tick-aligned span (one L0 slot), ~256 ticks ahead. Arg 0 pushes them
+/// in descending tick order, so each lands ahead of the slot's head; Arg 1
+/// pins the span's last tick first and then pushes the rest ascending, so
+/// each lands just ahead of the tail and behind every earlier push (a walk
+/// from the head would pass them all). The batch event re-arms at the
+/// span's last tick, behind the batch.
+constexpr Tick kDenseSlotTicks = 32;
+
+struct DenseSlotLeaf {
+  std::array<std::uint64_t, 6> payload;  // pad to the 56 B request-closure shape
+  void operator()() const { benchmark::DoNotOptimize(payload[0]); }
+};
+
+struct DenseSlotBatch {
+  sim::Simulator* s;
+  std::int64_t pattern;
+  void operator()() const {
+    if (s->events_executed() >= kChainEvents) return;
+    const Tick base = (s->now() / kDenseSlotTicks + 8) * kDenseSlotTicks;
+    const Tick last = base + kDenseSlotTicks - 1;
+    if (pattern == 0) {
+      for (Tick t = last; t >= base; --t) s->schedule_at(t, DenseSlotLeaf{});
+    } else {
+      s->schedule_at(last, DenseSlotLeaf{});
+      for (Tick t = base; t < last; ++t) s->schedule_at(t, DenseSlotLeaf{});
+    }
+    s->schedule_at(last, DenseSlotBatch{s, pattern});
+  }
+};
+
+void BM_EventKernelDenseSlot(benchmark::State& state) {
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    sim.schedule_at(0, DenseSlotBatch{&sim, state.range(0)});
+    sim.run_until(ms(1000));
+    events += sim.events_executed();
+    benchmark::DoNotOptimize(sim.events_executed());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventKernelDenseSlot)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // ---- MC-channel microbenchmark ---------------------------------------------
 // Synthetic closed-loop enqueue stream straight into one mc::Channel -- no
 // CHA/CPU above it and (almost) no kernel dispatch beside the channel's own

@@ -17,7 +17,15 @@ threshold (default 10%), so it can gate a PR:
         build/BENCH_sim_perf.json
 
 Aggregate entries (``*_mean``, ``*_median``, ``*_stddev``, ``*_cv``) are
-skipped; raw repetition entries are averaged per name. Stdlib only.
+skipped; raw repetition entries are averaged per name. Benchmarks present in
+only one file are listed, not compared: a benchmark new in the candidate has
+no baseline to gate against until the baseline is re-recorded.
+
+``BM_AddressDecode`` is a drift probe: no simulator change touches the
+address decoder, so when it differs from the baseline by more than 15% the
+two files were most likely recorded on different machines or under
+different load, and every ratio above carries that error too. The script
+then prints a warning; it does not change the verdict. Stdlib only.
 """
 
 import argparse
@@ -25,6 +33,8 @@ import json
 import sys
 
 AGGREGATE_SUFFIXES = ("_mean", "_median", "_stddev", "_cv", "_min", "_max")
+DRIFT_PROBE = "BM_AddressDecode"
+DRIFT_LIMIT = 0.15
 
 
 def load(path):
@@ -76,6 +86,7 @@ def main():
         return 2
 
     regressions = []
+    drift = None  # the drift probe's speedup, in the metric the table uses
     width = max(len(n) for n in common)
     print(f"{'benchmark':<{width}}  {'baseline':>14}  {'candidate':>14}  {'speedup':>8}  metric")
     for name in common:
@@ -89,6 +100,8 @@ def main():
         # Normalize to "candidate speedup over baseline": for time metrics a
         # smaller candidate is faster; for rates a larger candidate is faster.
         speedup = (b / c) if metric.endswith("_time") else (c / b)
+        if name == DRIFT_PROBE:
+            drift = speedup
         flag = ""
         if speedup < 1.0 - args.threshold:
             regressions.append((name, metric, speedup))
@@ -100,6 +113,15 @@ def main():
         print(f"note: {len(only_base)} benchmark(s) only in baseline (new code "
               f"may have renamed them): {', '.join(only_base[:5])}"
               + ("..." if len(only_base) > 5 else ""))
+    only_cand = sorted(set(cand) - set(base))
+    if only_cand:
+        print(f"note: {len(only_cand)} benchmark(s) only in candidate, not gated "
+              f"(no baseline yet): {', '.join(only_cand)}")
+
+    if drift is not None and abs(drift - 1.0) > DRIFT_LIMIT:
+        print(f"WARNING: {DRIFT_PROBE} shows a {drift:.2f}x speedup over its baseline; "
+              f"no simulator change touches it, so the two files likely come from "
+              f"different machines or load, and every ratio above carries that drift")
 
     if regressions:
         print(f"\nFAIL: {len(regressions)} benchmark(s) regressed more than "

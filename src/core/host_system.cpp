@@ -87,6 +87,7 @@ void HostSystem::run(Tick warmup, Tick measure) {
 void HostSystem::run_more(Tick extra) { sim_.run_until(sim_.now() + extra); }
 
 void HostSystem::verify_invariants() const {
+  sim_.verify_invariants();
   mc_->verify_invariants();
   cha_->verify_invariants();
   for (const auto& i : iios_) i->verify_invariants();

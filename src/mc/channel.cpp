@@ -1,6 +1,7 @@
 #include "mc/channel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "sim/trace.hpp"
@@ -13,10 +14,11 @@ Channel::Channel(sim::Simulator& sim, const ChannelConfig& cfg, std::uint32_t ba
       cfg_(cfg),
       index_(index),
       listener_(listener),
-      rpq_(cfg.rpq_capacity, cfg.prep_window),
-      wpq_(cfg.wpq_capacity, cfg.prep_window),
+      rpq_(cfg.rpq_capacity, cfg.prep_window, banks),
+      wpq_(cfg.wpq_capacity, cfg.prep_window, banks),
       banks_(banks),
       bank_pending_(banks, -1),
+      banks_owned_((banks + 63) / 64, 0),
       counters_(banks, cfg.wpq_capacity) {
   // Wake-up events in flight are bounded by the distinct ticks requested
   // between fires (stale-write deadlines plus near-term bus/bank kicks);
@@ -37,21 +39,14 @@ Channel::Channel(sim::Simulator& sim, const ChannelConfig& cfg, std::uint32_t ba
 
 void Channel::enqueue_read(const mem::Request& req, const dram::Coord& coord) {
   assert(rpq_has_space());
-  const auto slot = rpq_.push_back(req, coord, sim_.now(), next_entry_id_++);
-  // The new entry matters to the next prep scan only if it is immediately
-  // preppable; any later change to that (a bank freeing, the window sliding,
-  // a mode switch) marks the scan dirty at its own site.
-  if (mode_ == Mode::kRead && rpq_.in_window(slot) && bank_pending_[coord.bank] == -1)
-    prep_dirty_ = true;
+  rpq_.push_back(req, coord, sim_.now(), next_entry_id_++);
   rpq_pool_.acquire(sim_.now());
   kick();
 }
 
 void Channel::enqueue_write(const mem::Request& req, const dram::Coord& coord) {
   assert(wpq_has_space());
-  const auto slot = wpq_.push_back(req, coord, sim_.now(), next_entry_id_++);
-  if (mode_ == Mode::kWrite && wpq_.in_window(slot) && bank_pending_[coord.bank] == -1)
-    prep_dirty_ = true;
+  wpq_.push_back(req, coord, sim_.now(), next_entry_id_++);
   wpq_pool_.acquire(sim_.now());
   // A lone write enqueued while the controller idles in read mode must not
   // wait forever: arm the stale-write timer.
@@ -73,7 +68,6 @@ void Channel::maybe_switch_mode(Tick now) {
     }
     if ((high && dwell_done) || idle_drain) {
       mode_ = Mode::kWrite;
-      prep_dirty_ = true;
       bus_free_at_ = std::max(bus_free_at_, now) + cfg_.timing.t_rtw;
       release_inactive_banks(rpq_);
       if (auto* tr = sim::Tracer::global()) {
@@ -85,7 +79,6 @@ void Channel::maybe_switch_mode(Tick now) {
     const bool drained = !rpq_.empty() && wpq_pool_.at_or_below_low();
     if (drained) {
       mode_ = Mode::kRead;
-      prep_dirty_ = true;
       read_dwell_until_ =
           now + std::min(cfg_.read_dwell_cap,
                          static_cast<Tick>(rpq_.size()) * cfg_.dwell_per_queued_read);
@@ -108,35 +101,39 @@ void Channel::release_inactive_banks(SlotQueue& q) {
     const auto next = q.prepped_next(i);
     const Entry& e = q.entry(i);
     if (bank_pending_[e.coord.bank] == static_cast<std::int64_t>(e.id))
-      bank_pending_[e.coord.bank] = -1;
+      free_bank(e.coord.bank);
     q.unprep(i);
     i = next;
   }
 }
 
 void Channel::prep_banks(Tick now) {
-  // `prep_dirty_` is exact change-tracking: when clear, every unprepped
-  // window entry's bank is owned, so the scan below would find nothing. It
-  // is set by the only events that create a preppable entry -- an eligible
-  // enqueue, a bank freed by issue, the window sliding after an erase
-  // (always an issue), and a mode switch (incl. releasing bank ownership).
-  if (!prep_dirty_) return;
   auto& q = active_queue();
-  // Walk only the unprepped entries inside the prep window, oldest first --
-  // the same candidates the full window scan used to visit, in the same
-  // order (the sublist is age-ordered and window membership is exact).
-  for (auto i = q.unprepped_window_head(); i != SlotQueue::kNil;) {
+  // A prep needs an unprepped-in-window entry whose bank is free; each
+  // candidate bank is prepped exactly once, by its oldest such entry (the
+  // prep claims the bank). Counting the candidates up front makes the
+  // common "nothing to prep" case O(banks / 64) and ends the walk at the
+  // last prep instead of at the end of the window.
+  const std::vector<std::uint64_t>& waiting = q.unprepped_window_banks();
+  std::uint32_t candidates = 0;
+  for (std::size_t w = 0; w < waiting.size(); ++w)
+    candidates += static_cast<std::uint32_t>(std::popcount(waiting[w] & ~banks_owned_[w]));
+  // Walk the unprepped entries inside the prep window oldest first -- the
+  // same candidates the full window scan used to visit, in the same order
+  // (the sublist is age-ordered and window membership is exact).
+  for (auto i = q.unprepped_window_head(); candidates > 0;) {
+    assert(i != SlotQueue::kNil);
     const auto next = q.unprepped_window_next(i);
     Entry& e = q.entry(i);
     if (bank_pending_[e.coord.bank] == -1) {
       e.row_result = banks_[e.coord.bank].prepare(now, e.coord.row, cfg_.timing);
       e.row_ready_at = banks_[e.coord.bank].ready_at();
       q.mark_prepped(i);
-      bank_pending_[e.coord.bank] = static_cast<std::int64_t>(e.id);
+      own_bank(e.coord.bank, e.id);
+      --candidates;
     }
     i = next;
   }
-  prep_dirty_ = false;
 }
 
 bool Channel::try_issue(Tick now) {
@@ -156,8 +153,7 @@ bool Channel::try_issue(Tick now) {
 
   const Entry e = q.entry(it);
   q.erase(it);
-  bank_pending_[e.coord.bank] = -1;
-  prep_dirty_ = true;  // a bank freed and the prep window slid forward
+  free_bank(e.coord.bank);
   // Row-buffer outcomes are accounted per issued line (formula inputs are
   // per-cacheline), using the outcome of the prep that made this issue ready.
   counters_.on_row_result(e.req.op, e.row_result == dram::RowResult::kHit,
@@ -273,6 +269,14 @@ void Channel::verify_invariants() const {
   HOSTNET_INVARIANT(banks_owned == prepped_total,
                     "mc.bank-ownership: %u banks owned but %u entries prepped", banks_owned,
                     prepped_total);
+  // The owned-bank set mirrors bank_pending_ (the queues' unprepped-window
+  // bank sets are recomputed by verify_arena above).
+  for (std::size_t b = 0; b < bank_pending_.size(); ++b) {
+    const bool owned = (banks_owned_[b / 64] >> (b % 64)) & 1;
+    HOSTNET_INVARIANT(owned == (bank_pending_[b] >= 0),
+                      "mc.bank-ownership: owned-bank set %s bank %zu but its owner id is %lld",
+                      owned ? "holds" : "lacks", b, static_cast<long long>(bank_pending_[b]));
+  }
 #endif
 }
 
@@ -294,7 +298,6 @@ void Channel::save_state(Snapshot& out) const {
   out.banks = banks_;
   out.bank_pending = bank_pending_;
   out.mode = static_cast<std::uint8_t>(mode_);
-  out.prep_dirty = prep_dirty_;
   out.bus_free_at = bus_free_at_;
   out.read_dwell_until = read_dwell_until_;
   out.next_entry_id = next_entry_id_;
@@ -312,8 +315,10 @@ void Channel::load_state(const Snapshot& s) {
   wpq_ = *s.wpq;
   banks_ = s.banks;
   bank_pending_ = s.bank_pending;
+  std::fill(banks_owned_.begin(), banks_owned_.end(), 0);
+  for (std::size_t b = 0; b < bank_pending_.size(); ++b)
+    if (bank_pending_[b] >= 0) banks_owned_[b / 64] |= std::uint64_t{1} << (b % 64);
   mode_ = static_cast<Mode>(s.mode);
-  prep_dirty_ = s.prep_dirty;
   bus_free_at_ = s.bus_free_at;
   read_dwell_until_ = s.read_dwell_until;
   next_entry_id_ = s.next_entry_id;

@@ -14,10 +14,12 @@
 //
 // Hot-path layout (DESIGN.md section 4b): the queues are fixed-capacity
 // slot arenas (slot_queue.hpp) -- entries never move, FIFO order is an
-// intrusive age list, the FR-FCFS scan walks only the prepped sublist, and
-// the next-kick time comes from an incrementally maintained earliest-
-// row_ready_at tracker. Scheduling decisions are bit-identical to the
-// original deque scans; only the work per decision changed.
+// intrusive age list, the FR-FCFS scan walks only the prepped sublist, the
+// bank-prep scan starts only when a waiting entry's bank is free (two bank
+// sets, one word per 64 banks), and the next-kick time comes from an
+// incrementally maintained earliest-row_ready_at tracker. Scheduling
+// decisions are bit-identical to the original deque scans; only the work per
+// decision changed.
 #pragma once
 
 #include <cstdint>
@@ -131,7 +133,6 @@ class Channel {
     std::vector<dram::Bank> banks;
     std::vector<std::int64_t> bank_pending;
     std::uint8_t mode = 0;
-    bool prep_dirty = true;
     Tick bus_free_at = 0;
     Tick read_dwell_until = 0;
     std::uint64_t next_entry_id = 0;
@@ -150,6 +151,16 @@ class Channel {
   enum class Mode : std::uint8_t { kRead, kWrite };
 
   void release_inactive_banks(SlotQueue& q);
+
+  /// Bank ownership: bank_pending_ plus its bit in banks_owned_.
+  void own_bank(std::uint32_t bank, std::uint64_t id) {
+    bank_pending_[bank] = static_cast<std::int64_t>(id);
+    banks_owned_[bank / 64] |= std::uint64_t{1} << (bank % 64);
+  }
+  void free_bank(std::uint32_t bank) {
+    bank_pending_[bank] = -1;
+    banks_owned_[bank / 64] &= ~(std::uint64_t{1} << (bank % 64));
+  }
 
   void kick();
   void maybe_switch_mode(Tick now);
@@ -173,11 +184,11 @@ class Channel {
   SlotQueue wpq_;
   std::vector<dram::Bank> banks_;
   std::vector<std::int64_t> bank_pending_;  ///< entry id holding each bank, -1 if free
+  /// Banks with bank_pending_ != -1: bit b % 64 of word b / 64.
+  // hostnet-audit: skip(banks_owned_, derived from bank_pending_; load_state rebuilds it)
+  std::vector<std::uint64_t> banks_owned_;
 
   Mode mode_ = Mode::kRead;
-  /// False only when the last prep scan of the active queue completed and
-  /// nothing since could have made an entry preppable (see prep_banks).
-  bool prep_dirty_ = true;
   Tick bus_free_at_ = 0;
   Tick read_dwell_until_ = 0;
   std::uint64_t next_entry_id_ = 0;

@@ -22,7 +22,11 @@
 //    explicitly: a fence index marks the first beyond-window slot, erasure
 //    advances it in O(1), and the unprepped entries inside the window form
 //    a third intrusive (age-ordered) list -- the only entries a prep scan
-//    could possibly act on.
+//    could possibly act on;
+//  * the banks those unprepped-in-window entries target form a bank set
+//    (one bit per bank, 64 banks per word, with a per-bank entry count), so
+//    the channel can tell in O(banks / 64) whether a prep scan would find a
+//    free bank at all, and how many preps it will make.
 //
 // Invariants (see DESIGN.md section 4b):
 //  * prepped list ⊆ FIFO list, both ordered by ascending entry id;
@@ -33,7 +37,9 @@
 //    (recomputed lazily after a removal that may have held the minimum);
 //  * in_window(i) <=> FIFO position of i < window; prepped ⊆ window
 //    (positions only shrink, prep only happens in-window), so the
-//    unprepped-in-window list is exactly window \ prepped, age-ordered.
+//    unprepped-in-window list is exactly window \ prepped, age-ordered;
+//  * bank b is in unprepped_window_banks() <=> some unprepped-in-window entry
+//    targets b.
 #pragma once
 
 #include <cassert>
@@ -69,9 +75,13 @@ class SlotQueue {
 
   /// `window` is the bank-prep window depth (entries at FIFO positions
   /// >= window are outside it; a window >= capacity means "everything").
-  explicit SlotQueue(std::uint32_t capacity, std::uint32_t window)
-      : slots_(capacity), window_(window) {
-    assert(capacity > 0 && capacity < kNil && window > 0);
+  /// Entries must target banks below `banks`.
+  SlotQueue(std::uint32_t capacity, std::uint32_t window, std::uint32_t banks)
+      : slots_(capacity),
+        window_(window),
+        uw_bank_count_(banks, 0),
+        uw_banks_((banks + 63) / 64, 0) {
+    assert(capacity > 0 && capacity < kNil && window > 0 && banks > 0);
     // Seed the free list with all slots (order is irrelevant: FIFO order is
     // defined by the intrusive list, not by slot index).
     for (std::uint32_t i = 0; i < capacity; ++i)
@@ -114,6 +124,9 @@ class SlotQueue {
   SlotIndex unprepped_window_head() const { return uw_head_; }
   SlotIndex unprepped_window_next(SlotIndex i) const { return slots_[i].wnext; }
   bool in_window(SlotIndex i) const { return slots_[i].in_window; }
+  /// Banks targeted by at least one unprepped-in-window entry: bit b % 64 of
+  /// word b / 64.
+  const std::vector<std::uint64_t>& unprepped_window_banks() const { return uw_banks_; }
 
   /// Append a new entry at the FIFO tail. Caller must have checked !full().
   /// Returns its slot; the entry starts unprepped.
@@ -282,6 +295,21 @@ class SlotQueue {
                       "%s: unprepped-window list holds %u entries, expected %u in-window "
                       "minus %u prepped",
                       name, uw, window_seen, prepped);
+    // The bank set and its counts, recomputed from the sublist.
+    std::vector<std::uint16_t> count(uw_bank_count_.size(), 0);
+    for (SlotIndex i = uw_head_; i != kNil; i = slots_[i].wnext) {
+      const std::uint32_t b = slots_[i].e.coord.bank;
+      HOSTNET_INVARIANT(b < count.size(), "%s: unprepped-window entry targets bank %u of %zu",
+                        name, b, count.size());
+      ++count[b];
+    }
+    for (std::size_t b = 0; b < count.size(); ++b) {
+      const bool in_set = (uw_banks_[b / 64] >> (b % 64)) & 1;
+      HOSTNET_INVARIANT(count[b] == uw_bank_count_[b] && in_set == (count[b] > 0),
+                        "%s: unprepped-window bank set out of date at bank %zu: %u entries "
+                        "target it, the set counts %u and %s it",
+                        name, b, count[b], uw_bank_count_[b], in_set ? "holds" : "lacks");
+    }
     // Free list + live entries must tile the arena exactly (slot leak check:
     // "arena occupancy == queue depth").
     std::uint32_t free_slots = 0;
@@ -317,7 +345,18 @@ class SlotQueue {
     bool in_window = false;
   };
 
+  void uw_bank_add(SlotIndex i) {
+    const std::uint32_t b = slots_[i].e.coord.bank;
+    if (uw_bank_count_[b]++ == 0) uw_banks_[b / 64] |= std::uint64_t{1} << (b % 64);
+  }
+
+  void uw_bank_remove(SlotIndex i) {
+    const std::uint32_t b = slots_[i].e.coord.bank;
+    if (--uw_bank_count_[b] == 0) uw_banks_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+  }
+
   void uw_append(SlotIndex i) {
+    uw_bank_add(i);
     Slot& s = slots_[i];
     s.wnext = kNil;
     s.wprev = uw_tail_;
@@ -329,6 +368,7 @@ class SlotQueue {
   }
 
   void uw_unlink(SlotIndex i) {
+    uw_bank_remove(i);
     Slot& s = slots_[i];
     if (s.wprev != kNil)
       slots_[s.wprev].wnext = s.wnext;
@@ -344,6 +384,7 @@ class SlotQueue {
   /// Age-ordered insert (for unprep: a mode-switch release returns old
   /// entries, so walk forward from the head -- usually few steps).
   void uw_insert_ordered(SlotIndex i) {
+    uw_bank_add(i);
     Slot& s = slots_[i];
     SlotIndex before = uw_head_;
     while (before != kNil && slots_[before].e.id < s.e.id) before = slots_[before].wnext;
@@ -390,6 +431,9 @@ class SlotQueue {
   SlotIndex head_ = kNil, tail_ = kNil;
   SlotIndex phead_ = kNil, ptail_ = kNil;
   SlotIndex uw_head_ = kNil, uw_tail_ = kNil;
+  /// Unprepped-in-window entries per bank, and the set of banks with any.
+  std::vector<std::uint16_t> uw_bank_count_;
+  std::vector<std::uint64_t> uw_banks_;
   SlotIndex fence_ = kNil;  ///< first beyond-window slot (kNil if none)
   SlotIndex free_head_ = kNil;
   std::uint32_t size_ = 0;

@@ -29,28 +29,46 @@ void set_bit(std::array<std::uint64_t, N>& bits, std::size_t i) {
 }  // namespace
 
 void CalendarQueue::grow() {
-  // Chunks are never reallocated, so node addresses -- and a closure that is
-  // running in one -- survive growth. Amortized: the pool reaches its
+  // Chunks are never reallocated, so closure addresses -- and a closure that
+  // is running in one -- survive growth. Amortized: the pool reaches its
   // high-water mark during warm-up and is recycled from then on.
   const auto base = static_cast<Handle>(chunks_.size() * kChunkNodes);
-  chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
-  // Thread the new nodes so the lowest index is handed out first.
+  chunks_.push_back(std::make_unique<Event[]>(kChunkNodes));
+  at_.resize(base + kChunkNodes);
+  next_.resize(base + kChunkNodes);
+  // Thread the new handles so the lowest index is handed out first.
   for (std::size_t i = kChunkNodes; i-- > 0;) {
-    chunks_.back()[i].next = free_;
+    next_[base + i] = free_;
     free_ = base + static_cast<Handle>(i);
   }
 }
 
-void CalendarQueue::link(Handle h) {
-  ++size_;
-  const Tick at = node(h).at;
-  if (at < win_start_ + Tick(kNumSlots)) {
-    // Hot path: within the current window -- append to the one-tick slot.
-    const auto slot = static_cast<std::size_t>(at & kSlotMask);
-    if (slots_[slot].head == kNil) set_bit(slot_bits_, slot);
-    append(slots_[slot], h);
-    return;
+void CalendarQueue::insert_before_tail(List& l, Handle first, Handle last, Tick at) {
+  if (at < at_[l.head]) {
+    next_[last] = l.head;
+    l.head = first;
+  } else {
+    // Walk in behind the last event at or before `at`, from a finger when
+    // one names a pending event of this slot at `at` or the tick before
+    // (its tick is then <= `at`), else from the head. The tail is later
+    // than `at`, so the walk stops before running off the list.
+    Handle p = l.head;
+    for (const Tick t : {at, at - 1}) {
+      const Finger& f = finger_[static_cast<std::size_t>(t) & (kFingers - 1)];
+      if (f.tick == t && t > cursor_ && slot_index(t) == slot_index(at)) {
+        p = f.h;
+        break;
+      }
+    }
+    while (at_[next_[p]] <= at) p = next_[p];
+    next_[last] = next_[p];
+    next_[p] = first;
   }
+  finger_[static_cast<std::size_t>(at) & (kFingers - 1)] = Finger{at, last};
+}
+
+void CalendarQueue::link_beyond_window(Handle h) {
+  const Tick at = at_[h];
   if (at < win_start_ + kHorizon) {
     // If the overflow map still holds this exact tick (scheduled when it was
     // beyond the horizon), append there so the tick's FIFO stays whole.
@@ -69,38 +87,35 @@ void CalendarQueue::link(Handle h) {
   append(overflow_[at], h);
 }
 
-Tick CalendarQueue::scan_l0(Tick from) const {
-  if (from >= win_start_ + Tick(kNumSlots)) return kNoEvent;
-  const std::size_t s =
-      find_bit_ge(slot_bits_, static_cast<std::size_t>(from < win_start_ ? 0 : from - win_start_));
-  return s == kNpos ? kNoEvent : win_start_ + Tick(s);
+Tick CalendarQueue::scan_l0() const {
+  const std::size_t s = find_bit_ge(slot_bits_, slot_index(cursor_));
+  return s == kNpos ? kNoEvent : at_[slots_[s].head];
 }
 
 Tick CalendarQueue::next_bucket_base() const {
   const std::size_t cb = bucket_index(win_start_);
-  // The current window's bucket is always empty (scattered on advance), so a
-  // plain two-segment scan over the ring cannot return a stale hit at cb.
+  // The current window's bucket is always empty (filed into L0 on advance),
+  // so a plain two-segment scan over the ring cannot return a stale hit at cb.
   std::size_t b = find_bit_ge(bucket_bits_, cb + 1);
   if (b == kNpos) b = find_bit_ge(bucket_bits_, 0);
   if (b == kNpos) return kNoEvent;
   const std::size_t dist = (b - cb) & (kNumBuckets - 1);
-  return win_start_ + Tick(dist) * Tick(kNumSlots);
+  return win_start_ + Tick(dist) * kWindowTicks;
 }
 
 void CalendarQueue::advance_to(Tick target) {
-  win_start_ = target & ~kSlotMask;
+  win_start_ = target & ~kWindowMask;
   cursor_ = win_start_;
   const std::size_t cb = bucket_index(win_start_);
   List& bucket = buckets_[cb];
   if (bucket.head != kNil) {
     bucket_bits_[cb / 64] &= ~(std::uint64_t{1} << (cb % 64));
+    // Insertion order in, stable insert per slot: same-tick FIFO survives.
     for (Handle h = bucket.head; h != kNil;) {
-      const Handle next = node(h).next;
-      const Tick at = node(h).at;
-      assert(at >= win_start_ && at < win_start_ + Tick(kNumSlots));
-      const auto slot = static_cast<std::size_t>(at & kSlotMask);
-      if (slots_[slot].head == kNil) set_bit(slot_bits_, slot);
-      append(slots_[slot], h);
+      const Handle next = next_[h];
+      const Tick at = at_[h];
+      assert(at >= win_start_ && at < win_start_ + kWindowTicks);
+      insert_run(slot_index(at), h, h, at);
       h = next;
     }
     bucket = List{};
@@ -108,29 +123,21 @@ void CalendarQueue::advance_to(Tick target) {
   // Overflow ticks that now fall inside the window are spliced into L0 whole.
   // A tick's FIFO lives either here or in the L1 bucket, never both, so
   // migration order between the two cannot reorder same-tick events.
-  while (!overflow_.empty() && overflow_.begin()->first < win_start_ + Tick(kNumSlots)) {
+  while (!overflow_.empty() && overflow_.begin()->first < win_start_ + kWindowTicks) {
     auto it = overflow_.begin();
-    const auto slot = static_cast<std::size_t>(it->first & kSlotMask);
-    List& dst = slots_[slot];
-    if (dst.head == kNil) {
-      set_bit(slot_bits_, slot);
-      dst = it->second;
-    } else {
-      node(dst.tail).next = it->second.head;
-      dst.tail = it->second.tail;
-    }
+    insert_run(slot_index(it->first), it->second.head, it->second.tail, it->first);
     overflow_.erase(it);
   }
 }
 
 Tick CalendarQueue::next_tick_slow(Tick bound) {
   for (;;) {
-    const Tick t = scan_l0(cursor_ > win_start_ ? cursor_ : win_start_);
+    const Tick t = scan_l0();
     if (t != kNoEvent) return t;
     // Window drained: jump to the earliest populated window (L1 or overflow).
     Tick target = next_bucket_base();
     if (!overflow_.empty()) {
-      const Tick k = overflow_.begin()->first & ~kSlotMask;
+      const Tick k = overflow_.begin()->first & ~kWindowMask;
       if (target == kNoEvent || k < target) target = k;
     }
     assert(target != kNoEvent && "size_ > 0 but no events found");
@@ -144,11 +151,51 @@ Tick CalendarQueue::next_tick_slow(Tick bound) {
   }
 }
 
+void CalendarQueue::verify_invariants() const {
+#if HOSTNET_CHECKED
+  const auto in_slot = [this](std::size_t slot, Handle x) {
+    for (Handle h = slots_[slot].head; h != kNil; h = next_[h])
+      if (h == x) return true;
+    return false;
+  };
+  for (std::size_t slot = 0; slot < kNumSlots; ++slot) {
+    const List& l = slots_[slot];
+    const bool occupied = (slot_bits_[slot / 64] >> (slot % 64)) & 1;
+    HOSTNET_INVARIANT(occupied == (l.head != kNil),
+                      "calendar-queue: L0 slot %zu occupancy bit %d disagrees with its list",
+                      slot, static_cast<int>(occupied));
+    const Tick lo = win_start_ + Tick(slot) * kSlotTicks;
+    Tick last = cursor_ > lo ? cursor_ : lo;
+    std::size_t n = 0;
+    for (Handle h = l.head; h != kNil; h = next_[h]) {
+      HOSTNET_INVARIANT(at_[h] >= last && at_[h] < lo + kSlotTicks,
+                        "calendar-queue: L0 slot %zu out of tick order: tick %lld after "
+                        "%lld (slot covers [%lld, %lld), cursor %lld)",
+                        slot, static_cast<long long>(at_[h]), static_cast<long long>(last),
+                        static_cast<long long>(lo), static_cast<long long>(lo + kSlotTicks),
+                        static_cast<long long>(cursor_));
+      HOSTNET_INVARIANT(next_[h] != kNil || h == l.tail,
+                        "calendar-queue: L0 slot %zu list ends before its tail", slot);
+      last = at_[h];
+      HOSTNET_INVARIANT(++n <= size_, "calendar-queue: L0 slot %zu list cycles", slot);
+    }
+  }
+  // A finger after the cursor names a pending event at its tick.
+  for (const Finger& f : finger_) {
+    if (f.tick <= cursor_) continue;
+    HOSTNET_INVARIANT(f.tick < win_start_ + kWindowTicks && f.h < at_.size() &&
+                          at_[f.h] == f.tick && in_slot(slot_index(f.tick), f.h),
+                      "calendar-queue: finger for tick %lld does not name a pending L0 event",
+                      static_cast<long long>(f.tick));
+  }
+#endif
+}
+
 void CalendarQueue::save_list(const List& l, std::vector<Snapshot::Item>& out) const {
-  for (Handle h = l.head; h != kNil; h = node(h).next) {
-    const Node& n = node(h);
-    assert(n.ev.clonable() && "pending event not checkpointable");
-    out.push_back(Snapshot::Item{n.at, n.ev.clone()});
+  for (Handle h = l.head; h != kNil; h = next_[h]) {
+    const Event& ev = event(h);
+    assert(ev.clonable() && "pending event not checkpointable");
+    out.push_back(Snapshot::Item{at_[h], ev.clone()});
   }
 }
 
@@ -158,51 +205,50 @@ void CalendarQueue::save_state(Snapshot& out) const {
   out.l0.clear();
   out.l1.clear();
   out.overflow.clear();
-  // win_start_ is kNumSlots-aligned (advance_to masks it), so slot index i
-  // holds exactly tick win_start_ + i and index order is tick order.
-  assert((win_start_ & kSlotMask) == 0);
+  // win_start_ is window-aligned (advance_to masks it), so slot index order
+  // is tick order, and each slot's list is already sorted by tick.
+  assert((win_start_ & kWindowMask) == 0);
   for (const List& l : slots_) save_list(l, out.l0);
   for (const List& l : buckets_) save_list(l, out.l1);
   for (const auto& [at, l] : overflow_) save_list(l, out.overflow);
 }
 
 void CalendarQueue::load_state(const Snapshot& s) {
-  // Destroy every pending closure and thread all nodes onto the free list,
+  // Destroy every pending closure and thread all handles onto the free list,
   // lowest index first; the chunks themselves are kept.
   free_ = kNil;
-  for (std::size_t c = chunks_.size(); c-- > 0;)
-    for (std::size_t i = kChunkNodes; i-- > 0;) {
-      Node& n = chunks_[c][i];
-      n.ev.reset();
-      n.next = free_;
-      free_ = static_cast<Handle>(c * kChunkNodes + i);
-    }
+  for (std::size_t h = next_.size(); h-- > 0;) {
+    event(static_cast<Handle>(h)).reset();
+    next_[h] = free_;
+    free_ = static_cast<Handle>(h);
+  }
   slots_.fill(List{});
   buckets_.fill(List{});
   slot_bits_ = {};
+  finger_.fill(Finger{});  // handles are reassigned below
   bucket_bits_ = {};
   overflow_.clear();
   win_start_ = s.win_start;
   cursor_ = s.cursor;
   size_ = s.l0.size() + s.l1.size() + s.overflow.size();
-  const auto adopt = [this](const Snapshot::Item& it, List& l) {
+  const auto adopt = [this](const Snapshot::Item& it) {
     const Handle h = acquire();
-    node(h).ev = it.ev.clone();
-    node(h).at = it.at;
-    append(l, h);
+    event(h) = it.ev.clone();
+    at_[h] = it.at;
+    return h;
   };
+  // l0 is in tick order, so each event files at its slot's tail.
   for (const Snapshot::Item& it : s.l0) {
-    assert(it.at >= win_start_ && it.at < win_start_ + Tick(kNumSlots));
-    const auto slot = static_cast<std::size_t>(it.at & kSlotMask);
-    set_bit(slot_bits_, slot);
-    adopt(it, slots_[slot]);
+    assert(it.at >= win_start_ && it.at < win_start_ + kWindowTicks);
+    const Handle h = adopt(it);
+    insert_run(slot_index(it.at), h, h, it.at);
   }
   for (const Snapshot::Item& it : s.l1) {
     const std::size_t b = bucket_index(it.at);
     set_bit(bucket_bits_, b);
-    adopt(it, buckets_[b]);
+    append(buckets_[b], adopt(it));
   }
-  for (const Snapshot::Item& it : s.overflow) adopt(it, overflow_[it.at]);
+  for (const Snapshot::Item& it : s.overflow) append(overflow_[it.at], adopt(it));
 }
 
 bool CalendarQueue::audit_identical(const Snapshot& a, const Snapshot& b) {

@@ -1,32 +1,41 @@
 // Calendar/bucket event queue for the simulation kernel.
 //
 // Replaces the binary heap of (time, seq, std::function) entries: events are
-// bucketed by Tick, and every bucket is a FIFO, so two events scheduled for
-// the same tick fire in schedule order *by construction* -- no sequence
-// counter, no comparator, and determinism cannot be broken by a queue
-// rebalance.
+// bucketed by Tick and kept in tick order within a bucket, with every push
+// filed *after* the events already pending at its tick, so two events
+// scheduled for the same tick fire in schedule order by construction -- no
+// sequence counter, and determinism cannot be broken by a queue rebalance.
 //
-// Storage (DESIGN.md "Event kernel"): every pending event lives in one node
-// of a chunked pool -- {Event, Tick, next index} -- where it is constructed
-// once (emplace) and fired in place (pop + fire). Node addresses never move
-// (the pool grows by whole chunks), so a handler may schedule freely, and
-// even grow the pool, while its own closure is running. Fired nodes return
-// to a LIFO free list, which keeps the live set in recently used cache
-// lines. The levels below hold intrusive {head, tail} index lists into the
-// pool, so migrating events between levels relinks indices and never
+// Storage (DESIGN.md "Event kernel"): every pending event's closure lives in
+// one slot of a chunked pool, where it is constructed once (emplace) and
+// fired in place (pop + fire). Closure addresses never move (the pool grows
+// by whole chunks), so a handler may schedule freely, and even grow the
+// pool, while its own closure is running. Each event's tick and list link
+// sit in two flat arrays indexed by the same handle, so walking and
+// relinking lists touches 12 bytes per event instead of a closure's cache
+// lines. Fired handles return to a LIFO free list, which keeps the live set
+// in recently used cache lines. The levels below hold intrusive {head, tail}
+// index lists, so migrating events between levels relinks indices and never
 // copies a closure.
 //
 // Levels:
-//   L0  -- 4096 one-tick slots covering the current 4096-tick (~4 ns,
-//          picosecond clock) window. schedule/fire within the window is a
-//          list append / head unlink: O(1), zero allocations once the pool
-//          has warmed up. A bitmap over the slots finds the next occupied
-//          slot with word-sized scans.
-//   L1  -- 4096 buckets of 4096 ticks each (~16.8 us horizon). When the
-//          clock enters a bucket's window the bucket is scattered into L0 in
-//          insertion order, which preserves per-tick FIFO.
-//   Map -- ticks beyond the ~16.8 us horizon live in an exact-tick ordered
-//          map (rare: device latencies, protocol RTT timers, control loops).
+//   L0  -- 4096 slots of kSlotTicks (32) ticks each, covering the current
+//          kWindowTicks (131072-tick, ~131 ns at the picosecond clock)
+//          window: wide enough that almost every hot-path hop (2.7-290 ns)
+//          is filed straight into L0. A slot's list is sorted by tick and
+//          stable: a push appends when it is not earlier than the tail (the
+//          common case) and otherwise walks in after the last event at or
+//          before its tick, starting from the last out-of-order insert at
+//          its tick or the one before when there is one (so a slot dense
+//          with distinct ticks is not walked from the head). A bitmap over
+//          the slots finds the next occupied slot with word-sized scans; the
+//          next event is that slot's head.
+//   L1  -- 4096 buckets of one window each (~537 us horizon). When the clock
+//          enters a bucket's window the bucket is filed into L0 in insertion
+//          order, with the same stable in-slot insert, which preserves
+//          per-tick FIFO.
+//   Map -- ticks beyond the horizon live in an exact-tick ordered map (rare:
+//          end-of-run and control-loop timers).
 //
 // Same-tick FIFO across the three levels is maintained by two rules: (a) a
 // level migrates into the one below *before* the clock can reach any of its
@@ -36,6 +45,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <map>
@@ -52,25 +62,32 @@ namespace hostnet::sim {
 
 class CalendarQueue {
  public:
+  /// Ticks per L0 slot (32). Narrower slots advance the window more often;
+  /// wider ones lengthen the in-slot sorted-insert walks.
+  static constexpr int kSlotTickBits = 5;
+  static constexpr Tick kSlotTicks = Tick(1) << kSlotTickBits;
   static constexpr int kSlotBits = 12;
-  static constexpr std::size_t kNumSlots = std::size_t{1} << kSlotBits;  ///< L0 window
-  static constexpr Tick kSlotMask = Tick(kNumSlots) - 1;
+  static constexpr std::size_t kNumSlots = std::size_t{1} << kSlotBits;
+  /// Ticks covered by the L0 window (and by each L1 bucket).
+  static constexpr int kWindowBits = kSlotTickBits + kSlotBits;
+  static constexpr Tick kWindowTicks = Tick(1) << kWindowBits;
+  static constexpr Tick kWindowMask = kWindowTicks - 1;
   static constexpr int kBucketBits = 12;
   static constexpr std::size_t kNumBuckets = std::size_t{1} << kBucketBits;
   /// Ticks at or beyond win_start + kHorizon go to the overflow map.
-  static constexpr Tick kHorizon = Tick(1) << (kSlotBits + kBucketBits);
+  static constexpr Tick kHorizon = Tick(1) << (kWindowBits + kBucketBits);
   static constexpr Tick kNoEvent = -1;
   /// Default next_tick() bound: never refuse a window advance.
   static constexpr Tick kNoBound = ~(Tick(1) << 63);
-  /// Pool nodes per chunk; the pool grows one chunk at a time.
+  /// Pool entries per chunk; the pool grows one chunk at a time.
   static constexpr int kChunkBits = 8;
   static constexpr std::size_t kChunkNodes = std::size_t{1} << kChunkBits;
 
-  /// A popped event's pool node, valid until it is passed to fire().
+  /// A popped event's pool handle, valid until it is passed to fire().
   using Handle = std::uint32_t;
 
-  /// Construct `fn` directly in a pool node and append it to tick `at`'s
-  /// FIFO. `at` must be >= the last popped tick.
+  /// Construct `fn` directly in a pool slot and file it behind every event
+  /// already pending at tick `at`. `at` must be >= the last popped tick.
   template <typename F>
   void emplace(Tick at, F&& fn) {
     assert(at >= win_start_ && "cannot schedule before the current window");
@@ -82,10 +99,13 @@ class CalendarQueue {
                       static_cast<long long>(at), static_cast<long long>(cursor_),
                       static_cast<long long>(win_start_));
     const Handle h = acquire();
-    Node& n = node(h);
-    n.ev.emplace(std::forward<F>(fn));
-    n.at = at;
-    link(h);
+    event(h).emplace(std::forward<F>(fn));
+    at_[h] = at;
+    ++size_;
+    if (at < win_start_ + kWindowTicks)
+      insert_run(slot_index(at), h, h, at);  // hot path: within the window
+    else
+      link_beyond_window(h);
   }
 
   /// Tick of the earliest pending event, or kNoEvent when empty or when
@@ -99,23 +119,27 @@ class CalendarQueue {
   /// default.
   Tick next_tick(Tick bound = kNoBound) {
     if (size_ == 0) return kNoEvent;
-    // Fast path: the slot at the cursor tick still holds events (common when
-    // many events share a tick), so no bitmap scan is needed. Slots hold
-    // exactly one tick's events, so a non-empty cursor slot can only mean
-    // more events at cursor_ itself.
-    if (slots_[static_cast<std::size_t>(cursor_ & kSlotMask)].head != kNil) return cursor_;
+    // Fast path: an occupied slot in the cursor's bitmap word, at or after
+    // the cursor's slot. Every pending tick is >= cursor_, so the slots
+    // before it are empty and the first occupied one starts (its list is
+    // sorted) with the earliest pending event.
+    const std::size_t slot = slot_index(cursor_);
+    const std::uint64_t w = slot_bits_[slot / 64] & (~std::uint64_t{0} << (slot % 64));
+    if (w != 0)
+      return at_[slots_[(slot & ~std::size_t{63}) + static_cast<std::size_t>(std::countr_zero(w))]
+                     .head];
     return next_tick_slow(bound);
   }
 
-  /// Unlink the front event of tick `at`, which must be the value just
-  /// returned by next_tick(). The event stays in its node until fire().
+  /// Unlink the earliest event, whose tick `at` must be the value just
+  /// returned by next_tick(). The event stays in its pool slot until fire().
   Handle pop(Tick at) {
-    assert(at >= win_start_ && at < win_start_ + Tick(kNumSlots));
-    const auto slot = static_cast<std::size_t>(at & kSlotMask);
+    assert(at >= win_start_ && at < win_start_ + kWindowTicks);
+    const std::size_t slot = slot_index(at);
     List& l = slots_[slot];
-    assert(l.head != kNil);
+    assert(l.head != kNil && at_[l.head] == at);
     const Handle h = l.head;
-    l.head = node(h).next;
+    l.head = next_[h];
     if (l.head == kNil) {
       l.tail = kNil;
       slot_bits_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
@@ -125,29 +149,36 @@ class CalendarQueue {
     return h;
   }
 
-  /// Invoke a popped event in its node, then recycle the node. The handler
-  /// may emplace() more events, growing the pool: chunks never move, so the
-  /// running closure stays valid.
+  /// Invoke a popped event in its pool slot, then recycle the slot. The
+  /// handler may emplace() more events, growing the pool: chunks never move,
+  /// so the running closure stays valid (the flat tick and link arrays
+  /// may reallocate, so no reference into them is held across the call).
   void fire(Handle h) {
-    Node& n = node(h);
-    n.ev();
-    n.ev.reset();
-    n.next = free_;
+    Event& ev = event(h);
+    ev();
+    ev.reset();
+    next_[h] = free_;
     free_ = h;
   }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
+  /// Checked-build audit (no-op otherwise): every L0 slot list is
+  /// non-decreasing in tick, holds only its own slot's ticks at or after
+  /// the cursor, and matches the occupancy bitmap; every live finger names a
+  /// pending L0 event at its tick.
+  void verify_invariants() const;
+
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
   //
   // The snapshot captures the queue's *logical* content -- (tick, event)
-  // pairs per level, in firing order -- not its physical layout: pool nodes,
-  // their indices and the free list are storage, and load_state() rebuilds
-  // them together with the slots, buckets, overflow map and both bitmaps. A
-  // push-replay restore would be wrong here: rule (b) above files a
-  // within-horizon push into the overflow map when that map still holds the
-  // tick, so replaying events through emplace() could re-file a saved
+  // pairs per level, in firing order -- not its physical layout: pool
+  // slots, their handles and the free list are storage, and load_state()
+  // rebuilds them together with the slots, buckets, overflow map and both
+  // bitmaps. A push-replay restore would be wrong here: rule (b) above files
+  // a within-horizon push into the overflow map when that map still holds
+  // the tick, so replaying events through emplace() could re-file a saved
   // overflow tick into an L1 bucket and break the "one tick's FIFO never
   // straddles two structures" invariant the next advance relies on.
   struct Snapshot {
@@ -181,69 +212,91 @@ class CalendarQueue {
  private:
   static constexpr Handle kNil = ~Handle{0};
 
-  struct Node {
-    Event ev;
-    Tick at = 0;
-    Handle next = kNil;  ///< next node in the same level list, or free list
-  };
-  /// Intrusive FIFO of pool nodes.
+  /// Intrusive list of pool handles, linked through next_.
   struct List {
     Handle head = kNil;
     Handle tail = kNil;
   };
 
-  Node& node(Handle h) { return chunks_[h >> kChunkBits][h & (kChunkNodes - 1)]; }
-  const Node& node(Handle h) const {
+  Event& event(Handle h) { return chunks_[h >> kChunkBits][h & (kChunkNodes - 1)]; }
+  const Event& event(Handle h) const {
     return chunks_[h >> kChunkBits][h & (kChunkNodes - 1)];
   }
 
-  /// Take a node off the free list, growing the pool by a chunk when empty.
+  /// Take a handle off the free list, growing the pool by a chunk when empty.
   Handle acquire() {
     if (free_ == kNil) grow();
     const Handle h = free_;
-    free_ = node(h).next;
+    free_ = next_[h];
     return h;
   }
   void grow();
 
-  /// Append node `h` (whose `at` is set) to the tail of `l`.
+  /// Append handle `h` to the tail of `l` (L1 buckets and overflow entries
+  /// keep insertion order).
   void append(List& l, Handle h) {
-    node(h).next = kNil;
+    next_[h] = kNil;
     if (l.tail == kNil)
       l.head = h;
     else
-      node(l.tail).next = h;
+      next_[l.tail] = h;
     l.tail = h;
   }
 
-  /// File node `h` into L0, L1 or the overflow map by its tick.
-  void link(Handle h);
+  /// File the chain first..last, whose events all sit at tick `at`, into L0
+  /// slot `slot` behind every event at or before `at`.
+  void insert_run(std::size_t slot, Handle first, Handle last, Tick at) {
+    List& l = slots_[slot];
+    next_[last] = kNil;
+    if (l.head == kNil) {
+      slot_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+      l.head = first;
+      l.tail = last;
+    } else if (at_[l.tail] <= at) {
+      // Common case: not earlier than anything pending in the slot.
+      next_[l.tail] = first;
+      l.tail = last;
+    } else {
+      insert_before_tail(l, first, last, at);
+    }
+  }
+  /// insert_run() for a run earlier than the slot's tail: link it in behind
+  /// the last event at or before `at`, walking from a finger_ at `at` or the
+  /// tick before it when there is one, else from the head.
+  void insert_before_tail(List& l, Handle first, Handle last, Tick at);
 
+  /// File handle `h`, whose tick is at or beyond the window's end, into L1
+  /// or the overflow map.
+  void link_beyond_window(Handle h);
+
+  static std::size_t slot_index(Tick at) {
+    return static_cast<std::size_t>(at >> kSlotTickBits) & (kNumSlots - 1);
+  }
   static std::size_t bucket_index(Tick at) {
-    return static_cast<std::size_t>(at >> kSlotBits) & (kNumBuckets - 1);
+    return static_cast<std::size_t>(at >> kWindowBits) & (kNumBuckets - 1);
   }
 
   /// next_tick() past the cursor-slot fast path: scan L0, advancing the
   /// window (bounded by `bound`) until an occupied slot is found.
   Tick next_tick_slow(Tick bound);
 
-  /// First occupied L0 slot at tick >= from (within the current window), or
-  /// kNoEvent.
-  Tick scan_l0(Tick from) const;
+  /// Tick of the earliest event in an occupied L0 slot at or after the
+  /// cursor's slot, or kNoEvent.
+  Tick scan_l0() const;
 
   /// First occupied L1 bucket after the current window's bucket (ring
   /// order), as an absolute window-base tick; kNoEvent if L1 is empty.
   Tick next_bucket_base() const;
 
-  /// Move the window to the one containing `target`: scatter that window's
-  /// L1 bucket into L0 (insertion order), then splice overflow ticks that
-  /// now fall inside the window.
+  /// Move the window to the one containing `target`: file that window's L1
+  /// bucket into L0 (insertion order), then splice overflow ticks that now
+  /// fall inside the window.
   void advance_to(Tick target);
 
   /// Emit every event of list `l` into `out` as (tick, clone) items.
   void save_list(const List& l, std::vector<Snapshot::Item>& out) const;
 
-  Tick win_start_ = 0;  ///< aligned to kNumSlots
+  Tick win_start_ = 0;  ///< aligned to kWindowTicks
   Tick cursor_ = 0;     ///< lower bound for the earliest pending tick
   // hostnet-audit: skip(size_, derived event count; rebuilt on restore from the saved slots, buckets and overflow)
   std::size_t size_ = 0;
@@ -251,15 +304,33 @@ class CalendarQueue {
   std::array<List, kNumBuckets> buckets_;
   // hostnet-audit: skip(slot_bits_, derived occupancy bitmap; rebuilt on restore from the saved slots)
   std::array<std::uint64_t, kNumSlots / 64> slot_bits_{};
+  /// The last event insert_before_tail() filed at an L0 tick, direct-mapped
+  /// by tick: where the next out-of-order insert at that tick or the one
+  /// after it starts its walk, so a slot dense with distinct ticks is not
+  /// walked from the head. An entry whose tick is after cursor_ still names
+  /// a pending event at that tick (nothing after the cursor has fired, and
+  /// handles are recycled only once fired); one at or before the cursor may
+  /// name a fired event and is never used.
+  struct Finger {
+    Tick tick = kNoEvent;
+    Handle h = kNil;
+  };
+  static constexpr std::size_t kFingers = 512;
+  // hostnet-audit: skip(finger_, derived walk hints into the pool storage; load_state clears them)
+  std::array<Finger, kFingers> finger_{};
   // hostnet-audit: skip(bucket_bits_, derived occupancy bitmap; rebuilt on restore from the saved buckets)
   std::array<std::uint64_t, kNumBuckets / 64> bucket_bits_{};
-  // Beyond-horizon ticks are rare (device latencies, protocol timers) and
+  // Beyond-horizon ticks are rare (end-of-run and control-loop timers) and
   // never on the per-event path, so an exact-tick ordered map is fine here.
   // hostnet-lint: allow(hot-alloc)
   std::map<Tick, List> overflow_;
-  // hostnet-audit: skip(chunks_, node-pool storage, not logical state; load_state rebuilds the pool contents from the saved levels)
-  std::vector<std::unique_ptr<Node[]>> chunks_;
-  // hostnet-audit: skip(free_, node-pool free-list head, not logical state; load_state rebuilds it)
+  // hostnet-audit: skip(chunks_, closure-pool storage, not logical state; load_state rebuilds the pool contents from the saved levels)
+  std::vector<std::unique_ptr<Event[]>> chunks_;
+  // hostnet-audit: skip(at_, per-handle tick of the pool storage; load_state rebuilds it from the saved levels)
+  std::vector<Tick> at_;
+  // hostnet-audit: skip(next_, per-handle list link of the pool storage; load_state rebuilds it from the saved levels)
+  std::vector<Handle> next_;
+  // hostnet-audit: skip(free_, pool free-list head, not logical state; load_state rebuilds it)
   Handle free_ = kNil;
 };
 

@@ -55,6 +55,9 @@ class Simulator {
   std::uint64_t events_executed() const { return executed_; }
   std::size_t pending() const { return queue_.size(); }
 
+  /// Checked-build audit of the event queue (no-op otherwise).
+  void verify_invariants() const { queue_.verify_invariants(); }
+
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
   struct Snapshot {
     Tick now = 0;

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -44,7 +45,8 @@ TEST(SlotQueueProperty, MatchesDequeReference) {
   Rng rng(0xA11E7);
   constexpr std::uint32_t kCap = 24;
   constexpr std::uint32_t kWindow = 8;  // < capacity, so the fence does work
-  SlotQueue q(kCap, kWindow);
+  constexpr std::uint32_t kBanks = 70;  // the waiting-bank set spans two words
+  SlotQueue q(kCap, kWindow, kBanks);
   std::deque<RefSlot> ref;                       // FIFO (age) order
   std::vector<SlotQueue::SlotIndex> slot_of;     // id -> slot index
   std::uint64_t next_id = 0;
@@ -55,12 +57,20 @@ TEST(SlotQueueProperty, MatchesDequeReference) {
     ASSERT_EQ(q.full(), ref.size() == kCap);
     // FIFO walk visits exactly the live entries, oldest first.
     std::size_t pos = 0;
+    std::vector<std::uint64_t> waiting_banks((kBanks + 63) / 64, 0);
     for (auto i = q.fifo_head(); i != SlotQueue::kNil; i = q.fifo_next(i), ++pos) {
       ASSERT_LT(pos, ref.size());
+      if (pos < kWindow && !ref[pos].prepped) {
+        const std::uint32_t b = q.entry(i).coord.bank;
+        waiting_banks[b / 64] |= std::uint64_t{1} << (b % 64);
+      }
       ASSERT_EQ(q.entry(i).id, ref[pos].id);
       ASSERT_EQ(q.entry(i).prepped, ref[pos].prepped);
     }
     ASSERT_EQ(pos, ref.size());
+    // The waiting-bank set holds exactly the banks of unprepped in-window
+    // entries.
+    ASSERT_EQ(q.unprepped_window_banks(), waiting_banks);
     // Prepped walk visits exactly the prepped entries, in the same age order,
     // and the incremental earliest-ready tracker matches a full scan.
     Tick min_ready = SlotQueue::kNoReady;
@@ -102,7 +112,9 @@ TEST(SlotQueueProperty, MatchesDequeReference) {
     const std::uint64_t action = rng.below(4);
     if (action == 0 && !q.full()) {
       const std::uint64_t id = next_id++;
-      const auto idx = q.push_back(mem::Request{}, dram::Coord{}, Tick(step), id);
+      dram::Coord coord;
+      coord.bank = static_cast<std::uint32_t>(rng.below(kBanks));
+      const auto idx = q.push_back(mem::Request{}, coord, Tick(step), id);
       slot_of.resize(id + 1);
       slot_of[id] = idx;
       ref.push_back(RefSlot{id, false, 0});
@@ -366,8 +378,13 @@ struct StreamParams {
   std::uint64_t seed;
   double write_fraction;
   bool random_addresses;
+  std::uint16_t banks = 32;  ///< banks per channel; > 64 spans several bank-set words
+  std::uint16_t prep_window = 24;  ///< ChannelConfig's default
   std::uint64_t bank_bits;  ///< shrink the bank space to force conflicts
 };
+// gtest names each instance after its parameter's bytes: the fields above
+// sit in what was padding, so the original streams keep their names.
+static_assert(sizeof(StreamParams) == 32);
 
 // Drive `ch` with the closed-loop randomized stream defined by `prm`. The
 // injection decisions depend only on queue occupancy, which must evolve
@@ -376,7 +393,7 @@ struct StreamParams {
 // trace mismatch (or, earlier, as a different injection order).
 template <typename ChannelT>
 void run_stream(sim::Simulator& sim, ChannelT& ch, const StreamParams& prm) {
-  dram::AddressMap map(1, 32, 8192, 256, dram::BankHash::kXorHash, 8192);
+  dram::AddressMap map(1, prm.banks, 8192, 256, dram::BankHash::kXorHash, 8192);
   Rng rng(prm.seed);
   std::uint64_t sent = 0;
   std::uint64_t next_line = 0;
@@ -402,6 +419,9 @@ void run_stream(sim::Simulator& sim, ChannelT& ch, const StreamParams& prm) {
       ch.enqueue_read(req, map.decode(req.addr));
     }
     ++sent;
+    if constexpr (std::is_same_v<ChannelT, Channel>) {
+      if (sent % 64 == 0) ch.verify_invariants();  // checked builds only
+    }
     // Bursty arrivals: occasional gaps, occasional back-to-back enqueues.
     if (rng.chance(0.4)) sim.run_until(sim.now() + Tick(rng.below(ns(60))));
   }
@@ -414,15 +434,17 @@ TEST_P(McArenaDifferential, BitIdenticalToDequeReference) {
   const StreamParams prm = GetParam();
   ChannelConfig cfg;
   cfg.timing = dram::ddr4_2933();
+  cfg.prep_window = prm.prep_window;
 
   sim::Simulator sim_new;
   TraceListener trace_new;
-  Channel ch_new(sim_new, cfg, 32, 0, &trace_new);
+  Channel ch_new(sim_new, cfg, prm.banks, 0, &trace_new);
   run_stream(sim_new, ch_new, prm);
+  ch_new.verify_invariants();
 
   sim::Simulator sim_ref;
   TraceListener trace_ref;
-  RefChannel ch_ref(sim_ref, cfg, 32, 0, &trace_ref);
+  RefChannel ch_ref(sim_ref, cfg, prm.banks, 0, &trace_ref);
   run_stream(sim_ref, ch_ref, prm);
 
   // Every observable callback matches: same payloads, same ticks, same order.
@@ -451,19 +473,57 @@ INSTANTIATE_TEST_SUITE_P(
     Streams, McArenaDifferential,
     ::testing::Values(
         // Sequential reads: row hits, deep RPQ, no mode switches.
-        StreamParams{11, 0.0, false, 22},
+        StreamParams{.seed = 11, .write_fraction = 0.0, .random_addresses = false, .bank_bits = 22},
         // Random reads over a big space: misses, bank parallelism.
-        StreamParams{12, 0.0, true, 22},
+        StreamParams{.seed = 12, .write_fraction = 0.0, .random_addresses = true, .bank_bits = 22},
         // Random reads over a tiny space: heavy bank conflicts, the FR-FCFS
         // reorder window and same-tick FIFO tie-breaks do real work here.
-        StreamParams{13, 0.0, true, 9},
+        StreamParams{.seed = 13, .write_fraction = 0.0, .random_addresses = true, .bank_bits = 9},
         // Mixed traffic: watermark drains, dwell, release_inactive_banks.
-        StreamParams{14, 0.3, true, 20},
-        StreamParams{15, 0.5, true, 10},
-        StreamParams{16, 0.7, false, 22},
+        StreamParams{.seed = 14, .write_fraction = 0.3, .random_addresses = true, .bank_bits = 20},
+        StreamParams{.seed = 15, .write_fraction = 0.5, .random_addresses = true, .bank_bits = 10},
+        StreamParams{.seed = 16, .write_fraction = 0.7, .random_addresses = false, .bank_bits = 22},
         // Write-only: stale-write timer and idle drains dominate.
-        StreamParams{17, 1.0, true, 12},
-        StreamParams{18, 1.0, false, 22}));
+        StreamParams{.seed = 17, .write_fraction = 1.0, .random_addresses = true, .bank_bits = 12},
+        StreamParams{.seed = 18, .write_fraction = 1.0, .random_addresses = false, .bank_bits = 22},
+        // 128 banks: the bank-candidate sets span two 64-bit words.
+        StreamParams{.seed = 19, .write_fraction = 0.0, .random_addresses = true, .banks = 128,
+                     .bank_bits = 22},
+        StreamParams{.seed = 20, .write_fraction = 0.4, .random_addresses = true, .banks = 128,
+                     .bank_bits = 14},
+        // A prep window well inside the 48-entry RPQ (and the 24-entry WPQ):
+        // entries slide into the window as older ones issue.
+        StreamParams{.seed = 21, .write_fraction = 0.0, .random_addresses = true,
+                     .prep_window = 6, .bank_bits = 9},
+        StreamParams{.seed = 22, .write_fraction = 0.5, .random_addresses = true, .banks = 128,
+                     .prep_window = 4, .bank_bits = 12}));
+
+#if HOSTNET_CHECKED
+TEST(McArenaDeathTest, StaleWaitingBankSetTripsAudit) {
+  // Three reads to one bank: the oldest preps and owns it, the other two wait
+  // unprepped in the window. Retargeting a waiting entry to another bank
+  // behind the queue's back (through a saved snapshot) leaves the set of
+  // banks with waiting entries stale, and the checked audit must abort.
+  ChannelConfig cfg;
+  cfg.timing = dram::ddr4_2933();
+  sim::Simulator sim;
+  TraceListener trace;
+  Channel ch(sim, cfg, 128, 0, &trace);
+  for (std::uint64_t row = 0; row < 3; ++row) {
+    mem::Request req;
+    req.addr = row * kCachelineBytes;
+    ch.enqueue_read(req, dram::Coord{0, 70, row, 0});
+  }
+  ch.verify_invariants();
+  Channel::Snapshot snap;
+  ch.save_state(snap);
+  SlotQueue& rpq = *snap.rpq;
+  ASSERT_NE(rpq.unprepped_window_head(), SlotQueue::kNil);
+  rpq.entry(rpq.unprepped_window_head()).coord.bank = 3;
+  ch.load_state(snap);
+  EXPECT_DEATH(ch.verify_invariants(), "bank set out of date");
+}
+#endif
 
 // ---- dead calendar entries from superseded kicks ---------------------------
 

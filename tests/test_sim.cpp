@@ -89,10 +89,11 @@ TEST(Simulator, SameTickFifoAcrossSchedulePaths) {
   // the window has advanced (direct L0 append). Schedule order must hold.
   Simulator s;
   std::vector<int> order;
-  const Tick T = 10000;  // window [8192, 12288) for the 4096-tick L0 window
+  const Tick W = CalendarQueue::kWindowTicks;
+  const Tick T = 2 * W + 1808;  // in the third L0 window, [2W, 3W)
   s.schedule_at(T, [&] { order.push_back(1); });
-  s.schedule_at(9000, [&] { s.schedule_at(T, [&] { order.push_back(2); }); });
-  s.run_until(20000);
+  s.schedule_at(T - 1000, [&] { s.schedule_at(T, [&] { order.push_back(2); }); });
+  s.run_until(T + W);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -143,11 +144,98 @@ TEST(Simulator, StressOrderingMatchesStableSortByTick) {
   EXPECT_EQ(s.pending(), 0u);
 }
 
+TEST(Simulator, UnmaskedTicksMatchStableSortWithinSlots) {
+  // The stress test above masks ticks to multiples of 64, one tick per L0
+  // slot. Here ticks are unmasked: distinct ticks share a slot and arrive
+  // out of order, also from firing handlers; overflow ticks are spliced into
+  // slots the L1 scatter already populated; run_until stops mid-slot, and
+  // pushes then land ahead of the slot's pending events; and the queue is
+  // saved and restored half-way. The firing order must equal a stable sort
+  // of schedule order by tick throughout.
+  constexpr Tick S = CalendarQueue::kSlotTicks;
+  constexpr Tick W = CalendarQueue::kWindowTicks;
+  constexpr Tick H = CalendarQueue::kHorizon;
+  Simulator s;
+  Rng rng(0x51077);
+  struct Rec {
+    Tick at;
+    int seq;
+  };
+  std::vector<Rec> scheduled;
+  std::vector<int> fired;
+  // A delay for every placement: the same tick, the same or a nearby slot,
+  // the rest of the window, L1, and now and then the overflow map.
+  const auto delay = [&rng]() -> Tick {
+    switch (rng.below(6)) {
+      case 0: return 0;
+      case 1: return static_cast<Tick>(rng.below(S));
+      case 2: return static_cast<Tick>(rng.below(3 * S));
+      case 3: return static_cast<Tick>(rng.below(W));
+      case 4: return static_cast<Tick>(rng.below(4 * W));
+      default:
+        return rng.chance(0.1) ? H + static_cast<Tick>(rng.below(4 * W))
+                               : static_cast<Tick>(rng.below(2 * S));
+    }
+  };
+  int spawn_budget = 6000;
+  std::function<void(Tick, std::vector<Tick>)> add = [&](Tick at, std::vector<Tick> kids) {
+    const int seq = static_cast<int>(scheduled.size());
+    scheduled.push_back({at, seq});
+    s.schedule_at(at, [&, seq, kids] {
+      fired.push_back(seq);
+      for (const Tick k : kids) add(k, {});
+      const int children = spawn_budget > 0 ? static_cast<int>(rng.below(4)) : 0;
+      spawn_budget -= children;
+      for (int c = 0; c < children; ++c) add(s.now() + delay(), {});
+    });
+  };
+  for (Tick t = 5 * S - 1; t >= 4 * S; --t) add(t, {});  // one slot, descending
+  for (int i = 0; i < 2000; ++i) add(static_cast<Tick>(rng.below(2 * W)), {});
+  // T is beyond the horizon at schedule time, so it waits in the overflow
+  // map. Once the window reaches 6W, T - 2 and T + 3 fall within the horizon
+  // and go to T's L1 bucket, while a second push at T itself joins the
+  // overflow FIFO (rule b). On T's window advance the L1 scatter fills T's
+  // slot first and the overflow run is spliced between the two.
+  const Tick T = H + 5 * W + 7;
+  add(T, {});
+  add(6 * W + 1, {T + 3, T, T - 2});
+  Tick bound = 0;
+  int extra = 0;
+  bool restored = false;
+  while (s.pending() > 0) {
+    // Mostly short bounds that stop mid-slot; now and then a long stride.
+    bound += rng.chance(0.9) ? 1 + static_cast<Tick>(rng.below(3 * S))
+                             : static_cast<Tick>(rng.below(8 * W));
+    s.run_until(bound);
+    // Push at or just past the bound, ahead of what its slot still holds.
+    if (extra < 3000 && rng.chance(0.3)) {
+      ++extra;
+      add(bound + static_cast<Tick>(rng.below(S)), {});
+    }
+    s.verify_invariants();
+    if (!restored && fired.size() > scheduled.size() / 2) {
+      restored = true;
+      Simulator::Snapshot s1;
+      Simulator::Snapshot s2;
+      s.save_state(s1);
+      s.load_state(s1);
+      s.save_state(s2);
+      EXPECT_TRUE(Simulator::audit_identical(s1, s2));
+    }
+  }
+  EXPECT_TRUE(restored);
+  std::stable_sort(scheduled.begin(), scheduled.end(),
+                   [](const Rec& a, const Rec& b) { return a.at < b.at; });
+  ASSERT_EQ(fired.size(), scheduled.size());
+  for (std::size_t i = 0; i < scheduled.size(); ++i) EXPECT_EQ(fired[i], scheduled[i].seq);
+}
+
 TEST(Simulator, LongChainAcrossManyWindowWraps) {
   Simulator s;
   int depth = 0;
   std::function<void()> chain = [&] {
-    if (++depth < 50000) s.schedule(3, chain);  // crosses ~36 window boundaries
+    // 96-tick hops: 50000 of them cross ~36 window boundaries.
+    if (++depth < 50000) s.schedule(3 * CalendarQueue::kSlotTicks, chain);
   };
   s.schedule_at(0, chain);
   s.run_until(ms(1));
@@ -188,7 +276,7 @@ TEST(Simulator, HandlerGrowingThePoolKeepsStableSortOrder) {
     s.schedule_at(at, [&fired, seq] { fired.push_back(seq); });
   };
   const Tick t0 = 5000;
-  const Tick deltas[] = {0, 1, 700, 3 * CalendarQueue::kNumSlots, 250000,
+  const Tick deltas[] = {0, 1, 700, 3 * CalendarQueue::kWindowTicks, 250000,
                          CalendarQueue::kHorizon + 9};
   for (const Tick d : deltas) add(t0 + d);  // pre-existing same-tick FIFOs
   const std::uint64_t magic = 0x5eed'f00d'cafe'beefULL;
@@ -237,7 +325,7 @@ TEST(Simulator, HeapClosuresAreDestroyedExactlyOnce) {
   CountedClosure::live = 0;
   CountedClosure::destroyed = 0;
   int fired = 0;
-  const Tick levels[] = {10, 3 * Tick(CalendarQueue::kNumSlots), CalendarQueue::kHorizon + 5};
+  const Tick levels[] = {10, 3 * CalendarQueue::kWindowTicks, CalendarQueue::kHorizon + 5};
   const auto fill = [&](Simulator& sim, Tick base) {
     for (const Tick t : levels) {
       sim.schedule_at(base + t, CountedClosure(&fired));
@@ -290,7 +378,7 @@ TEST(Simulator, SnapshotRoundTripIsAuditIdentical) {
   const auto seed = [&a](std::vector<std::uint64_t>* log) {
     for (std::uint64_t i = 0; i < 40; ++i) {
       const Tick at = static_cast<Tick>(i % 4 == 0   ? 3000 + i
-                                        : i % 4 == 1 ? 9000 + 997 * i
+                                        : i % 4 == 1 ? CalendarQueue::kWindowTicks + 997 * i
                                         : i % 4 == 2 ? CalendarQueue::kHorizon + 31 * i
                                                      : 2500);
       a.schedule_at(at, [log, i] { log->push_back(i); });
