@@ -256,9 +256,9 @@ BENCHMARK(BM_EventKernelHostShape)->Unit(benchmark::kMillisecond);
 /// 32-tick-aligned span (one L0 slot), ~256 ticks ahead. Arg 0 pushes them
 /// in descending tick order, so each lands ahead of the slot's head; Arg 1
 /// pins the span's last tick first and then pushes the rest ascending, so
-/// each lands just ahead of the tail and behind every earlier push (a walk
-/// from the head would pass them all). The batch event re-arms at the
-/// span's last tick, behind the batch.
+/// each lands just ahead of the tail and behind every earlier push, and its
+/// walk from the head passes them all: the in-slot worst case. The batch
+/// event re-arms at the span's last tick, behind the batch.
 constexpr Tick kDenseSlotTicks = 32;
 
 struct DenseSlotLeaf {

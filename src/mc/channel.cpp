@@ -17,7 +17,6 @@ Channel::Channel(sim::Simulator& sim, const ChannelConfig& cfg, std::uint32_t ba
       rpq_(cfg.rpq_capacity, cfg.prep_window, banks),
       wpq_(cfg.wpq_capacity, cfg.prep_window, banks),
       banks_(banks),
-      bank_pending_(banks, -1),
       banks_owned_((banks + 63) / 64, 0),
       counters_(banks, cfg.wpq_capacity) {
   // Wake-up events in flight are bounded by the distinct ticks requested
@@ -100,8 +99,7 @@ void Channel::release_inactive_banks(SlotQueue& q) {
   while (i != SlotQueue::kNil) {
     const auto next = q.prepped_next(i);
     const Entry& e = q.entry(i);
-    if (bank_pending_[e.coord.bank] == static_cast<std::int64_t>(e.id))
-      free_bank(e.coord.bank);
+    set_owned(e.coord.bank, false);
     q.unprep(i);
     i = next;
   }
@@ -125,11 +123,11 @@ void Channel::prep_banks(Tick now) {
     assert(i != SlotQueue::kNil);
     const auto next = q.unprepped_window_next(i);
     Entry& e = q.entry(i);
-    if (bank_pending_[e.coord.bank] == -1) {
+    if (!owned(e.coord.bank)) {
       e.row_result = banks_[e.coord.bank].prepare(now, e.coord.row, cfg_.timing);
       e.row_ready_at = banks_[e.coord.bank].ready_at();
       q.mark_prepped(i);
-      own_bank(e.coord.bank, e.id);
+      set_owned(e.coord.bank, true);
       --candidates;
     }
     i = next;
@@ -153,7 +151,7 @@ bool Channel::try_issue(Tick now) {
 
   const Entry e = q.entry(it);
   q.erase(it);
-  free_bank(e.coord.bank);
+  set_owned(e.coord.bank, false);
   // Row-buffer outcomes are accounted per issued line (formula inputs are
   // per-cacheline), using the outcome of the prep that made this issue ready.
   counters_.on_row_result(e.req.op, e.row_result == dram::RowResult::kHit,
@@ -245,38 +243,28 @@ void Channel::verify_invariants() const {
   HOSTNET_INVARIANT(wpq_pool_.in_use() == wpq_.size(),
                     "mc.wpq: pool holds %u credits but the arena holds %zu entries",
                     wpq_pool_.in_use(), wpq_.size());
-  // Bank-ownership bijection: every prepped entry owns its bank, and every
-  // owned bank names a live prepped entry.
+  // Bank-ownership bijection: the prepped entries of both queues target
+  // distinct banks, and those banks are exactly the owned set.
   const SlotQueue* queues[] = {&rpq_, &wpq_};
-  std::uint32_t prepped_total = 0;
+  std::vector<std::uint64_t> prepped_banks(banks_owned_.size(), 0);
   for (const SlotQueue* q : queues) {
     for (auto i = q->prepped_head(); i != SlotQueue::kNil; i = q->prepped_next(i)) {
       const Entry& e = q->entry(i);
-      HOSTNET_INVARIANT(e.coord.bank < bank_pending_.size() &&
-                            bank_pending_[e.coord.bank] == static_cast<std::int64_t>(e.id),
-                        "mc.bank-ownership: prepped entry id %llu does not own bank %u "
-                        "(owner id %lld)",
-                        static_cast<unsigned long long>(e.id), e.coord.bank,
-                        static_cast<long long>(
-                            e.coord.bank < bank_pending_.size() ? bank_pending_[e.coord.bank]
-                                                                : -1));
-      ++prepped_total;
+      HOSTNET_INVARIANT(e.coord.bank < banks_.size() && owned(e.coord.bank),
+                        "mc.bank-ownership: prepped entry id %llu targets bank %u, which is "
+                        "not owned",
+                        static_cast<unsigned long long>(e.id), e.coord.bank);
+      std::uint64_t& word = prepped_banks[e.coord.bank / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (e.coord.bank % 64);
+      HOSTNET_INVARIANT((word & bit) == 0,
+                        "mc.bank-ownership: prepped entry id %llu shares bank %u with "
+                        "another prepped entry",
+                        static_cast<unsigned long long>(e.id), e.coord.bank);
+      word |= bit;
     }
   }
-  std::uint32_t banks_owned = 0;
-  for (const std::int64_t id : bank_pending_)
-    if (id >= 0) ++banks_owned;
-  HOSTNET_INVARIANT(banks_owned == prepped_total,
-                    "mc.bank-ownership: %u banks owned but %u entries prepped", banks_owned,
-                    prepped_total);
-  // The owned-bank set mirrors bank_pending_ (the queues' unprepped-window
-  // bank sets are recomputed by verify_arena above).
-  for (std::size_t b = 0; b < bank_pending_.size(); ++b) {
-    const bool owned = (banks_owned_[b / 64] >> (b % 64)) & 1;
-    HOSTNET_INVARIANT(owned == (bank_pending_[b] >= 0),
-                      "mc.bank-ownership: owned-bank set %s bank %zu but its owner id is %lld",
-                      owned ? "holds" : "lacks", b, static_cast<long long>(bank_pending_[b]));
-  }
+  HOSTNET_INVARIANT(prepped_banks == banks_owned_,
+                    "mc.bank-ownership: an owned bank has no prepped entry");
 #endif
 }
 
@@ -296,7 +284,7 @@ void Channel::save_state(Snapshot& out) const {
   out.rpq = rpq_;
   out.wpq = wpq_;
   out.banks = banks_;
-  out.bank_pending = bank_pending_;
+  out.banks_owned = banks_owned_;
   out.mode = static_cast<std::uint8_t>(mode_);
   out.bus_free_at = bus_free_at_;
   out.read_dwell_until = read_dwell_until_;
@@ -314,10 +302,7 @@ void Channel::load_state(const Snapshot& s) {
   rpq_ = *s.rpq;
   wpq_ = *s.wpq;
   banks_ = s.banks;
-  bank_pending_ = s.bank_pending;
-  std::fill(banks_owned_.begin(), banks_owned_.end(), 0);
-  for (std::size_t b = 0; b < bank_pending_.size(); ++b)
-    if (bank_pending_[b] >= 0) banks_owned_[b / 64] |= std::uint64_t{1} << (b % 64);
+  banks_owned_ = s.banks_owned;
   mode_ = static_cast<Mode>(s.mode);
   bus_free_at_ = s.bus_free_at;
   read_dwell_until_ = s.read_dwell_until;

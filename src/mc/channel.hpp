@@ -15,11 +15,11 @@
 // Hot-path layout (DESIGN.md section 4b): the queues are fixed-capacity
 // slot arenas (slot_queue.hpp) -- entries never move, FIFO order is an
 // intrusive age list, the FR-FCFS scan walks only the prepped sublist, the
-// bank-prep scan starts only when a waiting entry's bank is free (two bank
-// sets, one word per 64 banks), and the next-kick time comes from an
-// incrementally maintained earliest-row_ready_at tracker. Scheduling
-// decisions are bit-identical to the original deque scans; only the work per
-// decision changed.
+// bank-prep scan starts only when a waiting entry's bank is free (a
+// waiting-bank set per queue and the owned-bank set, one word per 64 banks),
+// and the next-kick time comes from an incrementally maintained
+// earliest-row_ready_at tracker. Scheduling decisions are bit-identical to
+// the original deque scans; only the work per decision changed.
 #pragma once
 
 #include <cstdint>
@@ -117,7 +117,7 @@ class Channel {
 
   /// Checked-build audit (no-op otherwise): slot-arena structure of both
   /// queues, enqueue/issue conservation, and the bank-ownership bijection
-  /// between bank_pending_ and the prepped sublists (DESIGN.md section 4c).
+  /// between banks_owned_ and the prepped sublists (DESIGN.md section 4c).
   void verify_invariants() const;
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
@@ -131,7 +131,7 @@ class Channel {
     std::optional<SlotQueue> rpq;
     std::optional<SlotQueue> wpq;
     std::vector<dram::Bank> banks;
-    std::vector<std::int64_t> bank_pending;
+    std::vector<std::uint64_t> banks_owned;
     std::uint8_t mode = 0;
     Tick bus_free_at = 0;
     Tick read_dwell_until = 0;
@@ -152,14 +152,13 @@ class Channel {
 
   void release_inactive_banks(SlotQueue& q);
 
-  /// Bank ownership: bank_pending_ plus its bit in banks_owned_.
-  void own_bank(std::uint32_t bank, std::uint64_t id) {
-    bank_pending_[bank] = static_cast<std::int64_t>(id);
-    banks_owned_[bank / 64] |= std::uint64_t{1} << (bank % 64);
-  }
-  void free_bank(std::uint32_t bank) {
-    bank_pending_[bank] = -1;
-    banks_owned_[bank / 64] &= ~(std::uint64_t{1} << (bank % 64));
+  bool owned(std::uint32_t bank) const { return (banks_owned_[bank / 64] >> (bank % 64)) & 1; }
+  void set_owned(std::uint32_t bank, bool on) {
+    const std::uint64_t bit = std::uint64_t{1} << (bank % 64);
+    if (on)
+      banks_owned_[bank / 64] |= bit;
+    else
+      banks_owned_[bank / 64] &= ~bit;
   }
 
   void kick();
@@ -183,9 +182,8 @@ class Channel {
   SlotQueue rpq_;
   SlotQueue wpq_;
   std::vector<dram::Bank> banks_;
-  std::vector<std::int64_t> bank_pending_;  ///< entry id holding each bank, -1 if free
-  /// Banks with bank_pending_ != -1: bit b % 64 of word b / 64.
-  // hostnet-audit: skip(banks_owned_, derived from bank_pending_; load_state rebuilds it)
+  /// Banks held by a prepped entry (bit b % 64 of word b / 64). The holder is
+  /// the one prepped entry of either queue that targets the bank.
   std::vector<std::uint64_t> banks_owned_;
 
   Mode mode_ = Mode::kRead;

@@ -30,9 +30,10 @@
 //
 // Invariants (see DESIGN.md section 4b):
 //  * prepped list ⊆ FIFO list, both ordered by ascending entry id;
-//  * every prepped entry owns its bank in Channel::bank_pending_ and every
-//    bank_pending_ id names a live prepped slot (ownership is released in
-//    Channel code before or at the same point the slot is erased/unprepped);
+//  * every prepped entry owns its bank in Channel::banks_owned_, and every
+//    owned bank is targeted by exactly one prepped entry (ownership is
+//    released in Channel code before or at the same point the slot is
+//    erased/unprepped);
 //  * earliest_ready() equals min(row_ready_at) over the prepped list
 //    (recomputed lazily after a removal that may have held the minimum);
 //  * in_window(i) <=> FIFO position of i < window; prepped ⊆ window

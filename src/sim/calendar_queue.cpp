@@ -47,24 +47,14 @@ void CalendarQueue::insert_before_tail(List& l, Handle first, Handle last, Tick 
   if (at < at_[l.head]) {
     next_[last] = l.head;
     l.head = first;
-  } else {
-    // Walk in behind the last event at or before `at`, from a finger when
-    // one names a pending event of this slot at `at` or the tick before
-    // (its tick is then <= `at`), else from the head. The tail is later
-    // than `at`, so the walk stops before running off the list.
-    Handle p = l.head;
-    for (const Tick t : {at, at - 1}) {
-      const Finger& f = finger_[static_cast<std::size_t>(t) & (kFingers - 1)];
-      if (f.tick == t && t > cursor_ && slot_index(t) == slot_index(at)) {
-        p = f.h;
-        break;
-      }
-    }
-    while (at_[next_[p]] <= at) p = next_[p];
-    next_[last] = next_[p];
-    next_[p] = first;
+    return;
   }
-  finger_[static_cast<std::size_t>(at) & (kFingers - 1)] = Finger{at, last};
+  // The tail is later than `at`, so the walk stops before running off the
+  // list.
+  Handle p = l.head;
+  while (at_[next_[p]] <= at) p = next_[p];
+  next_[last] = next_[p];
+  next_[p] = first;
 }
 
 void CalendarQueue::link_beyond_window(Handle h) {
@@ -153,11 +143,6 @@ Tick CalendarQueue::next_tick_slow(Tick bound) {
 
 void CalendarQueue::verify_invariants() const {
 #if HOSTNET_CHECKED
-  const auto in_slot = [this](std::size_t slot, Handle x) {
-    for (Handle h = slots_[slot].head; h != kNil; h = next_[h])
-      if (h == x) return true;
-    return false;
-  };
   for (std::size_t slot = 0; slot < kNumSlots; ++slot) {
     const List& l = slots_[slot];
     const bool occupied = (slot_bits_[slot / 64] >> (slot % 64)) & 1;
@@ -179,14 +164,6 @@ void CalendarQueue::verify_invariants() const {
       last = at_[h];
       HOSTNET_INVARIANT(++n <= size_, "calendar-queue: L0 slot %zu list cycles", slot);
     }
-  }
-  // A finger after the cursor names a pending event at its tick.
-  for (const Finger& f : finger_) {
-    if (f.tick <= cursor_) continue;
-    HOSTNET_INVARIANT(f.tick < win_start_ + kWindowTicks && f.h < at_.size() &&
-                          at_[f.h] == f.tick && in_slot(slot_index(f.tick), f.h),
-                      "calendar-queue: finger for tick %lld does not name a pending L0 event",
-                      static_cast<long long>(f.tick));
   }
 #endif
 }
@@ -225,7 +202,6 @@ void CalendarQueue::load_state(const Snapshot& s) {
   slots_.fill(List{});
   buckets_.fill(List{});
   slot_bits_ = {};
-  finger_.fill(Finger{});  // handles are reassigned below
   bucket_bits_ = {};
   overflow_.clear();
   win_start_ = s.win_start;

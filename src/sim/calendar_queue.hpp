@@ -24,12 +24,10 @@
 //          window: wide enough that almost every hot-path hop (2.7-290 ns)
 //          is filed straight into L0. A slot's list is sorted by tick and
 //          stable: a push appends when it is not earlier than the tail (the
-//          common case) and otherwise walks in after the last event at or
-//          before its tick, starting from the last out-of-order insert at
-//          its tick or the one before when there is one (so a slot dense
-//          with distinct ticks is not walked from the head). A bitmap over
-//          the slots finds the next occupied slot with word-sized scans; the
-//          next event is that slot's head.
+//          common case) and otherwise walks in from the head, behind the
+//          last event at or before its tick. A bitmap over the slots finds
+//          the next occupied slot with word-sized scans; the next event is
+//          that slot's head.
 //   L1  -- 4096 buckets of one window each (~537 us horizon). When the clock
 //          enters a bucket's window the bucket is filed into L0 in insertion
 //          order, with the same stable in-slot insert, which preserves
@@ -166,8 +164,7 @@ class CalendarQueue {
 
   /// Checked-build audit (no-op otherwise): every L0 slot list is
   /// non-decreasing in tick, holds only its own slot's ticks at or after
-  /// the cursor, and matches the occupancy bitmap; every live finger names a
-  /// pending L0 event at its tick.
+  /// the cursor, and matches the occupancy bitmap.
   void verify_invariants() const;
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
@@ -261,8 +258,7 @@ class CalendarQueue {
     }
   }
   /// insert_run() for a run earlier than the slot's tail: link it in behind
-  /// the last event at or before `at`, walking from a finger_ at `at` or the
-  /// tick before it when there is one, else from the head.
+  /// the last event at or before `at`, walking from the head.
   void insert_before_tail(List& l, Handle first, Handle last, Tick at);
 
   /// File handle `h`, whose tick is at or beyond the window's end, into L1
@@ -304,20 +300,6 @@ class CalendarQueue {
   std::array<List, kNumBuckets> buckets_;
   // hostnet-audit: skip(slot_bits_, derived occupancy bitmap; rebuilt on restore from the saved slots)
   std::array<std::uint64_t, kNumSlots / 64> slot_bits_{};
-  /// The last event insert_before_tail() filed at an L0 tick, direct-mapped
-  /// by tick: where the next out-of-order insert at that tick or the one
-  /// after it starts its walk, so a slot dense with distinct ticks is not
-  /// walked from the head. An entry whose tick is after cursor_ still names
-  /// a pending event at that tick (nothing after the cursor has fired, and
-  /// handles are recycled only once fired); one at or before the cursor may
-  /// name a fired event and is never used.
-  struct Finger {
-    Tick tick = kNoEvent;
-    Handle h = kNil;
-  };
-  static constexpr std::size_t kFingers = 512;
-  // hostnet-audit: skip(finger_, derived walk hints into the pool storage; load_state clears them)
-  std::array<Finger, kFingers> finger_{};
   // hostnet-audit: skip(bucket_bits_, derived occupancy bitmap; rebuilt on restore from the saved buckets)
   std::array<std::uint64_t, kNumBuckets / 64> bucket_bits_{};
   // Beyond-horizon ticks are rare (end-of-run and control-loop timers) and

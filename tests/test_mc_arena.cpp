@@ -523,6 +523,24 @@ TEST(McArenaDeathTest, StaleWaitingBankSetTripsAudit) {
   ch.load_state(snap);
   EXPECT_DEATH(ch.verify_invariants(), "bank set out of date");
 }
+
+TEST(McArenaDeathTest, StrayOwnedBankTripsAudit) {
+  // One read preps and owns bank 70. Marking bank 3 owned too (through a
+  // saved snapshot) leaves an owned bank that no prepped entry targets.
+  ChannelConfig cfg;
+  cfg.timing = dram::ddr4_2933();
+  sim::Simulator sim;
+  TraceListener trace;
+  Channel ch(sim, cfg, 128, 0, &trace);
+  mem::Request req;
+  ch.enqueue_read(req, dram::Coord{0, 70, 0, 0});
+  ch.verify_invariants();
+  Channel::Snapshot snap;
+  ch.save_state(snap);
+  snap.banks_owned[0] |= std::uint64_t{1} << 3;
+  ch.load_state(snap);
+  EXPECT_DEATH(ch.verify_invariants(), "owned bank has no prepped entry");
+}
 #endif
 
 // ---- dead calendar entries from superseded kicks ---------------------------
