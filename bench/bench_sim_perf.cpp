@@ -568,13 +568,15 @@ BENCHMARK(BM_ParallelQuadrantSweep)
 
 // ---- fleet-scale sweep -----------------------------------------------------
 
-/// A 50-host fleet with 10 distinct config fingerprints. Measurement
-/// jitter gives every replica its own window length, so no window is a memo
-/// hit: each fingerprint's three window prefixes are warmed cold once (30
-/// checkpoint misses per run) and every other window forks from them and
-/// simulates its own measurement (120 checkpoint hits, 0 outcome hits).
-/// items/s is hosts/s; the cache counters keep that split auditable in the
-/// JSON output.
+/// A 50-host fleet with 10 distinct template fingerprints, all on one seed
+/// beside the same fio_write placement. Measurement jitter gives every
+/// replica its own window length, so no window is a memo hit. run_fleet
+/// runs the fleet as one plan, so each distinct window prefix is warmed
+/// cold once fleet-wide: 10 iso-C2M + 10 colocated + the one iso-P2M window
+/// all ten templates share = 21 checkpoint misses per run. Every other
+/// window forks from them and simulates its own measurement (129 checkpoint
+/// hits, 0 outcome hits). items/s is hosts/s; the cache counters keep that
+/// split auditable in the JSON output.
 std::string fleet_bench_scenario(int templates, int hosts_per_template) {
   std::string s =
       "fleet bench\nseed 3\nwarmup_us 20\nmeasure_us 60\nmeasure_jitter_pct 20\n";

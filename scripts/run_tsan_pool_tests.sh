@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the test suite with ThreadSanitizer and runs the full tier-1 suite
 # (perf-labeled benchmark jobs excluded) -- most importantly the worker pool
-# and the experiment executor's jobs (core tests), the fleet's shard loop
-# (fleet tests) and transport-placing windows (tcp tests), since the
-# slot-arena scheduler and ring-buffer queues run inside every pool worker.
+# and the experiment executor's jobs (core tests), the fleet runner's plan
+# (fleet tests and the hostnet_fleet driver) and transport-placing windows
+# (tcp tests), since the slot-arena scheduler and ring-buffer queues run
+# inside every pool worker.
 # Guards the threading model documented in DESIGN.md: one HostSystem per
 # job, no shared mutable state between workers.
 #
@@ -18,7 +19,7 @@ cmake -B "${build_dir}" -S "${repo_root}" -DHOSTNET_SANITIZE=thread \
 # Every test binary ctest runs below: a target left unbuilt would show up
 # as a *_NOT_BUILT failure instead of being exercised.
 cmake --build "${build_dir}" --target hostnet_tests hostnet_checkpoint_tests \
-  hostnet_fleet_tests hostnet_tcp_tests -j "$(nproc)"
+  hostnet_fleet_tests hostnet_tcp_tests hostnet_fleet_cli -j "$(nproc)"
 
 # TSan halts on the first data race so a regression fails the run loudly.
 TSAN_OPTIONS="halt_on_error=1" \

@@ -51,8 +51,8 @@ enum class TcpStackKind : std::uint8_t {
 std::string to_string(TcpStackKind kind);
 
 /// The construction-shaping knobs of a TCP receiver placement. Every field
-/// is covered by config_fingerprint(), so SweepCache forking and fleet
-/// sharding distinguish stacks (and stack configs) structurally; per-stack
+/// is covered by config_fingerprint(), so SweepCache forking and execute()'s
+/// jobs distinguish stacks (and stack configs) structurally; per-stack
 /// CC constants beyond these stay fixed inside src/net.
 struct TcpSpec {
   std::string name = "tcp";
@@ -176,8 +176,7 @@ RunOutcome run_window(const Window& w, SweepCache* cache);
 
 /// Checkpoint + outcome cache of the fork engine. Single-threaded; owns the
 /// warmed prototype hosts, so it is expensive while alive. execute() gives
-/// each job its own and frees it when the job ends; the fleet runner keeps
-/// one per shard.
+/// each job its own and frees it when the job ends.
 class SweepCache {
  public:
   SweepCache();
@@ -191,8 +190,8 @@ class SweepCache {
     std::uint64_t outcome_hits = 0;       ///< fully-memoized reruns
     std::uint64_t outcome_misses = 0;
 
-    /// Fold another cache's counters in (execute() and the fleet runner sum
-    /// their jobs' caches into one observable fork-reuse figure).
+    /// Fold another cache's counters in (execute() sums its jobs' caches
+    /// into one observable fork-reuse figure).
     void add(const Stats& o) {
       checkpoint_hits += o.checkpoint_hits;
       checkpoint_misses += o.checkpoint_misses;
@@ -300,8 +299,7 @@ struct Outcomes {
 Outcomes execute(const Plan& plan, const ExecOptions& opt = {});
 
 /// Run `plan`'s windows in order on the calling thread through run_window
-/// and `cache` (null: cold). The per-host step of the fleet runner, whose
-/// fingerprint shards own their caches.
+/// and `cache` (null: cold), for callers that own and inspect the cache.
 Outcomes run_windows(const Plan& plan, SweepCache* cache);
 
 }  // namespace hostnet::core

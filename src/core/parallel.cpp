@@ -1,19 +1,34 @@
 #include "core/parallel.hpp"
 
+#include <charconv>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace hostnet::core {
 
+unsigned parse_thread_count(std::string_view text) {
+  // from_chars takes no sign, no blanks and stops at the first non-digit;
+  // the end check rejects any tail, and 0 doubles as the error value.
+  unsigned v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  return ec == std::errc{} && ptr == end ? v : 0;
+}
+
 unsigned parallel_threads() {
   if (const char* e = std::getenv("HOSTNET_THREADS")) {
-    const long v = std::atol(e);
-    if (v >= 1) return static_cast<unsigned>(v);
+    const unsigned v = parse_thread_count(e);
+    if (v == 0)
+      throw std::invalid_argument(std::string("HOSTNET_THREADS='") + e +
+                                  "' is not a positive integer");
+    return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? hw : 1;

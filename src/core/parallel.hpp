@@ -8,7 +8,8 @@
 // pool -- worker threads are spawned on first use and reused across
 // batches, so many small batches pay thread spawn/teardown once.
 //
-// Thread-count policy: the HOSTNET_THREADS environment variable overrides;
+// Thread-count policy: the HOSTNET_THREADS environment variable overrides
+// (a positive integer; anything else is an error, never a silent default);
 // otherwise std::thread::hardware_concurrency() is used. A batch admits at
 // most the requested worker count regardless of pool size, and the calling
 // thread always participates, so the policy is identical to the old
@@ -21,11 +22,18 @@
 
 #include <cstddef>
 #include <functional>
+#include <string_view>
 
 namespace hostnet::core {
 
+/// A worker-thread count: `text` as a positive decimal integer that fits in
+/// `unsigned`, or 0 when it is anything else (empty, signed, "2x", "0").
+unsigned parse_thread_count(std::string_view text);
+
 /// Worker threads to use for parallel sweeps: the HOSTNET_THREADS
-/// environment variable if set (min 1), else hardware_concurrency().
+/// environment variable if set, else hardware_concurrency(). Throws
+/// std::invalid_argument naming the variable when it is set but is not a
+/// positive integer (parse_thread_count).
 unsigned parallel_threads();
 
 /// Run `body(0) .. body(count-1)` across `nthreads` workers (0 = use

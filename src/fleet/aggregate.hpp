@@ -1,14 +1,16 @@
-// fleet::Aggregate -- streaming reduction of per-host outcomes into a
-// fleet-level report: per-tenant latency histograms (fixed log-bucketed
-// bins; p50/p99 read out at the end), throughput and degradation sums, and
-// blue/red regime counts. Each runner shard folds its hosts into its own
-// FleetAggregate as they complete, and the shard aggregates merge at the
-// end -- memory stays O(shards x tenants), never O(hosts).
+// fleet::Aggregate -- the reduction of per-host outcomes into a fleet-level
+// report: per-tenant latency histograms (fixed log-bucketed bins; p50/p99
+// read out at the end), throughput and degradation sums, and blue/red
+// regime counts. The runner holds the executor's per-window outcomes
+// (O(windows)) until the fold; the fold itself keeps one FleetAggregate per
+// template-fingerprint group and merges them at the end -- O(groups x
+// tenants).
 //
 // Determinism contract: add_host() is called in host-index order within a
-// shard and shards merge in shard-index order, so every float accumulates
-// in a fixed order regardless of thread count -- fleet reports are
-// bit-identical serial vs parallel (tests/test_fleet.cpp pins this).
+// group and groups merge in group order (first appearance in the fleet), so
+// every float accumulates in a fixed order regardless of thread count or
+// fork vs cold execution -- fleet reports are bit-identical serial vs
+// parallel (tests/test_fleet.cpp pins this).
 #pragma once
 
 #include <array>

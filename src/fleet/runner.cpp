@@ -7,76 +7,56 @@
 
 namespace hostnet::fleet {
 
-namespace {
-
-/// Hosts of one config fingerprint, in fleet host-index order.
-struct Shard {
-  std::vector<std::size_t> hosts;
-};
-
-}  // namespace
-
 FleetReport run_fleet(const Scenario& sc, const RunnerOptions& opt) {
   const std::vector<HostInstance> hosts = sc.expand();
   const std::vector<HostTemplate>& templates = sc.templates();
 
-  // The fingerprint is a pure function of the template (measurement jitter
-  // changes only the window length, never construction or warmup), so it is
-  // computed once per template, not once per host.
+  // One plan holds every host's colocation windows, in host-index order;
+  // execute() simulates each distinct window once and makes each window
+  // fingerprint one job. The fleet forks unless asked for the cold
+  // reference: kAuto never defers to HOSTNET_FORK_SWEEPS here.
+  core::Plan plan;
+  std::vector<core::ColocationRef> refs;
+  refs.reserve(hosts.size());
+  for (const HostInstance& h : hosts) {
+    const HostTemplate& t = templates[h.tmpl];
+    refs.push_back(plan.colocation(t.host, t.c2m, t.p2m, h.opt));
+  }
+  const core::SweepMode mode =
+      opt.mode == core::SweepMode::kCold ? core::SweepMode::kCold : core::SweepMode::kFork;
+  const core::Outcomes out = core::execute(plan, {opt.threads, mode});
+
+  // Fold groups are template fingerprints in first-appearance order (the
+  // fingerprint is a pure function of the template: jitter changes only the
+  // window length). Each group folds its hosts in host-index order and the
+  // groups merge in group order -- a float order fixed by the scenario, so
+  // reports are bit-identical for any thread count and either mode.
   std::vector<std::string> tmpl_fp(templates.size());
   for (std::size_t i = 0; i < templates.size(); ++i)
     tmpl_fp[i] = core::config_fingerprint(templates[i].host, templates[i].c2m, templates[i].p2m,
                                           templates[i].seed, sc.base_options().warmup);
-
-  // Shard by fingerprint, first-appearance order: every host that can share
-  // a warm checkpoint lands on the shard that owns it, so each fingerprint
-  // is warmed exactly once fleet-wide. Shard structure depends only on the
-  // scenario -- never on the thread count -- which is what keeps reports
-  // bit-identical for any HOSTNET_THREADS.
-  std::vector<std::string> shard_fp;
-  std::vector<Shard> shards;
+  std::vector<std::string> group_fp;
+  std::vector<FleetAggregate> groups;
   for (std::size_t hi = 0; hi < hosts.size(); ++hi) {
     const std::string& fp = tmpl_fp[hosts[hi].tmpl];
-    std::size_t s = 0;
-    while (s < shard_fp.size() && shard_fp[s] != fp) ++s;
-    if (s == shard_fp.size()) {
-      shard_fp.push_back(fp);
-      shards.push_back(Shard{});
+    std::size_t g = 0;
+    while (g < group_fp.size() && group_fp[g] != fp) ++g;
+    if (g == group_fp.size()) {
+      group_fp.push_back(fp);
+      groups.emplace_back(sc.tenants().size());
     }
-    shards[s].hosts.push_back(hi);
+    groups[g].add_host(templates[hosts[hi].tmpl], out[refs[hi]]);
   }
-
-  std::vector<FleetAggregate> aggs(shards.size(), FleetAggregate(sc.tenants().size()));
-  std::vector<core::SweepCache::Stats> cache_stats(shards.size());
-  core::run_parallel(
-      shards.size(),
-      [&](std::size_t s) {
-        // The shard's SweepCache owns its warmed prototype hosts; replicas
-        // of its fingerprint fork from (or memo-hit) those checkpoints.
-        core::SweepCache cache;
-        core::SweepCache* cptr = opt.mode == core::SweepMode::kCold ? nullptr : &cache;
-        for (std::size_t hi : shards[s].hosts) {
-          // The executor's per-host step: the colocation protocol's windows
-          // (one window for a single-sided host -- degradation 1.0, regime
-          // kNone) run in order through the shard's cache.
-          const HostTemplate& t = templates[hosts[hi].tmpl];
-          core::Plan plan;
-          const core::ColocationRef ref = plan.colocation(t.host, t.c2m, t.p2m, hosts[hi].opt);
-          aggs[s].add_host(t, core::run_windows(plan, cptr)[ref]);
-        }
-        cache_stats[s] = cache.stats();
-      },
-      opt.threads);
 
   FleetReport r;
   r.scenario = sc.name();
   r.hosts = hosts.size();
-  r.fingerprints = shards.size();
-  r.shards = shards.size();
+  r.fingerprints = groups.size();
+  r.shards = groups.size();
   r.threads = opt.threads ? opt.threads : core::parallel_threads();
   r.agg = FleetAggregate(sc.tenants().size());
-  for (const FleetAggregate& a : aggs) r.agg.merge(a);
-  for (const core::SweepCache::Stats& s : cache_stats) r.cache.add(s);
+  for (const FleetAggregate& a : groups) r.agg.merge(a);
+  r.cache = out.cache;
   return r;
 }
 

@@ -1,22 +1,23 @@
 // fleet::Runner -- simulate every host of a Scenario at fork-sweep speed.
 //
 // A real fleet is mostly hosts sharing a handful of configurations, so the
-// runner shards hosts BY CONFIG FINGERPRINT rather than round-robin: all
-// hosts with the same core::config_fingerprint() land on the same shard,
-// each shard owns one core::SweepCache (which owns the shard's reusable
-// warmed HostSystems), and the shards run as independent jobs on the
-// persistent core::run_parallel pool. Per fingerprint the fleet therefore
-// pays ONE cold construction+warmup; every further host of that
-// fingerprint either restores from the warm checkpoint (distinct
-// measurement window, e.g. under scenario measure jitter) or hits the
-// outcome memo outright (bit-identical replica). A 1000-host fleet with 10
-// distinct fingerprints costs ~10 cold warmups + 1000 cheap forks/memo
-// lookups, not 1000 warmups (BM_FleetSweep gates this).
+// runner is plan building plus a fold. Every host's colocation windows go
+// into ONE core::Plan, and one core::execute() runs it: each distinct
+// window (config fingerprint + measure length) is simulated once
+// fleet-wide, and each window fingerprint is one job on the persistent
+// core::run_parallel pool. Under kFork a job warms its fingerprint once and
+// forks every further window from the warm checkpoint (distinct measurement
+// window, e.g. under scenario measure jitter) or memo-hits it (bit-identical
+// replica). So a 1000-host fleet with 10 distinct templates costs at most
+// 30 cold warmups (three windows per template), not 3000, and a window that
+// several templates share -- the same iso-C2M placement beside different TCP
+// stacks -- is warmed and simulated once (BM_FleetSweep reports the split).
 //
-// Aggregation is streaming: each shard folds its hosts into a
-// fleet::FleetAggregate in host-index order, and shard aggregates merge in
-// shard-index order afterwards -- O(shards) memory and bit-identical
-// reports for any thread count (and for fork vs cold execution; both are
+// The outcomes are O(windows) until the fold. The fold groups hosts by
+// template fingerprint (first-appearance order): each group folds its hosts
+// into a fleet::FleetAggregate in host-index order, and the groups merge in
+// group order afterwards -- a fixed float order, so reports are
+// bit-identical for any thread count and for fork vs cold execution (both
 // pinned by tests/test_fleet.cpp, ctest label `fleet`).
 #pragma once
 
@@ -31,24 +32,27 @@
 namespace hostnet::fleet {
 
 struct RunnerOptions {
-  /// Worker threads for the shard jobs: 0 = core::parallel_threads()
+  /// Worker threads for the window jobs: 0 = core::parallel_threads()
   /// (HOSTNET_THREADS override, else hardware concurrency). Thread count
-  /// never changes results -- sharding is by fingerprint, not by thread.
+  /// never changes results -- jobs and fold groups are by fingerprint, not
+  /// by thread.
   unsigned threads = 0;
-  /// kFork (default, also what kAuto resolves to): warm once per
-  /// fingerprint, fork/memoize every host. kCold: build + warm every
+  /// kFork (default, also what kAuto resolves to, whatever
+  /// HOSTNET_FORK_SWEEPS says): warm once per window fingerprint,
+  /// fork/memoize every further window. kCold: build + warm every distinct
   /// window from scratch -- the reference path the fork engine must match.
+  /// Identical windows are simulated once in either mode.
   core::SweepMode mode = core::SweepMode::kFork;
 };
 
 struct FleetReport {
   std::string scenario;            ///< Scenario::name()
   std::uint64_t hosts = 0;
-  std::size_t fingerprints = 0;    ///< distinct config fingerprints (= shards)
-  std::size_t shards = 0;
+  std::size_t fingerprints = 0;    ///< distinct template fingerprints
+  std::size_t shards = 0;          ///< fold groups: one per template fingerprint
   unsigned threads = 0;            ///< worker threads the run admitted
   FleetAggregate agg;
-  core::SweepCache::Stats cache;   ///< summed over shards (zero in cold mode)
+  core::SweepCache::Stats cache;   ///< the run's core::Outcomes::cache (zero in cold mode)
 };
 
 /// Simulate the whole scenario and reduce it to a FleetReport.

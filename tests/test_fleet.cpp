@@ -300,13 +300,18 @@ void expect_same_results(const fleet::Scenario& sc, const fleet::FleetReport& x,
 }
 
 TEST(FleetRunner, SerialAndParallelAggregatesAreBitIdentical) {
-  const fleet::Scenario sc = fleet::Scenario::parse(kMixedScenario);
-  const fleet::FleetReport serial = run(sc, 1, core::SweepMode::kFork);
-  const fleet::FleetReport parallel = run(sc, 4, core::SweepMode::kFork);
-  expect_same_results(sc, serial, parallel);
-  // The cache counters are deterministic too (sharding is by fingerprint,
-  // not by thread), so even the full formatted reports match.
-  EXPECT_EQ(fleet::format_report(sc, serial), fleet::format_report(sc, parallel));
+  // The stacks fleet adds windows shared across templates (one iso-C2M
+  // window for all three stacks) to the mixed fleet's per-template ones.
+  for (const char* text : {kMixedScenario, kStacksScenario}) {
+    const fleet::Scenario sc = fleet::Scenario::parse(text);
+    SCOPED_TRACE(sc.name());
+    const fleet::FleetReport serial = run(sc, 1, core::SweepMode::kFork);
+    const fleet::FleetReport parallel = run(sc, 4, core::SweepMode::kFork);
+    expect_same_results(sc, serial, parallel);
+    // The cache counters are deterministic too (jobs are by window
+    // fingerprint, not by thread), so even the full formatted reports match.
+    EXPECT_EQ(fleet::format_report(sc, serial), fleet::format_report(sc, parallel));
+  }
 }
 
 TEST(FleetRunner, ForkMatchesColdOnJitteredMixedFleet) {
@@ -341,7 +346,7 @@ TEST(FleetRunner, FingerprintDedupIsStructural) {
 
 TEST(FleetRunner, MixedStacksShardAndForkBitIdentically) {
   // Templates identical except for TcpSpec::stack: the stack kind must
-  // reach the fingerprint (3 shards, no cross-stack aliasing) and every
+  // reach the fingerprint (3 fold groups, no cross-stack aliasing) and every
   // stack's replicas must fork bit-identically to a cold run.
   const fleet::Scenario sc = fleet::Scenario::parse(kStacksScenario);
   const fleet::FleetReport fork = run(sc, 2, core::SweepMode::kFork);
@@ -350,10 +355,12 @@ TEST(FleetRunner, MixedStacksShardAndForkBitIdentically) {
   EXPECT_EQ(fork.fingerprints, 3u);
   EXPECT_EQ(fork.shards, 3u);
   EXPECT_EQ(fork.hosts, 6u);
-  // Per fingerprint: 3 colocation windows warm cold, the identical replica
-  // memoizes.
-  EXPECT_EQ(fork.cache.checkpoint_misses, 3u * 3u);
-  EXPECT_EQ(fork.cache.outcome_hits, 3u * 3u);
+  // Per template the iso-P2M and colocated windows warm cold; the iso-C2M
+  // window carries no stack, so the three stacks share one: 3 * 2 + 1 cold
+  // warmups. The identical replica memoizes its 3 windows, and so do the
+  // second and third stack's iso-C2M windows: 18 windows - 7 warmed.
+  EXPECT_EQ(fork.cache.checkpoint_misses, 3u * 2u + 1u);
+  EXPECT_EQ(fork.cache.outcome_hits, 3u * 3u * 2u - 7u);
 }
 
 TEST(FleetRunner, RdmaWriteForksBitIdenticallyToCold) {
@@ -365,7 +372,10 @@ TEST(FleetRunner, RdmaWriteForksBitIdenticallyToCold) {
   const fleet::FleetReport cold = run(sc, 2, core::SweepMode::kCold);
   expect_same_results(sc, fork, cold);
   EXPECT_EQ(fork.fingerprints, 7u);
-  EXPECT_EQ(fork.cache.checkpoint_misses, 3u * 7u);
+  // 7 templates x 3 windows, less the windows templates share (one seed):
+  // the six rdma_write templates' iso-P2M window is one window, and q1-3 and
+  // rd share their c2m_read cores=3 iso-C2M window. 21 - 5 - 1 warmups.
+  EXPECT_EQ(fork.cache.checkpoint_misses, 3u * 7u - 5u - 1u);
   EXPECT_GT(fork.cache.checkpoint_hits, 0u) << "jittered replicas must fork, not re-warm";
   // Quadrant 3 at 5 cores is red: the RoCE tenant degrades under PFC.
   EXPECT_GT(fork.agg.regime_count(core::Regime::kRed), 0u);

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -76,6 +77,30 @@ TEST(RunParallel, ThreadsEnvOverride) {
   EXPECT_EQ(parallel_threads(), 3u);
   ASSERT_EQ(unsetenv("HOSTNET_THREADS"), 0);
   EXPECT_GE(parallel_threads(), 1u);
+}
+
+TEST(RunParallel, ParseThreadCountAcceptsOnlyPositiveIntegers) {
+  EXPECT_EQ(parse_thread_count("1"), 1u);
+  EXPECT_EQ(parse_thread_count("16"), 16u);
+  EXPECT_EQ(parse_thread_count("4294967295"), 4294967295u);
+  for (const char* bad : {"", "0", "-1", "+2", " 2", "2 ", "2x", "abc", "1.5", "4294967296"})
+    EXPECT_EQ(parse_thread_count(bad), 0u) << "'" << bad << "'";
+}
+
+TEST(RunParallel, MalformedThreadsEnvIsRejected) {
+  // atol() used to read "abc" as hardware concurrency and "2x" as 2.
+  for (const char* bad : {"abc", "2x", "-1", "0", ""}) {
+    ASSERT_EQ(setenv("HOSTNET_THREADS", bad, 1), 0);
+    try {
+      parallel_threads();
+      ADD_FAILURE() << "HOSTNET_THREADS='" << bad << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("HOSTNET_THREADS"), std::string::npos) << e.what();
+    }
+    // A batch on the default thread count resolves it through the same check.
+    EXPECT_THROW(run_parallel(2, [](std::size_t) {}), std::invalid_argument) << bad;
+  }
+  ASSERT_EQ(unsetenv("HOSTNET_THREADS"), 0);
 }
 
 TEST(RunParallel, RunsEveryJobExactlyOnce) {

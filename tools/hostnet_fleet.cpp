@@ -5,14 +5,16 @@
 //   hostnet_fleet scenarios/demo.fleet
 //   hostnet_fleet scenarios/demo.fleet --threads 4 --mode cold --json
 //
-// `--mode fork` (default) warms each distinct config fingerprint once and
-// forks/memoizes every replica; `--mode cold` re-warms every window (the
-// reference path; reports are bit-identical either way). Exit status: 0 on
-// success, 2 on usage/parse errors.
+// `--mode fork` (default) warms each distinct window fingerprint once and
+// forks/memoizes every further window; `--mode cold` re-warms every
+// distinct window (the reference path; reports are bit-identical either
+// way, apart from the sweep-cache counters). Exit status: 0 on success, 2
+// on usage/parse errors (a --threads or HOSTNET_THREADS value that is not a
+// positive integer included).
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "core/parallel.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/scenario.hpp"
 
@@ -23,7 +25,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <scenario.fleet> [--threads N] [--mode fork|cold] [--json]\n"
-               "  --threads N   worker threads (default: HOSTNET_THREADS, else hardware)\n"
+               "  --threads N   worker threads, N >= 1 (default: HOSTNET_THREADS, else hardware)\n"
                "  --mode M      fork = warm once per fingerprint (default); cold = reference\n"
                "  --json        machine-readable report on stdout\n",
                argv0);
@@ -68,7 +70,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      opt.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      opt.threads = core::parse_thread_count(argv[++i]);
+      if (opt.threads == 0) {
+        std::fprintf(stderr, "hostnet_fleet: --threads '%s' is not a positive integer\n", argv[i]);
+        return usage(argv[0]);
+      }
     } else if (arg == "--mode" && i + 1 < argc) {
       const std::string m = argv[++i];
       if (m == "fork") opt.mode = core::SweepMode::kFork;
