@@ -1,12 +1,8 @@
 // Simulator micro-benchmarks (google-benchmark): event-kernel throughput,
 // DRAM decode, full-host simulation speed, and parallel sweep scaling.
 // These guard against performance regressions that would make the figure
-// benches impractical.
-//
-// Before/after coverage for the calendar-queue kernel: LegacySimulator below
-// is a faithful copy of the seed kernel (binary heap of (time, seq,
-// std::function) entries), so BM_EventKernelLegacyHeap vs BM_EventKernel is
-// a permanent apples-to-apples comparison on the same closure shape.
+// benches impractical. Every number here times simulation work (or a
+// checkpoint round trip), never a lookup of an already-simulated result.
 //
 // Run `ctest -R bench_sim_perf_json` (or this binary with
 // --benchmark_out=BENCH_sim_perf.json --benchmark_out_format=json) to emit
@@ -17,10 +13,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
@@ -63,67 +57,20 @@ namespace {
 
 using namespace hostnet;
 
-// ---- the seed event kernel, kept as the "before" baseline ------------------
-
-class LegacySimulator {
- public:
-  using Event = std::function<void()>;
-
-  Tick now() const { return now_; }
-  void schedule_at(Tick at, Event fn) { queue_.push(Entry{at, next_seq_++, std::move(fn)}); }
-  void schedule(Tick delay, Event fn) { schedule_at(now_ + delay, std::move(fn)); }
-  std::uint64_t events_executed() const { return executed_; }
-
-  bool step() {
-    if (queue_.empty()) return false;
-    auto& top = const_cast<Entry&>(queue_.top());
-    Tick at = top.at;
-    Event fn = std::move(top.fn);
-    queue_.pop();
-    now_ = at;
-    ++executed_;
-    fn();
-    return true;
-  }
-  void run_until(Tick until) {
-    while (!queue_.empty() && queue_.top().at <= until) step();
-    if (now_ < until) now_ = until;
-  }
-
- private:
-  struct Entry {
-    Tick at;
-    std::uint64_t seq;
-    Event fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-  Tick now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-};
-
 // ---- event-kernel benchmarks -----------------------------------------------
 // The closure mirrors the dominant real schedule sites ([this, mem::Request]
 // ~= 56 B): big enough that std::function heap-allocates it, small enough
 // that sim::Event stores it inline. Arg = number of concurrent event chains
 // (steady-state queue occupancy): a loaded host keeps dozens to hundreds of
-// events pending (LFB entries, MC queues, IIO), where the legacy binary heap
-// pays O(log n) sift moves of 56-byte entries per operation and the calendar
-// queue stays O(1).
+// events pending (LFB entries, MC queues, IIO), where the calendar queue
+// must stay O(1) per operation.
 
 // Long enough that the queue's node-pool warm-up (a one-time cost in real
 // runs) amortizes away instead of dominating the per-iteration numbers.
 constexpr std::uint64_t kChainEvents = 1000000;
 
-template <typename Sim>
 struct ChainEvent {
-  Sim* s;
+  sim::Simulator* s;
   std::uint64_t delay;
   std::array<std::uint64_t, 5> payload;  // pad to the 56 B request-closure shape
   void operator()() const {
@@ -132,16 +79,15 @@ struct ChainEvent {
   }
 };
 
-template <typename Sim>
-void run_event_kernel(benchmark::State& state) {
+void BM_EventKernel(benchmark::State& state) {
   const auto chains = static_cast<std::uint64_t>(state.range(0));
   std::uint64_t events = 0;
   std::uint64_t allocs = 0;
   for (auto _ : state) {
-    Sim sim;
+    sim::Simulator sim;
     const std::uint64_t a0 = alloc_count();
     for (std::uint64_t c = 0; c < chains; ++c)
-      sim.schedule_at(static_cast<Tick>(c & 15), ChainEvent<Sim>{&sim, (c & 15) + 1, {}});
+      sim.schedule_at(static_cast<Tick>(c & 15), ChainEvent{&sim, (c & 15) + 1, {}});
     sim.run_until(ms(1000));
     allocs += alloc_count() - a0;
     events += sim.events_executed();
@@ -152,19 +98,14 @@ void run_event_kernel(benchmark::State& state) {
       static_cast<double>(allocs) / static_cast<double>(events ? events : 1);
 }
 
-void BM_EventKernel(benchmark::State& state) { run_event_kernel<sim::Simulator>(state); }
 BENCHMARK(BM_EventKernel)->Arg(1)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_EventKernelLegacyHeap(benchmark::State& state) { run_event_kernel<LegacySimulator>(state); }
-BENCHMARK(BM_EventKernelLegacyHeap)->Arg(1)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
 /// Concurrent chains over the real hop-latency spectrum: CHA forwards
 /// (4 ns), core returns (22 ns), IIO processing (250 ns), device latency
 /// (8 us) -- exercises the L1 bucket scatter and the overflow map, not just
 /// the in-window fast path.
-template <typename Sim>
 struct MixedChain {
-  Sim* s;
+  sim::Simulator* s;
   std::uint64_t i;
   std::array<std::uint64_t, 5> payload;  // pad to the inline capacity
   void operator()() const {
@@ -174,15 +115,14 @@ struct MixedChain {
   }
 };
 
-template <typename Sim>
-void run_mixed_delays(benchmark::State& state) {
+void BM_EventKernelMixedDelays(benchmark::State& state) {
   std::uint64_t events = 0;
   std::uint64_t allocs = 0;
   for (auto _ : state) {
-    Sim sim;
+    sim::Simulator sim;
     const std::uint64_t a0 = alloc_count();
     for (std::uint64_t c = 0; c < 32; ++c)
-      sim.schedule_at(static_cast<Tick>(c), MixedChain<Sim>{&sim, c, {}});
+      sim.schedule_at(static_cast<Tick>(c), MixedChain{&sim, c, {}});
     sim.run_until(ms(1000));
     allocs += alloc_count() - a0;
     events += sim.events_executed();
@@ -193,15 +133,7 @@ void run_mixed_delays(benchmark::State& state) {
       static_cast<double>(allocs) / static_cast<double>(events ? events : 1);
 }
 
-void BM_EventKernelMixedDelays(benchmark::State& state) {
-  run_mixed_delays<sim::Simulator>(state);
-}
 BENCHMARK(BM_EventKernelMixedDelays)->Unit(benchmark::kMillisecond);
-
-void BM_EventKernelMixedDelaysLegacyHeap(benchmark::State& state) {
-  run_mixed_delays<LegacySimulator>(state);
-}
-BENCHMARK(BM_EventKernelMixedDelaysLegacyHeap)->Unit(benchmark::kMillisecond);
 
 /// Kernel-only load with a loaded host's queue shape: a few hundred pending
 /// events whose delays spread log-uniformly over the hot-path hop range
@@ -465,38 +397,8 @@ core::RunOptions sweep_options() {
   return o;
 }
 
-/// Re-sweeping against a warm SweepCache, as a figure driver holding one
-/// across its whole figure does. The untimed setup sweep simulates every
-/// window once; each timed sweep is then answered entirely from the outcome
-/// memo (outcome_hits counts them), so this times warm-cache memo lookups,
-/// not simulation. BM_ColdQuadrantSweep below is the same sweep simulated
-/// cold and is the one that measures simulation work.
-void BM_QuadrantSweepWarmMemoHits(benchmark::State& state) {
-  const auto host = core::cascade_lake();
-  core::C2MSpec c2m;
-  c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
-  core::P2MSpec p2m;
-  p2m.storage = workloads::fio_p2m_write(host, workloads::p2m_region());
-  const std::vector<std::uint32_t> cores{1, 2, 3, 4};
-  core::Plan plan;
-  plan.core_sweep(host, c2m, p2m, cores, sweep_options());
-  core::SweepCache cache;
-  benchmark::DoNotOptimize(core::run_windows(plan, &cache).windows.data());
-  for (auto _ : state) {
-    auto out = core::run_windows(plan, &cache);
-    benchmark::DoNotOptimize(out.windows.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cores.size()));
-  state.counters["checkpoints"] = static_cast<double>(cache.checkpoints());
-  state.counters["checkpoint_hits"] = static_cast<double>(cache.stats().checkpoint_hits);
-  state.counters["checkpoint_misses"] = static_cast<double>(cache.stats().checkpoint_misses);
-  state.counters["outcome_hits"] = static_cast<double>(cache.stats().outcome_hits);
-  state.counters["outcome_misses"] = static_cast<double>(cache.stats().outcome_misses);
-}
-BENCHMARK(BM_QuadrantSweepWarmMemoHits)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-/// The same sweep built cold every time (the pre-fork reference): keeps the
-/// cold construction+warmup path itself perf-gated.
+/// A 4-point quadrant sweep built cold every time (the reference path):
+/// keeps construction + warmup + measurement perf-gated.
 void BM_ColdQuadrantSweep(benchmark::State& state) {
   const auto host = core::cascade_lake();
   core::C2MSpec c2m;
@@ -552,7 +454,7 @@ void BM_ParallelQuadrantSweep(benchmark::State& state) {
   plan.core_sweep(host, c2m, p2m, cores, sweep_options());
   const auto threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    auto out = core::execute(plan, {threads, core::SweepMode::kAuto});
+    auto out = core::execute(plan, {threads, core::SweepMode::kFork});
     benchmark::DoNotOptimize(out.windows.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cores.size()));
@@ -570,13 +472,13 @@ BENCHMARK(BM_ParallelQuadrantSweep)
 
 /// A 50-host fleet with 10 distinct template fingerprints, all on one seed
 /// beside the same fio_write placement. Measurement jitter gives every
-/// replica its own window length, so no window is a memo hit. run_fleet
-/// runs the fleet as one plan, so each distinct window prefix is warmed
-/// cold once fleet-wide: 10 iso-C2M + 10 colocated + the one iso-P2M window
-/// all ten templates share = 21 checkpoint misses per run. Every other
-/// window forks from them and simulates its own measurement (129 checkpoint
-/// hits, 0 outcome hits). items/s is hosts/s; the cache counters keep that
-/// split auditable in the JSON output.
+/// replica its own window length, so no window is an outcome hit. run_fleet
+/// runs the fleet as one plan, and execute() makes each window fingerprint
+/// one job that warms cold once fleet-wide: 10 iso-C2M + 10 colocated + the
+/// one iso-P2M window all ten templates share = 21 checkpoint misses per
+/// run. Every other window restores its job's checkpoint and simulates its
+/// own measurement (129 checkpoint hits, 0 outcome hits). items/s is
+/// hosts/s; the counters keep that split auditable in the JSON output.
 std::string fleet_bench_scenario(int templates, int hosts_per_template) {
   std::string s =
       "fleet bench\nseed 3\nwarmup_us 20\nmeasure_us 60\nmeasure_jitter_pct 20\n";

@@ -3,8 +3,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
+#include <unordered_map>
 
 #include "core/parallel.hpp"
 
@@ -30,21 +32,27 @@ P2MTransportFactory installed_transport_factory = nullptr;
 Tick env_us(const char* var, Tick fallback, bool allow_zero) {
   const char* e = std::getenv(var);
   if (!e) return fallback;
+  const std::string what = std::string(var) + "='" + e + "'";
   char* end = nullptr;
   const double v = std::strtod(e, &end);
-  if (end == e || *end != '\0' || !std::isfinite(v))
-    throw std::invalid_argument(std::string(var) + "='" + e + "' is not a number of microseconds");
-  const Tick t = us(v);
-  if (v < 0 || (t <= 0 && !allow_zero))
-    throw std::invalid_argument(std::string(var) + "='" + e + "' must be " +
-                                (allow_zero ? "non-negative" : "positive"));
-  return t;
+  if (end == e || *end != '\0')
+    throw std::invalid_argument(what + " is not a number of microseconds");
+  return window_ticks(v, allow_zero, what);
 }
 
 }  // namespace
 
 void set_p2m_transport_factory(P2MTransportFactory f) { installed_transport_factory = f; }
 P2MTransportFactory p2m_transport_factory() { return installed_transport_factory; }
+
+Tick window_ticks(double v, bool allow_zero, const std::string& what) {
+  constexpr Tick kMaxUs = std::numeric_limits<Tick>::max() / kMicrosecond;
+  if (!std::isfinite(v)) throw std::invalid_argument(what + " is not a number of microseconds");
+  if (v < 0 || v > static_cast<double>(kMaxUs) || (us(v) <= 0 && !allow_zero))
+    throw std::invalid_argument(what + " must be " + (allow_zero ? "non-negative" : "positive") +
+                                " and at most " + std::to_string(kMaxUs) + " us");
+  return us(v);
+}
 
 RunOptions default_run_options() {
   RunOptions o;
@@ -215,16 +223,6 @@ std::unique_ptr<P2MTransport> make_transport(HostSystem& host,
   return f(host, *p2m);
 }
 
-bool fork_sweeps_default() {
-  static const bool on = [] {
-    const char* e = std::getenv("HOSTNET_FORK_SWEEPS");
-    if (!e) return false;
-    return std::strcmp(e, "1") == 0 || std::strcmp(e, "on") == 0 ||
-           std::strcmp(e, "true") == 0;
-  }();
-  return on;
-}
-
 /// A built (not yet run) host with the window's workloads placed, in the
 /// one construction order both paths use -- cores, then storage, then the
 /// transport: component seeds and registry order depend on it.
@@ -254,12 +252,6 @@ struct BuiltHost {
   }
 };
 
-/// Outcome-memo key: the fingerprint plus the measure window.
-std::string window_key(std::string fingerprint, Tick measure) {
-  fingerprint.append(reinterpret_cast<const char*>(&measure), sizeof(measure));
-  return fingerprint;
-}
-
 }  // namespace
 
 std::string config_fingerprint(const HostConfig& host, const std::optional<C2MSpec>& c2m,
@@ -273,61 +265,6 @@ std::string config_fingerprint(const HostConfig& host, const std::optional<C2MSp
   enc(s, seed);
   enc(s, warmup);
   return s;
-}
-
-// -- SweepCache ---------------------------------------------------------------
-
-struct SweepCache::Entry {
-  BuiltHost built;
-  HostSnapshot snap;
-  explicit Entry(const Window& w) : built(w) {}
-};
-
-SweepCache::SweepCache() = default;
-SweepCache::~SweepCache() = default;
-
-RunOutcome run_window(const Window& w, SweepCache* cache) {
-  if (!cache) {
-    // Cold reference path: build, warm, measure -- one host per window.
-    BuiltHost b(w);
-    b.host.run(w.opt.warmup, w.opt.measure);
-    return b.collect(w);
-  }
-
-  // Fork path. Checkpoint key = everything that shapes construction +
-  // warmup; outcome key additionally pins the measure window. A full
-  // outcome hit is a deterministic replay, so returning the memoized
-  // RunOutcome is bit-identical to re-simulating it.
-  const std::string key = config_fingerprint(w.host, w.c2m, w.p2m, w.opt.seed, w.opt.warmup);
-  std::string okey = window_key(key, w.opt.measure);
-  if (auto it = cache->outcomes_.find(okey); it != cache->outcomes_.end()) {
-    ++cache->stats_.outcome_hits;
-    return it->second;
-  }
-  ++cache->stats_.outcome_misses;
-
-  SweepCache::Entry* e;
-  if (auto it = cache->checkpoints_.find(key); it != cache->checkpoints_.end()) {
-    ++cache->stats_.checkpoint_hits;
-    e = it->second.get();
-    e->built.host.restore(e->snap);
-  } else {
-    ++cache->stats_.checkpoint_misses;
-    auto entry = std::make_unique<SweepCache::Entry>(w);
-    // run(warmup, 0) warms and resets counters, leaving the host at the
-    // measurement quiesce point: run_until() drains every event at or
-    // before the boundary tick, so this plus run_more(measure) replays the
-    // exact event sequence of a cold run(warmup, measure).
-    entry->built.host.run(w.opt.warmup, 0);
-    entry->built.host.save_state(entry->snap);
-    e = entry.get();
-    cache->checkpoints_.emplace(key, std::move(entry));
-  }
-
-  e->built.host.run_more(w.opt.measure);
-  const RunOutcome out = e->built.collect(w);
-  cache->outcomes_.emplace(std::move(okey), out);
-  return out;
 }
 
 // -- Plan + execute -------------------------------------------------------------
@@ -372,50 +309,63 @@ ColocationOutcome Outcomes::operator[](const ColocationRef& r) const {
   return ColocationOutcome{at(r.iso_c2m), at(r.iso_p2m), at(r.colo)};
 }
 
-Outcomes run_windows(const Plan& plan, SweepCache* cache) {
-  Outcomes out;
-  out.windows.reserve(plan.size());
-  for (const Window& w : plan.windows()) out.windows.push_back(run_window(w, cache));
-  return out;
-}
-
 Outcomes execute(const Plan& plan, const ExecOptions& opt) {
-  const bool fork =
-      opt.mode == SweepMode::kFork || (opt.mode == SweepMode::kAuto && fork_sweeps_default());
+  const bool fork = opt.mode == SweepMode::kFork;
   const std::vector<Window>& ws = plan.windows();
 
-  // Jobs in first-appearance order. Forking jobs gather every window of one
-  // fingerprint, so they share its warmup through the job's cache; cold jobs
-  // gather only identical windows. Either way each distinct window is
-  // simulated once.
-  std::vector<std::vector<std::size_t>> jobs;
+  // Jobs in first-appearance order, keyed by fingerprint (kFork) or by
+  // fingerprint + measure (kCold). jobs[j] lists the job's distinct windows
+  // in plan order, each as the plan indices of its identical windows: the
+  // first is simulated and the rest copy its outcome.
+  using Identical = std::vector<std::size_t>;
+  std::vector<std::vector<Identical>> jobs;
   std::unordered_map<std::string, std::size_t> job_of;
+  std::unordered_map<std::string, std::pair<std::size_t, std::size_t>> window_of;
+  Outcomes out;
   for (std::size_t i = 0; i < ws.size(); ++i) {
-    std::string key = config_fingerprint(ws[i].host, ws[i].c2m, ws[i].p2m, ws[i].opt.seed,
-                                         ws[i].opt.warmup);
-    if (!fork) key = window_key(std::move(key), ws[i].opt.measure);
-    const auto [it, fresh] = job_of.emplace(std::move(key), jobs.size());
+    const Window& w = ws[i];
+    const std::string fp = config_fingerprint(w.host, w.c2m, w.p2m, w.opt.seed, w.opt.warmup);
+    std::string key = fp;
+    key.append(reinterpret_cast<const char*>(&w.opt.measure), sizeof(w.opt.measure));
+    if (const auto it = window_of.find(key); it != window_of.end()) {
+      jobs[it->second.first][it->second.second].push_back(i);
+      ++out.cache.outcome_hits;
+      continue;
+    }
+    const auto [job, fresh] = job_of.emplace(fork ? fp : key, jobs.size());
     if (fresh) jobs.emplace_back();
-    jobs[it->second].push_back(i);
+    std::vector<Identical>& distinct = jobs[job->second];
+    window_of.emplace(std::move(key), std::pair{job->second, distinct.size()});
+    distinct.push_back({i});
+  }
+  if (fork) {
+    out.cache.checkpoint_misses = jobs.size();
+    for (const auto& distinct : jobs) out.cache.checkpoint_hits += distinct.size() - 1;
   }
 
-  Outcomes out;
   out.windows.resize(ws.size());
-  std::vector<SweepCache::Stats> stats(jobs.size());
   run_parallel(
       jobs.size(),
       [&](std::size_t j) {
-        if (!fork) {
-          const RunOutcome o = run_window(ws[jobs[j].front()], nullptr);
-          for (std::size_t i : jobs[j]) out.windows[i] = o;
-          return;
+        const std::vector<Identical>& distinct = jobs[j];
+        const Window& first = ws[distinct.front().front()];
+        BuiltHost b(first);  // freed with the job: warmed hosts never outlive it
+        // run(warmup, 0) warms and resets counters, leaving the host at the
+        // measurement quiesce point: run_until() drains every event at or
+        // before the boundary tick, so this plus run_more(measure) replays
+        // the exact event sequence of a cold run(warmup, measure).
+        b.host.run(first.opt.warmup, 0);
+        HostSnapshot snap;
+        if (distinct.size() > 1) b.host.save_state(snap);
+        for (std::size_t k = 0; k < distinct.size(); ++k) {
+          const Window& w = ws[distinct[k].front()];
+          if (k > 0) b.host.restore(snap);
+          b.host.run_more(w.opt.measure);
+          const RunOutcome o = b.collect(w);
+          for (std::size_t i : distinct[k]) out.windows[i] = o;
         }
-        SweepCache cache;  // freed with the job: warmed hosts never outlive it
-        for (std::size_t i : jobs[j]) out.windows[i] = run_window(ws[i], &cache);
-        stats[j] = cache.stats();
       },
       opt.threads);
-  for (const SweepCache::Stats& s : stats) out.cache.add(s);
   return out;
 }
 

@@ -8,7 +8,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/domains.hpp"
@@ -51,8 +50,8 @@ enum class TcpStackKind : std::uint8_t {
 std::string to_string(TcpStackKind kind);
 
 /// The construction-shaping knobs of a TCP receiver placement. Every field
-/// is covered by config_fingerprint(), so SweepCache forking and execute()'s
-/// jobs distinguish stacks (and stack configs) structurally; per-stack
+/// is covered by config_fingerprint(), so execute()'s forking jobs
+/// distinguish stacks (and stack configs) structurally; per-stack
 /// CC constants beyond these stay fixed inside src/net.
 struct TcpSpec {
   std::string name = "tcp";
@@ -117,6 +116,12 @@ struct RunOptions {
 /// a number, the measure window is not positive or the warmup is negative.
 RunOptions default_run_options();
 
+/// The window check default_run_options() and the fleet scenario parser
+/// share: `v` microseconds as ticks. Throws std::invalid_argument naming
+/// `what` unless `v` is finite, non-negative, representable, and at least
+/// one tick when !allow_zero (a measure window; a warmup may be 0).
+Tick window_ticks(double v, bool allow_zero, const std::string& what);
+
 struct RunOutcome {
   Metrics metrics{};
   double c2m_score = 0;       ///< queries/s (episodic) or core read GB/s
@@ -124,35 +129,17 @@ struct RunOutcome {
   double pause_fraction = 0;  ///< PFC-paused fraction of the window (RDMA write)
 };
 
-// -- checkpoint/fork engine (DESIGN.md section 4e) ----------------------------
-//
-// Windows that share a (host config, workloads, seed, warmup) prefix can
-// share a warmup: the fork engine warms a prototype host once per prefix,
-// snapshots it at the post-warmup reset_counters() quiesce point, and forks
-// every further window of that prefix from the checkpoint instead of
-// re-warming.
-//
-// Warmup-sharing caveat: two windows share a warmed checkpoint ONLY when
-// config_fingerprint() -- a canonical field-by-field encoding of every
-// simulation input -- matches exactly. A window whose warmup genuinely
-// differs (any config field, workload field, seed, or warmup length) gets a
-// different fingerprint and warms independently; sharing is explicit and
-// auditable through SweepCache::stats(). Forked outcomes are bit-identical
-// to cold runs because the simulation is deterministic and the checkpoint
-// restores the complete host state, including the pending-event queue.
-
-/// How execute() runs a plan's windows.
+/// How execute() groups a plan's windows into jobs (DESIGN.md section 4e).
 enum class SweepMode : std::uint8_t {
-  kAuto,  ///< kFork iff HOSTNET_FORK_SWEEPS=1/on/true is set, else kCold
-  kCold,  ///< build + warm a fresh host per distinct window (reference)
-  kFork,  ///< warm once per fingerprint, fork the other windows from it
+  kFork,  ///< one job per fingerprint: warm once, fork its other windows from a checkpoint
+  kCold,  ///< one job per distinct window: build + warm each (the reference)
 };
 
 /// Canonical fingerprint of one simulation configuration: every field of
 /// the host config and workload specs plus seed and warmup, encoded
 /// field-by-field (never whole-struct memcpy -- padding bytes are
 /// indeterminate). Equal fingerprints guarantee identical construction and
-/// warmup; used as the SweepCache checkpoint key and execute()'s job key.
+/// warmup; execute()'s job key.
 std::string config_fingerprint(const HostConfig& host, const std::optional<C2MSpec>& c2m,
                                const std::optional<P2MSpec>& p2m, std::uint64_t seed,
                                Tick warmup);
@@ -164,51 +151,6 @@ struct Window {
   std::optional<C2MSpec> c2m;
   std::optional<P2MSpec> p2m;
   RunOptions opt;
-};
-
-class SweepCache;
-
-/// The executor's per-window step: run `w` through `cache` -- restoring a
-/// warmed checkpoint of its fingerprint, or memo-hitting an identical
-/// earlier window -- or cold when `cache` is null. Results are bit-identical
-/// either way.
-RunOutcome run_window(const Window& w, SweepCache* cache);
-
-/// Checkpoint + outcome cache of the fork engine. Single-threaded; owns the
-/// warmed prototype hosts, so it is expensive while alive. execute() gives
-/// each job its own and frees it when the job ends.
-class SweepCache {
- public:
-  SweepCache();
-  ~SweepCache();
-  SweepCache(const SweepCache&) = delete;
-  SweepCache& operator=(const SweepCache&) = delete;
-
-  struct Stats {
-    std::uint64_t checkpoint_hits = 0;    ///< windows forked from a warm host
-    std::uint64_t checkpoint_misses = 0;  ///< prefixes warmed cold
-    std::uint64_t outcome_hits = 0;       ///< fully-memoized reruns
-    std::uint64_t outcome_misses = 0;
-
-    /// Fold another cache's counters in (execute() sums its jobs' caches
-    /// into one observable fork-reuse figure).
-    void add(const Stats& o) {
-      checkpoint_hits += o.checkpoint_hits;
-      checkpoint_misses += o.checkpoint_misses;
-      outcome_hits += o.outcome_hits;
-      outcome_misses += o.outcome_misses;
-    }
-  };
-  const Stats& stats() const { return stats_; }
-
-  std::size_t checkpoints() const { return checkpoints_.size(); }
-
- private:
-  friend RunOutcome run_window(const Window&, SweepCache*);
-  struct Entry;  ///< a warmed HostSystem + its quiesce-point checkpoint
-  std::unordered_map<std::string, std::unique_ptr<Entry>> checkpoints_;
-  std::unordered_map<std::string, RunOutcome> outcomes_;  ///< key + measure window
-  Stats stats_;
 };
 
 struct ColocationOutcome {
@@ -226,7 +168,7 @@ struct ColocationOutcome {
   Regime regime() const { return classify_regime(c2m_degradation(), p2m_degradation()); }
 };
 
-// -- the experiment executor (DESIGN.md section 4a) ---------------------------
+// -- the experiment executor (DESIGN.md sections 4a and 4e) -------------------
 //
 // Every figure measures windows: a C2M and a P2M workload isolated and
 // colocated, usually across a sweep. A Plan lists the windows; execute()
@@ -234,11 +176,21 @@ struct ColocationOutcome {
 // where they run:
 //   * identical windows (same fingerprint and measure length) are simulated
 //     once -- e.g. the iso-P2M window every point of a core sweep shares;
-//   * windows are grouped by config_fingerprint() into jobs on the
-//     run_parallel worker pool; under kFork each job owns a SweepCache, so
-//     its windows share one warmup, and the cache is freed with the job;
+//   * under kFork a job is every window of one config_fingerprint(): it
+//     warms one host, snapshots it at the post-warmup reset_counters()
+//     quiesce point when it has two or more distinct windows, and restores
+//     that checkpoint for each further one instead of re-warming. Under
+//     kCold a job is one distinct window. Jobs run on the run_parallel
+//     worker pool, and a job's host is freed when the job ends;
 //   * outcomes come back in plan order, bit-identical for any thread count
-//     and for cold vs fork.
+//     and for cold vs fork: the simulation is deterministic and the
+//     checkpoint restores the complete host state, pending events included.
+//
+// Warmup-sharing caveat: two windows share a warmup ONLY when their
+// fingerprints -- a canonical encoding of every simulation input -- match
+// exactly. Any differing config field, workload field, seed or warmup
+// length gives a different fingerprint and its own warmup; Outcomes::cache
+// counts what was shared.
 
 /// Indices of one colocation's windows in a Plan. A single-sided placement
 /// has one window: `colo` aliases it and the missing side is kNone (its
@@ -281,15 +233,20 @@ struct ExecOptions {
   /// Worker threads: 0 = parallel_threads() (HOSTNET_THREADS override, else
   /// hardware concurrency). Never changes results.
   unsigned threads = 0;
-  SweepMode mode = SweepMode::kAuto;
+  SweepMode mode = SweepMode::kFork;
+};
+
+/// What execute() shared. Deterministic: a function of the plan and mode.
+struct ExecStats {
+  std::uint64_t checkpoint_hits = 0;    ///< windows restored from a job's checkpoint (kFork)
+  std::uint64_t checkpoint_misses = 0;  ///< jobs, each warming one fingerprint (kFork)
+  std::uint64_t outcome_hits = 0;       ///< windows answered by an identical earlier window
 };
 
 /// The outcomes of a plan, one per window in plan order.
 struct Outcomes {
   std::vector<RunOutcome> windows;
-  /// Fork-engine counters summed over the caches execute() owned (zero when
-  /// cold, and from run_windows, whose caller owns the cache).
-  SweepCache::Stats cache;
+  ExecStats cache;
 
   const RunOutcome& operator[](std::size_t window) const { return windows[window]; }
   ColocationOutcome operator[](const ColocationRef& r) const;
@@ -297,9 +254,5 @@ struct Outcomes {
 
 /// Run every window of `plan` (see the section comment above).
 Outcomes execute(const Plan& plan, const ExecOptions& opt = {});
-
-/// Run `plan`'s windows in order on the calling thread through run_window
-/// and `cache` (null: cold), for callers that own and inspect the cache.
-Outcomes run_windows(const Plan& plan, SweepCache* cache);
 
 }  // namespace hostnet::core

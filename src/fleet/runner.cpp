@@ -13,8 +13,7 @@ FleetReport run_fleet(const Scenario& sc, const RunnerOptions& opt) {
 
   // One plan holds every host's colocation windows, in host-index order;
   // execute() simulates each distinct window once and makes each window
-  // fingerprint one job. The fleet forks unless asked for the cold
-  // reference: kAuto never defers to HOSTNET_FORK_SWEEPS here.
+  // fingerprint one job (kFork) or each distinct window one job (kCold).
   core::Plan plan;
   std::vector<core::ColocationRef> refs;
   refs.reserve(hosts.size());
@@ -22,9 +21,7 @@ FleetReport run_fleet(const Scenario& sc, const RunnerOptions& opt) {
     const HostTemplate& t = templates[h.tmpl];
     refs.push_back(plan.colocation(t.host, t.c2m, t.p2m, h.opt));
   }
-  const core::SweepMode mode =
-      opt.mode == core::SweepMode::kCold ? core::SweepMode::kCold : core::SweepMode::kFork;
-  const core::Outcomes out = core::execute(plan, {opt.threads, mode});
+  const core::Outcomes out = core::execute(plan, {opt.threads, opt.mode});
 
   // Fold groups are template fingerprints in first-appearance order (the
   // fingerprint is a pure function of the template: jitter changes only the
@@ -78,8 +75,7 @@ std::string format_report(const Scenario& sc, const FleetReport& r) {
      << r.agg.regime_count(core::Regime::kBlue) << ", red "
      << r.agg.regime_count(core::Regime::kRed) << " (of " << r.hosts << " hosts)\n";
   os << "sweep-cache: checkpoint hits " << r.cache.checkpoint_hits << ", misses "
-     << r.cache.checkpoint_misses << "; outcome memo hits " << r.cache.outcome_hits
-     << ", misses " << r.cache.outcome_misses << "\n";
+     << r.cache.checkpoint_misses << "; outcome hits " << r.cache.outcome_hits << "\n";
   return os.str();
 }
 

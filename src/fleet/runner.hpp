@@ -6,12 +6,13 @@
 // window (config fingerprint + measure length) is simulated once
 // fleet-wide, and each window fingerprint is one job on the persistent
 // core::run_parallel pool. Under kFork a job warms its fingerprint once and
-// forks every further window from the warm checkpoint (distinct measurement
-// window, e.g. under scenario measure jitter) or memo-hits it (bit-identical
-// replica). So a 1000-host fleet with 10 distinct templates costs at most
-// 30 cold warmups (three windows per template), not 3000, and a window that
-// several templates share -- the same iso-C2M placement beside different TCP
-// stacks -- is warmed and simulated once (BM_FleetSweep reports the split).
+// restores that checkpoint for every further distinct window (a distinct
+// measurement window, e.g. under scenario measure jitter); a bit-identical
+// replica's window is simulated once and its outcome copied. So a 1000-host
+// fleet with 10 distinct templates costs at most 30 cold warmups (three
+// windows per template), not 3000, and a window that several templates
+// share -- the same iso-C2M placement beside different TCP stacks -- is
+// warmed and simulated once (BM_FleetSweep reports the split).
 //
 // The outcomes are O(windows) until the fold. The fold groups hosts by
 // template fingerprint (first-appearance order): each group folds its hosts
@@ -37,11 +38,11 @@ struct RunnerOptions {
   /// never changes results -- jobs and fold groups are by fingerprint, not
   /// by thread.
   unsigned threads = 0;
-  /// kFork (default, also what kAuto resolves to, whatever
-  /// HOSTNET_FORK_SWEEPS says): warm once per window fingerprint,
-  /// fork/memoize every further window. kCold: build + warm every distinct
-  /// window from scratch -- the reference path the fork engine must match.
-  /// Identical windows are simulated once in either mode.
+  /// Passed to core::execute. kFork (default): warm once per window
+  /// fingerprint and fork every further distinct window from its
+  /// checkpoint. kCold: build + warm every distinct window from scratch --
+  /// the reference path the fork engine must match. Identical windows are
+  /// simulated once in either mode.
   core::SweepMode mode = core::SweepMode::kFork;
 };
 
@@ -52,7 +53,7 @@ struct FleetReport {
   std::size_t shards = 0;          ///< fold groups: one per template fingerprint
   unsigned threads = 0;            ///< worker threads the run admitted
   FleetAggregate agg;
-  core::SweepCache::Stats cache;   ///< the run's core::Outcomes::cache (zero in cold mode)
+  core::ExecStats cache;           ///< the run's core::Outcomes::cache
 };
 
 /// Simulate the whole scenario and reduce it to a FleetReport.

@@ -1,7 +1,9 @@
 #include "fleet/scenario.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -27,12 +29,24 @@ std::vector<std::string> tokenize(std::string_view line) {
   return toks;
 }
 
-std::uint64_t parse_u64(std::size_t line, const std::string& tok, const char* what) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0')
-    throw ScenarioError(line, std::string(what) + " expects an unsigned integer, got '" + tok + "'");
-  return static_cast<std::uint64_t>(v);
+/// An unsigned integer of at most `max`: no sign, no wrap-around, no
+/// truncation into a narrower field.
+std::uint64_t parse_u64(std::size_t line, const std::string& tok, const std::string& what,
+                        std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t v = 0;
+  const char* last = tok.data() + tok.size();
+  const auto [end, ec] = std::from_chars(tok.data(), last, v);
+  if (ec == std::errc::invalid_argument || end != last)
+    throw ScenarioError(line, what + " expects an unsigned integer, got '" + tok + "'");
+  if (ec == std::errc::result_out_of_range || v > max)
+    throw ScenarioError(line, what + " must be at most " + std::to_string(max) + ", got '" +
+                                  tok + "'");
+  return v;
+}
+
+std::uint32_t parse_u32(std::size_t line, const std::string& tok, const std::string& what) {
+  return static_cast<std::uint32_t>(
+      parse_u64(line, tok, what, std::numeric_limits<std::uint32_t>::max()));
 }
 
 double parse_f64(std::size_t line, const std::string& tok, const char* what) {
@@ -43,12 +57,24 @@ double parse_f64(std::size_t line, const std::string& tok, const char* what) {
   return v;
 }
 
+/// A window length: the check default_run_options() applies to its
+/// environment overrides, tagged with the scenario line.
+Tick parse_window_us(std::size_t line, const std::string& tok, const char* what,
+                     bool allow_zero) {
+  const double v = parse_f64(line, tok, what);
+  try {
+    return core::window_ticks(v, allow_zero, std::string(what) + " '" + tok + "'");
+  } catch (const std::invalid_argument& e) {
+    throw ScenarioError(line, e.what());
+  }
+}
+
 /// `set <key> <value>` override table: the host-config fields a scenario may
 /// vary. Kept deliberately explicit -- an unknown key is a line-tagged error,
 /// not a silently-ignored typo.
 void apply_set(std::size_t line, core::HostConfig& h, const std::string& key,
                const std::string& val) {
-  auto u32 = [&] { return static_cast<std::uint32_t>(parse_u64(line, val, key.c_str())); };
+  auto u32 = [&] { return parse_u32(line, val, key); };
   auto f64 = [&] { return parse_f64(line, val, key.c_str()); };
   if (key == "total_cores") h.total_cores = u32();
   else if (key == "core_ghz") h.core_ghz = f64();
@@ -65,7 +91,7 @@ void apply_set(std::size_t line, core::HostConfig& h, const std::string& key,
   else if (key == "cha.peripheral_write_priority") h.cha.peripheral_write_priority = u32() != 0;
   else if (key == "cha.ddio") h.cha.ddio = u32() != 0;
   else if (key == "cha.ddio_ways") h.cha.ddio_ways = u32();
-  else if (key == "cha.ddio_capacity_bytes") h.cha.ddio_capacity_bytes = parse_u64(line, val, key.c_str());
+  else if (key == "cha.ddio_capacity_bytes") h.cha.ddio_capacity_bytes = parse_u64(line, val, key);
   else if (key == "core.lfb_entries") h.core.lfb_entries = u32();
   else if (key == "core.prefetch_extra") h.core.prefetch_extra = u32();
   else if (key == "iio.write_credits") h.iio.write_credits = u32();
@@ -156,14 +182,14 @@ class ScenarioParser {
       sc_.base_opt_.seed = sc_.seed_;
     } else if (kw == "warmup_us") {
       expect_args(line, t, 1, "warmup_us <f>");
-      sc_.base_opt_.warmup = us(parse_f64(line, t[1], "warmup_us"));
+      sc_.base_opt_.warmup = parse_window_us(line, t[1], "warmup_us", /*allow_zero=*/true);
     } else if (kw == "measure_us") {
       expect_args(line, t, 1, "measure_us <f>");
-      sc_.base_opt_.measure = us(parse_f64(line, t[1], "measure_us"));
+      sc_.base_opt_.measure = parse_window_us(line, t[1], "measure_us", /*allow_zero=*/false);
     } else if (kw == "measure_jitter_pct") {
       expect_args(line, t, 1, "measure_jitter_pct <f>");
       sc_.measure_jitter_pct_ = parse_f64(line, t[1], "measure_jitter_pct");
-      if (sc_.measure_jitter_pct_ < 0 || sc_.measure_jitter_pct_ > 100)
+      if (!(sc_.measure_jitter_pct_ >= 0 && sc_.measure_jitter_pct_ <= 100))  // NaN too
         throw ScenarioError(line, "measure_jitter_pct must be in [0, 100]");
     } else if (kw == "template") {
       expect_args(line, t, 1, "template <name>");
@@ -224,7 +250,7 @@ class ScenarioParser {
       if (t.size() == 4) {
         if (t[3].rfind("cores=", 0) != 0)
           throw ScenarioError(line, "expected cores=<n>, got '" + t[3] + "'");
-        spec.cores = static_cast<std::uint32_t>(parse_u64(line, t[3].substr(6), "cores"));
+        spec.cores = parse_u32(line, t[3].substr(6), "cores");
         if (spec.cores == 0) throw ScenarioError(line, "cores must be positive");
       }
       tmpl_.c2m = spec;

@@ -10,7 +10,8 @@
 //   fleet <name>                      # required header, first directive
 //   seed <u64>                        # default 1
 //   warmup_us <f> | measure_us <f>    # window defaults (HOSTNET_* env still
-//                                     #   applies when these are omitted)
+//                                     #   applies when these are omitted;
+//                                     #   warmup >= 0, measure > 0)
 //   measure_jitter_pct <f>            # per-host measurement-window jitter
 //
 //   template <name>                   # a host configuration to replicate
@@ -35,7 +36,7 @@
 // PCIe config, so specs are built when the template's `end` is reached.
 //
 // Replicas of a template are bit-identical simulations (same seed by
-// design: that is what lets the runner memoize them; see runner.hpp).
+// design: that is what lets the runner simulate them once; see runner.hpp).
 // `measure_jitter_pct` staggers only each host's measurement-window length
 // -- a deterministic per-host-index draw -- which preserves the shared
 // construction+warmup prefix (same core::config_fingerprint) while forcing

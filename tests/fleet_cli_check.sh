@@ -4,10 +4,14 @@
 #   fleet_cli_check.sh reports <hostnet_fleet> <scenario.fleet>...
 #     Runs each scenario with --threads 2 in fork and in cold mode; the two
 #     reports must be identical apart from the `sweep-cache:` line (the
-#     fork-reuse counters, zero when cold).
+#     reuse counters; the checkpoint counts are zero when cold).
 #   fleet_cli_check.sh bad-threads <hostnet_fleet> <scenario.fleet>
 #     A --threads or HOSTNET_THREADS value that is not a positive integer
 #     must be a usage error: exit status 2, nothing on stdout.
+#   fleet_cli_check.sh bad-scenario <hostnet_fleet>
+#     Malformed scenarios (bad window lengths, signed or out-of-range
+#     integers) must fail to parse: exit status 2, nothing on stdout, and
+#     the offending line number on stderr.
 set -euo pipefail
 
 mode="$1"
@@ -48,7 +52,29 @@ case "${mode}" in
       expect_usage_error env HOSTNET_THREADS="${bad}" "${bin}" "${scenario}"
     done
     ;;
+  bad-scenario)
+    expect_parse_error() {
+      local name="$1" line="$2" status=0
+      printf '%b' "$3" >"${tmp}/${name}.fleet"
+      "${bin}" "${tmp}/${name}.fleet" >"${tmp}/out.txt" 2>"${tmp}/err.txt" || status=$?
+      [[ ${status} -eq 2 ]] || fail "${name}: exited ${status}, expected 2"
+      [[ ! -s "${tmp}/out.txt" ]] || fail "${name}: printed a report"
+      grep -q "scenario line ${line}:" "${tmp}/err.txt" ||
+        fail "${name}: stderr does not name line ${line}: $(cat "${tmp}/err.txt")"
+      echo "ok: ${name} -> $(head -n 1 "${tmp}/err.txt")"
+    }
+    placed='fleet f\ntemplate t\n  c2m a c2m_read\nend\n'
+    expect_parse_error measure-negative 2 'fleet f\nmeasure_us -50\n'
+    expect_parse_error measure-zero 2 'fleet f\nmeasure_us 0\n'
+    expect_parse_error measure-nan 2 'fleet f\nmeasure_us nan\n'
+    expect_parse_error warmup-negative 2 'fleet f\nwarmup_us -1\n'
+    expect_parse_error lfb-past-u32 3 'fleet f\ntemplate t\n  set core.lfb_entries 4294967297\n'
+    expect_parse_error credits-negative 3 'fleet f\ntemplate t\n  set iio.write_credits -4294967200\n'
+    expect_parse_error cores-negative 3 'fleet f\ntemplate t\n  c2m a c2m_read cores=-1\n'
+    expect_parse_error hosts-negative 5 "${placed}hosts -1 t\n"
+    expect_parse_error hosts-past-u64 5 "${placed}hosts 18446744073709551616 t\n"
+    ;;
   *)
-    fail "unknown mode '${mode}' (reports | bad-threads)"
+    fail "unknown mode '${mode}' (reports | bad-threads | bad-scenario)"
     ;;
 esac

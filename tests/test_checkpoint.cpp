@@ -244,51 +244,30 @@ std::vector<Window> differential_presets() {
 
 TEST(ForkSweep, DifferentialBitIdenticalToColdAcrossPresets) {
   for (const Window& p : differential_presets()) {
-    SweepCache cache;
-    const RunOutcome cold = run_window(p, nullptr);
-    // First forked run warms the checkpoint; the second restores from it.
-    // Both must match the cold reference bit-for-bit.
-    const RunOutcome fork1 = run_window(p, &cache);
-    Window longer = p;
-    longer.opt.measure = p.opt.measure * 2;
-    const RunOutcome cold_long = run_window(longer, nullptr);
-    const RunOutcome fork_long = run_window(longer, &cache);
-    expect_identical(cold, fork1);
-    expect_identical(cold_long, fork_long);
-    EXPECT_EQ(cache.stats().checkpoint_misses, 1u) << p.host.name;
-    EXPECT_EQ(cache.stats().checkpoint_hits, 1u) << p.host.name;
+    // One fingerprint at two measure lengths: the forked job warms once and
+    // restores its checkpoint for the longer window. Both must match the
+    // cold reference bit-for-bit.
+    Plan plan;
+    plan.add(p.host, p.c2m, p.p2m, p.opt);
+    RunOptions longer = p.opt;
+    longer.measure = p.opt.measure * 2;
+    plan.add(p.host, p.c2m, p.p2m, longer);
+    const Outcomes cold = execute(plan, {1, SweepMode::kCold});
+    const Outcomes forked = execute(plan, {1, SweepMode::kFork});
+    for (std::size_t i = 0; i < plan.size(); ++i) expect_identical(cold[i], forked[i]);
+    EXPECT_EQ(forked.cache.checkpoint_misses, 1u) << p.host.name;
+    EXPECT_EQ(forked.cache.checkpoint_hits, 1u) << p.host.name;
   }
 }
 
-TEST(ForkSweep, OutcomeMemoizationAndStats) {
-  const Window p = differential_presets().front();
-  SweepCache cache;
-
-  const RunOutcome first = run_window(p, &cache);
-  EXPECT_EQ(cache.stats().checkpoint_misses, 1u);
-  EXPECT_EQ(cache.stats().outcome_misses, 1u);
-  EXPECT_EQ(cache.checkpoints(), 1u);
-
-  // Identical (fingerprint, measure) rerun: memoized, no simulation at all.
-  const RunOutcome again = run_window(p, &cache);
-  EXPECT_EQ(cache.stats().outcome_hits, 1u);
-  expect_identical(first, again);
-
-  // A different seed is a different fingerprint: it must warm its own
-  // checkpoint, never share (the warmup-sharing caveat in experiment.hpp).
-  Window reseeded = p;
-  reseeded.opt.seed = p.opt.seed + 1;
-  run_window(reseeded, &cache);
-  EXPECT_EQ(cache.stats().checkpoint_misses, 2u);
-  EXPECT_EQ(cache.checkpoints(), 2u);
-}
-
 TEST(ForkSweep, CoreSweepBitIdenticalToCold) {
-  // The headline use: a core sweep executed with forking must reproduce the
-  // cold sweep exactly -- every isolated and colocated window -- and reuse
-  // exactly what the one-cache serial protocol reuses.
+  // The headline use: a figure-shaped core sweep, measured at two window
+  // lengths so that every fingerprint forks, must reproduce the cold sweep
+  // exactly -- every isolated and colocated window, restored or not.
   const HostConfig host = cascade_lake();
   const RunOptions opt = fast_options();
+  RunOptions longer = opt;
+  longer.measure = opt.measure * 2;
   C2MSpec c2m;
   c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
   P2MSpec p2m;
@@ -297,21 +276,19 @@ TEST(ForkSweep, CoreSweepBitIdenticalToCold) {
 
   Plan plan;
   plan.core_sweep(host, c2m, p2m, cores, opt);
+  plan.core_sweep(host, c2m, p2m, cores, longer);
   const Outcomes cold = execute(plan, {0, SweepMode::kCold});
   const Outcomes forked = execute(plan, {0, SweepMode::kFork});
   ASSERT_EQ(forked.windows.size(), cold.windows.size());
   for (std::size_t i = 0; i < plan.size(); ++i) expect_identical(forked[i], cold[i]);
   EXPECT_EQ(cold.cache.checkpoint_misses + cold.cache.checkpoint_hits, 0u);
 
-  // The shared iso-P2M window and each per-count window warm once; nothing
-  // repeats, so nothing forks or memo-hits -- the counts of one SweepCache
-  // walked through the same windows in order.
-  SweepCache serial;
-  run_windows(plan, &serial);
+  // The shared iso-P2M window and each per-count window are one fingerprint
+  // each: each warms once and restores once for its longer window. Nothing
+  // repeats, so no window is an outcome hit.
   EXPECT_EQ(forked.cache.checkpoint_misses, 1u + 2u * cores.size());
-  EXPECT_EQ(forked.cache.checkpoint_misses, serial.stats().checkpoint_misses);
-  EXPECT_EQ(forked.cache.checkpoint_hits, serial.stats().checkpoint_hits);
-  EXPECT_EQ(forked.cache.outcome_hits, serial.stats().outcome_hits);
+  EXPECT_EQ(forked.cache.checkpoint_hits, 1u + 2u * cores.size());
+  EXPECT_EQ(forked.cache.outcome_hits, 0u);
 }
 
 TEST(Executor, BitIdenticalAcrossThreadsAndColdFork) {
@@ -337,8 +314,8 @@ TEST(Executor, BitIdenticalAcrossThreadsAndColdFork) {
 TEST(Executor, RepeatedWindowsSimulateOnce) {
   // Two identical colocations plus a longer colocated window: 7 windows, 4
   // distinct, 3 fingerprints. Forked, each fingerprint warms once, the
-  // longer window forks from its warm host and the three repeats are memo
-  // hits -- exactly what one SweepCache walking the windows in order does.
+  // longer window restores its warm host's checkpoint and the three repeats
+  // copy their identical window's outcome.
   const Window p = differential_presets().front();
   Plan plan;
   const ColocationRef a = plan.colocation(p.host, p.c2m, p.p2m, p.opt);
@@ -351,12 +328,7 @@ TEST(Executor, RepeatedWindowsSimulateOnce) {
   EXPECT_EQ(out.cache.checkpoint_misses, 3u);
   EXPECT_EQ(out.cache.checkpoint_hits, 1u);
   EXPECT_EQ(out.cache.outcome_hits, 3u);
-  EXPECT_EQ(out.cache.outcome_misses, 4u);
-  SweepCache serial;
-  run_windows(plan, &serial);
-  EXPECT_EQ(serial.stats().checkpoint_misses, out.cache.checkpoint_misses);
-  EXPECT_EQ(serial.stats().checkpoint_hits, out.cache.checkpoint_hits);
-  EXPECT_EQ(serial.stats().outcome_hits, out.cache.outcome_hits);
+  EXPECT_EQ(out.cache.checkpoint_hits + out.cache.checkpoint_misses, 4u);
 
   expect_identical(out[a.colo], out[b.colo]);
   expect_identical(out[a.iso_p2m], out[b.iso_p2m]);

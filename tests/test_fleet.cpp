@@ -132,6 +132,31 @@ TEST(FleetScenario, NegativeCasesCarryLineNumbers) {
   EXPECT_EQ(error_line("fleet f\ntemplate t\n  set tcp.stack reno\n  p2m a tcp_dctcp\nend\nhosts 1 t\n"), 3u);
   EXPECT_EQ(error_line("fleet f\ntemplate t\n  set tcp.stack bbr\n  c2m a c2m_read\nend\nhosts 1 t\n"), 3u);
   EXPECT_EQ(error_line("fleet f\ntemplate t\n  set tcp.stack bbr\n  p2m a fio_write\nend\nhosts 1 t\n"), 3u);
+  // Window lengths: the default_run_options() check (finite, measure > 0,
+  // warmup >= 0). A zero warmup is legitimate.
+  for (const char* bad : {"-50", "0", "nan", "inf", "1e300"})
+    EXPECT_EQ(error_line(std::string("fleet f\nmeasure_us ") + bad + "\n"), 2u) << bad;
+  for (const char* bad : {"-1", "nan", "-inf"})
+    EXPECT_EQ(error_line(std::string("fleet f\nwarmup_us ") + bad + "\n"), 2u) << bad;
+  EXPECT_EQ(error_line("fleet f\nmeasure_jitter_pct nan\n"), 2u);
+  EXPECT_EQ(fleet::Scenario::parse("fleet f\nwarmup_us 0\ntemplate t\n  c2m a c2m_read\nend\n"
+                                   "hosts 1 t\n")
+                .base_options()
+                .warmup,
+            0);
+  // Integers: a sign is an error, never wrapped, and so is a value past the
+  // field's range (a u32 field never truncates 2^32 + 1 to 1).
+  const std::string tmpl = "fleet f\ntemplate t\n";
+  EXPECT_EQ(error_line(tmpl + "  set core.lfb_entries 4294967297\n"), 3u);
+  EXPECT_EQ(error_line(tmpl + "  set iio.write_credits -4294967200\n"), 3u);
+  EXPECT_EQ(error_line(tmpl + "  set cha.ddio_capacity_bytes 18446744073709551616\n"), 3u);
+  EXPECT_EQ(error_line(tmpl + "  c2m a c2m_read cores=-1\n"), 3u);
+  EXPECT_EQ(error_line(tmpl + "  c2m a c2m_read cores=4294967297\n"), 3u);
+  EXPECT_EQ(error_line(tmpl + "  seed -3\n"), 3u);
+  EXPECT_EQ(error_line("fleet f\nseed 18446744073709551616\n"), 2u);
+  const std::string placed = tmpl + "  c2m a c2m_read\nend\n";
+  EXPECT_EQ(error_line(placed + "hosts -1 t\n"), 5u);
+  EXPECT_EQ(error_line(placed + "hosts 18446744073709551616 t\n"), 5u);
 }
 
 // Three receiver templates that differ only in congestion-control stack --
@@ -181,7 +206,7 @@ TEST(FleetScenario, ParsesTcpStackPlacements) {
 // RDMA placements: ib_write_bw (a PFC NIC behind the transport factory) at
 // quadrants 1 and 3, 1/3/5 C2M cores, plus ib_read_bw. Measurement jitter
 // gives every replica its own window, so replicas fork from the warmed
-// NIC-attached host instead of memo-hitting.
+// NIC-attached host instead of copying an identical window's outcome.
 constexpr const char* kRdmaScenario = R"(
 fleet rdma
 seed 3
@@ -316,7 +341,7 @@ TEST(FleetRunner, SerialAndParallelAggregatesAreBitIdentical) {
 
 TEST(FleetRunner, ForkMatchesColdOnJitteredMixedFleet) {
   // Jitter forces distinct measurement windows per replica: the fork run
-  // must take the checkpoint-restore path (not the outcome memo) and still
+  // must restore checkpoints (not copy identical outcomes) and still
   // reproduce the cold reference bit-for-bit.
   std::string text(kMixedScenario);
   text.insert(text.find("template cache"), "measure_jitter_pct 25\n");
@@ -326,13 +351,13 @@ TEST(FleetRunner, ForkMatchesColdOnJitteredMixedFleet) {
   expect_same_results(sc, fork, cold);
   EXPECT_GT(fork.cache.checkpoint_hits, 0u) << "jittered replicas must fork, not re-warm";
   EXPECT_EQ(cold.cache.checkpoint_hits + cold.cache.checkpoint_misses, 0u)
-      << "cold mode must not touch any cache";
+      << "cold mode must not checkpoint";
 }
 
 TEST(FleetRunner, FingerprintDedupIsStructural) {
   // Two templates with distinct host configs -> 2 fingerprints. No jitter
   // -> replicas are bit-identical, so per fingerprint exactly the 3
-  // colocation windows warm cold and every replica window is a memo hit.
+  // colocation windows warm cold and every replica window is an outcome hit.
   const fleet::Scenario sc = fleet::Scenario::parse(kMixedScenario);
   const fleet::FleetReport r = run(sc, 0, core::SweepMode::kFork);
   EXPECT_EQ(r.fingerprints, 2u);
@@ -340,8 +365,8 @@ TEST(FleetRunner, FingerprintDedupIsStructural) {
   EXPECT_EQ(r.hosts, 7u);
   EXPECT_EQ(r.cache.checkpoint_misses, 3u * 2u);
   EXPECT_EQ(r.cache.outcome_hits, 3u * (7u - 2u));
-  EXPECT_EQ(r.cache.outcome_misses, 3u * 2u);
-  EXPECT_EQ(r.cache.checkpoint_hits, 0u) << "identical replicas memoize; nothing re-runs";
+  EXPECT_EQ(r.cache.checkpoint_hits + r.cache.checkpoint_misses, 3u * 2u);
+  EXPECT_EQ(r.cache.checkpoint_hits, 0u) << "identical replicas simulate once; nothing re-runs";
 }
 
 TEST(FleetRunner, MixedStacksShardAndForkBitIdentically) {
@@ -357,7 +382,7 @@ TEST(FleetRunner, MixedStacksShardAndForkBitIdentically) {
   EXPECT_EQ(fork.hosts, 6u);
   // Per template the iso-P2M and colocated windows warm cold; the iso-C2M
   // window carries no stack, so the three stacks share one: 3 * 2 + 1 cold
-  // warmups. The identical replica memoizes its 3 windows, and so do the
+  // warmups. The identical replica's 3 windows are outcome hits, and so are the
   // second and third stack's iso-C2M windows: 18 windows - 7 warmed.
   EXPECT_EQ(fork.cache.checkpoint_misses, 3u * 2u + 1u);
   EXPECT_EQ(fork.cache.outcome_hits, 3u * 3u * 2u - 7u);

@@ -72,6 +72,13 @@ void expect_identical(const ColocationOutcome& a, const ColocationOutcome& b) {
   expect_identical(a.colo, b.colo);
 }
 
+/// `w` simulated on its own, cold: the direct-run reference for a window.
+RunOutcome run_alone(const Window& w) {
+  Plan plan;
+  plan.add(w.host, w.c2m, w.p2m, w.opt);
+  return execute(plan, {1, SweepMode::kCold})[0];
+}
+
 TEST(RunParallel, ThreadsEnvOverride) {
   ASSERT_EQ(setenv("HOSTNET_THREADS", "3", 1), 0);
   EXPECT_EQ(parallel_threads(), 3u);
@@ -176,10 +183,10 @@ TEST(ParallelSweep, CoreSweepBitIdenticalAndInInputOrder) {
   Plan plan;
   const std::vector<ColocationRef> sweep = plan.core_sweep(host, c2m, p2m, cores, opt);
   ASSERT_EQ(plan.size(), 1 + 2 * cores.size());  // one shared iso-P2M window
-  const Outcomes par = execute(plan, {4, SweepMode::kAuto});
+  const Outcomes par = execute(plan, {4, SweepMode::kFork});
   ASSERT_EQ(par.windows.size(), plan.size());
   for (std::size_t i = 0; i < plan.size(); ++i)
-    expect_identical(par[i], run_window(plan.windows()[i], nullptr));
+    expect_identical(par[i], run_alone(plan.windows()[i]));
   for (std::size_t i = 0; i < cores.size(); ++i) {
     EXPECT_EQ(par[sweep[i]].colo.metrics.c2m_cores, cores[i]);
     EXPECT_EQ(sweep[i].iso_p2m, sweep.front().iso_p2m);
@@ -200,10 +207,10 @@ TEST(ParallelSweep, WorkloadPointsMatchDirectRuns) {
   plan.add(host, c2m, std::nullopt, opt);
   plan.add(host, std::nullopt, p2m, opt);
   plan.add(host, c2m, p2m, opt);
-  const Outcomes par = execute(plan, {3, SweepMode::kAuto});
+  const Outcomes par = execute(plan, {3, SweepMode::kFork});
   ASSERT_EQ(par.windows.size(), plan.size());
   for (std::size_t i = 0; i < plan.size(); ++i)
-    expect_identical(par[i], run_window(plan.windows()[i], nullptr));
+    expect_identical(par[i], run_alone(plan.windows()[i]));
 }
 
 TEST(Executor, OutcomesInPlanOrder) {

@@ -174,9 +174,10 @@ TEST_P(TcpStackParam, ReceiverRestoreReplaysIdenticalWindow) {
 }
 
 TEST_P(TcpStackParam, ForkSweepBitIdenticalToCold) {
-  // The SweepCache path: a TCP transport built through the core factory
-  // must fork from its warmup checkpoint bit-identically to a cold run,
-  // for every stack.
+  // The fork path: a TCP transport built through the core factory must
+  // fork from its warmup checkpoint bit-identically to a cold run, for
+  // every stack. One fingerprint at two measure lengths: the forked job
+  // warms once and restores once.
   core::Window w;
   w.host = core::cascade_lake();
   w.opt.warmup = us(30);
@@ -191,18 +192,18 @@ TEST_P(TcpStackParam, ForkSweepBitIdenticalToCold) {
   p2m.name = p2m.tcp->name;
   w.p2m = p2m;
 
-  core::SweepCache cache;
-  const core::RunOutcome cold = core::run_window(w, nullptr);
-  const core::RunOutcome fork1 = core::run_window(w, &cache);
-  core::Window longer = w;
-  longer.opt.measure = w.opt.measure * 2;
-  const core::RunOutcome cold_long = core::run_window(longer, nullptr);
-  const core::RunOutcome fork_long = core::run_window(longer, &cache);
-  expect_identical(cold, fork1);
-  expect_identical(cold_long, fork_long);
-  EXPECT_EQ(cache.stats().checkpoint_misses, 1u);
-  EXPECT_EQ(cache.stats().checkpoint_hits, 1u);
-  EXPECT_GT(cold.p2m_score, 0.0);  // the transport's goodput, not dev_gbps
+  core::Plan plan;
+  plan.add(w.host, w.c2m, w.p2m, w.opt);
+  core::RunOptions longer = w.opt;
+  longer.measure = w.opt.measure * 2;
+  plan.add(w.host, w.c2m, w.p2m, longer);
+  const core::Outcomes cold = core::execute(plan, {1, core::SweepMode::kCold});
+  const core::Outcomes forked = core::execute(plan, {1, core::SweepMode::kFork});
+  expect_identical(cold[0], forked[0]);
+  expect_identical(cold[1], forked[1]);
+  EXPECT_EQ(forked.cache.checkpoint_misses, 1u);
+  EXPECT_EQ(forked.cache.checkpoint_hits, 1u);
+  EXPECT_GT(cold[0].p2m_score, 0.0);  // the transport's goodput, not dev_gbps
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, TcpStackParam,
@@ -222,7 +223,7 @@ TEST(TcpStacks, FactoryInstalledByLinking) {
 
 TEST(TcpStacks, FingerprintSeparatesStackKinds) {
   // Same host, same everything, different stack: distinct fingerprints, so
-  // SweepCache forking and fleet sharding can never alias two stacks.
+  // execute()'s forking jobs and fleet sharding can never alias two stacks.
   const core::HostConfig host = core::cascade_lake();
   core::RunOptions opt;
   opt.seed = 7;

@@ -6,8 +6,8 @@
 //   hostnet_fleet scenarios/demo.fleet --threads 4 --mode cold --json
 //
 // `--mode fork` (default) warms each distinct window fingerprint once and
-// forks/memoizes every further window; `--mode cold` re-warms every
-// distinct window (the reference path; reports are bit-identical either
+// forks every further distinct window from its checkpoint; `--mode cold`
+// re-warms every distinct window (the reference path; reports are bit-identical either
 // way, apart from the sweep-cache counters). Exit status: 0 on success, 2
 // on usage/parse errors (a --threads or HOSTNET_THREADS value that is not a
 // positive integer included).
@@ -42,11 +42,10 @@ void print_json(const fleet::Scenario& sc, const fleet::FleetReport& r) {
               static_cast<unsigned long long>(r.agg.regime_count(core::Regime::kBlue)),
               static_cast<unsigned long long>(r.agg.regime_count(core::Regime::kRed)));
   std::printf("  \"sweep_cache\": {\"checkpoint_hits\": %llu, \"checkpoint_misses\": %llu, "
-              "\"outcome_hits\": %llu, \"outcome_misses\": %llu},\n",
+              "\"outcome_hits\": %llu},\n",
               static_cast<unsigned long long>(r.cache.checkpoint_hits),
               static_cast<unsigned long long>(r.cache.checkpoint_misses),
-              static_cast<unsigned long long>(r.cache.outcome_hits),
-              static_cast<unsigned long long>(r.cache.outcome_misses));
+              static_cast<unsigned long long>(r.cache.outcome_hits));
   std::printf("  \"tenants\": [\n");
   for (std::size_t i = 0; i < sc.tenants().size(); ++i) {
     const fleet::TenantAggregate& a = r.agg.tenants[i];
