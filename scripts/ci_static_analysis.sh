@@ -6,14 +6,15 @@
 #   2. lint        tools/hostnet_lint.py --stale over src/ bench/ tests/
 #                  examples/ (determinism/allocation rules + dead-suppression
 #                  sweep)
-#   3. audit       tools/hostnet_audit.py over src/: field-level snapshot
-#                  coverage vs tools/snapshot_manifest.json, CreditPool
+#   3. audit       tools/hostnet_audit.py over src/: checkpointed classes
+#                  keep their mutable state in `State st_`, CreditPool
 #                  registration, handler purity
 #   4. clang-tidy  full build with -DHOSTNET_LINT=ON (.clang-tidy,
 #                  warnings-as-errors); SKIPPED with a notice when
 #                  clang-tidy is not installed (this container ships none)
-#   5. checked     full tier-1 suite under -DHOSTNET_CHECKED=ON: every
-#                  HOSTNET_INVARIANT live, death tests included
+#   5. checked     warning-free (-Werror) build and full tier-1 suite under
+#                  -DHOSTNET_CHECKED=ON: every HOSTNET_INVARIANT live,
+#                  death tests included
 #   6. sanitizers  full suite under ASan+UBSan and TSan
 #   7. perf        release bench_sim_perf vs bench/baselines/: checked
 #                  instrumentation must compile out of release builds, so a
@@ -40,7 +41,7 @@ scripts/format_check.sh
 step "2/8 hostnet-lint (with stale-suppression sweep)"
 python3 tools/hostnet_lint.py --stale
 
-step "3/8 hostnet-audit (snapshot coverage / pool registration / purity)"
+step "3/8 hostnet-audit (snapshot state / pool registration / purity)"
 python3 tools/hostnet_audit.py
 
 step "4/8 clang-tidy build"
@@ -54,7 +55,7 @@ else
 fi
 
 step "5/8 checked-invariant build + full tier-1 suite"
-cmake -B build-checked -S . -DHOSTNET_CHECKED=ON >/dev/null
+cmake -B build-checked -S . -DHOSTNET_CHECKED=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-checked -j "${jobs}"
 ctest --test-dir build-checked -LE "perf|golden" -j "${jobs}" --output-on-failure
 # Checkpoint/fork engine under live invariants, gated explicitly: restore()

@@ -65,12 +65,14 @@ class DdioCache {
 
   std::uint32_t sets() const { return sets_; }
   std::uint32_t ways() const { return ways_; }
+  bool operator==(const DdioCache&) const = default;
 
  private:
   struct Line {
     bool valid = false;
     std::uint64_t line = 0;
     Tick last_use = 0;
+    bool operator==(const Line&) const = default;
   };
 
   /// Hashed set index (real LLCs hash the address into slices/sets, which is

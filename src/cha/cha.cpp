@@ -6,63 +6,64 @@
 namespace hostnet::cha {
 
 Cha::Cha(sim::Simulator& sim, const ChaConfig& cfg, mc::MemoryController& mc)
-    : sim_(sim), cfg_(cfg), mc_(mc), ports_(mc.num_channels()) {
-  for (auto& p : ports_) {
+    : sim_(sim), cfg_(cfg), mc_(mc) {
+  st_.ports.resize(mc.num_channels());
+  for (auto& p : st_.ports) {
     p.read_tokens = cfg_.read_fwd_window;
     p.write_tokens = cfg_.write_fwd_window;
   }
   flow::CreditPoolSpec rd;
   rd.name = "cha.read-tor";
   rd.capacity = cfg_.read_tor;
-  read_pool_.configure(rd);
+  st_.read_pool.configure(rd);
   flow::CreditPoolSpec wr;
   wr.name = "cha.write-tracker";
   wr.capacity = cfg_.write_tracker;
   wr.reserve = cfg_.write_tracker_peripheral_reserve;
   // Pressure: more writes resident than the forwarding pipeline naturally
   // holds (the measured analogue of the paper's P_fill^WPQ input).
-  wr.pressure_threshold = 3 * static_cast<std::int64_t>(ports_.size());
-  write_pool_.configure(wr);
-  if (cfg_.ddio) ddio_.emplace(cfg_.ddio_capacity_bytes, cfg_.ddio_ways);
+  wr.pressure_threshold = 3 * static_cast<std::int64_t>(st_.ports.size());
+  st_.write_pool.configure(wr);
+  if (cfg_.ddio) st_.ddio.emplace(cfg_.ddio_capacity_bytes, cfg_.ddio_ways);
 }
 
 bool Cha::has_space(mem::Op op, mem::Source source) const {
   // CPU writes may not consume the peripheral reserve.
-  if (op == mem::Op::kRead) return read_pool_.has_space();
-  return write_pool_.has_space(/*privileged=*/source == mem::Source::kPeripheral);
+  if (op == mem::Op::kRead) return st_.read_pool.has_space();
+  return st_.write_pool.has_space(/*privileged=*/source == mem::Source::kPeripheral);
 }
 
 bool Cha::try_submit(mem::Request req) {
   if (!has_space(req.op, req.source)) return false;
   req.cha_accepted = sim_.now();
   if (req.op == mem::Op::kRead) {
-    read_pool_.acquire(sim_.now());
+    st_.read_pool.acquire(sim_.now());
     start_read(req);
   } else {
-    write_pool_.acquire(sim_.now());
+    st_.write_pool.acquire(sim_.now());
     start_write(req);
   }
   return true;
 }
 
 void Cha::wait_for_admission(mem::Op op, ChaClient* client, mem::Source source) {
-  flow::CreditPool& pool = op == mem::Op::kRead ? read_pool_ : write_pool_;
+  flow::CreditPool& pool = op == mem::Op::kRead ? st_.read_pool : st_.write_pool;
   pool.enqueue_waiter(&client->admission_waiter(op),
                       /*privileged=*/op == mem::Op::kWrite &&
                           source == mem::Source::kPeripheral);
 }
 
 void Cha::record_admission_wait(mem::TrafficClass cls, Tick waited) {
-  admission_wait_ns_[idx(cls)].add(to_ns(waited));
+  st_.admission_wait_ns[idx(cls)].add(to_ns(waited));
 }
 
 void Cha::start_read(mem::Request req) {
-  stations_[idx(req.cls())].enter(sim_.now());
+  st_.stations[idx(req.cls())].enter(sim_.now());
   sim_.schedule(cfg_.t_read_proc, [this, req] { route_read(req); });
 }
 
 void Cha::start_write(mem::Request req) {
-  stations_[idx(req.cls())].enter(sim_.now());
+  st_.stations[idx(req.cls())].enter(sim_.now());
 
   if (req.source == mem::Source::kCpu) {
     // The C2M-Write domain ends here: the core's credit is replenished as
@@ -74,11 +75,11 @@ void Cha::start_write(mem::Request req) {
       });
       req.completer = nullptr;
     }
-  } else if (ddio_) {
+  } else if (st_.ddio) {
     // DDIO: the DMA write terminates in the LLC. Its credit releases like a
     // C2M write (at the LLC fill); what reaches memory is the evicted
     // victim's write-back, if any.
-    const auto outcome = ddio_->write(req.addr, sim_.now());
+    const auto outcome = st_.ddio->write(req.addr, sim_.now());
     if (req.completer != nullptr) {
       const mem::Request original = req;
       sim_.schedule(cfg_.t_write_ack, [this, original] {
@@ -87,8 +88,8 @@ void Cha::start_write(mem::Request req) {
       req.completer = nullptr;
     }
     if (outcome.hit || !outcome.writeback.has_value()) {
-      if (outcome.hit) ++ddio_hits_;
-      stations_[idx(req.cls())].leave(sim_.now(), req.cha_accepted);
+      if (outcome.hit) ++st_.ddio_hits;
+      st_.stations[idx(req.cls())].leave(sim_.now(), req.cha_accepted);
       free_write_tracker();
       return;
     }
@@ -100,13 +101,13 @@ void Cha::start_write(mem::Request req) {
 
 void Cha::route_read(const mem::Request& req) {
   const auto coord = mc_.address_map().decode(req.addr);
-  ports_[coord.channel].read_pending.push_back(Transit{req});
+  st_.ports[coord.channel].read_pending.push_back(Transit{req});
   pump_reads(coord.channel);
 }
 
 void Cha::route_write(const mem::Request& req) {
   const auto coord = mc_.address_map().decode(req.addr);
-  auto& pending = ports_[coord.channel].write_pending;
+  auto& pending = st_.ports[coord.channel].write_pending;
   if (cfg_.peripheral_write_priority && req.source == mem::Source::kPeripheral) {
     // Peripheral writes bypass the CPU write-back backlog: insert after any
     // queued peripheral writes but ahead of all CPU ones.
@@ -120,7 +121,7 @@ void Cha::route_write(const mem::Request& req) {
 }
 
 void Cha::pump_reads(std::uint32_t ch) {
-  Port& p = ports_[ch];
+  Port& p = st_.ports[ch];
   while (p.read_tokens > 0 && !p.read_pending.empty()) {
     --p.read_tokens;
     const mem::Request req = p.read_pending.front().req;
@@ -129,7 +130,7 @@ void Cha::pump_reads(std::uint32_t ch) {
       if (mc_.channel(ch).rpq_has_space()) {
         admit_read_to_rpq(ch, req);
       } else {
-        ports_[ch].read_parked.push_back(Transit{req});
+        st_.ports[ch].read_parked.push_back(Transit{req});
       }
     };
     static_assert(sizeof(arrive) <= sim::Event::kInlineBytes &&
@@ -140,7 +141,7 @@ void Cha::pump_reads(std::uint32_t ch) {
 }
 
 void Cha::pump_writes(std::uint32_t ch) {
-  Port& p = ports_[ch];
+  Port& p = st_.ports[ch];
   while (p.write_tokens > 0 && !p.write_pending.empty()) {
     --p.write_tokens;
     const mem::Request req = p.write_pending.front().req;
@@ -149,7 +150,7 @@ void Cha::pump_writes(std::uint32_t ch) {
       if (mc_.channel(ch).wpq_has_space()) {
         admit_write_to_wpq(ch, req);
       } else {
-        ports_[ch].write_parked.push_back(Transit{req});
+        st_.ports[ch].write_parked.push_back(Transit{req});
       }
     };
     static_assert(sizeof(arrive) <= sim::Event::kInlineBytes &&
@@ -160,17 +161,17 @@ void Cha::pump_writes(std::uint32_t ch) {
 }
 
 void Cha::admit_read_to_rpq(std::uint32_t ch, const mem::Request& req) {
-  ports_[ch].read_tokens++;
+  st_.ports[ch].read_tokens++;
   mc_.channel(ch).enqueue_read(req, mc_.address_map().decode(req.addr));
   pump_reads(ch);
 }
 
 void Cha::admit_write_to_wpq(std::uint32_t ch, const mem::Request& req) {
   const Tick now = sim_.now();
-  ports_[ch].write_tokens++;
+  st_.ports[ch].write_tokens++;
   mc_.channel(ch).enqueue_write(req, mc_.address_map().decode(req.addr));
-  ++lines_written_[idx(req.cls())];
-  stations_[idx(req.cls())].leave(now, req.cha_accepted);
+  ++st_.lines_written[idx(req.cls())];
+  st_.stations[idx(req.cls())].leave(now, req.cha_accepted);
   // WPQ admission ends the P2M-Write domain: replenish the IIO credit.
   if (req.completer != nullptr) req.completer->complete(req, now);
   free_write_tracker();
@@ -178,8 +179,8 @@ void Cha::admit_write_to_wpq(std::uint32_t ch, const mem::Request& req) {
 }
 
 void Cha::on_read_data(const mem::Request& req, Tick now) {
-  ++lines_read_[idx(req.cls())];
-  stations_[idx(req.cls())].leave(now, req.cha_accepted);
+  ++st_.lines_read[idx(req.cls())];
+  st_.stations[idx(req.cls())].leave(now, req.cha_accepted);
   free_read_tor();
   const Tick hop = req.source == mem::Source::kCpu ? cfg_.t_return_core : cfg_.t_return_iio;
   sim_.schedule(hop, [this, req] {
@@ -188,7 +189,7 @@ void Cha::on_read_data(const mem::Request& req, Tick now) {
 }
 
 void Cha::on_wpq_slot_freed(std::uint32_t channel, Tick /*now*/) {
-  Port& p = ports_[channel];
+  Port& p = st_.ports[channel];
   if (!p.write_parked.empty()) {
     const mem::Request req = p.write_parked.front().req;
     p.write_parked.pop_front();
@@ -197,7 +198,7 @@ void Cha::on_wpq_slot_freed(std::uint32_t channel, Tick /*now*/) {
 }
 
 void Cha::on_rpq_slot_freed(std::uint32_t channel, Tick /*now*/) {
-  Port& p = ports_[channel];
+  Port& p = st_.ports[channel];
   if (!p.read_parked.empty()) {
     const mem::Request req = p.read_parked.front().req;
     p.read_parked.pop_front();
@@ -206,27 +207,27 @@ void Cha::on_rpq_slot_freed(std::uint32_t channel, Tick /*now*/) {
 }
 
 void Cha::free_read_tor() {
-  read_pool_.release(sim_.now());
-  read_pool_.notify();
+  st_.read_pool.release(sim_.now());
+  st_.read_pool.notify();
 }
 
 void Cha::free_write_tracker() {
-  write_pool_.release(sim_.now());
-  write_pool_.notify();
+  st_.write_pool.release(sim_.now());
+  st_.write_pool.notify();
 }
 
 double Cha::mean_admission_wait_ns(mem::TrafficClass cls) const {
-  return admission_wait_ns_[idx(cls)].mean();
+  return st_.admission_wait_ns[idx(cls)].mean();
 }
 
 void Cha::reset_counters(Tick now) {
-  for (auto& s : stations_) s.reset(now);
-  for (auto& a : admission_wait_ns_) a.reset();
-  lines_read_ = {};
-  lines_written_ = {};
-  read_pool_.reset_telemetry(now);
-  write_pool_.reset_telemetry(now);
-  ddio_hits_ = 0;
+  for (auto& s : st_.stations) s.reset(now);
+  for (auto& a : st_.admission_wait_ns) a.reset();
+  st_.lines_read = {};
+  st_.lines_written = {};
+  st_.read_pool.reset_telemetry(now);
+  st_.write_pool.reset_telemetry(now);
+  st_.ddio_hits = 0;
 }
 
 }  // namespace hostnet::cha

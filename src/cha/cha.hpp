@@ -127,43 +127,44 @@ class Cha final : public mc::ChannelListener {
   /// Residency stations: reads = CHA admission -> data back at CHA
   /// ("CHA->DRAM read latency"); writes = CHA admission -> WPQ admission
   /// ("CHA->MC write latency").
-  counters::LatencyStation& station(mem::TrafficClass cls) { return stations_[idx(cls)]; }
+  counters::LatencyStation& station(mem::TrafficClass cls) { return st_.stations[idx(cls)]; }
 
   /// Mean admission wait in ns across accepted requests of `cls` (includes
   /// zero waits).
   double mean_admission_wait_ns(mem::TrafficClass cls) const;
 
-  std::uint64_t lines_read(mem::TrafficClass cls) const { return lines_read_[idx(cls)]; }
-  std::uint64_t lines_written(mem::TrafficClass cls) const { return lines_written_[idx(cls)]; }
-  std::uint64_t ddio_hits() const { return ddio_hits_; }
-  std::uint32_t read_tor_used() const { return read_pool_.in_use(); }
-  std::uint32_t write_tracker_used() const { return write_pool_.in_use(); }
+  std::uint64_t lines_read(mem::TrafficClass cls) const { return st_.lines_read[idx(cls)]; }
+  std::uint64_t lines_written(mem::TrafficClass cls) const { return st_.lines_written[idx(cls)]; }
+  std::uint64_t ddio_hits() const { return st_.ddio_hits; }
+  std::uint32_t read_tor_used() const { return st_.read_pool.in_use(); }
+  std::uint32_t write_tracker_used() const { return st_.write_pool.in_use(); }
   TimeWeighted& write_backlog_occupancy() {
-    return write_pool_.station().occupancy_integral();
+    return st_.write_pool.station().occupancy_integral();
   }
   /// Fraction of time writes are backpressured at the CHA (more writes
   /// resident than the forwarding pipeline naturally holds) -- the
   /// measured analogue of the paper's P_fill^WPQ input.
   double wpq_blocked_fraction(Tick now) {
-    return write_pool_.pressure_fraction(now);
+    return st_.write_pool.pressure_fraction(now);
   }
 
   // -- credit pools (registered with flow::DomainRegistry, interior) ---------
-  flow::CreditPool& read_pool() { return read_pool_; }    ///< read tracker (TOR)
-  flow::CreditPool& write_pool() { return write_pool_; }  ///< write tracker
+  flow::CreditPool& read_pool() { return st_.read_pool; }    ///< read tracker (TOR)
+  flow::CreditPool& write_pool() { return st_.write_pool; }  ///< write tracker
 
   void reset_counters(Tick now);
 
   /// Checked-build audit (no-op otherwise): tracker-pool conservation --
   /// admissions minus frees equals the in-use counters, within capacity.
   void verify_invariants() const {
-    read_pool_.verify();
-    write_pool_.verify();
+    st_.read_pool.verify();
+    st_.write_pool.verify();
   }
 
   /// A request in flight between admission and the MC boundary.
   struct Transit {
     mem::Request req;
+    bool operator==(const Transit&) const = default;
   };
   /// Per-channel forwarding port state (bounded CHA->MC window).
   struct Port {
@@ -173,47 +174,32 @@ class Cha final : public mc::ChannelListener {
     RingBuffer<Transit> write_parked;  ///< at MC boundary, WPQ full (token held)
     std::uint32_t read_tokens = 0;
     std::uint32_t write_tokens = 0;
+    bool operator==(const Port&) const = default;
   };
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  // Config (sim_, cfg_, mc_) is construction state. Transit entries carry
-  // mem::Request whose completer points into the owning host: same-host
-  // restore only.
-  struct Snapshot {
-    std::vector<Port> ports;
-    flow::CreditPool::Snapshot read_pool;
-    flow::CreditPool::Snapshot write_pool;
+  // Everything the traffic mutates. Transit entries carry mem::Request whose
+  // completer points into the owning host: same-host restore only.
+  struct State {
     std::optional<cache::DdioCache> ddio;
+    std::vector<Port> ports;
+    flow::CreditPool read_pool;  ///< read tracker (TOR) entries
+    /// Write tracker entries; its occupancy integral is N_waiting in the
+    /// analytical formula and its pressure signal is the measured P_fill^WPQ.
+    flow::CreditPool write_pool;
+
     std::array<counters::LatencyStation, mem::kNumTrafficClasses> stations{};
     std::array<MeanAccumulator, mem::kNumTrafficClasses> admission_wait_ns{};
     std::array<std::uint64_t, mem::kNumTrafficClasses> lines_read{};
     std::array<std::uint64_t, mem::kNumTrafficClasses> lines_written{};
     std::uint64_t ddio_hits = 0;
+
+    bool operator==(const State&) const = default;
   };
+  using Snapshot = State;
 
-  void save_state(Snapshot& out) const {
-    out.ports = ports_;
-    read_pool_.save_state(out.read_pool);
-    write_pool_.save_state(out.write_pool);
-    out.ddio = ddio_;
-    out.stations = stations_;
-    out.admission_wait_ns = admission_wait_ns_;
-    out.lines_read = lines_read_;
-    out.lines_written = lines_written_;
-    out.ddio_hits = ddio_hits_;
-  }
-
-  void load_state(const Snapshot& s) {
-    ports_ = s.ports;
-    read_pool_.load_state(s.read_pool);
-    write_pool_.load_state(s.write_pool);
-    ddio_ = s.ddio;
-    stations_ = s.stations;
-    admission_wait_ns_ = s.admission_wait_ns;
-    lines_read_ = s.lines_read;
-    lines_written_ = s.lines_written;
-    ddio_hits_ = s.ddio_hits;
-  }
+  void save_state(Snapshot& out) const { out = st_; }
+  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   static constexpr std::size_t idx(mem::TrafficClass c) { return static_cast<std::size_t>(c); }
@@ -231,22 +217,9 @@ class Cha final : public mc::ChannelListener {
   bool has_space(mem::Op op, mem::Source source) const;
 
   sim::Simulator& sim_;
-  // hostnet-audit: skip(cfg_, construction config; immutable after build)
-  ChaConfig cfg_;
+  const ChaConfig cfg_;
   mc::MemoryController& mc_;
-  std::optional<cache::DdioCache> ddio_;
-
-  std::vector<Port> ports_;
-  flow::CreditPool read_pool_;   ///< read tracker (TOR) entries
-  /// Write tracker entries; its occupancy integral is N_waiting in the
-  /// analytical formula and its pressure signal is the measured P_fill^WPQ.
-  flow::CreditPool write_pool_;
-
-  std::array<counters::LatencyStation, mem::kNumTrafficClasses> stations_{};
-  std::array<MeanAccumulator, mem::kNumTrafficClasses> admission_wait_ns_{};
-  std::array<std::uint64_t, mem::kNumTrafficClasses> lines_read_{};
-  std::array<std::uint64_t, mem::kNumTrafficClasses> lines_written_{};
-  std::uint64_t ddio_hits_ = 0;
+  State st_;
 };
 
 HOSTNET_SNAPSHOT_COVERS(Cha);

@@ -63,6 +63,7 @@ class CreditLedger {
   std::uint64_t acquired() const { return acquired_; }
   std::uint64_t released() const { return released_; }
   std::uint64_t outstanding() const { return acquired_ - released_; }
+  bool operator==(const CreditLedger&) const = default;
 
   /// Conservation at a quiesce point: every acquired credit was either
   /// released or is still held (`in_use`, the component's own counter), and
@@ -116,6 +117,7 @@ class CreditLedger {
   unsigned long long acquired() const { return 0; }
   unsigned long long released() const { return 0; }
   unsigned long long outstanding() const { return 0; }
+  bool operator==(const CreditLedger&) const = default;
   void verify(unsigned long long, const char*) const {}
 };
 

@@ -30,6 +30,8 @@ class LatencyHistogram {
     total_ = 0;
   }
 
+  bool operator==(const LatencyHistogram&) const = default;
+
   /// Fold another histogram into this one (bucket layout is static, so the
   /// merge is exact bucket-wise addition). The fleet aggregator relies on
   /// this: per-shard histograms merge into a fleet-wide one without ever

@@ -72,6 +72,15 @@ class RingBuffer {
     while (count_ > 0) pop_front();
   }
 
+  /// Logical equality: the same elements in the same FIFO order. Capacity
+  /// and the physical head position are storage, not contents.
+  bool operator==(const RingBuffer& o) const {
+    if (count_ != o.count_) return false;
+    for (std::size_t i = 0; i < count_; ++i)
+      if (!((*this)[i] == o[i])) return false;
+    return true;
+  }
+
  private:
   std::size_t mask() const { return buf_.size() - 1; }
 

@@ -56,6 +56,8 @@ class Rng {
   /// Derive an independent seeded stream (for child components).
   Rng fork() { return Rng{next()}; }
 
+  bool operator==(const Rng&) const = default;
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

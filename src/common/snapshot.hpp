@@ -1,32 +1,27 @@
-// Snapshot-coverage descriptors for the checkpoint/fork layer (DESIGN.md
-// section 4e).
+// Snapshot descriptors for the checkpoint/fork layer (DESIGN.md section 4e).
 //
-// Every stateful component declares save_state()/load_state() against a
-// hand-maintained Snapshot struct. The failure mode of that pattern is
-// silent: a new mutable member compiles fine, runs fine, and simply escapes
-// checkpointing -- a restored host then diverges from a cold run in ways
-// the differential tests may take a long time to trip over.
+// A checkpointable component keeps all of its mutable state in one `State`
+// aggregate member, `st_`. Everything else it holds is construction state:
+// `const` config and derived constants, references (wiring), or owned
+// sub-components that are themselves checkpointed. A leaf component then
+// checkpoints by copying that one value:
+//
+//   using Snapshot = State;
+//   void save_state(Snapshot& out) const { out = st_; }
+//   void load_state(const Snapshot& s) { st_ = s; }
+//
+// and a composite copies its own State and calls its children. A new
+// mutable member therefore has one place to go; left outside State it would
+// compile, run and silently escape checkpointing.
 //
 // HOSTNET_SNAPSHOT_COVERS(T) marks T as a checkpointable component and
 // static_asserts the contract: T must expose a nested `Snapshot` type and a
-// `void save_state(Snapshot&) const`. The descriptor is ABI-independent
-// (it used to pin sizeof(T), which broke on compiler/ABI drift and could
-// not say *which* member a change forgot); the field-level tripwire now
-// lives in tools/hostnet_audit.py, which statically verifies that every
-// data member of every descriptor-carrying class is mentioned by both
-// save_state() and load_state() -- or carries an audited `skip(field,
-// reason)` suppression in a hostnet-audit comment -- and records the
-// result in the checked-in manifest, tools/snapshot_manifest.json. (That
-// suppression spelling is paraphrased here; the literal directive would
-// trip the auditor's own bad-directive check outside a class.) After
-// changing any
-// audited class, refresh it with:
-//
-//   python3 tools/hostnet_audit.py --write-manifest
-//
-// hostnet-lint's `snapshot-coverage` rule enforces that every class
-// declaring save_state() carries a descriptor, so a new component cannot
-// opt out of the audit by accident.
+// `void save_state(Snapshot&) const`. tools/hostnet_audit.py's
+// snapshot-state rule checks the layout above for every class carrying the
+// descriptor: each non-static data member is `st_`, const, a reference, or
+// an owned checkpointed child. hostnet-lint's `snapshot-coverage` rule
+// enforces that every class declaring save_state() carries a descriptor, so
+// a new component cannot opt out of the audit by accident.
 #pragma once
 
 #include <type_traits>

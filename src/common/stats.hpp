@@ -26,6 +26,7 @@ class MeanAccumulator {
   double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
+  bool operator==(const MeanAccumulator&) const = default;
 
  private:
   std::uint64_t n_ = 0;
@@ -60,6 +61,7 @@ class TimeWeighted {
 
   std::int64_t level() const { return level_; }
   std::int64_t max_level() const { return max_; }
+  bool operator==(const TimeWeighted&) const = default;
 
   double average(Tick now) {
     integrate(now);
@@ -129,6 +131,7 @@ class SampleSet {
   }
 
   const std::vector<double>& values() const { return samples_; }
+  bool operator==(const SampleSet&) const = default;
 
  private:
   std::vector<double> samples_;

@@ -35,7 +35,7 @@ void HostSystem::register_iio_pools(std::size_t stack) {
 }
 
 std::size_t HostSystem::add_iio_stack(const iio::IioConfig& icfg) {
-  assert(!started_ && "add components before run()");
+  assert(!st_.started && "add components before run()");
   iios_.push_back(std::make_unique<iio::Iio>(
       sim_, *cha_, icfg, static_cast<std::uint16_t>(iios_.size())));
   register_iio_pools(iios_.size() - 1);
@@ -43,7 +43,7 @@ std::size_t HostSystem::add_iio_stack(const iio::IioConfig& icfg) {
 }
 
 cpu::Core& HostSystem::add_core(const cpu::CoreWorkload& wl) {
-  assert(!started_ && "add components before run()");
+  assert(!st_.started && "add components before run()");
   const auto id = static_cast<std::uint16_t>(cores_.size());
   std::uint64_t sm = seed_ + 0x1000 + id;
   cores_.push_back(
@@ -56,7 +56,7 @@ cpu::Core& HostSystem::add_core(const cpu::CoreWorkload& wl) {
 
 iio::StorageDevice& HostSystem::add_storage(const iio::StorageConfig& scfg,
                                              std::size_t stack) {
-  assert(!started_ && "add components before run()");
+  assert(!st_.started && "add components before run()");
   assert(stack < iios_.size());
   storage_.push_back(std::make_unique<iio::StorageDevice>(sim_, *iios_[stack], scfg));
   return *storage_.back();
@@ -67,13 +67,13 @@ void HostSystem::attach(std::function<void()> start, std::function<void(Tick)> r
 }
 
 void HostSystem::attach(ExternalHooks hooks) {
-  assert(!started_ && "attach components before run()");
+  assert(!st_.started && "attach components before run()");
   externals_.push_back(std::move(hooks));
 }
 
 void HostSystem::run(Tick warmup, Tick measure) {
-  if (!started_) {
-    started_ = true;
+  if (!st_.started) {
+    st_.started = true;
     for (auto& c : cores_) c->start();
     for (auto& d : storage_) d->start();
     for (auto& e : externals_)
@@ -98,7 +98,7 @@ void HostSystem::verify_invariants() const {
 void HostSystem::reset_counters() {
   verify_invariants();
   const Tick now = sim_.now();
-  measure_start_ = now;
+  st_.measure_start = now;
   mc_->reset_counters(now);
   cha_->reset_counters(now);
   for (auto& i : iios_) i->reset_counters(now);
@@ -115,6 +115,7 @@ void HostSystem::save_state(Snapshot& out) const {
           "HostSystem::snapshot: an attached external component has no save "
           "hook; attach(ExternalHooks) with save/load to checkpoint this host");
   out.owner = this;
+  out.st = st_;
   sim_.save_state(out.sim);
   mc_->save_state(out.mc);
   cha_->save_state(out.cha);
@@ -126,8 +127,6 @@ void HostSystem::save_state(Snapshot& out) const {
   for (std::size_t i = 0; i < storage_.size(); ++i) storage_[i]->save_state(out.storage[i]);
   out.externals.clear();
   for (const auto& e : externals_) out.externals.push_back(e.save());
-  out.started = started_;
-  out.measure_start = measure_start_;
 }
 
 void HostSystem::restore(const Snapshot& s) {
@@ -141,6 +140,7 @@ void HostSystem::restore(const Snapshot& s) {
   assert(s.iios.size() == iios_.size() && s.cores.size() == cores_.size() &&
          s.storage.size() == storage_.size() && s.externals.size() == externals_.size() &&
          "host topology is construction state and must match the snapshot");
+  st_ = s.st;
   sim_.load_state(s.sim);
   mc_->load_state(s.mc);
   cha_->load_state(s.cha);
@@ -148,8 +148,6 @@ void HostSystem::restore(const Snapshot& s) {
   for (std::size_t i = 0; i < cores_.size(); ++i) cores_[i]->load_state(s.cores[i]);
   for (std::size_t i = 0; i < storage_.size(); ++i) storage_[i]->load_state(s.storage[i]);
   for (std::size_t i = 0; i < externals_.size(); ++i) externals_[i].load(s.externals[i]);
-  started_ = s.started;
-  measure_start_ = s.measure_start;
 #if defined(HOSTNET_CHECKED) && HOSTNET_CHECKED
   // Restore audit: re-saving the restored event queue must reproduce the
   // snapshot exactly -- i.e. a restore-then-collect run replays the same
@@ -168,10 +166,10 @@ Metrics HostSystem::collect() {
   verify_invariants();
   const Tick now = sim_.now();
   Metrics m;
-  m.window_ns = to_ns(now - measure_start_);
+  m.window_ns = to_ns(now - st_.measure_start);
   m.channels = mc_->num_channels();
   m.c2m_cores = static_cast<std::uint32_t>(cores_.size());
-  const Tick window = now - measure_start_;
+  const Tick window = now - st_.measure_start;
   if (window <= 0) return m;
 
   // Memory bandwidth by class, from CHA line counts (DRAM-serviced).

@@ -118,8 +118,14 @@ class HostSystem {
   // checked and restore() throws std::logic_error on mismatch. Topology
   // (cores/stacks/devices added) is construction state and must match by
   // construction -- asserted, not saved.
+  struct State {
+    bool started = false;
+    Tick measure_start = 0;
+    bool operator==(const State&) const = default;
+  };
   struct Snapshot {
     const void* owner = nullptr;  ///< the producing HostSystem
+    State st;
     sim::Simulator::Snapshot sim;
     mc::MemoryController::Snapshot mc;
     cha::Cha::Snapshot cha;
@@ -127,8 +133,6 @@ class HostSystem {
     std::vector<cpu::Core::Snapshot> cores;
     std::vector<iio::StorageDevice::Snapshot> storage;
     std::vector<std::shared_ptr<const void>> externals;
-    bool started = false;
-    Tick measure_start = 0;
   };
 
   /// Save the full host state into `out` (recycled Snapshots allocate
@@ -151,21 +155,19 @@ class HostSystem {
  private:
   void register_iio_pools(std::size_t stack);
 
-  // hostnet-audit: skip(cfg_, construction config; immutable after build)
-  HostConfig cfg_;
-  // hostnet-audit: skip(seed_, construction config; per-run RNG root never mutates)
-  std::uint64_t seed_;
+  const HostConfig cfg_;
+  const std::uint64_t seed_;
   sim::Simulator sim_;
-  // hostnet-audit: skip(registry_, holds pointers to pools saved by their owners; re-registering would dangle)
+  // hostnet-audit: allow(snapshot-state, topology: pool pointers, added while building)
   flow::DomainRegistry registry_;
   std::unique_ptr<mc::MemoryController> mc_;
   std::unique_ptr<cha::Cha> cha_;
   std::vector<std::unique_ptr<iio::Iio>> iios_;
   std::vector<std::unique_ptr<cpu::Core>> cores_;
   std::vector<std::unique_ptr<iio::StorageDevice>> storage_;
+  // hostnet-audit: allow(snapshot-state, topology: hooks, attached while building)
   std::vector<ExternalHooks> externals_;
-  bool started_ = false;
-  Tick measure_start_ = 0;
+  State st_;
 };
 
 HOSTNET_SNAPSHOT_COVERS(HostSystem);

@@ -14,6 +14,7 @@
 namespace hostnet::counters {
 
 struct McChannelCounters {
+  McChannelCounters() = default;
   explicit McChannelCounters(std::uint32_t banks, std::uint32_t wpq_capacity) {
     bank_window_counts.assign(banks, 0);
     wpq_occ.set_cap(wpq_capacity);
@@ -43,6 +44,8 @@ struct McChannelCounters {
   std::uint64_t reads_since_sample = 0;
   std::vector<std::uint64_t> bank_window_counts;
   SampleSet bank_deviation;
+
+  bool operator==(const McChannelCounters&) const = default;
 
   void on_read_issued(std::uint32_t bank) {
     ++lines_read;

@@ -52,6 +52,7 @@ class LatencyStation {
   /// write-tracker backlog integral as the formula's N_waiting input).
   TimeWeighted& occupancy_integral() { return occ_; }
   std::uint64_t completions() const { return completions_; }
+  bool operator==(const LatencyStation&) const = default;
 
   /// Mean latency from direct per-request measurement.
   double mean_latency_ns() const {

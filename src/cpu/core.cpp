@@ -9,15 +9,16 @@ namespace hostnet::cpu {
 
 Core::Core(sim::Simulator& sim, cha::Cha& cha, const CoreConfig& cfg,
            const CoreWorkload& wl, std::uint16_t id, std::uint64_t seed)
-    : sim_(sim), cha_(cha), cfg_(cfg), wl_(wl), id_(id), rng_(seed) {
+    : sim_(sim), cha_(cha), cfg_(cfg), wl_(wl), id_(id) {
+  st_.rng = Rng(seed);
   flow::CreditPoolSpec lfb;
   lfb.name = "cpu.lfb";
   lfb.capacity = lfb_capacity();
-  lfb_pool_.configure(lfb);
+  st_.lfb_pool.configure(lfb);
   flow::CreditPoolSpec wr;
   wr.name = "cpu.c2m-write";
   wr.capacity = 0;  // telemetry-only: the LFB entry is the binding resource
-  write_pool_.configure(wr);
+  st_.write_pool.configure(wr);
 }
 
 std::uint32_t Core::lfb_capacity() const {
@@ -37,45 +38,45 @@ void Core::start() {
 
 std::uint64_t Core::next_seq_addr() {
   const std::uint64_t lines = wl_.region.bytes / kCachelineBytes;
-  const std::uint64_t a = wl_.region.base + (seq_line_ % lines) * kCachelineBytes;
-  ++seq_line_;
+  const std::uint64_t a = wl_.region.base + (st_.seq_line % lines) * kCachelineBytes;
+  ++st_.seq_line;
   return a;
 }
 
 std::uint64_t Core::random_addr() {
   const std::uint64_t lines = wl_.region.bytes / kCachelineBytes;
-  return wl_.region.base + rng_.below(lines) * kCachelineBytes;
+  return wl_.region.base + st_.rng.below(lines) * kCachelineBytes;
 }
 
 void Core::set_paused(bool paused) {
-  if (paused_ == paused) return;
-  paused_ = paused;
-  if (!paused_) pump();
+  if (st_.paused == paused) return;
+  st_.paused = paused;
+  if (!st_.paused) pump();
 }
 
 void Core::pump() {
-  if (paused_) return;
+  if (st_.paused) return;
   if (episodic()) {
     // Issue the remainder of the current episode as LFB slots free up.
-    while (lfb_pool_.has_space() &&
-           (episode_reads_to_issue_ > 0 || episode_writes_to_issue_ > 0)) {
-      const bool is_store = episode_writes_to_issue_ > 0;
+    while (st_.lfb_pool.has_space() &&
+           (st_.episode_reads_to_issue > 0 || st_.episode_writes_to_issue > 0)) {
+      const bool is_store = st_.episode_writes_to_issue > 0;
       if (is_store)
-        --episode_writes_to_issue_;
+        --st_.episode_writes_to_issue;
       else
-        --episode_reads_to_issue_;
+        --st_.episode_reads_to_issue;
       issue_read(random_addr(), is_store);
     }
     return;
   }
-  while (lfb_pool_.has_space() && !think_pending_) {
+  while (st_.lfb_pool.has_space() && !st_.think_pending) {
     if (wl_.think > 0) {
-      think_pending_ = true;
+      st_.think_pending = true;
       sim_.schedule(wl_.think, [this] {
-        think_pending_ = false;
-        if (paused_) return;
-        if (lfb_pool_.has_space()) {
-          const bool is_store = wl_.write_fraction > 0.0 && rng_.chance(wl_.write_fraction);
+        st_.think_pending = false;
+        if (st_.paused) return;
+        if (st_.lfb_pool.has_space()) {
+          const bool is_store = wl_.write_fraction > 0.0 && st_.rng.chance(wl_.write_fraction);
           const std::uint64_t addr = wl_.pattern == CoreWorkload::Pattern::kSequential
                                          ? next_seq_addr()
                                          : random_addr();
@@ -85,7 +86,7 @@ void Core::pump() {
       });
       return;
     }
-    const bool is_store = wl_.write_fraction > 0.0 && rng_.chance(wl_.write_fraction);
+    const bool is_store = wl_.write_fraction > 0.0 && st_.rng.chance(wl_.write_fraction);
     const std::uint64_t addr =
         wl_.pattern == CoreWorkload::Pattern::kSequential ? next_seq_addr() : random_addr();
     issue_read(addr, is_store);
@@ -94,7 +95,7 @@ void Core::pump() {
 
 void Core::issue_read(std::uint64_t addr, bool is_store) {
   const Tick now = sim_.now();
-  lfb_pool_.acquire(now);
+  st_.lfb_pool.acquire(now);
   mem::Request req;
   req.addr = addr;
   req.op = mem::Op::kRead;  // the store's RFO is a read
@@ -115,13 +116,13 @@ void Core::send_to_cha(mem::Request req) {
     cha_.record_admission_wait(req.cls(), 0);
     return;
   }
-  auto& q = req.op == mem::Op::kRead ? blocked_reads_ : blocked_writes_;
+  auto& q = req.op == mem::Op::kRead ? st_.blocked_reads : st_.blocked_writes;
   q.push_back(Blocked{req, sim_.now()});
   cha_.wait_for_admission(req.op, this, mem::Source::kCpu);
 }
 
 bool Core::on_cha_admission(mem::Op op) {
-  auto& q = op == mem::Op::kRead ? blocked_reads_ : blocked_writes_;
+  auto& q = op == mem::Op::kRead ? st_.blocked_reads : st_.blocked_writes;
   if (q.empty()) return false;
   Blocked b = q.front();
   if (!cha_.try_submit(b.req)) {
@@ -137,11 +138,11 @@ bool Core::on_cha_admission(mem::Op op) {
 
 void Core::complete(const mem::Request& req, Tick now) {
   if (req.op == mem::Op::kRead) {
-    ++lines_read_;
+    ++st_.lines_read;
     if (req.tag == 1) {
       // Store: data (RFO) arrived; the LFB entry is now held for the write
       // phase until the CHA accepts the write (C2M-Write domain).
-      write_pool_.acquire(now);
+      st_.write_pool.acquire(now);
       mem::Request wr;
       wr.addr = req.addr;
       wr.op = mem::Op::kWrite;
@@ -153,30 +154,30 @@ void Core::complete(const mem::Request& req, Tick now) {
       sim_.schedule(cfg_.t_wb_to_cha, [this, wr] { send_to_cha(wr); });
       return;
     }
-    lfb_pool_.release(now, req.created);
+    st_.lfb_pool.release(now, req.created);
     if (auto* tr = sim::Tracer::global())
       tr->complete_event("c2m-read", "domain", req.created, now - req.created,
                          sim::Tracer::kTrackCore + id_);
   } else {
     // CHA acknowledged the write: C2M-Write credit replenished.
-    ++lines_written_;
-    lfb_pool_.release(now, req.created);
-    write_pool_.release(now, static_cast<Tick>(req.tag));
+    ++st_.lines_written;
+    st_.lfb_pool.release(now, req.created);
+    st_.write_pool.release(now, static_cast<Tick>(req.tag));
     if (auto* tr = sim::Tracer::global())
       tr->complete_event("c2m-store", "domain", req.created, now - req.created,
                          sim::Tracer::kTrackCore + id_);
   }
 
   if (episodic()) {
-    assert(episode_outstanding_ > 0);
-    --episode_outstanding_;
+    assert(st_.episode_outstanding > 0);
+    --st_.episode_outstanding;
     pump();  // issue any not-yet-issued accesses of this episode
-    if (episode_outstanding_ == 0 && episode_reads_to_issue_ == 0 &&
-        episode_writes_to_issue_ == 0) {
-      ++episodes_done_in_query_;
-      if (episodes_done_in_query_ >= wl_.episodes_per_query) {
-        episodes_done_in_query_ = 0;
-        ++queries_;
+    if (st_.episode_outstanding == 0 && st_.episode_reads_to_issue == 0 &&
+        st_.episode_writes_to_issue == 0) {
+      ++st_.episodes_done_in_query;
+      if (st_.episodes_done_in_query >= wl_.episodes_per_query) {
+        st_.episodes_done_in_query = 0;
+        ++st_.queries;
       }
       begin_episode_after_compute();
     }
@@ -186,26 +187,26 @@ void Core::complete(const mem::Request& req, Tick now) {
 }
 
 void Core::begin_episode_after_compute() {
-  in_compute_ = true;
+  st_.in_compute = true;
   sim_.schedule(wl_.episode_compute, [this] {
-    in_compute_ = false;
+    st_.in_compute = false;
     issue_episode();
   });
 }
 
 void Core::issue_episode() {
-  episode_reads_to_issue_ = wl_.episode_reads;
-  episode_writes_to_issue_ = wl_.episode_writes;
-  episode_outstanding_ = wl_.episode_reads + wl_.episode_writes;
+  st_.episode_reads_to_issue = wl_.episode_reads;
+  st_.episode_writes_to_issue = wl_.episode_writes;
+  st_.episode_outstanding = wl_.episode_reads + wl_.episode_writes;
   pump();
 }
 
 void Core::reset_counters(Tick now) {
-  lfb_pool_.reset_telemetry(now);
-  write_pool_.reset_telemetry(now);
-  lines_read_ = 0;
-  lines_written_ = 0;
-  queries_ = 0;
+  st_.lfb_pool.reset_telemetry(now);
+  st_.write_pool.reset_telemetry(now);
+  st_.lines_read = 0;
+  st_.lines_written = 0;
+  st_.queries = 0;
 }
 
 }  // namespace hostnet::cpu

@@ -70,7 +70,7 @@ class Core final : public mem::Completer, public cha::ChaClient {
   /// Duty-cycle throttling hook (used by the hostCC-style controller): a
   /// paused core stops issuing new requests; in-flight ones complete.
   void set_paused(bool paused);
-  bool paused() const { return paused_; }
+  bool paused() const { return st_.paused; }
 
   // -- mem::Completer / cha::ChaClient ---------------------------------------
   void complete(const mem::Request& req, Tick now) override;
@@ -78,93 +78,67 @@ class Core final : public mem::Completer, public cha::ChaClient {
 
   // -- credit pools (registered with flow::DomainRegistry) --------------------
   /// C2M-Read domain pool: the LFB entries themselves.
-  flow::CreditPool& lfb_pool() { return lfb_pool_; }
+  flow::CreditPool& lfb_pool() { return st_.lfb_pool; }
   /// C2M-Write domain pool (telemetry-only, unbounded): an entry is "in use"
   /// from RFO-data arrival until the CHA acknowledges the write.
-  flow::CreditPool& write_pool() { return write_pool_; }
+  flow::CreditPool& write_pool() { return st_.write_pool; }
 
   // -- measurement ------------------------------------------------------------
-  counters::LatencyStation& lfb_station() { return lfb_pool_.station(); }
-  counters::LatencyStation& write_station() { return write_pool_.station(); }
-  std::uint64_t lines_read() const { return lines_read_; }
-  std::uint64_t lines_written() const { return lines_written_; }
-  std::uint64_t queries() const { return queries_; }
+  counters::LatencyStation& lfb_station() { return st_.lfb_pool.station(); }
+  counters::LatencyStation& write_station() { return st_.write_pool.station(); }
+  std::uint64_t lines_read() const { return st_.lines_read; }
+  std::uint64_t lines_written() const { return st_.lines_written; }
+  std::uint64_t queries() const { return st_.queries; }
   void reset_counters(Tick now);
 
   /// Checked-build audit (no-op otherwise): C2M request conservation --
   /// every issued access completed or still holds its LFB entry, and the
   /// holdings never exceeded the LFB capacity.
   void verify_invariants() const {
-    lfb_pool_.verify();
-    write_pool_.verify();
+    st_.lfb_pool.verify();
+    st_.write_pool.verify();
   }
 
   /// A request that failed CHA admission, with when it first blocked.
   struct Blocked {
     mem::Request req;
     Tick since;
+    bool operator==(const Blocked&) const = default;
   };
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  // Config (sim_, cha_, cfg_, wl_, id_) is construction state; everything
-  // the workload mutates is below. Blocked requests carry mem::Request
-  // whose completer points back at this Core: same-host restore only.
-  struct Snapshot {
+  // Everything the workload mutates; the rest of the core is construction
+  // state. Blocked requests carry mem::Request whose completer points back
+  // at this Core: same-host restore only.
+  struct State {
     Rng rng{0};
-    flow::CreditPool::Snapshot lfb_pool;
-    flow::CreditPool::Snapshot write_pool;
+    flow::CreditPool lfb_pool;    ///< LFB entries (C2M-Read credits + hold time)
+    flow::CreditPool write_pool;  ///< C2M-Write phase (send -> CHA ack), unbounded
     std::uint64_t seq_line = 0;
     bool think_pending = false;
     bool paused = false;
+
+    // Episodic state.
     std::uint32_t episode_outstanding = 0;
     std::uint32_t episode_reads_to_issue = 0;
     std::uint32_t episode_writes_to_issue = 0;
     std::uint32_t episodes_done_in_query = 0;
     bool in_compute = false;
+
+    // Requests that failed CHA admission (see Blocked above).
     RingBuffer<Blocked> blocked_reads;
     RingBuffer<Blocked> blocked_writes;
+
     std::uint64_t lines_read = 0;
     std::uint64_t lines_written = 0;
     std::uint64_t queries = 0;
+
+    bool operator==(const State&) const = default;
   };
+  using Snapshot = State;
 
-  void save_state(Snapshot& out) const {
-    out.rng = rng_;
-    lfb_pool_.save_state(out.lfb_pool);
-    write_pool_.save_state(out.write_pool);
-    out.seq_line = seq_line_;
-    out.think_pending = think_pending_;
-    out.paused = paused_;
-    out.episode_outstanding = episode_outstanding_;
-    out.episode_reads_to_issue = episode_reads_to_issue_;
-    out.episode_writes_to_issue = episode_writes_to_issue_;
-    out.episodes_done_in_query = episodes_done_in_query_;
-    out.in_compute = in_compute_;
-    out.blocked_reads = blocked_reads_;
-    out.blocked_writes = blocked_writes_;
-    out.lines_read = lines_read_;
-    out.lines_written = lines_written_;
-    out.queries = queries_;
-  }
-
-  void load_state(const Snapshot& s) {
-    rng_ = s.rng;
-    lfb_pool_.load_state(s.lfb_pool);
-    write_pool_.load_state(s.write_pool);
-    seq_line_ = s.seq_line;
-    think_pending_ = s.think_pending;
-    paused_ = s.paused;
-    episode_outstanding_ = s.episode_outstanding;
-    episode_reads_to_issue_ = s.episode_reads_to_issue;
-    episode_writes_to_issue_ = s.episode_writes_to_issue;
-    episodes_done_in_query_ = s.episodes_done_in_query;
-    in_compute_ = s.in_compute;
-    blocked_reads_ = s.blocked_reads;
-    blocked_writes_ = s.blocked_writes;
-    lines_read_ = s.lines_read;
-    lines_written_ = s.lines_written;
-    queries_ = s.queries;
-  }
+  void save_state(Snapshot& out) const { out = st_; }
+  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   std::uint32_t lfb_capacity() const;
@@ -179,34 +153,10 @@ class Core final : public mem::Completer, public cha::ChaClient {
 
   sim::Simulator& sim_;
   cha::Cha& cha_;
-  // hostnet-audit: skip(cfg_, construction config; immutable after build)
-  CoreConfig cfg_;
-  // hostnet-audit: skip(wl_, workload shape is construction config; episode progress lives in the saved members)
-  CoreWorkload wl_;
-  // hostnet-audit: skip(id_, construction identity; fixed at build)
-  std::uint16_t id_;
-  Rng rng_;
-
-  flow::CreditPool lfb_pool_;    ///< LFB entries (C2M-Read credits + hold time)
-  flow::CreditPool write_pool_;  ///< C2M-Write phase (send -> CHA ack), unbounded
-  std::uint64_t seq_line_ = 0;
-  bool think_pending_ = false;
-  bool paused_ = false;
-
-  // Episodic state.
-  std::uint32_t episode_outstanding_ = 0;
-  std::uint32_t episode_reads_to_issue_ = 0;
-  std::uint32_t episode_writes_to_issue_ = 0;
-  std::uint32_t episodes_done_in_query_ = 0;
-  bool in_compute_ = false;
-
-  // Requests that failed CHA admission (see Blocked above).
-  RingBuffer<Blocked> blocked_reads_;
-  RingBuffer<Blocked> blocked_writes_;
-
-  std::uint64_t lines_read_ = 0;
-  std::uint64_t lines_written_ = 0;
-  std::uint64_t queries_ = 0;
+  const CoreConfig cfg_;
+  const CoreWorkload wl_;
+  const std::uint16_t id_;
+  State st_;
 };
 
 HOSTNET_SNAPSHOT_COVERS(Core);

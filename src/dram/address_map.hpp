@@ -38,6 +38,8 @@ struct Coord {
   std::uint32_t bank = 0;
   std::uint64_t row = 0;
   std::uint32_t col = 0;
+
+  bool operator==(const Coord&) const = default;
 };
 
 class AddressMap {

@@ -70,6 +70,7 @@ class Bank {
   Tick ready_at() const { return ready_at_; }
   bool has_open_row() const { return has_open_row_; }
   std::uint64_t open_row() const { return open_row_; }
+  bool operator==(const Bank&) const = default;
 
  private:
   bool has_open_row_ = false;

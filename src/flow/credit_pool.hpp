@@ -42,7 +42,6 @@
 
 #include "common/check.hpp"
 #include "common/ring_buffer.hpp"
-#include "common/snapshot.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "counters/station.hpp"
@@ -92,6 +91,8 @@ struct CreditPoolSpec {
   std::uint32_t low_watermark = 0;   ///< kHysteresis: disengage at <= low
   /// Set the 0/1 pressure signal while in_use > threshold; -1 disables.
   std::int64_t pressure_threshold = -1;
+
+  bool operator==(const CreditPoolSpec&) const = default;
 };
 
 class CreditPool {
@@ -176,8 +177,8 @@ class CreditPool {
   /// freeing the write tracker mid-wake) are absorbed: the outer loop's
   /// has_space() re-check hands the freed credit on.
   void notify() {
-    if (notifying_) return;
-    notifying_ = true;
+    if (notifying_.set) return;
+    notifying_.set = true;
     if (spec_.wake == WakePolicy::kOnePerNotify) {
       if (!waiters_.empty()) {
         CreditWaiter* w = waiters_.front();
@@ -196,7 +197,7 @@ class CreditPool {
         w->on_credit_available(*this);
       }
     }
-    notifying_ = false;
+    notifying_.set = false;
   }
 
   // -- hysteresis watermarks --------------------------------------------------
@@ -224,41 +225,13 @@ class CreditPool {
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
   //
-  // Everything mutable is a copyable value except the waiter rings, which
-  // hold raw CreditWaiter* into component-embedded adapters -- valid only
-  // when the snapshot is restored into the host that produced it (enforced
-  // by the owner token in core::HostSnapshot). The spec is construction
-  // state and is not saved. Snapshots are taken at quiesce points (between
-  // events), where no notify() is on the stack.
-  struct Snapshot {
-    std::uint32_t in_use = 0;
-    RingBuffer<CreditWaiter*> waiters;
-    RingBuffer<CreditWaiter*> privileged_waiters;
-    counters::LatencyStation station;
-    TimeWeighted pressure;
-    CreditLedger ledger;
-  };
-
-  void save_state(Snapshot& out) const {
-    assert(!notifying_ && "snapshot must be taken at a quiesce point");
-    out.in_use = in_use_;
-    out.waiters = waiters_;
-    out.privileged_waiters = privileged_waiters_;
-    out.station = station_;
-    out.pressure = pressure_;
-    out.ledger = ledger_;
-  }
-
-  void load_state(const Snapshot& s) {
-    assert(!notifying_ && "restore must happen at a quiesce point");
-    in_use_ = s.in_use;
-    waiters_ = s.waiters;
-    privileged_waiters_ = s.privileged_waiters;
-    station_ = s.station;
-    pressure_ = s.pressure;
-    ledger_ = s.ledger;
-    notifying_ = false;
-  }
+  // A pool is a plain value inside its owner's State and is checkpointed by
+  // copying it whole. The waiter rings hold raw CreditWaiter* into
+  // component-embedded adapters, so a copy is valid only in the host that
+  // produced it (enforced by the owner token in core::HostSnapshot). Copies
+  // happen at quiesce points (between events), where no notify() is on the
+  // stack; NotifyFlag asserts that on every copy.
+  bool operator==(const CreditPool&) const = default;
 
  private:
   void update_pressure(Tick now) {
@@ -266,18 +239,32 @@ class CreditPool {
     pressure_.set(now, static_cast<std::int64_t>(in_use_) > spec_.pressure_threshold ? 1 : 0);
   }
 
-  // hostnet-audit: skip(spec_, construction config; the spec table is rebuilt from HostConfig and never mutates)
+  /// notify()'s reentrancy guard. Copying it is a checkpoint save or
+  /// restore, which must not happen while a notify() is running.
+  struct NotifyFlag {
+    bool set = false;
+    NotifyFlag() = default;
+    NotifyFlag(const NotifyFlag& o) {
+      assert(!o.set && "pool copied while notifying");
+      (void)o;
+    }
+    NotifyFlag& operator=(const NotifyFlag& o) {
+      assert(!set && !o.set && "pool copied while notifying");
+      (void)o;
+      return *this;
+    }
+    bool operator==(const NotifyFlag&) const { return true; }
+  };
+
   CreditPoolSpec spec_{};
   std::uint32_t in_use_ = 0;
   CreditLedger ledger_;  ///< empty shell unless HOSTNET_CHECKED
   RingBuffer<CreditWaiter*> waiters_;
   RingBuffer<CreditWaiter*> privileged_waiters_;
-  bool notifying_ = false;
+  NotifyFlag notifying_;
 
   counters::LatencyStation station_;
   TimeWeighted pressure_;  ///< 0/1 while in_use exceeds the threshold
 };
-
-HOSTNET_SNAPSHOT_COVERS(CreditPool);
 
 }  // namespace hostnet::flow

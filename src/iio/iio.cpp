@@ -15,13 +15,13 @@ Iio::Iio(sim::Simulator& sim, cha::Cha& cha, const IioConfig& cfg, std::uint16_t
   wr.capacity = cfg_.write_credits;
   wr.wake = flow::WakePolicy::kOnePerNotify;
   wr.dedup_waiters = true;
-  write_pool_.configure(wr);
+  st_.write_pool.configure(wr);
   flow::CreditPoolSpec rd;
   rd.name = "iio.read-credits";
   rd.capacity = cfg_.read_credits;
   rd.wake = flow::WakePolicy::kOnePerNotify;
   rd.dedup_waiters = true;
-  read_pool_.configure(rd);
+  st_.read_pool.configure(rd);
 }
 
 bool Iio::try_dma(mem::Op op, std::uint64_t addr, Device* dev, std::uint64_t tag) {
@@ -35,30 +35,30 @@ bool Iio::try_dma(mem::Op op, std::uint64_t addr, Device* dev, std::uint64_t tag
   req.completer = this;
 
   if (op == mem::Op::kWrite) {
-    if (!write_pool_.has_space()) {
-      write_pool_.enqueue_waiter(&dev->credit_waiter(op));
+    if (!st_.write_pool.has_space()) {
+      st_.write_pool.enqueue_waiter(&dev->credit_waiter(op));
       return false;
     }
-    write_pool_.acquire(now);
+    st_.write_pool.acquire(now);
     sim_.schedule(cfg_.t_proc_write + cfg_.t_to_cha, [this, req] { submit(req); });
     return true;
   }
 
-  if (!read_pool_.has_space()) {
-    read_pool_.enqueue_waiter(&dev->credit_waiter(op));
+  if (!st_.read_pool.has_space()) {
+    st_.read_pool.enqueue_waiter(&dev->credit_waiter(op));
     return false;
   }
-  read_pool_.acquire(now);
+  st_.read_pool.acquire(now);
   // Remember who gets the data back.
-  std::uint64_t slot = pending_reads_.size();
-  for (std::uint64_t i = 0; i < pending_reads_.size(); ++i) {
-    if (pending_reads_[i].dev == nullptr) {
+  std::uint64_t slot = st_.pending_reads.size();
+  for (std::uint64_t i = 0; i < st_.pending_reads.size(); ++i) {
+    if (st_.pending_reads[i].dev == nullptr) {
       slot = i;
       break;
     }
   }
-  if (slot == pending_reads_.size()) pending_reads_.push_back(Pending{});
-  pending_reads_[slot] = Pending{dev, tag};
+  if (slot == st_.pending_reads.size()) st_.pending_reads.push_back(Pending{});
+  st_.pending_reads[slot] = Pending{dev, tag};
   req.tag = slot;
   sim_.schedule(cfg_.t_proc_read + cfg_.t_to_cha, [this, req] { submit(req); });
   return true;
@@ -69,13 +69,13 @@ void Iio::submit(mem::Request req) {
     cha_.record_admission_wait(req.cls(), 0);
     return;
   }
-  auto& q = req.op == mem::Op::kRead ? blocked_reads_ : blocked_writes_;
+  auto& q = req.op == mem::Op::kRead ? st_.blocked_reads : st_.blocked_writes;
   q.push_back(Blocked{req, sim_.now()});
   cha_.wait_for_admission(req.op, this, mem::Source::kPeripheral);
 }
 
 bool Iio::on_cha_admission(mem::Op op) {
-  auto& q = op == mem::Op::kRead ? blocked_reads_ : blocked_writes_;
+  auto& q = op == mem::Op::kRead ? st_.blocked_reads : st_.blocked_writes;
   if (q.empty()) return false;
   Blocked b = q.front();
   if (!cha_.try_submit(b.req)) {
@@ -91,24 +91,24 @@ bool Iio::on_cha_admission(mem::Op op) {
 void Iio::complete(const mem::Request& req, Tick now) {
   if (req.op == mem::Op::kWrite) {
     // Admitted to the MC WPQ: P2M-Write credit replenished.
-    write_pool_.release(now, req.created);
+    st_.write_pool.release(now, req.created);
     if (auto* tr = sim::Tracer::global()) {
       tr->complete_event("p2m-write", "domain", req.created, now - req.created,
                          sim::Tracer::kTrackIio);
-      tr->counter("iio-write-credits", now, static_cast<double>(write_pool_.in_use()));
+      tr->counter("iio-write-credits", now, static_cast<double>(st_.write_pool.in_use()));
     }
-    write_pool_.notify();
+    st_.write_pool.notify();
     return;
   }
   // Data returned to the IIO: P2M-Read credit replenished; complete the
   // PCIe non-posted transaction back to the device.
-  read_pool_.release(now, req.created);
+  st_.read_pool.release(now, req.created);
   if (auto* tr = sim::Tracer::global())
     tr->complete_event("p2m-read", "domain", req.created, now - req.created,
                        sim::Tracer::kTrackIio);
-  const Pending p = pending_reads_[req.tag];
-  pending_reads_[req.tag] = Pending{};
-  read_pool_.notify();
+  const Pending p = st_.pending_reads[req.tag];
+  st_.pending_reads[req.tag] = Pending{};
+  st_.read_pool.notify();
   if (p.dev != nullptr) {
     sim_.schedule(cfg_.t_complete_read,
                   [this, p] { p.dev->on_read_data(p.tag, sim_.now()); });
@@ -116,8 +116,8 @@ void Iio::complete(const mem::Request& req, Tick now) {
 }
 
 void Iio::reset_counters(Tick now) {
-  write_pool_.reset_telemetry(now);
-  read_pool_.reset_telemetry(now);
+  st_.write_pool.reset_telemetry(now);
+  st_.read_pool.reset_telemetry(now);
 }
 
 }  // namespace hostnet::iio

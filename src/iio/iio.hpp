@@ -77,12 +77,12 @@ class Iio final : public mem::Completer, public cha::ChaClient {
   /// credit is available; the device will get on_credit_available().
   bool try_dma(mem::Op op, std::uint64_t addr, Device* dev, std::uint64_t tag);
 
-  std::uint32_t write_credits_free() const { return cfg_.write_credits - write_pool_.in_use(); }
-  std::uint32_t read_credits_free() const { return cfg_.read_credits - read_pool_.in_use(); }
+  std::uint32_t write_credits_free() const { return cfg_.write_credits - st_.write_pool.in_use(); }
+  std::uint32_t read_credits_free() const { return cfg_.read_credits - st_.read_pool.in_use(); }
 
   // -- credit pools (registered with flow::DomainRegistry) --------------------
-  flow::CreditPool& write_pool() { return write_pool_; }  ///< P2M-Write domain
-  flow::CreditPool& read_pool() { return read_pool_; }    ///< P2M-Read domain
+  flow::CreditPool& write_pool() { return st_.write_pool; }  ///< P2M-Write domain
+  flow::CreditPool& read_pool() { return st_.read_pool; }    ///< P2M-Read domain
 
   // -- mem::Completer / cha::ChaClient ---------------------------------------
   void complete(const mem::Request& req, Tick now) override;
@@ -90,72 +90,57 @@ class Iio final : public mem::Completer, public cha::ChaClient {
 
   // -- measurement ------------------------------------------------------------
   /// IIO buffer residency = the P2M domain latency ("IIO latency", Fig 6c).
-  counters::LatencyStation& write_station() { return write_pool_.station(); }
-  counters::LatencyStation& read_station() { return read_pool_.station(); }
+  counters::LatencyStation& write_station() { return st_.write_pool.station(); }
+  counters::LatencyStation& read_station() { return st_.read_pool.station(); }
   void reset_counters(Tick now);
 
   /// Checked-build audit (no-op otherwise): P2M credit conservation --
   /// credits outstanding plus free equals the configured pool on both the
   /// read and write side.
   void verify_invariants() const {
-    write_pool_.verify();
-    read_pool_.verify();
+    st_.write_pool.verify();
+    st_.read_pool.verify();
   }
 
   /// A DMA request that failed CHA admission, with when it first blocked.
   struct Blocked {
     mem::Request req;
     Tick since;
+    bool operator==(const Blocked&) const = default;
   };
   /// A non-posted PCIe read whose data has not yet returned.
   struct Pending {
     Device* dev;
     std::uint64_t tag;
+    bool operator==(const Pending&) const = default;
   };
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  // Config (sim_, cha_, cfg_, id_) is construction state. Blocked requests
-  // and pending reads carry raw pointers into the owning host (completer /
-  // Device*): same-host restore only.
-  struct Snapshot {
-    flow::CreditPool::Snapshot write_pool;
-    flow::CreditPool::Snapshot read_pool;
+  // Everything the traffic mutates. Blocked requests and pending reads carry
+  // raw pointers into the owning host (completer / Device*): same-host
+  // restore only.
+  struct State {
+    flow::CreditPool write_pool;  ///< P2M-Write credits (IIO write buffer)
+    flow::CreditPool read_pool;   ///< P2M-Read credits (IIO read buffer)
     RingBuffer<Blocked> blocked_reads;
     RingBuffer<Blocked> blocked_writes;
-    std::vector<Pending> pending_reads;
+    std::vector<Pending> pending_reads;  ///< indexed by request tag slot
+
+    bool operator==(const State&) const = default;
   };
+  using Snapshot = State;
 
-  void save_state(Snapshot& out) const {
-    write_pool_.save_state(out.write_pool);
-    read_pool_.save_state(out.read_pool);
-    out.blocked_reads = blocked_reads_;
-    out.blocked_writes = blocked_writes_;
-    out.pending_reads = pending_reads_;
-  }
-
-  void load_state(const Snapshot& s) {
-    write_pool_.load_state(s.write_pool);
-    read_pool_.load_state(s.read_pool);
-    blocked_reads_ = s.blocked_reads;
-    blocked_writes_ = s.blocked_writes;
-    pending_reads_ = s.pending_reads;
-  }
+  void save_state(Snapshot& out) const { out = st_; }
+  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   void submit(mem::Request req);
 
   sim::Simulator& sim_;
   cha::Cha& cha_;
-  // hostnet-audit: skip(cfg_, construction config; immutable after build)
-  IioConfig cfg_;
-  // hostnet-audit: skip(id_, construction identity; fixed at build)
-  std::uint16_t id_;
-
-  flow::CreditPool write_pool_;  ///< P2M-Write credits (IIO write buffer)
-  flow::CreditPool read_pool_;   ///< P2M-Read credits (IIO read buffer)
-  RingBuffer<Blocked> blocked_reads_;
-  RingBuffer<Blocked> blocked_writes_;
-  std::vector<Pending> pending_reads_;  ///< indexed by request tag slot
+  const IioConfig cfg_;
+  const std::uint16_t id_;
+  State st_;
 };
 
 HOSTNET_SNAPSHOT_COVERS(Iio);

@@ -46,11 +46,11 @@ class StorageDevice final : public Device {
   void on_read_data(std::uint64_t tag, Tick now) override;
 
   // -- measurement ------------------------------------------------------------
-  std::uint64_t bytes_transferred() const { return bytes_; }
-  std::uint64_t requests_completed() const { return requests_done_; }
+  std::uint64_t bytes_transferred() const { return st_.bytes; }
+  std::uint64_t requests_completed() const { return st_.requests_done; }
   void reset_counters() {
-    bytes_ = 0;
-    requests_done_ = 0;
+    st_.bytes = 0;
+    st_.requests_done = 0;
   }
 
   /// One in-flight storage request (queue-depth slot).
@@ -60,69 +60,41 @@ class StorageDevice final : public Device {
     std::uint32_t lines_to_issue = 0;
     std::uint32_t data_pending = 0;  ///< (reads) lines whose data is still in flight
     mem::Op op = mem::Op::kWrite;    ///< this request's memory-side op
+    bool operator==(const Slot&) const = default;
   };
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  // Config (sim_, iio_, cfg_, t_line_) is construction state.
-  struct Snapshot {
-    Rng rng{0};
+  // Everything the device's traffic mutates.
+  struct State {
+    Rng rng{0x5707A6EULL};
     std::vector<Slot> slots;
-    RingBuffer<std::uint32_t> ready_order;
+    RingBuffer<std::uint32_t> ready_order;  ///< slots with lines left to issue
     std::uint64_t next_region_line = 0;
     std::uint64_t interleave_counter = 0;
     bool link_busy = false;
     bool waiting_credit = false;
     std::uint64_t bytes = 0;
     std::uint64_t requests_done = 0;
+
+    bool operator==(const State&) const = default;
   };
+  using Snapshot = State;
 
-  void save_state(Snapshot& out) const {
-    out.rng = rng_;
-    out.slots = slots_;
-    out.ready_order = ready_order_;
-    out.next_region_line = next_region_line_;
-    out.interleave_counter = interleave_counter_;
-    out.link_busy = link_busy_;
-    out.waiting_credit = waiting_credit_;
-    out.bytes = bytes_;
-    out.requests_done = requests_done_;
-  }
-
-  void load_state(const Snapshot& s) {
-    rng_ = s.rng;
-    slots_ = s.slots;
-    ready_order_ = s.ready_order;
-    next_region_line_ = s.next_region_line;
-    interleave_counter_ = s.interleave_counter;
-    link_busy_ = s.link_busy;
-    waiting_credit_ = s.waiting_credit;
-    bytes_ = s.bytes;
-    requests_done_ = s.requests_done;
-  }
+  void save_state(Snapshot& out) const { out = st_; }
+  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   void issue_request(std::uint32_t slot);
   void pump();
   void request_done(std::uint32_t slot);
 
+  static constexpr std::uint64_t kInterleaveLines = 16;  ///< 1 KB bursts per stream
+
   sim::Simulator& sim_;
   Iio& iio_;
-  // hostnet-audit: skip(cfg_, construction config; immutable after build)
-  StorageConfig cfg_;
-  // hostnet-audit: skip(t_line_, derived from cfg_ bandwidth at construction; never mutates)
-  Tick t_line_;
-  Rng rng_{0x5707A6EULL};
-
-  std::vector<Slot> slots_;
-  RingBuffer<std::uint32_t> ready_order_;  ///< slots with lines left to issue
-  std::uint64_t next_region_line_ = 0;
-  std::uint64_t interleave_counter_ = 0;
-  static constexpr std::uint64_t kInterleaveLines = 16;  ///< 1 KB bursts per stream
-  bool link_busy_ = false;
-  bool waiting_credit_ = false;
-
-  std::uint64_t bytes_ = 0;
-  std::uint64_t requests_done_ = 0;
+  const StorageConfig cfg_;
+  const Tick t_line_;
+  State st_;
 };
 
 HOSTNET_SNAPSHOT_COVERS(StorageDevice);

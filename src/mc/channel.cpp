@@ -13,77 +13,77 @@ Channel::Channel(sim::Simulator& sim, const ChannelConfig& cfg, std::uint32_t ba
     : sim_(sim),
       cfg_(cfg),
       index_(index),
-      listener_(listener),
-      rpq_(cfg.rpq_capacity, cfg.prep_window, banks),
-      wpq_(cfg.wpq_capacity, cfg.prep_window, banks),
-      banks_(banks),
-      banks_owned_((banks + 63) / 64, 0),
-      counters_(banks, cfg.wpq_capacity) {
+      listener_(listener) {
+  st_.rpq = SlotQueue(cfg.rpq_capacity, cfg.prep_window, banks);
+  st_.wpq = SlotQueue(cfg.wpq_capacity, cfg.prep_window, banks);
+  st_.banks.resize(banks);
+  st_.banks_owned.assign((banks + 63) / 64, 0);
+  st_.counters = counters::McChannelCounters(banks, cfg.wpq_capacity);
   // Wake-up events in flight are bounded by the distinct ticks requested
   // between fires (stale-write deadlines plus near-term bus/bank kicks);
   // reserve enough that the tracking itself never allocates in steady state.
-  kick_inflight_.reserve(64);
+  st_.kick_inflight.reserve(64);
   flow::CreditPoolSpec rpq;
   rpq.name = "mc.rpq";
   rpq.capacity = cfg.rpq_capacity;
-  rpq_pool_.configure(rpq);
+  st_.rpq_pool.configure(rpq);
   flow::CreditPoolSpec wpq;
   wpq.name = "mc.wpq";
   wpq.capacity = cfg.wpq_capacity;
   wpq.backpressure = flow::BackpressurePolicy::kHysteresis;
   wpq.high_watermark = cfg.wpq_high_wm;
   wpq.low_watermark = cfg.wpq_low_wm;
-  wpq_pool_.configure(wpq);
+  st_.wpq_pool.configure(wpq);
 }
 
 void Channel::enqueue_read(const mem::Request& req, const dram::Coord& coord) {
   assert(rpq_has_space());
-  rpq_.push_back(req, coord, sim_.now(), next_entry_id_++);
-  rpq_pool_.acquire(sim_.now());
+  st_.rpq.push_back(req, coord, sim_.now(), st_.next_entry_id++);
+  st_.rpq_pool.acquire(sim_.now());
   kick();
 }
 
 void Channel::enqueue_write(const mem::Request& req, const dram::Coord& coord) {
   assert(wpq_has_space());
-  wpq_.push_back(req, coord, sim_.now(), next_entry_id_++);
-  wpq_pool_.acquire(sim_.now());
+  st_.wpq.push_back(req, coord, sim_.now(), st_.next_entry_id++);
+  st_.wpq_pool.acquire(sim_.now());
   // A lone write enqueued while the controller idles in read mode must not
   // wait forever: arm the stale-write timer.
-  if (mode_ == Mode::kRead) request_kick_at(sim_.now() + cfg_.max_write_age);
+  if (st_.mode == Mode::kRead) request_kick_at(sim_.now() + cfg_.max_write_age);
   kick();
 }
 
 void Channel::maybe_switch_mode(Tick now) {
-  if (mode_ == Mode::kRead) {
-    const bool dwell_done = now >= read_dwell_until_;
-    const bool high = wpq_pool_.above_high();
+  if (st_.mode == Mode::kRead) {
+    const bool dwell_done = now >= st_.read_dwell_until;
+    const bool high = st_.wpq_pool.above_high();
     // Opportunistic drains only for stale writes: switching on momentary RPQ
     // emptiness thrashes the bus direction at low load.
-    const bool idle_drain = rpq_.empty() && !wpq_.empty() &&
-                            now - wpq_.front().arrival >= cfg_.max_write_age;
+    const bool idle_drain = st_.rpq.empty() && !st_.wpq.empty() &&
+                            now - st_.wpq.front().arrival >= cfg_.max_write_age;
     if (high && !dwell_done && !idle_drain) {
-      request_kick_at(read_dwell_until_);
+      request_kick_at(st_.read_dwell_until);
       return;
     }
     if ((high && dwell_done) || idle_drain) {
-      mode_ = Mode::kWrite;
-      bus_free_at_ = std::max(bus_free_at_, now) + cfg_.timing.t_rtw;
-      release_inactive_banks(rpq_);
+      st_.mode = Mode::kWrite;
+      st_.bus_free_at = std::max(st_.bus_free_at, now) + cfg_.timing.t_rtw;
+      release_inactive_banks(st_.rpq);
       if (auto* tr = sim::Tracer::global()) {
         tr->instant("write-drain", "mc", now, sim::Tracer::kTrackChannel + index_);
-        tr->counter("wpq-occupancy", now, static_cast<double>(wpq_.size()));
+        tr->counter("wpq-occupancy", now, static_cast<double>(st_.wpq.size()));
       }
     }
   } else {
-    const bool drained = !rpq_.empty() && wpq_pool_.at_or_below_low();
+    const bool drained = !st_.rpq.empty() && st_.wpq_pool.at_or_below_low();
     if (drained) {
-      mode_ = Mode::kRead;
-      read_dwell_until_ =
+      st_.mode = Mode::kRead;
+      st_.read_dwell_until =
           now + std::min(cfg_.read_dwell_cap,
-                         static_cast<Tick>(rpq_.size()) * cfg_.dwell_per_queued_read);
-      bus_free_at_ = std::max(bus_free_at_, now) + cfg_.timing.t_wtr;
-      ++counters_.switch_cycles;
-      release_inactive_banks(wpq_);
+                         static_cast<Tick>(st_.rpq.size()) * cfg_.dwell_per_queued_read);
+      st_.bus_free_at = std::max(st_.bus_free_at, now) + cfg_.timing.t_wtr;
+      ++st_.counters.switch_cycles;
+      release_inactive_banks(st_.wpq);
     }
   }
 }
@@ -115,7 +115,7 @@ void Channel::prep_banks(Tick now) {
   const std::vector<std::uint64_t>& waiting = q.unprepped_window_banks();
   std::uint32_t candidates = 0;
   for (std::size_t w = 0; w < waiting.size(); ++w)
-    candidates += static_cast<std::uint32_t>(std::popcount(waiting[w] & ~banks_owned_[w]));
+    candidates += static_cast<std::uint32_t>(std::popcount(waiting[w] & ~st_.banks_owned[w]));
   // Walk the unprepped entries inside the prep window oldest first -- the
   // same candidates the full window scan used to visit, in the same order
   // (the sublist is age-ordered and window membership is exact).
@@ -124,8 +124,8 @@ void Channel::prep_banks(Tick now) {
     const auto next = q.unprepped_window_next(i);
     Entry& e = q.entry(i);
     if (!owned(e.coord.bank)) {
-      e.row_result = banks_[e.coord.bank].prepare(now, e.coord.row, cfg_.timing);
-      e.row_ready_at = banks_[e.coord.bank].ready_at();
+      e.row_result = st_.banks[e.coord.bank].prepare(now, e.coord.row, cfg_.timing);
+      e.row_ready_at = st_.banks[e.coord.bank].ready_at();
       q.mark_prepped(i);
       set_owned(e.coord.bank, true);
       --candidates;
@@ -135,7 +135,7 @@ void Channel::prep_banks(Tick now) {
 }
 
 bool Channel::try_issue(Tick now) {
-  if (bus_free_at_ > now) return false;
+  if (st_.bus_free_at > now) return false;
   auto& q = active_queue();
   // FR-FCFS: the oldest row-ready request wins the data bus. The prepped
   // sublist is age-ordered and only prepped entries can match, so walking
@@ -154,14 +154,14 @@ bool Channel::try_issue(Tick now) {
   set_owned(e.coord.bank, false);
   // Row-buffer outcomes are accounted per issued line (formula inputs are
   // per-cacheline), using the outcome of the prep that made this issue ready.
-  counters_.on_row_result(e.req.op, e.row_result == dram::RowResult::kHit,
+  st_.counters.on_row_result(e.req.op, e.row_result == dram::RowResult::kHit,
                           e.row_result == dram::RowResult::kMissConflict);
-  banks_[e.coord.bank].column_access(now, e.req.op == mem::Op::kWrite, cfg_.timing);
-  bus_free_at_ = now + cfg_.timing.t_trans;
+  st_.banks[e.coord.bank].column_access(now, e.req.op == mem::Op::kWrite, cfg_.timing);
+  st_.bus_free_at = now + cfg_.timing.t_trans;
 
   if (e.req.op == mem::Op::kRead) {
-    counters_.on_read_issued(e.coord.bank);
-    rpq_pool_.release(now);
+    st_.counters.on_read_issued(e.coord.bank);
+    st_.rpq_pool.release(now);
     const Tick done = now + cfg_.timing.t_cas + cfg_.timing.t_trans;
     const mem::Request req = e.req;
     auto completion = [this, req, done] { listener_->on_read_data(req, done); };
@@ -171,8 +171,8 @@ bool Channel::try_issue(Tick now) {
     sim_.schedule_at(done, completion);
     listener_->on_rpq_slot_freed(index_, now);
   } else {
-    ++counters_.lines_written;
-    wpq_pool_.release(now);
+    ++st_.counters.lines_written;
+    st_.wpq_pool.release(now);
     const Tick done = now + cfg_.timing.t_trans;
     auto completion = [this, done] { listener_->on_wpq_slot_freed(index_, done); };
     static_assert(sizeof(completion) <= sim::Event::kInlineBytes &&
@@ -188,69 +188,69 @@ void Channel::schedule_next(Tick now) {
   if (q.empty()) {
     // Nothing to do in the active mode; a pending inactive-mode switch is
     // driven by enqueue kicks or the stale-write timer.
-    if (mode_ == Mode::kRead && !wpq_.empty())
-      request_kick_at(std::max(now + 1, wpq_.front().arrival + cfg_.max_write_age));
+    if (st_.mode == Mode::kRead && !st_.wpq.empty())
+      request_kick_at(std::max(now + 1, st_.wpq.front().arrival + cfg_.max_write_age));
     return;
   }
   if (q.prepped_count() == 0) return;  // waiting on a bank owned by the inactive queue
   const Tick earliest_ready = q.earliest_ready();
-  request_kick_at(std::max({now + 1, bus_free_at_, earliest_ready}));
+  request_kick_at(std::max({now + 1, st_.bus_free_at, earliest_ready}));
 }
 
 void Channel::request_kick_at(Tick at) {
-  if (at >= next_kick_at_) return;
-  next_kick_at_ = at;
+  if (at >= st_.next_kick_at) return;
+  st_.next_kick_at = at;
   // An event already in flight for this exact tick will run the kick (the
   // earliest-scheduled event at a tick fires first, same as before); do not
   // enqueue a duplicate that could only die as a dead calendar entry.
-  for (const Tick t : kick_inflight_)
+  for (const Tick t : st_.kick_inflight)
     if (t == at) {
-      ++kick_stats_.deduped;
+      ++st_.kick_stats.deduped;
       return;
     }
-  kick_inflight_.push_back(at);
-  ++kick_stats_.scheduled;
+  st_.kick_inflight.push_back(at);
+  ++st_.kick_stats.scheduled;
   sim_.schedule_at(at, [this, at] { on_kick_event(at); });
 }
 
 void Channel::on_kick_event(Tick at) {
-  for (auto& t : kick_inflight_)
+  for (auto& t : st_.kick_inflight)
     if (t == at) {
-      t = kick_inflight_.back();
-      kick_inflight_.pop_back();
+      t = st_.kick_inflight.back();
+      st_.kick_inflight.pop_back();
       break;
     }
-  if (next_kick_at_ != at) {
-    ++kick_stats_.cancelled;  // superseded by an earlier kick
+  if (st_.next_kick_at != at) {
+    ++st_.kick_stats.cancelled;  // superseded by an earlier kick
     return;
   }
-  next_kick_at_ = std::numeric_limits<Tick>::max();
+  st_.next_kick_at = std::numeric_limits<Tick>::max();
   kick();
 }
 
 void Channel::verify_invariants() const {
 #if HOSTNET_CHECKED
-  rpq_.verify_arena("mc.rpq");
-  wpq_.verify_arena("mc.wpq");
+  st_.rpq.verify_arena("mc.rpq");
+  st_.wpq.verify_arena("mc.wpq");
   // Request conservation through the channel: every enqueued entry was
   // either issued to DRAM or still occupies an arena slot, and the pools'
   // credit counts track the arenas exactly.
-  rpq_pool_.verify();
-  wpq_pool_.verify();
-  HOSTNET_INVARIANT(rpq_pool_.in_use() == rpq_.size(),
+  st_.rpq_pool.verify();
+  st_.wpq_pool.verify();
+  HOSTNET_INVARIANT(st_.rpq_pool.in_use() == st_.rpq.size(),
                     "mc.rpq: pool holds %u credits but the arena holds %zu entries",
-                    rpq_pool_.in_use(), rpq_.size());
-  HOSTNET_INVARIANT(wpq_pool_.in_use() == wpq_.size(),
+                    st_.rpq_pool.in_use(), st_.rpq.size());
+  HOSTNET_INVARIANT(st_.wpq_pool.in_use() == st_.wpq.size(),
                     "mc.wpq: pool holds %u credits but the arena holds %zu entries",
-                    wpq_pool_.in_use(), wpq_.size());
+                    st_.wpq_pool.in_use(), st_.wpq.size());
   // Bank-ownership bijection: the prepped entries of both queues target
   // distinct banks, and those banks are exactly the owned set.
-  const SlotQueue* queues[] = {&rpq_, &wpq_};
-  std::vector<std::uint64_t> prepped_banks(banks_owned_.size(), 0);
+  const SlotQueue* queues[] = {&st_.rpq, &st_.wpq};
+  std::vector<std::uint64_t> prepped_banks(st_.banks_owned.size(), 0);
   for (const SlotQueue* q : queues) {
     for (auto i = q->prepped_head(); i != SlotQueue::kNil; i = q->prepped_next(i)) {
       const Entry& e = q->entry(i);
-      HOSTNET_INVARIANT(e.coord.bank < banks_.size() && owned(e.coord.bank),
+      HOSTNET_INVARIANT(e.coord.bank < st_.banks.size() && owned(e.coord.bank),
                         "mc.bank-ownership: prepped entry id %llu targets bank %u, which is "
                         "not owned",
                         static_cast<unsigned long long>(e.id), e.coord.bank);
@@ -263,7 +263,7 @@ void Channel::verify_invariants() const {
       word |= bit;
     }
   }
-  HOSTNET_INVARIANT(prepped_banks == banks_owned_,
+  HOSTNET_INVARIANT(prepped_banks == st_.banks_owned,
                     "mc.bank-ownership: an owned bank has no prepped entry");
 #endif
 }
@@ -273,46 +273,11 @@ void Channel::kick() {
   maybe_switch_mode(now);
   prep_banks(now);
   if (try_issue(now)) {
-    // The bus is busy until bus_free_at_; prepare more banks meanwhile.
+    // The bus is busy until st_.bus_free_at; prepare more banks meanwhile.
     maybe_switch_mode(now);
     prep_banks(now);
   }
   schedule_next(now);
-}
-
-void Channel::save_state(Snapshot& out) const {
-  out.rpq = rpq_;
-  out.wpq = wpq_;
-  out.banks = banks_;
-  out.banks_owned = banks_owned_;
-  out.mode = static_cast<std::uint8_t>(mode_);
-  out.bus_free_at = bus_free_at_;
-  out.read_dwell_until = read_dwell_until_;
-  out.next_entry_id = next_entry_id_;
-  out.next_kick_at = next_kick_at_;
-  out.kick_inflight = kick_inflight_;
-  out.kick_stats = kick_stats_;
-  rpq_pool_.save_state(out.rpq_pool);
-  wpq_pool_.save_state(out.wpq_pool);
-  out.counters = counters_;
-}
-
-void Channel::load_state(const Snapshot& s) {
-  assert(s.rpq && s.wpq && s.counters && "restoring from a default Snapshot");
-  rpq_ = *s.rpq;
-  wpq_ = *s.wpq;
-  banks_ = s.banks;
-  banks_owned_ = s.banks_owned;
-  mode_ = static_cast<Mode>(s.mode);
-  bus_free_at_ = s.bus_free_at;
-  read_dwell_until_ = s.read_dwell_until;
-  next_entry_id_ = s.next_entry_id;
-  next_kick_at_ = s.next_kick_at;
-  kick_inflight_ = s.kick_inflight;
-  kick_stats_ = s.kick_stats;
-  rpq_pool_.load_state(s.rpq_pool);
-  wpq_pool_.load_state(s.wpq_pool);
-  counters_ = *s.counters;
 }
 
 }  // namespace hostnet::mc

@@ -78,29 +78,29 @@ class Channel {
   /// The listener (the CHA) is constructed after the MC; it attaches here.
   void set_listener(ChannelListener* l) { listener_ = l; }
 
-  bool rpq_has_space() const { return !rpq_.full(); }
-  bool wpq_has_space() const { return !wpq_.full(); }
+  bool rpq_has_space() const { return !st_.rpq.full(); }
+  bool wpq_has_space() const { return !st_.wpq.full(); }
 
   /// Caller must have checked *_has_space(). `coord` must be for this channel.
   void enqueue_read(const mem::Request& req, const dram::Coord& coord);
   void enqueue_write(const mem::Request& req, const dram::Coord& coord);
 
-  counters::McChannelCounters& counters() { return counters_; }
-  const counters::McChannelCounters& counters() const { return counters_; }
+  counters::McChannelCounters& counters() { return st_.counters; }
+  const counters::McChannelCounters& counters() const { return st_.counters; }
   void reset_counters(Tick now) {
-    counters_.reset(now);
-    rpq_pool_.reset_telemetry(now);
-    wpq_pool_.reset_telemetry(now);
+    st_.counters.reset(now);
+    st_.rpq_pool.reset_telemetry(now);
+    st_.wpq_pool.reset_telemetry(now);
   }
 
   // -- credit pools (registered with flow::DomainRegistry, interior) ---------
   /// The queues' occupancy pools: in_use mirrors the arena sizes exactly;
   /// the WPQ pool carries the drain watermarks (kHysteresis).
-  flow::CreditPool& rpq_pool() { return rpq_pool_; }
-  flow::CreditPool& wpq_pool() { return wpq_pool_; }
+  flow::CreditPool& rpq_pool() { return st_.rpq_pool; }
+  flow::CreditPool& wpq_pool() { return st_.wpq_pool; }
 
-  std::size_t rpq_size() const { return rpq_.size(); }
-  std::size_t wpq_size() const { return wpq_.size(); }
+  std::size_t rpq_size() const { return st_.rpq.size(); }
+  std::size_t wpq_size() const { return st_.wpq.size(); }
 
   /// Self-kick bookkeeping: each scheduled wake-up is one calendar-queue
   /// entry; a wake-up superseded by an earlier one fires as a dead no-op
@@ -112,53 +112,59 @@ class Channel {
     std::uint64_t scheduled = 0;
     std::uint64_t cancelled = 0;
     std::uint64_t deduped = 0;
+    bool operator==(const KickStats&) const = default;
   };
-  const KickStats& kick_stats() const { return kick_stats_; }
+  const KickStats& kick_stats() const { return st_.kick_stats; }
 
   /// Checked-build audit (no-op otherwise): slot-arena structure of both
   /// queues, enqueue/issue conservation, and the bank-ownership bijection
-  /// between banks_owned_ and the prepped sublists (DESIGN.md section 4c).
+  /// between st_.banks_owned and the prepped sublists (DESIGN.md section 4c).
   void verify_invariants() const;
-
-  // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  // Config (sim_, cfg_, index_, listener_) is construction state. SlotQueue
-  // and McChannelCounters have no default constructor, so the snapshot
-  // holds them via std::optional (copy-assignment into an engaged optional
-  // still reuses the queues' slot arenas). Queue entries carry mem::Request
-  // whose completer points into the owning host: same-host restore only.
-  // `mode` is the Mode enum's underlying value (the enum itself is private).
-  struct Snapshot {
-    std::optional<SlotQueue> rpq;
-    std::optional<SlotQueue> wpq;
-    std::vector<dram::Bank> banks;
-    std::vector<std::uint64_t> banks_owned;
-    std::uint8_t mode = 0;
-    Tick bus_free_at = 0;
-    Tick read_dwell_until = 0;
-    std::uint64_t next_entry_id = 0;
-    Tick next_kick_at = 0;
-    std::vector<Tick> kick_inflight;
-    KickStats kick_stats;
-    flow::CreditPool::Snapshot rpq_pool;
-    flow::CreditPool::Snapshot wpq_pool;
-    std::optional<counters::McChannelCounters> counters;
-  };
-
-  void save_state(Snapshot& out) const;
-  void load_state(const Snapshot& s);
 
  private:
   enum class Mode : std::uint8_t { kRead, kWrite };
 
+ public:
+  // -- checkpointing (DESIGN.md section 4e) -----------------------------------
+  // Everything the scheduler mutates. Queue entries carry mem::Request whose
+  // completer points into the owning host: same-host restore only.
+  struct State {
+    SlotQueue rpq;
+    SlotQueue wpq;
+    std::vector<dram::Bank> banks;
+    /// Banks held by a prepped entry (bit b % 64 of word b / 64). The holder
+    /// is the one prepped entry of either queue that targets the bank.
+    std::vector<std::uint64_t> banks_owned;
+
+    Mode mode = Mode::kRead;
+    Tick bus_free_at = 0;
+    Tick read_dwell_until = 0;
+    std::uint64_t next_entry_id = 0;
+    Tick next_kick_at = std::numeric_limits<Tick>::max();
+    std::vector<Tick> kick_inflight;  ///< ticks with a wake-up event in flight
+    KickStats kick_stats;
+    flow::CreditPool rpq_pool;  ///< RPQ occupancy (slots in use)
+    flow::CreditPool wpq_pool;  ///< WPQ occupancy + drain watermarks
+
+    counters::McChannelCounters counters;
+
+    bool operator==(const State&) const = default;
+  };
+  using Snapshot = State;
+
+  void save_state(Snapshot& out) const { out = st_; }
+  void load_state(const Snapshot& s) { st_ = s; }
+
+ private:
   void release_inactive_banks(SlotQueue& q);
 
-  bool owned(std::uint32_t bank) const { return (banks_owned_[bank / 64] >> (bank % 64)) & 1; }
+  bool owned(std::uint32_t bank) const { return (st_.banks_owned[bank / 64] >> (bank % 64)) & 1; }
   void set_owned(std::uint32_t bank, bool on) {
     const std::uint64_t bit = std::uint64_t{1} << (bank % 64);
     if (on)
-      banks_owned_[bank / 64] |= bit;
+      st_.banks_owned[bank / 64] |= bit;
     else
-      banks_owned_[bank / 64] &= ~bit;
+      st_.banks_owned[bank / 64] &= ~bit;
   }
 
   void kick();
@@ -169,34 +175,14 @@ class Channel {
   void request_kick_at(Tick at);
   void on_kick_event(Tick at);
 
-  SlotQueue& active_queue() { return mode_ == Mode::kRead ? rpq_ : wpq_; }
+  SlotQueue& active_queue() { return st_.mode == Mode::kRead ? st_.rpq : st_.wpq; }
 
   sim::Simulator& sim_;
-  // hostnet-audit: skip(cfg_, construction config; immutable after build)
-  ChannelConfig cfg_;
-  // hostnet-audit: skip(index_, construction identity; fixed at build)
-  std::uint32_t index_;
-  // hostnet-audit: skip(listener_, observer wiring installed at build; restore targets the same host)
+  const ChannelConfig cfg_;
+  const std::uint32_t index_;
+  // hostnet-audit: allow(snapshot-state, wiring: the CHA attaches once, after construction)
   ChannelListener* listener_;
-
-  SlotQueue rpq_;
-  SlotQueue wpq_;
-  std::vector<dram::Bank> banks_;
-  /// Banks held by a prepped entry (bit b % 64 of word b / 64). The holder is
-  /// the one prepped entry of either queue that targets the bank.
-  std::vector<std::uint64_t> banks_owned_;
-
-  Mode mode_ = Mode::kRead;
-  Tick bus_free_at_ = 0;
-  Tick read_dwell_until_ = 0;
-  std::uint64_t next_entry_id_ = 0;
-  Tick next_kick_at_ = std::numeric_limits<Tick>::max();
-  std::vector<Tick> kick_inflight_;  ///< ticks with a wake-up event in flight
-  KickStats kick_stats_;
-  flow::CreditPool rpq_pool_;  ///< RPQ occupancy (slots in use)
-  flow::CreditPool wpq_pool_;  ///< WPQ occupancy + drain watermarks
-
-  counters::McChannelCounters counters_;
+  State st_;
 };
 
 HOSTNET_SNAPSHOT_COVERS(Channel);

@@ -44,6 +44,7 @@ class MemoryController {
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
   struct Snapshot {
     std::vector<Channel::Snapshot> channels;
+    bool operator==(const Snapshot&) const = default;
   };
 
   void save_state(Snapshot& out) const {
@@ -59,8 +60,7 @@ class MemoryController {
   }
 
  private:
-  // hostnet-audit: skip(map_, construction config; the address map never mutates)
-  dram::AddressMap map_;
+  const dram::AddressMap map_;
   std::vector<std::unique_ptr<Channel>> channels_;
 };
 

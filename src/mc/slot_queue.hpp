@@ -30,7 +30,7 @@
 //
 // Invariants (see DESIGN.md section 4b):
 //  * prepped list ⊆ FIFO list, both ordered by ascending entry id;
-//  * every prepped entry owns its bank in Channel::banks_owned_, and every
+//  * every prepped entry owns its bank in Channel::State::banks_owned, and every
 //    owned bank is targeted by exactly one prepped entry (ownership is
 //    released in Channel code before or at the same point the slot is
 //    erased/unprepped);
@@ -66,6 +66,8 @@ struct Entry {
   bool prepped = false;
   Tick row_ready_at = 0;
   dram::RowResult row_result = dram::RowResult::kHit;
+
+  bool operator==(const Entry&) const = default;
 };
 
 class SlotQueue {
@@ -73,6 +75,10 @@ class SlotQueue {
   using SlotIndex = std::uint16_t;
   static constexpr SlotIndex kNil = std::numeric_limits<SlotIndex>::max();
   static constexpr Tick kNoReady = std::numeric_limits<Tick>::max();
+
+  /// An empty zero-capacity arena: the value a default Channel::State holds
+  /// until a checkpoint is copied into it.
+  SlotQueue() = default;
 
   /// `window` is the bank-prep window depth (entries at FIFO positions
   /// >= window are outside it; a window >= capacity means "everything").
@@ -324,6 +330,19 @@ class SlotQueue {
   void verify_arena(const char*) const {}
 #endif
 
+  /// Logical equality: the same entries (with their prepped and in-window
+  /// flags) in the same FIFO order under the same prep window. Slot indices,
+  /// the free list and the capacity are storage; the prepped and
+  /// unprepped-window lists, the bank set and the earliest-ready tracker
+  /// are all determined by the FIFO contents.
+  bool operator==(const SlotQueue& o) const {
+    if (size_ != o.size_ || window_ != o.window_) return false;
+    for (SlotIndex i = head_, j = o.head_; i != kNil; i = slots_[i].next, j = o.slots_[j].next)
+      if (!(slots_[i].e == o.slots_[j].e) || slots_[i].in_window != o.slots_[j].in_window)
+        return false;
+    return true;
+  }
+
   /// min(row_ready_at) over prepped entries, kNoReady when none are prepped.
   /// Maintained incrementally; recomputes (bounded by the bank count) only
   /// after a removal that may have held the minimum.
@@ -428,7 +447,7 @@ class SlotQueue {
   }
 
   std::vector<Slot> slots_;
-  std::uint32_t window_;
+  std::uint32_t window_ = 0;
   SlotIndex head_ = kNil, tail_ = kNil;
   SlotIndex phead_ = kNil, ptail_ = kNil;
   SlotIndex uw_head_ = kNil, uw_tail_ = kNil;

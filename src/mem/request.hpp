@@ -76,6 +76,7 @@ struct Request {
   Tick cha_accepted = 0;        ///< set by the CHA at admission (measurement)
 
   TrafficClass cls() const { return traffic_class(source, op); }
+  bool operator==(const Request&) const = default;
 };
 
 }  // namespace hostnet::mem

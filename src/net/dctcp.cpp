@@ -18,7 +18,10 @@ constexpr std::uint64_t kPhaseAppRfo = 1;
 
 CopyCore::CopyCore(sim::Simulator& sim, cha::Cha& cha, const cpu::CoreConfig& cfg,
                    mem::Region socket_buf, mem::Region app_buf, Tick proto_time,
-                   std::uint32_t lines_per_packet, bool app_in_cache, std::uint16_t id)
+                   std::uint32_t lines_per_packet, bool app_in_cache, std::uint16_t id,
+                   RingBuffer<Tick>& ring,
+                   // hostnet-lint: allow(hot-alloc)  -- one-time wiring
+                   std::function<void()> on_packet_copied)
     : sim_(sim),
       cha_(cha),
       cfg_(cfg),
@@ -27,33 +30,35 @@ CopyCore::CopyCore(sim::Simulator& sim, cha::Cha& cha, const cpu::CoreConfig& cf
       proto_time_(proto_time),
       lines_per_packet_(lines_per_packet),
       app_in_cache_(app_in_cache),
-      id_(id) {
+      id_(id),
+      ring_(ring),
+      on_packet_copied_(std::move(on_packet_copied)) {
   flow::CreditPoolSpec spec;
   spec.name = "net.copy.lfb";
   spec.capacity = cfg_.lfb_entries;
-  lfb_pool_.configure(spec);
+  st_.lfb.configure(spec);
 }
 
 void CopyCore::notify_work() { try_start_packet(); }
 
 void CopyCore::try_start_packet() {
-  if (busy_ || ring_ == nullptr || ring_->empty()) return;
-  ring_->pop_front();
-  busy_ = true;
+  if (st_.busy || ring_.empty()) return;
+  ring_.pop_front();
+  st_.busy = true;
   // Protocol processing (socket bookkeeping, TCP/IP) before the copy; this
   // is the ~50% non-copy CPU time the paper cites from [10].
   sim_.schedule(proto_time_, [this] {
-    lines_to_issue_ = lines_per_packet_;
-    lines_outstanding_ = lines_per_packet_;
+    st_.lines_to_issue = lines_per_packet_;
+    st_.lines_outstanding = lines_per_packet_;
     pump();
   });
 }
 
 void CopyCore::pump() {
-  while (lfb_pool_.has_space() && lines_to_issue_ > 0) {
-    --lines_to_issue_;
-    const std::uint64_t line = line_cursor_++ % socket_buf_.lines();
-    lfb_pool_.acquire(sim_.now());
+  while (st_.lfb.has_space() && st_.lines_to_issue > 0) {
+    --st_.lines_to_issue;
+    const std::uint64_t line = st_.line_cursor++ % socket_buf_.lines();
+    st_.lfb.acquire(sim_.now());
     mem::Request req;
     req.addr = socket_buf_.base + line * kCachelineBytes;
     req.op = mem::Op::kRead;
@@ -71,13 +76,13 @@ void CopyCore::send_to_cha(mem::Request req) {
     cha_.record_admission_wait(req.cls(), 0);
     return;
   }
-  auto& q = req.op == mem::Op::kRead ? blocked_reads_ : blocked_writes_;
+  auto& q = req.op == mem::Op::kRead ? st_.blocked_reads : st_.blocked_writes;
   q.push_back(Blocked{req, sim_.now()});
   cha_.wait_for_admission(req.op, this, mem::Source::kCpu);
 }
 
 bool CopyCore::on_cha_admission(mem::Op op) {
-  auto& q = op == mem::Op::kRead ? blocked_reads_ : blocked_writes_;
+  auto& q = op == mem::Op::kRead ? st_.blocked_reads : st_.blocked_writes;
   if (q.empty()) return false;
   Blocked b = q.front();
   if (!cha_.try_submit(b.req)) {
@@ -120,13 +125,13 @@ void CopyCore::complete(const mem::Request& req, Tick now) {
   }
 
   // Write acknowledged by the CHA: the line is copied, slot freed.
-  lfb_pool_.release(now, req.created);
-  ++lines_copied_;
-  assert(lines_outstanding_ > 0);
-  --lines_outstanding_;
-  if (lines_outstanding_ == 0 && lines_to_issue_ == 0) {
-    ++packets_copied_;
-    busy_ = false;
+  st_.lfb.release(now, req.created);
+  ++st_.lines_copied;
+  assert(st_.lines_outstanding > 0);
+  --st_.lines_outstanding;
+  if (st_.lines_outstanding == 0 && st_.lines_to_issue == 0) {
+    ++st_.packets_copied;
+    st_.busy = false;
     if (on_packet_copied_) on_packet_copied_();
     try_start_packet();
   } else {
@@ -147,20 +152,18 @@ TcpReceiver::TcpReceiver(core::HostSystem& host, const TcpConfig& cfg)
   nc.pcie_gb_per_s = host.config().pcie_write_gb_per_s;
   nc.mtu_bytes = cfg_.mtu_bytes;
   if (nc.region.bytes == 0 || nc.region.base == 0) nc.region = workloads::p2m_region();
-  nic_ = std::make_unique<NicDevice>(host.sim(), host.iio(), nc);
-  nic_->set_packet_delivered_cb([this](Tick now) { on_packet_delivered(now); });
+  nic_ = std::make_unique<NicDevice>(host.sim(), host.iio(), nc,
+                                     [this](Tick now) { on_packet_delivered(now); });
 
   const std::uint32_t lines_per_packet = cfg_.mtu_bytes / kCachelineBytes;
   cpu::CoreConfig copy_cfg = host.config().core;
   copy_cfg.lfb_entries = cfg_.copy_width;
   for (std::uint32_t i = 0; i < cfg_.copy_cores; ++i) {
     mem::Region app{(160ull + i) << 30, 1ull << 30};
-    auto cc = std::make_unique<CopyCore>(host.sim(), host.cha(), copy_cfg, nc.region,
-                                         app, cfg_.proto_ns_per_packet, lines_per_packet,
-                                         cfg_.app_buffer_cache_resident,
-                                         static_cast<std::uint16_t>(1000 + i));
-    cc->set_ring(&ring_, [this] { on_packet_copied(); });
-    copy_cores_.push_back(std::move(cc));
+    copy_cores_.push_back(std::make_unique<CopyCore>(
+        host.sim(), host.cha(), copy_cfg, nc.region, app, cfg_.proto_ns_per_packet,
+        lines_per_packet, cfg_.app_buffer_cache_resident,
+        static_cast<std::uint16_t>(1000 + i), st_.ring, [this] { on_packet_copied(); }));
   }
 
   host.attach(core::ExternalHooks{
@@ -184,41 +187,41 @@ void TcpReceiver::start() {
 void TcpReceiver::reset(Tick now) {
   nic_->reset_counters(now);
   for (auto& c : copy_cores_) c->reset_counters(now);
-  window_start_ = now;
-  packets_copied_ = packets_offered_ = packets_dropped_ = 0;
-  packets_marked_ = packets_accepted_ = 0;
-  telemetry_.reset_window();
+  st_.window_start = now;
+  st_.packets_copied = st_.packets_offered = st_.packets_dropped = 0;
+  st_.packets_marked = st_.packets_accepted = 0;
+  st_.telemetry.reset_window();
 }
 
 void TcpReceiver::sender_pump() {
-  if (wire_busy_) return;
+  if (st_.wire_busy) return;
   const double rwnd = static_cast<double>(cfg_.ring_packets) -
-                      static_cast<double>(ring_.size());
+                      static_cast<double>(st_.ring.size());
   const double window = std::min(stack_->cwnd(), std::max(rwnd, 0.0));
-  if (static_cast<double>(inflight_) >= window) return;
+  if (static_cast<double>(st_.inflight) >= window) return;
 
   const Tick now = host_.sim().now();
   // Pacing gate (BBR-style stacks). DCTCP's gate is constant 0, so its
   // event stream -- and the fig goldens -- are untouched by this branch.
   const Tick pace = stack_->pacing_gate(now);
   if (pace > 0) {
-    if (!pacing_wait_) {
-      pacing_wait_ = true;
+    if (!st_.pacing_wait) {
+      st_.pacing_wait = true;
       host_.sim().schedule(pace, [this] {
-        pacing_wait_ = false;
+        st_.pacing_wait = false;
         sender_pump();
       });
     }
     return;
   }
 
-  ++inflight_;
-  ++packets_offered_;
-  wire_busy_ = true;
+  ++st_.inflight;
+  ++st_.packets_offered;
+  st_.wire_busy = true;
   stack_->on_send(now);
   const Tick t_packet = serialization_ticks(cfg_.mtu_bytes, cfg_.wire_gb_per_s);
   host_.sim().schedule(t_packet, [this] {
-    wire_busy_ = false;
+    st_.wire_busy = false;
     sender_pump();
   });
   // One-way latency to the receiver NIC.
@@ -227,26 +230,26 @@ void TcpReceiver::sender_pump() {
     bool marked = false;
     const bool accepted = nic_->offer_packet(&marked);
     if (!accepted) {
-      ++packets_dropped_;
-      ++telemetry_.epoch_drops;
+      ++st_.packets_dropped;
+      ++st_.telemetry.epoch_drops;
       stack_->on_drop(host_.sim().now());
       // Loss detected a round-trip later (fast retransmit).
       host_.sim().schedule(cfg_.base_rtt, [this] {
-        assert(inflight_ > 0);
-        --inflight_;
+        assert(st_.inflight > 0);
+        --st_.inflight;
         sender_pump();
       });
       return;
     }
-    ++packets_accepted_;
+    ++st_.packets_accepted;
     if (marked) {
-      ++packets_marked_;
-      ++telemetry_.epoch_marks;
+      ++st_.packets_marked;
+      ++st_.telemetry.epoch_marks;
     }
     if (stack_->ack_on_delivery()) {
       // ACK released at DMA completion (on_packet_delivered), so the
       // measured RTT carries the host-side backlog.
-      pending_acks_.push_back(sent);
+      st_.pending_acks.push_back(sent);
     } else {
       // ACK returns after the remaining half RTT.
       host_.sim().schedule(cfg_.base_rtt / 2, [this, sent] { on_ack(sent); });
@@ -256,63 +259,63 @@ void TcpReceiver::sender_pump() {
 
 void TcpReceiver::on_ack(Tick sent) {
   const Tick now = host_.sim().now();
-  ++telemetry_.epoch_acks;
-  telemetry_.note_rtt(now - sent);
+  ++st_.telemetry.epoch_acks;
+  st_.telemetry.note_rtt(now - sent);
   stack_->on_ack(now - sent, now);
-  assert(inflight_ > 0);
-  --inflight_;
+  assert(st_.inflight > 0);
+  --st_.inflight;
   sender_pump();
 }
 
 void TcpReceiver::on_packet_delivered(Tick now) {
-  ring_.push_back(now);
+  st_.ring.push_back(now);
   for (auto& c : copy_cores_) c->notify_work();
-  if (!pending_acks_.empty()) {
+  if (!st_.pending_acks.empty()) {
     // Deliveries happen in accept order, so the oldest pending send is the
     // one this DMA completion belongs to. Empty unless ack_on_delivery().
-    const Tick sent = pending_acks_.front();
-    pending_acks_.pop_front();
+    const Tick sent = st_.pending_acks.front();
+    st_.pending_acks.pop_front();
     host_.sim().schedule(cfg_.base_rtt / 2, [this, sent] { on_ack(sent); });
   }
 }
 
 void TcpReceiver::on_packet_copied() {
-  ++packets_copied_;
+  ++st_.packets_copied;
   sender_pump();  // receive window freed
 }
 
 void TcpReceiver::rtt_epoch() {
-  stack_->on_epoch(telemetry_, host_.sim().now());
-  telemetry_.cwnd_sum += stack_->cwnd();
-  ++telemetry_.cwnd_samples;
-  telemetry_.clear_epoch();
+  stack_->on_epoch(st_.telemetry, host_.sim().now());
+  st_.telemetry.cwnd_sum += stack_->cwnd();
+  ++st_.telemetry.cwnd_samples;
+  st_.telemetry.clear_epoch();
   host_.sim().schedule(cfg_.base_rtt, [this] { rtt_epoch(); });
 }
 
 double TcpReceiver::goodput_gbps(Tick now) const {
-  const Tick w = now - window_start_;
-  return gb_per_s(packets_copied_ * cfg_.mtu_bytes, w);
+  const Tick w = now - st_.window_start;
+  return gb_per_s(st_.packets_copied * cfg_.mtu_bytes, w);
 }
 
 double TcpReceiver::p2m_gbps(Tick now) const {
-  const Tick w = now - window_start_;
+  const Tick w = now - st_.window_start;
   return gb_per_s(nic_->bytes_dma(), w);
 }
 
 double TcpReceiver::loss_rate() const {
-  return packets_offered_ > 0
-             ? static_cast<double>(packets_dropped_) / static_cast<double>(packets_offered_)
+  return st_.packets_offered > 0
+             ? static_cast<double>(st_.packets_dropped) / static_cast<double>(st_.packets_offered)
              : 0.0;
 }
 
 double TcpReceiver::mark_fraction() const {
-  return packets_accepted_ > 0
-             ? static_cast<double>(packets_marked_) / static_cast<double>(packets_accepted_)
+  return st_.packets_accepted > 0
+             ? static_cast<double>(st_.packets_marked) / static_cast<double>(st_.packets_accepted)
              : 0.0;
 }
 
 double TcpReceiver::avg_cwnd() const {
-  return telemetry_.avg_cwnd(stack_->cwnd());
+  return st_.telemetry.avg_cwnd(stack_->cwnd());
 }
 
 double TcpReceiver::copy_lfb_latency_ns() const {

@@ -67,78 +67,66 @@ using DctcpConfig = TcpConfig;
 /// the LFB slot is held through all three trips.
 class CopyCore final : public mem::Completer, public cha::ChaClient {
  public:
+  /// `ring` and `on_packet_copied` are one-time wiring to the owning
+  /// TcpReceiver: the shared RX ring the core pops packets from, and the
+  /// callback run after each copied packet (std::function is fine here:
+  /// installed at construction, invoked -- never created -- per packet).
   CopyCore(sim::Simulator& sim, cha::Cha& cha, const cpu::CoreConfig& cfg,
            mem::Region socket_buf, mem::Region app_buf, Tick proto_time,
-           std::uint32_t lines_per_packet, bool app_in_cache, std::uint16_t id);
+           std::uint32_t lines_per_packet, bool app_in_cache, std::uint16_t id,
+           RingBuffer<Tick>& ring,
+           // hostnet-lint: allow(hot-alloc)
+           std::function<void()> on_packet_copied);
 
-  /// Called by the receiver when a packet is available; the core pulls via
-  /// the shared ring through `pop` when idle.
+  /// Called by the receiver when a packet is available; the core pulls from
+  /// the shared ring when idle.
   void notify_work();
-  // One-time wiring from the owning TcpReceiver (std::function is fine
-  // here: installed at construction, invoked -- never created -- per packet).
-  // hostnet-lint: allow(hot-alloc)
-  void set_ring(RingBuffer<Tick>* ring, std::function<void()> on_packet_copied) {
-    ring_ = ring;
-    on_packet_copied_ = std::move(on_packet_copied);
-  }
 
   void complete(const mem::Request& req, Tick now) override;
   bool on_cha_admission(mem::Op op) override;
 
-  counters::LatencyStation& lfb_station() { return lfb_pool_.station(); }
-  std::uint64_t packets_copied() const { return packets_copied_; }
-  std::uint64_t lines_copied() const { return lines_copied_; }
+  counters::LatencyStation& lfb_station() { return st_.lfb.station(); }
+  std::uint64_t packets_copied() const { return st_.packets_copied; }
+  std::uint64_t lines_copied() const { return st_.lines_copied; }
   void reset_counters(Tick now) {
-    lfb_pool_.reset_telemetry(now);
-    packets_copied_ = 0;
-    lines_copied_ = 0;
+    st_.lfb.reset_telemetry(now);
+    st_.packets_copied = 0;
+    st_.lines_copied = 0;
   }
 
   /// A copy access that failed CHA admission, with when it first blocked.
   struct Blocked {
     mem::Request req;
     Tick since;
+    bool operator==(const Blocked&) const = default;
   };
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  // Config and the ring_/on_packet_copied_ wiring are construction state.
-  // Blocked requests carry completer pointers into this core: same-host
-  // restore only.
-  struct Snapshot {
-    bool busy = false;
+  // Everything the copy loop mutates; config and the ring / callback wiring
+  // are construction state. Blocked requests carry completer pointers into
+  // this core: same-host restore only.
+  struct State {
+    bool busy = false;  ///< processing a packet (incl. proto time)
     std::uint32_t lines_to_issue = 0;
     std::uint32_t lines_outstanding = 0;
     std::uint64_t line_cursor = 0;
+
     RingBuffer<Blocked> blocked_reads;
     RingBuffer<Blocked> blocked_writes;
-    flow::CreditPool::Snapshot lfb_pool;
+
+    /// Copy-MLP bound (the core's LFB). A case-study component, not part of
+    /// the HostSystem, so it stays off the DomainRegistry.
+    // hostnet-audit: allow(pool-unregistered, case-study pool: no DomainRegistry here)
+    flow::CreditPool lfb;
     std::uint64_t packets_copied = 0;
     std::uint64_t lines_copied = 0;
+
+    bool operator==(const State&) const = default;
   };
+  using Snapshot = State;
 
-  void save_state(Snapshot& out) const {
-    out.busy = busy_;
-    out.lines_to_issue = lines_to_issue_;
-    out.lines_outstanding = lines_outstanding_;
-    out.line_cursor = line_cursor_;
-    out.blocked_reads = blocked_reads_;
-    out.blocked_writes = blocked_writes_;
-    lfb_pool_.save_state(out.lfb_pool);
-    out.packets_copied = packets_copied_;
-    out.lines_copied = lines_copied_;
-  }
-
-  void load_state(const Snapshot& s) {
-    busy_ = s.busy;
-    lines_to_issue_ = s.lines_to_issue;
-    lines_outstanding_ = s.lines_outstanding;
-    line_cursor_ = s.line_cursor;
-    blocked_reads_ = s.blocked_reads;
-    blocked_writes_ = s.blocked_writes;
-    lfb_pool_.load_state(s.lfb_pool);
-    packets_copied_ = s.packets_copied;
-    lines_copied_ = s.lines_copied;
-  }
+  void save_state(Snapshot& out) const { out = st_; }
+  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   void try_start_packet();
@@ -148,41 +136,17 @@ class CopyCore final : public mem::Completer, public cha::ChaClient {
 
   sim::Simulator& sim_;
   cha::Cha& cha_;
-  // hostnet-audit: skip(cfg_, construction config; immutable after build)
-  cpu::CoreConfig cfg_;
-  // hostnet-audit: skip(socket_buf_, fixed buffer geometry chosen at construction)
-  mem::Region socket_buf_;
-  // hostnet-audit: skip(app_buf_, fixed buffer geometry chosen at construction)
-  mem::Region app_buf_;
-  // hostnet-audit: skip(proto_time_, derived from cfg_ at construction; never mutates)
-  Tick proto_time_;
-  // hostnet-audit: skip(lines_per_packet_, derived from cfg_ at construction; never mutates)
-  std::uint32_t lines_per_packet_;
-  // hostnet-audit: skip(app_in_cache_, construction config; immutable after build)
-  bool app_in_cache_;
-  // hostnet-audit: skip(id_, construction identity; fixed at build)
-  std::uint16_t id_;
-
-  // hostnet-audit: skip(ring_, wiring to the owning TcpReceiver's queue; the owner snapshots the queue itself)
-  RingBuffer<Tick>* ring_ = nullptr;
-  // hostnet-audit: skip(on_packet_copied_, callback wiring installed at build; restore targets the same host)
+  const cpu::CoreConfig cfg_;
+  const mem::Region socket_buf_;
+  const mem::Region app_buf_;
+  const Tick proto_time_;
+  const std::uint32_t lines_per_packet_;
+  const bool app_in_cache_;
+  const std::uint16_t id_;
+  RingBuffer<Tick>& ring_;
   // hostnet-lint: allow(hot-alloc)  -- invoked per packet, assigned once at build
-  std::function<void()> on_packet_copied_;
-
-  bool busy_ = false;           ///< processing a packet (incl. proto time)
-  std::uint32_t lines_to_issue_ = 0;
-  std::uint32_t lines_outstanding_ = 0;
-  std::uint64_t line_cursor_ = 0;
-
-  RingBuffer<Blocked> blocked_reads_;
-  RingBuffer<Blocked> blocked_writes_;
-
-  /// Copy-MLP bound (the core's LFB). A case-study component, not part of
-  /// the HostSystem, so it stays off the DomainRegistry.
-  // hostnet-audit: allow(pool-unregistered, case-study component outside the HostSystem; no DomainRegistry exists here)
-  flow::CreditPool lfb_pool_;
-  std::uint64_t packets_copied_ = 0;
-  std::uint64_t lines_copied_ = 0;
+  const std::function<void()> on_packet_copied_;
+  State st_;
 };
 
 /// The stack-agnostic transport engine: NIC (lossy, ECN) + RX ring + copy
@@ -214,62 +178,56 @@ class TcpReceiver final : public core::P2MTransport {
   // Registered with HostSystem::attach as external save/load hooks, so
   // HostSystem::snapshot() carries the receiver's transport state alongside
   // the host's own.
-  struct Snapshot {
-    NicDevice::Snapshot nic;
-    std::vector<CopyCore::Snapshot> copy_cores;
-    RingBuffer<Tick> ring;
-    std::shared_ptr<const void> stack;  ///< the stack's own POD Snapshot
+  struct State {
+    RingBuffer<Tick> ring;  ///< arrival time of packets awaiting copy
+
+    // Sender state. The congestion-control half lives inside stack_; the
+    // engine keeps only the transport window and the CC inputs.
     TransportTelemetry telemetry;
+    // Wire-side packets in flight against the sender's cwnd -- a transport
+    // window, not a host credit domain. hostnet-lint: allow(raw-credit-counter)
     std::uint32_t inflight = 0;
     bool wire_busy = false;
-    bool pacing_wait = false;
+    bool pacing_wait = false;  ///< a pacing-gate timer is already scheduled
+    /// Send timestamps of accepted packets awaiting a delivery-clocked ACK
+    /// (ack_on_delivery() stacks only; deliveries happen in accept order, so
+    /// FIFO pairing is exact). Always empty for DCTCP.
     RingBuffer<Tick> pending_acks;
+
+    // Window counters.
     Tick window_start = 0;
     std::uint64_t packets_copied = 0;
     std::uint64_t packets_offered = 0;
     std::uint64_t packets_dropped = 0;
     std::uint64_t packets_marked = 0;
     std::uint64_t packets_accepted = 0;
+
+    bool operator==(const State&) const = default;
+  };
+  struct Snapshot {
+    State st;
+    NicDevice::Snapshot nic;
+    std::vector<CopyCore::Snapshot> copy_cores;
+    TcpStack::Snapshot stack;
+    bool operator==(const Snapshot&) const = default;
   };
 
   void save_state(Snapshot& out) const {
+    out.st = st_;
     nic_->save_state(out.nic);
     out.copy_cores.resize(copy_cores_.size());
     for (std::size_t i = 0; i < copy_cores_.size(); ++i)
       copy_cores_[i]->save_state(out.copy_cores[i]);
-    out.ring = ring_;
-    out.stack = stack_->save_blob();
-    out.telemetry = telemetry_;
-    out.inflight = inflight_;
-    out.wire_busy = wire_busy_;
-    out.pacing_wait = pacing_wait_;
-    out.pending_acks = pending_acks_;
-    out.window_start = window_start_;
-    out.packets_copied = packets_copied_;
-    out.packets_offered = packets_offered_;
-    out.packets_dropped = packets_dropped_;
-    out.packets_marked = packets_marked_;
-    out.packets_accepted = packets_accepted_;
+    stack_->save_state(out.stack);
   }
 
   void load_state(const Snapshot& s) {
+    st_ = s.st;
     nic_->load_state(s.nic);
     assert(s.copy_cores.size() == copy_cores_.size());
     for (std::size_t i = 0; i < copy_cores_.size(); ++i)
       copy_cores_[i]->load_state(s.copy_cores[i]);
-    ring_ = s.ring;
-    stack_->load_blob(s.stack.get());
-    telemetry_ = s.telemetry;
-    inflight_ = s.inflight;
-    wire_busy_ = s.wire_busy;
-    pacing_wait_ = s.pacing_wait;
-    pending_acks_ = s.pending_acks;
-    window_start_ = s.window_start;
-    packets_copied_ = s.packets_copied;
-    packets_offered_ = s.packets_offered;
-    packets_dropped_ = s.packets_dropped;
-    packets_marked_ = s.packets_marked;
-    packets_accepted_ = s.packets_accepted;
+    stack_->load_state(s.stack);
   }
 
  private:
@@ -282,34 +240,11 @@ class TcpReceiver final : public core::P2MTransport {
   void rtt_epoch();
 
   core::HostSystem& host_;
-  // hostnet-audit: skip(cfg_, construction config; immutable after build)
-  TcpConfig cfg_;
+  const TcpConfig cfg_;
   std::unique_ptr<NicDevice> nic_;
   std::vector<std::unique_ptr<CopyCore>> copy_cores_;
-  RingBuffer<Tick> ring_;  ///< arrival time of packets awaiting copy
-
-  // Sender state. The congestion-control half lives inside stack_ (its own
-  // Snapshot, carried as an opaque blob above); the engine keeps only the
-  // transport window and the CC inputs.
   std::unique_ptr<TcpStack> stack_;
-  TransportTelemetry telemetry_;
-  // Wire-side packets in flight against the sender's cwnd -- a transport
-  // window, not a host credit domain. hostnet-lint: allow(raw-credit-counter)
-  std::uint32_t inflight_ = 0;
-  bool wire_busy_ = false;
-  bool pacing_wait_ = false;  ///< a pacing-gate timer is already scheduled
-  /// Send timestamps of accepted packets awaiting a delivery-clocked ACK
-  /// (ack_on_delivery() stacks only; deliveries happen in accept order, so
-  /// FIFO pairing is exact). Always empty for DCTCP.
-  RingBuffer<Tick> pending_acks_;
-
-  // Window counters.
-  Tick window_start_ = 0;
-  std::uint64_t packets_copied_ = 0;
-  std::uint64_t packets_offered_ = 0;
-  std::uint64_t packets_dropped_ = 0;
-  std::uint64_t packets_marked_ = 0;
-  std::uint64_t packets_accepted_ = 0;
+  State st_;
 };
 
 HOSTNET_SNAPSHOT_COVERS(CopyCore);

@@ -27,6 +27,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <variant>
 
 #include "common/snapshot.hpp"
 #include "common/units.hpp"
@@ -82,6 +83,42 @@ struct TransportTelemetry {
   double avg_cwnd(double current_cwnd) const {
     return cwnd_samples > 0 ? cwnd_sum / static_cast<double>(cwnd_samples) : current_cwnd;
   }
+
+  bool operator==(const TransportTelemetry&) const = default;
+};
+
+// -- congestion state (DESIGN.md section 4e) ---------------------------------
+// Each stack keeps all of its mutable CC state in one of these structs. They
+// sit at namespace scope so TcpStack::Snapshot, the variant the engine
+// carries inside TcpReceiver::Snapshot, can name all three.
+
+/// DctcpStack's state: cwnd and the mark-fraction EWMA.
+struct DctcpState {
+  double cwnd = 16;
+  double alpha = 0;
+  bool operator==(const DctcpState&) const = default;
+};
+
+/// BbrStack's state: the bandwidth and RTT filters and the pacing gate.
+struct BbrState {
+  static constexpr std::size_t kWindowEpochs = 10;  ///< bw/RTT filter depth
+  double cwnd = 0;
+  std::array<double, kWindowEpochs> bw_window{};  ///< delivered pkts per epoch
+  std::array<Tick, kWindowEpochs> rtt_window{};   ///< per-epoch min RTT (0 = none)
+  std::uint64_t epochs = 0;                       ///< epochs folded into the filters
+  std::uint32_t gain_idx = 0;                     ///< position in the gain cycle
+  Tick next_send = 0;                             ///< pacing gate opens here
+  Tick pace_interval = 0;                         ///< 0 until first bw estimate
+  bool operator==(const BbrState&) const = default;
+};
+
+/// DavisStack's state: cwnd and the min-RTT filter.
+struct DavisState {
+  static constexpr std::size_t kWindowEpochs = 16;  ///< min-RTT filter depth
+  double cwnd = 0;
+  std::array<Tick, kWindowEpochs> rtt_window{};  ///< per-epoch min RTT (0 = none)
+  std::uint64_t epochs = 0;
+  bool operator==(const DavisState&) const = default;
 };
 
 /// Every stack saturates at the same cap the original receiver used.
@@ -90,8 +127,8 @@ inline constexpr double kMinCwnd = 2.0;
 
 /// One congestion-control algorithm driving the TcpReceiver engine. The
 /// engine calls the hooks at its event sites; the stack owns nothing but CC
-/// state, all of it covered by the per-stack Snapshot contract below (the
-/// engine carries the snapshot blob inside its own).
+/// state, all of it in its State struct above (the engine carries a copy of
+/// it inside its own snapshot).
 class TcpStack {
  public:
   virtual ~TcpStack() = default;
@@ -128,11 +165,12 @@ class TcpStack {
   /// RTT carries the host-side backlog (the delay signal).
   virtual bool ack_on_delivery() const { return false; }
 
-  // Type-erased checkpoint plumbing: the engine stores the stack's POD
-  // Snapshot as an opaque blob inside TcpReceiver::Snapshot. Same-host
-  // restore only, like every external component.
-  virtual std::shared_ptr<const void> save_blob() const = 0;
-  virtual void load_blob(const void* blob) = 0;
+  // -- checkpointing (DESIGN.md section 4e) -----------------------------------
+  // A copy of the concrete stack's State; a stack restores only from its own
+  // alternative (std::get throws on a mismatch).
+  using Snapshot = std::variant<DctcpState, BbrState, DavisState>;
+  virtual void save_state(Snapshot& out) const = 0;
+  virtual void load_state(const Snapshot& s) = 0;
 };
 
 /// DCTCP: cwnd follows the ECN mark fraction through the alpha EWMA --
@@ -140,38 +178,21 @@ class TcpStack {
 /// the same order, so goldens stay byte-identical.
 class DctcpStack final : public TcpStack {
  public:
-  DctcpStack(double initial_cwnd, double g) : cwnd_(initial_cwnd), g_(g) {}
+  DctcpStack(double initial_cwnd, double g) : g_(g) { st_.cwnd = initial_cwnd; }
 
   core::TcpStackKind kind() const override { return core::TcpStackKind::kDctcp; }
 
   void on_epoch(const TransportTelemetry& t, Tick now) override;
 
-  double cwnd() const override { return cwnd_; }
+  double cwnd() const override { return st_.cwnd; }
 
-  // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  struct Snapshot {
-    double cwnd = 16;
-    double alpha = 0;
-  };
-
-  void save_state(Snapshot& out) const {
-    out.cwnd = cwnd_;
-    out.alpha = alpha_;
-  }
-
-  void load_state(const Snapshot& s) {
-    cwnd_ = s.cwnd;
-    alpha_ = s.alpha;
-  }
-
-  std::shared_ptr<const void> save_blob() const override;
-  void load_blob(const void* blob) override;
+  using State = DctcpState;
+  void save_state(Snapshot& out) const override { out = st_; }
+  void load_state(const Snapshot& s) override { st_ = std::get<State>(s); }
 
  private:
-  double cwnd_;
-  double alpha_ = 0;
-  // hostnet-audit: skip(g_, construction config (dctcp_g); immutable after build)
-  double g_;
+  const double g_;
+  State st_;
 };
 
 /// BBR-like: model the pipe, don't fill the buffer. A windowed max filter
@@ -183,69 +204,32 @@ class DctcpStack final : public TcpStack {
 /// the delivery collapse), matching BBR's design.
 class BbrStack final : public TcpStack {
  public:
-  static constexpr std::size_t kWindowEpochs = 10;  ///< bw/RTT filter depth
+  static constexpr std::size_t kWindowEpochs = BbrState::kWindowEpochs;
   static constexpr std::size_t kGainPhases = 8;
 
-  BbrStack(double initial_cwnd, Tick base_rtt) : cwnd_(initial_cwnd), base_rtt_(base_rtt) {}
+  BbrStack(double initial_cwnd, Tick base_rtt) : base_rtt_(base_rtt) { st_.cwnd = initial_cwnd; }
 
   core::TcpStackKind kind() const override { return core::TcpStackKind::kBbr; }
 
   void on_send(Tick now) override;
   void on_epoch(const TransportTelemetry& t, Tick now) override;
 
-  double cwnd() const override { return cwnd_; }
+  double cwnd() const override { return st_.cwnd; }
   Tick pacing_gate(Tick now) const override {
-    return next_send_ > now ? next_send_ - now : 0;
+    return st_.next_send > now ? st_.next_send - now : 0;
   }
   bool ack_on_delivery() const override { return true; }
 
   double max_bw_packets_per_epoch() const;  ///< current bandwidth estimate
   Tick min_rtt() const;                     ///< current propagation estimate
 
-  // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  struct Snapshot {
-    double cwnd = 0;
-    std::array<double, kWindowEpochs> bw_window{};
-    std::array<Tick, kWindowEpochs> rtt_window{};
-    std::uint64_t epochs = 0;
-    std::uint32_t gain_idx = 0;
-    Tick next_send = 0;
-    Tick pace_interval = 0;
-  };
-
-  void save_state(Snapshot& out) const {
-    out.cwnd = cwnd_;
-    out.bw_window = bw_window_;
-    out.rtt_window = rtt_window_;
-    out.epochs = epochs_;
-    out.gain_idx = gain_idx_;
-    out.next_send = next_send_;
-    out.pace_interval = pace_interval_;
-  }
-
-  void load_state(const Snapshot& s) {
-    cwnd_ = s.cwnd;
-    bw_window_ = s.bw_window;
-    rtt_window_ = s.rtt_window;
-    epochs_ = s.epochs;
-    gain_idx_ = s.gain_idx;
-    next_send_ = s.next_send;
-    pace_interval_ = s.pace_interval;
-  }
-
-  std::shared_ptr<const void> save_blob() const override;
-  void load_blob(const void* blob) override;
+  using State = BbrState;
+  void save_state(Snapshot& out) const override { out = st_; }
+  void load_state(const Snapshot& s) override { st_ = std::get<State>(s); }
 
  private:
-  double cwnd_;
-  // hostnet-audit: skip(base_rtt_, construction config; immutable after build)
-  Tick base_rtt_;
-  std::array<double, kWindowEpochs> bw_window_{};  ///< delivered pkts per epoch
-  std::array<Tick, kWindowEpochs> rtt_window_{};   ///< per-epoch min RTT (0 = none)
-  std::uint64_t epochs_ = 0;                       ///< epochs folded into the filters
-  std::uint32_t gain_idx_ = 0;                     ///< position in the gain cycle
-  Tick next_send_ = 0;                             ///< pacing gate opens here
-  Tick pace_interval_ = 0;                         ///< 0 until first bw estimate
+  const Tick base_rtt_;
+  State st_;
 };
 
 /// Davis-like: pure delay-based control. Tracks the minimum RTT over a
@@ -256,51 +240,33 @@ class BbrStack final : public TcpStack {
 /// loss-blind, they just rarely get that far).
 class DavisStack final : public TcpStack {
  public:
-  static constexpr std::size_t kWindowEpochs = 16;  ///< min-RTT filter depth
+  static constexpr std::size_t kWindowEpochs = DavisState::kWindowEpochs;
   static constexpr double kBackoff = 0.8;
 
   DavisStack(double initial_cwnd, Tick base_rtt)
-      : cwnd_(initial_cwnd), queue_tolerance_(base_rtt / 8) {}
+      : queue_tolerance_(base_rtt / 8) {
+    st_.cwnd = initial_cwnd;
+  }
 
   core::TcpStackKind kind() const override { return core::TcpStackKind::kDavis; }
 
   void on_epoch(const TransportTelemetry& t, Tick now) override;
 
-  double cwnd() const override { return cwnd_; }
+  double cwnd() const override { return st_.cwnd; }
   bool ack_on_delivery() const override { return true; }
 
   Tick min_rtt() const;  ///< current congestion-free baseline estimate
 
-  // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  struct Snapshot {
-    double cwnd = 0;
-    std::array<Tick, kWindowEpochs> rtt_window{};
-    std::uint64_t epochs = 0;
-  };
-
-  void save_state(Snapshot& out) const {
-    out.cwnd = cwnd_;
-    out.rtt_window = rtt_window_;
-    out.epochs = epochs_;
-  }
-
-  void load_state(const Snapshot& s) {
-    cwnd_ = s.cwnd;
-    rtt_window_ = s.rtt_window;
-    epochs_ = s.epochs;
-  }
-
-  std::shared_ptr<const void> save_blob() const override;
-  void load_blob(const void* blob) override;
+  using State = DavisState;
+  void save_state(Snapshot& out) const override { out = st_; }
+  void load_state(const Snapshot& s) override { st_ = std::get<State>(s); }
 
  private:
-  double cwnd_;
-  // hostnet-audit: skip(queue_tolerance_, derived from base_rtt at construction; never mutates)
-  Tick queue_tolerance_;
-  std::array<Tick, kWindowEpochs> rtt_window_{};  ///< per-epoch min RTT (0 = none)
-  std::uint64_t epochs_ = 0;
+  const Tick queue_tolerance_;
+  State st_;
 };
 
+HOSTNET_SNAPSHOT_COVERS(TcpStack);
 HOSTNET_SNAPSHOT_COVERS(DctcpStack);
 HOSTNET_SNAPSHOT_COVERS(BbrStack);
 HOSTNET_SNAPSHOT_COVERS(DavisStack);

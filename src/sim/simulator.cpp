@@ -6,8 +6,8 @@ bool Simulator::step() {
   const Tick at = queue_.next_tick();
   if (at == CalendarQueue::kNoEvent) return false;
   const CalendarQueue::Handle h = queue_.pop(at);
-  now_ = at;
-  ++executed_;
+  st_.now = at;
+  ++st_.executed;
   queue_.fire(h);
   return true;
 }
@@ -20,11 +20,11 @@ void Simulator::run_until(Tick until) {
     const Tick at = queue_.next_tick(until);
     if (at == CalendarQueue::kNoEvent || at > until) break;
     const CalendarQueue::Handle h = queue_.pop(at);
-    now_ = at;
-    ++executed_;
+    st_.now = at;
+    ++st_.executed;
     queue_.fire(h);
   }
-  if (now_ < until) now_ = until;
+  if (st_.now < until) st_.now = until;
 }
 
 }  // namespace hostnet::sim

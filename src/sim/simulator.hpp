@@ -26,23 +26,23 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  Tick now() const { return now_; }
+  Tick now() const { return st_.now; }
 
   /// Schedule `fn` to run at absolute time `at` (must be >= now()).
   template <typename F>
   void schedule_at(Tick at, F&& fn) {
-    assert(at >= now_ && "cannot schedule into the past");
-    HOSTNET_INVARIANT(at >= now_,
+    assert(at >= st_.now && "cannot schedule into the past");
+    HOSTNET_INVARIANT(at >= st_.now,
                       "simulator time monotonicity: event scheduled at tick %lld "
                       "but the clock is already at %lld",
-                      static_cast<long long>(at), static_cast<long long>(now_));
+                      static_cast<long long>(at), static_cast<long long>(st_.now));
     queue_.emplace(at, std::forward<F>(fn));
   }
 
   /// Schedule `fn` to run `delay` ticks from now.
   template <typename F>
   void schedule(Tick delay, F&& fn) {
-    schedule_at(now_ + delay, std::forward<F>(fn));
+    schedule_at(st_.now + delay, std::forward<F>(fn));
   }
 
   /// Run events until the queue is empty or the clock passes `until`.
@@ -52,37 +52,40 @@ class Simulator {
   /// Run the single next event; returns false when no events remain.
   bool step();
 
-  std::uint64_t events_executed() const { return executed_; }
+  std::uint64_t events_executed() const { return st_.executed; }
   std::size_t pending() const { return queue_.size(); }
 
   /// Checked-build audit of the event queue (no-op otherwise).
   void verify_invariants() const { queue_.verify_invariants(); }
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  struct Snapshot {
+  struct State {
     Tick now = 0;
     std::uint64_t executed = 0;
+    bool operator==(const State&) const = default;
+  };
+  struct Snapshot {
+    State st;
     CalendarQueue::Snapshot queue;
+    /// Equality is audit_identical(): closures compare as the queue audit
+    /// compares them.
+    bool operator==(const Snapshot& o) const { return audit_identical(*this, o); }
   };
 
   void save_state(Snapshot& out) const {
-    out.now = now_;
-    out.executed = executed_;
+    out.st = st_;
     queue_.save_state(out.queue);
   }
   void load_state(const Snapshot& s) {
-    now_ = s.now;
-    executed_ = s.executed;
+    st_ = s.st;
     queue_.load_state(s.queue);
   }
   static bool audit_identical(const Snapshot& a, const Snapshot& b) {
-    return a.now == b.now && a.executed == b.executed &&
-           CalendarQueue::audit_identical(a.queue, b.queue);
+    return a.st == b.st && CalendarQueue::audit_identical(a.queue, b.queue);
   }
 
  private:
-  Tick now_ = 0;
-  std::uint64_t executed_ = 0;
+  State st_;
   CalendarQueue queue_;
 };
 

@@ -1,24 +1,26 @@
-// Bad fixture: malformed directives -> two bad-directive findings.
-//   * skip() without the mandatory reason
-//   * allow() naming a check that snapshot findings may never allow
-//     (snapshot coverage is suppressed per-field with skip, never allow)
+// Bad fixture: malformed directives -> three bad-directive findings.
+//   * allow() without the mandatory reason
+//   * allow() naming a check that can never be allowed
+//   * a directive other than allow()
 #include <cstdint>
 
 namespace fixture {
 
 class Sloppy {
  public:
-  struct Snapshot {
+  struct State {
     std::uint64_t n = 0;
   };
-
-  void save_state(Snapshot& out) const { out.n = n_; }
-  void load_state(const Snapshot& s) { n_ = s.n; }
+  using Snapshot = State;
+  void save_state(Snapshot& out) const { out = st_; }
 
  private:
-  // hostnet-audit: skip(n_)
-  std::uint64_t n_ = 0;
-  // hostnet-audit: allow(snapshot-save-missing, snapshot findings cannot be allowed)
+  // hostnet-audit: allow(snapshot-state)
+  const std::uint64_t limit_ = 0;
+  // hostnet-audit: allow(stale-allow, stale findings cannot be allowed)
+  // hostnet-audit: ignore(st_, not a directive)
+  State st_;
 };
+HOSTNET_SNAPSHOT_COVERS(Sloppy);
 
 }  // namespace fixture

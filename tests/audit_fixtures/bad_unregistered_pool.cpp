@@ -1,24 +1,26 @@
-// Bad fixture: a by-value flow::CreditPool that never reaches a
-// DomainRegistry add()/add_interior() call anywhere in the scanned set ->
-// one pool-unregistered finding. (Fixture runs scan only this file, so the
-// absence of a registration here is the violation.)
+// Bad fixture: a flow::CreditPool inside a component's State that never
+// reaches a DomainRegistry add()/add_interior() call anywhere in the scanned
+// set -> one pool-unregistered finding. (Fixture runs scan only this file,
+// so the absence of a registration here is the violation.)
 #include <cstdint>
 
 namespace fixture {
 
 class Port {
  public:
-  struct Snapshot {
-    flow::CreditPool::Snapshot txq;
+  struct State {
+    flow::CreditPool txq;  // finding: pool-unregistered
+    std::uint64_t sent = 0;
   };
+  using Snapshot = State;
+  void save_state(Snapshot& out) const { out = st_; }
+  void load_state(const Snapshot& s) { st_ = s; }
 
-  void save_state(Snapshot& out) const { txq_.save_state(out.txq); }
-  void load_state(const Snapshot& s) { txq_.load_state(s.txq); }
-
-  flow::CreditPool& txq_pool() { return txq_; }
+  flow::CreditPool& txq_pool() { return st_.txq; }
 
  private:
-  flow::CreditPool txq_;  // finding: pool-unregistered
+  State st_;
 };
+HOSTNET_SNAPSHOT_COVERS(Port);
 
 }  // namespace fixture

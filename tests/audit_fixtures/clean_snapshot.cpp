@@ -1,47 +1,65 @@
-// Clean fixture for tools/hostnet_audit.py: every data member is mentioned
-// by both save_state() and load_state() or carries an audited skip, the
-// reference member is exempt automatically, and the by-value CreditPool
-// reaches a DomainRegistry add() call through its accessor.
+// Clean fixture for tools/hostnet_audit.py: a checkpointed component whose
+// every data member is `State st_`, const construction config, a reference
+// (wiring) or an owned checkpointed child; its by-value CreditPool lives in
+// the State and reaches a DomainRegistry add() call through its accessor.
 //
 // Audit fixtures are parsed, never compiled, so the hostnet types are used
 // by name without includes (the auditor is textual, like the lint).
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 namespace fixture {
 
+class Stage {
+ public:
+  struct State {
+    std::uint64_t done = 0;
+  };
+  using Snapshot = State;
+  void save_state(Snapshot& out) const { out = st_; }
+  void load_state(const Snapshot& s) { st_ = s; }
+
+ private:
+  const std::uint32_t index_;
+  State st_;
+};
+HOSTNET_SNAPSHOT_COVERS(Stage);
+
 class Engine {
  public:
-  struct Snapshot {
+  struct State {
     std::uint64_t cycles = 0;
     std::uint64_t stalls = 0;
-    flow::CreditPool::Snapshot pool;
+    flow::CreditPool pool;
+  };
+  struct Snapshot {
+    State st;
+    std::vector<Stage::Snapshot> stages;
   };
 
   void save_state(Snapshot& out) const {
-    out.cycles = cycles_;
-    out.stalls = stalls_;
-    pool_.save_state(out.pool);
+    out.st = st_;
+    out.stages.resize(stages_.size());
+    for (std::size_t i = 0; i < stages_.size(); ++i) stages_[i]->save_state(out.stages[i]);
   }
 
-  void load_state(const Snapshot& s) {
-    cycles_ = s.cycles;
-    stalls_ = s.stalls;
-    pool_.load_state(s.pool);
-  }
-
-  flow::CreditPool& pool() { return pool_; }
+  flow::CreditPool& pool() { return st_.pool; }
 
  private:
-  sim::Simulator& sim_;  // reference member: auto-exempt (construction wiring)
-  // hostnet-audit: skip(cfg_, construction config; immutable after build)
-  EngineConfig cfg_;
-  std::uint64_t cycles_ = 0;
-  std::uint64_t stalls_ = 0;
-  flow::CreditPool pool_;
+  sim::Simulator& sim_;   // reference: construction wiring
+  const EngineConfig cfg_;  // const: construction config
+  const Tick t_cycle_;      // const: derived at construction
+  Stage* const first_;      // const pointer: wiring
+  std::vector<std::unique_ptr<Stage>> stages_;  // owned checkpointed children
+  std::unique_ptr<Stage> spare_;
+  Stage last_;
+  State st_;
 };
+HOSTNET_SNAPSHOT_COVERS(Engine);
 
 inline void wire(Engine& e, flow::DomainRegistry& registry) {
-  registry.add("fixture.engine.pool", e.pool());
+  registry.add("fixture.engine.pool", &e.pool());
 }
 
 }  // namespace fixture

@@ -1,39 +1,29 @@
 // Edge fixture: members gated behind #ifdef HOSTNET_CHECKED. The auditor
 // blanks preprocessor lines but keeps the code between them, so a gated
-// member is always audit-visible -- and its save/load mentions, equally
-// gated, keep it covered. No findings.
+// member is always audit-visible: the gated State field and the gated const
+// member below are both seen, and both are fine. No findings.
 #include <cstdint>
 
 namespace fixture {
 
 class Checked {
  public:
-  struct Snapshot {
+  struct State {
     std::uint64_t ticks = 0;
 #ifdef HOSTNET_CHECKED
     std::uint64_t audits = 0;
 #endif
   };
-
-  void save_state(Snapshot& out) const {
-    out.ticks = ticks_;
-#ifdef HOSTNET_CHECKED
-    out.audits = audits_;
-#endif
-  }
-
-  void load_state(const Snapshot& s) {
-    ticks_ = s.ticks;
-#ifdef HOSTNET_CHECKED
-    audits_ = s.audits;
-#endif
-  }
+  using Snapshot = State;
+  void save_state(Snapshot& out) const { out = st_; }
+  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
-  std::uint64_t ticks_ = 0;
 #ifdef HOSTNET_CHECKED
-  std::uint64_t audits_ = 0;
+  const std::uint64_t audit_every_ = 64;
 #endif
+  State st_;
 };
+HOSTNET_SNAPSHOT_COVERS(Checked);
 
 }  // namespace fixture

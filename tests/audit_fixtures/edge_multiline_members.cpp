@@ -1,34 +1,45 @@
 // Edge fixture: member declarations that span multiple source lines (the
 // type on one line, the name on another; a template type broken across
-// lines). Declarations end at `;`, not at newlines, so both members must be
-// found. Everything is covered: no findings.
+// lines; a multi-line class head). Declarations end at `;`, not at
+// newlines, so every member is found and classified: no findings.
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 namespace fixture {
 
-class Wide {
+class Lane {
  public:
-  struct Snapshot {
+  struct State {
     std::uint64_t issued = 0;
-    std::uint64_t retired = 0;
   };
-
-  void save_state(Snapshot& out) const {
-    out.issued = issued_;
-    out.retired = retired_;
-  }
-
-  void load_state(const Snapshot& s) {
-    issued_ = s.issued;
-    retired_ = s.retired;
-  }
+  using Snapshot = State;
+  void save_state(Snapshot& out) const { out = st_; }
 
  private:
-  std::uint64_t
-      issued_ = 0;
-  std::vector<
-      std::pair<std::uint64_t, std::uint64_t>>
-      retired_;
+  State st_;
 };
+HOSTNET_SNAPSHOT_COVERS(Lane);
+
+class Wide final
+    : public Base,
+      public Other {
+ public:
+  struct State {
+    std::uint64_t retired = 0;
+  };
+  using Snapshot = State;
+  void save_state(Snapshot& out) const { out = st_; }
+
+ private:
+  const std::uint64_t
+      width_ = 0;
+  std::vector<
+      std::unique_ptr<Lane>>
+      lanes_;
+  State
+      st_;
+};
+HOSTNET_SNAPSHOT_COVERS(Wide);
 
 }  // namespace fixture

@@ -1,7 +1,8 @@
-// Edge fixture: nested class definitions inside an audited class. The
-// nested type's members belong to the nested scope -- they must not be
-// attributed to the outer class -- and a nested class with its own Snapshot
-// is audited independently. Everything here is covered: no findings.
+// Edge fixture: nested class definitions inside a checkpointed class. The
+// nested types' fields belong to the nested scopes -- the State fields and
+// the plain Entry struct's fields must not be attributed to the outer
+// class -- and a nested checkpointed class is audited on its own and may be
+// owned by value. No findings.
 #include <cstdint>
 
 namespace fixture {
@@ -10,40 +11,42 @@ class Outer {
  public:
   class Inner {
    public:
-    struct Snapshot {
+    struct State {
       std::uint32_t depth = 0;
     };
-    void save_state(Snapshot& out) const { out.depth = depth_; }
-    void load_state(const Snapshot& s) { depth_ = s.depth; }
+    using Snapshot = State;
+    void save_state(Snapshot& out) const { out = st_; }
+    void load_state(const Snapshot& s) { st_ = s; }
 
    private:
-    std::uint32_t depth_ = 0;
+    State st_;
   };
 
-  /// A nested plain struct (no Snapshot): its fields are not Outer members.
+  /// A nested plain struct (not checkpointed): its fields are not Outer members.
   struct Entry {
     std::uint64_t key = 0;
     std::uint64_t value = 0;
   };
 
-  struct Snapshot {
-    Inner::Snapshot inner;
+  struct State {
     std::uint64_t epoch = 0;
+    Entry last;
+  };
+  struct Snapshot {
+    State st;
+    Inner::Snapshot inner;
   };
 
   void save_state(Snapshot& out) const {
+    out.st = st_;
     inner_.save_state(out.inner);
-    out.epoch = epoch_;
-  }
-
-  void load_state(const Snapshot& s) {
-    inner_.load_state(s.inner);
-    epoch_ = s.epoch;
   }
 
  private:
   Inner inner_;
-  std::uint64_t epoch_ = 0;
+  State st_;
 };
+HOSTNET_SNAPSHOT_COVERS(Outer);
+HOSTNET_SNAPSHOT_COVERS(Inner);
 
 }  // namespace fixture

@@ -1,27 +1,21 @@
 // Edge fixture: members with comma-carrying template types, a template
 // member function, and constexpr class constants. The member extractor must
-// find `rows_` and `order_` (and only them); the template function and the
-// constants are not state. Everything is covered: no findings.
+// find `rows_` and `st_` (and only them); the template function and the
+// constants are not instance state. No findings.
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 namespace fixture {
 
 class Table {
  public:
-  struct Snapshot {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> rows;
+  struct State {
     RingBuffer<std::uint32_t> order;
   };
-
-  void save_state(Snapshot& out) const {
-    out.rows = rows_;
-    out.order = order_;
-  }
-
-  void load_state(const Snapshot& s) {
-    rows_ = s.rows;
-    order_ = s.order;
-  }
+  using Snapshot = State;
+  void save_state(Snapshot& out) const { out = st_; }
+  void load_state(const Snapshot& s) { st_ = s; }
 
   template <typename F>
   void for_each(F&& fn) const {
@@ -29,10 +23,11 @@ class Table {
   }
 
  private:
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> rows_;
-  RingBuffer<std::uint32_t> order_;
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> rows_;
+  State st_;
   static constexpr std::size_t kWays = 4;      // constexpr: not state
   static const std::uint64_t kMask = 0xffffu;  // static: not instance state
 };
+HOSTNET_SNAPSHOT_COVERS(Table);
 
 }  // namespace fixture

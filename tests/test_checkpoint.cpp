@@ -66,6 +66,21 @@ void expect_identical(const RunOutcome& a, const RunOutcome& b) {
   expect_identical(a.metrics, b.metrics);
 }
 
+/// Whole-host state equality, component by component, through each State's
+/// operator== (the event queue through Simulator::audit_identical). `owner`
+/// is not compared, and the externals are opaque blobs: callers that know a
+/// blob's type compare it themselves.
+void expect_same_state(const HostSnapshot& a, const HostSnapshot& b) {
+  EXPECT_TRUE(a.st == b.st);
+  EXPECT_TRUE(a.sim == b.sim);
+  EXPECT_TRUE(a.mc == b.mc);
+  EXPECT_TRUE(a.cha == b.cha);
+  EXPECT_TRUE(a.iios == b.iios);
+  EXPECT_TRUE(a.cores == b.cores);
+  EXPECT_TRUE(a.storage == b.storage);
+  EXPECT_EQ(a.externals.size(), b.externals.size());
+}
+
 /// The credit-ledger balances of every registered flow-control pool.
 std::vector<std::uint32_t> ledger_balances(HostSystem& host) {
   std::vector<std::uint32_t> v;
@@ -129,11 +144,11 @@ TEST(Checkpoint, RestoreReplaysIdenticalWindow) {
     const Replay c = replay(host, extra);
 
     for (const Replay* r : {&b, &c}) {
-      EXPECT_EQ(a.executed, r->executed) << "trial " << trial;
-      EXPECT_EQ(a.end, r->end) << "trial " << trial;
-      EXPECT_EQ(a.balances, r->balances) << "trial " << trial;
-      EXPECT_TRUE(sim::Simulator::audit_identical(a.end_state.sim, r->end_state.sim))
-          << "trial " << trial;
+      SCOPED_TRACE(trial);
+      EXPECT_EQ(a.executed, r->executed);
+      EXPECT_EQ(a.end, r->end);
+      EXPECT_EQ(a.balances, r->balances);
+      expect_same_state(a.end_state, r->end_state);
       expect_identical(a.metrics, r->metrics);
     }
   }
@@ -179,6 +194,7 @@ TEST(Checkpoint, DctcpReceiverRoundTrips) {
   const Metrics m1 = host.collect();
   const double goodput1 = rx.goodput_gbps(host.sim().now());
   const std::uint64_t executed1 = host.sim().events_executed();
+  const HostSnapshot end1 = host.snapshot();
 
   host.restore(checkpoint);
   host.run_more(us(400));
@@ -187,6 +203,15 @@ TEST(Checkpoint, DctcpReceiverRoundTrips) {
   EXPECT_EQ(executed1, host.sim().events_executed());
   expect_identical(m1, m2);
   EXPECT_GT(goodput1, 0.0);
+  // The whole end state, the receiver's transport blob (NIC, copy cores,
+  // engine and congestion state) included.
+  const HostSnapshot end2 = host.snapshot();
+  expect_same_state(end1, end2);
+  ASSERT_EQ(end1.externals.size(), 1u);
+  const auto transport = [](const HostSnapshot& s) -> const net::TcpReceiver::Snapshot& {
+    return *static_cast<const net::TcpReceiver::Snapshot*>(s.externals[0].get());
+  };
+  EXPECT_TRUE(transport(end1) == transport(end2));
 }
 
 // -- fork-from-checkpoint windows --------------------------------------------

@@ -69,8 +69,9 @@ TEST_P(ConservationSweep, HoldsEverywhere) {
   EXPECT_LE(m.total_mem_gbps(), hc.dram_peak_gb_per_s() * 1.001);
 
   // (5) Little's law self-consistency for the LFB (PMU method vs direct).
-  if (m.c2m_lines_read > 10000)
+  if (m.c2m_lines_read > 10000) {
     EXPECT_NEAR(m.lfb_littles_latency_ns / m.lfb_latency_ns, 1.0, 0.06);
+  }
 
   // (6) Row outcomes account for every issued line.
   EXPECT_LE(m.mc_pre_conflict_read, m.mc_act_read);

@@ -82,9 +82,9 @@ class BadFixtures(unittest.TestCase):
         self.assert_findings(fixture("src", "sim", "bad_magic_tick.cpp"), "magic-tick", 2)
 
     def test_raw_credit_counter(self):
-        # *_in_use_, *inflight_, *_used_: three findings.
+        # *_in_use_, *inflight_, *_used_ and a bare State field: four findings.
         self.assert_findings(fixture("src", "cpu", "bad_raw_credit.cpp"),
-                             "raw-credit-counter", 3)
+                             "raw-credit-counter", 4)
 
     def test_snapshot_coverage(self):
         # Two classes with save_state(), no descriptors: two findings.

@@ -517,7 +517,7 @@ TEST(McArenaDeathTest, StaleWaitingBankSetTripsAudit) {
   ch.verify_invariants();
   Channel::Snapshot snap;
   ch.save_state(snap);
-  SlotQueue& rpq = *snap.rpq;
+  SlotQueue& rpq = snap.rpq;
   ASSERT_NE(rpq.unprepped_window_head(), SlotQueue::kNil);
   rpq.entry(rpq.unprepped_window_head()).coord.bank = 3;
   ch.load_state(snap);

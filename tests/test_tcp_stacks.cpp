@@ -108,7 +108,7 @@ TEST(TcpStacks, DavisBacksOffOnRttInflationWithoutDrops) {
 }
 
 TEST(TcpStacks, SnapshotBlobRoundTripsPerStack) {
-  // save_blob -> keep mutating -> load_blob must restore the exact CC state.
+  // save_state -> keep mutating -> load_state must restore the exact CC state.
   for (const core::TcpStackKind kind :
        {core::TcpStackKind::kDctcp, core::TcpStackKind::kBbr, core::TcpStackKind::kDavis}) {
     TcpConfig cfg;
@@ -121,7 +121,8 @@ TEST(TcpStacks, SnapshotBlobRoundTripsPerStack) {
     t.note_rtt(us(50));
     stack->on_epoch(t, us(40));
     const double cwnd_at_save = stack->cwnd();
-    const auto blob = stack->save_blob();
+    TcpStack::Snapshot saved;
+    stack->save_state(saved);
 
     // Keep mutating with different telemetry: drops halve the loss-aware
     // stacks, the quadrupled delivery rate moves BBR's bandwidth filter.
@@ -129,8 +130,11 @@ TEST(TcpStacks, SnapshotBlobRoundTripsPerStack) {
     t.epoch_acks = 160;
     for (int i = 0; i < 5; ++i) stack->on_epoch(t, us(40) * (i + 2));
     EXPECT_NE(stack->cwnd(), cwnd_at_save) << core::to_string(kind);
-    stack->load_blob(blob.get());
+    stack->load_state(saved);
     EXPECT_EQ(stack->cwnd(), cwnd_at_save) << core::to_string(kind);
+    TcpStack::Snapshot resaved;
+    stack->save_state(resaved);
+    EXPECT_EQ(saved, resaved) << core::to_string(kind);
   }
 }
 

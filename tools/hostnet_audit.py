@@ -1,88 +1,66 @@
 #!/usr/bin/env python3
-"""hostnet-audit: field-level model auditor for the hostnet simulator.
+"""hostnet-audit: whole-program model auditor for the hostnet simulator.
 
 hostnet_lint.py answers "does this line look wrong?"; hostnet_audit.py
 answers three *whole-program* questions that line-oriented lint cannot
 (DESIGN.md section 4g):
 
-  1. snapshot coverage -- for every class with a nested `Snapshot` struct,
-     every data member must be mentioned by save_state() AND load_state()
-     (the checkpoint/fork engine of DESIGN.md 4e silently diverges
-     otherwise), and every `Snapshot` field must be written by save_state()
-     and read back by load_state() symmetrically. Members that are
-     deliberately not checkpointed (construction config, derived values
-     rebuilt by load_state()) carry an audited suppression:
+  1. snapshot state -- every class carrying a HOSTNET_SNAPSHOT_COVERS
+     descriptor keeps all of its mutable state in one `State st_` member,
+     which save_state()/load_state() copy whole (DESIGN.md 4e). Every other
+     non-static data member must be
+       * `const` (construction config, derived constants),
+       * a reference (construction wiring), or
+       * an owned checkpointed child: a HOSTNET_SNAPSHOT_COVERS class held
+         by value, by std::unique_ptr or in a std::vector of them (its owner
+         saves and restores it through its own save_state/load_state).
+     A mutable member anywhere else would silently escape checkpointing.
+     Deliberate exceptions are annotated in place; an allow() on the class
+     head exempts the whole class:
 
-         // hostnet-audit: skip(field_, why it is not snapshot state)
+         // hostnet-audit: allow(snapshot-state, why)
 
-     Reference members are construction wiring by definition and are
-     exempted automatically (recorded in the manifest with a generated
-     reason).
-
-  2. pool registration -- every class that owns a `flow::CreditPool` by
-     value must surface it to the host-wide `flow::DomainRegistry`: the
-     member (or one of its accessors) must appear in a `registry.add(...)` /
-     `registry.add_interior(...)` call somewhere in the scanned tree.
-     An unregistered pool is invisible to `DomainRegistry::observe`, the
-     predictor's spec table and the fleet aggregates. Deliberate
-     exceptions are annotated in place:
+  2. pool registration -- every `flow::CreditPool` held by value (directly
+     or inside a nested `State`) must surface to the host-wide
+     `flow::DomainRegistry`: the member (or an accessor returning it) must
+     appear in a `registry.add(...)` / `registry.add_interior(...)` call
+     somewhere in the scanned tree. An unregistered pool is invisible to
+     `DomainRegistry::observe`, the predictor's spec table and the fleet
+     aggregates. Deliberate exceptions:
 
          // hostnet-audit: allow(pool-unregistered, why)
 
   3. handler purity -- code in the event-handler subsystems
      (src/{sim,cpu,cha,iio,mc,net}) may not hold function-local `static`
      mutable state or namespace-scope mutable variables: fork/replay runs
-     the same handler from the same Snapshot twice and hidden state makes
+     the same handler from the same snapshot twice and hidden state makes
      the replays diverge. `const`/`constexpr` data is fine.
-
-The auditor also *generates* the per-class field manifest
-(`tools/snapshot_manifest.json`, checked in). A default tree run verifies
-the manifest is current; after changing any audited class run
-
-    python3 tools/hostnet_audit.py --write-manifest
-
-and commit the refreshed manifest. The manifest is the field-level
-replacement for the old sizeof-based HOSTNET_SNAPSHOT_COVERS values: it
-records exactly which members are covered and why each skipped member is
-not state, independent of ABI, compiler and padding.
 
 Parsing is the same lightweight-scanner approach as hostnet_lint.py: no
 libclang, stdlib only. Comments/strings are blanked, preprocessor lines
 are blanked (so `#ifdef HOSTNET_CHECKED` members are audited in every
 configuration), and a brace scanner builds a namespace/class/block scope
-tree. "Mentioned in save_state()" is a word-boundary containment check,
-not dataflow -- precise enough to catch the forgotten-member bug class
-this tool exists for, and the Snapshot-field symmetry check covers the
-write/read direction.
+tree.
 
 Checks (ids are stable; use them in suppressions):
 
-  snapshot-save-missing   data member never mentioned in save_state()
-  snapshot-load-missing   data member never mentioned in load_state()
-  snapshot-asymmetry      Snapshot field written but never restored (or
-                          restored but never written, or dead), or a class
-                          with a Snapshot struct missing save/load
-  snapshot-skip           skip() names a field the class does not have
-  snapshot-dead-skip      skip() on a field that is saved and loaded anyway
+  snapshot-state          mutable data member of a HOSTNET_SNAPSHOT_COVERS
+                          class outside its State
   pool-unregistered       by-value flow::CreditPool member never registered
                           in a DomainRegistry
   handler-static-state    function-local static mutable state in a handler
                           subsystem
   handler-global-state    namespace-scope mutable variable in a handler
                           subsystem
-  manifest-drift          tools/snapshot_manifest.json does not match the
-                          tree (run --write-manifest)
   stale-allow             an allow() that no longer suppresses anything
-  bad-directive           malformed skip()/allow() (missing reason, unknown
-                          check id, skip outside an audited class)
+  bad-directive           malformed allow() (missing reason, unknown or
+                          non-allowable check id) or an unknown directive
 
 Usage:
-    tools/hostnet_audit.py                   # audit src/ + verify manifest
+    tools/hostnet_audit.py                   # audit src/
     tools/hostnet_audit.py path...           # audit specific files/dirs
     tools/hostnet_audit.py --json            # machine-readable report
-    tools/hostnet_audit.py --write-manifest  # refresh tools/snapshot_manifest.json
     tools/hostnet_audit.py --list-checks
-    tools/hostnet_audit.py --list-skips
 
 Exit status: 0 = clean, 1 = findings, 2 = usage error.
 """
@@ -94,87 +72,34 @@ import os
 import re
 import sys
 
-CXX_EXTENSIONS = (".hpp", ".h", ".cpp", ".cc", ".cxx")
+# One scanner, file walk and finding format for both tools.
+from hostnet_lint import Finding, iter_files, rel, strip_comments_and_strings
+
 DEFAULT_ROOTS = ("src",)
-SKIP_DIR_NAMES = {"lint_fixtures", "audit_fixtures", "build", ".git"}
-SKIP_DIR_PREFIXES = ("build-",)
-MANIFEST_REL = "tools/snapshot_manifest.json"
 
 # Event-handler subsystems with the fork/replay purity contract.
 HANDLER_DIRS = ("src/sim", "src/cpu", "src/cha", "src/iio", "src/mc", "src/net")
 # src/flow owns the pool/registry implementation itself.
 POOL_EXEMPT_DIRS = ("src/flow",)
 
-REFERENCE_SKIP_REASON = "reference member: construction-time wiring, not state"
+STATE_MEMBER = "st_"
 
 CHECKS = {
-    "snapshot-save-missing": "data member never mentioned in save_state()",
-    "snapshot-load-missing": "data member never mentioned in load_state()",
-    "snapshot-asymmetry": "Snapshot field not saved+restored symmetrically",
-    "snapshot-skip": "skip() names a field the class does not declare",
-    "snapshot-dead-skip": "skip() on a field that is saved and loaded anyway",
+    "snapshot-state": "mutable data member of a checkpointed class outside its State",
     "pool-unregistered": "by-value flow::CreditPool never registered in a DomainRegistry",
     "handler-static-state": "function-local static mutable state in a handler subsystem",
     "handler-global-state": "namespace-scope mutable variable in a handler subsystem",
-    "manifest-drift": "tools/snapshot_manifest.json is out of date",
     "stale-allow": "allow() directive that suppresses nothing",
     "bad-directive": "malformed hostnet-audit directive",
 }
 
 # Checks that accept an `// hostnet-audit: allow(<check>, reason)` on the
-# finding line (or alone on the line above). Snapshot-coverage findings are
-# never allow()ed -- they are either fixed or skip()ed per field.
-ALLOWABLE = {"pool-unregistered", "handler-static-state", "handler-global-state"}
+# finding line (or alone on the line above).
+ALLOWABLE = {"snapshot-state", "pool-unregistered", "handler-static-state",
+             "handler-global-state"}
 
-SKIP_RE = re.compile(r"hostnet-audit:\s*skip\(\s*([A-Za-z_]\w*)\s*(?:,\s*([^)]*))?\)")
 ALLOW_RE = re.compile(r"hostnet-audit:\s*allow\(\s*([\w-]+)\s*(?:,\s*([^)]*))?\)")
 DIRECTIVE_RE = re.compile(r"hostnet-audit:\s*(\w+)")
-
-
-def strip_comments_and_strings(text):
-    """Blank out comments and string/char literals, preserving line structure.
-
-    Kept in sync with tools/hostnet_lint.py (same scanner: //, /* */, "..."
-    and '...' with escapes, R"delim(...)delim" raw strings).
-    """
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            j = text.find("\n", i)
-            j = n if j == -1 else j
-            out.append(" " * (j - i))
-            i = j
-        elif c == "/" and nxt == "*":
-            j = text.find("*/", i + 2)
-            j = n - 2 if j == -1 else j
-            span = text[i : j + 2]
-            out.append("".join(ch if ch == "\n" else " " for ch in span))
-            i = j + 2
-        elif c == "R" and text[i : i + 2] == 'R"':
-            m = re.match(r'R"([^(]*)\(', text[i:])
-            if m is None:
-                out.append(c)
-                i += 1
-                continue
-            close = ")" + m.group(1) + '"'
-            j = text.find(close, i + m.end())
-            j = n - len(close) if j == -1 else j
-            span = text[i : j + len(close)]
-            out.append("".join(ch if ch == "\n" else " " for ch in span))
-            i = j + len(close)
-        elif c == '"' or c == "'":
-            j = i + 1
-            while j < n and text[j] != c:
-                j += 2 if text[j] == "\\" else 1
-            out.append(c + " " * (j - i - 1) + (c if j < n else ""))
-            i = j + 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
 
 
 def blank_preprocessor(code):
@@ -197,8 +122,7 @@ def blank_preprocessor(code):
 
 
 class Scope:
-    __slots__ = ("kind", "name", "head_start", "open_pos", "close_pos",
-                 "children", "parent")
+    __slots__ = ("kind", "name", "head_start", "open_pos", "close_pos", "children")
 
     def __init__(self, kind, name, head_start, open_pos, close_pos):
         self.kind = kind          # top | namespace | class | enum | block
@@ -207,7 +131,6 @@ class Scope:
         self.open_pos = open_pos
         self.close_pos = close_pos
         self.children = []
-        self.parent = None
 
 
 def classify_head(head):
@@ -227,9 +150,8 @@ def classify_head(head):
 
 
 def build_scopes(code):
-    """Single pass over braces -> scope tree + open_pos -> Scope index."""
+    """Single pass over braces -> scope tree."""
     root = Scope("top", None, 0, -1, len(code))
-    by_open = {}
     stack = [root]
     last_boundary = 0
     for m in re.finditer(r"[{};]", code):
@@ -237,16 +159,14 @@ def build_scopes(code):
         if ch == "{":
             kind, name = classify_head(code[last_boundary:pos])
             sc = Scope(kind, name, last_boundary, pos, len(code))
-            sc.parent = stack[-1]
             stack[-1].children.append(sc)
             stack.append(sc)
-            by_open[pos] = sc
         elif ch == "}":
             if len(stack) > 1:
                 stack[-1].close_pos = pos
                 stack.pop()
         last_boundary = pos + 1
-    return root, by_open
+    return root
 
 
 def innermost_scope(root, pos):
@@ -260,7 +180,9 @@ def innermost_scope(root, pos):
 
 def direct_statements(code, scope):
     """(start_pos, text) of the scope's own statements, child scopes elided
-    to `{}` so nested bodies/initializers never leak into the split."""
+    to `{}` so nested bodies/initializers never leak into the split. A
+    function body ends its statement (no `;` follows it), so the next
+    declaration starts, and is located, on its own."""
     stmts = []
     buf, cur_start = [], None
     i = scope.open_pos + 1
@@ -268,9 +190,13 @@ def direct_statements(code, scope):
     ci = 0
     while i < scope.close_pos:
         if ci < len(children) and i == children[ci].open_pos:
+            fn_body = FN_QUALS_RE.sub("", "".join(buf)).rstrip().endswith(")")
             buf.append("{}")
             i = children[ci].close_pos + 1
             ci += 1
+            if fn_body:
+                stmts.append((cur_start, "".join(buf)))
+                buf, cur_start = [], None
             continue
         c = code[i]
         if c == ";":
@@ -282,6 +208,8 @@ def direct_statements(code, scope):
             if cur_start is None and not c.isspace():
                 cur_start = i
             buf.append(c)
+            if c == ":" and ACCESS_RE.fullmatch("".join(buf).strip()):
+                buf, cur_start = [], None  # `private:` starts no statement
         i += 1
     text = "".join(buf)
     if text.strip():
@@ -373,8 +301,7 @@ def _decl_tail_name(s):
 
 def parse_member(stmt):
     """Parse one class-body statement into a member record, or None."""
-    s = ACCESS_RE.sub(" ", stmt)
-    s = elide_parens(s).strip()
+    s = elide_parens(stmt).strip()
     if not s or NON_MEMBER_KW_RE.search(s):
         return None
     if re.match(r"(?:class|struct|union|enum)\b", s):
@@ -385,30 +312,34 @@ def parse_member(stmt):
     name, pre = got
     if re.search(r"\b(?:static|constexpr|constinit)\b", pre):
         return None  # class-level constants, not instance state
-    pre_flat = strip_angles(pre)
-    is_ref = "&" in pre_flat
-    is_pool = bool(
-        re.search(r"\bCreditPool\b", pre)
-        and not is_ref
-        and "*" not in pre_flat
-        and "Snapshot" not in pre
-    )
-    return {"name": name, "is_ref": is_ref, "is_pool": is_pool}
+    flat = strip_angles(pre)
+    is_ref = "&" in flat
+    # `const T x_` and `T* const p_` are immutable; `const T* p_` is not.
+    is_const = re.search(r"\bconst\b", flat[flat.rfind("*") + 1:]) is not None
+    is_pool = bool(re.search(r"\bCreditPool\b(?!\s*::)", pre)
+                   and not is_ref and "*" not in flat)
+    return {"name": name, "type": pre, "is_ref": is_ref, "is_const": is_const,
+            "is_pool": is_pool}
 
 
-# `restore(const Snapshot&)` is the composition-root spelling of load_state
-# (core::HostSystem); it only counts when the parameter is a Snapshot.
-SAVELOAD_RE = re.compile(
-    r"(?:([A-Za-z_]\w*)\s*::\s*)?\b(save_state|load_state|restore)\s*\(([^)]*)\)")
+def owned_child(type_text, covered):
+    """Is the member type an owned checkpointed component: `T`,
+    `std::unique_ptr<T>` or `std::vector<std::unique_ptr<T>>` (any of them
+    namespace-qualified) for a HOSTNET_SNAPSHOT_COVERS class T?"""
+    t = re.sub(r"\s+", "", re.sub(r"\b[A-Za-z_]\w*\s*::", "", type_text))
+    m = re.fullmatch(r"(?:vector<)?(?:unique_ptr<)?([A-Za-z_]\w*)>*", t)
+    return m is not None and m.group(1) in covered and t.count("<") == t.count(">")
+
+
+COVERS_RE = re.compile(r"\bHOSTNET_SNAPSHOT_COVERS\s*\(\s*([A-Za-z_]\w*)\s*\)")
+# `flow::CreditPool& pool() { return pool_; }` or `... { return st_.pool; }`:
+# group 1 is the accessor, group 2 the pool member it returns.
 ACCESSOR_RE = re.compile(
-    r"CreditPool\s*&\s*([A-Za-z_]\w*)\s*\(\s*\)[^{};]*\{\s*return\s+([A-Za-z_]\w*)\s*;")
+    r"CreditPool\s*&\s*([A-Za-z_]\w*)\s*\(\s*\)[^{};]*\{\s*return\s+"
+    r"(?:[A-Za-z_]\w*\s*\.\s*)*([A-Za-z_]\w*)\s*;")
 REG_CALL_RE = re.compile(r"\badd(?:_interior)?\s*\(")
 REG_RECEIVER_RE = re.compile(r"(?:registr\w*|domains)\s*(?:\(\s*\))?\s*(?:\.|->)\s*$")
 STATIC_RE = re.compile(r"\b(?:static|thread_local)\b")
-
-
-def word_in(name, body):
-    return re.search(r"\b" + re.escape(name) + r"\b", body) is not None
 
 
 def balanced_args(code, open_pos):
@@ -424,6 +355,8 @@ def balanced_args(code, open_pos):
     return code[open_pos + 1 :]
 
 
+
+
 class FileModel:
     """Parsed view of one file: scopes, classes, directives, purity events."""
 
@@ -435,15 +368,13 @@ class FileModel:
         self.raw_lines = text.splitlines()
         self.code = blank_preprocessor(strip_comments_and_strings(text))
         self.nl = [i for i, c in enumerate(self.code) if c == "\n"]
-        self.root, self.by_open = build_scopes(self.code)
+        self.root = build_scopes(self.code)
+        self.covers = set(COVERS_RE.findall(self.code))
         self.classes = []       # class records (dicts)
-        self.out_of_line = []   # (class name, kind, record)
-        self.skips = []         # (line, field, reason)
         self.allows = {}        # line -> [(check, reason, directive_line)]
         self.directive_errors = []  # (line, message)
         self._parse_directives()
         self._parse_classes()
-        self._parse_saveload()
 
     def line_of(self, pos):
         return bisect.bisect_right(self.nl, pos) + 1
@@ -454,146 +385,62 @@ class FileModel:
             dm = DIRECTIVE_RE.search(line)
             if not dm:
                 continue
-            sm = SKIP_RE.search(line)
             am = ALLOW_RE.search(line)
-            if sm:
-                field, reason = sm.group(1), (sm.group(2) or "").strip()
-                if not reason:
-                    self.directive_errors.append(
-                        (idx, f"skip({field}) has no reason; write "
-                              f"skip({field}, why it is not snapshot state)"))
-                else:
-                    self.skips.append((idx, field, reason))
-            elif am:
-                check, reason = am.group(1), (am.group(2) or "").strip()
-                if check not in CHECKS:
-                    self.directive_errors.append(
-                        (idx, f"allow() names unknown check id '{check}'"))
-                elif check not in ALLOWABLE:
-                    self.directive_errors.append(
-                        (idx, f"'{check}' findings cannot be allow()ed; fix the "
-                              "code or use a per-field skip()"))
-                elif not reason:
-                    self.directive_errors.append(
-                        (idx, f"allow({check}) has no reason; write "
-                              f"allow({check}, why)"))
-                else:
-                    entry = (check, reason, idx)
-                    self.allows.setdefault(idx, []).append(entry)
-                    if line.split("//")[0].strip() == "":
-                        self.allows.setdefault(idx + 1, []).append(entry)
-            else:
+            if am is None:
                 self.directive_errors.append(
                     (idx, f"unrecognized hostnet-audit directive '{dm.group(1)}'; "
-                          "expected skip(field, reason) or allow(check, reason)"))
+                          "expected allow(check, reason)"))
+                continue
+            check, reason = am.group(1), (am.group(2) or "").strip()
+            if check not in CHECKS:
+                self.directive_errors.append(
+                    (idx, f"allow() names unknown check id '{check}'"))
+            elif check not in ALLOWABLE:
+                self.directive_errors.append(
+                    (idx, f"'{check}' findings cannot be allow()ed; fix the code"))
+            elif not reason:
+                self.directive_errors.append(
+                    (idx, f"allow({check}) has no reason; write allow({check}, why)"))
+            else:
+                entry = (check, reason, idx)
+                self.allows.setdefault(idx, []).append(entry)
+                if line.split("//")[0].strip() == "":
+                    self.allows.setdefault(idx + 1, []).append(entry)
 
     # -- classes + members ----------------------------------------------------
     def _parse_classes(self):
-        def walk(scope, path):
+        def walk(scope, path, outer):
             for child in scope.children:
                 if child.kind == "class":
                     qual = path + [child.name or "<anon>"]
-                    rec = self._class_record(child, qual)
-                    self.classes.append(rec)
-                    walk(child, qual)
+                    self.classes.append(self._class_record(child, qual, outer or child))
+                    walk(child, qual, outer or child)
                 elif child.kind in ("namespace", "top", "block"):
-                    walk(child, path)
-        walk(self.root, [])
+                    walk(child, path, outer)
+        walk(self.root, [], None)
 
-    def _class_record(self, scope, qual):
+    def _class_record(self, scope, qual, outer):
         members = []
         for spos, stmt in direct_statements(self.code, scope):
             got = parse_member(stmt)
             if got:
                 got["line"] = self.line_of(spos)
                 members.append(got)
+        # Accessors live in the outermost enclosing class, so a pool inside a
+        # nested State is matched to `CreditPool& pool() { return st_.pool; }`.
         accessors = {}
-        for m in ACCESSOR_RE.finditer(self.code, scope.open_pos, scope.close_pos):
+        for m in ACCESSOR_RE.finditer(self.code, outer.open_pos, outer.close_pos):
             accessors.setdefault(m.group(2), set()).add(m.group(1))
-        snap = next((c for c in scope.children
-                     if c.kind == "class" and c.name == "Snapshot"), None)
+        head = self.code[scope.head_start:scope.open_pos]
+        kw = list(re.finditer(r"\b(?:class|struct|union)\b", head))
+        head_pos = scope.head_start + kw[-1].start() if kw else scope.open_pos
         return {
-            "file": self.display,
             "name": qual[-1],
             "qual": "::".join(qual),
-            "line": self.line_of(scope.open_pos),
-            "span": (self.line_of(scope.head_start), self.line_of(scope.close_pos)),
-            "scope": scope,
+            "line": self.line_of(head_pos),
             "members": members,
             "accessors": accessors,
-            "snapshot_scope": snap,
-            "snapshot_fields": ([
-                {"name": m["name"], "line": m["line"]}
-                for m in (self._snapshot_members(snap) if snap else [])
-            ]),
-            "save": None,
-            "load": None,
-            "model": self,
         }
-
-    def _snapshot_members(self, snap):
-        out = []
-        for spos, stmt in direct_statements(self.code, snap):
-            got = parse_member(stmt)
-            if got:
-                got["line"] = self.line_of(spos)
-                out.append(got)
-        return out
-
-    # -- save_state / load_state ----------------------------------------------
-    def _parse_saveload(self):
-        by_scope = {id(c["scope"]): c for c in self.classes}
-        for m in SAVELOAD_RE.finditer(self.code):
-            qualifier, kind, params = m.group(1), m.group(2), m.group(3)
-            if kind == "restore":
-                if "Snapshot" not in params:
-                    continue
-                kind = "load_state"
-            k = m.start(2) if qualifier else m.start()
-            before = self.code[:k].rstrip()
-            if before.endswith(".") or before.endswith("->") or before.endswith("::") and not qualifier:
-                continue  # member call or deeper qualification
-            if qualifier is None and (before.endswith(".") or before.endswith("->")):
-                continue
-            # body or declaration?
-            j = m.end()
-            while True:
-                while j < len(self.code) and self.code[j].isspace():
-                    j += 1
-                km = re.match(r"(?:const|noexcept|override|final)\b", self.code[j:])
-                if km:
-                    j += km.end()
-                    continue
-                break
-            body = None
-            if j < len(self.code) and self.code[j] == "{":
-                sc = self.by_open.get(j)
-                if sc is not None:
-                    body = self.code[sc.open_pos + 1 : sc.close_pos]
-            elif j < len(self.code) and self.code[j] not in ";":
-                continue  # something else (expression, pointer-to-member, ...)
-            names = re.findall(r"[A-Za-z_]\w*", params)
-            rec = {
-                "param": names[-1] if names else None,
-                "body": body,
-                "line": self.line_of(m.start()),
-                "file": self.display,
-            }
-            if qualifier:
-                self.out_of_line.append((qualifier, kind, rec))
-            else:
-                sc = innermost_scope(self.root, m.start() + 1)
-                while sc is not None and sc.kind != "class":
-                    sc = sc.parent
-                if sc is None:
-                    continue
-                cls = by_scope.get(id(sc))
-                if cls is None:
-                    continue
-                key = "save" if kind == "save_state" else "load"
-                cur = cls[key]
-                if cur is None or (cur["body"] is None and body is not None):
-                    cls[key] = rec
 
     # -- purity events --------------------------------------------------------
     def local_statics(self):
@@ -647,19 +494,6 @@ class FileModel:
         return ids
 
 
-class Finding:
-    __slots__ = ("path", "line", "check", "message")
-
-    def __init__(self, path, line, check, message):
-        self.path = path
-        self.line = line
-        self.check = check
-        self.message = message
-
-    def __str__(self):
-        return f"{self.path}:{self.line}: [{self.check}] {self.message}"
-
-
 def path_in(display_path, dirs):
     return any(display_path.startswith(d + "/") or ("/" + d + "/") in display_path
                for d in dirs)
@@ -674,71 +508,33 @@ class Auditor:
     def add_file(self, path, display):
         self.models.append(FileModel(path, display))
 
-    def report(self, model, line, check, message):
+    def allowed(self, model, line, check):
         for (c, _reason, directive_line) in model.allows.get(line, []):
             if c == check:
                 self.used_allows.add((model.display, directive_line, check))
-                return
-        self.findings.append(Finding(model.display, line, check, message))
+                return True
+        return False
 
-    # -- whole-program tables -------------------------------------------------
-    def audited_classes(self):
-        """Classes with a Snapshot struct or save/load, out-of-line bodies
-        attached, each with its bound skip() directives."""
-        by_name = {}
-        for model in self.models:
-            for cls in model.classes:
-                by_name.setdefault(cls["name"], []).append(cls)
-        for model in self.models:
-            for qualifier, kind, rec in model.out_of_line:
-                key = "save" if kind == "save_state" else "load"
-                for cls in by_name.get(qualifier, []):
-                    cur = cls[key]
-                    if cur is None or cur["body"] is None:
-                        cls[key] = rec
-        audited = []
-        for model in self.models:
-            for cls in model.classes:
-                if cls["snapshot_scope"] is None and cls["save"] is None \
-                        and cls["load"] is None:
-                    continue
-                if cls["name"] == "Snapshot":
-                    continue
-                audited.append(cls)
-        # bind skip() directives to the innermost audited class spanning them
-        for model in self.models:
-            for (line, field, reason) in model.skips:
-                best = None
-                for cls in audited:
-                    if cls["model"] is not model:
-                        continue
-                    lo, hi = cls["span"]
-                    if lo <= line <= hi and (
-                            best is None
-                            or hi - lo < best["span"][1] - best["span"][0]):
-                        best = cls
-                if best is None:
-                    self.report(model, line, "bad-directive",
-                                f"skip({field}, ...) is not inside a snapshot-"
-                                "audited class")
-                else:
-                    best.setdefault("skips", []).append((line, field, reason))
-        return audited
+    def report(self, model, line, check, message):
+        if not self.allowed(model, line, check):
+            self.findings.append(Finding(model.display, line, check, message))
 
     # -- checks ---------------------------------------------------------------
     def run(self):
+        """Run every check; returns the audited (covered) class names."""
         for model in self.models:
             for (line, msg) in model.directive_errors:
                 self.report(model, line, "bad-directive", msg)
-
-        audited = self.audited_classes()
-        registered = set()
+        covered, registered = set(), set()
         for model in self.models:
+            covered |= model.covers
             registered |= model.registered_ids()
-
-        for cls in audited:
-            self._audit_snapshot(cls)
+        audited = []
         for model in self.models:
+            for cls in model.classes:
+                if cls["name"] in model.covers:
+                    audited.append(cls["qual"])
+                    self._audit_state(model, cls, covered)
             self._audit_pools(model, registered)
             if path_in(model.display, HANDLER_DIRS):
                 self._audit_purity(model)
@@ -746,67 +542,19 @@ class Auditor:
         self.findings.sort(key=lambda f: (f.path, f.line, f.check))
         return audited
 
-    def _audit_snapshot(self, cls):
-        model = cls["model"]
-        save, load = cls["save"], cls["load"]
-        sbody = save["body"] if save else None
-        lbody = load["body"] if load else None
-        if cls["snapshot_scope"] is not None and (sbody is None or lbody is None):
-            missing = [k for k, b in (("save_state", sbody), ("load_state", lbody))
-                       if b is None]
-            self.report(model, cls["line"], "snapshot-asymmetry",
-                        f"'{cls['qual']}' has a Snapshot struct but no "
-                        f"{' or '.join(missing)} definition in the scanned set")
-        skips = {field: (line, reason) for (line, field, reason)
-                 in cls.get("skips", [])}
-        member_names = {m["name"] for m in cls["members"]}
+    def _audit_state(self, model, cls, covered):
+        if self.allowed(model, cls["line"], "snapshot-state"):
+            return  # the whole class is an audited exception
         for m in cls["members"]:
-            if m["is_ref"] or m["name"] in skips:
+            if m["name"] == STATE_MEMBER or m["is_ref"] or m["is_const"] \
+                    or owned_child(m["type"], covered):
                 continue
-            if sbody is not None and not word_in(m["name"], sbody):
-                self.report(model, m["line"], "snapshot-save-missing",
-                            f"'{cls['qual']}::{m['name']}' is never mentioned in "
-                            "save_state(); checkpoint/fork will silently drop it. "
-                            "Save it or annotate "
-                            f"'// hostnet-audit: skip({m['name']}, reason)'")
-            if lbody is not None and not word_in(m["name"], lbody):
-                self.report(model, m["line"], "snapshot-load-missing",
-                            f"'{cls['qual']}::{m['name']}' is never mentioned in "
-                            "load_state(); restore will silently keep stale state. "
-                            "Restore it or annotate "
-                            f"'// hostnet-audit: skip({m['name']}, reason)'")
-        for field, (line, _reason) in skips.items():
-            if field not in member_names:
-                self.report(model, line, "snapshot-skip",
-                            f"skip({field}) names no data member of "
-                            f"'{cls['qual']}'")
-            elif sbody is not None and lbody is not None \
-                    and word_in(field, sbody) and word_in(field, lbody):
-                self.report(model, line, "snapshot-dead-skip",
-                            f"skip({field}) is dead: '{field}' is mentioned by "
-                            "both save_state() and load_state(); drop the skip")
-        if cls["snapshot_scope"] is not None and sbody and lbody:
-            out = (save.get("param") or "out")
-            src = (load.get("param") or "s")
-            for f in cls["snapshot_fields"]:
-                wrote = re.search(
-                    r"\b" + re.escape(out) + r"\s*\.\s*" + re.escape(f["name"]) + r"\b",
-                    sbody)
-                read = re.search(
-                    r"\b" + re.escape(src) + r"\s*\.\s*" + re.escape(f["name"]) + r"\b",
-                    lbody)
-                if wrote and not read:
-                    self.report(model, f["line"], "snapshot-asymmetry",
-                                f"Snapshot field '{f['name']}' is written by "
-                                f"save_state() but never read back by load_state()")
-                elif read and not wrote:
-                    self.report(model, f["line"], "snapshot-asymmetry",
-                                f"Snapshot field '{f['name']}' is read by "
-                                f"load_state() but never written by save_state()")
-                elif not wrote and not read:
-                    self.report(model, f["line"], "snapshot-asymmetry",
-                                f"Snapshot field '{f['name']}' is dead: neither "
-                                "saved nor restored")
+            self.report(model, m["line"], "snapshot-state",
+                        f"'{cls['qual']}::{m['name']}' is mutable state outside "
+                        f"'{STATE_MEMBER}', so checkpoint/fork would silently drop "
+                        "it: move it into the class's State, make it const "
+                        "(construction config), a reference (wiring) or an owned "
+                        "checkpointed child")
 
     def _audit_pools(self, model, registered):
         if path_in(model.display, POOL_EXEMPT_DIRS):
@@ -830,12 +578,12 @@ class Auditor:
             self.report(model, line, "handler-static-state",
                         f"function-local static mutable state ('{decl[:60]}') in "
                         "a handler subsystem; fork/replay would diverge -- hoist "
-                        "it into the component and snapshot it")
+                        "it into the component's State")
         for line, name in model.namespace_vars():
             self.report(model, line, "handler-global-state",
                         f"namespace-scope mutable variable '{name}' in a handler "
-                        "subsystem; fork/replay would diverge -- make it a "
-                        "component member (snapshotted) or const/constexpr")
+                        "subsystem; fork/replay would diverge -- make it part of "
+                        "a component's State or const/constexpr")
 
     def _audit_stale_allows(self):
         for model in self.models:
@@ -847,105 +595,24 @@ class Auditor:
                         continue
                     seen.add(key)
                     if key not in self.used_allows:
-                        self.report(model, directive_line, "stale-allow",
-                                    f"allow({check}) no longer suppresses any "
-                                    "finding; delete the stale directive")
-
-    # -- manifest -------------------------------------------------------------
-    def manifest(self, audited):
-        classes = {}
-        for cls in sorted(audited, key=lambda c: (c["qual"], c["file"])):
-            skips = {field: reason for (_line, field, reason)
-                     in cls.get("skips", [])}
-            for m in cls["members"]:
-                if m["is_ref"]:
-                    skips.setdefault(m["name"], REFERENCE_SKIP_REASON)
-            state = sorted(m["name"] for m in cls["members"]
-                           if not m["is_ref"] and m["name"] not in skips)
-            entry = {
-                "file": cls["file"],
-                "state": state,
-                "skipped": {k: skips[k] for k in sorted(skips)},
-                "snapshot": sorted(f["name"] for f in cls["snapshot_fields"]),
-            }
-            key = cls["qual"]
-            if key in classes:
-                key = f"{key} ({cls['file']})"
-            classes[key] = entry
-        return {
-            "comment": "Generated by tools/hostnet_audit.py --write-manifest. "
-                       "Field-level snapshot coverage record: 'state' members "
-                       "round-trip through save_state()/load_state(); 'skipped' "
-                       "members carry the audited reason they are not state. "
-                       "Do not edit by hand.",
-            "classes": classes,
-        }
-
-    def check_manifest(self, audited, manifest_path, display):
-        current = self.manifest(audited)
-        try:
-            with open(manifest_path, encoding="utf-8") as f:
-                on_disk = json.load(f)
-        except (OSError, ValueError):
-            self.findings.append(Finding(
-                display, 1, "manifest-drift",
-                f"missing or unreadable manifest; run "
-                "'python3 tools/hostnet_audit.py --write-manifest' and commit"))
-            return
-        cur_cls = current["classes"]
-        old_cls = on_disk.get("classes", {})
-        for name in sorted(set(cur_cls) | set(old_cls)):
-            if cur_cls.get(name) != old_cls.get(name):
-                self.findings.append(Finding(
-                    display, 1, "manifest-drift",
-                    f"entry for '{name}' is out of date (fields or skips "
-                    "changed); run 'python3 tools/hostnet_audit.py "
-                    "--write-manifest' and commit"))
-
-
-def rel(path, root):
-    try:
-        return os.path.relpath(path, root).replace(os.sep, "/")
-    except ValueError:
-        return path.replace(os.sep, "/")
-
-
-def iter_files(paths, root):
-    for p in paths:
-        ap = os.path.join(root, p) if not os.path.isabs(p) else p
-        if os.path.isfile(ap):
-            yield ap
-        elif os.path.isdir(ap):
-            for dirpath, dirnames, filenames in os.walk(ap):
-                dirnames[:] = sorted(
-                    d for d in dirnames
-                    if d not in SKIP_DIR_NAMES and not d.startswith(SKIP_DIR_PREFIXES)
-                )
-                for fn in sorted(filenames):
-                    if fn.endswith(CXX_EXTENSIONS):
-                        yield os.path.join(dirpath, fn)
-        else:
-            raise FileNotFoundError(p)
+                        self.findings.append(Finding(
+                            model.display, directive_line, "stale-allow",
+                            f"allow({check}) no longer suppresses any finding; "
+                            "delete the stale directive"))
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
-        description="field-level snapshot/pool/purity auditor for hostnet")
+        description="snapshot-state/pool/purity auditor for hostnet")
     ap.add_argument("paths", nargs="*",
                     help=f"files or directories to audit (default: {' '.join(DEFAULT_ROOTS)})")
     ap.add_argument("--root",
                     default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    help="repository root used to resolve default paths and the manifest")
+                    help="repository root used to resolve default and relative paths")
     ap.add_argument("--json", action="store_true",
                     help="emit a machine-readable JSON report on stdout")
-    ap.add_argument("--write-manifest", action="store_true",
-                    help=f"regenerate {MANIFEST_REL} from the tree and exit")
-    ap.add_argument("--manifest", default=None,
-                    help=f"manifest path (default: <root>/{MANIFEST_REL})")
     ap.add_argument("--list-checks", action="store_true",
                     help="print check ids and exit")
-    ap.add_argument("--list-skips", action="store_true",
-                    help="print every skip()/allow() directive in the scanned tree and exit")
     args = ap.parse_args(argv)
 
     if args.list_checks:
@@ -954,7 +621,6 @@ def main(argv=None):
         return 0
 
     root = os.path.abspath(args.root)
-    explicit = bool(args.paths)
     paths = args.paths or [p for p in DEFAULT_ROOTS
                            if os.path.isdir(os.path.join(root, p))]
     try:
@@ -966,46 +632,12 @@ def main(argv=None):
     auditor = Auditor()
     for f in files:
         auditor.add_file(f, rel(f, root))
-
-    if args.list_skips:
-        for model in auditor.models:
-            for (line, field, reason) in model.skips:
-                print(f"{model.display}:{line}: skip({field}) -- {reason}")
-            seen = set()
-            for entries in model.allows.values():
-                for (check, reason, dline) in entries:
-                    if (dline, check) in seen:
-                        continue
-                    seen.add((dline, check))
-                    print(f"{model.display}:{dline}: allow({check}) -- {reason}")
-        return 0
-
     audited = auditor.run()
-    manifest_path = args.manifest or os.path.join(root, MANIFEST_REL)
-
-    if args.write_manifest:
-        blocking = [f for f in auditor.findings if f.check != "manifest-drift"]
-        if blocking:
-            for f in blocking:
-                print(f)
-            print(f"\nhostnet-audit: refusing to write manifest with "
-                  f"{len(blocking)} outstanding finding(s)", file=sys.stderr)
-            return 1
-        with open(manifest_path, "w", encoding="utf-8") as f:
-            json.dump(auditor.manifest(audited), f, indent=2, sort_keys=False)
-            f.write("\n")
-        print(f"hostnet-audit: wrote {rel(manifest_path, root)} "
-              f"({len(audited)} class(es))")
-        return 0
-
-    if not explicit:
-        auditor.check_manifest(audited, manifest_path, rel(manifest_path, root))
-        auditor.findings.sort(key=lambda f: (f.path, f.line, f.check))
 
     if args.json:
         print(json.dumps({
             "files": len(files),
-            "classes": sorted(c["qual"] for c in audited),
+            "classes": sorted(audited),
             "findings": [
                 {"path": f.path, "line": f.line, "check": f.check,
                  "message": f.message}
@@ -1019,12 +651,11 @@ def main(argv=None):
         print(finding)
     if auditor.findings:
         print(f"\nhostnet-audit: {len(auditor.findings)} finding(s) in "
-              f"{len(files)} file(s); fix them, skip(field, reason) derived/"
-              "config members, or allow(check, reason) audited exceptions",
-              file=sys.stderr)
+              f"{len(files)} file(s); fix them or allow(check, reason) audited "
+              "exceptions", file=sys.stderr)
         return 1
     print(f"hostnet-audit: OK ({len(files)} file(s), "
-          f"{len(audited)} audited class(es))")
+          f"{len(audited)} checkpointed class(es))")
     return 0
 
 

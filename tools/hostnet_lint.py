@@ -38,7 +38,8 @@ Checks (ids are stable; use them in suppressions):
                   behind its ns()/us()/ms() helpers.
   raw-credit-counter
                   an integral member that looks like an ad-hoc credit pool
-                  (*_in_use_, *inflight_, *_used_) declared in the flow-
+                  (*_in_use, *inflight, *_used; a class member's trailing
+                  underscore or a State field's bare name) declared in the flow-
                   controlled subsystems (src/cpu, src/cha, src/iio, src/mc,
                   src/net). Credit accounting belongs in flow::CreditPool,
                   which carries the ledger, occupancy telemetry and waiter
@@ -50,10 +51,11 @@ Checks (ids are stable; use them in suppressions):
                   a class that declares save_state() without a matching
                   HOSTNET_SNAPSHOT_COVERS(Class) descriptor in the same
                   file. The descriptor asserts the snapshot contract and
-                  opts the class into tools/hostnet_audit.py's field-level
-                  coverage audit (common/snapshot.hpp); a save_state()
-                  without one can silently fall out of sync with the class
-                  it checkpoints.
+                  opts the class into tools/hostnet_audit.py's
+                  snapshot-state rule (every mutable member lives in the
+                  class's `State st_`, which save/load copy whole;
+                  common/snapshot.hpp); a save_state() without one escapes
+                  that rule.
   stale-allow     (--stale only) an allow() directive that no longer
                   suppresses any finding. Dead suppressions rot fast: the
                   code they excused is gone, but they still mask the next
@@ -137,11 +139,13 @@ RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;()]*?:\s*(?:this->)?(\w+)\s*\)")
 MAGIC_INT_RE = re.compile(r"(?<![\w.'])(?<!ns\()(?<!us\()(?<!ms\()\d{4,}(?:'\d+)*(?![\w.'])")
 TICK_LINE_RE = re.compile(r"\bTick\b|\bticks\b|_ps\b")
 # An integral declaration whose name marks it as tracking credits/occupancy:
-# `std::uint32_t wpq_in_use_ = 0;`, `unsigned inflight_;` -- but not an
-# accessor (`std::uint32_t read_tor_used() const` has a '(' after the name).
+# `std::uint32_t wpq_in_use_ = 0;`, `unsigned inflight_;`, or the same
+# without the trailing underscore as a field of a component's State struct
+# -- but not an accessor (`std::uint32_t read_tor_used() const` has a '('
+# after the name).
 RAW_CREDIT_RE = re.compile(
     r"\b(?:std::)?(?:u?int(?:8|16|32|64)_t|size_t|unsigned(?:\s+(?:int|long))?|int|long)"
-    r"\s+(\w*(?:in_use|in_?flight|_used)\w*_)\s*(?:=\s*[^;]*)?;"
+    r"\s+(\w*(?:in_use|in_?flight|_used)\w*)\s*(?:=\s*[^;]*)?;"
 )
 # Events for the snapshot-coverage class tracker: braces/semicolons (scope
 # structure), class/struct heads, and save_state mentions that are not
@@ -236,7 +240,7 @@ def check_snapshot_coverage(code, report):
                            f"'{name}' declares save_state() but the file has no "
                            f"HOSTNET_SNAPSHOT_COVERS({name}) descriptor; add it next "
                            "to the class (common/snapshot.hpp) so hostnet_audit.py "
-                           "tracks its field coverage")
+                           "checks that its mutable state lives in its State")
                 break
         elif m.group("brace") == "{":
             depth += 1
