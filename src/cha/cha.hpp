@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "cache/ddio.hpp"
+#include "common/fields.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/snapshot.hpp"
 #include "common/stats.hpp"
@@ -63,6 +64,10 @@ struct ChaConfig {
   /// at write_tracker - reserve), keeping admission open for P2M under red-
   /// regime backlog.
   std::uint32_t write_tracker_peripheral_reserve = 0;
+  HOSTNET_FIELDS(ChaConfig, read_tor, write_tracker, read_fwd_window, write_fwd_window, t_read_proc,
+                 t_write_proc, t_read_fwd, t_write_fwd, t_write_ack, t_return_core, t_return_iio,
+                 ddio, ddio_capacity_bytes, ddio_ways, peripheral_write_priority,
+                 write_tracker_peripheral_reserve)
 };
 
 /// A source (core or IIO) blocked on CHA admission. `on_cha_admission`

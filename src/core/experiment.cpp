@@ -76,133 +76,27 @@ bool episodic(const C2MSpec& spec) {
 }
 
 // -- config fingerprint -------------------------------------------------------
-// Field-by-field canonical byte encoding. Whole-struct memcpy would pull in
-// padding bytes (indeterminate), so every field is appended individually;
-// enums and bools go through their value representation of fixed width.
+// A canonical byte encoding walked off the field tables (common/fields.hpp):
+// leaves only (a whole-struct memcpy would copy indeterminate padding), with
+// a presence byte per optional and a length per string.
 
 template <class T>
-void enc(std::string& s, T v) {
-  static_assert(std::is_trivially_copyable_v<T> && !std::is_pointer_v<T>);
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  s.append(buf, sizeof(T));
-}
-
-void enc_str(std::string& s, const std::string& v) {
-  enc(s, static_cast<std::uint64_t>(v.size()));
-  s.append(v);
-}
-
-void enc_region(std::string& s, const mem::Region& r) {
-  enc(s, r.base);
-  enc(s, r.bytes);
-}
-
-void enc_timing(std::string& s, const dram::Timing& t) {
-  enc(s, t.t_trans);
-  enc(s, t.t_cas);
-  enc(s, t.t_rcd);
-  enc(s, t.t_rp);
-  enc(s, t.t_wtr);
-  enc(s, t.t_rtw);
-  enc(s, t.t_ras);
-  enc(s, t.t_wr);
-  enc(s, t.t_page_close_idle);
-}
-
-void enc_host(std::string& s, const HostConfig& c) {
-  enc_str(s, c.name);
-  enc(s, c.total_cores);
-  enc(s, c.core_ghz);
-  enc(s, c.dram.channels);
-  enc(s, c.dram.banks_per_channel);
-  enc(s, c.dram.row_bytes);
-  enc(s, c.dram.channel_interleave_bytes);
-  enc(s, c.dram.bank_interleave_bytes);
-  enc(s, static_cast<std::uint8_t>(c.dram.hash));
-  enc(s, c.mc.rpq_capacity);
-  enc(s, c.mc.wpq_capacity);
-  enc(s, c.mc.wpq_high_wm);
-  enc(s, c.mc.wpq_low_wm);
-  enc(s, c.mc.max_write_age);
-  enc(s, c.mc.dwell_per_queued_read);
-  enc(s, c.mc.read_dwell_cap);
-  enc(s, c.mc.prep_window);
-  enc_timing(s, c.mc.timing);
-  enc(s, c.cha.read_tor);
-  enc(s, c.cha.write_tracker);
-  enc(s, c.cha.read_fwd_window);
-  enc(s, c.cha.write_fwd_window);
-  enc(s, c.cha.t_read_proc);
-  enc(s, c.cha.t_write_proc);
-  enc(s, c.cha.t_read_fwd);
-  enc(s, c.cha.t_write_fwd);
-  enc(s, c.cha.t_write_ack);
-  enc(s, c.cha.t_return_core);
-  enc(s, c.cha.t_return_iio);
-  enc(s, c.cha.ddio);
-  enc(s, c.cha.ddio_capacity_bytes);
-  enc(s, c.cha.ddio_ways);
-  enc(s, c.cha.peripheral_write_priority);
-  enc(s, c.cha.write_tracker_peripheral_reserve);
-  enc(s, c.core.lfb_entries);
-  enc(s, c.core.prefetch_extra);
-  enc(s, c.core.t_core_to_cha);
-  enc(s, c.core.t_wb_to_cha);
-  enc(s, c.iio.write_credits);
-  enc(s, c.iio.read_credits);
-  enc(s, c.iio.t_proc_write);
-  enc(s, c.iio.t_proc_read);
-  enc(s, c.iio.t_to_cha);
-  enc(s, c.iio.t_complete_read);
-  enc(s, c.pcie_write_gb_per_s);
-  enc(s, c.pcie_read_gb_per_s);
-}
-
-void enc_c2m(std::string& s, const std::optional<C2MSpec>& c2m) {
-  enc(s, static_cast<std::uint8_t>(c2m.has_value()));
-  if (!c2m) return;
-  enc_str(s, c2m->name);
-  enc(s, static_cast<std::uint8_t>(c2m->workload.pattern));
-  enc_region(s, c2m->workload.region);
-  enc(s, c2m->workload.write_fraction);
-  enc(s, c2m->workload.think);
-  enc(s, c2m->workload.episode_reads);
-  enc(s, c2m->workload.episode_writes);
-  enc(s, c2m->workload.episode_compute);
-  enc(s, c2m->workload.episodes_per_query);
-  enc(s, c2m->cores);
-  enc(s, c2m->per_core_region);
-  enc(s, c2m->region_stride);
-}
-
-void enc_p2m(std::string& s, const std::optional<P2MSpec>& p2m) {
-  enc(s, static_cast<std::uint8_t>(p2m.has_value()));
-  if (!p2m) return;
-  enc_str(s, p2m->name);
-  enc(s, static_cast<std::uint8_t>(p2m->storage.has_value()));
-  if (p2m->storage) {
-    const iio::StorageConfig& sc = *p2m->storage;
-    enc(s, static_cast<std::uint8_t>(sc.host_op));
-    enc(s, sc.request_bytes);
-    enc(s, sc.queue_depth);
-    enc(s, sc.link_gb_per_s);
-    enc(s, sc.per_request_latency);
-    enc_region(s, sc.region);
-    enc(s, sc.mixed_fraction);
+void enc(std::string& s, const T& v) {
+  if constexpr (fields::Table<T>) {
+    visit_fields(v, [&s](const char*, const auto& field) { enc(s, field); });
+  } else if constexpr (fields::is_optional_v<T>) {
+    enc(s, static_cast<std::uint8_t>(v.has_value()));
+    if (v) enc(s, *v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    enc(s, static_cast<std::uint64_t>(v.size()));
+    s.append(v);
+  } else {
+    static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>,
+                  "a fingerprinted struct needs a HOSTNET_FIELDS table");
+    char buf[sizeof(T)];
+    std::memcpy(buf, &v, sizeof(T));
+    s.append(buf, sizeof(T));
   }
-  enc(s, static_cast<std::uint8_t>(p2m->tcp.has_value()));
-  if (p2m->tcp) {
-    const TcpSpec& tc = *p2m->tcp;
-    enc(s, static_cast<std::uint8_t>(tc.stack));
-    enc(s, tc.wire_gb_per_s);
-    enc(s, tc.mtu_bytes);
-    enc(s, tc.copy_cores);
-    enc(s, tc.ring_packets);
-    enc(s, tc.base_rtt);
-  }
-  enc(s, static_cast<std::uint8_t>(p2m->rdma_write.has_value()));
-  if (p2m->rdma_write) enc(s, p2m->rdma_write->wire_gb_per_s);
 }
 
 /// Build the transport requested by `p2m` (nullptr when none). Must run at
@@ -258,10 +152,10 @@ std::string config_fingerprint(const HostConfig& host, const std::optional<C2MSp
                                const std::optional<P2MSpec>& p2m, std::uint64_t seed,
                                Tick warmup) {
   std::string s;
-  s.reserve(256);
-  enc_host(s, host);
-  enc_c2m(s, c2m);
-  enc_p2m(s, p2m);
+  s.reserve(512);
+  enc(s, host);
+  enc(s, c2m);
+  enc(s, p2m);
   enc(s, seed);
   enc(s, warmup);
   return s;

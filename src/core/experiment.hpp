@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "core/domains.hpp"
 #include "core/host_system.hpp"
 #include "core/metrics.hpp"
@@ -28,8 +29,7 @@ struct C2MSpec {
   /// when false all cores share workload.region (e.g. one GAPBS graph).
   bool per_core_region = true;
   std::uint64_t region_stride = 1ull << 30;
-  /// Score measuring app performance: queries/s for episodic workloads,
-  /// read GB/s otherwise (chosen automatically).
+  HOSTNET_FIELDS(C2MSpec, name, workload, cores, per_core_region, region_stride)
 };
 
 // -- P2M transports (the network seam; implemented in src/net) ----------------
@@ -49,10 +49,8 @@ enum class TcpStackKind : std::uint8_t {
 
 std::string to_string(TcpStackKind kind);
 
-/// The construction-shaping knobs of a TCP receiver placement. Every field
-/// is covered by config_fingerprint(), so execute()'s forking jobs
-/// distinguish stacks (and stack configs) structurally; per-stack
-/// CC constants beyond these stay fixed inside src/net.
+/// The construction-shaping knobs of a TCP receiver placement (all keyed by
+/// config_fingerprint()); per-stack CC constants stay fixed inside src/net.
 struct TcpSpec {
   std::string name = "tcp";
   TcpStackKind stack = TcpStackKind::kDctcp;
@@ -61,6 +59,8 @@ struct TcpSpec {
   std::uint32_t copy_cores = 4;    ///< kernel copy cores at the receiver
   std::uint32_t ring_packets = 192;///< socket buffer / receive window
   Tick base_rtt = us(40);
+  HOSTNET_FIELDS(TcpSpec, name, stack, wire_gb_per_s, mtu_bytes, copy_cores, ring_packets,
+                 base_rtt)
 };
 
 /// RDMA write placement (ib_write_bw): a RoCE NIC with PFC generating
@@ -68,6 +68,7 @@ struct TcpSpec {
 /// pause thresholds) stay fixed inside src/net.
 struct RdmaWriteSpec {
   double wire_gb_per_s = 12.25;  ///< ~98 Gbps effective
+  HOSTNET_FIELDS(RdmaWriteSpec, wire_gb_per_s)
 };
 
 struct P2MSpec;
@@ -102,6 +103,7 @@ struct P2MSpec {
   /// RDMA write placement, scored by the bytes the NIC accepts off the wire.
   /// (RDMA read is a storage placement: workloads::rdma_read.)
   std::optional<RdmaWriteSpec> rdma_write{};
+  HOSTNET_FIELDS(P2MSpec, name, storage, tcp, rdma_write)
 };
 
 struct RunOptions {

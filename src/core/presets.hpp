@@ -11,10 +11,13 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "cha/cha.hpp"
+#include "common/fields.hpp"
 #include "core/domains.hpp"
 #include "cpu/core.hpp"
 #include "dram/address_map.hpp"
@@ -31,6 +34,8 @@ struct DramLayout {
   std::uint32_t channel_interleave_bytes = 256;
   std::uint32_t bank_interleave_bytes = 8192;  ///< one row per bank visit
   dram::BankHash hash = dram::BankHash::kXorHash;
+  HOSTNET_FIELDS(DramLayout, channels, banks_per_channel, row_bytes, channel_interleave_bytes,
+                 bank_interleave_bytes, hash)
 };
 
 struct HostConfig {
@@ -44,6 +49,8 @@ struct HostConfig {
   iio::IioConfig iio{};
   double pcie_write_gb_per_s = 14.0;  ///< effective DMA-write (storage read) BW
   double pcie_read_gb_per_s = 12.8;   ///< effective DMA-read (storage write) BW
+  HOSTNET_FIELDS(HostConfig, name, total_cores, core_ghz, dram, mc, cha, core, iio,
+                 pcie_write_gb_per_s, pcie_read_gb_per_s)
 
   /// Theoretical peak memory bandwidth (GB/s).
   double dram_peak_gb_per_s() const {
@@ -72,8 +79,12 @@ struct HostConfig {
     if (cha.read_tor == 0 || cha.write_tracker == 0) return "CHA needs tracker entries";
     if (cha.write_tracker_peripheral_reserve > cha.write_tracker)
       return "peripheral reserve exceeds the write tracker";
-    if (pcie_write_gb_per_s <= 0 || pcie_read_gb_per_s <= 0)
-      return "PCIe bandwidth must be positive";
+    std::string err;  // every double knob is a rate (GHz, GB/s)
+    fields::for_each_leaf(*this, [&err](const std::string& path, const auto& v) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>)
+        if (err.empty() && !(std::isfinite(v) && v > 0)) err = path + " must be finite and positive";
+    });
+    if (!err.empty()) return err;
     if (mc.timing.t_trans <= 0) return "tTrans must be positive";
     return {};
   }
@@ -118,17 +129,8 @@ inline std::array<DomainSpec, mem::kNumTrafficClasses> domain_specs(
 }
 
 /// Cascade Lake testbed: 8 cores, 2x DDR4-2933 (46.9 GB/s), PCIe ~16 GB/s.
-inline HostConfig cascade_lake() {
-  HostConfig c;
-  c.name = "cascade-lake";
-  c.total_cores = 8;
-  c.core_ghz = 3.3;
-  c.dram.channels = 2;
-  c.mc.timing = dram::ddr4_2933();
-  c.pcie_write_gb_per_s = 14.0;
-  c.pcie_read_gb_per_s = 12.8;
-  return c;
-}
+/// HostConfig's defaults are this testbed.
+inline HostConfig cascade_lake() { return HostConfig{}; }
 
 /// Ice Lake testbed: 32 cores, 4x DDR4-3200 (102.4 GB/s), PCIe ~32 GB/s.
 /// DDIO is permanently enabled on this platform (paper section 2.1).

@@ -25,6 +25,7 @@
 #include <cstdint>
 
 #include "cha/cha.hpp"
+#include "common/fields.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/snapshot.hpp"
@@ -49,6 +50,8 @@ struct CoreWorkload {
   std::uint32_t episode_writes = 0;    ///< stores per episode (issued with reads)
   Tick episode_compute = 0;            ///< compute before each episode
   std::uint32_t episodes_per_query = 1;
+  HOSTNET_FIELDS(CoreWorkload, pattern, region, write_fraction, think, episode_reads,
+                 episode_writes, episode_compute, episodes_per_query)
 };
 
 struct CoreConfig {
@@ -58,6 +61,7 @@ struct CoreConfig {
   std::uint32_t prefetch_extra = 0;
   Tick t_core_to_cha = ns(20);  ///< L1/L2 miss path + hop to the CHA
   Tick t_wb_to_cha = ns(6);     ///< write handoff to the CHA (C2M-Write hop)
+  HOSTNET_FIELDS(CoreConfig, lfb_entries, prefetch_extra, t_core_to_cha, t_wb_to_cha)
 };
 
 class Core final : public mem::Completer, public cha::ChaClient {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hpp"
 #include "common/units.hpp"
 
 namespace hostnet::dram {
@@ -32,19 +33,18 @@ struct Timing {
   /// Per-request bank processing delay for a row conflict (the paper's
   /// tProc ~ 45 ns on DDR4-2933: tRP + tRCD + tCAS).
   Tick t_proc() const { return t_rp + t_rcd + t_cas; }
+  HOSTNET_FIELDS(Timing, t_trans, t_cas, t_rcd, t_rp, t_wtr, t_rtw, t_ras, t_wr, t_page_close_idle)
 };
 
 /// DDR4-2933 (Cascade Lake testbed): 2933 MT/s x 8 B = 23.46 GB/s/channel,
 /// 64 B transfer = 2.73 ns.
 inline Timing ddr4_2933() { return Timing{}; }
 
-/// DDR4-3200 (Ice Lake testbed): 25.6 GB/s/channel, 64 B transfer = 2.5 ns.
+/// DDR4-3200 (Ice Lake testbed): 25.6 GB/s/channel, 64 B transfer = 2.5 ns;
+/// tCAS/tRCD/tRP stay at DDR4-2933's 13.75 ns.
 inline Timing ddr4_3200() {
   Timing t;
   t.t_trans = ns(2.5);
-  t.t_cas = ns(13.75);
-  t.t_rcd = ns(13.75);
-  t.t_rp = ns(13.75);
   return t;
 }
 

@@ -5,7 +5,9 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "net/rdma.hpp"
 #include "net/tcp_stack.hpp"
@@ -44,11 +46,6 @@ std::uint64_t parse_u64(std::size_t line, const std::string& tok, const std::str
   return v;
 }
 
-std::uint32_t parse_u32(std::size_t line, const std::string& tok, const std::string& what) {
-  return static_cast<std::uint32_t>(
-      parse_u64(line, tok, what, std::numeric_limits<std::uint32_t>::max()));
-}
-
 double parse_f64(std::size_t line, const std::string& tok, const char* what) {
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
@@ -69,37 +66,32 @@ Tick parse_window_us(std::size_t line, const std::string& tok, const char* what,
   }
 }
 
-/// `set <key> <value>` override table: the host-config fields a scenario may
-/// vary. Kept deliberately explicit -- an unknown key is a line-tagged error,
-/// not a silently-ignored typo.
-void apply_set(std::size_t line, core::HostConfig& h, const std::string& key,
-               const std::string& val) {
-  auto u32 = [&] { return parse_u32(line, val, key); };
-  auto f64 = [&] { return parse_f64(line, val, key.c_str()); };
-  if (key == "total_cores") h.total_cores = u32();
-  else if (key == "core_ghz") h.core_ghz = f64();
-  else if (key == "dram.channels") h.dram.channels = u32();
-  else if (key == "dram.banks_per_channel") h.dram.banks_per_channel = u32();
-  else if (key == "mc.rpq_capacity") h.mc.rpq_capacity = u32();
-  else if (key == "mc.wpq_capacity") h.mc.wpq_capacity = u32();
-  else if (key == "mc.wpq_high_wm") h.mc.wpq_high_wm = u32();
-  else if (key == "mc.wpq_low_wm") h.mc.wpq_low_wm = u32();
-  else if (key == "cha.read_tor") h.cha.read_tor = u32();
-  else if (key == "cha.write_tracker") h.cha.write_tracker = u32();
-  else if (key == "cha.write_tracker_peripheral_reserve")
-    h.cha.write_tracker_peripheral_reserve = u32();
-  else if (key == "cha.peripheral_write_priority") h.cha.peripheral_write_priority = u32() != 0;
-  else if (key == "cha.ddio") h.cha.ddio = u32() != 0;
-  else if (key == "cha.ddio_ways") h.cha.ddio_ways = u32();
-  else if (key == "cha.ddio_capacity_bytes") h.cha.ddio_capacity_bytes = parse_u64(line, val, key);
-  else if (key == "core.lfb_entries") h.core.lfb_entries = u32();
-  else if (key == "core.prefetch_extra") h.core.prefetch_extra = u32();
-  else if (key == "iio.write_credits") h.iio.write_credits = u32();
-  else if (key == "iio.read_credits") h.iio.read_credits = u32();
-  else if (key == "pcie_write_gb_per_s") h.pcie_write_gb_per_s = f64();
-  else if (key == "pcie_read_gb_per_s") h.pcie_read_gb_per_s = f64();
-  else
-    throw ScenarioError(line, "unknown set key '" + key + "'");
+/// `set <key> <value>`: any numeric or bool HostConfig leaf, by its dotted
+/// name in the field tables (`cha.ddio`, `mc.timing.t_trans`). Integers
+/// (times in picoseconds) are unsigned and range-checked against the
+/// field's type, bools are 0 or 1, doubles are left to validate() at `end`.
+/// An unknown key is a line-tagged error, not a silently-ignored typo.
+void set_host_field(std::size_t line, core::HostConfig& h, const std::string& key,
+                    const std::string& val) {
+  bool found = false;
+  fields::for_each_leaf(h, [&](const std::string& path, auto& leaf) {
+    if (path != key) return;
+    found = true;
+    using T = std::remove_reference_t<decltype(leaf)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      if (val != "0" && val != "1")
+        throw ScenarioError(line, key + " expects 0 or 1, got '" + val + "'");
+      leaf = val == "1";
+    } else if constexpr (std::is_integral_v<T>) {
+      leaf = static_cast<T>(
+          parse_u64(line, val, key, static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
+    } else if constexpr (std::is_floating_point_v<T>) {
+      leaf = parse_f64(line, val, key.c_str());
+    } else {
+      throw ScenarioError(line, "set key '" + key + "' is not settable");
+    }
+  });
+  if (!found) throw ScenarioError(line, "unknown set key '" + key + "'");
 }
 
 /// C2M workload zoo lookup (workloads/workloads.hpp). Shared-graph
@@ -235,7 +227,7 @@ class ScenarioParser {
         tcp_stack_override_ = t[2];
         tcp_stack_line_ = line;
       } else {
-        apply_set(line, tmpl_.host, t[1], t[2]);
+        set_host_field(line, tmpl_.host, t[1], t[2]);
       }
     } else if (kw == "seed") {
       expect_args(line, t, 1, "seed <u64>");
@@ -250,7 +242,8 @@ class ScenarioParser {
       if (t.size() == 4) {
         if (t[3].rfind("cores=", 0) != 0)
           throw ScenarioError(line, "expected cores=<n>, got '" + t[3] + "'");
-        spec.cores = parse_u32(line, t[3].substr(6), "cores");
+        spec.cores = static_cast<std::uint32_t>(parse_u64(
+            line, t[3].substr(6), "cores", std::numeric_limits<std::uint32_t>::max()));
         if (spec.cores == 0) throw ScenarioError(line, "cores must be positive");
       }
       tmpl_.c2m = spec;

@@ -16,7 +16,9 @@
 //
 //   template <name>                   # a host configuration to replicate
 //     preset cascade-lake|ice-lake    # Table-1 testbed base (default CLX)
-//     set <key> <value>               # HostConfig override (see kSetKeys)
+//     set <key> <value>               # HostConfig override: any numeric or
+//                                     #   bool leaf by dotted name (cha.ddio,
+//                                     #   mc.timing.t_trans), times in ps
 //     set tcp.stack dctcp|bbr|davis   # CC stack for a tcp_* p2m placement
 //     seed <u64>                      # per-template seed override
 //     c2m <tenant> <workload> [cores=<n>]   # compute tenant placement

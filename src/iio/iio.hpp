@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cha/cha.hpp"
+#include "common/fields.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/snapshot.hpp"
 #include "counters/station.hpp"
@@ -34,6 +35,8 @@ struct IioConfig {
   Tick t_proc_read = ns(250);   ///< IIO-internal processing for a DMA read
   Tick t_to_cha = ns(40);       ///< IIO -> CHA hop
   Tick t_complete_read = ns(60);///< data-at-IIO -> PCIe completion to device
+  HOSTNET_FIELDS(IioConfig, write_credits, read_credits, t_proc_write, t_proc_read, t_to_cha,
+                 t_complete_read)
 };
 
 /// A PCIe device is notified when a credit frees (so it can push its next

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/snapshot.hpp"
@@ -33,6 +34,8 @@ struct StorageConfig {
   /// storage workloads; 0 = pure `host_op`). Chosen per request, so an 8 MB
   /// request is all-read or all-write like FIO's rwmixread behaviour.
   double mixed_fraction = 0.0;
+  HOSTNET_FIELDS(StorageConfig, host_op, request_bytes, queue_depth, link_gb_per_s,
+                 per_request_latency, region, mixed_fraction)
 };
 
 class StorageDevice final : public Device {

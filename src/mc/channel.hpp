@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/fields.hpp"
 #include "common/snapshot.hpp"
 #include "counters/mc_counters.hpp"
 #include "dram/address_map.hpp"
@@ -56,6 +57,8 @@ struct ChannelConfig {
   Tick read_dwell_cap = ns(150);  ///< upper bound on the read-priority dwell
   std::uint32_t prep_window = 24;   ///< queue depth scanned for bank prep
   dram::Timing timing{};
+  HOSTNET_FIELDS(ChannelConfig, rpq_capacity, wpq_capacity, wpq_high_wm, wpq_low_wm, max_write_age,
+                 dwell_per_queued_read, read_dwell_cap, prep_window, timing)
 };
 
 /// Callbacks into the CHA.

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hpp"
 #include "common/units.hpp"
 
 namespace hostnet::mem {
@@ -29,6 +30,7 @@ struct Region {
   std::uint64_t base = 0;
   std::uint64_t bytes = 1ull << 30;
   std::uint64_t lines() const { return bytes / kCachelineBytes; }
+  HOSTNET_FIELDS(Region, base, bytes)
 };
 
 /// Traffic class = (source, op); the four quadrant datapaths.

@@ -7,8 +7,11 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "core/host_system.hpp"
@@ -359,6 +362,34 @@ TEST(Executor, RepeatedWindowsSimulateOnce) {
   expect_identical(out[a.iso_p2m], out[b.iso_p2m]);
 }
 
+/// Changes one leaf to another value of its type.
+template <class T>
+void perturb(T& v) {
+  if constexpr (std::is_same_v<T, bool>) v = !v;
+  else if constexpr (std::is_same_v<T, std::string>) v += "'";
+  else if constexpr (std::is_enum_v<T>)
+    v = static_cast<T>(static_cast<std::underlying_type_t<T>>(v) ^ 1);
+  else v = static_cast<T>(v + 1);
+}
+
+/// Perturbs each leaf of `root` in turn and expects `fingerprint_of(copy)`
+/// to differ from `base`; returns the number of leaves perturbed.
+template <class T, class Fingerprint>
+std::size_t expect_every_leaf_keyed(const T& root, const std::string& base,
+                                    Fingerprint fingerprint_of) {
+  std::size_t n = 0;
+  fields::for_each_leaf(root, [&](const std::string& path, const auto&) {
+    T copy = root;
+    std::size_t i = 0;
+    fields::for_each_leaf(copy, [&](const std::string&, auto& leaf) {
+      if (i++ == n) perturb(leaf);
+    });
+    EXPECT_TRUE(fingerprint_of(copy) != base) << path << " is not keyed";
+    ++n;
+  });
+  return n;
+}
+
 TEST(ForkSweep, FingerprintSeparatesEveryInput) {
   const Window p = differential_presets().front();
   const RunOptions opt = p.opt;
@@ -371,13 +402,24 @@ TEST(ForkSweep, FingerprintSeparatesEveryInput) {
   EXPECT_NE(base, config_fingerprint(p.host, p.c2m, std::nullopt, opt.seed, opt.warmup));
   EXPECT_NE(base, config_fingerprint(p.host, std::nullopt, p.p2m, opt.seed, opt.warmup));
 
-  HostConfig other = p.host;
-  other.dram.channels += 1;
-  EXPECT_NE(base, config_fingerprint(other, p.c2m, p.p2m, opt.seed, opt.warmup));
-
-  C2MSpec more_cores = *p.c2m;
-  more_cores.cores += 1;
-  EXPECT_NE(base, config_fingerprint(p.host, more_cores, p.p2m, opt.seed, opt.warmup));
+  // Every leaf of every field table is keyed. The P2M spec engages all
+  // three placements so none of their leaves hides behind an empty
+  // optional (execute() would reject the combination; the key need not).
+  P2MSpec p2m = *p.p2m;
+  p2m.tcp = TcpSpec{};
+  p2m.rdma_write = RdmaWriteSpec{};
+  const std::string all = config_fingerprint(p.host, p.c2m, p2m, opt.seed, opt.warmup);
+  std::size_t leaves = expect_every_leaf_keyed(p.host, all, [&](const HostConfig& h) {
+    return config_fingerprint(h, p.c2m, p2m, opt.seed, opt.warmup);
+  });
+  EXPECT_EQ(leaves, 54u);
+  leaves += expect_every_leaf_keyed(*p.c2m, all, [&](const C2MSpec& c) {
+    return config_fingerprint(p.host, c, p2m, opt.seed, opt.warmup);
+  });
+  leaves += expect_every_leaf_keyed(p2m, all, [&](const P2MSpec& s) {
+    return config_fingerprint(p.host, p.c2m, s, opt.seed, opt.warmup);
+  });
+  EXPECT_EQ(leaves, 84u);  // 54 host + 13 C2M + 17 P2M: a visitor reaching nothing fails
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // pools, and the PMU's derived quantities must agree with direct counts.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "core/host_system.hpp"
@@ -102,6 +104,18 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ConfigValidation, AcceptsPresets) {
   EXPECT_EQ(cascade_lake().validate(), "");
   EXPECT_EQ(ice_lake().validate(), "");
+}
+
+// Every double HostConfig knob is a rate: NaN, inf and non-positive values
+// are rejected by name, and a host cannot be built from them.
+TEST(ConfigValidation, RejectsNonFiniteRates) {
+  HostConfig c = cascade_lake();
+  c.pcie_write_gb_per_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(c.validate(), "pcie_write_gb_per_s must be finite and positive");
+  EXPECT_THROW(HostSystem h(c), std::invalid_argument);
+  c = cascade_lake();
+  c.core_ghz = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(c.validate(), "core_ghz must be finite and positive");
 }
 
 TEST(ConfigValidation, RejectsBrokenConfigs) {

@@ -5,9 +5,14 @@
 // the fingerprint dedup actually happens.
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <vector>
 
+#include "common/fields.hpp"
 #include "common/histogram.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/scenario.hpp"
@@ -40,6 +45,19 @@ hosts 3 cache
 hosts 2 analytics
 hosts 2 cache
 )";
+
+/// A leaf value as `set` accepts it: 0/1, an integer, or a shortest
+/// round-trip double.
+template <class T>
+std::string to_text(T v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return v ? "1" : "0";
+  } else {
+    char buf[32];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+    return std::string(buf, end);
+  }
+}
 
 std::size_t error_line(const std::string& text) {
   try {
@@ -157,6 +175,73 @@ TEST(FleetScenario, NegativeCasesCarryLineNumbers) {
   const std::string placed = tmpl + "  c2m a c2m_read\nend\n";
   EXPECT_EQ(error_line(placed + "hosts -1 t\n"), 5u);
   EXPECT_EQ(error_line(placed + "hosts 18446744073709551616 t\n"), 5u);
+  // Times are integer picoseconds up to INT64_MAX.
+  EXPECT_EQ(error_line(tmpl + "  set mc.timing.t_trans 9223372036854775808\n"), 3u);
+  EXPECT_EQ(error_line(tmpl + "  set mc.timing.t_trans 2.5\n"), 3u);
+  // Bools are 0 or 1, not any integer.
+  EXPECT_EQ(error_line(tmpl + "  set cha.ddio 7\n"), 3u);
+  EXPECT_EQ(error_line(tmpl + "  set cha.peripheral_write_priority 2\n"), 3u);
+  // The name and enum leaves are not settable.
+  EXPECT_EQ(error_line(tmpl + "  set name x\n"), 3u);
+  EXPECT_EQ(error_line(tmpl + "  set dram.hash 0\n"), 3u);
+  // Double knobs must be finite and positive; validate() at `end` names them.
+  for (const char* key : {"pcie_write_gb_per_s", "pcie_read_gb_per_s", "core_ghz"})
+    for (const char* bad : {"nan", "inf", "-1", "0"}) {
+      const std::string set = std::string("  set ") + key + " " + bad + "\n";
+      EXPECT_EQ(error_line(tmpl + set + "  c2m a c2m_read\nend\nhosts 1 t\n"), 5u) << set;
+    }
+}
+
+/// Each HostConfig leaf's value as text, by dotted name.
+std::map<std::string, std::string> leaf_values(const core::HostConfig& h) {
+  std::map<std::string, std::string> out;
+  fields::for_each_leaf(h, [&](const std::string& path, const auto& leaf) {
+    using T = std::decay_t<decltype(leaf)>;
+    if constexpr (std::is_same_v<T, std::string>) out[path] = leaf;
+    else if constexpr (std::is_enum_v<T>)
+      out[path] = std::to_string(static_cast<std::underlying_type_t<T>>(leaf));
+    else out[path] = to_text(leaf);
+  });
+  return out;
+}
+
+// Every numeric and bool HostConfig leaf is a `set` key, and setting it
+// changes that leaf and no other. Each value is the first of a few nearby
+// candidates that still passes validate() at `end`.
+TEST(FleetScenario, EverySettableLeafSetsExactlyThatLeaf) {
+  const core::HostConfig base = core::cascade_lake();
+  const std::map<std::string, std::string> before = leaf_values(base);
+  std::size_t settable = 0;
+  fields::for_each_leaf(base, [&](const std::string& key, const auto& leaf) {
+    using T = std::decay_t<decltype(leaf)>;
+    if constexpr (std::is_arithmetic_v<T>) {
+      ++settable;
+      std::vector<T> candidates;
+      if constexpr (std::is_same_v<T, bool>) candidates = {!leaf};
+      else if constexpr (std::is_floating_point_v<T>) candidates = {leaf * 2};
+      else candidates = {T(leaf + 1), T(leaf - 1), T(leaf * 2), T(leaf / 2)};
+      std::optional<std::string> value;
+      for (const T c : candidates) {
+        core::HostConfig h = base;
+        fields::for_each_leaf(h, [&](const std::string& path, auto& l) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(l)>, T>)
+            if (path == key) l = c;
+        });
+        if (c != leaf && h.validate().empty()) {
+          value = to_text(c);
+          break;
+        }
+      }
+      ASSERT_TRUE(value) << key << ": no candidate value passes validate()";
+      const fleet::Scenario sc = fleet::Scenario::parse(
+          "fleet f\ntemplate t\n  set " + key + " " + *value +
+          "\n  c2m a c2m_read\nend\nhosts 1 t\n");
+      std::map<std::string, std::string> expected = before;
+      expected[key] = *value;
+      EXPECT_EQ(leaf_values(sc.templates()[0].host), expected) << key;
+    }
+  });
+  EXPECT_EQ(settable, 52u);  // 54 host leaves less `name` and `dram.hash`
 }
 
 // Three receiver templates that differ only in congestion-control stack --
