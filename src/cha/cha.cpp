@@ -100,14 +100,26 @@ void Cha::start_write(mem::Request req) {
 }
 
 void Cha::route_read(const mem::Request& req) {
-  const auto coord = mc_.address_map().decode(req.addr);
-  st_.ports[coord.channel].read_pending.push_back(Transit{req});
-  pump_reads(coord.channel);
+  const std::uint32_t ch = mc_.address_map().decode(req.addr).channel;
+  Port& p = st_.ports[ch];
+  // Nothing queued ahead and a token free: forward now rather than queue
+  // the request and pump it straight back out.
+  if (p.read_pending.empty() && p.read_tokens > 0) {
+    forward_read(ch, req);
+    return;
+  }
+  p.read_pending.push_back(Transit{req});
+  pump_reads(ch);
 }
 
 void Cha::route_write(const mem::Request& req) {
-  const auto coord = mc_.address_map().decode(req.addr);
-  auto& pending = st_.ports[coord.channel].write_pending;
+  const std::uint32_t ch = mc_.address_map().decode(req.addr).channel;
+  Port& p = st_.ports[ch];
+  auto& pending = p.write_pending;
+  if (pending.empty() && p.write_tokens > 0) {
+    forward_write(ch, req);
+    return;
+  }
   if (cfg_.peripheral_write_priority && req.source == mem::Source::kPeripheral) {
     // Peripheral writes bypass the CPU write-back backlog: insert after any
     // queued peripheral writes but ahead of all CPU ones.
@@ -117,47 +129,55 @@ void Cha::route_write(const mem::Request& req) {
   } else {
     pending.push_back(Transit{req});
   }
-  pump_writes(coord.channel);
+  pump_writes(ch);
 }
 
 void Cha::pump_reads(std::uint32_t ch) {
   Port& p = st_.ports[ch];
   while (p.read_tokens > 0 && !p.read_pending.empty()) {
-    --p.read_tokens;
     const mem::Request req = p.read_pending.front().req;
     p.read_pending.pop_front();
-    auto arrive = [this, ch, req] {
-      if (mc_.channel(ch).rpq_has_space()) {
-        admit_read_to_rpq(ch, req);
-      } else {
-        st_.ports[ch].read_parked.push_back(Transit{req});
-      }
-    };
-    static_assert(sizeof(arrive) <= sim::Event::kInlineBytes &&
-                      std::is_trivially_copyable_v<decltype(arrive)>,
-                  "per-line CHA->MC read hop must stay in the inline Event buffer");
-    sim_.schedule(cfg_.t_read_fwd, arrive);
+    forward_read(ch, req);
   }
 }
 
 void Cha::pump_writes(std::uint32_t ch) {
   Port& p = st_.ports[ch];
   while (p.write_tokens > 0 && !p.write_pending.empty()) {
-    --p.write_tokens;
     const mem::Request req = p.write_pending.front().req;
     p.write_pending.pop_front();
-    auto arrive = [this, ch, req] {
-      if (mc_.channel(ch).wpq_has_space()) {
-        admit_write_to_wpq(ch, req);
-      } else {
-        st_.ports[ch].write_parked.push_back(Transit{req});
-      }
-    };
-    static_assert(sizeof(arrive) <= sim::Event::kInlineBytes &&
-                      std::is_trivially_copyable_v<decltype(arrive)>,
-                  "per-line CHA->MC write hop must stay in the inline Event buffer");
-    sim_.schedule(cfg_.t_write_fwd, arrive);
+    forward_write(ch, req);
   }
+}
+
+void Cha::forward_read(std::uint32_t ch, const mem::Request& req) {
+  --st_.ports[ch].read_tokens;
+  auto arrive = [this, ch, req] {
+    if (mc_.channel(ch).rpq_has_space()) {
+      admit_read_to_rpq(ch, req);
+    } else {
+      st_.ports[ch].read_parked.push_back(Transit{req});
+    }
+  };
+  static_assert(sizeof(arrive) <= sim::Event::kInlineBytes &&
+                    std::is_trivially_copyable_v<decltype(arrive)>,
+                "per-line CHA->MC read hop must stay in the inline Event buffer");
+  sim_.schedule(cfg_.t_read_fwd, arrive);
+}
+
+void Cha::forward_write(std::uint32_t ch, const mem::Request& req) {
+  --st_.ports[ch].write_tokens;
+  auto arrive = [this, ch, req] {
+    if (mc_.channel(ch).wpq_has_space()) {
+      admit_write_to_wpq(ch, req);
+    } else {
+      st_.ports[ch].write_parked.push_back(Transit{req});
+    }
+  };
+  static_assert(sizeof(arrive) <= sim::Event::kInlineBytes &&
+                    std::is_trivially_copyable_v<decltype(arrive)>,
+                "per-line CHA->MC write hop must stay in the inline Event buffer");
+  sim_.schedule(cfg_.t_write_fwd, arrive);
 }
 
 void Cha::admit_read_to_rpq(std::uint32_t ch, const mem::Request& req) {

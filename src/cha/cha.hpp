@@ -215,6 +215,9 @@ class Cha final : public mc::ChannelListener {
   void route_write(const mem::Request& req);
   void pump_reads(std::uint32_t ch);
   void pump_writes(std::uint32_t ch);
+  /// Spend one forward token of port `ch` and send `req` over the CHA->MC hop.
+  void forward_read(std::uint32_t ch, const mem::Request& req);
+  void forward_write(std::uint32_t ch, const mem::Request& req);
   void admit_read_to_rpq(std::uint32_t ch, const mem::Request& req);
   void admit_write_to_wpq(std::uint32_t ch, const mem::Request& req);
   void free_read_tor();

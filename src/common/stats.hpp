@@ -37,7 +37,8 @@ class MeanAccumulator {
 
 /// Time-weighted average of an integer level (queue occupancy, credits in
 /// use, ...). Mirrors how Intel uncore counters aggregate occupancy every
-/// cycle; we integrate exactly over event time instead.
+/// cycle; we integrate exactly over event time instead, in integer
+/// level x ticks.
 class TimeWeighted {
  public:
   void set(Tick now, std::int64_t level) {
@@ -51,7 +52,7 @@ class TimeWeighted {
   void reset(Tick now) {
     last_ = now;
     start_ = now;
-    integral_ = 0.0;
+    integral_ = 0;
     max_ = level_;
     time_at_cap_ = 0;
   }
@@ -66,7 +67,8 @@ class TimeWeighted {
   double average(Tick now) {
     integrate(now);
     const Tick dt = now - start_;
-    return dt > 0 ? integral_ / static_cast<double>(dt) : static_cast<double>(level_);
+    return dt > 0 ? static_cast<double>(integral_) / static_cast<double>(dt)
+                  : static_cast<double>(level_);
   }
 
   /// Fraction of window time spent with level >= cap.
@@ -79,7 +81,7 @@ class TimeWeighted {
  private:
   void integrate(Tick now) {
     if (now > last_) {
-      integral_ += static_cast<double>(level_) * static_cast<double>(now - last_);
+      integral_ += level_ * (now - last_);
       if (cap_ > 0 && level_ >= cap_) time_at_cap_ += now - last_;
       last_ = now;
     }
@@ -91,7 +93,7 @@ class TimeWeighted {
   Tick last_ = 0;
   Tick start_ = 0;
   Tick time_at_cap_ = 0;
-  double integral_ = 0.0;
+  std::int64_t integral_ = 0;
 };
 
 /// Collects samples and reports quantiles / CDF points.

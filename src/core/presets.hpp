@@ -74,11 +74,17 @@ struct HostConfig {
     if (mc.wpq_high_wm >= mc.wpq_capacity) return "wpq_high_wm must be below wpq_capacity";
     if (mc.wpq_low_wm >= mc.wpq_high_wm) return "wpq_low_wm must be below wpq_high_wm";
     if (mc.rpq_capacity == 0 || mc.wpq_capacity == 0) return "MC queues need capacity";
+    if (mc.prep_window == 0) return "mc.prep_window must be at least 1";
     if (core.lfb_entries == 0) return "core.lfb_entries must be positive";
     if (iio.write_credits == 0 || iio.read_credits == 0) return "IIO needs credits";
     if (cha.read_tor == 0 || cha.write_tracker == 0) return "CHA needs tracker entries";
     if (cha.write_tracker_peripheral_reserve > cha.write_tracker)
       return "peripheral reserve exceeds the write tracker";
+    if (cha.read_fwd_window == 0 || cha.write_fwd_window == 0)
+      return "cha.read_fwd_window and cha.write_fwd_window must be at least 1";
+    if (cha.ddio && cha.ddio_ways == 0) return "cha.ddio_ways must be at least 1 when DDIO is on";
+    if (cha.ddio && cha.ddio_capacity_bytes / kCachelineBytes < cha.ddio_ways)
+      return "cha.ddio_capacity_bytes must hold at least one 64-byte line per DDIO way";
     std::string err;  // every double knob is a rate (GHz, GB/s)
     fields::for_each_leaf(*this, [&err](const std::string& path, const auto& v) {
       if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>)

@@ -105,20 +105,40 @@ void Channel::release_inactive_banks(SlotQueue& q) {
   }
 }
 
-void Channel::prep_banks(Tick now) {
-  auto& q = active_queue();
+std::uint32_t Channel::prep_candidates() const {
   // A prep needs an unprepped-in-window entry whose bank is free; each
   // candidate bank is prepped exactly once, by its oldest such entry (the
-  // prep claims the bank). Counting the candidates up front makes the
-  // common "nothing to prep" case O(banks / 64) and ends the walk at the
-  // last prep instead of at the end of the window.
+  // prep claims the bank). Counting the candidates is O(banks / 64), so the
+  // common "nothing to prep" case costs no scan at all.
+  const SlotQueue& q = active_queue();
   const std::vector<std::uint64_t>& waiting = q.unprepped_window_banks();
   std::uint32_t candidates = 0;
   for (std::size_t w = 0; w < waiting.size(); ++w)
     candidates += static_cast<std::uint32_t>(std::popcount(waiting[w] & ~st_.banks_owned[w]));
+#if HOSTNET_CHECKED
+  if (candidates == 0) {
+    // A skipped scan must be a scan that would prep nothing: walk the whole
+    // prep window dry, as the full-queue scan did, without the bank sets.
+    std::uint32_t pos = 0;
+    for (auto i = q.fifo_head(); i != SlotQueue::kNil && pos < cfg_.prep_window;
+         i = q.fifo_next(i), ++pos) {
+      const Entry& e = q.entry(i);
+      HOSTNET_INVARIANT(e.prepped || owned(e.coord.bank),
+                        "mc.prep-skip: skipped a prep scan, but entry id %llu at window "
+                        "position %u waits on free bank %u",
+                        static_cast<unsigned long long>(e.id), pos, e.coord.bank);
+    }
+  }
+#endif
+  return candidates;
+}
+
+void Channel::prep_banks(Tick now, std::uint32_t candidates) {
+  auto& q = active_queue();
   // Walk the unprepped entries inside the prep window oldest first -- the
   // same candidates the full window scan used to visit, in the same order
-  // (the sublist is age-ordered and window membership is exact).
+  // (the sublist is age-ordered and window membership is exact) -- and stop
+  // at the last prep instead of at the end of the window.
   for (auto i = q.unprepped_window_head(); candidates > 0;) {
     assert(i != SlotQueue::kNil);
     const auto next = q.unprepped_window_next(i);
@@ -134,8 +154,8 @@ void Channel::prep_banks(Tick now) {
   }
 }
 
-bool Channel::try_issue(Tick now) {
-  if (st_.bus_free_at > now) return false;
+bool Channel::try_issue(Tick now, Tick& write_done) {
+  assert(st_.bus_free_at <= now);
   auto& q = active_queue();
   // FR-FCFS: the oldest row-ready request wins the data bus. The prepped
   // sublist is age-ordered and only prepped entries can match, so walking
@@ -174,16 +194,25 @@ bool Channel::try_issue(Tick now) {
     ++st_.counters.lines_written;
     st_.wpq_pool.release(now);
     const Tick done = now + cfg_.timing.t_trans;
-    auto completion = [this, done] { listener_->on_wpq_slot_freed(index_, done); };
+    // The completion also runs the wake-up fused onto it (request_kick_at):
+    // the calendar would have fired that wake-up directly behind it.
+    auto completion = [this, done] {
+      listener_->on_wpq_slot_freed(index_, done);
+      if (st_.fused_kick_at == done) {
+        st_.fused_kick_at = kNever;
+        on_kick_event(done);
+      }
+    };
     static_assert(sizeof(completion) <= sim::Event::kInlineBytes &&
                       std::is_trivially_copyable_v<decltype(completion)>,
                   "write-completion closure must stay in the inline Event buffer");
     sim_.schedule_at(done, completion);
+    write_done = done;
   }
   return true;
 }
 
-void Channel::schedule_next(Tick now) {
+void Channel::schedule_next(Tick now, Tick write_done) {
   auto& q = active_queue();
   if (q.empty()) {
     // Nothing to do in the active mode; a pending inactive-mode switch is
@@ -194,13 +223,13 @@ void Channel::schedule_next(Tick now) {
   }
   if (q.prepped_count() == 0) return;  // waiting on a bank owned by the inactive queue
   const Tick earliest_ready = q.earliest_ready();
-  request_kick_at(std::max({now + 1, st_.bus_free_at, earliest_ready}));
+  request_kick_at(std::max({now + 1, st_.bus_free_at, earliest_ready}), write_done);
 }
 
-void Channel::request_kick_at(Tick at) {
+void Channel::request_kick_at(Tick at, Tick write_done) {
   if (at >= st_.next_kick_at) return;
   st_.next_kick_at = at;
-  // An event already in flight for this exact tick will run the kick (the
+  // A wake-up already in flight for this exact tick will run the kick (the
   // earliest-scheduled event at a tick fires first, same as before); do not
   // enqueue a duplicate that could only die as a dead calendar entry.
   for (const Tick t : st_.kick_inflight)
@@ -210,6 +239,15 @@ void Channel::request_kick_at(Tick at) {
     }
   st_.kick_inflight.push_back(at);
   ++st_.kick_stats.scheduled;
+  // `write_done` is the tick of the write completion this kick() scheduled
+  // last; kick() schedules nothing after it before asking here. A wake-up
+  // for that tick would fire directly behind the completion, so the
+  // completion runs it instead of a calendar event of its own.
+  if (at == write_done && st_.fused_kick_at == kNever) {
+    st_.fused_kick_at = at;
+    ++st_.kick_stats.fused;
+    return;
+  }
   sim_.schedule_at(at, [this, at] { on_kick_event(at); });
 }
 
@@ -224,7 +262,7 @@ void Channel::on_kick_event(Tick at) {
     ++st_.kick_stats.cancelled;  // superseded by an earlier kick
     return;
   }
-  st_.next_kick_at = std::numeric_limits<Tick>::max();
+  st_.next_kick_at = kNever;
   kick();
 }
 
@@ -265,19 +303,33 @@ void Channel::verify_invariants() const {
   }
   HOSTNET_INVARIANT(prepped_banks == st_.banks_owned,
                     "mc.bank-ownership: an owned bank has no prepped entry");
+  // The fused wake-up is a wake-up in flight like any other: none, or held
+  // exactly once in kick_inflight.
+  if (st_.fused_kick_at != kNever) {
+    const auto held = std::count(st_.kick_inflight.begin(), st_.kick_inflight.end(),
+                                 st_.fused_kick_at);
+    HOSTNET_INVARIANT(held == 1,
+                      "mc.fused-kick: fused wake-up at tick %lld is held %lld times in "
+                      "kick_inflight",
+                      static_cast<long long>(st_.fused_kick_at), static_cast<long long>(held));
+  }
 #endif
 }
 
 void Channel::kick() {
+  // Each step runs only when it can act: a prep scan when some waiting
+  // entry's bank is free, an issue when the data bus is. A kick that finds
+  // neither costs the mode check and the wake-up request alone.
   const Tick now = sim_.now();
   maybe_switch_mode(now);
-  prep_banks(now);
-  if (try_issue(now)) {
+  if (const std::uint32_t n = prep_candidates()) prep_banks(now, n);
+  Tick write_done = kNever;
+  if (st_.bus_free_at <= now && try_issue(now, write_done)) {
     // The bus is busy until st_.bus_free_at; prepare more banks meanwhile.
     maybe_switch_mode(now);
-    prep_banks(now);
+    if (const std::uint32_t n = prep_candidates()) prep_banks(now, n);
   }
-  schedule_next(now);
+  schedule_next(now, write_done);
 }
 
 }  // namespace hostnet::mc

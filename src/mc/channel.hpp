@@ -18,8 +18,11 @@
 // bank-prep scan starts only when a waiting entry's bank is free (a
 // waiting-bank set per queue and the owned-bank set, one word per 64 banks),
 // and the next-kick time comes from an incrementally maintained
-// earliest-row_ready_at tracker. Scheduling decisions are bit-identical to
-// the original deque scans; only the work per decision changed.
+// earliest-row_ready_at tracker. A kick scans and issues only when it can
+// act, and a wake-up due at the tick of the write completion it just filed
+// rides that completion instead of a calendar event of its own. Scheduling
+// decisions are bit-identical to the original deque scans; only the work
+// per decision changed.
 #pragma once
 
 #include <cstdint>
@@ -106,23 +109,29 @@ class Channel {
   std::size_t wpq_size() const { return st_.wpq.size(); }
 
   /// Self-kick bookkeeping: each scheduled wake-up is one calendar-queue
-  /// entry; a wake-up superseded by an earlier one fires as a dead no-op
-  /// ("cancelled"). `deduped` counts requests that re-used an event already
-  /// in flight for the same tick instead of enqueuing a duplicate.
+  /// entry or rides on a write completion (`fused`, a subset of
+  /// `scheduled`); a wake-up superseded by an earlier one fires as a dead
+  /// no-op ("cancelled"). `deduped` counts requests that re-used a wake-up
+  /// already in flight for the same tick instead of enqueuing a duplicate.
   /// bench_sim_perf's alloc probe and the dead-event regression test bound
   /// cancelled/scheduled.
   struct KickStats {
     std::uint64_t scheduled = 0;
     std::uint64_t cancelled = 0;
     std::uint64_t deduped = 0;
+    std::uint64_t fused = 0;
     bool operator==(const KickStats&) const = default;
   };
   const KickStats& kick_stats() const { return st_.kick_stats; }
 
   /// Checked-build audit (no-op otherwise): slot-arena structure of both
-  /// queues, enqueue/issue conservation, and the bank-ownership bijection
-  /// between st_.banks_owned and the prepped sublists (DESIGN.md section 4c).
+  /// queues, enqueue/issue conservation, the bank-ownership bijection
+  /// between st_.banks_owned and the prepped sublists, and the fused
+  /// wake-up's bookkeeping (DESIGN.md section 4c).
   void verify_invariants() const;
+
+  /// "No tick": an empty next_kick_at / fused_kick_at.
+  static constexpr Tick kNever = std::numeric_limits<Tick>::max();
 
  private:
   enum class Mode : std::uint8_t { kRead, kWrite };
@@ -143,8 +152,12 @@ class Channel {
     Tick bus_free_at = 0;
     Tick read_dwell_until = 0;
     std::uint64_t next_entry_id = 0;
-    Tick next_kick_at = std::numeric_limits<Tick>::max();
-    std::vector<Tick> kick_inflight;  ///< ticks with a wake-up event in flight
+    Tick next_kick_at = kNever;
+    std::vector<Tick> kick_inflight;  ///< ticks with a wake-up in flight
+    /// The wake-up carried by the pending write completion at this tick
+    /// instead of its own calendar event (kNever when none); also held in
+    /// kick_inflight.
+    Tick fused_kick_at = kNever;
     KickStats kick_stats;
     flow::CreditPool rpq_pool;  ///< RPQ occupancy (slots in use)
     flow::CreditPool wpq_pool;  ///< WPQ occupancy + drain watermarks
@@ -172,13 +185,17 @@ class Channel {
 
   void kick();
   void maybe_switch_mode(Tick now);
-  void prep_banks(Tick now);
-  bool try_issue(Tick now);
-  void schedule_next(Tick now);
-  void request_kick_at(Tick at);
+  std::uint32_t prep_candidates() const;
+  void prep_banks(Tick now, std::uint32_t candidates);
+  bool try_issue(Tick now, Tick& write_done);
+  void schedule_next(Tick now, Tick write_done);
+  void request_kick_at(Tick at, Tick write_done = kNever);
   void on_kick_event(Tick at);
 
   SlotQueue& active_queue() { return st_.mode == Mode::kRead ? st_.rpq : st_.wpq; }
+  const SlotQueue& active_queue() const {
+    return st_.mode == Mode::kRead ? st_.rpq : st_.wpq;
+  }
 
   sim::Simulator& sim_;
   const ChannelConfig cfg_;

@@ -10,8 +10,8 @@
 #     must be a usage error: exit status 2, nothing on stdout.
 #   fleet_cli_check.sh bad-scenario <hostnet_fleet>
 #     Malformed scenarios (bad window lengths, signed or out-of-range
-#     integers) must fail to parse: exit status 2, nothing on stdout, and
-#     the offending line number on stderr.
+#     integers, host configs validate() refuses) must fail to parse: exit
+#     status 2, nothing on stdout, and the offending line number on stderr.
 set -euo pipefail
 
 mode="$1"
@@ -73,6 +73,17 @@ case "${mode}" in
     expect_parse_error cores-negative 3 'fleet f\ntemplate t\n  c2m a c2m_read cores=-1\n'
     expect_parse_error hosts-negative 5 "${placed}hosts -1 t\n"
     expect_parse_error hosts-past-u64 5 "${placed}hosts 18446744073709551616 t\n"
+    # Configs that used to crash or stall the simulation are refused at `end`.
+    mixed='  c2m a c2m_read_write cores=2\n  p2m b fio_write\nend\nhosts 1 t\n'
+    expect_parse_error prep-window-zero 6 "fleet f\ntemplate t\n  set mc.prep_window 0\n${mixed}"
+    expect_parse_error read-fwd-window-zero 6 \
+      "fleet f\ntemplate t\n  set cha.read_fwd_window 0\n${mixed}"
+    expect_parse_error write-fwd-window-zero 6 \
+      "fleet f\ntemplate t\n  set cha.write_fwd_window 0\n${mixed}"
+    expect_parse_error ddio-ways-zero 7 \
+      "fleet f\ntemplate t\n  set cha.ddio 1\n  set cha.ddio_ways 0\n${mixed}"
+    expect_parse_error ddio-capacity-below-ways 7 \
+      "fleet f\ntemplate t\n  set cha.ddio 1\n  set cha.ddio_capacity_bytes 64\n${mixed}"
     ;;
   *)
     fail "unknown mode '${mode}' (reports | bad-threads | bad-scenario)"

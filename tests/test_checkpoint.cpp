@@ -157,6 +157,39 @@ TEST(Checkpoint, RestoreReplaysIdenticalWindow) {
   }
 }
 
+TEST(Checkpoint, ForkWithFusedWakeUpPendingMatchesCold) {
+  // A memory channel's next wake-up can ride a pending write completion
+  // instead of its own calendar event (Channel::State::fused_kick_at). Save
+  // at a quiesce point where one is pending: the forked replay must end in
+  // the same whole-host state as the uninterrupted (cold) run.
+  const HostConfig hc = cascade_lake();
+  HostSystem host(hc, /*seed=*/17);
+  for (std::uint32_t i = 0; i < 2; ++i)
+    host.add_core(workloads::c2m_read_write(workloads::c2m_core_region(i)));
+  host.add_storage(workloads::fio_p2m_write(hc, workloads::p2m_region()));
+  host.run(us(20), 0);
+  auto fused_pending = [](const HostSnapshot& s) {
+    for (const auto& ch : s.mc.channels)
+      if (ch.fused_kick_at != mc::Channel::kNever) return true;
+    return false;
+  };
+  HostSnapshot checkpoint = host.snapshot();
+  for (int step = 0; step < 100000 && !fused_pending(checkpoint); ++step) {
+    host.run_more(ns(1));
+    host.save_state(checkpoint);
+  }
+  ASSERT_TRUE(fused_pending(checkpoint));
+
+  const Replay cold = replay(host, us(30));
+  host.restore(checkpoint);
+  const Replay fork = replay(host, us(30));
+  EXPECT_EQ(cold.executed, fork.executed);
+  EXPECT_EQ(cold.end, fork.end);
+  EXPECT_EQ(cold.balances, fork.balances);
+  expect_same_state(cold.end_state, fork.end_state);
+  expect_identical(cold.metrics, fork.metrics);
+}
+
 TEST(Checkpoint, RestoreIntoDifferentHostThrows) {
   // Snapshots carry raw pointers into the producing host (event closures'
   // `this` captures, CreditWaiter*), so cross-host restore must be refused

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <charconv>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <string>
@@ -190,6 +191,30 @@ TEST(FleetScenario, NegativeCasesCarryLineNumbers) {
       const std::string set = std::string("  set ") + key + " " + bad + "\n";
       EXPECT_EQ(error_line(tmpl + set + "  c2m a c2m_read\nend\nhosts 1 t\n"), 5u) << set;
     }
+  // Configs that used to crash (DDIO's set count divides by the ways) or
+  // stall (no prep window, no forward token) are refused at `end`.
+  const std::string mixed = "  c2m a c2m_read_write cores=2\n  p2m b fio_write\nend\nhosts 1 t\n";
+  for (const char* set : {"  set mc.prep_window 0\n", "  set cha.read_fwd_window 0\n",
+                          "  set cha.write_fwd_window 0\n"})
+    EXPECT_EQ(error_line(tmpl + set + mixed), 6u) << set;
+  for (const char* set : {"  set cha.ddio_ways 0\n", "  set cha.ddio_capacity_bytes 64\n"})
+    EXPECT_EQ(error_line(tmpl + "  set cha.ddio 1\n" + set + mixed), 7u) << set;
+  // With DDIO off, the DDIO geometry is not read and not checked.
+  EXPECT_NO_THROW(fleet::Scenario::parse(tmpl + "  set cha.ddio_ways 0\n" + mixed));
+}
+
+// The presets and every shipped scenario sit inside what validate() accepts
+// (the scenarios run validate() at each template's `end`).
+TEST(FleetScenario, PresetsAndShippedScenariosValidate) {
+  EXPECT_EQ(core::cascade_lake().validate(), "");
+  EXPECT_EQ(core::ice_lake().validate(), "");
+  std::size_t shipped = 0;
+  for (const auto& f : std::filesystem::directory_iterator(HOSTNET_SCENARIO_DIR)) {
+    if (f.path().extension() != ".fleet") continue;
+    ++shipped;
+    EXPECT_NO_THROW(fleet::Scenario::load(f.path().string())) << f.path();
+  }
+  EXPECT_GE(shipped, 2u);
 }
 
 /// Each HostConfig leaf's value as text, by dotted name.

@@ -8,6 +8,9 @@
 //    copy of the seed's deque implementation, on identical randomized
 //    closed-loop workloads: every completion tick, every counter must match
 //    exactly (FR-FCFS "oldest row-ready wins", same-tick FIFO by entry id);
+//    The reference files every wake-up as its own calendar event, so the
+//    streams with writes also check the wake-ups fused onto write
+//    completions;
 //  * McKickStats -- the self-kick dedup keeps dead calendar entries (wake-ups
 //    superseded before firing) a bounded fraction of scheduled wake-ups under
 //    bursty enqueues.
@@ -378,6 +381,7 @@ struct StreamParams {
   std::uint64_t seed;
   double write_fraction;
   bool random_addresses;
+  bool back_to_back_writes = false;  ///< no arrival gap after a write
   std::uint16_t banks = 32;  ///< banks per channel; > 64 spans several bank-set words
   std::uint16_t prep_window = 24;  ///< ChannelConfig's default
   std::uint64_t bank_bits;  ///< shrink the bank space to force conflicts
@@ -399,6 +403,12 @@ void run_stream(sim::Simulator& sim, ChannelT& ch, const StreamParams& prm) {
   std::uint64_t next_line = 0;
   const std::uint64_t line_space = 1ULL << prm.bank_bits;
   while (sent < 2500) {
+    // A full stream takes well under a simulated millisecond; a channel that
+    // stops issuing would otherwise spin here on a full queue forever.
+    if (sim.now() > ms(20)) {
+      ADD_FAILURE() << "stream stalled after " << sent << " requests";
+      break;
+    }
     const bool is_write = rng.chance(prm.write_fraction);
     const std::uint64_t line =
         prm.random_addresses ? rng.below(line_space) : next_line++;
@@ -423,7 +433,7 @@ void run_stream(sim::Simulator& sim, ChannelT& ch, const StreamParams& prm) {
       if (sent % 64 == 0) ch.verify_invariants();  // checked builds only
     }
     // Bursty arrivals: occasional gaps, occasional back-to-back enqueues.
-    if (rng.chance(0.4)) sim.run_until(sim.now() + Tick(rng.below(ns(60))));
+    if (!(is_write && prm.back_to_back_writes) && rng.chance(0.4)) sim.run_until(sim.now() + Tick(rng.below(ns(60))));
   }
   sim.run_until(sim.now() + ms(2));  // drain
 }
@@ -467,6 +477,15 @@ TEST_P(McArenaDifferential, BitIdenticalToDequeReference) {
   EXPECT_EQ(cn.pre_conflict_write, cr.pre_conflict_write);
   EXPECT_EQ(cn.row_hit_read, cr.row_hit_read);
   EXPECT_EQ(cn.row_hit_write, cr.row_hit_write);
+
+  // Only write completions carry wake-ups, and every stream with writes
+  // exercises them; a fused wake-up is still a scheduled one.
+  const Channel::KickStats& ks = ch_new.kick_stats();
+  if (prm.write_fraction > 0)
+    EXPECT_GT(ks.fused, 0u);
+  else
+    EXPECT_EQ(ks.fused, 0u);
+  EXPECT_LE(ks.fused, ks.scheduled);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -496,7 +515,13 @@ INSTANTIATE_TEST_SUITE_P(
         StreamParams{.seed = 21, .write_fraction = 0.0, .random_addresses = true,
                      .prep_window = 6, .bank_bits = 9},
         StreamParams{.seed = 22, .write_fraction = 0.5, .random_addresses = true, .banks = 128,
-                     .prep_window = 4, .bank_bits = 12}));
+                     .prep_window = 4, .bank_bits = 12},
+        // Write-drain heavy: sequential writes arriving back to back (row
+        // hits, so the next issue is ready when the bus frees) with a few
+        // reads to drain back for. Most wake-ups land on the tick of a write
+        // completion and ride it.
+        StreamParams{.seed = 23, .write_fraction = 0.9, .random_addresses = false,
+                     .back_to_back_writes = true, .bank_bits = 22}));
 
 #if HOSTNET_CHECKED
 TEST(McArenaDeathTest, StaleWaitingBankSetTripsAudit) {
@@ -541,6 +566,66 @@ TEST(McArenaDeathTest, StrayOwnedBankTripsAudit) {
   ch.load_state(snap);
   EXPECT_DEATH(ch.verify_invariants(), "owned bank has no prepped entry");
 }
+
+TEST(McArenaDeathTest, StaleWaitingBankSetTripsSkippedScanAudit) {
+  // As above, a waiting entry is retargeted to free bank 3 behind the
+  // queue's back, so the set of banks with waiting entries still says bank
+  // 70 (owned) only. The next kick counts no prep candidates and skips the
+  // scan; the checked build's dry walk must find the entry it skipped.
+  ChannelConfig cfg;
+  cfg.timing = dram::ddr4_2933();
+  sim::Simulator sim;
+  TraceListener trace;
+  Channel ch(sim, cfg, 128, 0, &trace);
+  for (std::uint64_t row = 0; row < 3; ++row) {
+    mem::Request req;
+    req.addr = row * kCachelineBytes;
+    ch.enqueue_read(req, dram::Coord{0, 70, row, 0});
+  }
+  Channel::Snapshot snap;
+  ch.save_state(snap);
+  snap.rpq.entry(snap.rpq.unprepped_window_head()).coord.bank = 3;
+  ch.load_state(snap);
+  mem::Request req;
+  req.addr = 3 * kCachelineBytes;
+  EXPECT_DEATH(ch.enqueue_read(req, dram::Coord{0, 70, 3, 0}), "mc.prep-skip");
+}
+
+/// Run sequential writes through `ch` until a wake-up rides a pending write
+/// completion at a quiesce point; false if none does within the budget.
+bool run_until_fused_pending(sim::Simulator& sim, Channel& ch) {
+  dram::AddressMap map(1, 32, 8192, 256, dram::BankHash::kXorHash, 8192);
+  Channel::Snapshot snap;
+  for (std::uint64_t line = 0; line < 4096; ++line) {
+    mem::Request req;
+    req.addr = line * kCachelineBytes;
+    req.op = mem::Op::kWrite;
+    while (!ch.wpq_has_space()) sim.run_until(sim.now() + ns(1));
+    ch.enqueue_write(req, map.decode(req.addr));
+    sim.run_until(sim.now() + ns(1));
+    ch.save_state(snap);
+    if (snap.fused_kick_at != Channel::kNever) return true;
+  }
+  return false;
+}
+
+TEST(McArenaDeathTest, StaleFusedWakeUpTripsAudit) {
+  // A wake-up rides a pending write completion. Dropping its tick from the
+  // in-flight set (through a saved snapshot) leaves a fused wake-up that no
+  // longer counts as in flight, and the checked audit must abort.
+  ChannelConfig cfg;
+  cfg.timing = dram::ddr4_2933();
+  sim::Simulator sim;
+  TraceListener trace;
+  Channel ch(sim, cfg, 32, 0, &trace);
+  ASSERT_TRUE(run_until_fused_pending(sim, ch));
+  ch.verify_invariants();
+  Channel::Snapshot snap;
+  ch.save_state(snap);
+  std::erase(snap.kick_inflight, snap.fused_kick_at);
+  ch.load_state(snap);
+  EXPECT_DEATH(ch.verify_invariants(), "mc.fused-kick");
+}
 #endif
 
 // ---- dead calendar entries from superseded kicks ---------------------------
@@ -578,6 +663,7 @@ TEST(McKickStats, DeadEventsBoundedUnderBurstyEnqueues) {
 
   const auto& ks = ch.kick_stats();
   ASSERT_GT(ks.scheduled, 0u);
+  EXPECT_LE(ks.fused, ks.scheduled);
   // Dedup must actually engage under this pattern (same-tick re-requests are
   // the dominant source of what used to be dead entries)...
   EXPECT_GT(ks.deduped, 0u);
