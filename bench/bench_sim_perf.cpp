@@ -416,8 +416,8 @@ void BM_ColdQuadrantSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_ColdQuadrantSweep)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Cost of one checkpoint save + restore on a warmed loaded host -- the
-/// per-point overhead a forked sweep pays instead of re-warming.
+/// Cost of one checkpoint save + restore on a warmed loaded host -- what
+/// branching a warm host into another future costs instead of re-warming.
 void BM_SnapshotRestore(benchmark::State& state) {
   const auto hc = core::cascade_lake();
   core::HostSystem host(hc);
@@ -476,8 +476,8 @@ BENCHMARK(BM_ParallelQuadrantSweep)
 /// runs the fleet as one plan, and execute() makes each window fingerprint
 /// one job that warms cold once fleet-wide: 10 iso-C2M + 10 colocated + the
 /// one iso-P2M window all ten templates share = 21 checkpoint misses per
-/// run. Every other window restores its job's checkpoint and simulates its
-/// own measurement (129 checkpoint hits, 0 outcome hits). items/s is
+/// run. Every other window is a shorter window of its job, read on the way
+/// to the job's longest (129 checkpoint hits, 0 outcome hits). items/s is
 /// hosts/s; the counters keep that split auditable in the JSON output.
 std::string fleet_bench_scenario(int templates, int hosts_per_template) {
   std::string s =

@@ -210,7 +210,9 @@ void Cha::on_read_data(const mem::Request& req, Tick now) {
 
 void Cha::on_wpq_slot_freed(std::uint32_t channel, Tick /*now*/) {
   Port& p = st_.ports[channel];
-  if (!p.write_parked.empty()) {
+  // The slot was freed when the write issued, one t_trans ago: a write that
+  // arrived while none was parked may have taken it since.
+  if (!p.write_parked.empty() && mc_.channel(channel).wpq_has_space()) {
     const mem::Request req = p.write_parked.front().req;
     p.write_parked.pop_front();
     admit_write_to_wpq(channel, req);

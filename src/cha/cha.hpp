@@ -143,13 +143,13 @@ class Cha final : public mc::ChannelListener {
   std::uint64_t ddio_hits() const { return st_.ddio_hits; }
   std::uint32_t read_tor_used() const { return st_.read_pool.in_use(); }
   std::uint32_t write_tracker_used() const { return st_.write_pool.in_use(); }
-  TimeWeighted& write_backlog_occupancy() {
+  const TimeWeighted& write_backlog_occupancy() const {
     return st_.write_pool.station().occupancy_integral();
   }
   /// Fraction of time writes are backpressured at the CHA (more writes
   /// resident than the forwarding pipeline naturally holds) -- the
   /// measured analogue of the paper's P_fill^WPQ input.
-  double wpq_blocked_fraction(Tick now) {
+  double wpq_blocked_fraction(Tick now) const {
     return st_.write_pool.pressure_fraction(now);
   }
 

@@ -64,21 +64,27 @@ class TimeWeighted {
   std::int64_t max_level() const { return max_; }
   bool operator==(const TimeWeighted&) const = default;
 
-  double average(Tick now) {
-    integrate(now);
+  /// Mean level over [window start, now]. A pure read: the pending span
+  /// since the last change is added, not stored, so reading a window
+  /// mid-run leaves the counter exactly as an unread one.
+  double average(Tick now) const {
     const Tick dt = now - start_;
-    return dt > 0 ? static_cast<double>(integral_) / static_cast<double>(dt)
+    const std::int64_t integral = integral_ + level_ * pending(now);
+    return dt > 0 ? static_cast<double>(integral) / static_cast<double>(dt)
                   : static_cast<double>(level_);
   }
 
-  /// Fraction of window time spent with level >= cap.
-  double fraction_at_cap(Tick now) {
-    integrate(now);
+  /// Fraction of window time spent with level >= cap (a pure read).
+  double fraction_at_cap(Tick now) const {
     const Tick dt = now - start_;
-    return dt > 0 ? static_cast<double>(time_at_cap_) / static_cast<double>(dt) : 0.0;
+    const Tick at_cap = time_at_cap_ + (cap_ > 0 && level_ >= cap_ ? pending(now) : 0);
+    return dt > 0 ? static_cast<double>(at_cap) / static_cast<double>(dt) : 0.0;
   }
 
  private:
+  /// Ticks since the last integration, up to `now` (what a read adds).
+  Tick pending(Tick now) const { return now > last_ ? now - last_ : 0; }
+
   void integrate(Tick now) {
     if (now > last_) {
       integral_ += level_ * (now - last_);

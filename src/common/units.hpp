@@ -16,6 +16,7 @@ inline constexpr Tick kPicosecond = 1;
 inline constexpr Tick kNanosecond = 1'000;
 inline constexpr Tick kMicrosecond = 1'000'000;
 inline constexpr Tick kMillisecond = 1'000'000'000;
+inline constexpr Tick kSecond = 1'000 * kMillisecond;
 
 /// Cacheline size in bytes; the unit of transfer everywhere in the host
 /// network (the paper's credit law is expressed in 64 B cachelines).
@@ -28,7 +29,7 @@ constexpr Tick ms(double v) { return static_cast<Tick>(v * kMillisecond); }
 constexpr double to_ns(Tick t) { return static_cast<double>(t) / kNanosecond; }
 constexpr double to_us(Tick t) { return static_cast<double>(t) / kMicrosecond; }
 constexpr double to_ms(Tick t) { return static_cast<double>(t) / kMillisecond; }
-constexpr double to_s(Tick t) { return static_cast<double>(t) / (kMillisecond * 1000); }
+constexpr double to_s(Tick t) { return static_cast<double>(t) / kSecond; }
 
 /// Throughput of `bytes` transferred over `dt` ticks, in GB/s (1e9 bytes/s).
 constexpr double gb_per_s(std::uint64_t bytes, Tick dt) {

@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -132,7 +133,7 @@ struct BuiltHost {
     transport = make_transport(host, w.p2m);
   }
 
-  RunOutcome collect(const Window& w) {
+  RunOutcome collect(const Window& w) const {
     RunOutcome out;
     out.metrics = host.collect();
     if (w.c2m)
@@ -208,9 +209,9 @@ Outcomes execute(const Plan& plan, const ExecOptions& opt) {
   const std::vector<Window>& ws = plan.windows();
 
   // Jobs in first-appearance order, keyed by fingerprint (kFork) or by
-  // fingerprint + measure (kCold). jobs[j] lists the job's distinct windows
-  // in plan order, each as the plan indices of its identical windows: the
-  // first is simulated and the rest copy its outcome.
+  // fingerprint + measure (kCold). jobs[j] lists the job's distinct windows,
+  // each as the plan indices of its identical windows: the first is
+  // simulated and the rest copy its outcome.
   using Identical = std::vector<std::size_t>;
   std::vector<std::vector<Identical>> jobs;
   std::unordered_map<std::string, std::size_t> job_of;
@@ -234,7 +235,14 @@ Outcomes execute(const Plan& plan, const ExecOptions& opt) {
   }
   if (fork) {
     out.cache.checkpoint_misses = jobs.size();
-    for (const auto& distinct : jobs) out.cache.checkpoint_hits += distinct.size() - 1;
+    for (auto& distinct : jobs) {
+      out.cache.checkpoint_hits += distinct.size() - 1;
+      // Shortest first: a job's windows differ only in measure, so each is
+      // a prefix of the next.
+      std::sort(distinct.begin(), distinct.end(), [&ws](const Identical& a, const Identical& b) {
+        return ws[a.front()].opt.measure < ws[b.front()].opt.measure;
+      });
+    }
   }
 
   out.windows.resize(ws.size());
@@ -245,18 +253,18 @@ Outcomes execute(const Plan& plan, const ExecOptions& opt) {
         const Window& first = ws[distinct.front().front()];
         BuiltHost b(first);  // freed with the job: warmed hosts never outlive it
         // run(warmup, 0) warms and resets counters, leaving the host at the
-        // measurement quiesce point: run_until() drains every event at or
-        // before the boundary tick, so this plus run_more(measure) replays
-        // the exact event sequence of a cold run(warmup, measure).
+        // measurement quiesce point. run_until() drains every event at or
+        // before the boundary tick, so running on window by window replays
+        // the exact event sequence of a cold run(warmup, measure) to each
+        // boundary, and collect() is a pure read that leaves the run as is.
         b.host.run(first.opt.warmup, 0);
-        HostSnapshot snap;
-        if (distinct.size() > 1) b.host.save_state(snap);
-        for (std::size_t k = 0; k < distinct.size(); ++k) {
-          const Window& w = ws[distinct[k].front()];
-          if (k > 0) b.host.restore(snap);
-          b.host.run_more(w.opt.measure);
+        Tick measured = 0;
+        for (const Identical& same : distinct) {
+          const Window& w = ws[same.front()];
+          b.host.run_more(w.opt.measure - measured);
+          measured = w.opt.measure;
           const RunOutcome o = b.collect(w);
-          for (std::size_t i : distinct[k]) out.windows[i] = o;
+          for (std::size_t i : same) out.windows[i] = o;
         }
       },
       opt.threads);

@@ -133,7 +133,7 @@ struct RunOutcome {
 
 /// How execute() groups a plan's windows into jobs (DESIGN.md section 4e).
 enum class SweepMode : std::uint8_t {
-  kFork,  ///< one job per fingerprint: warm once, fork its other windows from a checkpoint
+  kFork,  ///< one job per fingerprint: warm once, read shorter windows on the way to the longest
   kCold,  ///< one job per distinct window: build + warm each (the reference)
 };
 
@@ -178,15 +178,16 @@ struct ColocationOutcome {
 // where they run:
 //   * identical windows (same fingerprint and measure length) are simulated
 //     once -- e.g. the iso-P2M window every point of a core sweep shares;
-//   * under kFork a job is every window of one config_fingerprint(): it
-//     warms one host, snapshots it at the post-warmup reset_counters()
-//     quiesce point when it has two or more distinct windows, and restores
-//     that checkpoint for each further one instead of re-warming. Under
-//     kCold a job is one distinct window. Jobs run on the run_parallel
-//     worker pool, and a job's host is freed when the job ends;
+//   * under kFork a job is every window of one config_fingerprint(). Its
+//     distinct windows differ only in measure length, so each shorter one
+//     is a prefix of the longest: the job warms one host, then runs it on
+//     through its windows in ascending measure, collecting at each
+//     boundary. Under kCold a job is one distinct window. Jobs run on the
+//     run_parallel worker pool, and a job's host is freed when the job ends;
 //   * outcomes come back in plan order, bit-identical for any thread count
-//     and for cold vs fork: the simulation is deterministic and the
-//     checkpoint restores the complete host state, pending events included.
+//     and for cold vs fork: the simulation is deterministic, run_until()
+//     drains every event at or before a boundary, and collect() is a pure
+//     read, so a run read at each boundary is the run straight to the end.
 //
 // Warmup-sharing caveat: two windows share a warmup ONLY when their
 // fingerprints -- a canonical encoding of every simulation input -- match
@@ -240,7 +241,7 @@ struct ExecOptions {
 
 /// What execute() shared. Deterministic: a function of the plan and mode.
 struct ExecStats {
-  std::uint64_t checkpoint_hits = 0;    ///< windows restored from a job's checkpoint (kFork)
+  std::uint64_t checkpoint_hits = 0;    ///< windows continuing a job's warmed host (kFork)
   std::uint64_t checkpoint_misses = 0;  ///< jobs, each warming one fingerprint (kFork)
   std::uint64_t outcome_hits = 0;       ///< windows answered by an identical earlier window
 };

@@ -162,7 +162,7 @@ void HostSystem::restore(const Snapshot& s) {
 #endif
 }
 
-Metrics HostSystem::collect() {
+Metrics HostSystem::collect() const {
   verify_invariants();
   const Tick now = sim_.now();
   Metrics m;
@@ -195,8 +195,8 @@ Metrics HostSystem::collect() {
   {
     double lit_sum = 0;
     std::uint64_t completions = 0;
-    registry_.for_each(Domain::kC2MRead, [&](flow::DomainRegistry::Entry& e) {
-      auto& s = e.pool->station();
+    registry_.for_each(Domain::kC2MRead, [&](const flow::DomainRegistry::Entry& e) {
+      const auto& s = e.pool->station();
       if (s.completions() > 0) {
         lit_sum += s.littles_latency_ns(now) * static_cast<double>(s.completions());
         completions += s.completions();

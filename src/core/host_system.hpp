@@ -83,9 +83,9 @@ class HostSystem {
   /// Reset every counter now (starts a fresh measurement window).
   void reset_counters();
 
-  /// Snapshot all metrics for the window [measure_start, now].
-  /// (Non-const: occupancy integrals are brought up to `now`.)
-  Metrics collect();
+  /// Snapshot all metrics for the window [measure_start, now]. A pure read:
+  /// a run read mid-way continues exactly as an unread one would.
+  Metrics collect() const;
 
   /// Audit the whole host at a quiesce point (between events): credit
   /// conservation in every flow-control domain, MC arena integrity, and
@@ -101,6 +101,7 @@ class HostSystem {
 
   const HostConfig& config() const { return cfg_; }
   sim::Simulator& sim() { return sim_; }
+  const sim::Simulator& sim() const { return sim_; }
   cha::Cha& cha() { return *cha_; }
   mc::MemoryController& mc() { return *mc_; }
   iio::Iio& iio(std::size_t stack = 0) { return *iios_[stack]; }

@@ -85,10 +85,17 @@ struct HostConfig {
     if (cha.ddio && cha.ddio_ways == 0) return "cha.ddio_ways must be at least 1 when DDIO is on";
     if (cha.ddio && cha.ddio_capacity_bytes / kCachelineBytes < cha.ddio_ways)
       return "cha.ddio_capacity_bytes must hold at least one 64-byte line per DDIO way";
-    std::string err;  // every double knob is a rate (GHz, GB/s)
+    // Every double knob is a rate (GHz, GB/s); every Tick is a latency or
+    // age, and one above a second would overflow the clock once added to it.
+    std::string err;
     fields::for_each_leaf(*this, [&err](const std::string& path, const auto& v) {
-      if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>)
-        if (err.empty() && !(std::isfinite(v) && v > 0)) err = path + " must be finite and positive";
+      using T = std::decay_t<decltype(v)>;
+      if (!err.empty()) return;
+      if constexpr (std::is_same_v<T, double>) {
+        if (!(std::isfinite(v) && v > 0)) err = path + " must be finite and positive";
+      } else if constexpr (std::is_same_v<T, Tick>) {
+        if (v > kSecond) err = path + " must be at most 1 s (10^12 ps)";
+      }
     });
     if (!err.empty()) return err;
     if (mc.timing.t_trans <= 0) return "tTrans must be positive";

@@ -47,10 +47,10 @@ class LatencyStation {
 
   std::int64_t occupancy() const { return occ_.level(); }
   std::int64_t max_occupancy() const { return occ_.max_level(); }
-  double avg_occupancy(Tick now) { return occ_.average(now); }
+  double avg_occupancy(Tick now) const { return occ_.average(now); }
   /// Direct access to the occupancy integral (e.g. the CHA exposes its
   /// write-tracker backlog integral as the formula's N_waiting input).
-  TimeWeighted& occupancy_integral() { return occ_; }
+  const TimeWeighted& occupancy_integral() const { return occ_; }
   std::uint64_t completions() const { return completions_; }
   bool operator==(const LatencyStation&) const = default;
 
@@ -61,7 +61,7 @@ class LatencyStation {
 
   /// Mean latency via Little's law on (occupancy, completion rate); this is
   /// what the real PMU methodology produces.
-  double littles_latency_ns(Tick now) {
+  double littles_latency_ns(Tick now) const {
     if (completions_ == 0) return 0.0;
     const double window_ns = to_ns(now - window_start_);
     if (window_ns <= 0.0) return 0.0;

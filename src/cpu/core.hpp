@@ -88,7 +88,7 @@ class Core final : public mem::Completer, public cha::ChaClient {
   flow::CreditPool& write_pool() { return st_.write_pool; }
 
   // -- measurement ------------------------------------------------------------
-  counters::LatencyStation& lfb_station() { return st_.lfb_pool.station(); }
+  const counters::LatencyStation& lfb_station() const { return st_.lfb_pool.station(); }
   counters::LatencyStation& write_station() { return st_.write_pool.station(); }
   std::uint64_t lines_read() const { return st_.lines_read; }
   std::uint64_t lines_written() const { return st_.lines_written; }

@@ -6,11 +6,12 @@
 // window (config fingerprint + measure length) is simulated once
 // fleet-wide, and each window fingerprint is one job on the persistent
 // core::run_parallel pool. Under kFork a job warms its fingerprint once and
-// restores that checkpoint for every further distinct window (a distinct
-// measurement window, e.g. under scenario measure jitter); a bit-identical
-// replica's window is simulated once and its outcome copied. So a 1000-host
-// fleet with 10 distinct templates costs at most 30 cold warmups (three
-// windows per template), not 3000, and a window that several templates
+// simulates its longest distinct window once, reading each shorter one (a
+// distinct measurement window, e.g. under scenario measure jitter) at its
+// boundary on the way; a bit-identical replica's window is simulated once
+// and its outcome copied. So a 1000-host fleet with 10 distinct templates
+// costs at most 30 warmups and 30 longest windows (three windows per
+// template), not 3000 of each, and a window that several templates
 // share -- the same iso-C2M placement beside different TCP stacks -- is
 // warmed and simulated once (BM_FleetSweep reports the split).
 //

@@ -370,9 +370,10 @@ std::vector<HostInstance> Scenario::expand() const {
       if (jitter > 0) {
         // Stagger only the measurement-window length: the construction +
         // warmup prefix (the config fingerprint) stays shared across the
-        // template's replicas, so each replica is a checkpoint fork rather
-        // than a fresh warmup. Keyed by (scenario seed, host index) only --
-        // expand() stays a pure function of the text.
+        // template's replicas, so they are windows of one fork job -- one
+        // warmup, and each shorter window read on the way to the longest.
+        // Keyed by (scenario seed, host index) only -- expand() stays a
+        // pure function of the text.
         Rng stream(seed_ ^ (0x9E3779B97F4A7C15ULL * (index + 1)));
         const auto span = static_cast<std::uint64_t>(
             static_cast<double>(h.opt.measure) * jitter);

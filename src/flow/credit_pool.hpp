@@ -211,7 +211,7 @@ class CreditPool {
 
   /// Fraction of the window the pressure signal was set (pressure_threshold
   /// pools only; 0 otherwise).
-  double pressure_fraction(Tick now) { return pressure_.average(now); }
+  double pressure_fraction(Tick now) const { return pressure_.average(now); }
 
   /// Begin a fresh measurement window (occupancy level persists).
   void reset_telemetry(Tick now) {

@@ -59,8 +59,8 @@ class DomainRegistry {
 
   /// Visit the pools of `domain` in registration order.
   template <typename F>
-  void for_each(core::Domain domain, F&& f) {
-    for (Entry& e : entries_)
+  void for_each(core::Domain domain, F&& f) const {
+    for (const Entry& e : entries_)
       if (e.has_domain && e.domain == domain) f(e);
   }
 
@@ -70,16 +70,16 @@ class DomainRegistry {
   /// credit). C2M throughputs are overridden by the caller from DRAM line
   /// counters (LFB completions mix reads and write phases).
   core::DomainObservation observe(core::Domain domain, Tick now, Tick window,
-                                  OccAggregation agg) {
+                                  OccAggregation agg) const {
     core::DomainObservation o;
     double lat_sum = 0;
     double occ_sum = 0;
     std::uint64_t completions = 0;
     std::int64_t max_occ = 0;
     std::size_t pools = 0;
-    for (Entry& e : entries_) {
+    for (const Entry& e : entries_) {
       if (!e.has_domain || e.domain != domain) continue;
-      counters::LatencyStation& s = e.pool->station();
+      const counters::LatencyStation& s = e.pool->station();
       if (s.completions() > 0) {
         lat_sum += s.mean_latency_ns() * static_cast<double>(s.completions());
         completions += s.completions();

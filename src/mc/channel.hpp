@@ -70,7 +70,8 @@ class ChannelListener {
   virtual ~ChannelListener() = default;
   /// Read data arrived back at the CHA boundary.
   virtual void on_read_data(const mem::Request& req, Tick now) = 0;
-  /// A write left the WPQ for DRAM (a WPQ slot is free again).
+  /// A write finished its transfer to DRAM. Its WPQ slot was freed when it
+  /// issued, t_trans earlier, and may have been taken again since.
   virtual void on_wpq_slot_freed(std::uint32_t channel, Tick now) = 0;
   /// A read left the RPQ (an RPQ slot is free again).
   virtual void on_rpq_slot_freed(std::uint32_t channel, Tick now) = 0;

@@ -140,6 +140,8 @@ class SlotQueue {
   SlotIndex push_back(const mem::Request& req, const dram::Coord& coord, Tick arrival,
                       std::uint64_t id) {
     assert(free_head_ != kNil);
+    HOSTNET_INVARIANT(free_head_ != kNil, "SlotQueue::push_back into a full queue (%u slots)",
+                      static_cast<unsigned>(slots_.size()));
     const SlotIndex i = free_head_;
     Slot& s = slots_[i];
     free_head_ = s.next;

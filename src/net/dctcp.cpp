@@ -322,7 +322,7 @@ double TcpReceiver::copy_lfb_latency_ns() const {
   double sum = 0;
   std::uint64_t n = 0;
   for (const auto& c : copy_cores_) {
-    auto& s = const_cast<CopyCore&>(*c).lfb_station();
+    const auto& s = c->lfb_station();
     if (s.completions() > 0) {
       sum += s.mean_latency_ns() * static_cast<double>(s.completions());
       n += s.completions();
@@ -334,7 +334,7 @@ double TcpReceiver::copy_lfb_latency_ns() const {
 double TcpReceiver::copy_lfb_occupancy(Tick now) const {
   double sum = 0;
   for (const auto& c : copy_cores_)
-    sum += const_cast<CopyCore&>(*c).lfb_station().avg_occupancy(now);
+    sum += c->lfb_station().avg_occupancy(now);
   return sum;
 }
 

@@ -85,7 +85,7 @@ class CopyCore final : public mem::Completer, public cha::ChaClient {
   void complete(const mem::Request& req, Tick now) override;
   bool on_cha_admission(mem::Op op) override;
 
-  counters::LatencyStation& lfb_station() { return st_.lfb.station(); }
+  const counters::LatencyStation& lfb_station() const { return st_.lfb.station(); }
   std::uint64_t packets_copied() const { return st_.packets_copied; }
   std::uint64_t lines_copied() const { return st_.lines_copied; }
   void reset_counters(Tick now) {

@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -42,6 +43,9 @@ class Simulator {
   /// Schedule `fn` to run `delay` ticks from now.
   template <typename F>
   void schedule(Tick delay, F&& fn) {
+    HOSTNET_INVARIANT(delay <= std::numeric_limits<Tick>::max() - st_.now,
+                      "simulator tick overflow: a delay of %lld ticks from tick %lld wraps",
+                      static_cast<long long>(delay), static_cast<long long>(st_.now));
     schedule_at(st_.now + delay, std::forward<F>(fn));
   }
 

@@ -4,7 +4,8 @@
 #   fleet_cli_check.sh reports <hostnet_fleet> <scenario.fleet>...
 #     Runs each scenario with --threads 2 in fork and in cold mode; the two
 #     reports must be identical apart from the `sweep-cache:` line (the
-#     reuse counters; the checkpoint counts are zero when cold).
+#     reuse counters; the checkpoint counts are zero when cold). The fork
+#     report at --threads 1 and 4 must equal the --threads 2 one in full.
 #   fleet_cli_check.sh bad-threads <hostnet_fleet> <scenario.fleet>
 #     A --threads or HOSTNET_THREADS value that is not a positive integer
 #     must be a usage error: exit status 2, nothing on stdout.
@@ -35,7 +36,12 @@ case "${mode}" in
       grep -v '^sweep-cache:' "${tmp}/cold.txt" >"${tmp}/cold.cmp"
       diff -u "${tmp}/cold.cmp" "${tmp}/fork.cmp" ||
         fail "${scenario}: fork and cold reports differ"
-      echo "ok: ${scenario} (fork == cold)"
+      for threads in 1 4; do
+        "${bin}" "${scenario}" --threads "${threads}" --mode fork >"${tmp}/fork-${threads}.txt"
+        diff -u "${tmp}/fork.txt" "${tmp}/fork-${threads}.txt" ||
+          fail "${scenario}: fork report at --threads ${threads} differs from --threads 2"
+      done
+      echo "ok: ${scenario} (fork == cold; fork at 1, 2 and 4 threads identical)"
     done
     ;;
   bad-threads)
@@ -80,6 +86,8 @@ case "${mode}" in
       "fleet f\ntemplate t\n  set cha.read_fwd_window 0\n${mixed}"
     expect_parse_error write-fwd-window-zero 6 \
       "fleet f\ntemplate t\n  set cha.write_fwd_window 0\n${mixed}"
+    expect_parse_error t-trans-past-1s 6 \
+      "fleet f\ntemplate t\n  set mc.timing.t_trans 9223372036854775807\n${mixed}"
     expect_parse_error ddio-ways-zero 7 \
       "fleet f\ntemplate t\n  set cha.ddio 1\n  set cha.ddio_ways 0\n${mixed}"
     expect_parse_error ddio-capacity-below-ways 7 \

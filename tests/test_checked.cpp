@@ -3,11 +3,14 @@
 // In checked builds (-DHOSTNET_CHECKED=ON) the death tests prove each
 // invariant actually fires: a credit-leaking toy domain trips conservation,
 // out-of-order event injection trips the simulator/queue monotonicity
-// checks. In unchecked builds the same file proves the instrumentation
-// compiles out: a false HOSTNET_INVARIANT must do nothing, and a loaded
+// checks, and a delay that wraps the clock trips the overflow check. In
+// unchecked builds the same file proves the instrumentation compiles out:
+// a false HOSTNET_INVARIANT must do nothing, and a loaded
 // HostSystem run with verify_invariants() at every quiesce point must pass
 // in both modes.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "common/check.hpp"
 #include "core/host_system.hpp"
@@ -69,6 +72,12 @@ TEST(CheckedInvariantDeathTest, SchedulingIntoThePastTripsMonotonicity) {
   sim.schedule_at(ns(100), [] {});
   sim.run_until(ns(200));
   EXPECT_DEATH(sim.schedule_at(ns(50), [] {}), "HOSTNET_INVARIANT");
+}
+
+TEST(CheckedInvariantDeathTest, DelayThatWrapsTheClockTripsOverflow) {
+  sim::Simulator sim;
+  sim.run_until(ns(200));
+  EXPECT_DEATH(sim.schedule(std::numeric_limits<Tick>::max(), [] {}), "tick overflow");
 }
 
 TEST(CheckedInvariantDeathTest, CalendarPushBehindCursorTripsMonotonicity) {

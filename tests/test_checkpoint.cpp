@@ -1,7 +1,8 @@
 // Tests for the checkpoint/fork engine (DESIGN.md section 4e): snapshot /
 // restore replay identity, the same-host and external-hook contracts,
-// forked windows bit-identical to cold runs across presets, and the
-// executor's cold/fork x thread-count identity and reuse counters.
+// collect() as a pure read, restored and forked windows bit-identical to
+// cold runs across presets, and the executor's cold/fork x thread-count
+// identity and reuse counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -66,6 +67,7 @@ void expect_identical(const Metrics& a, const Metrics& b) {
 void expect_identical(const RunOutcome& a, const RunOutcome& b) {
   EXPECT_EQ(a.c2m_score, b.c2m_score);
   EXPECT_EQ(a.p2m_score, b.p2m_score);
+  EXPECT_EQ(a.pause_fraction, b.pause_fraction);
   expect_identical(a.metrics, b.metrics);
 }
 
@@ -190,6 +192,25 @@ TEST(Checkpoint, ForkWithFusedWakeUpPendingMatchesCold) {
   expect_identical(cold.metrics, fork.metrics);
 }
 
+TEST(HostSystem, CollectIsAPureRead) {
+  // The fork engine reads each shorter window on its way to a job's longest
+  // one, so reading must not move the run behind it: the whole host state
+  // is the same before and after collect() (its occupancy integrals
+  // included), and a second read returns the same metrics.
+  const HostConfig hc = cascade_lake();
+  HostSystem host(hc, /*seed=*/5);
+  for (std::uint32_t i = 0; i < 2; ++i)
+    host.add_core(workloads::c2m_read_write(workloads::c2m_core_region(i)));
+  host.add_storage(workloads::fio_p2m_write(hc, workloads::p2m_region()));
+  host.run(us(20), us(30));
+  const HostSnapshot before = host.snapshot();
+  const Metrics first = host.collect();
+  const HostSnapshot after = host.snapshot();
+  expect_same_state(before, after);
+  expect_identical(first, host.collect());
+  EXPECT_GT(first.n_waiting + first.avg_wpq_occupancy, 0.0);  // integrals were live
+}
+
 TEST(Checkpoint, RestoreIntoDifferentHostThrows) {
   // Snapshots carry raw pointers into the producing host (event closures'
   // `this` captures, CreditWaiter*), so cross-host restore must be refused
@@ -303,28 +324,66 @@ std::vector<Window> differential_presets() {
   return presets;
 }
 
-TEST(ForkSweep, DifferentialBitIdenticalToColdAcrossPresets) {
+/// `p`'s host built as execute() builds it: C2M cores, then storage.
+void place(HostSystem& host, const Window& p) {
+  if (p.c2m)
+    for (std::uint32_t i = 0; i < p.c2m->cores; ++i) {
+      cpu::CoreWorkload wl = p.c2m->workload;
+      if (p.c2m->per_core_region) wl.region.base += i * p.c2m->region_stride;
+      host.add_core(wl);
+    }
+  if (p.p2m && p.p2m->storage) host.add_storage(*p.p2m->storage);
+}
+
+TEST(Checkpoint, RestoreMatchesColdAcrossPresets) {
+  // execute() never restores, so restore() is pinned here: a window run
+  // from a warm host, and the same window rerun from that host's
+  // checkpoint, must both equal the cold reference field by field. Under
+  // HOSTNET_CHECKED the restore audit runs on every preset.
   for (const Window& p : differential_presets()) {
-    // One fingerprint at two measure lengths: the forked job warms once and
-    // restores its checkpoint for the longer window. Both must match the
-    // cold reference bit-for-bit.
+    SCOPED_TRACE(p.host.name);
     Plan plan;
     plan.add(p.host, p.c2m, p.p2m, p.opt);
-    RunOptions longer = p.opt;
-    longer.measure = p.opt.measure * 2;
-    plan.add(p.host, p.c2m, p.p2m, longer);
+    const Metrics cold = execute(plan, {1, SweepMode::kCold})[0].metrics;
+
+    HostSystem host(p.host, p.opt.seed);
+    place(host, p);
+    host.run(p.opt.warmup, 0);
+    const HostSnapshot checkpoint = host.snapshot();
+    host.run_more(p.opt.measure);
+    const Metrics saved = host.collect();
+    host.restore(checkpoint);
+    host.run_more(p.opt.measure);
+    const Metrics restored = host.collect();
+    expect_identical(cold, saved);
+    expect_identical(cold, restored);
+  }
+}
+
+TEST(ForkSweep, DifferentialBitIdenticalToColdAcrossPresets) {
+  for (const Window& p : differential_presets()) {
+    // One fingerprint at three measure lengths, not in ascending plan
+    // order: the forked job warms once and reads the two shorter windows on
+    // its way to the longest. Each must match the cold reference
+    // bit-for-bit.
+    Plan plan;
+    for (const Tick factor : {2, 1, 3}) {
+      RunOptions opt = p.opt;
+      opt.measure = p.opt.measure * factor;
+      plan.add(p.host, p.c2m, p.p2m, opt);
+    }
     const Outcomes cold = execute(plan, {1, SweepMode::kCold});
     const Outcomes forked = execute(plan, {1, SweepMode::kFork});
     for (std::size_t i = 0; i < plan.size(); ++i) expect_identical(cold[i], forked[i]);
     EXPECT_EQ(forked.cache.checkpoint_misses, 1u) << p.host.name;
-    EXPECT_EQ(forked.cache.checkpoint_hits, 1u) << p.host.name;
+    EXPECT_EQ(forked.cache.checkpoint_hits, 2u) << p.host.name;
   }
 }
 
 TEST(ForkSweep, CoreSweepBitIdenticalToCold) {
   // The headline use: a figure-shaped core sweep, measured at two window
   // lengths so that every fingerprint forks, must reproduce the cold sweep
-  // exactly -- every isolated and colocated window, restored or not.
+  // exactly -- every isolated and colocated window, read mid-run or not.
   const HostConfig host = cascade_lake();
   const RunOptions opt = fast_options();
   RunOptions longer = opt;
@@ -345,8 +404,8 @@ TEST(ForkSweep, CoreSweepBitIdenticalToCold) {
   EXPECT_EQ(cold.cache.checkpoint_misses + cold.cache.checkpoint_hits, 0u);
 
   // The shared iso-P2M window and each per-count window are one fingerprint
-  // each: each warms once and restores once for its longer window. Nothing
-  // repeats, so no window is an outcome hit.
+  // each: each warms once and runs on from its shorter window to its longer
+  // one. Nothing repeats, so no window is an outcome hit.
   EXPECT_EQ(forked.cache.checkpoint_misses, 1u + 2u * cores.size());
   EXPECT_EQ(forked.cache.checkpoint_hits, 1u + 2u * cores.size());
   EXPECT_EQ(forked.cache.outcome_hits, 0u);
@@ -375,8 +434,8 @@ TEST(Executor, BitIdenticalAcrossThreadsAndColdFork) {
 TEST(Executor, RepeatedWindowsSimulateOnce) {
   // Two identical colocations plus a longer colocated window: 7 windows, 4
   // distinct, 3 fingerprints. Forked, each fingerprint warms once, the
-  // longer window restores its warm host's checkpoint and the three repeats
-  // copy their identical window's outcome.
+  // longer window continues its warm host past the shorter one and the
+  // three repeats copy their identical window's outcome.
   const Window p = differential_presets().front();
   Plan plan;
   const ColocationRef a = plan.colocation(p.host, p.c2m, p.p2m, p.opt);

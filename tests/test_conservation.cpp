@@ -118,6 +118,41 @@ TEST(ConfigValidation, RejectsNonFiniteRates) {
   EXPECT_EQ(c.validate(), "core_ghz must be finite and positive");
 }
 
+// Every Tick knob is a latency or an age: one past 1 s is refused by name
+// (INT64_MAX ps would wrap the clock once added to it).
+TEST(ConfigValidation, RejectsTicksPastOneSecond) {
+  HostConfig c = cascade_lake();
+  c.mc.timing.t_trans = std::numeric_limits<Tick>::max();
+  EXPECT_EQ(c.validate(), "mc.timing.t_trans must be at most 1 s (10^12 ps)");
+  EXPECT_THROW(HostSystem h(c), std::invalid_argument);
+  c = cascade_lake();
+  c.cha.t_write_ack = kSecond + 1;
+  EXPECT_EQ(c.validate(), "cha.t_write_ack must be at most 1 s (10^12 ps)");
+  c.cha.t_write_ack = kSecond;
+  EXPECT_EQ(c.validate(), "");
+}
+
+// A write's WPQ slot frees at issue, but the CHA hears of it only when the
+// transfer ends, t_trans later. With t_trans above the CHA->MC write hop
+// (5 ns), a write forwarded meanwhile takes the slot first, so the CHA must
+// not admit a parked write into a full WPQ (that overran the slot arena).
+TEST(Conservation, SlowTransferNeverOverfillsTheWpq) {
+  for (const Tick t_trans : {ns(6), ns(50)}) {
+    SCOPED_TRACE(t_trans);
+    HostConfig c = cascade_lake();
+    c.mc.timing.t_trans = t_trans;
+    HostSystem host(c, /*seed=*/3);
+    for (std::uint32_t i = 0; i < 2; ++i)
+      host.add_core(workloads::c2m_read_write(workloads::c2m_core_region(i)));
+    host.add_storage(workloads::fio_p2m_write(c, workloads::p2m_region()));
+    host.run(us(20), us(40));
+    host.verify_invariants();
+    for (std::uint32_t ch = 0; ch < host.mc().num_channels(); ++ch)
+      EXPECT_LE(host.mc().channel(ch).wpq_pool().in_use(), c.mc.wpq_capacity);
+    EXPECT_GT(host.collect().mc_lines_written, 0u);
+  }
+}
+
 TEST(ConfigValidation, RejectsBrokenConfigs) {
   {
     HostConfig c = cascade_lake();

@@ -58,8 +58,8 @@ TEST_P(DomainLawSweep, EveryObservationSatisfiesTheLaw) {
       double latency_weighted = 0;
       std::uint64_t completions = 0;
     } obs;
-    host.domains().for_each(d, [&](flow::DomainRegistry::Entry& e) {
-      auto& s = e.pool->station();
+    host.domains().for_each(d, [&](const flow::DomainRegistry::Entry& e) {
+      const auto& s = e.pool->station();
       obs.occ += s.avg_occupancy(now);
       if (s.completions() > 0) {
         obs.latency_weighted +=

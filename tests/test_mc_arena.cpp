@@ -384,11 +384,14 @@ struct StreamParams {
   bool back_to_back_writes = false;  ///< no arrival gap after a write
   std::uint16_t banks = 32;  ///< banks per channel; > 64 spans several bank-set words
   std::uint16_t prep_window = 24;  ///< ChannelConfig's default
+  std::uint16_t unused = 0;  ///< fills bytes 22-23, which would be padding
   std::uint64_t bank_bits;  ///< shrink the bank space to force conflicts
 };
-// gtest names each instance after its parameter's bytes: the fields above
-// sit in what was padding, so the original streams keep their names.
-static_assert(sizeof(StreamParams) == 32);
+// gtest names each instance after its parameter's bytes, so none may be
+// padding (indeterminate): the fields fill all 32. Those after
+// random_addresses sit in what was padding and are zero by default, so the
+// original streams keep their names.
+static_assert(sizeof(StreamParams) == 8 + 8 + 1 + 1 + 2 + 2 + 2 + 8);
 
 // Drive `ch` with the closed-loop randomized stream defined by `prm`. The
 // injection decisions depend only on queue occupancy, which must evolve

@@ -179,9 +179,9 @@ TEST_P(TcpStackParam, ReceiverRestoreReplaysIdenticalWindow) {
 
 TEST_P(TcpStackParam, ForkSweepBitIdenticalToCold) {
   // The fork path: a TCP transport built through the core factory must
-  // fork from its warmup checkpoint bit-identically to a cold run, for
-  // every stack. One fingerprint at two measure lengths: the forked job
-  // warms once and restores once.
+  // fork bit-identically to a cold run, for every stack. One fingerprint at
+  // three measure lengths, not in ascending plan order: the forked job
+  // warms once and reads the two shorter windows on its way to the longest.
   core::Window w;
   w.host = core::cascade_lake();
   w.opt.warmup = us(30);
@@ -197,16 +197,16 @@ TEST_P(TcpStackParam, ForkSweepBitIdenticalToCold) {
   w.p2m = p2m;
 
   core::Plan plan;
-  plan.add(w.host, w.c2m, w.p2m, w.opt);
-  core::RunOptions longer = w.opt;
-  longer.measure = w.opt.measure * 2;
-  plan.add(w.host, w.c2m, w.p2m, longer);
+  for (const Tick factor : {2, 1, 3}) {
+    core::RunOptions opt = w.opt;
+    opt.measure = w.opt.measure * factor;
+    plan.add(w.host, w.c2m, w.p2m, opt);
+  }
   const core::Outcomes cold = core::execute(plan, {1, core::SweepMode::kCold});
   const core::Outcomes forked = core::execute(plan, {1, core::SweepMode::kFork});
-  expect_identical(cold[0], forked[0]);
-  expect_identical(cold[1], forked[1]);
+  for (std::size_t i = 0; i < plan.size(); ++i) expect_identical(cold[i], forked[i]);
   EXPECT_EQ(forked.cache.checkpoint_misses, 1u);
-  EXPECT_EQ(forked.cache.checkpoint_hits, 1u);
+  EXPECT_EQ(forked.cache.checkpoint_hits, 2u);
   EXPECT_GT(cold[0].p2m_score, 0.0);  // the transport's goodput, not dev_gbps
 }
 
