@@ -1,0 +1,80 @@
+// hostnet_figures OUT_DIR: regenerate every paper figure in one run.
+//
+// Each figure adds its windows to one union plan; one core::execute (kFork,
+// parallel_threads() workers) simulates each distinct window once, however
+// many figures read it; then each figure's printer writes OUT_DIR/<name>.txt.
+// scripts/check_golden.sh diffs those files against bench/goldens/.
+//
+// HOSTNET_THREADS, HOSTNET_MEASURE_US and HOSTNET_WARMUP_US apply as in
+// core::execute and core::default_run_options. Prints one provenance line
+// to stderr:
+//   figures: W windows, J jobs, H checkpoint hits, O outcome hits
+// Exit status: 0 = every file written, 1 = a run or write error, 2 = usage.
+#include <exception>
+#include <filesystem>
+#include <fstream>
+#include <iostream>
+#include <string>
+#include <vector>
+
+#include "figures.hpp"
+
+namespace fig = hostnet::figures;
+
+namespace {
+
+// In name order; each name is its golden's basename.
+const fig::Figure kFigures[] = {
+    {"bench_fig01_apps_icelake", fig::fig01_apps_icelake},
+    {"bench_fig02_ddio", fig::fig02_ddio},
+    {"bench_fig03_quadrants", fig::fig03_quadrants},
+    {"bench_fig06_domain_evidence", fig::fig06_domain_evidence},
+    {"bench_fig07_quadrant1", fig::fig07_quadrant1},
+    {"bench_fig08_quadrant3", fig::fig08_quadrant3},
+    {"bench_fig11_formula_error", fig::fig11_formula_error},
+    {"bench_fig12_formula_breakdown", fig::fig12_formula_breakdown},
+    {"bench_fig13_14_quadrants24", fig::fig13_14_quadrants24},
+    {"bench_fig15_17_apps_rw", fig::fig15_17_apps_rw},
+    {"bench_fig18_rdma_quadrants", fig::fig18_rdma_quadrants},
+    {"bench_fig19_tcp", fig::fig19_tcp},
+    {"bench_fig20_24_rdma_rootcause", fig::fig20_24_rdma_rootcause},
+    {"bench_fig25_26_tcp_rootcause", fig::fig25_26_tcp_rootcause},
+    {"bench_fig27_28_rdma_formula", fig::fig27_28_rdma_formula},
+    {"bench_fig29_30_tcp_formula", fig::fig29_30_tcp_formula},
+};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc != 2) {
+    std::cerr << "usage: hostnet_figures OUT_DIR\n";
+    return 2;
+  }
+  try {
+    const std::filesystem::path out_dir = argv[1];
+    std::filesystem::create_directories(out_dir);
+
+    hostnet::core::Plan plan;
+    std::vector<fig::Printer> printers;
+    for (const fig::Figure& f : kFigures) printers.push_back(f.plan(plan));
+    const hostnet::core::Outcomes out = hostnet::core::execute(plan);
+    std::cerr << "figures: " << plan.size() << " windows, " << out.cache.checkpoint_misses
+              << " jobs, " << out.cache.checkpoint_hits << " checkpoint hits, "
+              << out.cache.outcome_hits << " outcome hits\n";
+
+    for (std::size_t i = 0; i < printers.size(); ++i) {
+      const std::filesystem::path file = out_dir / (std::string(kFigures[i].name) + ".txt");
+      std::ofstream os(file);
+      printers[i](out, os);
+      os.close();
+      if (!os) {
+        std::cerr << "hostnet_figures: cannot write " << file << "\n";
+        return 1;
+      }
+    }
+  } catch (const std::exception& e) {
+    std::cerr << "hostnet_figures: " << e.what() << "\n";
+    return 1;
+  }
+  return 0;
+}

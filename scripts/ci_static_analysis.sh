@@ -19,8 +19,9 @@
 #   7. perf        release bench_sim_perf vs bench/baselines/: checked
 #                  instrumentation must compile out of release builds, so a
 #                  >10% BM_HostSimulation regression fails the gate
-#   8. golden      release bench_fig* outputs vs bench/goldens/ (byte-for-
-#                  byte; scripts/check_golden.sh)
+#   8. golden      one release hostnet_figures run: each figure's output
+#                  vs bench/goldens/, byte-for-byte, with no orphan on
+#                  either side (scripts/check_golden.sh)
 #
 # Usage: scripts/ci_static_analysis.sh [--quick]
 #   --quick   steps 1-5 only (no sanitizer rebuilds, no benchmark, no
@@ -87,7 +88,7 @@ python3 scripts/bench_compare.py \
   bench/baselines/BENCH_sim_perf.main.json build/BENCH_sim_perf.json \
   --threshold 0.10
 
-step "8/8 golden bench outputs (byte-for-byte vs bench/goldens/)"
+step "8/8 golden figure outputs (byte-for-byte vs bench/goldens/)"
 scripts/check_golden.sh build/bench
 
 echo

@@ -138,11 +138,8 @@ struct BuiltHost {
     out.metrics = host.collect();
     if (w.c2m)
       out.c2m_score = episodic(*w.c2m) ? out.metrics.queries_per_sec : out.metrics.c2m_app_gbps;
-    if (w.p2m) {
-      const Tick now = host.sim().now();
-      out.p2m_score = transport ? transport->goodput_gbps(now) : out.metrics.p2m_dev_gbps;
-      if (transport) out.pause_fraction = transport->pause_fraction(now);
-    }
+    if (transport) out.transport = transport->collect(host.sim().now());
+    if (w.p2m) out.p2m_score = transport ? out.transport.goodput_gbps : out.metrics.p2m_dev_gbps;
     return out;
   }
 };

@@ -73,16 +73,30 @@ struct RdmaWriteSpec {
 
 struct P2MSpec;
 
+/// A transport's measurement-window telemetry. A quantity the transport
+/// does not have reads 0: an RDMA-write NIC has no copy cores or cwnd, and a
+/// TCP receiver's lossy NIC is never PFC-paused.
+struct TransportOutcome {
+  double goodput_gbps = 0;         ///< delivered payload GB/s (the P2M score)
+  double pause_fraction = 0;       ///< PFC-paused time / window
+  double loss_rate = 0;            ///< dropped / offered packets
+  double mark_fraction = 0;        ///< ECN-marked / accepted packets
+  double avg_cwnd = 0;             ///< epoch-sampled mean cwnd (packets)
+  double copy_lfb_latency_ns = 0;  ///< mean LFB latency of the copy cores
+  double copy_lfb_occupancy = 0;   ///< copy cores' average LFB occupancy, summed
+  std::uint64_t copy_lines = 0;    ///< cachelines the copy cores copied
+  bool operator==(const TransportOutcome&) const = default;
+};
+
 /// What the executor needs from a transport that carries a P2M placement
-/// (a TCP receiver, an RDMA-write NIC): its score and its PFC pause
-/// fraction. Built by the factory src/net installs; owned by the caller of
-/// the factory (the transport registers its simulation hooks with the
+/// (a TCP receiver, an RDMA-write NIC): its window telemetry, read at the
+/// window's end. Built by the factory src/net installs; owned by the caller
+/// of the factory (the transport registers its simulation hooks with the
 /// HostSystem itself).
 class P2MTransport {
  public:
   virtual ~P2MTransport() = default;
-  virtual double goodput_gbps(Tick now) const = 0;    ///< delivered payload GB/s
-  virtual double pause_fraction(Tick now) const = 0;  ///< PFC-paused time / window
+  virtual TransportOutcome collect(Tick now) const = 0;
 };
 
 /// Factory building the transport a P2MSpec places (its `tcp` or
@@ -128,7 +142,7 @@ struct RunOutcome {
   Metrics metrics{};
   double c2m_score = 0;       ///< queries/s (episodic) or core read GB/s
   double p2m_score = 0;       ///< device DMA GB/s, or the transport's goodput
-  double pause_fraction = 0;  ///< PFC-paused fraction of the window (RDMA write)
+  TransportOutcome transport{};  ///< the transport placement's telemetry (zero without one)
 };
 
 /// How execute() groups a plan's windows into jobs (DESIGN.md section 4e).

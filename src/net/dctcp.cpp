@@ -292,6 +292,18 @@ void TcpReceiver::rtt_epoch() {
   host_.sim().schedule(cfg_.base_rtt, [this] { rtt_epoch(); });
 }
 
+core::TransportOutcome TcpReceiver::collect(Tick now) const {
+  core::TransportOutcome t;
+  t.goodput_gbps = goodput_gbps(now);
+  t.loss_rate = loss_rate();
+  t.mark_fraction = mark_fraction();
+  t.avg_cwnd = avg_cwnd();
+  t.copy_lfb_latency_ns = copy_lfb_latency_ns();
+  t.copy_lfb_occupancy = copy_lfb_occupancy(now);
+  for (const auto& c : copy_cores_) t.copy_lines += c->lines_copied();
+  return t;
+}
+
 double TcpReceiver::goodput_gbps(Tick now) const {
   const Tick w = now - st_.window_start;
   return gb_per_s(st_.packets_copied * cfg_.mtu_bytes, w);

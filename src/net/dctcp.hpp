@@ -159,10 +159,11 @@ class TcpReceiver final : public core::P2MTransport {
   TcpReceiver(core::HostSystem& host, const TcpConfig& cfg);
 
   // -- measurement ------------------------------------------------------------
+  /// The window's telemetry: every accessor below read at `now`. The
+  /// receiver's NIC is lossy (ECN), so its pause fraction is 0.
+  core::TransportOutcome collect(Tick now) const override;
   /// Application goodput: copied payload bytes over the window (GB/s).
-  double goodput_gbps(Tick now) const override;
-  /// The receiver's NIC is lossy (ECN): never PFC-paused.
-  double pause_fraction(Tick) const override { return 0; }
+  double goodput_gbps(Tick now) const;
   /// P2M throughput: bytes the NIC DMA-wrote toward memory (GB/s).
   double p2m_gbps(Tick now) const;
   double loss_rate() const;      ///< dropped / offered packets

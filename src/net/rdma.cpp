@@ -12,10 +12,12 @@ class RdmaWriteTransport final : public core::P2MTransport {
   RdmaWriteTransport(core::HostSystem& host, double wire_gb_per_s)
       : nic_(attach_rdma_write_nic(host, wire_gb_per_s)) {}
 
-  double goodput_gbps(Tick now) const override {
-    return gb_per_s(nic_->bytes_accepted(), now - nic_->window_start());
+  core::TransportOutcome collect(Tick now) const override {
+    core::TransportOutcome t;
+    t.goodput_gbps = gb_per_s(nic_->bytes_accepted(), now - nic_->window_start());
+    t.pause_fraction = nic_->pause_fraction(now);
+    return t;
   }
-  double pause_fraction(Tick now) const override { return nic_->pause_fraction(now); }
 
  private:
   std::unique_ptr<NicDevice> nic_;

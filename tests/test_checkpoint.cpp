@@ -67,7 +67,7 @@ void expect_identical(const Metrics& a, const Metrics& b) {
 void expect_identical(const RunOutcome& a, const RunOutcome& b) {
   EXPECT_EQ(a.c2m_score, b.c2m_score);
   EXPECT_EQ(a.p2m_score, b.p2m_score);
-  EXPECT_EQ(a.pause_fraction, b.pause_fraction);
+  EXPECT_EQ(a.transport, b.transport);
   expect_identical(a.metrics, b.metrics);
 }
 

@@ -5,6 +5,7 @@
 // the fingerprint dedup actually happens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
 #include <filesystem>
 #include <map>
@@ -516,6 +517,22 @@ TEST(FleetRunner, RdmaWriteForksBitIdenticallyToCold) {
   EXPECT_GT(fork.cache.checkpoint_hits, 0u) << "jittered replicas must fork, not re-warm";
   // Quadrant 3 at 5 cores is red: the RoCE tenant degrades under PFC.
   EXPECT_GT(fork.agg.regime_count(core::Regime::kRed), 0u);
+
+  // The aggregates fold no transport telemetry, so compare the runner's
+  // windows themselves: the NIC's pause fraction must fork bit-identically.
+  core::Plan plan;
+  for (const fleet::HostInstance& h : sc.expand()) {
+    const fleet::HostTemplate& t = sc.templates()[h.tmpl];
+    plan.colocation(t.host, t.c2m, t.p2m, h.opt);
+  }
+  const core::Outcomes forked = core::execute(plan, {2, core::SweepMode::kFork});
+  const core::Outcomes reference = core::execute(plan, {2, core::SweepMode::kCold});
+  double max_pause = 0;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    EXPECT_EQ(forked[i].transport, reference[i].transport) << "window " << i;
+    max_pause = std::max(max_pause, forked[i].transport.pause_fraction);
+  }
+  EXPECT_GT(max_pause, 0.0) << "no window exercised PFC";
 }
 
 TEST(FleetRunner, SingleSidedHostsAreRegimeNone) {

@@ -123,7 +123,7 @@ TEST(Rdma, WriteTrafficShowsBlueRegime) {
   const auto o = colocate_rdma(c2m, rdma_write_p2m());
   EXPECT_GT(o.c2m_degradation(), 1.15);
   EXPECT_LT(o.p2m_degradation(), 1.05);
-  EXPECT_LT(o.colo.pause_fraction, 0.05);
+  EXPECT_LT(o.colo.transport.pause_fraction, 0.05);
 }
 
 TEST(Rdma, RedRegimeTriggersPfcPauses) {
@@ -134,7 +134,7 @@ TEST(Rdma, RedRegimeTriggersPfcPauses) {
   c2m.cores = 5;
   const auto o = colocate_rdma(c2m, rdma_write_p2m());
   EXPECT_GT(o.p2m_degradation(), 1.3);
-  EXPECT_GT(o.colo.pause_fraction, 0.15);
+  EXPECT_GT(o.colo.transport.pause_fraction, 0.15);
   EXPECT_EQ(o.colo.metrics.channels, 2u);
 }
 
@@ -145,7 +145,7 @@ TEST(Rdma, ReadTrafficUnaffectedInBlueRegime) {
   const auto o = colocate_rdma(c2m, rdma_read_p2m());
   EXPECT_LT(o.p2m_degradation(), 1.05);
   EXPECT_GT(o.c2m_degradation(), 1.1);
-  EXPECT_EQ(o.colo.pause_fraction, 0.0);  // a DMA reader: no PFC
+  EXPECT_EQ(o.colo.transport.pause_fraction, 0.0);  // a DMA reader: no PFC
 }
 
 TEST(Rdma, WritePlacementIsFingerprinted) {

@@ -23,6 +23,7 @@ namespace {
 void expect_identical(const core::RunOutcome& a, const core::RunOutcome& b) {
   EXPECT_EQ(a.c2m_score, b.c2m_score);
   EXPECT_EQ(a.p2m_score, b.p2m_score);
+  EXPECT_EQ(a.transport, b.transport);  // goodput, loss, marks, cwnd, copy stats
   EXPECT_EQ(a.metrics.window_ns, b.metrics.window_ns);
   for (int c = 0; c < mem::kNumTrafficClasses; ++c)
     EXPECT_EQ(a.metrics.mem_gbps[static_cast<size_t>(c)],
@@ -208,6 +209,9 @@ TEST_P(TcpStackParam, ForkSweepBitIdenticalToCold) {
   EXPECT_EQ(forked.cache.checkpoint_misses, 1u);
   EXPECT_EQ(forked.cache.checkpoint_hits, 2u);
   EXPECT_GT(cold[0].p2m_score, 0.0);  // the transport's goodput, not dev_gbps
+  EXPECT_EQ(cold[0].p2m_score, cold[0].transport.goodput_gbps);
+  EXPECT_GT(cold[0].transport.copy_lines, 0u);  // the record is filled, not left at zero
+  EXPECT_GT(cold[0].transport.avg_cwnd, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, TcpStackParam,
