@@ -4,27 +4,25 @@
 # One entry point, exit 0 = the tree is clean:
 #   1. format      scripts/format_check.sh (clang-format or python fallback)
 #   2. lint        tools/hostnet_lint.py --stale over src/ bench/ tests/
-#                  examples/ (determinism/allocation rules + dead-suppression
-#                  sweep)
-#   3. audit       tools/hostnet_audit.py over src/: checkpointed classes
-#                  keep their mutable state in `State st_`, CreditPool
-#                  registration, handler purity
-#   4. clang-tidy  full build with -DHOSTNET_LINT=ON (.clang-tidy,
+#                  examples/ (determinism/allocation/handler-purity rules +
+#                  dead-suppression sweep)
+#   3. clang-tidy  full build with -DHOSTNET_LINT=ON (.clang-tidy,
 #                  warnings-as-errors); SKIPPED with a notice when
 #                  clang-tidy is not installed (this container ships none)
-#   5. checked     warning-free (-Werror) build and full tier-1 suite under
+#   4. checked     warning-free (-Werror) build and full tier-1 suite under
 #                  -DHOSTNET_CHECKED=ON: every HOSTNET_INVARIANT live,
-#                  death tests included
-#   6. sanitizers  full suite under ASan+UBSan and TSan
-#   7. perf        release bench_sim_perf vs bench/baselines/: checked
+#                  death tests and the CreditPool registration walk included
+#                  (component member tables are checked by every build)
+#   5. sanitizers  full suite under ASan+UBSan and TSan
+#   6. perf        release bench_sim_perf vs bench/baselines/: checked
 #                  instrumentation must compile out of release builds, so a
 #                  >10% BM_HostSimulation regression fails the gate
-#   8. golden      one release hostnet_figures run: each figure's output
+#   7. golden      one release hostnet_figures run: each figure's output
 #                  vs bench/goldens/, byte-for-byte, with no orphan on
 #                  either side (scripts/check_golden.sh)
 #
 # Usage: scripts/ci_static_analysis.sh [--quick]
-#   --quick   steps 1-5 only (no sanitizer rebuilds, no benchmark, no
+#   --quick   steps 1-4 only (no sanitizer rebuilds, no benchmark, no
 #             goldens): the fast pre-push loop.
 set -euo pipefail
 
@@ -36,16 +34,13 @@ jobs="$(nproc)"
 
 step() { printf '\n=== ci_static_analysis: %s ===\n' "$1"; }
 
-step "1/8 format check"
+step "1/7 format check"
 scripts/format_check.sh
 
-step "2/8 hostnet-lint (with stale-suppression sweep)"
+step "2/7 hostnet-lint (with stale-suppression sweep)"
 python3 tools/hostnet_lint.py --stale
 
-step "3/8 hostnet-audit (snapshot state / pool registration / purity)"
-python3 tools/hostnet_audit.py
-
-step "4/8 clang-tidy build"
+step "3/7 clang-tidy build"
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake -B build-tidy -S . -DHOSTNET_LINT=ON >/dev/null
   cmake --build build-tidy -j "${jobs}"
@@ -55,7 +50,7 @@ else
        "project-specific rules in step 2)"
 fi
 
-step "5/8 checked-invariant build + full tier-1 suite"
+step "4/7 checked-invariant build + full tier-1 suite"
 cmake -B build-checked -S . -DHOSTNET_CHECKED=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-checked -j "${jobs}"
 ctest --test-dir build-checked -LE "perf|golden" -j "${jobs}" --output-on-failure
@@ -76,11 +71,11 @@ if [[ ${quick} -eq 1 ]]; then
   exit 0
 fi
 
-step "6/8 sanitizers (ASan+UBSan, then TSan) over the full suite"
+step "5/7 sanitizers (ASan+UBSan, then TSan) over the full suite"
 scripts/run_asan_ubsan_tests.sh build-asan
 scripts/run_tsan_pool_tests.sh build-tsan
 
-step "7/8 release perf gate (checked instrumentation must compile out)"
+step "6/7 release perf gate (checked instrumentation must compile out)"
 cmake -B build -S . >/dev/null
 cmake --build build -j "${jobs}"
 ctest --test-dir build -R bench_sim_perf_json --output-on-failure
@@ -88,7 +83,7 @@ python3 scripts/bench_compare.py \
   bench/baselines/BENCH_sim_perf.main.json build/BENCH_sim_perf.json \
   --threshold 0.10
 
-step "8/8 golden figure outputs (byte-for-byte vs bench/goldens/)"
+step "7/7 golden figure outputs (byte-for-byte vs bench/goldens/)"
 scripts/check_golden.sh build/bench
 
 echo

@@ -30,7 +30,6 @@
 #include "cache/ddio.hpp"
 #include "common/fields.hpp"
 #include "common/ring_buffer.hpp"
-#include "common/snapshot.hpp"
 #include "common/stats.hpp"
 #include "counters/station.hpp"
 #include "flow/credit_pool.hpp"
@@ -74,33 +73,38 @@ struct ChaConfig {
 /// should retry exactly one submission; return true iff a slot was consumed.
 class ChaClient {
  public:
-  ChaClient() {
-    read_waiter_.client = this;
-    read_waiter_.op = mem::Op::kRead;
-    write_waiter_.client = this;
-    write_waiter_.op = mem::Op::kWrite;
-  }
   virtual ~ChaClient() = default;
   virtual bool on_cha_admission(mem::Op op) = 0;
 
-  /// Per-op adapter for flow::CreditPool waiting: the CHA queues the adapter
+  /// The waiter the CHA queues when admission for `op` is exhausted: one of
+  /// the client's Waiters.
+  virtual flow::CreditWaiter& admission_waiter(mem::Op op) = 0;
+
+  /// Per-op adapters for flow::CreditPool waiting: the CHA queues the adapter
   /// matching the exhausted tracker, so the wake carries which op freed. A
   /// client queues once per blocked request (duplicates intentional: the
-  /// retry drains one blocked request per wake).
-  flow::CreditWaiter& admission_waiter(mem::Op op) {
-    return op == mem::Op::kRead ? read_waiter_ : write_waiter_;
-  }
-
- private:
-  struct OpWaiter final : flow::CreditWaiter {
-    void on_credit_available(flow::CreditPool&) override {
-      client->on_cha_admission(op);
+  /// retry drains one blocked request per wake). A client owns one Waiters,
+  /// built from `*this` and never written again.
+  class Waiters {
+   public:
+    explicit Waiters(ChaClient& client)
+        : read_(client, mem::Op::kRead), write_(client, mem::Op::kWrite) {}
+    flow::CreditWaiter& operator[](mem::Op op) {
+      return op == mem::Op::kRead ? read_ : write_;
     }
-    ChaClient* client = nullptr;
-    mem::Op op = mem::Op::kRead;
+
+   private:
+    struct OpWaiter final : flow::CreditWaiter {
+      OpWaiter(ChaClient& c, mem::Op o) : client(c), op(o) {}
+      void on_credit_available(flow::CreditPool&) override { client.on_cha_admission(op); }
+      ChaClient& client;
+      const mem::Op op;
+      HOSTNET_COMPONENT(OpWaiter, client, op)
+    };
+    OpWaiter read_;
+    OpWaiter write_;
+    HOSTNET_COMPONENT(Waiters, read_, write_)
   };
-  OpWaiter read_waiter_;
-  OpWaiter write_waiter_;
 };
 
 class Cha final : public mc::ChannelListener {
@@ -200,6 +204,8 @@ class Cha final : public mc::ChannelListener {
     std::uint64_t ddio_hits = 0;
 
     bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, ddio, ports, read_pool, write_pool, stations, admission_wait_ns,
+                   lines_read, lines_written, ddio_hits)
   };
   using Snapshot = State;
 
@@ -228,8 +234,7 @@ class Cha final : public mc::ChannelListener {
   const ChaConfig cfg_;
   mc::MemoryController& mc_;
   State st_;
+  HOSTNET_COMPONENT(Cha, sim_, cfg_, mc_, st_)
 };
-
-HOSTNET_SNAPSHOT_COVERS(Cha);
 
 }  // namespace hostnet::cha

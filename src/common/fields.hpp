@@ -1,5 +1,7 @@
-// Field tables for config structs (DESIGN.md section 4e). A struct lists its
-// members once, after their declarations:
+// Field tables for config structs and member tables for components
+// (DESIGN.md section 4e).
+//
+// A config struct lists its members once, after their declarations:
 //
 //   struct IioConfig {
 //     std::uint32_t write_credits = 92;
@@ -13,24 +15,64 @@
 // same names, in a non-template friend so it is checked where the struct is
 // defined, rejects a list that misses a member ("only N names provided for
 // structured binding") or repeats one ("redeclaration"). config_fingerprint(),
-// the fleet `set` grammar and validate() walk the tables.
+// the fleet `set` grammar and validate() walk the tables. Every component's
+// State carries one too.
+//
+// A checkpointed component lists every data member the same way, last in
+// its class:
+//
+//   class Iio {
+//     ...
+//     sim::Simulator& sim_;
+//     const IioConfig cfg_;
+//     State st_;
+//     HOSTNET_COMPONENT(Iio, sim_, cfg_, st_)
+//   };
+//
+// Besides the structured binding, a static_assert per member checks its
+// kind. The member is `st_` (all mutable state, one State value with its
+// own HOSTNET_FIELDS table), `const` (configuration, derived constants), a
+// reference (wiring), or an owned component (by value, unique_ptr or vector
+// of unique_ptr), which its owner checkpoints with it. A mutable member of
+// any other kind would compile, run and silently escape save_state /
+// load_state. A base class must hold no data: a structured binding needs
+// every member in one class.
+//
+// HOSTNET_COMPONENT_EXEMPT(m, ...) names members exempt from the kind check;
+// the class says why beside it. HOSTNET_COMPONENT_EXEMPT_ALL() exempts them
+// all (a component whose snapshot is a logical copy that load_state rebuilds
+// its storage from). HOSTNET_COMPONENT_INTERFACE(T) marks a data-free
+// polymorphic base that an owner holds by unique_ptr.
+//
+// HOSTNET_COMPONENT also defines `visit_owned(c, fn)`, calling `fn("name",
+// member)` for `st_` and each owned component. for_each_reachable() walks
+// it, and the State tables, from a root component; HostSystem's checked
+// build uses it to find every flow::CreditPool in the host.
 #pragma once
 
+#include <concepts>
+#include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
-// FOR_EACH over the names (C++20 __VA_OPT__); HOSTNET_FX3 rescans for 80.
+// HOSTNET_FOR_EACH(macro, a, b, ...) expands to macro(a) macro(b) ... (C++20
+// __VA_OPT__); HOSTNET_FX3 rescans enough for 80 names.
 #define HOSTNET_FX3(...) HOSTNET_FX2(HOSTNET_FX2(HOSTNET_FX2(HOSTNET_FX2(__VA_ARGS__))))
 #define HOSTNET_FX2(...) HOSTNET_FX1(HOSTNET_FX1(HOSTNET_FX1(HOSTNET_FX1(__VA_ARGS__))))
 #define HOSTNET_FX1(...) HOSTNET_FX0(HOSTNET_FX0(HOSTNET_FX0(HOSTNET_FX0(__VA_ARGS__))))
 #define HOSTNET_FX0(...) __VA_ARGS__
 #define HOSTNET_FX_PARENS ()
-#define HOSTNET_FX_VISIT(f, ...)                  \
-  hostnet_fields_fn_(#f, hostnet_fields_self_.f); \
-  __VA_OPT__(HOSTNET_FX_AGAIN HOSTNET_FX_PARENS(__VA_ARGS__))
-#define HOSTNET_FX_AGAIN() HOSTNET_FX_VISIT
+#define HOSTNET_FOR_EACH(macro, ...) __VA_OPT__(HOSTNET_FX3(HOSTNET_FX_EACH(macro, __VA_ARGS__)))
+#define HOSTNET_FX_EACH(macro, a, ...) \
+  macro(a) __VA_OPT__(HOSTNET_FX_AGAIN HOSTNET_FX_PARENS(macro, __VA_ARGS__))
+#define HOSTNET_FX_AGAIN() HOSTNET_FX_EACH
+
+#define HOSTNET_FX_VISIT(f) hostnet_fields_fn_(#f, hostnet_fields_self_.f);
 
 #define HOSTNET_FIELDS(T, ...)                                                    \
   friend void hostnet_fields_arity_check(T& hostnet_fields_self_) {               \
@@ -39,8 +81,57 @@
   template <class Self, class Fn>                                                 \
     requires std::is_same_v<std::remove_const_t<Self>, T>                         \
   friend void visit_fields(Self& hostnet_fields_self_, Fn&& hostnet_fields_fn_) { \
-    HOSTNET_FX3(HOSTNET_FX_VISIT(__VA_ARGS__))                                    \
+    HOSTNET_FOR_EACH(HOSTNET_FX_VISIT, __VA_ARGS__)                               \
   }
+
+#define HOSTNET_CX_KIND(m)                                                          \
+  static_assert(                                                                    \
+      hostnet_component_t_::hostnet_component_exempt_(#m, 0) ||                     \
+          ::hostnet::fields::member_kind_ok<decltype(hostnet_component_t_::m)>(#m), \
+      "component member '" #m "' must be st_ (the State, with a HOSTNET_FIELDS "   \
+      "table), const (configuration), a reference (wiring) or an owned component " \
+      "(by value, unique_ptr or vector of unique_ptr)");
+#define HOSTNET_CX_OWNED(m)                                                  \
+  if constexpr (::hostnet::fields::is_owned_member<decltype(hostnet_component_t_::m)>(#m)) \
+    hostnet_fields_fn_(#m, hostnet_fields_self_.m);
+
+#define HOSTNET_COMPONENT(T, ...)                                                  \
+  static constexpr bool hostnet_component_exempt_(std::string_view, long) {        \
+    return false;                                                                  \
+  }                                                                                \
+  friend std::type_identity<T> hostnet_component_check(T& hostnet_fields_self_) {  \
+    using hostnet_component_t_ = T;                                                \
+    [[maybe_unused]] auto& [__VA_ARGS__] = hostnet_fields_self_;                   \
+    HOSTNET_FOR_EACH(HOSTNET_CX_KIND, __VA_ARGS__)                                 \
+    return {};                                                                     \
+  }                                                                                \
+  template <class Self, class Fn>                                                  \
+    requires std::is_same_v<std::remove_const_t<Self>, T>                          \
+  friend void visit_owned([[maybe_unused]] Self& hostnet_fields_self_,            \
+                          [[maybe_unused]] Fn&& hostnet_fields_fn_) {              \
+    using hostnet_component_t_ = T;                                                \
+    HOSTNET_FOR_EACH(HOSTNET_CX_OWNED, __VA_ARGS__)                                \
+  }
+
+#define HOSTNET_CX_NAME_IS(m) hostnet_member_ == #m ||
+#define HOSTNET_COMPONENT_EXEMPT(...)                                                   \
+  static constexpr bool hostnet_component_exempt_(std::string_view hostnet_member_, int) { \
+    return HOSTNET_FOR_EACH(HOSTNET_CX_NAME_IS, __VA_ARGS__) false;                     \
+  }
+#define HOSTNET_COMPONENT_EXEMPT_ALL()                                      \
+  static constexpr bool hostnet_component_exempt_(std::string_view, int) { \
+    return true;                                                            \
+  }
+
+#define HOSTNET_COMPONENT_INTERFACE(T)                                          \
+  friend std::type_identity<T> hostnet_component_check(T&) {                    \
+    static_assert(std::is_polymorphic_v<T> && sizeof(T) == sizeof(void*),       \
+                  #T " is a component interface, so it holds no data");         \
+    return {};                                                                  \
+  }                                                                             \
+  template <class Self, class Fn>                                               \
+    requires std::is_same_v<std::remove_const_t<Self>, T>                       \
+  friend void visit_owned(Self&, Fn&&) {}
 
 namespace hostnet::fields {
 
@@ -48,10 +139,46 @@ namespace hostnet::fields {
 template <class T>
 concept Table = requires(T& t) { hostnet_fields_arity_check(t); };
 
+/// T declares a component table (HOSTNET_COMPONENT or _INTERFACE) itself; a
+/// class deriving from a component is not one by inheritance.
+template <class T>
+concept Component = requires(T& t) {
+  { hostnet_component_check(t) } -> std::same_as<std::type_identity<T>>;
+};
+
 template <class T>
 inline constexpr bool is_optional_v = false;
 template <class T>
 inline constexpr bool is_optional_v<std::optional<T>> = true;
+
+namespace detail {
+template <class T>
+inline constexpr bool is_owned_v = Component<T>;
+template <class T>
+inline constexpr bool is_owned_v<std::unique_ptr<T>> = Component<T>;
+template <class T>
+inline constexpr bool is_owned_v<std::vector<std::unique_ptr<T>>> = Component<T>;
+}  // namespace detail
+
+/// The member kinds HOSTNET_COMPONENT accepts; `M` is the declared type.
+template <class M>
+consteval bool member_kind_ok(std::string_view name) {
+  if constexpr (std::is_reference_v<M> || std::is_const_v<M>)
+    return name != "st_";
+  else if (name == "st_")
+    return Table<M>;
+  else
+    return detail::is_owned_v<M>;
+}
+
+/// The members a checkpoint covers: st_ and the owned components.
+template <class M>
+consteval bool is_owned_member(std::string_view name) {
+  if constexpr (std::is_reference_v<M> || std::is_const_v<M>)
+    return false;
+  else
+    return name == "st_" || detail::is_owned_v<M>;
+}
 
 namespace detail {
 template <class T, class Fn>
@@ -72,6 +199,44 @@ void walk(T& v, std::string& path, Fn& fn) {
     fn(std::as_const(path), v);
   }
 }
+
+template <class T>
+inline constexpr bool is_vector_v = false;
+template <class T>
+inline constexpr bool is_vector_v<std::vector<T>> = true;
+
+template <class X, class T>
+inline constexpr bool may_reach_v = std::is_same_v<T, X> || Component<T> || Table<T>;
+template <class X, class T>
+inline constexpr bool may_reach_v<X, std::unique_ptr<T>> = may_reach_v<X, T>;
+
+template <class X, class T, class Fn>
+void reach(T& v, std::string& path, Fn& fn) {
+  using U = std::remove_const_t<T>;
+  const std::size_t len = path.size();
+  const auto step = [&](const char* name, auto& member) {
+    path.append(len > 0 ? "." : "").append(name);
+    reach<X>(member, path, fn);
+    path.resize(len);
+  };
+  if constexpr (std::is_same_v<U, X>) {
+    fn(std::as_const(path), v);
+  } else if constexpr (Component<U>) {
+    visit_owned(v, step);
+  } else if constexpr (Table<U>) {
+    visit_fields(v, step);
+  } else if constexpr (may_reach_v<X, U>) {  // a unique_ptr
+    if (v) reach<X>(*v, path, fn);
+  } else if constexpr (is_vector_v<U>) {
+    if constexpr (may_reach_v<X, typename U::value_type>) {
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        path.append("[").append(std::to_string(i)).append("]");
+        reach<X>(v[i], path, fn);
+        path.resize(len);
+      }
+    }
+  }
+}
 }  // namespace detail
 
 /// Calls `fn(path, leaf)` for every leaf of `s` in table order; `path` is
@@ -81,6 +246,15 @@ template <class T, class Fn>
 void for_each_leaf(T& s, Fn&& fn) {
   std::string path;
   detail::walk(s, path, fn);
+}
+
+/// Calls `fn(path, x)` for every X reachable from the component `root`
+/// through owned components (visit_owned), the field tables of their States
+/// and vectors of either; `path` names it (`mc_.channels_[0].st_.rpq_pool`).
+template <class X, class T, class Fn>
+void for_each_reachable(T& root, Fn&& fn) {
+  std::string path;
+  detail::reach<X>(root, path, fn);
 }
 
 }  // namespace hostnet::fields

@@ -102,7 +102,7 @@ void enc(std::string& s, const T& v) {
 
 /// Build the transport requested by `p2m` (nullptr when none). Must run at
 /// the same construction position on the cold and fork paths -- after cores
-/// and storage -- because the transport attaches ExternalHooks and event
+/// and storage -- because the transport attaches itself to the host and event
 /// ordering depends on registration order.
 std::unique_ptr<P2MTransport> make_transport(HostSystem& host,
                                              const std::optional<P2MSpec>& p2m) {

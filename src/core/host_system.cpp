@@ -62,13 +62,9 @@ iio::StorageDevice& HostSystem::add_storage(const iio::StorageConfig& scfg,
   return *storage_.back();
 }
 
-void HostSystem::attach(std::function<void()> start, std::function<void(Tick)> reset) {
-  attach(ExternalHooks{std::move(start), std::move(reset), nullptr, nullptr});
-}
-
-void HostSystem::attach(ExternalHooks hooks) {
+void HostSystem::add_external(std::unique_ptr<External> e) {
   assert(!st_.started && "attach components before run()");
-  externals_.push_back(std::move(hooks));
+  externals_.push_back(std::move(e));
 }
 
 void HostSystem::run(Tick warmup, Tick measure) {
@@ -76,8 +72,7 @@ void HostSystem::run(Tick warmup, Tick measure) {
     st_.started = true;
     for (auto& c : cores_) c->start();
     for (auto& d : storage_) d->start();
-    for (auto& e : externals_)
-      if (e.start) e.start();
+    for (auto& e : externals_) e->start();
   }
   sim_.run_until(sim_.now() + warmup);
   reset_counters();
@@ -93,6 +88,9 @@ void HostSystem::verify_invariants() const {
   for (const auto& i : iios_) i->verify_invariants();
   for (const auto& c : cores_) c->verify_invariants();
   registry_.verify();  // every registered pool's ledger, host-wide
+  // ... and every pool in the host is registered.
+  registry_.verify_registered(*this, "host");
+  for (const auto& e : externals_) e->verify_registered(registry_);
 }
 
 void HostSystem::reset_counters() {
@@ -104,16 +102,10 @@ void HostSystem::reset_counters() {
   for (auto& i : iios_) i->reset_counters(now);
   for (auto& c : cores_) c->reset_counters(now);
   for (auto& d : storage_) d->reset_counters();
-  for (auto& e : externals_)
-    if (e.reset) e.reset(now);
+  for (auto& e : externals_) e->reset_counters(now);
 }
 
 void HostSystem::save_state(Snapshot& out) const {
-  for (const auto& e : externals_)
-    if (!e.save)
-      throw std::logic_error(
-          "HostSystem::snapshot: an attached external component has no save "
-          "hook; attach(ExternalHooks) with save/load to checkpoint this host");
   out.owner = this;
   out.st = st_;
   sim_.save_state(out.sim);
@@ -126,7 +118,7 @@ void HostSystem::save_state(Snapshot& out) const {
   out.storage.resize(storage_.size());
   for (std::size_t i = 0; i < storage_.size(); ++i) storage_[i]->save_state(out.storage[i]);
   out.externals.clear();
-  for (const auto& e : externals_) out.externals.push_back(e.save());
+  for (const auto& e : externals_) out.externals.push_back(e->save());
 }
 
 void HostSystem::restore(const Snapshot& s) {
@@ -147,7 +139,7 @@ void HostSystem::restore(const Snapshot& s) {
   for (std::size_t i = 0; i < iios_.size(); ++i) iios_[i]->load_state(s.iios[i]);
   for (std::size_t i = 0; i < cores_.size(); ++i) cores_[i]->load_state(s.cores[i]);
   for (std::size_t i = 0; i < storage_.size(); ++i) storage_[i]->load_state(s.storage[i]);
-  for (std::size_t i = 0; i < externals_.size(); ++i) externals_[i].load(s.externals[i]);
+  for (std::size_t i = 0; i < externals_.size(); ++i) externals_[i]->load(s.externals[i]);
 #if defined(HOSTNET_CHECKED) && HOSTNET_CHECKED
   // Restore audit: re-saving the restored event queue must reproduce the
   // snapshot exactly -- i.e. a restore-then-collect run replays the same

@@ -13,12 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cha/cha.hpp"
-#include "common/snapshot.hpp"
+#include "common/fields.hpp"
 #include "core/metrics.hpp"
 #include "core/presets.hpp"
 #include "cpu/core.hpp"
@@ -30,19 +30,18 @@
 
 namespace hostnet::core {
 
-/// Hooks for an externally-owned component (NIC / transport model) wired
-/// into the host's lifecycle. `start` runs when the simulation starts,
-/// `reset` on every counter reset. `save`/`load` make the component
-/// checkpointable: save returns an opaque state blob, load restores from
-/// one. HostSystem::snapshot() refuses (throws) when an attached external
-/// has no save hook -- a silent partial checkpoint would fork diverging
-/// simulations.
-struct ExternalHooks {
-  std::function<void()> start;
-  std::function<void(Tick)> reset;
-  std::function<std::shared_ptr<const void>()> save;
-  std::function<void(const std::shared_ptr<const void>&)> load;
-};
+/// A component that HostSystem::attach can wire into the host's lifecycle:
+/// start() when the simulation starts, reset_counters(now) on every counter
+/// reset, save_state/load_state with the host's checkpoints, and a
+/// HOSTNET_COMPONENT table for the checked build's pool audit.
+template <class T>
+concept Attachable = fields::Component<T> &&
+                     requires(T& c, const T& cc, typename T::Snapshot& s, Tick now) {
+                       c.start();
+                       c.reset_counters(now);
+                       cc.save_state(s);
+                       c.load_state(std::as_const(s));
+                     };
 
 class HostSystem {
  public:
@@ -63,16 +62,15 @@ class HostSystem {
   /// called before run().
   std::size_t add_iio_stack(const iio::IioConfig& cfg);
 
-  /// Register an externally-owned component (e.g. a NIC model from the net
-  /// library): `start` runs when the simulation starts, `reset` on every
-  /// counter reset (with the reset time). Externals attached through this
-  /// overload have no save/load hooks, so the host is not checkpointable
-  /// (snapshot() throws).
-  void attach(std::function<void()> start, std::function<void(Tick)> reset);
-
-  /// Full-hooks overload: components that also provide save/load keep the
-  /// host checkpointable.
-  void attach(ExternalHooks hooks);
+  /// Wire an externally-owned component (a NIC, a transport, hostCC) into
+  /// the host: its start() runs when the simulation starts,
+  /// reset_counters(now) on every counter reset, and save_state/load_state
+  /// checkpoint it with the host. Checked builds audit its credit pools with
+  /// the host's. `c` must outlive the host's runs.
+  template <Attachable T>
+  void attach(T& c) {
+    add_external(std::make_unique<ExternalOf<T>>(c));
+  }
 
   /// Run `warmup` of simulated time, reset all counters, then run `measure`.
   void run(Tick warmup, Tick measure);
@@ -123,6 +121,7 @@ class HostSystem {
     bool started = false;
     Tick measure_start = 0;
     bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, started, measure_start)
   };
   struct Snapshot {
     const void* owner = nullptr;  ///< the producing HostSystem
@@ -137,8 +136,7 @@ class HostSystem {
   };
 
   /// Save the full host state into `out` (recycled Snapshots allocate
-  /// nothing once warm). Throws std::logic_error if an attached external
-  /// has no save hook. Under HOSTNET_CHECKED also audits pool invariants.
+  /// nothing once warm).
   void save_state(Snapshot& out) const;
   Snapshot snapshot() const {
     Snapshot s;
@@ -154,24 +152,55 @@ class HostSystem {
   void restore(const Snapshot& s);
 
  private:
+  /// An attached component, type-erased (attach() builds one per type).
+  struct External {
+    virtual ~External() = default;
+    virtual void start() = 0;
+    virtual void reset_counters(Tick now) = 0;
+    virtual std::shared_ptr<const void> save() const = 0;
+    virtual void load(const std::shared_ptr<const void>& blob) = 0;
+    virtual void verify_registered(const flow::DomainRegistry& registry) const = 0;
+  };
+  template <class T>
+  struct ExternalOf final : External {
+    explicit ExternalOf(T& c) : c(c) {}
+    void start() override { c.start(); }
+    void reset_counters(Tick now) override { c.reset_counters(now); }
+    std::shared_ptr<const void> save() const override {
+      auto snap = std::make_shared<typename T::Snapshot>();
+      c.save_state(*snap);
+      return snap;
+    }
+    void load(const std::shared_ptr<const void>& blob) override {
+      c.load_state(*static_cast<const typename T::Snapshot*>(blob.get()));
+    }
+    void verify_registered(const flow::DomainRegistry& registry) const override {
+      registry.verify_registered(c, "external");
+    }
+    T& c;
+  };
+
+  void add_external(std::unique_ptr<External> e);
   void register_iio_pools(std::size_t stack);
 
   const HostConfig cfg_;
   const std::uint64_t seed_;
   sim::Simulator sim_;
-  // hostnet-audit: allow(snapshot-state, topology: pool pointers, added while building)
   flow::DomainRegistry registry_;
   std::unique_ptr<mc::MemoryController> mc_;
   std::unique_ptr<cha::Cha> cha_;
   std::vector<std::unique_ptr<iio::Iio>> iios_;
   std::vector<std::unique_ptr<cpu::Core>> cores_;
   std::vector<std::unique_ptr<iio::StorageDevice>> storage_;
-  // hostnet-audit: allow(snapshot-state, topology: hooks, attached while building)
-  std::vector<ExternalHooks> externals_;
+  std::vector<std::unique_ptr<External>> externals_;
   State st_;
+  // Topology, not state: the registry's pool pointers and the attached
+  // externals are added while the host is built, before it runs, and a
+  // snapshot asserts rather than saves them.
+  HOSTNET_COMPONENT_EXEMPT(registry_, externals_)
+  HOSTNET_COMPONENT(HostSystem, cfg_, seed_, sim_, registry_, mc_, cha_, iios_, cores_, storage_,
+                    externals_, st_)
 };
-
-HOSTNET_SNAPSHOT_COVERS(HostSystem);
 
 /// Namespace-level alias: the checkpoint most callers pass around.
 using HostSnapshot = HostSystem::Snapshot;

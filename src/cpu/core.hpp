@@ -28,7 +28,6 @@
 #include "common/fields.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
-#include "common/snapshot.hpp"
 #include "counters/station.hpp"
 #include "flow/credit_pool.hpp"
 #include "mem/request.hpp"
@@ -79,6 +78,7 @@ class Core final : public mem::Completer, public cha::ChaClient {
   // -- mem::Completer / cha::ChaClient ---------------------------------------
   void complete(const mem::Request& req, Tick now) override;
   bool on_cha_admission(mem::Op op) override;
+  flow::CreditWaiter& admission_waiter(mem::Op op) override { return waiters_[op]; }
 
   // -- credit pools (registered with flow::DomainRegistry) --------------------
   /// C2M-Read domain pool: the LFB entries themselves.
@@ -138,6 +138,10 @@ class Core final : public mem::Completer, public cha::ChaClient {
     std::uint64_t queries = 0;
 
     bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, rng, lfb_pool, write_pool, seq_line, think_pending, paused,
+                   episode_outstanding, episode_reads_to_issue, episode_writes_to_issue,
+                   episodes_done_in_query, in_compute, blocked_reads, blocked_writes, lines_read,
+                   lines_written, queries)
   };
   using Snapshot = State;
 
@@ -160,9 +164,9 @@ class Core final : public mem::Completer, public cha::ChaClient {
   const CoreConfig cfg_;
   const CoreWorkload wl_;
   const std::uint16_t id_;
+  cha::ChaClient::Waiters waiters_{*this};
   State st_;
+  HOSTNET_COMPONENT(Core, sim_, cha_, cfg_, wl_, id_, waiters_, st_)
 };
-
-HOSTNET_SNAPSHOT_COVERS(Core);
 
 }  // namespace hostnet::cpu

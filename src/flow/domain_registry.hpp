@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
+#include "common/fields.hpp"
 #include "common/units.hpp"
 #include "core/domains.hpp"
 #include "flow/credit_pool.hpp"
@@ -101,6 +103,27 @@ class DomainRegistry {
   /// Checked-build audit of every registered pool's ledger.
   void verify() const {
     for (const Entry& e : entries_) e.pool->verify();
+  }
+
+  /// Checked-build audit (no-op otherwise): every CreditPool reachable from
+  /// the component `root` through its member and State tables
+  /// (common/fields.hpp) is registered here. An unregistered pool is
+  /// invisible to observe(), the predictor's spec table and the fleet
+  /// aggregates. `root_name` starts the pool's path in the diagnostic.
+  template <class C>
+  void verify_registered([[maybe_unused]] const C& root,
+                         [[maybe_unused]] const char* root_name) const {
+#if HOSTNET_CHECKED
+    fields::for_each_reachable<CreditPool>(root, [&](const std::string& path,
+                                                     const CreditPool& pool) {
+      bool found = false;
+      for (const Entry& e : entries_) found = found || e.pool == &pool;
+      HOSTNET_INVARIANT(found,
+                        "%s.%s is a flow::CreditPool that is not in the host's "
+                        "DomainRegistry: register it with add() or add_interior()",
+                        root_name, path.c_str());
+    });
+#endif
   }
 
  private:

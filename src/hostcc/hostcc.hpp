@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hpp"
 #include "core/host_system.hpp"
 
 namespace hostnet::hostcc {
@@ -28,13 +29,45 @@ struct HostccConfig {
 
 class HostCongestionController {
  public:
-  /// Attaches to `host` (start/reset hooks); throttles every core that is
-  /// registered with the host when P2M-Write latency exceeds the target.
+  /// Attaches itself to `host` (HostSystem::attach); throttles every core
+  /// that is registered with the host when P2M-Write latency exceeds the
+  /// target.
   HostCongestionController(core::HostSystem& host, const HostccConfig& cfg);
 
-  double throttle() const { return throttle_; }
+  double throttle() const { return st_.throttle; }
   /// Time-average throttle over the measurement window.
   double avg_throttle(Tick now) const;
+
+  // -- lifecycle (HostSystem::attach) -------------------------------------------
+  void start() { tick(); }
+  void reset_counters(Tick now) {
+    st_.window_start = now;
+    st_.throttle_integral = 0.0;
+    st_.last_change = now;
+  }
+
+  // -- checkpointing (DESIGN.md section 4e) -----------------------------------
+  struct State {
+    double throttle = 0.0;
+    double last_latency_ns = 0.0;
+
+    // Incremental latency sampling over the last interval.
+    double prev_latency_sum = 0.0;
+    std::uint64_t prev_completions = 0;
+
+    // Window accounting.
+    Tick window_start = 0;
+    double throttle_integral = 0.0;
+    Tick last_change = 0;
+
+    bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, throttle, last_latency_ns, prev_latency_sum, prev_completions,
+                   window_start, throttle_integral, last_change)
+  };
+  using Snapshot = State;
+
+  void save_state(Snapshot& out) const { out = st_; }
+  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   void tick();
@@ -42,18 +75,9 @@ class HostCongestionController {
   void apply();
 
   core::HostSystem& host_;
-  HostccConfig cfg_;
-  double throttle_ = 0.0;
-  double last_latency_ns_ = 0.0;
-
-  // Incremental latency sampling over the last interval.
-  double prev_latency_sum_ = 0.0;
-  std::uint64_t prev_completions_ = 0;
-
-  // Window accounting.
-  Tick window_start_ = 0;
-  double throttle_integral_ = 0.0;
-  Tick last_change_ = 0;
+  const HostccConfig cfg_;
+  State st_;
+  HOSTNET_COMPONENT(HostCongestionController, host_, cfg_, st_)
 };
 
 }  // namespace hostnet::hostcc

@@ -20,7 +20,6 @@
 #include "cha/cha.hpp"
 #include "common/fields.hpp"
 #include "common/ring_buffer.hpp"
-#include "common/snapshot.hpp"
 #include "counters/station.hpp"
 #include "flow/credit_pool.hpp"
 #include "mem/request.hpp"
@@ -43,33 +42,37 @@ struct IioConfig {
 /// TLP) and when read data comes back.
 class Device {
  public:
-  Device() {
-    write_waiter_.dev = this;
-    write_waiter_.op = mem::Op::kWrite;
-    read_waiter_.dev = this;
-    read_waiter_.op = mem::Op::kRead;
-  }
   virtual ~Device() = default;
   virtual void on_credit_available(mem::Op op) = 0;
   virtual void on_read_data(std::uint64_t tag, Tick now) = 0;
 
-  /// Per-op adapter for flow::CreditPool waiting: the IIO registers the
-  /// adapter matching the exhausted buffer, so the wake carries which op's
-  /// credit freed (devices with independent RX/TX pumps need this).
-  flow::CreditWaiter& credit_waiter(mem::Op op) {
-    return op == mem::Op::kWrite ? write_waiter_ : read_waiter_;
-  }
+  /// The waiter the IIO queues when `op`'s buffer is exhausted: one of the
+  /// device's Waiters.
+  virtual flow::CreditWaiter& credit_waiter(mem::Op op) = 0;
 
- private:
-  struct OpWaiter final : flow::CreditWaiter {
-    void on_credit_available(flow::CreditPool&) override {
-      dev->on_credit_available(op);
+  /// Per-op adapters for flow::CreditPool waiting: the IIO queues the
+  /// adapter matching the exhausted buffer, so the wake carries which op's
+  /// credit freed (devices with independent RX/TX pumps need this). A device
+  /// owns one Waiters, built from `*this` and never written again.
+  class Waiters {
+   public:
+    explicit Waiters(Device& dev) : write_(dev, mem::Op::kWrite), read_(dev, mem::Op::kRead) {}
+    flow::CreditWaiter& operator[](mem::Op op) {
+      return op == mem::Op::kWrite ? write_ : read_;
     }
-    Device* dev = nullptr;
-    mem::Op op = mem::Op::kRead;
+
+   private:
+    struct OpWaiter final : flow::CreditWaiter {
+      OpWaiter(Device& d, mem::Op o) : dev(d), op(o) {}
+      void on_credit_available(flow::CreditPool&) override { dev.on_credit_available(op); }
+      Device& dev;
+      const mem::Op op;
+      HOSTNET_COMPONENT(OpWaiter, dev, op)
+    };
+    OpWaiter write_;
+    OpWaiter read_;
+    HOSTNET_COMPONENT(Waiters, write_, read_)
   };
-  OpWaiter write_waiter_;
-  OpWaiter read_waiter_;
 };
 
 class Iio final : public mem::Completer, public cha::ChaClient {
@@ -90,6 +93,7 @@ class Iio final : public mem::Completer, public cha::ChaClient {
   // -- mem::Completer / cha::ChaClient ---------------------------------------
   void complete(const mem::Request& req, Tick now) override;
   bool on_cha_admission(mem::Op op) override;
+  flow::CreditWaiter& admission_waiter(mem::Op op) override { return waiters_[op]; }
 
   // -- measurement ------------------------------------------------------------
   /// IIO buffer residency = the P2M domain latency ("IIO latency", Fig 6c).
@@ -130,6 +134,7 @@ class Iio final : public mem::Completer, public cha::ChaClient {
     std::vector<Pending> pending_reads;  ///< indexed by request tag slot
 
     bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, write_pool, read_pool, blocked_reads, blocked_writes, pending_reads)
   };
   using Snapshot = State;
 
@@ -143,9 +148,9 @@ class Iio final : public mem::Completer, public cha::ChaClient {
   cha::Cha& cha_;
   const IioConfig cfg_;
   const std::uint16_t id_;
+  cha::ChaClient::Waiters waiters_{*this};
   State st_;
+  HOSTNET_COMPONENT(Iio, sim_, cha_, cfg_, id_, waiters_, st_)
 };
-
-HOSTNET_SNAPSHOT_COVERS(Iio);
 
 }  // namespace hostnet::iio

@@ -16,7 +16,6 @@
 #include "common/fields.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
-#include "common/snapshot.hpp"
 #include "iio/iio.hpp"
 #include "mem/request.hpp"
 #include "sim/simulator.hpp"
@@ -47,6 +46,7 @@ class StorageDevice final : public Device {
   // -- iio::Device ------------------------------------------------------------
   void on_credit_available(mem::Op op) override;
   void on_read_data(std::uint64_t tag, Tick now) override;
+  flow::CreditWaiter& credit_waiter(mem::Op op) override { return waiters_[op]; }
 
   // -- measurement ------------------------------------------------------------
   std::uint64_t bytes_transferred() const { return st_.bytes; }
@@ -80,6 +80,8 @@ class StorageDevice final : public Device {
     std::uint64_t requests_done = 0;
 
     bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, rng, slots, ready_order, next_region_line, interleave_counter,
+                   link_busy, waiting_credit, bytes, requests_done)
   };
   using Snapshot = State;
 
@@ -97,9 +99,9 @@ class StorageDevice final : public Device {
   Iio& iio_;
   const StorageConfig cfg_;
   const Tick t_line_;
+  Waiters waiters_{*this};
   State st_;
+  HOSTNET_COMPONENT(StorageDevice, sim_, iio_, cfg_, t_line_, waiters_, st_)
 };
-
-HOSTNET_SNAPSHOT_COVERS(StorageDevice);
 
 }  // namespace hostnet::iio

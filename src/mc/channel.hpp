@@ -32,7 +32,6 @@
 
 #include "common/check.hpp"
 #include "common/fields.hpp"
-#include "common/snapshot.hpp"
 #include "counters/mc_counters.hpp"
 #include "dram/address_map.hpp"
 #include "dram/bank.hpp"
@@ -166,6 +165,9 @@ class Channel {
     counters::McChannelCounters counters;
 
     bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, rpq, wpq, banks, banks_owned, mode, bus_free_at, read_dwell_until,
+                   next_entry_id, next_kick_at, kick_inflight, fused_kick_at, kick_stats,
+                   rpq_pool, wpq_pool, counters)
   };
   using Snapshot = State;
 
@@ -201,11 +203,12 @@ class Channel {
   sim::Simulator& sim_;
   const ChannelConfig cfg_;
   const std::uint32_t index_;
-  // hostnet-audit: allow(snapshot-state, wiring: the CHA attaches once, after construction)
   ChannelListener* listener_;
   State st_;
+  // listener_ is wiring, not state: the CHA is built after the MC, so it
+  // attaches once, after construction (set_listener), and no event writes it.
+  HOSTNET_COMPONENT_EXEMPT(listener_)
+  HOSTNET_COMPONENT(Channel, sim_, cfg_, index_, listener_, st_)
 };
-
-HOSTNET_SNAPSHOT_COVERS(Channel);
 
 }  // namespace hostnet::mc

@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/snapshot.hpp"
+#include "common/fields.hpp"
 #include "dram/address_map.hpp"
 #include "mc/channel.hpp"
 
@@ -62,8 +62,7 @@ class MemoryController {
  private:
   const dram::AddressMap map_;
   std::vector<std::unique_ptr<Channel>> channels_;
+  HOSTNET_COMPONENT(MemoryController, map_, channels_)
 };
-
-HOSTNET_SNAPSHOT_COVERS(MemoryController);
 
 }  // namespace hostnet::mc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "workloads/workloads.hpp"
 
@@ -166,17 +167,12 @@ TcpReceiver::TcpReceiver(core::HostSystem& host, const TcpConfig& cfg)
         static_cast<std::uint16_t>(1000 + i), st_.ring, [this] { on_packet_copied(); }));
   }
 
-  host.attach(core::ExternalHooks{
-      [this] { start(); },
-      [this](Tick now) { reset(now); },
-      [this]() -> std::shared_ptr<const void> {
-        auto snap = std::make_shared<Snapshot>();
-        save_state(*snap);
-        return snap;
-      },
-      [this](const std::shared_ptr<const void>& blob) {
-        load_state(*static_cast<const Snapshot*>(blob.get()));
-      }});
+  // Every pool of the host's flow control is registered; the copy cores'
+  // LFBs are interior pools, not one of the paper's four domains.
+  for (std::uint32_t i = 0; i < cfg_.copy_cores; ++i)
+    host.domains().add_interior("tcp.copy" + std::to_string(i) + ".lfb",
+                                &copy_cores_[i]->lfb_pool());
+  host.attach(*this);
 }
 
 void TcpReceiver::start() {
@@ -184,7 +180,7 @@ void TcpReceiver::start() {
   host_.sim().schedule(cfg_.base_rtt, [this] { rtt_epoch(); });
 }
 
-void TcpReceiver::reset(Tick now) {
+void TcpReceiver::reset_counters(Tick now) {
   nic_->reset_counters(now);
   for (auto& c : copy_cores_) c->reset_counters(now);
   st_.window_start = now;

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "common/ring_buffer.hpp"
-#include "common/snapshot.hpp"
+#include "common/fields.hpp"
 #include "core/experiment.hpp"
 #include "core/host_system.hpp"
 #include "counters/station.hpp"
@@ -84,7 +84,11 @@ class CopyCore final : public mem::Completer, public cha::ChaClient {
 
   void complete(const mem::Request& req, Tick now) override;
   bool on_cha_admission(mem::Op op) override;
+  flow::CreditWaiter& admission_waiter(mem::Op op) override { return waiters_[op]; }
 
+  /// The copy's MLP bound (the core's LFB), an interior pool of the host's
+  /// flow::DomainRegistry.
+  flow::CreditPool& lfb_pool() { return st_.lfb; }
   const counters::LatencyStation& lfb_station() const { return st_.lfb.station(); }
   std::uint64_t packets_copied() const { return st_.packets_copied; }
   std::uint64_t lines_copied() const { return st_.lines_copied; }
@@ -114,14 +118,13 @@ class CopyCore final : public mem::Completer, public cha::ChaClient {
     RingBuffer<Blocked> blocked_reads;
     RingBuffer<Blocked> blocked_writes;
 
-    /// Copy-MLP bound (the core's LFB). A case-study component, not part of
-    /// the HostSystem, so it stays off the DomainRegistry.
-    // hostnet-audit: allow(pool-unregistered, case-study pool: no DomainRegistry here)
-    flow::CreditPool lfb;
+    flow::CreditPool lfb;  ///< copy-MLP bound (the core's LFB)
     std::uint64_t packets_copied = 0;
     std::uint64_t lines_copied = 0;
 
     bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, busy, lines_to_issue, lines_outstanding, line_cursor, blocked_reads,
+                   blocked_writes, lfb, packets_copied, lines_copied)
   };
   using Snapshot = State;
 
@@ -146,7 +149,10 @@ class CopyCore final : public mem::Completer, public cha::ChaClient {
   RingBuffer<Tick>& ring_;
   // hostnet-lint: allow(hot-alloc)  -- invoked per packet, assigned once at build
   const std::function<void()> on_packet_copied_;
+  Waiters waiters_{*this};
   State st_;
+  HOSTNET_COMPONENT(CopyCore, sim_, cha_, cfg_, socket_buf_, app_buf_, proto_time_,
+                    lines_per_packet_, app_in_cache_, id_, ring_, on_packet_copied_, waiters_, st_)
 };
 
 /// The stack-agnostic transport engine: NIC (lossy, ECN) + RX ring + copy
@@ -175,8 +181,12 @@ class TcpReceiver final : public core::P2MTransport {
   const TcpStack& stack() const { return *stack_; }
   std::vector<std::unique_ptr<CopyCore>>& copy_cores() { return copy_cores_; }
 
+  // -- lifecycle (HostSystem::attach) -------------------------------------------
+  void start();
+  void reset_counters(Tick now);
+
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  // Registered with HostSystem::attach as external save/load hooks, so
+  // The receiver attaches itself to its host (HostSystem::attach), so
   // HostSystem::snapshot() carries the receiver's transport state alongside
   // the host's own.
   struct State {
@@ -204,6 +214,9 @@ class TcpReceiver final : public core::P2MTransport {
     std::uint64_t packets_accepted = 0;
 
     bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, ring, telemetry, inflight, wire_busy, pacing_wait, pending_acks,
+                   window_start, packets_copied, packets_offered, packets_dropped,
+                   packets_marked, packets_accepted)
   };
   struct Snapshot {
     State st;
@@ -232,8 +245,6 @@ class TcpReceiver final : public core::P2MTransport {
   }
 
  private:
-  void start();
-  void reset(Tick now);
   void sender_pump();
   void on_ack(Tick sent);
   void on_packet_delivered(Tick now);
@@ -246,9 +257,7 @@ class TcpReceiver final : public core::P2MTransport {
   std::vector<std::unique_ptr<CopyCore>> copy_cores_;
   std::unique_ptr<TcpStack> stack_;
   State st_;
+  HOSTNET_COMPONENT(TcpReceiver, host_, cfg_, nic_, copy_cores_, stack_, st_)
 };
-
-HOSTNET_SNAPSHOT_COVERS(CopyCore);
-HOSTNET_SNAPSHOT_COVERS(TcpReceiver);
 
 }  // namespace hostnet::net

@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <functional>
 
-#include "common/snapshot.hpp"
+#include "common/fields.hpp"
 #include "iio/iio.hpp"
 #include "mem/request.hpp"
 #include "sim/simulator.hpp"
@@ -64,6 +64,7 @@ class NicDevice final : public iio::Device {
   // -- iio::Device ------------------------------------------------------------
   void on_credit_available(mem::Op op) override;
   void on_read_data(std::uint64_t tag, Tick now) override;
+  flow::CreditWaiter& credit_waiter(mem::Op op) override { return waiters_[op]; }
 
   // -- measurement ------------------------------------------------------------
   std::uint64_t bytes_accepted() const { return st_.bytes_accepted; }
@@ -106,6 +107,10 @@ class NicDevice final : public iio::Device {
     Tick window_start = 0;
 
     bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, buffer_bytes, dma_line_cursor, tx_line_cursor, lines_in_current_packet,
+                   link_busy, tx_link_busy, waiting_write_credit, waiting_read_credit, paused,
+                   arrival_scheduled, bytes_accepted, bytes_dma, bytes_tx, packets_accepted,
+                   packets_dropped, packets_marked, pause_started, paused_time, window_start)
   };
   using Snapshot = State;
 
@@ -127,9 +132,10 @@ class NicDevice final : public iio::Device {
   const Tick t_tx_line_;  ///< TX wire serialization per cacheline (0 = TX off)
   // hostnet-lint: allow(hot-alloc)  -- invoked per packet, assigned once at build
   const std::function<void(Tick)> packet_delivered_;
+  Waiters waiters_{*this};
   State st_;
+  HOSTNET_COMPONENT(NicDevice, sim_, iio_, cfg_, t_line_, t_packet_, t_tx_line_, packet_delivered_,
+                    waiters_, st_)
 };
-
-HOSTNET_SNAPSHOT_COVERS(NicDevice);
 
 }  // namespace hostnet::net

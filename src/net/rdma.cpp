@@ -33,18 +33,7 @@ std::unique_ptr<NicDevice> attach_rdma_write_nic(core::HostSystem& host, double 
   nc.pfc = true;
   nc.region = workloads::p2m_region();
   auto nic = std::make_unique<NicDevice>(host.sim(), host.iio(), nc);
-  NicDevice* n = nic.get();
-  host.attach(core::ExternalHooks{
-      [n] { n->start(); },
-      [n](Tick now) { n->reset_counters(now); },
-      [n]() -> std::shared_ptr<const void> {
-        auto snap = std::make_shared<NicDevice::Snapshot>();
-        n->save_state(*snap);
-        return snap;
-      },
-      [n](const std::shared_ptr<const void>& blob) {
-        n->load_state(*static_cast<const NicDevice::Snapshot*>(blob.get()));
-      }});
+  host.attach(*nic);
   return nic;
 }
 

@@ -18,9 +18,9 @@
 namespace hostnet::net {
 
 /// Attach an ib_write_bw NIC to `host`: autonomous line-rate arrivals at
-/// `wire_gb_per_s`, PFC on, DMA into workloads::p2m_region(). Registers
-/// full ExternalHooks, so the host stays checkpointable; the NIC must live
-/// as long as the host runs.
+/// `wire_gb_per_s`, PFC on, DMA into workloads::p2m_region(). The NIC is
+/// attached to the host (HostSystem::attach), so the host stays
+/// checkpointable; it must live as long as the host runs.
 std::unique_ptr<NicDevice> attach_rdma_write_nic(
     core::HostSystem& host, double wire_gb_per_s = core::RdmaWriteSpec{}.wire_gb_per_s);
 

@@ -29,7 +29,7 @@
 #include <memory>
 #include <variant>
 
-#include "common/snapshot.hpp"
+#include "common/fields.hpp"
 #include "common/units.hpp"
 #include "core/experiment.hpp"
 
@@ -97,6 +97,7 @@ struct DctcpState {
   double cwnd = 16;
   double alpha = 0;
   bool operator==(const DctcpState&) const = default;
+  HOSTNET_FIELDS(DctcpState, cwnd, alpha)
 };
 
 /// BbrStack's state: the bandwidth and RTT filters and the pacing gate.
@@ -110,6 +111,8 @@ struct BbrState {
   Tick next_send = 0;                             ///< pacing gate opens here
   Tick pace_interval = 0;                         ///< 0 until first bw estimate
   bool operator==(const BbrState&) const = default;
+  HOSTNET_FIELDS(BbrState, cwnd, bw_window, rtt_window, epochs, gain_idx, next_send,
+                 pace_interval)
 };
 
 /// DavisStack's state: cwnd and the min-RTT filter.
@@ -119,6 +122,7 @@ struct DavisState {
   std::array<Tick, kWindowEpochs> rtt_window{};  ///< per-epoch min RTT (0 = none)
   std::uint64_t epochs = 0;
   bool operator==(const DavisState&) const = default;
+  HOSTNET_FIELDS(DavisState, cwnd, rtt_window, epochs)
 };
 
 /// Every stack saturates at the same cap the original receiver used.
@@ -171,6 +175,8 @@ class TcpStack {
   using Snapshot = std::variant<DctcpState, BbrState, DavisState>;
   virtual void save_state(Snapshot& out) const = 0;
   virtual void load_state(const Snapshot& s) = 0;
+
+  HOSTNET_COMPONENT_INTERFACE(TcpStack)
 };
 
 /// DCTCP: cwnd follows the ECN mark fraction through the alpha EWMA --
@@ -193,6 +199,7 @@ class DctcpStack final : public TcpStack {
  private:
   const double g_;
   State st_;
+  HOSTNET_COMPONENT(DctcpStack, g_, st_)
 };
 
 /// BBR-like: model the pipe, don't fill the buffer. A windowed max filter
@@ -230,6 +237,7 @@ class BbrStack final : public TcpStack {
  private:
   const Tick base_rtt_;
   State st_;
+  HOSTNET_COMPONENT(BbrStack, base_rtt_, st_)
 };
 
 /// Davis-like: pure delay-based control. Tracks the minimum RTT over a
@@ -264,12 +272,8 @@ class DavisStack final : public TcpStack {
  private:
   const Tick queue_tolerance_;
   State st_;
+  HOSTNET_COMPONENT(DavisStack, queue_tolerance_, st_)
 };
-
-HOSTNET_SNAPSHOT_COVERS(TcpStack);
-HOSTNET_SNAPSHOT_COVERS(DctcpStack);
-HOSTNET_SNAPSHOT_COVERS(BbrStack);
-HOSTNET_SNAPSHOT_COVERS(DavisStack);
 
 /// Build the stack a TcpConfig selects (defined in net/tcp_stacks.cpp).
 std::unique_ptr<TcpStack> make_tcp_stack(const TcpConfig& cfg);

@@ -52,13 +52,12 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/snapshot.hpp"
+#include "common/fields.hpp"
 #include "common/units.hpp"
 #include "sim/event.hpp"
 
 namespace hostnet::sim {
 
-// hostnet-audit: allow(snapshot-state, snapshot is the logical queue; load rebuilds storage)
 class CalendarQueue {
  public:
   /// Ticks per L0 slot (32). Narrower slots advance the window more often;
@@ -308,8 +307,11 @@ class CalendarQueue {
   std::vector<Tick> at_;
   std::vector<Handle> next_;
   Handle free_ = kNil;
+  // Every member is storage, none is state: the snapshot is the logical
+  // queue (Snapshot above), and load_state() rebuilds all of this from it.
+  HOSTNET_COMPONENT_EXEMPT_ALL()
+  HOSTNET_COMPONENT(CalendarQueue, win_start_, cursor_, size_, slots_, buckets_, slot_bits_,
+                    bucket_bits_, overflow_, chunks_, at_, next_, free_)
 };
-
-HOSTNET_SNAPSHOT_COVERS(CalendarQueue);
 
 }  // namespace hostnet::sim

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/fields.hpp"
 #include "common/units.hpp"
 #include "sim/calendar_queue.hpp"
 #include "sim/event.hpp"
@@ -67,6 +68,7 @@ class Simulator {
     Tick now = 0;
     std::uint64_t executed = 0;
     bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, now, executed)
   };
   struct Snapshot {
     State st;
@@ -91,8 +93,7 @@ class Simulator {
  private:
   State st_;
   CalendarQueue queue_;
+  HOSTNET_COMPONENT(Simulator, st_, queue_)
 };
-
-HOSTNET_SNAPSHOT_COVERS(Simulator);
 
 }  // namespace hostnet::sim

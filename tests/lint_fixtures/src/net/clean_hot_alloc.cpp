@@ -8,8 +8,10 @@ struct Packet {
   long long arrival;
 };
 
-std::vector<Packet> arena;
-
-// Assigned once at construction, invoked (not created) per packet.
-// hostnet-lint: allow(hot-alloc)
-std::function<void(long long)> packet_delivered;
+// Members, not globals: src/net is also a handler subsystem.
+struct Nic {
+  std::vector<Packet> arena;
+  // Assigned once at construction, invoked (not created) per packet.
+  // hostnet-lint: allow(hot-alloc)
+  std::function<void(long long)> packet_delivered;
+};

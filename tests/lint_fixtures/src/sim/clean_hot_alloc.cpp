@@ -10,11 +10,13 @@ struct Slot {
   int payload;
 };
 
-std::vector<Slot> arena;
-
 Slot* construct_at(void* storage) { return new (storage) Slot{0}; }
 
-// Beyond-horizon ticks are rare and never on the per-event path, so an
-// ordered map is acceptable here (mirrors calendar_queue.hpp).
-// hostnet-lint: allow(hot-alloc)
-std::map<long long, Slot> overflow;
+// Members, not globals: src/sim is also a handler subsystem.
+struct Queue {
+  std::vector<Slot> arena;
+  // Beyond-horizon ticks are rare and never on the per-event path, so an
+  // ordered map is acceptable here (mirrors calendar_queue.hpp).
+  // hostnet-lint: allow(hot-alloc)
+  std::map<long long, Slot> overflow;
+};

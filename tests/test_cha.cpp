@@ -22,6 +22,8 @@ struct RetryClient : ChaClient {
   Cha* cha = nullptr;
   std::optional<mem::Request> pending;
   int notified = 0;
+  Waiters waiters{*this};
+  flow::CreditWaiter& admission_waiter(mem::Op op) override { return waiters[op]; }
   bool on_cha_admission(mem::Op) override {
     ++notified;
     if (pending && cha->try_submit(*pending)) {

@@ -3,23 +3,53 @@
 // In checked builds (-DHOSTNET_CHECKED=ON) the death tests prove each
 // invariant actually fires: a credit-leaking toy domain trips conservation,
 // out-of-order event injection trips the simulator/queue monotonicity
-// checks, and a delay that wraps the clock trips the overflow check. In
+// checks, a delay that wraps the clock trips the overflow check, and an
+// attached component's unregistered credit pool trips the registry audit. In
 // unchecked builds the same file proves the instrumentation compiles out:
 // a false HOSTNET_INVARIANT must do nothing, and a loaded
 // HostSystem run with verify_invariants() at every quiesce point must pass
 // in both modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
+#include "common/fields.hpp"
 #include "core/host_system.hpp"
+#include "net/dctcp.hpp"
 #include "sim/calendar_queue.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hostnet {
 namespace {
+
+/// An attachable component with a flow::CreditPool in its State, which no
+/// one registers unless a test does.
+class PoolPort {
+ public:
+  struct State {
+    flow::CreditPool txq;
+    std::uint64_t sent = 0;
+    bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, txq, sent)
+  };
+  using Snapshot = State;
+
+  void start() {}
+  void reset_counters(Tick) {}
+  void save_state(Snapshot& out) const { out = st_; }
+  void load_state(const Snapshot& s) { st_ = s; }
+  flow::CreditPool& txq() { return st_.txq; }
+
+ private:
+  State st_;
+  HOSTNET_COMPONENT(PoolPort, st_)
+};
 
 #if HOSTNET_CHECKED
 
@@ -89,6 +119,15 @@ TEST(CheckedInvariantDeathTest, CalendarPushBehindCursorTripsMonotonicity) {
   EXPECT_DEATH(q.emplace(ns(2), [] {}), "HOSTNET_INVARIANT");
 }
 
+TEST(CheckedInvariantDeathTest, UnregisteredPoolTripsRegistryAudit) {
+  // The pool sits in an attached component's State, so the host's walk over
+  // the component tables finds it, and nothing registered it.
+  core::HostSystem host(core::cascade_lake());
+  PoolPort port;
+  host.attach(port);
+  EXPECT_DEATH(host.verify_invariants(), "external.st_.txq is a flow::CreditPool that is not");
+}
+
 #else  // !HOSTNET_CHECKED
 
 TEST(CheckedInvariantCompiledOut, FalseInvariantIsANoOp) {
@@ -128,6 +167,35 @@ TEST(CheckedInvariant, LoadedHostPassesQuiesceAudits) {
   core::Metrics m = host.collect();  // verify_invariants() runs here
   host.verify_invariants();          // and is callable directly
   EXPECT_GT(m.mem_gbps[0] + m.mem_gbps[1] + m.mem_gbps[2] + m.mem_gbps[3], 0.0);
+}
+
+TEST(CheckedInvariant, PoolWalkFindsExactlyTheRegisteredPools) {
+  // The registry audit is only as good as the walk: over the host and an
+  // attached TCP receiver it must reach every registered pool, and no other.
+  core::HostSystem host(core::cascade_lake());
+  host.add_core(workloads::c2m_read(workloads::c2m_core_region(0)));
+  host.add_iio_stack(host.config().iio);
+  net::TcpReceiver rx(host, net::TcpConfig{});
+  std::vector<const flow::CreditPool*> found;
+  const auto collect = [&](const std::string&, const flow::CreditPool& p) { found.push_back(&p); };
+  fields::for_each_reachable<flow::CreditPool>(std::as_const(host), collect);
+  fields::for_each_reachable<flow::CreditPool>(std::as_const(rx), collect);
+  std::vector<const flow::CreditPool*> registered;
+  for (const auto& e : host.domains().entries()) registered.push_back(e.pool);
+  std::sort(found.begin(), found.end());
+  std::sort(registered.begin(), registered.end());
+  EXPECT_EQ(found, registered);
+  // RPQ + WPQ per channel, the CHA's two trackers, two IIO stacks, one
+  // core and the receiver's four copy cores.
+  EXPECT_EQ(found.size(), 2 * host.mc().num_channels() + 2 + 2 * 2 + 2 + 4u);
+}
+
+TEST(CheckedInvariant, RegisteredExternalPoolPassesRegistryAudit) {
+  core::HostSystem host(core::cascade_lake());
+  PoolPort port;
+  host.domains().add_interior("port.txq", &port.txq());
+  host.attach(port);
+  host.verify_invariants();
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the checkpoint/fork engine (DESIGN.md section 4e): snapshot /
-// restore replay identity, the same-host and external-hook contracts,
+// restore replay identity, the same-host contract, attached externals,
 // collect() as a pure read, restored and forked windows bit-identical to
 // cold runs across presets, and the executor's cold/fork x thread-count
 // identity and reuse counters.
@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "core/host_system.hpp"
+#include "hostcc/hostcc.hpp"
 #include "net/dctcp.hpp"
 #include "workloads/workloads.hpp"
 
@@ -227,19 +228,42 @@ TEST(Checkpoint, RestoreIntoDifferentHostThrows) {
   a.restore(snap);  // same host: fine
 }
 
-TEST(Checkpoint, ExternalWithoutSaveHookRefusesSnapshot) {
-  // The legacy attach(start, reset) overload registers no save/load hooks;
-  // a silent partial checkpoint would fork diverging simulations, so
-  // snapshot() must throw instead.
-  HostSystem host(cascade_lake());
-  host.attach([] {}, [](Tick) {});
-  host.run(us(5), 0);
-  EXPECT_THROW(host.snapshot(), std::logic_error);
+TEST(Checkpoint, HostccControllerRoundTrips) {
+  // hostCC attaches itself like every external: its throttle loop replays
+  // identically from a checkpoint, so a throttled host is forkable.
+  const HostConfig hc = cascade_lake();
+  HostSystem host(hc, 5);
+  for (std::uint32_t i = 0; i < 4; ++i)
+    host.add_core(workloads::c2m_read_write(workloads::c2m_core_region(i)));
+  host.add_storage(workloads::fio_p2m_write(hc, workloads::p2m_region()));
+  hostcc::HostccConfig ccfg;
+  ccfg.target_p2m_latency_ns = 100;  // throttles from the first sample on
+  hostcc::HostCongestionController cc(host, ccfg);
+  host.run(us(50), 0);
+  const HostSnapshot checkpoint = host.snapshot();
+
+  host.run_more(us(100));
+  const Metrics m1 = host.collect();
+  const double throttle1 = cc.avg_throttle(host.sim().now());
+  const HostSnapshot end1 = host.snapshot();
+
+  host.restore(checkpoint);
+  host.run_more(us(100));
+  expect_identical(m1, host.collect());
+  EXPECT_EQ(throttle1, cc.avg_throttle(host.sim().now()));
+  EXPECT_GT(throttle1, 0.0);
+  const HostSnapshot end2 = host.snapshot();
+  expect_same_state(end1, end2);
+  ASSERT_EQ(end1.externals.size(), 1u);
+  const auto controller = [](const HostSnapshot& s) -> const hostcc::HostCongestionController::State& {
+    return *static_cast<const hostcc::HostCongestionController::State*>(s.externals[0].get());
+  };
+  EXPECT_TRUE(controller(end1) == controller(end2));
 }
 
 TEST(Checkpoint, DctcpReceiverRoundTrips) {
-  // TcpReceiver attaches full ExternalHooks: the NIC, copy cores, and
-  // congestion state must all replay identically from a checkpoint.
+  // TcpReceiver attaches itself: the NIC, copy cores, and congestion state
+  // must all replay identically from a checkpoint.
   const HostConfig hc = cascade_lake();
   HostSystem host(hc, 3);
   net::DctcpConfig cfg;

@@ -11,8 +11,10 @@ Run directly (`python3 tests/test_lint.py`) or via ctest (hostnet_lint_fixtures)
 """
 
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import unittest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -86,10 +88,17 @@ class BadFixtures(unittest.TestCase):
         self.assert_findings(fixture("src", "cpu", "bad_raw_credit.cpp"),
                              "raw-credit-counter", 4)
 
-    def test_snapshot_coverage(self):
-        # Two classes with save_state(), no descriptors: two findings.
-        self.assert_findings(fixture("bad_snapshot_coverage.cpp"),
-                             "snapshot-coverage", 2)
+    def test_handler_global_state(self):
+        # A mutable counter and a mutable pointer to const at namespace
+        # scope, under src/sim: two findings.
+        self.assert_findings(fixture("src", "sim", "bad_handler_state.cpp"),
+                             "handler-global-state", 2)
+
+    def test_handler_static_state(self):
+        # A function-local static and a member function's thread_local: two
+        # findings.
+        self.assert_findings(fixture("src", "sim", "bad_handler_state.cpp"),
+                             "handler-static-state", 2)
 
     def test_unknown_allow_id_is_an_error(self):
         res = run_lint(fixture("bad_allow_id.cpp"))
@@ -112,7 +121,8 @@ class CleanFixtures(unittest.TestCase):
         ("clean_pragma_once.hpp",),
         ("src", "sim", "clean_magic_tick.cpp"),
         ("src", "cpu", "clean_raw_credit.cpp"),
-        ("clean_snapshot_coverage.cpp",),
+        # const/constexpr globals and statics, static member functions.
+        ("src", "sim", "clean_handler_state.cpp"),
     ]
 
     def test_clean_fixtures(self):
@@ -135,6 +145,16 @@ class CleanFixtures(unittest.TestCase):
         res = run_lint(fixture("bad_unordered_iter.cpp"))
         self.assertNotIn("[hot-alloc]", res.stdout)
 
+    def test_handler_state_outside_handler_dirs_is_fine(self):
+        # The same mutable globals and statics are legal outside
+        # src/{sim,cpu,cha,iio,mc,net}: a copy of the bad fixture under a
+        # plain path lints clean.
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = os.path.join(tmp, "handler_state.cpp")
+            shutil.copy(fixture("src", "sim", "bad_handler_state.cpp"), copy)
+            res = run_lint(copy)
+        self.assertEqual(res.returncode, 0, msg=res.stdout + res.stderr)
+
     def test_live_allows_are_not_stale(self):
         # A justified allow() that really suppresses a finding stays silent
         # under --stale.
@@ -148,7 +168,7 @@ class ToolInterface(unittest.TestCase):
         self.assertEqual(res.returncode, 0)
         for check in ("wall-clock", "raw-rand", "unordered-iter", "hot-alloc",
                       "pragma-once", "magic-tick", "raw-credit-counter",
-                      "snapshot-coverage", "stale-allow"):
+                      "handler-static-state", "handler-global-state", "stale-allow"):
             self.assertIn(check, res.stdout)
 
     def test_list_allows_counts_suppressions(self):

@@ -24,7 +24,7 @@ TEST(NicDevice, AutonomousModeDeliversAtWireRate) {
   NicConfig nc;
   nc.region = workloads::p2m_region();
   NicDevice nic(host.sim(), host.iio(), nc);
-  host.attach([&nic] { nic.start(); }, [&nic](Tick t) { nic.reset_counters(t); });
+  host.attach(nic);
   host.run(us(100), us(500));
   EXPECT_NEAR(gb_per_s(nic.bytes_accepted(), us(500)), 12.25, 0.5);
   EXPECT_EQ(nic.packets_dropped(), 0u);  // PFC: lossless
@@ -38,7 +38,7 @@ TEST(NicDevice, PfcPausesUnderDmaBackpressure) {
   nc.region = workloads::p2m_region();
   nc.pcie_gb_per_s = 6.0;  // drain slower than the 12.25 GB/s wire
   NicDevice nic(host.sim(), host.iio(), nc);
-  host.attach([&nic] { nic.start(); }, [&nic](Tick t) { nic.reset_counters(t); });
+  host.attach(nic);
   host.run(us(100), us(500));
   EXPECT_EQ(nic.packets_dropped(), 0u);
   EXPECT_GT(nic.pause_fraction(host.sim().now()), 0.3);
@@ -87,7 +87,7 @@ TEST(NicDevice, MixedRxTxProgressUnderCreditExhaustion) {
   nc.tx_region = workloads::p2m_region();
   nc.tx_region.base += 4ull << 30;
   NicDevice nic(host.sim(), host.iio(), nc);
-  host.attach([&nic] { nic.start(); }, [&nic](Tick t) { nic.reset_counters(t); });
+  host.attach(nic);
   host.run(us(100), us(500));
   const double rx_gbps = gb_per_s(nic.bytes_dma(), us(500));
   const double tx_gbps = gb_per_s(nic.bytes_tx(), us(500));
@@ -102,7 +102,7 @@ TEST(NicDevice, TxPathOffByDefault) {
   NicConfig nc;
   nc.region = workloads::p2m_region();
   NicDevice nic(host.sim(), host.iio(), nc);
-  host.attach([&nic] { nic.start(); }, [&nic](Tick t) { nic.reset_counters(t); });
+  host.attach(nic);
   host.run(us(100), us(200));
   EXPECT_EQ(nic.bytes_tx(), 0u);
 }

@@ -28,7 +28,7 @@ TEST_P(NicPcieSweep, LosslessAndBounded) {
   nc.region = workloads::p2m_region();
   nc.pcie_gb_per_s = pcie;
   net::NicDevice nic(host.sim(), host.iio(), nc);
-  host.attach([&nic] { nic.start(); }, [&nic](Tick t) { nic.reset_counters(t); });
+  host.attach(nic);
   host.run(us(150), us(500));
 
   // PFC: nothing dropped, buffer bounded; over the measurement window the
@@ -55,7 +55,7 @@ TEST(NicProperty, PauseFractionMonotoneInDrainRate) {
     nc.region = workloads::p2m_region();
     nc.pcie_gb_per_s = pcie;
     net::NicDevice nic(host.sim(), host.iio(), nc);
-    host.attach([&nic] { nic.start(); }, [&nic](Tick t) { nic.reset_counters(t); });
+    host.attach(nic);
     host.run(us(150), us(400));
     fractions.push_back(nic.pause_fraction(host.sim().now()));
   }
@@ -72,7 +72,7 @@ TEST(NicProperty, PausedThroughputMatchesDrainRate) {
   nc.region = workloads::p2m_region();
   nc.pcie_gb_per_s = 5.0;
   net::NicDevice nic(host.sim(), host.iio(), nc);
-  host.attach([&nic] { nic.start(); }, [&nic](Tick t) { nic.reset_counters(t); });
+  host.attach(nic);
   host.run(us(150), us(500));
   EXPECT_NEAR(gb_per_s(nic.bytes_dma(), us(500)), 5.0, 0.4);
 }

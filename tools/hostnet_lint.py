@@ -47,15 +47,16 @@ Checks (ids are stable; use them in suppressions):
                   Counters that genuinely are not host credit domains (e.g.
                   a TCP sender's wire-side cwnd) get an allow() with a
                   justification.
-  snapshot-coverage
-                  a class that declares save_state() without a matching
-                  HOSTNET_SNAPSHOT_COVERS(Class) descriptor in the same
-                  file. The descriptor asserts the snapshot contract and
-                  opts the class into tools/hostnet_audit.py's
-                  snapshot-state rule (every mutable member lives in the
-                  class's `State st_`, which save/load copy whole;
-                  common/snapshot.hpp); a save_state() without one escapes
-                  that rule.
+  handler-static-state
+                  a mutable function-local `static` / `thread_local` in the
+                  event-handler subsystems (src/sim, src/cpu, src/cha,
+                  src/iio, src/mc, src/net). Fork/replay runs the same
+                  handler from the same checkpoint twice, and state outside
+                  the components' State makes the replays diverge.
+                  const/constexpr data is fine.
+  handler-global-state
+                  a mutable namespace-scope variable in the same
+                  subsystems, for the same reason.
   stale-allow     (--stale only) an allow() directive that no longer
                   suppresses any finding. Dead suppressions rot fast: the
                   code they excused is gone, but they still mask the next
@@ -86,7 +87,7 @@ CXX_EXTENSIONS = (".hpp", ".h", ".cpp", ".cc", ".cxx")
 DEFAULT_ROOTS = ("src", "bench", "tests", "examples")
 # The lint tool's own test corpus: deliberately-bad snippets that must not
 # fail a tree-wide run (tests/test_lint.py scans them explicitly).
-SKIP_DIR_NAMES = {"lint_fixtures", "audit_fixtures", "build", ".git"}
+SKIP_DIR_NAMES = {"lint_fixtures", "build", ".git"}
 SKIP_DIR_PREFIXES = ("build-",)
 
 # Subsystems with a zero-steady-state-allocation contract (DESIGN.md 4a/4b).
@@ -101,6 +102,10 @@ HOT_PATH_DIRS = ("src/sim", "src/mc", "src/cha", "src/cpu", "src/iio", "src/flee
 # there.
 CREDIT_POOL_DIRS = ("src/cpu", "src/cha", "src/iio", "src/mc", "src/net")
 
+# Event-handler subsystems with the fork/replay purity contract (DESIGN.md
+# 4e): all mutable state lives in a component's State.
+HANDLER_DIRS = ("src/sim", "src/cpu", "src/cha", "src/iio", "src/mc", "src/net")
+
 ALLOW_RE = re.compile(r"hostnet-lint:\s*allow\(([^)]*)\)")
 
 CHECKS = {
@@ -111,7 +116,8 @@ CHECKS = {
     "pragma-once": "header missing #pragma once",
     "magic-tick": "magic tick constant outside common/units.hpp",
     "raw-credit-counter": "ad-hoc credit/occupancy counter outside flow::CreditPool",
-    "snapshot-coverage": "class declares save_state() without a HOSTNET_SNAPSHOT_COVERS descriptor",
+    "handler-static-state": "mutable function-local static in a handler subsystem",
+    "handler-global-state": "mutable namespace-scope variable in a handler subsystem",
     "stale-allow": "allow() directive that suppresses nothing (reported with --stale)",
 }
 
@@ -147,15 +153,15 @@ RAW_CREDIT_RE = re.compile(
     r"\b(?:std::)?(?:u?int(?:8|16|32|64)_t|size_t|unsigned(?:\s+(?:int|long))?|int|long)"
     r"\s+(\w*(?:in_use|in_?flight|_used)\w*)\s*(?:=\s*[^;]*)?;"
 )
-# Events for the snapshot-coverage class tracker: braces/semicolons (scope
-# structure), class/struct heads, and save_state mentions that are not
-# member calls (`x.save_state`, `p->save_state`) or out-of-class
-# definitions (`T::save_state` -- the rule anchors on the class body).
-SNAPSHOT_EVENT_RE = re.compile(
-    r"(?P<brace>[{};])"
-    r"|\b(?:class|struct)\s+(?P<cls>[A-Za-z_]\w*)"
-    r"|(?<![.>:\w])(?P<save>save_state)\s*\("
-)
+# A variable with this storage class or specifier is a constant, not state.
+IMMUTABLE_RE = re.compile(r"\b(?:const|constexpr|constinit)\b")
+# Namespace-scope statements that declare no variable.
+NOT_A_VARIABLE_RE = re.compile(
+    r"\b(?:using|typedef|namespace|class|struct|union|enum|template|friend|static_assert"
+    r"|extern|operator|concept|asm|constexpr|constinit|consteval)\b")
+FN_QUALS_RE = re.compile(r"(?:\s|\b(?:const|noexcept|override|final)\b|->[^{}]*)*$")
+INIT_EQ_RE = re.compile(r"(?<![=!<>+\-*/%&|^])=(?!=)")
+PREPROCESSOR_RE = re.compile(r"^[ \t]*#.*(?:\\\n.*)*", re.M)
 
 
 def strip_comments_and_strings(text):
@@ -206,53 +212,91 @@ def strip_comments_and_strings(text):
     return "".join(out)
 
 
-def check_snapshot_coverage(code, report):
-    """Every class declaring save_state() must pair HOSTNET_SNAPSHOT_COVERS.
+def scope_kind(head):
+    """Kind of the scope a '{' opens, from the statement text before it."""
+    h = head.strip()
+    if re.search(r"\benum\b", h):
+        return "enum"
+    if "(" not in h and re.search(r"\b(?:class|struct|union)\b", h):
+        return "class"
+    if "(" not in h and re.search(r"(?:\bnamespace\b[\w:\s]*|\bextern\s*\"\s*\")$", h):
+        return "namespace"
+    return "block"  # function, lambda or control-flow body, or an initializer
 
-    A brace-depth scan keeps a stack of enclosing class/struct bodies; at
-    each in-class save_state() declaration the innermost enclosing class
-    (skipping nested `Snapshot` structs) must have a
-    HOSTNET_SNAPSHOT_COVERS(Class, ...) descriptor somewhere in the file.
-    """
-    stack = []  # (class name, brace depth of its body)
-    depth = 0
-    pending = None  # class head seen, body '{' not yet reached
-    reported = set()
-    lineno, pos = 1, 0
-    for m in SNAPSHOT_EVENT_RE.finditer(code):
-        lineno += code.count("\n", pos, m.start())
-        pos = m.start()
-        if m.group("cls"):
-            before = code[:m.start()].rstrip()
-            # Not a class definition head: a template parameter
-            # (`template <class T>`) or a scoped enum (`enum class Mode`).
-            if before.endswith(("<", ",")) or before.endswith("enum"):
-                continue
-            pending = m.group("cls")
-        elif m.group("save"):
-            for name, _ in reversed(stack):
-                if name == "Snapshot":
-                    continue
-                if name not in reported and not re.search(
-                        r"HOSTNET_SNAPSHOT_COVERS\(\s*" + re.escape(name) + r"\b", code):
-                    reported.add(name)
-                    report(lineno, "snapshot-coverage",
-                           f"'{name}' declares save_state() but the file has no "
-                           f"HOSTNET_SNAPSHOT_COVERS({name}) descriptor; add it next "
-                           "to the class (common/snapshot.hpp) so hostnet_audit.py "
-                           "checks that its mutable state lives in its State")
-                break
-        elif m.group("brace") == "{":
-            depth += 1
-            if pending is not None:
-                stack.append((pending, depth))
-                pending = None
-        elif m.group("brace") == "}":
-            if stack and stack[-1][1] == depth:
-                stack.pop()
-            depth -= 1
-        else:  # ';' before any '{': a forward declaration
-            pending = None
+
+def namespace_variable(stmt):
+    """Name of the mutable variable a namespace-scope statement declares
+    (nested bodies elided to `{}`), or None."""
+    s = stmt.strip()
+    n = 1
+    while n:  # elide parenthesized text (parameter lists, call arguments) to ()
+        s, n = re.subn(r"\([^()]*\)", "\0", s)
+    s = s.replace("\0", "()")
+    if NOT_A_VARIABLE_RE.search(s):
+        return None
+    eq = INIT_EQ_RE.search(s)
+    if eq:
+        s = s[:eq.start()]
+    s = re.sub(r"(?:\s*\{\})+$", "", s.rstrip())  # a brace initializer
+    s = re.sub(r"(?:\s*\[[^\[\]]*\])+$", "", s)  # array bounds
+    m = re.search(r"([A-Za-z_]\w*)$", s)
+    if s.endswith(")") or not m or not s[:m.start()].strip():
+        return None  # a function declaration, a macro call or no declaration
+    type_text = s[:m.start()]
+    if IMMUTABLE_RE.search(type_text[type_text.rfind("*") + 1:]):
+        return None  # `const T x`, `T* const p` (but `const T* p` is mutable)
+    return m.group(1)
+
+
+def check_handler_state(code, report):
+    """A brace scan keeps a stack of scope kinds and each scope's pending
+    statement text (nested bodies elided to `{}`). A complete statement at
+    namespace scope that declares a mutable variable is handler-global-state;
+    a mutable `static` / `thread_local` inside a block scope is
+    handler-static-state."""
+    code = PREPROCESSOR_RE.sub(lambda m: "\n" * m.group(0).count("\n"), code)
+    scopes = [["namespace", "", 0]]  # kind, pending statement, its start offset
+    blocks = []  # (open, close) offsets of block scopes
+    pos = 0
+    for m in re.finditer(r"[{};]", code):
+        cur = scopes[-1]
+        text = code[pos:m.start()]
+        if not cur[1].strip() and text.strip():
+            cur[2] = pos + len(text) - len(text.lstrip())
+        cur[1] += text
+        if m.group(0) == "{":
+            scopes.append([scope_kind(cur[1]), "", m.end(), m.start()])
+        elif m.group(0) == "}":
+            if len(scopes) > 1:
+                closed = scopes.pop()
+                if closed[0] == "block":
+                    blocks.append((closed[3], m.start()))
+                parent = scopes[-1]
+                bare = FN_QUALS_RE.sub("", parent[1]).rstrip()
+                if closed[0] == "namespace" or bare.endswith(")"):
+                    parent[1] = ""  # a namespace or function body ends its statement
+                else:
+                    parent[1] += "{}"
+        else:
+            if cur[0] == "namespace":
+                name = namespace_variable(cur[1])
+                if name:
+                    report(code.count("\n", 0, cur[2]) + 1, "handler-global-state",
+                           f"namespace-scope mutable variable '{name}' in a handler "
+                           "subsystem; fork/replay would diverge -- make it part of a "
+                           "component's State, or const/constexpr")
+            cur[1] = ""
+        pos = m.end()
+    for m in re.finditer(r"\b(?:static|thread_local)\b", code):
+        if not any(o < m.start() < c for o, c in blocks):
+            continue
+        end = code.find(";", m.start())
+        decl = code[m.start():end if end != -1 else len(code)]
+        if not IMMUTABLE_RE.search(decl):
+            report(code.count("\n", 0, m.start()) + 1, "handler-static-state",
+                   f"function-local static mutable state ('{' '.join(decl.split())[:60]}') "
+                   "in a handler subsystem; fork/replay would diverge -- hoist it into "
+                   "the component's State")
 
 
 def rel(path, root):
@@ -329,6 +373,10 @@ def lint_file(path, display_path, collect_allows=None, stale=False):
         display_path.startswith(d + "/") or ("/" + d + "/") in display_path
         for d in CREDIT_POOL_DIRS
     )
+    in_handler = any(
+        display_path.startswith(d + "/") or ("/" + d + "/") in display_path
+        for d in HANDLER_DIRS
+    )
     is_header = display_path.endswith((".hpp", ".h"))
     is_units = display_path.endswith("common/units.hpp")
     in_src = display_path.startswith("src/") or "/src/" in display_path
@@ -348,7 +396,8 @@ def lint_file(path, display_path, collect_allows=None, stale=False):
 
     unordered_names = {m.group(1) for m in UNORDERED_DECL_RE.finditer(code)}
 
-    check_snapshot_coverage(code, report)
+    if in_handler:
+        check_handler_state(code, report)
 
     for lineno, line in enumerate(code_lines, start=1):
         m = WALL_CLOCK_RE.search(line)
