@@ -432,7 +432,7 @@ void BM_SnapshotRestore(benchmark::State& state) {
     host.save_state(snap);
     host.restore(snap);
     allocs += alloc_count() - a0;
-    benchmark::DoNotOptimize(snap.sim.st.now);
+    benchmark::DoNotOptimize(snap.sim_.st_.now);
   }
   state.counters["allocs_per_roundtrip"] =
       static_cast<double>(allocs) /

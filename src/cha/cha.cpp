@@ -1,7 +1,6 @@
 #include "cha/cha.hpp"
 
 #include <cassert>
-#include <type_traits>
 
 namespace hostnet::cha {
 
@@ -159,9 +158,6 @@ void Cha::forward_read(std::uint32_t ch, const mem::Request& req) {
       st_.ports[ch].read_parked.push_back(Transit{req});
     }
   };
-  static_assert(sizeof(arrive) <= sim::Event::kInlineBytes &&
-                    std::is_trivially_copyable_v<decltype(arrive)>,
-                "per-line CHA->MC read hop must stay in the inline Event buffer");
   sim_.schedule(cfg_.t_read_fwd, arrive);
 }
 
@@ -174,9 +170,6 @@ void Cha::forward_write(std::uint32_t ch, const mem::Request& req) {
       st_.ports[ch].write_parked.push_back(Transit{req});
     }
   };
-  static_assert(sizeof(arrive) <= sim::Event::kInlineBytes &&
-                    std::is_trivially_copyable_v<decltype(arrive)>,
-                "per-line CHA->MC write hop must stay in the inline Event buffer");
   sim_.schedule(cfg_.t_write_fwd, arrive);
 }
 

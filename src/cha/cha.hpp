@@ -207,10 +207,6 @@ class Cha final : public mc::ChannelListener {
     HOSTNET_FIELDS(State, ddio, ports, read_pool, write_pool, stations, admission_wait_ns,
                    lines_read, lines_written, ddio_hits)
   };
-  using Snapshot = State;
-
-  void save_state(Snapshot& out) const { out = st_; }
-  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   static constexpr std::size_t idx(mem::TrafficClass c) { return static_cast<std::size_t>(c); }

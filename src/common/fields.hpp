@@ -34,15 +34,27 @@
 // own HOSTNET_FIELDS table), `const` (configuration, derived constants), a
 // reference (wiring), or an owned component (by value, unique_ptr or vector
 // of unique_ptr), which its owner checkpoints with it. A mutable member of
-// any other kind would compile, run and silently escape save_state /
-// load_state. A base class must hold no data: a structured binding needs
-// every member in one class.
+// any other kind would compile, run and silently escape the checkpoint. A
+// base class must hold no data: a structured binding needs every member in
+// one class.
 //
-// HOSTNET_COMPONENT_EXEMPT(m, ...) names members exempt from the kind check;
-// the class says why beside it. HOSTNET_COMPONENT_EXEMPT_ALL() exempts them
-// all (a component whose snapshot is a logical copy that load_state rebuilds
-// its storage from). HOSTNET_COMPONENT_INTERFACE(T) marks a data-free
-// polymorphic base that an owner holds by unique_ptr.
+// The same list generates the checkpoint: a public `Snapshot` with one field
+// per member, named after it (st_ holds a State copy, an owned component its
+// Snapshot, a vector of them a vector of Snapshots, and every other member
+// Nothing), `save_state(Snapshot&) const`, `load_state(const Snapshot&)` and
+// a defaulted `Snapshot::operator==`. Members are copied in list order; a
+// Snapshot's vectors are reused, so a recycled one allocates nothing once
+// warm, and the number of owned children is construction state that
+// load_state asserts.
+//
+// HOSTNET_COMPONENT_EXEMPT(m, ...) names members exempt from the kind check
+// (they contribute Nothing); the class says why beside it.
+// HOSTNET_COMPONENT_EXEMPT_ALL(T, members...) lists the members for the
+// structured binding only: no kind check and no generated checkpoint, for a
+// component that writes its own (CalendarQueue's logical queue copy).
+// HOSTNET_COMPONENT_INTERFACE(T) marks a data-free polymorphic base that an
+// owner holds by unique_ptr; it declares its own Snapshot and a virtual
+// save_state/load_state pair.
 //
 // HOSTNET_COMPONENT also defines `visit_owned(c, fn)`, calling `fn("name",
 // member)` for `st_` and each owned component. for_each_reachable() walks
@@ -50,10 +62,13 @@
 // build uses it to find every flow::CreditPool in the host.
 #pragma once
 
+#include <any>
+#include <cassert>
 #include <concepts>
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -91,9 +106,13 @@
       "component member '" #m "' must be st_ (the State, with a HOSTNET_FIELDS "   \
       "table), const (configuration), a reference (wiring) or an owned component " \
       "(by value, unique_ptr or vector of unique_ptr)");
-#define HOSTNET_CX_OWNED(m)                                                  \
-  if constexpr (::hostnet::fields::is_owned_member<decltype(hostnet_component_t_::m)>(#m)) \
+#define HOSTNET_CX_OWNED(m)                                                        \
+  if constexpr (::hostnet::fields::is_covered_v<decltype(hostnet_component_t_::m)>) \
     hostnet_fields_fn_(#m, hostnet_fields_self_.m);
+#define HOSTNET_CX_SNAP(m) \
+  [[no_unique_address]] ::hostnet::fields::snapshot_t<decltype(hostnet_component_t_::m)> m;
+#define HOSTNET_CX_SAVE(m) ::hostnet::fields::detail::save(m, hostnet_out_.m);
+#define HOSTNET_CX_LOAD(m) ::hostnet::fields::detail::load(m, hostnet_in_.m);
 
 #define HOSTNET_COMPONENT(T, ...)                                                  \
   static constexpr bool hostnet_component_exempt_(std::string_view, long) {        \
@@ -111,6 +130,19 @@
                           [[maybe_unused]] Fn&& hostnet_fields_fn_) {              \
     using hostnet_component_t_ = T;                                                \
     HOSTNET_FOR_EACH(HOSTNET_CX_OWNED, __VA_ARGS__)                                \
+  }                                                                                \
+                                                                                   \
+ public:                                                                           \
+  struct Snapshot {                                                                \
+    using hostnet_component_t_ = T;                                                \
+    HOSTNET_FOR_EACH(HOSTNET_CX_SNAP, __VA_ARGS__)                                 \
+    bool operator==(const Snapshot&) const = default;                              \
+  };                                                                               \
+  void save_state(Snapshot& hostnet_out_) const {                                  \
+    HOSTNET_FOR_EACH(HOSTNET_CX_SAVE, __VA_ARGS__)                                 \
+  }                                                                                \
+  void load_state(const Snapshot& hostnet_in_) {                                   \
+    HOSTNET_FOR_EACH(HOSTNET_CX_LOAD, __VA_ARGS__)                                 \
   }
 
 #define HOSTNET_CX_NAME_IS(m) hostnet_member_ == #m ||
@@ -118,10 +150,16 @@
   static constexpr bool hostnet_component_exempt_(std::string_view hostnet_member_, int) { \
     return HOSTNET_FOR_EACH(HOSTNET_CX_NAME_IS, __VA_ARGS__) false;                     \
   }
-#define HOSTNET_COMPONENT_EXEMPT_ALL()                                      \
-  static constexpr bool hostnet_component_exempt_(std::string_view, int) { \
-    return true;                                                            \
-  }
+
+#define HOSTNET_COMPONENT_EXEMPT_ALL(T, ...)                                          \
+  friend std::type_identity<T> hostnet_component_check(                               \
+      [[maybe_unused]] T& hostnet_fields_self_) {                                     \
+    __VA_OPT__([[maybe_unused]] auto& [__VA_ARGS__] = hostnet_fields_self_;)          \
+    return {};                                                                        \
+  }                                                                                   \
+  template <class Self, class Fn>                                                     \
+    requires std::is_same_v<std::remove_const_t<Self>, T>                             \
+  friend void visit_owned(Self&, Fn&&) {}
 
 #define HOSTNET_COMPONENT_INTERFACE(T)                                          \
   friend std::type_identity<T> hostnet_component_check(T&) {                    \
@@ -151,14 +189,42 @@ inline constexpr bool is_optional_v = false;
 template <class T>
 inline constexpr bool is_optional_v<std::optional<T>> = true;
 
-namespace detail {
-template <class T>
-inline constexpr bool is_owned_v = Component<T>;
-template <class T>
-inline constexpr bool is_owned_v<std::unique_ptr<T>> = Component<T>;
-template <class T>
-inline constexpr bool is_owned_v<std::vector<std::unique_ptr<T>>> = Component<T>;
-}  // namespace detail
+/// What a member that a checkpoint does not cover (const, a reference, an
+/// exempt member) holds in its component's Snapshot.
+struct Nothing {
+  bool operator==(const Nothing&) const = default;
+};
+
+/// The Snapshot field of a member declared as `M`: st_ a copy of its State,
+/// an owned component its Snapshot (a vector of them for a vector), anything
+/// else Nothing.
+template <class M>
+struct snapshot_of {
+  using type = Nothing;
+};
+template <class M>
+  requires(!std::is_reference_v<M> && Table<M>)
+struct snapshot_of<M> {
+  using type = M;
+};
+template <Component M>
+struct snapshot_of<M> {
+  using type = typename M::Snapshot;
+};
+template <Component C>
+struct snapshot_of<std::unique_ptr<C>> {
+  using type = typename C::Snapshot;
+};
+template <Component C>
+struct snapshot_of<std::vector<std::unique_ptr<C>>> {
+  using type = std::vector<typename C::Snapshot>;
+};
+template <class M>
+using snapshot_t = typename snapshot_of<M>::type;
+
+/// The members a checkpoint covers: st_ and the owned components.
+template <class M>
+inline constexpr bool is_covered_v = !std::is_same_v<snapshot_t<M>, Nothing>;
 
 /// The member kinds HOSTNET_COMPONENT accepts; `M` is the declared type.
 template <class M>
@@ -168,17 +234,124 @@ consteval bool member_kind_ok(std::string_view name) {
   else if (name == "st_")
     return Table<M>;
   else
-    return detail::is_owned_v<M>;
+    return is_covered_v<M> && !Table<M>;
 }
 
-/// The members a checkpoint covers: st_ and the owned components.
-template <class M>
-consteval bool is_owned_member(std::string_view name) {
-  if constexpr (std::is_reference_v<M> || std::is_const_v<M>)
-    return false;
-  else
-    return name == "st_" || detail::is_owned_v<M>;
+namespace detail {
+template <class T>
+inline constexpr bool is_vector_v = false;
+template <class T>
+inline constexpr bool is_vector_v<std::vector<T>> = true;
+
+/// HOSTNET_COMPONENT's save_state for one member: `out` is its Snapshot field.
+template <class M, class S>
+void save(const M& m, S& out) {
+  if constexpr (std::is_same_v<S, Nothing>) {
+  } else if constexpr (Table<M>) {
+    out = m;
+  } else if constexpr (Component<M>) {
+    m.save_state(out);
+  } else if constexpr (is_vector_v<M>) {
+    out.resize(m.size());
+    for (std::size_t i = 0; i < m.size(); ++i) m[i]->save_state(out[i]);
+  } else {
+    m->save_state(out);
+  }
 }
+
+/// HOSTNET_COMPONENT's load_state for one member.
+template <class M, class S>
+void load(M& m, const S& s) {
+  if constexpr (std::is_same_v<S, Nothing>) {
+  } else if constexpr (Table<M>) {
+    m = s;
+  } else if constexpr (Component<M>) {
+    m.load_state(s);
+  } else if constexpr (is_vector_v<M>) {
+    assert(s.size() == m.size() && "the number of owned components is construction state");
+    for (std::size_t i = 0; i < m.size(); ++i) m[i]->load_state(s[i]);
+  } else {
+    m->load_state(s);
+  }
+}
+}  // namespace detail
+
+/// A member that stamps its component's Snapshot with the object that saved
+/// it. Event closures and waiters in a snapshot point into that object, so
+/// loading the snapshot into any other throws std::logic_error; listed first
+/// in its component's table, it throws before anything is loaded. Equality
+/// ignores the stamp.
+class OwnerToken {
+ public:
+  struct Snapshot {
+    const void* owner = nullptr;
+    bool operator==(const Snapshot&) const { return true; }
+  };
+  void save_state(Snapshot& out) const { out.owner = this; }
+  void load_state(const Snapshot& s) const {
+    if (s.owner != this)
+      throw std::logic_error(
+          "snapshot restored into an object that did not save it (a snapshot "
+          "holds pointers into the object that saved it)");
+  }
+  HOSTNET_COMPONENT_EXEMPT_ALL(OwnerToken)
+};
+
+/// A component interface for an owner that keeps components of several
+/// types in one list (HostSystem's attached externals). ErasedRef<T>
+/// implements it; its Snapshot holds T's own Snapshot, so == compares them by
+/// value.
+class Erased {
+ public:
+  class Snapshot {
+   public:
+    /// The held S, made (in place of any other type) on first use.
+    template <class S>
+    S& get() {
+      if (!std::any_cast<S>(&value_)) {
+        value_.emplace<S>();
+        equal_ = [](const std::any& a, const std::any& b) {
+          return *std::any_cast<S>(&a) == *std::any_cast<S>(&b);
+        };
+      }
+      return *std::any_cast<S>(&value_);
+    }
+    /// The held S; throws std::bad_any_cast when it holds another type.
+    template <class S>
+    const S& get() const {
+      return std::any_cast<const S&>(value_);
+    }
+    bool operator==(const Snapshot& o) const {
+      return value_.type() == o.value_.type() && (!equal_ || equal_(value_, o.value_));
+    }
+
+   private:
+    std::any value_;
+    bool (*equal_)(const std::any&, const std::any&) = nullptr;
+  };
+
+  virtual ~Erased() = default;
+  virtual void save_state(Snapshot& out) const = 0;
+  virtual void load_state(const Snapshot& s) = 0;
+  HOSTNET_COMPONENT_INTERFACE(Erased)
+};
+
+/// Erased over a component `c` of type T, which the caller keeps alive;
+/// `Base` is Erased or an interface derived from it.
+template <class T, class Base>
+class ErasedRef : public Base {
+ public:
+  explicit ErasedRef(T& c) : c_(c) {}
+  void save_state(Erased::Snapshot& out) const final {
+    c_.save_state(out.template get<typename T::Snapshot>());
+  }
+  void load_state(const Erased::Snapshot& s) final {
+    c_.load_state(s.template get<typename T::Snapshot>());
+  }
+
+ protected:
+  T& c_;
+};
 
 namespace detail {
 template <class T, class Fn>
@@ -199,11 +372,6 @@ void walk(T& v, std::string& path, Fn& fn) {
     fn(std::as_const(path), v);
   }
 }
-
-template <class T>
-inline constexpr bool is_vector_v = false;
-template <class T>
-inline constexpr bool is_vector_v<std::vector<T>> = true;
 
 template <class X, class T>
 inline constexpr bool may_reach_v = std::is_same_v<T, X> || Component<T> || Table<T>;

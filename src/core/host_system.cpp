@@ -62,11 +62,6 @@ iio::StorageDevice& HostSystem::add_storage(const iio::StorageConfig& scfg,
   return *storage_.back();
 }
 
-void HostSystem::add_external(std::unique_ptr<External> e) {
-  assert(!st_.started && "attach components before run()");
-  externals_.push_back(std::move(e));
-}
-
 void HostSystem::run(Tick warmup, Tick measure) {
   if (!st_.started) {
     st_.started = true;
@@ -105,41 +100,10 @@ void HostSystem::reset_counters() {
   for (auto& e : externals_) e->reset_counters(now);
 }
 
-void HostSystem::save_state(Snapshot& out) const {
-  out.owner = this;
-  out.st = st_;
-  sim_.save_state(out.sim);
-  mc_->save_state(out.mc);
-  cha_->save_state(out.cha);
-  out.iios.resize(iios_.size());
-  for (std::size_t i = 0; i < iios_.size(); ++i) iios_[i]->save_state(out.iios[i]);
-  out.cores.resize(cores_.size());
-  for (std::size_t i = 0; i < cores_.size(); ++i) cores_[i]->save_state(out.cores[i]);
-  out.storage.resize(storage_.size());
-  for (std::size_t i = 0; i < storage_.size(); ++i) storage_[i]->save_state(out.storage[i]);
-  out.externals.clear();
-  for (const auto& e : externals_) out.externals.push_back(e->save());
-}
-
 void HostSystem::restore(const Snapshot& s) {
-  // Component snapshots embed raw pointers into the producing host (event
-  // `this` captures, CreditWaiter*, mem::Request::completer): restoring
-  // into any other host would dangle every one of them.
-  if (s.owner != this)
-    throw std::logic_error(
-        "HostSystem::restore: snapshot was produced by a different host "
-        "(component snapshots hold pointers into the producing HostSystem)");
-  assert(s.iios.size() == iios_.size() && s.cores.size() == cores_.size() &&
-         s.storage.size() == storage_.size() && s.externals.size() == externals_.size() &&
-         "host topology is construction state and must match the snapshot");
-  st_ = s.st;
-  sim_.load_state(s.sim);
-  mc_->load_state(s.mc);
-  cha_->load_state(s.cha);
-  for (std::size_t i = 0; i < iios_.size(); ++i) iios_[i]->load_state(s.iios[i]);
-  for (std::size_t i = 0; i < cores_.size(); ++i) cores_[i]->load_state(s.cores[i]);
-  for (std::size_t i = 0; i < storage_.size(); ++i) storage_[i]->load_state(s.storage[i]);
-  for (std::size_t i = 0; i < externals_.size(); ++i) externals_[i]->load(s.externals[i]);
+  // owner_ loads first and refuses another host's snapshot; each owned
+  // vector's load then asserts the topology matches.
+  load_state(s);
 #if defined(HOSTNET_CHECKED) && HOSTNET_CHECKED
   // Restore audit: re-saving the restored event queue must reproduce the
   // snapshot exactly -- i.e. a restore-then-collect run replays the same
@@ -147,7 +111,7 @@ void HostSystem::restore(const Snapshot& s) {
   // cannot diverge; the reconstructed calendar queue is the part to audit.
   sim::Simulator::Snapshot resaved;
   sim_.save_state(resaved);
-  HOSTNET_INVARIANT(sim::Simulator::audit_identical(s.sim, resaved),
+  HOSTNET_INVARIANT(resaved == s.sim_,
                     "HostSystem::restore: restored event queue is not "
                     "identical to the snapshot");
   verify_invariants();

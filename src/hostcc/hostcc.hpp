@@ -64,10 +64,6 @@ class HostCongestionController {
     HOSTNET_FIELDS(State, throttle, last_latency_ns, prev_latency_sum, prev_completions,
                    window_start, throttle_integral, last_change)
   };
-  using Snapshot = State;
-
-  void save_state(Snapshot& out) const { out = st_; }
-  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   void tick();

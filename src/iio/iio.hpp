@@ -136,10 +136,6 @@ class Iio final : public mem::Completer, public cha::ChaClient {
     bool operator==(const State&) const = default;
     HOSTNET_FIELDS(State, write_pool, read_pool, blocked_reads, blocked_writes, pending_reads)
   };
-  using Snapshot = State;
-
-  void save_state(Snapshot& out) const { out = st_; }
-  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   void submit(mem::Request req);

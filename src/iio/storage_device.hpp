@@ -83,10 +83,6 @@ class StorageDevice final : public Device {
     HOSTNET_FIELDS(State, rng, slots, ready_order, next_region_line, interleave_counter,
                    link_busy, waiting_credit, bytes, requests_done)
   };
-  using Snapshot = State;
-
-  void save_state(Snapshot& out) const { out = st_; }
-  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   void issue_request(std::uint32_t slot);

@@ -185,9 +185,6 @@ bool Channel::try_issue(Tick now, Tick& write_done) {
     const Tick done = now + cfg_.timing.t_cas + cfg_.timing.t_trans;
     const mem::Request req = e.req;
     auto completion = [this, req, done] { listener_->on_read_data(req, done); };
-    static_assert(sizeof(completion) <= sim::Event::kInlineBytes &&
-                      std::is_trivially_copyable_v<decltype(completion)>,
-                  "read-completion closure must stay in the inline Event buffer");
     sim_.schedule_at(done, completion);
     listener_->on_rpq_slot_freed(index_, now);
   } else {
@@ -203,9 +200,6 @@ bool Channel::try_issue(Tick now, Tick& write_done) {
         on_kick_event(done);
       }
     };
-    static_assert(sizeof(completion) <= sim::Event::kInlineBytes &&
-                      std::is_trivially_copyable_v<decltype(completion)>,
-                  "write-completion closure must stay in the inline Event buffer");
     sim_.schedule_at(done, completion);
     write_done = done;
   }

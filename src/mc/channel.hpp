@@ -169,10 +169,6 @@ class Channel {
                    next_entry_id, next_kick_at, kick_inflight, fused_kick_at, kick_stats,
                    rpq_pool, wpq_pool, counters)
   };
-  using Snapshot = State;
-
-  void save_state(Snapshot& out) const { out = st_; }
-  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   void release_inactive_banks(SlotQueue& q);

@@ -2,7 +2,6 @@
 // address-map routing. The CHA talks to this class.
 #pragma once
 
-#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -39,24 +38,6 @@ class MemoryController {
 
   void set_listener(ChannelListener* l) {
     for (auto& c : channels_) c->set_listener(l);
-  }
-
-  // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  struct Snapshot {
-    std::vector<Channel::Snapshot> channels;
-    bool operator==(const Snapshot&) const = default;
-  };
-
-  void save_state(Snapshot& out) const {
-    out.channels.resize(channels_.size());
-    for (std::size_t i = 0; i < channels_.size(); ++i)
-      channels_[i]->save_state(out.channels[i]);
-  }
-
-  void load_state(const Snapshot& s) {
-    assert(s.channels.size() == channels_.size() && "channel count is construction state");
-    for (std::size_t i = 0; i < channels_.size(); ++i)
-      channels_[i]->load_state(s.channels[i]);
   }
 
  private:

@@ -13,7 +13,6 @@
 //    drops -> DCTCP congestion response at the sender.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -126,10 +125,6 @@ class CopyCore final : public mem::Completer, public cha::ChaClient {
     HOSTNET_FIELDS(State, busy, lines_to_issue, lines_outstanding, line_cursor, blocked_reads,
                    blocked_writes, lfb, packets_copied, lines_copied)
   };
-  using Snapshot = State;
-
-  void save_state(Snapshot& out) const { out = st_; }
-  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   void try_start_packet();
@@ -218,31 +213,6 @@ class TcpReceiver final : public core::P2MTransport {
                    window_start, packets_copied, packets_offered, packets_dropped,
                    packets_marked, packets_accepted)
   };
-  struct Snapshot {
-    State st;
-    NicDevice::Snapshot nic;
-    std::vector<CopyCore::Snapshot> copy_cores;
-    TcpStack::Snapshot stack;
-    bool operator==(const Snapshot&) const = default;
-  };
-
-  void save_state(Snapshot& out) const {
-    out.st = st_;
-    nic_->save_state(out.nic);
-    out.copy_cores.resize(copy_cores_.size());
-    for (std::size_t i = 0; i < copy_cores_.size(); ++i)
-      copy_cores_[i]->save_state(out.copy_cores[i]);
-    stack_->save_state(out.stack);
-  }
-
-  void load_state(const Snapshot& s) {
-    st_ = s.st;
-    nic_->load_state(s.nic);
-    assert(s.copy_cores.size() == copy_cores_.size());
-    for (std::size_t i = 0; i < copy_cores_.size(); ++i)
-      copy_cores_[i]->load_state(s.copy_cores[i]);
-    stack_->load_state(s.stack);
-  }
 
  private:
   void sender_pump();

@@ -112,10 +112,6 @@ class NicDevice final : public iio::Device {
                    arrival_scheduled, bytes_accepted, bytes_dma, bytes_tx, packets_accepted,
                    packets_dropped, packets_marked, pause_started, paused_time, window_start)
   };
-  using Snapshot = State;
-
-  void save_state(Snapshot& out) const { out = st_; }
-  void load_state(const Snapshot& s) { st_ = s; }
 
  private:
   void arrival();

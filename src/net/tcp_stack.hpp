@@ -87,52 +87,14 @@ struct TransportTelemetry {
   bool operator==(const TransportTelemetry&) const = default;
 };
 
-// -- congestion state (DESIGN.md section 4e) ---------------------------------
-// Each stack keeps all of its mutable CC state in one of these structs. They
-// sit at namespace scope so TcpStack::Snapshot, the variant the engine
-// carries inside TcpReceiver::Snapshot, can name all three.
-
-/// DctcpStack's state: cwnd and the mark-fraction EWMA.
-struct DctcpState {
-  double cwnd = 16;
-  double alpha = 0;
-  bool operator==(const DctcpState&) const = default;
-  HOSTNET_FIELDS(DctcpState, cwnd, alpha)
-};
-
-/// BbrStack's state: the bandwidth and RTT filters and the pacing gate.
-struct BbrState {
-  static constexpr std::size_t kWindowEpochs = 10;  ///< bw/RTT filter depth
-  double cwnd = 0;
-  std::array<double, kWindowEpochs> bw_window{};  ///< delivered pkts per epoch
-  std::array<Tick, kWindowEpochs> rtt_window{};   ///< per-epoch min RTT (0 = none)
-  std::uint64_t epochs = 0;                       ///< epochs folded into the filters
-  std::uint32_t gain_idx = 0;                     ///< position in the gain cycle
-  Tick next_send = 0;                             ///< pacing gate opens here
-  Tick pace_interval = 0;                         ///< 0 until first bw estimate
-  bool operator==(const BbrState&) const = default;
-  HOSTNET_FIELDS(BbrState, cwnd, bw_window, rtt_window, epochs, gain_idx, next_send,
-                 pace_interval)
-};
-
-/// DavisStack's state: cwnd and the min-RTT filter.
-struct DavisState {
-  static constexpr std::size_t kWindowEpochs = 16;  ///< min-RTT filter depth
-  double cwnd = 0;
-  std::array<Tick, kWindowEpochs> rtt_window{};  ///< per-epoch min RTT (0 = none)
-  std::uint64_t epochs = 0;
-  bool operator==(const DavisState&) const = default;
-  HOSTNET_FIELDS(DavisState, cwnd, rtt_window, epochs)
-};
-
 /// Every stack saturates at the same cap the original receiver used.
 inline constexpr double kMaxCwnd = 2048.0;
 inline constexpr double kMinCwnd = 2.0;
 
 /// One congestion-control algorithm driving the TcpReceiver engine. The
 /// engine calls the hooks at its event sites; the stack owns nothing but CC
-/// state, all of it in its State struct above (the engine carries a copy of
-/// it inside its own snapshot).
+/// state, all of it in its State (the engine carries a copy of it inside its
+/// own snapshot).
 class TcpStack {
  public:
   virtual ~TcpStack() = default;
@@ -170,20 +132,38 @@ class TcpStack {
   virtual bool ack_on_delivery() const { return false; }
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  // A copy of the concrete stack's State; a stack restores only from its own
-  // alternative (std::get throws on a mismatch).
-  using Snapshot = std::variant<DctcpState, BbrState, DavisState>;
+  // The concrete stack's generated Snapshot: a variant over the three stacks,
+  // defined below them. A stack restores only from its own alternative
+  // (std::get throws on a mismatch).
+  struct Snapshot;
   virtual void save_state(Snapshot& out) const = 0;
   virtual void load_state(const Snapshot& s) = 0;
 
   HOSTNET_COMPONENT_INTERFACE(TcpStack)
 };
 
+/// The stacks' base: implements TcpStack's checkpoint pair with the pair that
+/// the stack's own member table generates.
+template <class Self>
+class TcpStackOf : public TcpStack {
+ public:
+  void save_state(TcpStack::Snapshot& out) const final;
+  void load_state(const TcpStack::Snapshot& s) final;
+};
+
 /// DCTCP: cwnd follows the ECN mark fraction through the alpha EWMA --
 /// the exact arithmetic of the pre-refactor TcpReceiver::rtt_epoch(), in
 /// the same order, so goldens stay byte-identical.
-class DctcpStack final : public TcpStack {
+class DctcpStack final : public TcpStackOf<DctcpStack> {
  public:
+  /// cwnd and the mark-fraction EWMA.
+  struct State {
+    double cwnd = 16;
+    double alpha = 0;
+    bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, cwnd, alpha)
+  };
+
   DctcpStack(double initial_cwnd, double g) : g_(g) { st_.cwnd = initial_cwnd; }
 
   core::TcpStackKind kind() const override { return core::TcpStackKind::kDctcp; }
@@ -191,10 +171,6 @@ class DctcpStack final : public TcpStack {
   void on_epoch(const TransportTelemetry& t, Tick now) override;
 
   double cwnd() const override { return st_.cwnd; }
-
-  using State = DctcpState;
-  void save_state(Snapshot& out) const override { out = st_; }
-  void load_state(const Snapshot& s) override { st_ = std::get<State>(s); }
 
  private:
   const double g_;
@@ -209,10 +185,24 @@ class DctcpStack final : public TcpStack {
 /// 1.25/0.75 probe-drain cycle. cwnd caps inflight at 2x the estimated
 /// BDP. Losses are not a primary signal (the bandwidth filter already sees
 /// the delivery collapse), matching BBR's design.
-class BbrStack final : public TcpStack {
+class BbrStack final : public TcpStackOf<BbrStack> {
  public:
-  static constexpr std::size_t kWindowEpochs = BbrState::kWindowEpochs;
+  static constexpr std::size_t kWindowEpochs = 10;  ///< bw/RTT filter depth
   static constexpr std::size_t kGainPhases = 8;
+
+  /// The bandwidth and RTT filters and the pacing gate.
+  struct State {
+    double cwnd = 0;
+    std::array<double, kWindowEpochs> bw_window{};  ///< delivered pkts per epoch
+    std::array<Tick, kWindowEpochs> rtt_window{};   ///< per-epoch min RTT (0 = none)
+    std::uint64_t epochs = 0;                       ///< epochs folded into the filters
+    std::uint32_t gain_idx = 0;                     ///< position in the gain cycle
+    Tick next_send = 0;                             ///< pacing gate opens here
+    Tick pace_interval = 0;                         ///< 0 until first bw estimate
+    bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, cwnd, bw_window, rtt_window, epochs, gain_idx, next_send,
+                   pace_interval)
+  };
 
   BbrStack(double initial_cwnd, Tick base_rtt) : base_rtt_(base_rtt) { st_.cwnd = initial_cwnd; }
 
@@ -230,10 +220,6 @@ class BbrStack final : public TcpStack {
   double max_bw_packets_per_epoch() const;  ///< current bandwidth estimate
   Tick min_rtt() const;                     ///< current propagation estimate
 
-  using State = BbrState;
-  void save_state(Snapshot& out) const override { out = st_; }
-  void load_state(const Snapshot& s) override { st_ = std::get<State>(s); }
-
  private:
   const Tick base_rtt_;
   State st_;
@@ -246,10 +232,19 @@ class BbrStack final : public TcpStack {
 /// above it, cwnd backs off multiplicatively (x kBackoff), else it grows
 /// by one packet per epoch. Drops still halve (delay-based senders are not
 /// loss-blind, they just rarely get that far).
-class DavisStack final : public TcpStack {
+class DavisStack final : public TcpStackOf<DavisStack> {
  public:
-  static constexpr std::size_t kWindowEpochs = DavisState::kWindowEpochs;
+  static constexpr std::size_t kWindowEpochs = 16;  ///< min-RTT filter depth
   static constexpr double kBackoff = 0.8;
+
+  /// cwnd and the min-RTT filter.
+  struct State {
+    double cwnd = 0;
+    std::array<Tick, kWindowEpochs> rtt_window{};  ///< per-epoch min RTT (0 = none)
+    std::uint64_t epochs = 0;
+    bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, cwnd, rtt_window, epochs)
+  };
 
   DavisStack(double initial_cwnd, Tick base_rtt)
       : queue_tolerance_(base_rtt / 8) {
@@ -265,15 +260,28 @@ class DavisStack final : public TcpStack {
 
   Tick min_rtt() const;  ///< current congestion-free baseline estimate
 
-  using State = DavisState;
-  void save_state(Snapshot& out) const override { out = st_; }
-  void load_state(const Snapshot& s) override { st_ = std::get<State>(s); }
-
  private:
   const Tick queue_tolerance_;
   State st_;
   HOSTNET_COMPONENT(DavisStack, queue_tolerance_, st_)
 };
+
+struct TcpStack::Snapshot
+    : std::variant<DctcpStack::Snapshot, BbrStack::Snapshot, DavisStack::Snapshot> {
+  bool operator==(const Snapshot&) const = default;
+};
+
+template <class Self>
+void TcpStackOf<Self>::save_state(TcpStack::Snapshot& out) const {
+  using S = typename Self::Snapshot;
+  if (!std::holds_alternative<S>(out)) out.template emplace<S>();
+  static_cast<const Self&>(*this).save_state(std::get<S>(out));
+}
+
+template <class Self>
+void TcpStackOf<Self>::load_state(const TcpStack::Snapshot& s) {
+  static_cast<Self&>(*this).load_state(std::get<typename Self::Snapshot>(s));
+}
 
 /// Build the stack a TcpConfig selects (defined in net/tcp_stacks.cpp).
 std::unique_ptr<TcpStack> make_tcp_stack(const TcpConfig& cfg);

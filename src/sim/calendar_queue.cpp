@@ -169,11 +169,7 @@ void CalendarQueue::verify_invariants() const {
 }
 
 void CalendarQueue::save_list(const List& l, std::vector<Snapshot::Item>& out) const {
-  for (Handle h = l.head; h != kNil; h = next_[h]) {
-    const Event& ev = event(h);
-    assert(ev.clonable() && "pending event not checkpointable");
-    out.push_back(Snapshot::Item{at_[h], ev.clone()});
-  }
+  for (Handle h = l.head; h != kNil; h = next_[h]) out.push_back(Snapshot::Item{at_[h], event(h)});
 }
 
 void CalendarQueue::save_state(Snapshot& out) const {
@@ -191,11 +187,10 @@ void CalendarQueue::save_state(Snapshot& out) const {
 }
 
 void CalendarQueue::load_state(const Snapshot& s) {
-  // Destroy every pending closure and thread all handles onto the free list,
-  // lowest index first; the chunks themselves are kept.
+  // Thread all handles onto the free list, lowest index first; the chunks
+  // themselves are kept.
   free_ = kNil;
   for (std::size_t h = next_.size(); h-- > 0;) {
-    event(static_cast<Handle>(h)).reset();
     next_[h] = free_;
     free_ = static_cast<Handle>(h);
   }
@@ -209,7 +204,7 @@ void CalendarQueue::load_state(const Snapshot& s) {
   size_ = s.l0.size() + s.l1.size() + s.overflow.size();
   const auto adopt = [this](const Snapshot::Item& it) {
     const Handle h = acquire();
-    event(h) = it.ev.clone();
+    event(h) = it.ev;
     at_[h] = it.at;
     return h;
   };
@@ -225,19 +220,6 @@ void CalendarQueue::load_state(const Snapshot& s) {
     append(buckets_[b], adopt(it));
   }
   for (const Snapshot::Item& it : s.overflow) append(overflow_[it.at], adopt(it));
-}
-
-bool CalendarQueue::audit_identical(const Snapshot& a, const Snapshot& b) {
-  if (a.win_start != b.win_start || a.cursor != b.cursor) return false;
-  const auto levels_match = [](const std::vector<Snapshot::Item>& x,
-                               const std::vector<Snapshot::Item>& y) {
-    if (x.size() != y.size()) return false;
-    for (std::size_t i = 0; i < x.size(); ++i)
-      if (x[i].at != y[i].at || !x[i].ev.audit_identical(y[i].ev)) return false;
-    return true;
-  };
-  return levels_match(a.l0, b.l0) && levels_match(a.l1, b.l1) &&
-         levels_match(a.overflow, b.overflow);
 }
 
 }  // namespace hostnet::sim

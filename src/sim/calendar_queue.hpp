@@ -152,9 +152,7 @@ class CalendarQueue {
   /// so the running closure stays valid (the flat tick and link arrays
   /// may reallocate, so no reference into them is held across the call).
   void fire(Handle h) {
-    Event& ev = event(h);
-    ev();
-    ev.reset();
+    event(h)();
     next_[h] = free_;
     free_ = h;
   }
@@ -182,29 +180,26 @@ class CalendarQueue {
     struct Item {
       Tick at = 0;
       Event ev;
+      bool operator==(const Item&) const = default;
     };
     Tick win_start = 0;
     Tick cursor = 0;
     std::vector<Item> l0;        ///< current-window events, tick then FIFO order
     std::vector<Item> l1;        ///< L1 events, bucket-index then insertion order
     std::vector<Item> overflow;  ///< beyond-horizon events, map then FIFO order
+    /// Identical tick sequences per level and equal closures (Event::==).
+    bool operator==(const Snapshot&) const = default;
   };
 
   /// Copy the full pending-event state into `out` (vectors are reused, so a
-  /// recycled Snapshot allocates nothing once warmed). Every pending event
-  /// must be clonable() -- asserted, since a non-clonable event would be
-  /// silently lost on restore.
+  /// recycled Snapshot allocates nothing once warmed). Closures are copied
+  /// byte for byte.
   void save_state(Snapshot& out) const;
 
-  /// Restore the state captured by save_state(). Destroys every pending
+  /// Restore the state captured by save_state(). Drops every pending
   /// event, keeps the pool's chunks (so a warm restore allocates nothing),
   /// and rebuilds the free list, level lists and bitmaps directly.
   void load_state(const Snapshot& s);
-
-  /// Checkpoint-audit equality of two snapshots: identical tick sequences
-  /// per level and Event::audit_identical() closures. Powers the
-  /// HOSTNET_CHECKED restore-then-resave audit in HostSystem::restore().
-  static bool audit_identical(const Snapshot& a, const Snapshot& b);
 
  private:
   static constexpr Handle kNil = ~Handle{0};
@@ -289,7 +284,7 @@ class CalendarQueue {
   /// fall inside the window.
   void advance_to(Tick target);
 
-  /// Emit every event of list `l` into `out` as (tick, clone) items.
+  /// Emit every event of list `l` into `out` as (tick, event) items.
   void save_list(const List& l, std::vector<Snapshot::Item>& out) const;
 
   Tick win_start_ = 0;  ///< aligned to kWindowTicks
@@ -309,8 +304,7 @@ class CalendarQueue {
   Handle free_ = kNil;
   // Every member is storage, none is state: the snapshot is the logical
   // queue (Snapshot above), and load_state() rebuilds all of this from it.
-  HOSTNET_COMPONENT_EXEMPT_ALL()
-  HOSTNET_COMPONENT(CalendarQueue, win_start_, cursor_, size_, slots_, buckets_, slot_bits_,
+  HOSTNET_COMPONENT_EXEMPT_ALL(CalendarQueue, win_start_, cursor_, size_, slots_, buckets_, slot_bits_,
                     bucket_bits_, overflow_, chunks_, at_, next_, free_)
 };
 

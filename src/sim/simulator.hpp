@@ -4,9 +4,9 @@
 // bucketed by tick with FIFO same-tick buckets (see calendar_queue.hpp), so
 // simulations are deterministic by construction: two events scheduled for
 // the same tick fire in the order they were scheduled. A scheduled closure
-// is constructed once, in its queue node, and fired there; the
-// schedule/fire path performs no heap allocation for closures up to
-// Event::kInlineBytes once the queue's node pool has warmed up.
+// (at most Event::kInlineBytes, trivially copyable) is constructed once, in
+// its queue node, and fired there; the schedule/fire path performs no heap
+// allocation once the queue's node pool has warmed up.
 #pragma once
 
 #include <cassert>
@@ -70,25 +70,6 @@ class Simulator {
     bool operator==(const State&) const = default;
     HOSTNET_FIELDS(State, now, executed)
   };
-  struct Snapshot {
-    State st;
-    CalendarQueue::Snapshot queue;
-    /// Equality is audit_identical(): closures compare as the queue audit
-    /// compares them.
-    bool operator==(const Snapshot& o) const { return audit_identical(*this, o); }
-  };
-
-  void save_state(Snapshot& out) const {
-    out.st = st_;
-    queue_.save_state(out.queue);
-  }
-  void load_state(const Snapshot& s) {
-    st_ = s.st;
-    queue_.load_state(s.queue);
-  }
-  static bool audit_identical(const Snapshot& a, const Snapshot& b) {
-    return a.st == b.st && CalendarQueue::audit_identical(a.queue, b.queue);
-  }
 
  private:
   State st_;

@@ -38,12 +38,9 @@ class PoolPort {
     bool operator==(const State&) const = default;
     HOSTNET_FIELDS(State, txq, sent)
   };
-  using Snapshot = State;
 
   void start() {}
   void reset_counters(Tick) {}
-  void save_state(Snapshot& out) const { out = st_; }
-  void load_state(const Snapshot& s) { st_ = s; }
   flow::CreditPool& txq() { return st_.txq; }
 
  private:

@@ -72,20 +72,10 @@ void expect_identical(const RunOutcome& a, const RunOutcome& b) {
   expect_identical(a.metrics, b.metrics);
 }
 
-/// Whole-host state equality, component by component, through each State's
-/// operator== (the event queue through Simulator::audit_identical). `owner`
-/// is not compared, and the externals are opaque blobs: callers that know a
-/// blob's type compare it themselves.
-void expect_same_state(const HostSnapshot& a, const HostSnapshot& b) {
-  EXPECT_TRUE(a.st == b.st);
-  EXPECT_TRUE(a.sim == b.sim);
-  EXPECT_TRUE(a.mc == b.mc);
-  EXPECT_TRUE(a.cha == b.cha);
-  EXPECT_TRUE(a.iios == b.iios);
-  EXPECT_TRUE(a.cores == b.cores);
-  EXPECT_TRUE(a.storage == b.storage);
-  EXPECT_EQ(a.externals.size(), b.externals.size());
-}
+/// Whole-host state equality: every component's State, the pending events
+/// and each attached external's own Snapshot (the owner stamp is not
+/// compared).
+void expect_same_state(const HostSnapshot& a, const HostSnapshot& b) { EXPECT_TRUE(a == b); }
 
 /// The credit-ledger balances of every registered flow-control pool.
 std::vector<std::uint32_t> ledger_balances(HostSystem& host) {
@@ -172,8 +162,8 @@ TEST(Checkpoint, ForkWithFusedWakeUpPendingMatchesCold) {
   host.add_storage(workloads::fio_p2m_write(hc, workloads::p2m_region()));
   host.run(us(20), 0);
   auto fused_pending = [](const HostSnapshot& s) {
-    for (const auto& ch : s.mc.channels)
-      if (ch.fused_kick_at != mc::Channel::kNever) return true;
+    for (const auto& ch : s.mc_.channels_)
+      if (ch.st_.fused_kick_at != mc::Channel::kNever) return true;
     return false;
   };
   HostSnapshot checkpoint = host.snapshot();
@@ -253,12 +243,31 @@ TEST(Checkpoint, HostccControllerRoundTrips) {
   EXPECT_EQ(throttle1, cc.avg_throttle(host.sim().now()));
   EXPECT_GT(throttle1, 0.0);
   const HostSnapshot end2 = host.snapshot();
+  EXPECT_EQ(end1.externals_.size(), 1u);
   expect_same_state(end1, end2);
-  ASSERT_EQ(end1.externals.size(), 1u);
-  const auto controller = [](const HostSnapshot& s) -> const hostcc::HostCongestionController::State& {
-    return *static_cast<const hostcc::HostCongestionController::State*>(s.externals[0].get());
-  };
-  EXPECT_TRUE(controller(end1) == controller(end2));
+}
+
+TEST(Checkpoint, AttachedExternalStateIsPartOfTheHostSnapshot) {
+  // An attached component's State is compared and restored with the host's
+  // own: editing it in one of two equal snapshots makes them unequal, and a
+  // restore hands the edit to the component.
+  const HostConfig hc = cascade_lake();
+  HostSystem host(hc, 5);
+  host.add_core(workloads::c2m_read_write(workloads::c2m_core_region(0)));
+  host.add_storage(workloads::fio_p2m_write(hc, workloads::p2m_region()));
+  hostcc::HostccConfig ccfg;
+  ccfg.target_p2m_latency_ns = 100;
+  hostcc::HostCongestionController cc(host, ccfg);
+  host.run(us(20), 0);
+  const HostSnapshot a = host.snapshot();
+  HostSnapshot b = host.snapshot();
+  EXPECT_TRUE(a == b);
+  b.externals_[0].get<hostcc::HostCongestionController::Snapshot>().st_.throttle += 0.25;
+  EXPECT_FALSE(a == b);
+  host.restore(b);
+  EXPECT_TRUE(host.snapshot() == b);
+  host.restore(a);
+  EXPECT_TRUE(host.snapshot() == a);
 }
 
 TEST(Checkpoint, DctcpReceiverRoundTrips) {
@@ -284,15 +293,11 @@ TEST(Checkpoint, DctcpReceiverRoundTrips) {
   EXPECT_EQ(executed1, host.sim().events_executed());
   expect_identical(m1, m2);
   EXPECT_GT(goodput1, 0.0);
-  // The whole end state, the receiver's transport blob (NIC, copy cores,
-  // engine and congestion state) included.
+  // The whole end state, the receiver's (NIC, copy cores, engine and
+  // congestion state) included.
   const HostSnapshot end2 = host.snapshot();
+  EXPECT_EQ(end1.externals_.size(), 1u);
   expect_same_state(end1, end2);
-  ASSERT_EQ(end1.externals.size(), 1u);
-  const auto transport = [](const HostSnapshot& s) -> const net::TcpReceiver::Snapshot& {
-    return *static_cast<const net::TcpReceiver::Snapshot*>(s.externals[0].get());
-  };
-  EXPECT_TRUE(transport(end1) == transport(end2));
 }
 
 // -- fork-from-checkpoint windows --------------------------------------------

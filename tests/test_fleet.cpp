@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -552,6 +553,39 @@ TEST(FleetRunner, SingleSidedHostsAreRegimeNone) {
   // Single-sided hosts run one window each: degradation is exactly 1.
   EXPECT_EQ(r.agg.tenants[0].mean_degradation(), 1.0);
   EXPECT_EQ(r.agg.tenants[1].mean_degradation(), 1.0);
+}
+
+TEST(FleetRunner, TenantThatCompletedNothingHasNoLatency) {
+  // A 1 ms DRAM transfer time (the 1 s Tick cap allows it): in a 300 us
+  // window neither tenant completes a request. An empty window has no
+  // latency, so neither tenant gets a latency sample, and the report prints
+  // "-" where an empty mean of 0 once printed as the fleet's fastest 1 ns.
+  const fleet::Scenario sc = fleet::Scenario::parse(
+      "fleet stall\nwarmup_us 100\nmeasure_us 300\n"
+      "template t\n  preset cascade-lake\n  set mc.timing.t_trans 1000000000\n"
+      "  c2m a c2m_read_write cores=2\n  p2m b fio_write\nend\nhosts 1 t\n");
+  const fleet::FleetReport r = run(sc, 0, core::SweepMode::kFork);
+  ASSERT_EQ(r.agg.tenants.size(), 2u);
+  for (const fleet::TenantAggregate& t : r.agg.tenants) {
+    EXPECT_EQ(t.placements, 1u);
+    EXPECT_EQ(t.colo_score_sum, 0.0);
+    EXPECT_EQ(t.latency.count(), 0u);
+  }
+  // Each tenant row ends in three "-" latency columns.
+  std::istringstream report(fleet::format_report(sc, r));
+  int rows = 0;
+  for (std::string line; std::getline(report, line);) {
+    if (line.rfind("a ", 0) != 0 && line.rfind("b ", 0) != 0) continue;
+    ++rows;
+    std::istringstream cells(line);
+    std::vector<std::string> v;
+    for (std::string c; cells >> c;) v.push_back(c);
+    ASSERT_EQ(v.size(), 7u) << line;
+    EXPECT_EQ(v[4], "-") << line;
+    EXPECT_EQ(v[5], "-") << line;
+    EXPECT_EQ(v[6], "-") << line;
+  }
+  EXPECT_EQ(rows, 2);
 }
 
 }  // namespace

@@ -101,10 +101,14 @@ class BadFixtures(unittest.TestCase):
                              "handler-static-state", 2)
 
     def test_unknown_allow_id_is_an_error(self):
+        # The bad directive is reported under its own id at its own line, and
+        # the rest of the file is still linted: line 5's rand() (which the
+        # typo did not suppress) is a finding too.
         res = run_lint(fixture("bad_allow_id.cpp"))
         self.assertEqual(res.returncode, 1, msg=res.stdout + res.stderr)
-        self.assertIn("bad allow() directive", res.stdout)
+        self.assertIn("bad_allow_id.cpp:5: [bad-allow] bad allow() directive", res.stdout)
         self.assertIn("no-such-check", res.stdout)
+        self.assertIn("bad_allow_id.cpp:5: [raw-rand]", res.stdout)
 
 
 class CleanFixtures(unittest.TestCase):
@@ -168,7 +172,8 @@ class ToolInterface(unittest.TestCase):
         self.assertEqual(res.returncode, 0)
         for check in ("wall-clock", "raw-rand", "unordered-iter", "hot-alloc",
                       "pragma-once", "magic-tick", "raw-credit-counter",
-                      "handler-static-state", "handler-global-state", "stale-allow"):
+                      "handler-static-state", "handler-global-state", "stale-allow",
+                      "bad-allow"):
             self.assertIn(check, res.stdout)
 
     def test_list_allows_counts_suppressions(self):

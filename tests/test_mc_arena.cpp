@@ -545,7 +545,7 @@ TEST(McArenaDeathTest, StaleWaitingBankSetTripsAudit) {
   ch.verify_invariants();
   Channel::Snapshot snap;
   ch.save_state(snap);
-  SlotQueue& rpq = snap.rpq;
+  SlotQueue& rpq = snap.st_.rpq;
   ASSERT_NE(rpq.unprepped_window_head(), SlotQueue::kNil);
   rpq.entry(rpq.unprepped_window_head()).coord.bank = 3;
   ch.load_state(snap);
@@ -565,7 +565,7 @@ TEST(McArenaDeathTest, StrayOwnedBankTripsAudit) {
   ch.verify_invariants();
   Channel::Snapshot snap;
   ch.save_state(snap);
-  snap.banks_owned[0] |= std::uint64_t{1} << 3;
+  snap.st_.banks_owned[0] |= std::uint64_t{1} << 3;
   ch.load_state(snap);
   EXPECT_DEATH(ch.verify_invariants(), "owned bank has no prepped entry");
 }
@@ -587,7 +587,7 @@ TEST(McArenaDeathTest, StaleWaitingBankSetTripsSkippedScanAudit) {
   }
   Channel::Snapshot snap;
   ch.save_state(snap);
-  snap.rpq.entry(snap.rpq.unprepped_window_head()).coord.bank = 3;
+  snap.st_.rpq.entry(snap.st_.rpq.unprepped_window_head()).coord.bank = 3;
   ch.load_state(snap);
   mem::Request req;
   req.addr = 3 * kCachelineBytes;
@@ -607,7 +607,7 @@ bool run_until_fused_pending(sim::Simulator& sim, Channel& ch) {
     ch.enqueue_write(req, map.decode(req.addr));
     sim.run_until(sim.now() + ns(1));
     ch.save_state(snap);
-    if (snap.fused_kick_at != Channel::kNever) return true;
+    if (snap.st_.fused_kick_at != Channel::kNever) return true;
   }
   return false;
 }
@@ -625,7 +625,7 @@ TEST(McArenaDeathTest, StaleFusedWakeUpTripsAudit) {
   ch.verify_invariants();
   Channel::Snapshot snap;
   ch.save_state(snap);
-  std::erase(snap.kick_inflight, snap.fused_kick_at);
+  std::erase(snap.st_.kick_inflight, snap.st_.fused_kick_at);
   ch.load_state(snap);
   EXPECT_DEATH(ch.verify_invariants(), "mc.fused-kick");
 }

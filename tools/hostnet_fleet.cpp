@@ -50,12 +50,19 @@ void print_json(const fleet::Scenario& sc, const fleet::FleetReport& r) {
   for (std::size_t i = 0; i < sc.tenants().size(); ++i) {
     const fleet::TenantAggregate& a = r.agg.tenants[i];
     const double n = a.placements ? static_cast<double>(a.placements) : 1.0;
+    // null for a tenant whose windows completed nothing: it has no latency.
+    const auto lat = [&a](double v) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.6g", v);
+      return a.latency.count() > 0 ? std::string(buf) : std::string("null");
+    };
     std::printf("    {\"name\": \"%s\", \"placements\": %llu, \"mean_score\": %.6g, "
-                "\"mean_degradation\": %.6g, \"latency_ns\": {\"p50\": %.6g, \"p99\": %.6g, "
-                "\"p999\": %.6g}}%s\n",
+                "\"mean_degradation\": %.6g, \"latency_ns\": {\"p50\": %s, \"p99\": %s, "
+                "\"p999\": %s}}%s\n",
                 sc.tenants()[i].c_str(), static_cast<unsigned long long>(a.placements),
-                a.colo_score_sum / n, a.mean_degradation(), a.latency.p50(), a.latency.p99(),
-                a.latency.p999(), i + 1 < sc.tenants().size() ? "," : "");
+                a.colo_score_sum / n, a.mean_degradation(), lat(a.latency.p50()).c_str(),
+                lat(a.latency.p99()).c_str(), lat(a.latency.p999()).c_str(),
+                i + 1 < sc.tenants().size() ? "," : "");
   }
   std::printf("  ]\n}\n");
 }

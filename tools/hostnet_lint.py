@@ -61,6 +61,9 @@ Checks (ids are stable; use them in suppressions):
                   suppresses any finding. Dead suppressions rot fast: the
                   code they excused is gone, but they still mask the next
                   genuine finding on that line.
+  bad-allow       an allow() directive naming an unknown check id (a typo
+                  suppresses nothing). Reported at the directive's line; its
+                  known ids still apply and the rest of the file is linted.
 
 Suppression: append `// hostnet-lint: allow(<check>[, <check>...])` to the
 offending line, or put it alone on the line above. Suppressions are meant to
@@ -119,6 +122,7 @@ CHECKS = {
     "handler-static-state": "mutable function-local static in a handler subsystem",
     "handler-global-state": "mutable namespace-scope variable in a handler subsystem",
     "stale-allow": "allow() directive that suppresses nothing (reported with --stale)",
+    "bad-allow": "allow() directive naming an unknown check id",
 }
 
 WALL_CLOCK_RE = re.compile(
@@ -322,16 +326,18 @@ class Finding:
 def parse_allows(raw_lines):
     """Parse allow() directives out of a file's raw lines.
 
-    Returns (allows, directives): `allows` maps line number -> set of check
-    ids suppressed on that line; `directives` lists each directive as
+    Returns (allows, directives, bad): `allows` maps line number -> set of
+    check ids suppressed on that line; `directives` lists each directive as
     (directive_line, ids, covered_lines) so --stale can flag the ones that
-    no longer suppress anything.
+    no longer suppress anything; `bad` lists (line, unknown_ids) for
+    directives naming ids that do not exist, whose known ids still apply.
 
     A directive suppresses findings on its own line; a directive on an
     otherwise comment-only line also covers the next line.
     """
     allows = {}
     directives = []
+    bad = []
     for idx, line in enumerate(raw_lines, start=1):
         m = ALLOW_RE.search(line)
         if not m:
@@ -339,26 +345,24 @@ def parse_allows(raw_lines):
         ids = {s.strip() for s in m.group(1).split(",") if s.strip()}
         unknown = ids - set(CHECKS)
         if unknown:
-            raise ValueError(
-                f"line {idx}: unknown check id(s) in allow(): {', '.join(sorted(unknown))}"
-            )
+            bad.append((idx, sorted(unknown)))
+            ids -= unknown
+            if not ids:
+                continue
         covered = {idx}
         if line.split("//")[0].strip() == "":  # comment-only line: covers the next
             covered.add(idx + 1)
         for c in covered:
             allows.setdefault(c, set()).update(ids)
         directives.append((idx, ids, covered))
-    return allows, directives
+    return allows, directives, bad
 
 
 def lint_file(path, display_path, collect_allows=None, stale=False):
     with open(path, encoding="utf-8", errors="replace") as f:
         text = f.read()
     raw_lines = text.splitlines()
-    try:
-        allows, directives = parse_allows(raw_lines)
-    except ValueError as e:
-        return [Finding(display_path, 0, "pragma-once", f"bad allow() directive: {e}")]
+    allows, directives, bad = parse_allows(raw_lines)
     if collect_allows is not None:
         for dline, ids, _covered in directives:
             collect_allows.append((display_path, dline, sorted(ids)))
@@ -381,7 +385,11 @@ def lint_file(path, display_path, collect_allows=None, stale=False):
     is_units = display_path.endswith("common/units.hpp")
     in_src = display_path.startswith("src/") or "/src/" in display_path
 
-    findings = []
+    findings = [
+        Finding(display_path, line, "bad-allow",
+                f"bad allow() directive: unknown check id(s): {', '.join(ids)}")
+        for line, ids in bad
+    ]
     suppressed = set()  # (line, check) pairs an allow() actually absorbed
 
     def report(lineno, check, message):
