@@ -1,9 +1,9 @@
-// The paper's figures as plans: each figure adds its measurement windows to
-// one shared core::Plan and returns the printer that renders its text from
-// the executed outcomes. hostnet_figures (figures/hostnet_figures.cpp) runs
-// the union plan of all of them through one core::execute and writes one
-// file per figure; scripts/check_golden.sh diffs those files against
-// bench/goldens/.
+// The paper's figures, tables, ablations, extensions and worked studies as
+// plans: each figure adds its measurement windows to one shared core::Plan
+// and returns the printer that renders its text from the executed outcomes.
+// hostnet_figures (figures/hostnet_figures.cpp) runs the union plan of all
+// of them through one core::execute and writes one file per figure;
+// scripts/check_golden.sh diffs those files against bench/goldens/.
 //
 // A printer reads outcomes only through the indices its plan function
 // recorded, so a figure's text does not depend on which other figures share
@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <ostream>
 #include <vector>
 
@@ -51,6 +52,11 @@ inline core::C2MSpec c2m_stream(bool writes, std::uint32_t cores = 1) {
                       : workloads::c2m_read(workloads::c2m_core_region(0));
   s.cores = cores;
   return s;
+}
+
+/// c2m_stream(writes, cores), or no C2M placement at all for 0 cores.
+inline std::optional<core::C2MSpec> c2m_beside(bool writes, std::uint32_t cores) {
+  return cores > 0 ? std::optional(c2m_stream(writes, cores)) : std::nullopt;
 }
 
 /// A quadrant's FIO placement on `host`: sequential P2M-Write when
@@ -90,5 +96,26 @@ Printer fig18_rdma_quadrants(core::Plan& plan);
 Printer fig19_tcp(core::Plan& plan);
 Printer fig20_24_rdma_rootcause(core::Plan& plan);
 Printer fig25_26_tcp_rootcause(core::Plan& plan);
+// calibration.cpp: Table 1, the loaded-latency curve, cross-generation,
+// P2M read/write mixes, and the bank-mapping, credit-sizing and MC
+// drain-policy ablations.
+Printer table1_calibration(core::Plan& plan);
+Printer loaded_latency(core::Plan& plan);
+Printer crossgen(core::Plan& plan);
+Printer p2m_ratios(core::Plan& plan);
+Printer ablation_bank_mapping(core::Plan& plan);
+Printer ablation_credits(core::Plan& plan);
+Printer ablation_mc_policy(core::Plan& plan);
+// extensions.cpp: section 7's extensions.
+Printer ext_hostcc(core::Plan& plan);
+Printer ext_isolation(core::Plan& plan);
+Printer ext_multi_iio(core::Plan& plan);
+Printer ext_predictor(core::Plan& plan);
+Printer ext_tail_latency(core::Plan& plan);
+Printer ext_tcp_stacks(core::Plan& plan);
+// studies.cpp: worked capacity, placement and receive-path studies.
+Printer capacity_planner(core::Plan& plan);
+Printer noisy_neighbor(core::Plan& plan);
+Printer netapp_rx(core::Plan& plan);
 
 }  // namespace hostnet::figures

@@ -1,4 +1,5 @@
-// hostnet_figures OUT_DIR: regenerate every paper figure in one run.
+// hostnet_figures OUT_DIR: regenerate every paper figure, table, ablation,
+// extension and worked study in one run.
 //
 // Each figure adds its windows to one union plan; one core::execute (kFork,
 // parallel_threads() workers) simulates each distinct window once, however
@@ -25,6 +26,16 @@ namespace {
 
 // In name order; each name is its golden's basename.
 const fig::Figure kFigures[] = {
+    {"bench_ablation_bank_mapping", fig::ablation_bank_mapping},
+    {"bench_ablation_credits", fig::ablation_credits},
+    {"bench_ablation_mc_policy", fig::ablation_mc_policy},
+    {"bench_crossgen", fig::crossgen},
+    {"bench_ext_hostcc", fig::ext_hostcc},
+    {"bench_ext_isolation", fig::ext_isolation},
+    {"bench_ext_multi_iio", fig::ext_multi_iio},
+    {"bench_ext_predictor", fig::ext_predictor},
+    {"bench_ext_tail_latency", fig::ext_tail_latency},
+    {"bench_ext_tcp_stacks", fig::ext_tcp_stacks},
     {"bench_fig01_apps_icelake", fig::fig01_apps_icelake},
     {"bench_fig02_ddio", fig::fig02_ddio},
     {"bench_fig03_quadrants", fig::fig03_quadrants},
@@ -41,6 +52,12 @@ const fig::Figure kFigures[] = {
     {"bench_fig25_26_tcp_rootcause", fig::fig25_26_tcp_rootcause},
     {"bench_fig27_28_rdma_formula", fig::fig27_28_rdma_formula},
     {"bench_fig29_30_tcp_formula", fig::fig29_30_tcp_formula},
+    {"bench_loaded_latency", fig::loaded_latency},
+    {"bench_p2m_ratios", fig::p2m_ratios},
+    {"bench_table1_calibration", fig::table1_calibration},
+    {"capacity_planner", fig::capacity_planner},
+    {"netapp_rx", fig::netapp_rx},
+    {"noisy_neighbor", fig::noisy_neighbor},
 };
 
 }  // namespace

@@ -183,10 +183,9 @@ Printer fig25_26_tcp_rootcause(core::Plan& plan) {
   std::vector<std::vector<std::size_t>> rx;  // rx[c][i]: the receiver beside cores[i]
   for (const Quadrant& c : cases) {
     rx.emplace_back();
-    for (auto n : cores) {
-      const auto c2m = n > 0 ? std::optional(c2m_stream(c.c2m_writes, n)) : std::nullopt;
-      rx.back().push_back(plan.add(hc, c2m, dctcp_rx(), core::default_run_options()));
-    }
+    for (auto n : cores)
+      rx.back().push_back(
+          plan.add(hc, c2m_beside(c.c2m_writes, n), dctcp_rx(), core::default_run_options()));
   }
   return [=](const core::Outcomes& out, std::ostream& os) {
     for (std::size_t ci = 0; ci < cases.size(); ++ci) {

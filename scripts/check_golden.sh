@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
-# Golden-output gate: every paper figure must be byte-identical to its
-# committed golden in bench/goldens/.
+# Golden-output gate: every figure -- the paper's figures and Table 1, the
+# ablations, the section-7 extensions and the worked studies -- must be
+# byte-identical to its committed golden in bench/goldens/.
 #
-# hostnet_figures runs the union plan of all 16 figures in one process (one
+# hostnet_figures runs the union plan of all 32 figures in one process (one
 # core::execute in kFork mode at HOSTNET_THREADS / nproc workers) with the
 # measurement-window overrides cleared, so the outputs are machine-
 # independent, and writes <name>.txt per figure. Each is diffed against
 # bench/goldens/<name>.txt. A golden no figure writes, and a figure with no
 # golden, both fail the gate: deleting a figure cannot drop its check
 # silently. The union run reports (stderr, echoed below)
-#   figures: 563 windows, 225 jobs, 0 checkpoint hits, 338 outcome hits
-# so the goldens check the kFork job path without restores; the restore
-# path is checked against kCold by the `checkpoint`-labelled tests and the
-# fleet tests.
+#   figures: 907 windows, 415 jobs, 5 checkpoint hits, 487 outcome hits
+# so the goldens check the kFork job path, 5 windows of it read on the way
+# to a longer one, without restores; the restore path is checked against
+# kCold by the `checkpoint`-labelled tests and the fleet tests.
 #
 # Usage:
 #   scripts/check_golden.sh [--update] [bench_build_dir]

@@ -12,7 +12,9 @@
 #   4. checked     warning-free (-Werror) build and full tier-1 suite under
 #                  -DHOSTNET_CHECKED=ON: every HOSTNET_INVARIANT live,
 #                  death tests and the CreditPool registration walk included
-#                  (component member tables are checked by every build)
+#                  (component member tables are checked by every build),
+#                  and the golden gate, so every figure window also runs
+#                  with live invariants
 #   5. sanitizers  full suite under ASan+UBSan and TSan
 #   6. perf        release bench_sim_perf vs bench/baselines/: checked
 #                  instrumentation must compile out of release builds, so a
@@ -23,7 +25,7 @@
 #
 # Usage: scripts/ci_static_analysis.sh [--quick]
 #   --quick   steps 1-4 only (no sanitizer rebuilds, no benchmark, no
-#             goldens): the fast pre-push loop.
+#             release goldens): the fast pre-push loop.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -53,7 +55,9 @@ fi
 step "4/7 checked-invariant build + full tier-1 suite"
 cmake -B build-checked -S . -DHOSTNET_CHECKED=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-checked -j "${jobs}"
-ctest --test-dir build-checked -LE "perf|golden" -j "${jobs}" --output-on-failure
+# The suite includes the golden gate (label golden): the checked build must
+# write every figure byte for byte as the release build does.
+ctest --test-dir build-checked -LE perf -j "${jobs}" --output-on-failure
 # Checkpoint/fork engine under live invariants, gated explicitly: restore()
 # audits the restored event queue event-by-event only in this build mode
 # (label wired in tests/CMakeLists.txt).
@@ -66,7 +70,7 @@ ctest --test-dir build-checked -L fleet --output-on-failure
 ctest --test-dir build-checked -L tcp --output-on-failure
 
 if [[ ${quick} -eq 1 ]]; then
-  step "quick mode: skipping sanitizers + perf gate + goldens"
+  step "quick mode: skipping sanitizers + perf gate + release goldens"
   echo "ci_static_analysis: OK (quick)"
   exit 0
 fi

@@ -20,7 +20,8 @@ cmake -B "${build_dir}" -S "${repo_root}" -DHOSTNET_SANITIZE=address,undefined \
 # Every test binary ctest runs below: a target left unbuilt would show up
 # as a *_NOT_BUILT failure instead of being exercised.
 cmake --build "${build_dir}" --target hostnet_tests hostnet_checkpoint_tests \
-  hostnet_fleet_tests hostnet_tcp_tests hostnet_fleet_cli -j "$(nproc)"
+  hostnet_fleet_tests hostnet_tcp_tests hostnet_fleet_cli example_quickstart \
+  -j "$(nproc)"
 
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \

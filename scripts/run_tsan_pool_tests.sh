@@ -19,7 +19,8 @@ cmake -B "${build_dir}" -S "${repo_root}" -DHOSTNET_SANITIZE=thread \
 # Every test binary ctest runs below: a target left unbuilt would show up
 # as a *_NOT_BUILT failure instead of being exercised.
 cmake --build "${build_dir}" --target hostnet_tests hostnet_checkpoint_tests \
-  hostnet_fleet_tests hostnet_tcp_tests hostnet_fleet_cli -j "$(nproc)"
+  hostnet_fleet_tests hostnet_tcp_tests hostnet_fleet_cli example_quickstart \
+  -j "$(nproc)"
 
 # TSan halts on the first data race so a regression fails the run loudly.
 TSAN_OPTIONS="halt_on_error=1" \

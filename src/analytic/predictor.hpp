@@ -14,9 +14,9 @@
 //      and by channel capacity, and re-derive rates.
 //
 // It is intentionally first-order (the paper's formula plus closure
-// models); accuracy is validated against the simulator in
-// bench_ext_predictor and tests. Use it for what-if sweeps where running
-// the simulator per point is too slow.
+// models); accuracy is validated against the simulator in the
+// bench_ext_predictor figure and tests. Use it for what-if sweeps where
+// running the simulator per point is too slow.
 #pragma once
 
 #include <cstdint>

@@ -119,18 +119,26 @@ std::unique_ptr<P2MTransport> make_transport(HostSystem& host,
 }
 
 /// A built (not yet run) host with the window's workloads placed, in the
-/// one construction order both paths use -- cores, then storage, then the
-/// transport: component seeds and registry order depend on it.
+/// one construction order both paths use -- a second IIO stack, cores,
+/// storage, the transport, then hostCC: component seeds and registry order
+/// depend on it.
 struct BuiltHost {
   HostSystem host;
-  /// The placed transport, when any: its hooks capture `this`, so it must
-  /// live exactly as long as the host.
+  /// The placed transport and hostCC controller, when any: their hooks
+  /// capture `this`, so they must live exactly as long as the host.
   std::unique_ptr<P2MTransport> transport;
+  std::unique_ptr<hostcc::HostCongestionController> hostcc;
 
   explicit BuiltHost(const Window& w) : host(w.host, w.opt.seed) {
+    const bool second_stack = w.p2m && w.p2m->second_storage && w.p2m->second_stack;
+    if (second_stack) host.add_iio_stack(w.host.iio);
     if (w.c2m) add_c2m(host, *w.c2m);
     if (w.p2m && w.p2m->storage) host.add_storage(*w.p2m->storage);
+    if (w.p2m && w.p2m->second_storage)
+      host.add_storage(*w.p2m->second_storage, second_stack ? 1 : 0);
     transport = make_transport(host, w.p2m);
+    if (w.c2m && w.c2m->hostcc)
+      hostcc = std::make_unique<hostcc::HostCongestionController>(host, *w.c2m->hostcc);
   }
 
   RunOutcome collect(const Window& w) const {
@@ -140,6 +148,10 @@ struct BuiltHost {
       out.c2m_score = episodic(*w.c2m) ? out.metrics.queries_per_sec : out.metrics.c2m_app_gbps;
     if (transport) out.transport = transport->collect(host.sim().now());
     if (w.p2m) out.p2m_score = transport ? out.transport.goodput_gbps : out.metrics.p2m_dev_gbps;
+    for (const flow::DomainRegistry::Entry& e : host.domains().entries())
+      if (e.has_domain)
+        out.latency[static_cast<std::size_t>(e.domain)].merge(e.pool->station().histogram());
+    if (hostcc) out.hostcc_throttle = hostcc->avg_throttle(host.sim().now());
     return out;
   }
 };

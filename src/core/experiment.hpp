@@ -4,6 +4,7 @@
 // measurement windows handed to one execute().
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -11,8 +12,10 @@
 #include <vector>
 
 #include "common/fields.hpp"
+#include "common/histogram.hpp"
 #include "core/domains.hpp"
 #include "core/host_system.hpp"
+#include "core/hostcc.hpp"
 #include "core/metrics.hpp"
 #include "core/presets.hpp"
 #include "cpu/core.hpp"
@@ -29,7 +32,10 @@ struct C2MSpec {
   /// when false all cores share workload.region (e.g. one GAPBS graph).
   bool per_core_region = true;
   std::uint64_t region_stride = 1ull << 30;
-  HOSTNET_FIELDS(C2MSpec, name, workload, cores, per_core_region, region_stride)
+  /// Pace these cores with a hostCC controller (section 7), built on the
+  /// window's host after every other placement.
+  std::optional<hostcc::HostccConfig> hostcc{};
+  HOSTNET_FIELDS(C2MSpec, name, workload, cores, per_core_region, region_stride, hostcc)
 };
 
 // -- P2M transports (the network seam; implemented in src/net) ----------------
@@ -111,13 +117,18 @@ P2MTransportFactory p2m_transport_factory();
 struct P2MSpec {
   std::string name = "p2m";
   std::optional<iio::StorageConfig> storage{};
+  /// A second storage device, as on hosts with "multiple IIOs" (section 7):
+  /// on an IIO stack of its own (a copy of the host's) when `second_stack`,
+  /// else beside `storage` on stack 0.
+  std::optional<iio::StorageConfig> second_storage{};
+  bool second_stack = false;
   /// TCP receiver placement (DMA writes through the IIO, like storage
   /// writes, plus kernel-copy C2M traffic). Scored by transport goodput.
   std::optional<TcpSpec> tcp{};
   /// RDMA write placement, scored by the bytes the NIC accepts off the wire.
   /// (RDMA read is a storage placement: workloads::rdma_read.)
   std::optional<RdmaWriteSpec> rdma_write{};
-  HOSTNET_FIELDS(P2MSpec, name, storage, tcp, rdma_write)
+  HOSTNET_FIELDS(P2MSpec, name, storage, second_storage, second_stack, tcp, rdma_write)
 };
 
 struct RunOptions {
@@ -143,6 +154,10 @@ struct RunOutcome {
   double c2m_score = 0;       ///< queries/s (episodic) or core read GB/s
   double p2m_score = 0;       ///< device DMA GB/s, or the transport's goodput
   TransportOutcome transport{};  ///< the transport placement's telemetry (zero without one)
+  /// Each domain's per-request latencies over the window, indexed by Domain
+  /// (all of the domain's pools merged: every core's LFB, every IIO stack).
+  std::array<LatencyHistogram, mem::kNumTrafficClasses> latency{};
+  double hostcc_throttle = 0;  ///< hostCC's window-average throttle (0 without one)
 };
 
 /// How execute() groups a plan's windows into jobs (DESIGN.md section 4e).

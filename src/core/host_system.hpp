@@ -97,6 +97,7 @@ class HostSystem {
   /// registered here at construction, keyed by the paper's credit domains.
   /// collect() derives the domain observations from it.
   flow::DomainRegistry& domains() { return registry_; }
+  const flow::DomainRegistry& domains() const { return registry_; }
 
   const HostConfig& config() const { return cfg_; }
   sim::Simulator& sim() { return sim_; }

@@ -1,4 +1,4 @@
-#include "hostcc/hostcc.hpp"
+#include "core/hostcc.hpp"
 
 #include <algorithm>
 

@@ -25,6 +25,7 @@ struct HostccConfig {
   double target_p2m_latency_ns = 400;   ///< keeps P2M >= ~13 GB/s of 14
   double step = 0.10;                   ///< throttle increment per interval
   double max_throttle = 0.95;
+  HOSTNET_FIELDS(HostccConfig, interval, target_p2m_latency_ns, step, max_throttle)
 };
 
 class HostCongestionController {

@@ -1,10 +1,12 @@
 // fleet::Aggregate -- the reduction of per-host outcomes into a fleet-level
 // report: per-tenant latency histograms (fixed log-bucketed bins; p50/p99
 // read out at the end), throughput and degradation sums, and blue/red
-// regime counts. The runner holds the executor's per-window outcomes
-// (O(windows)) until the fold; the fold itself keeps one FleetAggregate per
-// template-fingerprint group and merges them at the end -- O(groups x
-// tenants).
+// regime counts. A host where a placed tenant completed nothing (scored 0
+// colocated) is *stalled*: it has no degradation ratio and no regime, so it
+// adds to neither and is counted apart. The runner holds the executor's
+// per-window outcomes (O(windows)) until the fold; the fold itself keeps one
+// FleetAggregate per template-fingerprint group and merges them at the end
+// -- O(groups x tenants).
 //
 // Determinism contract: add_host() is called in host-index order within a
 // group and groups merge in group order (first appearance in the fleet), so
@@ -30,7 +32,8 @@ struct TenantAggregate {
   std::uint64_t placements = 0;    ///< host slots running this tenant
   double colo_score_sum = 0;       ///< colocated app score (GB/s or q/s)
   double iso_score_sum = 0;        ///< isolated score on the same host
-  double degradation_sum = 0;      ///< iso/colo ratio (>= ~1)
+  double degradation_sum = 0;      ///< iso/colo ratio (>= ~1), hosts that did not stall
+  std::uint64_t degradation_samples = 0;  ///< the hosts in degradation_sum
   /// Colocated domain latency per host (ns), from the hosts whose window
   /// completed requests in that domain (empty when none did).
   LatencyHistogram latency;
@@ -40,17 +43,20 @@ struct TenantAggregate {
     colo_score_sum += o.colo_score_sum;
     iso_score_sum += o.iso_score_sum;
     degradation_sum += o.degradation_sum;
+    degradation_samples += o.degradation_samples;
     latency.merge(o.latency);
   }
 
   double mean_degradation() const {
-    return placements ? degradation_sum / static_cast<double>(placements) : 0.0;
+    return degradation_samples ? degradation_sum / static_cast<double>(degradation_samples)
+                               : 0.0;
   }
 };
 
 struct FleetAggregate {
   std::vector<TenantAggregate> tenants;            ///< indexed by tenant id
   std::array<std::uint64_t, 3> regimes{};          ///< none/blue/red host counts
+  std::uint64_t stalled = 0;                       ///< hosts with no regime (see above)
   std::uint64_t hosts = 0;
   double total_mem_gbps_sum = 0;                   ///< colocated DRAM BW per host
 
@@ -61,14 +67,19 @@ struct FleetAggregate {
   /// the P2M direction (which domain's latency the P2M tenant observes).
   void add_host(const HostTemplate& tmpl, const core::ColocationOutcome& o) {
     ++hosts;
-    ++regimes[static_cast<std::size_t>(host_regime(tmpl, o))];
+    const bool stall = (tmpl.c2m_tenant != kNoTenant && !(o.colo.c2m_score > 0)) ||
+                       (tmpl.p2m_tenant != kNoTenant && !(o.colo.p2m_score > 0));
+    if (stall)
+      ++stalled;
+    else
+      ++regimes[static_cast<std::size_t>(host_regime(tmpl, o))];
     total_mem_gbps_sum += o.colo.metrics.total_mem_gbps();
     if (tmpl.c2m_tenant != kNoTenant) {
       TenantAggregate& t = tenants[tmpl.c2m_tenant];
       ++t.placements;
       t.colo_score_sum += o.colo.c2m_score;
       t.iso_score_sum += o.iso_c2m.c2m_score;
-      t.degradation_sum += o.c2m_degradation();
+      if (!stall) add_degradation(t, o.c2m_degradation());
       add_latency(t, o.colo.metrics.c2m_read);
     }
     if (tmpl.p2m_tenant != kNoTenant) {
@@ -76,7 +87,7 @@ struct FleetAggregate {
       ++t.placements;
       t.colo_score_sum += o.colo.p2m_score;
       t.iso_score_sum += o.iso_p2m.p2m_score;
-      t.degradation_sum += o.p2m_degradation();
+      if (!stall) add_degradation(t, o.p2m_degradation());
       // TCP receivers are DMA-write tenants (the NIC writes packets toward
       // memory), as are fio_write-style storage placements.
       const bool dma_writes =
@@ -90,6 +101,7 @@ struct FleetAggregate {
     if (tenants.size() < o.tenants.size()) tenants.resize(o.tenants.size());
     for (std::size_t i = 0; i < o.tenants.size(); ++i) tenants[i].merge(o.tenants[i]);
     for (std::size_t i = 0; i < regimes.size(); ++i) regimes[i] += o.regimes[i];
+    stalled += o.stalled;
     hosts += o.hosts;
     total_mem_gbps_sum += o.total_mem_gbps_sum;
   }
@@ -99,6 +111,11 @@ struct FleetAggregate {
   }
 
  private:
+  static void add_degradation(TenantAggregate& t, double ratio) {
+    t.degradation_sum += ratio;
+    ++t.degradation_samples;
+  }
+
   /// A window that completed nothing in the domain has no latency:
   /// observe() leaves latency_ns at 0 then, which would land in the lowest
   /// bucket and report the tenant as the fastest in the fleet.

@@ -66,18 +66,21 @@ std::string format_report(const Scenario& sc, const FleetReport& r) {
   for (std::size_t i = 0; i < sc.tenants().size(); ++i) {
     const TenantAggregate& a = r.agg.tenants[i];
     const double n = a.placements ? static_cast<double>(a.placements) : 1.0;
-    // A tenant whose windows completed nothing has no latency to show.
+    // A tenant whose windows completed nothing has no latency to show, and
+    // one placed only on stalled hosts no degradation.
     const auto lat = [&a](double v) {
       return a.latency.count() > 0 ? Table::num(v, 0) : std::string("-");
     };
     t.row({sc.tenants()[i], std::to_string(a.placements), Table::num(a.colo_score_sum / n, 2),
-           Table::num(a.mean_degradation(), 2), lat(a.latency.p50()), lat(a.latency.p99()),
-           lat(a.latency.p999())});
+           a.degradation_samples ? Table::num(a.mean_degradation(), 2) : std::string("-"),
+           lat(a.latency.p50()), lat(a.latency.p99()), lat(a.latency.p999())});
   }
   t.print(os);
   os << "regimes: none " << r.agg.regime_count(core::Regime::kNone) << ", blue "
      << r.agg.regime_count(core::Regime::kBlue) << ", red "
-     << r.agg.regime_count(core::Regime::kRed) << " (of " << r.hosts << " hosts)\n";
+     << r.agg.regime_count(core::Regime::kRed);
+  if (r.agg.stalled > 0) os << ", stalled " << r.agg.stalled;
+  os << " (of " << r.hosts << " hosts)\n";
   os << "sweep-cache: checkpoint hits " << r.cache.checkpoint_hits << ", misses "
      << r.cache.checkpoint_misses << "; outcome hits " << r.cache.outcome_hits << "\n";
   return os.str();

@@ -16,7 +16,7 @@
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "core/host_system.hpp"
-#include "hostcc/hostcc.hpp"
+#include "core/hostcc.hpp"
 #include "net/dctcp.hpp"
 #include "workloads/workloads.hpp"
 
@@ -69,6 +69,8 @@ void expect_identical(const RunOutcome& a, const RunOutcome& b) {
   EXPECT_EQ(a.c2m_score, b.c2m_score);
   EXPECT_EQ(a.p2m_score, b.p2m_score);
   EXPECT_EQ(a.transport, b.transport);
+  EXPECT_EQ(a.latency, b.latency);
+  EXPECT_EQ(a.hostcc_throttle, b.hostcc_throttle);
   expect_identical(a.metrics, b.metrics);
 }
 
@@ -511,6 +513,47 @@ std::size_t expect_every_leaf_keyed(const T& root, const std::string& base,
   return n;
 }
 
+TEST(Executor, ExtensionWindowsMatchAHandBuiltHost) {
+  // The extension figures read hostCC's throttle, a device on a second IIO
+  // stack and each domain's latency histogram off windows. Such a window
+  // must report what the same host built and run by hand reports, and fork
+  // must equal cold.
+  Window w = differential_presets().front();
+  w.c2m->workload = workloads::c2m_read_write(workloads::c2m_core_region(0));
+  w.c2m->hostcc = hostcc::HostccConfig{};
+  w.p2m->second_storage = w.p2m->storage;
+  w.p2m->second_storage->region.base += 2ull << 30;
+  w.p2m->second_stack = true;
+
+  HostSystem host(w.host, w.opt.seed);
+  host.add_iio_stack(w.host.iio);
+  place(host, w);
+  host.add_storage(*w.p2m->second_storage, 1);
+  hostcc::HostCongestionController cc(host, *w.c2m->hostcc);
+  host.run(w.opt.warmup, w.opt.measure);
+  LatencyHistogram lfb, iio_write;
+  for (const auto& c : host.cores()) lfb.merge(c->lfb_station().histogram());
+  for (std::size_t i = 0; i < host.iio_stacks(); ++i)
+    iio_write.merge(host.iio(i).write_station().histogram());
+
+  Plan plan;
+  plan.add(w.host, w.c2m, w.p2m, w.opt);
+  RunOptions longer = w.opt;
+  longer.measure = w.opt.measure * 2;
+  plan.add(w.host, w.c2m, w.p2m, longer);
+  const Outcomes forked = execute(plan, {1, SweepMode::kFork});
+  const RunOutcome& o = forked[0];
+  expect_identical(o.metrics, host.collect());
+  EXPECT_EQ(o.hostcc_throttle, cc.avg_throttle(host.sim().now()));
+  EXPECT_GT(o.hostcc_throttle, 0.0);
+  EXPECT_GT(host.iio(1).write_station().completions(), 0u);
+  EXPECT_TRUE(o.latency[static_cast<std::size_t>(Domain::kC2MRead)] == lfb);
+  EXPECT_TRUE(o.latency[static_cast<std::size_t>(Domain::kP2MWrite)] == iio_write);
+
+  const Outcomes cold = execute(plan, {1, SweepMode::kCold});
+  for (std::size_t i = 0; i < plan.size(); ++i) expect_identical(forked[i], cold[i]);
+}
+
 TEST(ForkSweep, FingerprintSeparatesEveryInput) {
   const Window p = differential_presets().front();
   const RunOptions opt = p.opt;
@@ -523,24 +566,30 @@ TEST(ForkSweep, FingerprintSeparatesEveryInput) {
   EXPECT_NE(base, config_fingerprint(p.host, p.c2m, std::nullopt, opt.seed, opt.warmup));
   EXPECT_NE(base, config_fingerprint(p.host, std::nullopt, p.p2m, opt.seed, opt.warmup));
 
-  // Every leaf of every field table is keyed. The P2M spec engages all
-  // three placements so none of their leaves hides behind an empty
-  // optional (execute() would reject the combination; the key need not).
+  // Every leaf of every field table is keyed. The specs engage every
+  // optional -- hostCC, both storage devices and both transports -- so none
+  // of their leaves hides behind an empty one (execute() would reject the
+  // transport combination; the key need not).
+  C2MSpec c2m = *p.c2m;
+  c2m.hostcc = hostcc::HostccConfig{};
   P2MSpec p2m = *p.p2m;
+  p2m.second_storage = p2m.storage;
   p2m.tcp = TcpSpec{};
   p2m.rdma_write = RdmaWriteSpec{};
-  const std::string all = config_fingerprint(p.host, p.c2m, p2m, opt.seed, opt.warmup);
+  const std::string all = config_fingerprint(p.host, c2m, p2m, opt.seed, opt.warmup);
   std::size_t leaves = expect_every_leaf_keyed(p.host, all, [&](const HostConfig& h) {
-    return config_fingerprint(h, p.c2m, p2m, opt.seed, opt.warmup);
+    return config_fingerprint(h, c2m, p2m, opt.seed, opt.warmup);
   });
   EXPECT_EQ(leaves, 54u);
-  leaves += expect_every_leaf_keyed(*p.c2m, all, [&](const C2MSpec& c) {
+  leaves += expect_every_leaf_keyed(c2m, all, [&](const C2MSpec& c) {
     return config_fingerprint(p.host, c, p2m, opt.seed, opt.warmup);
   });
   leaves += expect_every_leaf_keyed(p2m, all, [&](const P2MSpec& s) {
-    return config_fingerprint(p.host, p.c2m, s, opt.seed, opt.warmup);
+    return config_fingerprint(p.host, c2m, s, opt.seed, opt.warmup);
   });
-  EXPECT_EQ(leaves, 84u);  // 54 host + 13 C2M + 17 P2M: a visitor reaching nothing fails
+  // 54 host + 17 C2M (4 hostCC) + 26 P2M (8 per storage device): a visitor
+  // reaching nothing fails.
+  EXPECT_EQ(leaves, 97u);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 #include "analytic/predictor.hpp"
 #include "common/histogram.hpp"
 #include "core/experiment.hpp"
-#include "hostcc/hostcc.hpp"
+#include "core/hostcc.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hostnet {

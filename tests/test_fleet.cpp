@@ -560,6 +560,8 @@ TEST(FleetRunner, TenantThatCompletedNothingHasNoLatency) {
   // window neither tenant completes a request. An empty window has no
   // latency, so neither tenant gets a latency sample, and the report prints
   // "-" where an empty mean of 0 once printed as the fleet's fastest 1 ns.
+  // The host stalled: it has no degradation ratio and no regime, where a
+  // ratio of 0 once counted it as "none", better than isolated.
   const fleet::Scenario sc = fleet::Scenario::parse(
       "fleet stall\nwarmup_us 100\nmeasure_us 300\n"
       "template t\n  preset cascade-lake\n  set mc.timing.t_trans 1000000000\n"
@@ -570,8 +572,13 @@ TEST(FleetRunner, TenantThatCompletedNothingHasNoLatency) {
     EXPECT_EQ(t.placements, 1u);
     EXPECT_EQ(t.colo_score_sum, 0.0);
     EXPECT_EQ(t.latency.count(), 0u);
+    EXPECT_EQ(t.degradation_samples, 0u);
   }
-  // Each tenant row ends in three "-" latency columns.
+  EXPECT_EQ(r.agg.stalled, 1u);
+  EXPECT_EQ(r.agg.regime_count(core::Regime::kNone), 0u);
+  EXPECT_EQ(r.agg.regime_count(core::Regime::kBlue), 0u);
+  EXPECT_EQ(r.agg.regime_count(core::Regime::kRed), 0u);
+  // Each tenant row has a "-" degradation cell and three "-" latency columns.
   std::istringstream report(fleet::format_report(sc, r));
   int rows = 0;
   for (std::string line; std::getline(report, line);) {
@@ -581,11 +588,13 @@ TEST(FleetRunner, TenantThatCompletedNothingHasNoLatency) {
     std::vector<std::string> v;
     for (std::string c; cells >> c;) v.push_back(c);
     ASSERT_EQ(v.size(), 7u) << line;
+    EXPECT_EQ(v[3], "-") << line;
     EXPECT_EQ(v[4], "-") << line;
     EXPECT_EQ(v[5], "-") << line;
     EXPECT_EQ(v[6], "-") << line;
   }
   EXPECT_EQ(rows, 2);
+  EXPECT_NE(fleet::format_report(sc, r).find("red 0, stalled 1 (of 1 hosts)"), std::string::npos);
 }
 
 }  // namespace

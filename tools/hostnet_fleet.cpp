@@ -6,11 +6,14 @@
 //   hostnet_fleet scenarios/demo.fleet --threads 4 --mode cold --json
 //
 // `--mode fork` (default) warms each distinct window fingerprint once and
-// forks every further distinct window from its checkpoint; `--mode cold`
-// re-warms every distinct window (the reference path; reports are bit-identical either
-// way, apart from the sweep-cache counters). Exit status: 0 on success, 2
-// on usage/parse errors (a --threads or HOSTNET_THREADS value that is not a
-// positive integer included).
+// runs that host on through its windows, shortest first, reading each on
+// the way; `--mode cold` builds and warms every distinct window (the
+// reference path; reports are bit-identical either way, apart from the
+// sweep-cache counters). Exit status: 0 on success; 2 on usage/parse errors
+// (a --threads or HOSTNET_THREADS value that is not a positive integer
+// included); 3 after printing the report when a host stalled -- a placed
+// tenant completed nothing in its window, so the host has no degradation
+// ratio or regime (the report's `stalled N`).
 #include <cstdio>
 #include <string>
 
@@ -37,10 +40,12 @@ void print_json(const fleet::Scenario& sc, const fleet::FleetReport& r) {
               static_cast<unsigned long long>(r.hosts));
   std::printf("  \"fingerprints\": %zu,\n  \"shards\": %zu,\n  \"threads\": %u,\n",
               r.fingerprints, r.shards, r.threads);
-  std::printf("  \"regimes\": {\"none\": %llu, \"blue\": %llu, \"red\": %llu},\n",
+  std::printf("  \"regimes\": {\"none\": %llu, \"blue\": %llu, \"red\": %llu, "
+              "\"stalled\": %llu},\n",
               static_cast<unsigned long long>(r.agg.regime_count(core::Regime::kNone)),
               static_cast<unsigned long long>(r.agg.regime_count(core::Regime::kBlue)),
-              static_cast<unsigned long long>(r.agg.regime_count(core::Regime::kRed)));
+              static_cast<unsigned long long>(r.agg.regime_count(core::Regime::kRed)),
+              static_cast<unsigned long long>(r.agg.stalled));
   std::printf("  \"sweep_cache\": {\"checkpoint_hits\": %llu, \"checkpoint_misses\": %llu, "
               "\"outcome_hits\": %llu},\n",
               static_cast<unsigned long long>(r.cache.checkpoint_hits),
@@ -50,17 +55,21 @@ void print_json(const fleet::Scenario& sc, const fleet::FleetReport& r) {
   for (std::size_t i = 0; i < sc.tenants().size(); ++i) {
     const fleet::TenantAggregate& a = r.agg.tenants[i];
     const double n = a.placements ? static_cast<double>(a.placements) : 1.0;
-    // null for a tenant whose windows completed nothing: it has no latency.
-    const auto lat = [&a](double v) {
+    // null for a value with no sample: the latency of a tenant whose windows
+    // completed nothing, the degradation of one placed only on stalled hosts.
+    const auto num = [](bool sampled, double v) {
       char buf[32];
       std::snprintf(buf, sizeof buf, "%.6g", v);
-      return a.latency.count() > 0 ? std::string(buf) : std::string("null");
+      return sampled ? std::string(buf) : std::string("null");
     };
+    const auto lat = [&](double v) { return num(a.latency.count() > 0, v); };
     std::printf("    {\"name\": \"%s\", \"placements\": %llu, \"mean_score\": %.6g, "
-                "\"mean_degradation\": %.6g, \"latency_ns\": {\"p50\": %s, \"p99\": %s, "
+                "\"mean_degradation\": %s, \"latency_ns\": {\"p50\": %s, \"p99\": %s, "
                 "\"p999\": %s}}%s\n",
                 sc.tenants()[i].c_str(), static_cast<unsigned long long>(a.placements),
-                a.colo_score_sum / n, a.mean_degradation(), lat(a.latency.p50()).c_str(),
+                a.colo_score_sum / n,
+                num(a.degradation_samples > 0, a.mean_degradation()).c_str(),
+                lat(a.latency.p50()).c_str(),
                 lat(a.latency.p99()).c_str(), lat(a.latency.p999()).c_str(),
                 i + 1 < sc.tenants().size() ? "," : "");
   }
@@ -106,6 +115,7 @@ int main(int argc, char** argv) {
       print_json(sc, report);
     else
       std::fputs(fleet::format_report(sc, report).c_str(), stdout);
+    if (report.agg.stalled > 0) return 3;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hostnet_fleet: %s\n", e.what());
     return 2;
