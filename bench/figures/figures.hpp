@@ -68,7 +68,7 @@ inline core::P2MSpec fio_stream(const core::HostConfig& host, bool writes) {
   return s;
 }
 
-/// The paper's DCTCP receiver (net::DctcpConfig{}) as a P2M placement.
+/// The paper's DCTCP receiver (net::TcpConfig{}) as a P2M placement.
 inline core::P2MSpec dctcp_rx() {
   net::install_tcp_factory();
   core::P2MSpec p;

@@ -23,10 +23,10 @@ int main() {
   host.add_storage(workloads::fio_p2m_write(hc, workloads::p2m_region()));
 
   sim::Tracer tracer("hostnet.trace.json");
-  host.run(us(100), us(10));        // settle without tracing
-  sim::Tracer::set_global(&tracer);  // trace a short, readable window
+  host.run(us(100), us(10));         // settle without tracing
+  host.sim().set_tracer(&tracer);    // trace a short, readable window
   host.run_more(us(200));
-  sim::Tracer::set_global(nullptr);
+  host.sim().set_tracer(nullptr);
   tracer.flush();
 
   std::printf("wrote hostnet.trace.json (%zu events; open in chrome://tracing)\n",

@@ -56,18 +56,10 @@ step "4/7 checked-invariant build + full tier-1 suite"
 cmake -B build-checked -S . -DHOSTNET_CHECKED=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-checked -j "${jobs}"
 # The suite includes the golden gate (label golden): the checked build must
-# write every figure byte for byte as the release build does.
+# write every figure byte for byte as the release build does. It also holds
+# the checkpoint, fleet and tcp labels, whose restores are audited event by
+# event only in this build mode.
 ctest --test-dir build-checked -LE perf -j "${jobs}" --output-on-failure
-# Checkpoint/fork engine under live invariants, gated explicitly: restore()
-# audits the restored event queue event-by-event only in this build mode
-# (label wired in tests/CMakeLists.txt).
-ctest --test-dir build-checked -L checkpoint --output-on-failure
-# Fleet engine determinism (serial-vs-parallel and fork-vs-cold aggregates)
-# under the same live invariants.
-ctest --test-dir build-checked -L fleet --output-on-failure
-# Pluggable TCP stacks: per-stack snapshot round-trips, fork-vs-cold
-# bit-identity and the DCTCP differential vs the pre-refactor formula.
-ctest --test-dir build-checked -L tcp --output-on-failure
 
 if [[ ${quick} -eq 1 ]]; then
   step "quick mode: skipping sanitizers + perf gate + release goldens"

@@ -45,9 +45,9 @@ bool Cha::try_submit(mem::Request req) {
   return true;
 }
 
-void Cha::wait_for_admission(mem::Op op, ChaClient* client, mem::Source source) {
+void Cha::wait_for_admission(mem::Op op, flow::CreditWaiter& waiter, mem::Source source) {
   flow::CreditPool& pool = op == mem::Op::kRead ? st_.read_pool : st_.write_pool;
-  pool.enqueue_waiter(&client->admission_waiter(op),
+  pool.enqueue_waiter(&waiter,
                       /*privileged=*/op == mem::Op::kWrite &&
                           source == mem::Source::kPeripheral);
 }
@@ -243,6 +243,20 @@ void Cha::reset_counters(Tick now) {
   st_.read_pool.reset_telemetry(now);
   st_.write_pool.reset_telemetry(now);
   st_.ddio_hits = 0;
+}
+
+void Ingress::retry(mem::Op op) {
+  RingBuffer<Blocked>& q = blocked(op);
+  if (q.empty()) return;
+  const Blocked b = q.front();
+  if (!cha_.try_submit(b.req)) {
+    // Slot raced away; stay registered for the next one.
+    cha_.wait_for_admission(op, waiters_[op], source_);
+    return;
+  }
+  q.pop_front();
+  cha_.record_admission_wait(b.req.cls(), sim_.now() - b.since);
+  if (!q.empty()) cha_.wait_for_admission(op, waiters_[op], source_);
 }
 
 }  // namespace hostnet::cha

@@ -12,8 +12,8 @@
 //    but NOT the C2M-Write domain (which ends at the CHA) -- the asymmetry
 //    at the heart of the red regime (section 5.2);
 //  * admission control: when a tracker pool is exhausted, sources block
-//    *before* the CHA and their admission delay is measured -- the paper's
-//    "backpressure from CHA" phase;
+//    *before* the CHA, in their cha::Ingress, and their admission delay is
+//    measured -- the paper's "backpressure from CHA" phase;
 //  * per-channel forwarding ports with a bounded in-flight window, modeling
 //    the finite bandwidth of the CHA->MC hop (this is what paces WPQ refill
 //    and yields read/write channel sharing under write overload);
@@ -69,44 +69,6 @@ struct ChaConfig {
                  write_tracker_peripheral_reserve)
 };
 
-/// A source (core or IIO) blocked on CHA admission. `on_cha_admission`
-/// should retry exactly one submission; return true iff a slot was consumed.
-class ChaClient {
- public:
-  virtual ~ChaClient() = default;
-  virtual bool on_cha_admission(mem::Op op) = 0;
-
-  /// The waiter the CHA queues when admission for `op` is exhausted: one of
-  /// the client's Waiters.
-  virtual flow::CreditWaiter& admission_waiter(mem::Op op) = 0;
-
-  /// Per-op adapters for flow::CreditPool waiting: the CHA queues the adapter
-  /// matching the exhausted tracker, so the wake carries which op freed. A
-  /// client queues once per blocked request (duplicates intentional: the
-  /// retry drains one blocked request per wake). A client owns one Waiters,
-  /// built from `*this` and never written again.
-  class Waiters {
-   public:
-    explicit Waiters(ChaClient& client)
-        : read_(client, mem::Op::kRead), write_(client, mem::Op::kWrite) {}
-    flow::CreditWaiter& operator[](mem::Op op) {
-      return op == mem::Op::kRead ? read_ : write_;
-    }
-
-   private:
-    struct OpWaiter final : flow::CreditWaiter {
-      OpWaiter(ChaClient& c, mem::Op o) : client(c), op(o) {}
-      void on_credit_available(flow::CreditPool&) override { client.on_cha_admission(op); }
-      ChaClient& client;
-      const mem::Op op;
-      HOSTNET_COMPONENT(OpWaiter, client, op)
-    };
-    OpWaiter read_;
-    OpWaiter write_;
-    HOSTNET_COMPONENT(Waiters, read_, write_)
-  };
-};
-
 class Cha final : public mc::ChannelListener {
  public:
   Cha(sim::Simulator& sim, const ChaConfig& cfg, mc::MemoryController& mc);
@@ -114,12 +76,13 @@ class Cha final : public mc::ChannelListener {
   /// Admit a request at its source. Returns false when the tracker pool is
   /// exhausted; the source should wait_for_admission() and retry. On
   /// success the CHA owns the request's journey to memory and back.
+  /// Sources reach it through their Ingress (below).
   bool try_submit(mem::Request req);
 
-  /// Register `client` to be woken (FIFO order) when admission for `op`
-  /// frees up. A client is notified at most once per registration.
-  /// `source` matters for writes when a peripheral reserve is configured.
-  void wait_for_admission(mem::Op op, ChaClient* client,
+  /// Register `waiter` to be woken (FIFO order) when admission for `op`
+  /// frees up; it is woken at most once per registration. `source` matters
+  /// for writes when a peripheral reserve is configured.
+  void wait_for_admission(mem::Op op, flow::CreditWaiter& waiter,
                           mem::Source source = mem::Source::kCpu);
 
   /// Called by sources on every *accepted* request with how long it was
@@ -231,6 +194,78 @@ class Cha final : public mc::ChannelListener {
   mc::MemoryController& mc_;
   State st_;
   HOSTNET_COMPONENT(Cha, sim_, cfg_, mc_, st_)
+};
+
+/// One request source's way into the CHA: each core, copy core and IIO
+/// stack owns one, built with the source's mem::Source, origin id and
+/// completer. It builds the source's requests and admits each one; when
+/// the tracker is full it queues the request in a FIFO per op, waits on the
+/// tracker and, on each wake, retries the oldest. Every admitted request's
+/// blocked time (0 when admitted at once) is the paper's "CHA admission
+/// delay" (sections 5.2, 6.2).
+class Ingress {
+ public:
+  Ingress(sim::Simulator& sim, Cha& cha, mem::Source source, std::uint16_t origin,
+          mem::Completer& completer)
+      : sim_(sim), cha_(cha), source_(source), origin_(origin), completer_(completer) {}
+
+  /// A request from this source, completed at its completer.
+  mem::Request request(mem::Op op, std::uint64_t addr, Tick created,
+                       std::uint64_t tag = 0) const {
+    mem::Request req;
+    req.addr = addr;
+    req.op = op;
+    req.source = source_;
+    req.origin = origin_;
+    req.created = created;
+    req.completer = &completer_;
+    req.tag = tag;
+    return req;
+  }
+
+  /// Admit `req` now, or queue it until the tracker frees an entry.
+  void submit(const mem::Request& req) {
+    if (cha_.try_submit(req)) {
+      cha_.record_admission_wait(req.cls(), 0);
+      return;
+    }
+    blocked(req.op).push_back(Blocked{req, sim_.now()});
+    cha_.wait_for_admission(req.op, waiters_[req.op], source_);
+  }
+
+  /// A request that failed admission, with when it first blocked.
+  struct Blocked {
+    mem::Request req;
+    Tick since;
+    bool operator==(const Blocked&) const = default;
+  };
+
+  // -- checkpointing (DESIGN.md section 4e) -----------------------------------
+  // Blocked requests carry the owner's completer pointer, and the tracker's
+  // waiter rings point at waiters_: same-host restore only.
+  struct State {
+    RingBuffer<Blocked> reads;
+    RingBuffer<Blocked> writes;
+    bool operator==(const State&) const = default;
+    HOSTNET_FIELDS(State, reads, writes)
+  };
+
+ private:
+  RingBuffer<Blocked>& blocked(mem::Op op) {
+    return op == mem::Op::kRead ? st_.reads : st_.writes;
+  }
+  /// The tracker for `op` freed an entry: retry the oldest blocked request.
+  /// A waiter is queued per blocked request, so each wake retries one.
+  void retry(mem::Op op);
+
+  sim::Simulator& sim_;
+  Cha& cha_;
+  const mem::Source source_;
+  const std::uint16_t origin_;
+  mem::Completer& completer_;
+  flow::OpWaiters<Ingress, &Ingress::retry> waiters_{*this};
+  State st_;
+  HOSTNET_COMPONENT(Ingress, sim_, cha_, source_, origin_, completer_, waiters_, st_)
 };
 
 }  // namespace hostnet::cha

@@ -15,9 +15,6 @@
 // thread always participates, so the policy is identical to the old
 // spawn-per-call engine. A nested run_parallel from inside a pool job runs
 // serially inline.
-//
-// Caveat: sim::Tracer::set_global installs a process-wide trace sink; do not
-// enable it while running parallel sweeps (see DESIGN.md, threading model).
 #pragma once
 
 #include <cstddef>

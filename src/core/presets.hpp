@@ -74,6 +74,10 @@ struct HostConfig {
     if (mc.wpq_high_wm >= mc.wpq_capacity) return "wpq_high_wm must be below wpq_capacity";
     if (mc.wpq_low_wm >= mc.wpq_high_wm) return "wpq_low_wm must be below wpq_high_wm";
     if (mc.rpq_capacity == 0 || mc.wpq_capacity == 0) return "MC queues need capacity";
+    // SlotQueue indexes its slots with 16 bits and reserves the top value.
+    if (mc.rpq_capacity >= mc::SlotQueue::kNil || mc.wpq_capacity >= mc::SlotQueue::kNil)
+      return "mc.rpq_capacity and mc.wpq_capacity must be below " +
+             std::to_string(mc::SlotQueue::kNil) + " (the MC slot arena's 16-bit index)";
     if (mc.prep_window == 0) return "mc.prep_window must be at least 1";
     if (core.lfb_entries == 0) return "core.lfb_entries must be positive";
     if (iio.write_credits == 0 || iio.read_credits == 0) return "IIO needs credits";

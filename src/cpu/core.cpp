@@ -8,7 +8,7 @@ namespace hostnet::cpu {
 
 Core::Core(sim::Simulator& sim, cha::Cha& cha, const CoreConfig& cfg,
            const CoreWorkload& wl, std::uint16_t id, std::uint64_t seed)
-    : sim_(sim), cha_(cha), cfg_(cfg), wl_(wl), id_(id) {
+    : sim_(sim), cfg_(cfg), wl_(wl), id_(id), ingress_(sim, cha, mem::Source::kCpu, id, *this) {
   st_.rng = Rng(seed);
   flow::CreditPoolSpec lfb;
   lfb.name = "cpu.lfb";
@@ -95,41 +95,9 @@ void Core::pump() {
 void Core::issue_read(std::uint64_t addr, bool is_store) {
   const Tick now = sim_.now();
   st_.lfb_pool.acquire(now);
-  mem::Request req;
-  req.addr = addr;
-  req.op = mem::Op::kRead;  // the store's RFO is a read
-  req.source = mem::Source::kCpu;
-  req.origin = id_;
-  req.created = now;
-  req.completer = this;
-  req.tag = is_store ? 1 : 0;
-  auto miss = [this, req] { send_to_cha(req); };
-  sim_.schedule(cfg_.t_core_to_cha, miss);
-}
-
-void Core::send_to_cha(mem::Request req) {
-  if (cha_.try_submit(req)) {
-    cha_.record_admission_wait(req.cls(), 0);
-    return;
-  }
-  auto& q = req.op == mem::Op::kRead ? st_.blocked_reads : st_.blocked_writes;
-  q.push_back(Blocked{req, sim_.now()});
-  cha_.wait_for_admission(req.op, this, mem::Source::kCpu);
-}
-
-bool Core::on_cha_admission(mem::Op op) {
-  auto& q = op == mem::Op::kRead ? st_.blocked_reads : st_.blocked_writes;
-  if (q.empty()) return false;
-  Blocked b = q.front();
-  if (!cha_.try_submit(b.req)) {
-    // Slot raced away; stay registered for the next one.
-    cha_.wait_for_admission(op, this, mem::Source::kCpu);
-    return false;
-  }
-  q.pop_front();
-  cha_.record_admission_wait(b.req.cls(), sim_.now() - b.since);
-  if (!q.empty()) cha_.wait_for_admission(op, this, mem::Source::kCpu);
-  return true;
+  // The store's RFO is a read; tag 1 marks it.
+  const mem::Request req = ingress_.request(mem::Op::kRead, addr, now, is_store ? 1 : 0);
+  sim_.schedule(cfg_.t_core_to_cha, [this, req] { ingress_.submit(req); });
 }
 
 void Core::complete(const mem::Request& req, Tick now) {
@@ -139,19 +107,15 @@ void Core::complete(const mem::Request& req, Tick now) {
       // Store: data (RFO) arrived; the LFB entry is now held for the write
       // phase until the CHA accepts the write (C2M-Write domain).
       st_.write_pool.acquire(now);
-      mem::Request wr;
-      wr.addr = req.addr;
-      wr.op = mem::Op::kWrite;
-      wr.source = mem::Source::kCpu;
-      wr.origin = id_;
-      wr.created = req.created;            // original issue: keeps LFB latency = read+write
-      wr.completer = this;
-      wr.tag = static_cast<std::uint64_t>(now);  // write-phase start, for write_station_
-      sim_.schedule(cfg_.t_wb_to_cha, [this, wr] { send_to_cha(wr); });
+      // Created when the RFO was sent, which keeps LFB latency = read +
+      // write; the tag is the write-phase start, for write_pool's station.
+      const mem::Request wr = ingress_.request(mem::Op::kWrite, req.addr, req.created,
+                                               static_cast<std::uint64_t>(now));
+      sim_.schedule(cfg_.t_wb_to_cha, [this, wr] { ingress_.submit(wr); });
       return;
     }
     st_.lfb_pool.release(now, req.created);
-    if (auto* tr = sim::Tracer::global())
+    if (auto* tr = sim_.tracer())
       tr->complete_event("c2m-read", "domain", req.created, now - req.created,
                          sim::Tracer::kTrackCore + id_);
   } else {
@@ -159,7 +123,7 @@ void Core::complete(const mem::Request& req, Tick now) {
     ++st_.lines_written;
     st_.lfb_pool.release(now, req.created);
     st_.write_pool.release(now, static_cast<Tick>(req.tag));
-    if (auto* tr = sim::Tracer::global())
+    if (auto* tr = sim_.tracer())
       tr->complete_event("c2m-store", "domain", req.created, now - req.created,
                          sim::Tracer::kTrackCore + id_);
   }

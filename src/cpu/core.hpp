@@ -26,7 +26,6 @@
 
 #include "cha/cha.hpp"
 #include "common/fields.hpp"
-#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "counters/station.hpp"
 #include "flow/credit_pool.hpp"
@@ -63,7 +62,7 @@ struct CoreConfig {
   HOSTNET_FIELDS(CoreConfig, lfb_entries, prefetch_extra, t_core_to_cha, t_wb_to_cha)
 };
 
-class Core final : public mem::Completer, public cha::ChaClient {
+class Core final : public mem::Completer {
  public:
   Core(sim::Simulator& sim, cha::Cha& cha, const CoreConfig& cfg,
        const CoreWorkload& wl, std::uint16_t id, std::uint64_t seed);
@@ -75,10 +74,8 @@ class Core final : public mem::Completer, public cha::ChaClient {
   void set_paused(bool paused);
   bool paused() const { return st_.paused; }
 
-  // -- mem::Completer / cha::ChaClient ---------------------------------------
+  // -- mem::Completer ---------------------------------------------------------
   void complete(const mem::Request& req, Tick now) override;
-  bool on_cha_admission(mem::Op op) override;
-  flow::CreditWaiter& admission_waiter(mem::Op op) override { return waiters_[op]; }
 
   // -- credit pools (registered with flow::DomainRegistry) --------------------
   /// C2M-Read domain pool: the LFB entries themselves.
@@ -103,17 +100,9 @@ class Core final : public mem::Completer, public cha::ChaClient {
     st_.write_pool.verify();
   }
 
-  /// A request that failed CHA admission, with when it first blocked.
-  struct Blocked {
-    mem::Request req;
-    Tick since;
-    bool operator==(const Blocked&) const = default;
-  };
-
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
   // Everything the workload mutates; the rest of the core is construction
-  // state. Blocked requests carry mem::Request whose completer points back
-  // at this Core: same-host restore only.
+  // state or its CHA ingress.
   struct State {
     Rng rng{0};
     flow::CreditPool lfb_pool;    ///< LFB entries (C2M-Read credits + hold time)
@@ -129,10 +118,6 @@ class Core final : public mem::Completer, public cha::ChaClient {
     std::uint32_t episodes_done_in_query = 0;
     bool in_compute = false;
 
-    // Requests that failed CHA admission (see Blocked above).
-    RingBuffer<Blocked> blocked_reads;
-    RingBuffer<Blocked> blocked_writes;
-
     std::uint64_t lines_read = 0;
     std::uint64_t lines_written = 0;
     std::uint64_t queries = 0;
@@ -140,8 +125,7 @@ class Core final : public mem::Completer, public cha::ChaClient {
     bool operator==(const State&) const = default;
     HOSTNET_FIELDS(State, rng, lfb_pool, write_pool, seq_line, think_pending, paused,
                    episode_outstanding, episode_reads_to_issue, episode_writes_to_issue,
-                   episodes_done_in_query, in_compute, blocked_reads, blocked_writes, lines_read,
-                   lines_written, queries)
+                   episodes_done_in_query, in_compute, lines_read, lines_written, queries)
   };
 
  private:
@@ -151,18 +135,16 @@ class Core final : public mem::Completer, public cha::ChaClient {
   std::uint64_t random_addr();
   void pump();
   void issue_read(std::uint64_t addr, bool is_store);
-  void send_to_cha(mem::Request req);
   void issue_episode();
   void begin_episode_after_compute();
 
   sim::Simulator& sim_;
-  cha::Cha& cha_;
   const CoreConfig cfg_;
   const CoreWorkload wl_;
   const std::uint16_t id_;
-  cha::ChaClient::Waiters waiters_{*this};
+  cha::Ingress ingress_;
   State st_;
-  HOSTNET_COMPONENT(Core, sim_, cha_, cfg_, wl_, id_, waiters_, st_)
+  HOSTNET_COMPONENT(Core, sim_, cfg_, wl_, id_, ingress_, st_)
 };
 
 }  // namespace hostnet::cpu

@@ -19,7 +19,7 @@
 //    kWhileAvailable drains waiters while space remains (CHA admission),
 //    kOnePerNotify hands exactly one waiter its wake per release (IIO
 //    device credits) -- with optional duplicate suppression (IIO devices
-//    register once per blocked op; CHA clients queue once per blocked
+//    register once per blocked op; a cha::Ingress queues once per blocked
 //    request, duplicates intentional);
 //  * hysteresis watermark predicates (MC WPQ drain policy) instead of
 //    block-at-empty admission;
@@ -41,10 +41,12 @@
 #include <cstdint>
 
 #include "common/check.hpp"
+#include "common/fields.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "counters/station.hpp"
+#include "mem/request.hpp"
 
 namespace hostnet::flow {
 
@@ -52,12 +54,36 @@ class CreditPool;
 
 /// A sender blocked on an exhausted pool. Registered (FIFO) with
 /// enqueue_waiter(); woken exactly once per registration by notify().
-/// Components with per-op pools embed one adapter per op so a wake carries
-/// the right context (see cha::ChaClient / iio::Device).
 class CreditWaiter {
  public:
   virtual ~CreditWaiter() = default;
   virtual void on_credit_available(CreditPool& pool) = 0;
+};
+
+/// A sender's two waiters, one per op, for per-op pools: the waiter queued
+/// on the exhausted pool calls `(owner.*Wake)(op)`, so the wake carries
+/// which op's credit freed (cha::Ingress on the CHA trackers, iio::Device
+/// on the IIO buffers). The owner holds one, built from `*this`; pools
+/// hold its address, so it is neither copied nor moved.
+template <class Owner, void (Owner::*Wake)(mem::Op)>
+class OpWaiters {
+ public:
+  explicit OpWaiters(Owner& owner) : read_(owner, mem::Op::kRead), write_(owner, mem::Op::kWrite) {}
+  OpWaiters(const OpWaiters&) = delete;
+  OpWaiters& operator=(const OpWaiters&) = delete;
+  CreditWaiter& operator[](mem::Op op) { return op == mem::Op::kRead ? read_ : write_; }
+
+ private:
+  struct One final : CreditWaiter {
+    One(Owner& o, mem::Op p) : owner(o), op(p) {}
+    void on_credit_available(CreditPool&) override { (owner.*Wake)(op); }
+    Owner& owner;
+    const mem::Op op;
+    HOSTNET_COMPONENT(One, owner, op)
+  };
+  One read_;
+  One write_;
+  HOSTNET_COMPONENT(OpWaiters, read_, write_)
 };
 
 /// How notify() hands freed credits to waiters.

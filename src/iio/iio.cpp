@@ -7,7 +7,7 @@
 namespace hostnet::iio {
 
 Iio::Iio(sim::Simulator& sim, cha::Cha& cha, const IioConfig& cfg, std::uint16_t id)
-    : sim_(sim), cha_(cha), cfg_(cfg), id_(id) {
+    : sim_(sim), cfg_(cfg), ingress_(sim, cha, mem::Source::kPeripheral, id, *this) {
   // One freed credit wakes one device (which re-tries and re-registers if it
   // loses the race); a device waits at most once per op.
   flow::CreditPoolSpec wr;
@@ -26,21 +26,14 @@ Iio::Iio(sim::Simulator& sim, cha::Cha& cha, const IioConfig& cfg, std::uint16_t
 
 bool Iio::try_dma(mem::Op op, std::uint64_t addr, Device* dev, std::uint64_t tag) {
   const Tick now = sim_.now();
-  mem::Request req;
-  req.addr = addr;
-  req.op = op;
-  req.source = mem::Source::kPeripheral;
-  req.origin = id_;
-  req.created = now;
-  req.completer = this;
-
   if (op == mem::Op::kWrite) {
     if (!st_.write_pool.has_space()) {
       st_.write_pool.enqueue_waiter(&dev->credit_waiter(op));
       return false;
     }
     st_.write_pool.acquire(now);
-    sim_.schedule(cfg_.t_proc_write + cfg_.t_to_cha, [this, req] { submit(req); });
+    const mem::Request req = ingress_.request(op, addr, now);
+    sim_.schedule(cfg_.t_proc_write + cfg_.t_to_cha, [this, req] { ingress_.submit(req); });
     return true;
   }
 
@@ -59,32 +52,8 @@ bool Iio::try_dma(mem::Op op, std::uint64_t addr, Device* dev, std::uint64_t tag
   }
   if (slot == st_.pending_reads.size()) st_.pending_reads.push_back(Pending{});
   st_.pending_reads[slot] = Pending{dev, tag};
-  req.tag = slot;
-  sim_.schedule(cfg_.t_proc_read + cfg_.t_to_cha, [this, req] { submit(req); });
-  return true;
-}
-
-void Iio::submit(mem::Request req) {
-  if (cha_.try_submit(req)) {
-    cha_.record_admission_wait(req.cls(), 0);
-    return;
-  }
-  auto& q = req.op == mem::Op::kRead ? st_.blocked_reads : st_.blocked_writes;
-  q.push_back(Blocked{req, sim_.now()});
-  cha_.wait_for_admission(req.op, this, mem::Source::kPeripheral);
-}
-
-bool Iio::on_cha_admission(mem::Op op) {
-  auto& q = op == mem::Op::kRead ? st_.blocked_reads : st_.blocked_writes;
-  if (q.empty()) return false;
-  Blocked b = q.front();
-  if (!cha_.try_submit(b.req)) {
-    cha_.wait_for_admission(op, this, mem::Source::kPeripheral);
-    return false;
-  }
-  q.pop_front();
-  cha_.record_admission_wait(b.req.cls(), sim_.now() - b.since);
-  if (!q.empty()) cha_.wait_for_admission(op, this, mem::Source::kPeripheral);
+  const mem::Request req = ingress_.request(op, addr, now, slot);
+  sim_.schedule(cfg_.t_proc_read + cfg_.t_to_cha, [this, req] { ingress_.submit(req); });
   return true;
 }
 
@@ -92,7 +61,7 @@ void Iio::complete(const mem::Request& req, Tick now) {
   if (req.op == mem::Op::kWrite) {
     // Admitted to the MC WPQ: P2M-Write credit replenished.
     st_.write_pool.release(now, req.created);
-    if (auto* tr = sim::Tracer::global()) {
+    if (auto* tr = sim_.tracer()) {
       tr->complete_event("p2m-write", "domain", req.created, now - req.created,
                          sim::Tracer::kTrackIio);
       tr->counter("iio-write-credits", now, static_cast<double>(st_.write_pool.in_use()));
@@ -103,7 +72,7 @@ void Iio::complete(const mem::Request& req, Tick now) {
   // Data returned to the IIO: P2M-Read credit replenished; complete the
   // PCIe non-posted transaction back to the device.
   st_.read_pool.release(now, req.created);
-  if (auto* tr = sim::Tracer::global())
+  if (auto* tr = sim_.tracer())
     tr->complete_event("p2m-read", "domain", req.created, now - req.created,
                        sim::Tracer::kTrackIio);
   const Pending p = st_.pending_reads[req.tag];

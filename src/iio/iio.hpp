@@ -19,7 +19,6 @@
 
 #include "cha/cha.hpp"
 #include "common/fields.hpp"
-#include "common/ring_buffer.hpp"
 #include "counters/station.hpp"
 #include "flow/credit_pool.hpp"
 #include "mem/request.hpp"
@@ -47,35 +46,12 @@ class Device {
   virtual void on_read_data(std::uint64_t tag, Tick now) = 0;
 
   /// The waiter the IIO queues when `op`'s buffer is exhausted: one of the
-  /// device's Waiters.
+  /// device's flow::OpWaiters, so the wake carries which op's credit freed
+  /// (devices with independent RX/TX pumps need this).
   virtual flow::CreditWaiter& credit_waiter(mem::Op op) = 0;
-
-  /// Per-op adapters for flow::CreditPool waiting: the IIO queues the
-  /// adapter matching the exhausted buffer, so the wake carries which op's
-  /// credit freed (devices with independent RX/TX pumps need this). A device
-  /// owns one Waiters, built from `*this` and never written again.
-  class Waiters {
-   public:
-    explicit Waiters(Device& dev) : write_(dev, mem::Op::kWrite), read_(dev, mem::Op::kRead) {}
-    flow::CreditWaiter& operator[](mem::Op op) {
-      return op == mem::Op::kWrite ? write_ : read_;
-    }
-
-   private:
-    struct OpWaiter final : flow::CreditWaiter {
-      OpWaiter(Device& d, mem::Op o) : dev(d), op(o) {}
-      void on_credit_available(flow::CreditPool&) override { dev.on_credit_available(op); }
-      Device& dev;
-      const mem::Op op;
-      HOSTNET_COMPONENT(OpWaiter, dev, op)
-    };
-    OpWaiter write_;
-    OpWaiter read_;
-    HOSTNET_COMPONENT(Waiters, write_, read_)
-  };
 };
 
-class Iio final : public mem::Completer, public cha::ChaClient {
+class Iio final : public mem::Completer {
  public:
   Iio(sim::Simulator& sim, cha::Cha& cha, const IioConfig& cfg, std::uint16_t id = 0);
 
@@ -90,10 +66,8 @@ class Iio final : public mem::Completer, public cha::ChaClient {
   flow::CreditPool& write_pool() { return st_.write_pool; }  ///< P2M-Write domain
   flow::CreditPool& read_pool() { return st_.read_pool; }    ///< P2M-Read domain
 
-  // -- mem::Completer / cha::ChaClient ---------------------------------------
+  // -- mem::Completer ---------------------------------------------------------
   void complete(const mem::Request& req, Tick now) override;
-  bool on_cha_admission(mem::Op op) override;
-  flow::CreditWaiter& admission_waiter(mem::Op op) override { return waiters_[op]; }
 
   // -- measurement ------------------------------------------------------------
   /// IIO buffer residency = the P2M domain latency ("IIO latency", Fig 6c).
@@ -109,12 +83,6 @@ class Iio final : public mem::Completer, public cha::ChaClient {
     st_.read_pool.verify();
   }
 
-  /// A DMA request that failed CHA admission, with when it first blocked.
-  struct Blocked {
-    mem::Request req;
-    Tick since;
-    bool operator==(const Blocked&) const = default;
-  };
   /// A non-posted PCIe read whose data has not yet returned.
   struct Pending {
     Device* dev;
@@ -123,30 +91,23 @@ class Iio final : public mem::Completer, public cha::ChaClient {
   };
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  // Everything the traffic mutates. Blocked requests and pending reads carry
-  // raw pointers into the owning host (completer / Device*): same-host
-  // restore only.
+  // Everything the traffic mutates but the CHA ingress. Pending reads carry
+  // raw Device* pointers into the owning host: same-host restore only.
   struct State {
     flow::CreditPool write_pool;  ///< P2M-Write credits (IIO write buffer)
     flow::CreditPool read_pool;   ///< P2M-Read credits (IIO read buffer)
-    RingBuffer<Blocked> blocked_reads;
-    RingBuffer<Blocked> blocked_writes;
     std::vector<Pending> pending_reads;  ///< indexed by request tag slot
 
     bool operator==(const State&) const = default;
-    HOSTNET_FIELDS(State, write_pool, read_pool, blocked_reads, blocked_writes, pending_reads)
+    HOSTNET_FIELDS(State, write_pool, read_pool, pending_reads)
   };
 
  private:
-  void submit(mem::Request req);
-
   sim::Simulator& sim_;
-  cha::Cha& cha_;
   const IioConfig cfg_;
-  const std::uint16_t id_;
-  cha::ChaClient::Waiters waiters_{*this};
+  cha::Ingress ingress_;
   State st_;
-  HOSTNET_COMPONENT(Iio, sim_, cha_, cfg_, id_, waiters_, st_)
+  HOSTNET_COMPONENT(Iio, sim_, cfg_, ingress_, st_)
 };
 
 }  // namespace hostnet::iio

@@ -95,7 +95,7 @@ class StorageDevice final : public Device {
   Iio& iio_;
   const StorageConfig cfg_;
   const Tick t_line_;
-  Waiters waiters_{*this};
+  flow::OpWaiters<StorageDevice, &StorageDevice::on_credit_available> waiters_{*this};
   State st_;
   HOSTNET_COMPONENT(StorageDevice, sim_, iio_, cfg_, t_line_, waiters_, st_)
 };

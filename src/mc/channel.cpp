@@ -69,7 +69,7 @@ void Channel::maybe_switch_mode(Tick now) {
       st_.mode = Mode::kWrite;
       st_.bus_free_at = std::max(st_.bus_free_at, now) + cfg_.timing.t_rtw;
       release_inactive_banks(st_.rpq);
-      if (auto* tr = sim::Tracer::global()) {
+      if (auto* tr = sim_.tracer()) {
         tr->instant("write-drain", "mc", now, sim::Tracer::kTrackChannel + index_);
         tr->counter("wpq-occupancy", now, static_cast<double>(st_.wpq.size()));
       }

@@ -24,16 +24,15 @@ CopyCore::CopyCore(sim::Simulator& sim, cha::Cha& cha, const cpu::CoreConfig& cf
                    // hostnet-lint: allow(hot-alloc)  -- one-time wiring
                    std::function<void()> on_packet_copied)
     : sim_(sim),
-      cha_(cha),
       cfg_(cfg),
       socket_buf_(socket_buf),
       app_buf_(app_buf),
       proto_time_(proto_time),
       lines_per_packet_(lines_per_packet),
       app_in_cache_(app_in_cache),
-      id_(id),
       ring_(ring),
-      on_packet_copied_(std::move(on_packet_copied)) {
+      on_packet_copied_(std::move(on_packet_copied)),
+      ingress_(sim, cha, mem::Source::kCpu, id, *this) {
   flow::CreditPoolSpec spec;
   spec.name = "net.copy.lfb";
   spec.capacity = cfg_.lfb_entries;
@@ -60,40 +59,11 @@ void CopyCore::pump() {
     --st_.lines_to_issue;
     const std::uint64_t line = st_.line_cursor++ % socket_buf_.lines();
     st_.lfb.acquire(sim_.now());
-    mem::Request req;
-    req.addr = socket_buf_.base + line * kCachelineBytes;
-    req.op = mem::Op::kRead;
-    req.source = mem::Source::kCpu;
-    req.origin = id_;
-    req.created = sim_.now();
-    req.completer = this;
-    req.tag = kPhaseSocketRead;
-    sim_.schedule(cfg_.t_core_to_cha, [this, req] { send_to_cha(req); });
+    const mem::Request req =
+        ingress_.request(mem::Op::kRead, socket_buf_.base + line * kCachelineBytes, sim_.now(),
+                         kPhaseSocketRead);
+    sim_.schedule(cfg_.t_core_to_cha, [this, req] { ingress_.submit(req); });
   }
-}
-
-void CopyCore::send_to_cha(mem::Request req) {
-  if (cha_.try_submit(req)) {
-    cha_.record_admission_wait(req.cls(), 0);
-    return;
-  }
-  auto& q = req.op == mem::Op::kRead ? st_.blocked_reads : st_.blocked_writes;
-  q.push_back(Blocked{req, sim_.now()});
-  cha_.wait_for_admission(req.op, this, mem::Source::kCpu);
-}
-
-bool CopyCore::on_cha_admission(mem::Op op) {
-  auto& q = op == mem::Op::kRead ? st_.blocked_reads : st_.blocked_writes;
-  if (q.empty()) return false;
-  Blocked b = q.front();
-  if (!cha_.try_submit(b.req)) {
-    cha_.wait_for_admission(op, this, mem::Source::kCpu);
-    return false;
-  }
-  q.pop_front();
-  cha_.record_admission_wait(b.req.cls(), sim_.now() - b.since);
-  if (!q.empty()) cha_.wait_for_admission(op, this, mem::Source::kCpu);
-  return true;
 }
 
 void CopyCore::complete(const mem::Request& req, Tick now) {
@@ -101,27 +71,15 @@ void CopyCore::complete(const mem::Request& req, Tick now) {
     // Socket data in registers; now RFO the destination app-buffer line
     // (same LFB slot, next phase).
     const std::uint64_t line = (req.addr - socket_buf_.base) / kCachelineBytes;
-    mem::Request rfo;
-    rfo.addr = app_buf_.base + (line % app_buf_.lines()) * kCachelineBytes;
-    rfo.op = mem::Op::kRead;
-    rfo.source = mem::Source::kCpu;
-    rfo.origin = id_;
-    rfo.created = req.created;
-    rfo.completer = this;
-    rfo.tag = kPhaseAppRfo;
-    sim_.schedule(cfg_.t_core_to_cha, [this, rfo] { send_to_cha(rfo); });
+    const std::uint64_t dst = app_buf_.base + (line % app_buf_.lines()) * kCachelineBytes;
+    const mem::Request rfo = ingress_.request(mem::Op::kRead, dst, req.created, kPhaseAppRfo);
+    sim_.schedule(cfg_.t_core_to_cha, [this, rfo] { ingress_.submit(rfo); });
     return;
   }
   if (req.op == mem::Op::kRead && req.tag == kPhaseAppRfo) {
     // Destination line owned; hand the write to the CHA (C2M-Write domain).
-    mem::Request wr;
-    wr.addr = req.addr;
-    wr.op = mem::Op::kWrite;
-    wr.source = mem::Source::kCpu;
-    wr.origin = id_;
-    wr.created = req.created;
-    wr.completer = this;
-    sim_.schedule(cfg_.t_wb_to_cha, [this, wr] { send_to_cha(wr); });
+    const mem::Request wr = ingress_.request(mem::Op::kWrite, req.addr, req.created);
+    sim_.schedule(cfg_.t_wb_to_cha, [this, wr] { ingress_.submit(wr); });
     return;
   }
 

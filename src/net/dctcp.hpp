@@ -57,14 +57,10 @@ struct TcpConfig {
   }();
 };
 
-/// Historical name from the DCTCP-only days; the config now selects any
-/// stack and DctcpConfig{} still means "the paper's DCTCP receiver".
-using DctcpConfig = TcpConfig;
-
 /// One kernel copy core: pops packets from the RX ring and copies them.
 /// Per cacheline: socket-buffer read, then app-buffer RFO + write-back;
 /// the LFB slot is held through all three trips.
-class CopyCore final : public mem::Completer, public cha::ChaClient {
+class CopyCore final : public mem::Completer {
  public:
   /// `ring` and `on_packet_copied` are one-time wiring to the owning
   /// TcpReceiver: the shared RX ring the core pops packets from, and the
@@ -82,8 +78,6 @@ class CopyCore final : public mem::Completer, public cha::ChaClient {
   void notify_work();
 
   void complete(const mem::Request& req, Tick now) override;
-  bool on_cha_admission(mem::Op op) override;
-  flow::CreditWaiter& admission_waiter(mem::Op op) override { return waiters_[op]; }
 
   /// The copy's MLP bound (the core's LFB), an interior pool of the host's
   /// flow::DomainRegistry.
@@ -97,57 +91,42 @@ class CopyCore final : public mem::Completer, public cha::ChaClient {
     st_.lines_copied = 0;
   }
 
-  /// A copy access that failed CHA admission, with when it first blocked.
-  struct Blocked {
-    mem::Request req;
-    Tick since;
-    bool operator==(const Blocked&) const = default;
-  };
-
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  // Everything the copy loop mutates; config and the ring / callback wiring
-  // are construction state. Blocked requests carry completer pointers into
-  // this core: same-host restore only.
+  // Everything the copy loop mutates but the CHA ingress; config and the
+  // ring / callback wiring are construction state.
   struct State {
     bool busy = false;  ///< processing a packet (incl. proto time)
     std::uint32_t lines_to_issue = 0;
     std::uint32_t lines_outstanding = 0;
     std::uint64_t line_cursor = 0;
 
-    RingBuffer<Blocked> blocked_reads;
-    RingBuffer<Blocked> blocked_writes;
-
     flow::CreditPool lfb;  ///< copy-MLP bound (the core's LFB)
     std::uint64_t packets_copied = 0;
     std::uint64_t lines_copied = 0;
 
     bool operator==(const State&) const = default;
-    HOSTNET_FIELDS(State, busy, lines_to_issue, lines_outstanding, line_cursor, blocked_reads,
-                   blocked_writes, lfb, packets_copied, lines_copied)
+    HOSTNET_FIELDS(State, busy, lines_to_issue, lines_outstanding, line_cursor, lfb,
+                   packets_copied, lines_copied)
   };
 
  private:
   void try_start_packet();
   void pump();
-  void issue(std::uint64_t addr, std::uint64_t phase);
-  void send_to_cha(mem::Request req);
 
   sim::Simulator& sim_;
-  cha::Cha& cha_;
   const cpu::CoreConfig cfg_;
   const mem::Region socket_buf_;
   const mem::Region app_buf_;
   const Tick proto_time_;
   const std::uint32_t lines_per_packet_;
   const bool app_in_cache_;
-  const std::uint16_t id_;
   RingBuffer<Tick>& ring_;
   // hostnet-lint: allow(hot-alloc)  -- invoked per packet, assigned once at build
   const std::function<void()> on_packet_copied_;
-  Waiters waiters_{*this};
+  cha::Ingress ingress_;
   State st_;
-  HOSTNET_COMPONENT(CopyCore, sim_, cha_, cfg_, socket_buf_, app_buf_, proto_time_,
-                    lines_per_packet_, app_in_cache_, id_, ring_, on_packet_copied_, waiters_, st_)
+  HOSTNET_COMPONENT(CopyCore, sim_, cfg_, socket_buf_, app_buf_, proto_time_, lines_per_packet_,
+                    app_in_cache_, ring_, on_packet_copied_, ingress_, st_)
 };
 
 /// The stack-agnostic transport engine: NIC (lossy, ECN) + RX ring + copy

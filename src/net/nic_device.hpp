@@ -128,7 +128,7 @@ class NicDevice final : public iio::Device {
   const Tick t_tx_line_;  ///< TX wire serialization per cacheline (0 = TX off)
   // hostnet-lint: allow(hot-alloc)  -- invoked per packet, assigned once at build
   const std::function<void(Tick)> packet_delivered_;
-  Waiters waiters_{*this};
+  flow::OpWaiters<NicDevice, &NicDevice::on_credit_available> waiters_{*this};
   State st_;
   HOSTNET_COMPONENT(NicDevice, sim_, iio_, cfg_, t_line_, t_packet_, t_tx_line_, packet_delivered_,
                     waiters_, st_)

@@ -22,6 +22,8 @@
 
 namespace hostnet::sim {
 
+class Tracer;
+
 class Simulator {
  public:
   Simulator() = default;
@@ -63,6 +65,11 @@ class Simulator {
   /// Checked-build audit of the event queue (no-op otherwise).
   void verify_invariants() const { queue_.verify_invariants(); }
 
+  /// The trace sink this simulation's components write to, if any (null by
+  /// default; see sim/trace.hpp). Each host traces to its own.
+  Tracer* tracer() const { return tracer_; }
+  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
+
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
   struct State {
     Tick now = 0;
@@ -74,7 +81,12 @@ class Simulator {
  private:
   State st_;
   CalendarQueue queue_;
-  HOSTNET_COMPONENT(Simulator, st_, queue_)
+  Tracer* tracer_ = nullptr;
+  // tracer_ is an observer, not state: it records what the run does and no
+  // event reads it to decide anything, so a checkpoint neither saves nor
+  // restores it.
+  HOSTNET_COMPONENT_EXEMPT(tracer_)
+  HOSTNET_COMPONENT(Simulator, st_, queue_, tracer_)
 };
 
 }  // namespace hostnet::sim

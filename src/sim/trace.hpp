@@ -5,18 +5,20 @@
 //
 // Usage:
 //   sim::Tracer tracer("run.trace.json");
-//   sim::Tracer::set_global(&tracer);   // components pick it up if present
+//   host.sim().set_tracer(&tracer);  // this host's components write to it
 //   ... run ...
-//   tracer.flush();                      // or let the destructor do it
+//   host.sim().set_tracer(nullptr);
+//   tracer.flush();                  // or let the destructor do it
 //
 // A tracer keeps at most `max_events` events; later ones are counted, not
 // stored. flush() records the count in the trace's metadata and warns on
 // stderr when any were dropped, so a truncated trace never passes for a
 // complete one.
 //
-// The global hook keeps the hot paths free of plumbing; tracing is a
-// debugging aid, not a measurement surface, and costs nothing when no
-// global tracer is installed.
+// Components reach the sink through their Simulator, so hosts running side
+// by side on the worker pool each trace to their own file. Tracing is a
+// debugging aid, not a measurement surface, and costs one null check per
+// hook when no tracer is set.
 #pragma once
 
 #include <algorithm>
@@ -64,9 +66,6 @@ class Tracer {
 
   void flush();
 
-  static Tracer* global() { return global_; }
-  static void set_global(Tracer* t) { global_ = t; }
-
   /// Track-id convention used by the built-in hooks.
   static constexpr std::uint32_t kTrackCore = 100;        ///< + core id
   static constexpr std::uint32_t kTrackIio = 50;
@@ -96,7 +95,6 @@ class Tracer {
   std::vector<Event> events_;
   std::uint64_t dropped_ = 0;
   bool flushed_ = false;
-  static inline Tracer* global_ = nullptr;
 };
 
 }  // namespace hostnet::sim

@@ -18,19 +18,14 @@ struct RecordingCompleter : mem::Completer {
   }
 };
 
-struct RetryClient : ChaClient {
+// A raw waiter on the CHA's tracker, retrying one request by hand.
+struct RetryWaiter : flow::CreditWaiter {
   Cha* cha = nullptr;
   std::optional<mem::Request> pending;
   int notified = 0;
-  Waiters waiters{*this};
-  flow::CreditWaiter& admission_waiter(mem::Op op) override { return waiters[op]; }
-  bool on_cha_admission(mem::Op) override {
+  void on_credit_available(flow::CreditPool&) override {
     ++notified;
-    if (pending && cha->try_submit(*pending)) {
-      pending.reset();
-      return true;
-    }
-    return false;
+    if (pending && cha->try_submit(*pending)) pending.reset();
   }
 };
 
@@ -120,11 +115,11 @@ TEST(Cha, BlockedClientIsNotifiedWhenSpaceFrees) {
   Fixture f(c);
   ASSERT_TRUE(f.cha->try_submit(f.make(0, mem::Op::kRead, mem::Source::kCpu)));
   ASSERT_TRUE(f.cha->try_submit(f.make(64, mem::Op::kRead, mem::Source::kCpu)));
-  RetryClient client;
+  RetryWaiter client;
   client.cha = f.cha.get();
   client.pending = f.make(128, mem::Op::kRead, mem::Source::kCpu);
   ASSERT_FALSE(f.cha->try_submit(*client.pending));
-  f.cha->wait_for_admission(mem::Op::kRead, &client);
+  f.cha->wait_for_admission(mem::Op::kRead, client);
   f.sim.run_until(us(1));
   EXPECT_GE(client.notified, 1);
   EXPECT_FALSE(client.pending.has_value());
@@ -197,6 +192,92 @@ TEST(Cha, AdmissionWaitRecorded) {
   f.cha->record_admission_wait(mem::TrafficClass::kC2MRead, ns(100));
   f.cha->record_admission_wait(mem::TrafficClass::kC2MRead, 0);
   EXPECT_NEAR(f.cha->mean_admission_wait_ns(mem::TrafficClass::kC2MRead), 50.0, 1e-9);
+}
+
+// -- Ingress -------------------------------------------------------------------
+
+/// Per op, the admitted requests in completion order, with their admission
+/// times.
+struct OpRecorder : mem::Completer {
+  std::vector<mem::Request> reads, writes;
+  void complete(const mem::Request& req, Tick) override {
+    (req.op == mem::Op::kRead ? reads : writes).push_back(req);
+  }
+};
+
+/// A CPU and a peripheral ingress against a 1-entry read tracker and a
+/// 2-entry write tracker whose last entry only peripheral writes may use.
+struct IngressFixture : Fixture {
+  OpRecorder cpu_done, dev_done;
+  Ingress cpu{sim, *cha, mem::Source::kCpu, 0, cpu_done};
+  Ingress dev{sim, *cha, mem::Source::kPeripheral, 0, dev_done};
+  IngressFixture() : Fixture([] {
+    ChaConfig c;
+    c.read_tor = 1;
+    c.write_tracker = 2;
+    c.write_tracker_peripheral_reserve = 1;
+    return c;
+  }()) {}
+  void submit(Ingress& in, mem::Op op, std::uint64_t addr) {
+    in.submit(in.request(op, addr, sim.now()));
+  }
+};
+
+std::vector<std::uint64_t> addrs(const std::vector<mem::Request>& reqs) {
+  std::vector<std::uint64_t> out;
+  for (const auto& r : reqs) out.push_back(r.addr);
+  return out;
+}
+
+TEST(Ingress, BlockedRequestsAreAdmittedFifoPerOp) {
+  IngressFixture f;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    f.submit(f.cpu, mem::Op::kRead, i * 64);
+    f.submit(f.cpu, mem::Op::kWrite, 4096 + i * 64);
+  }
+  // One read and one CPU write fit; the rest wait at the source.
+  EXPECT_EQ(f.cha->read_tor_used(), 1u);
+  EXPECT_EQ(f.cha->write_tracker_used(), 1u);
+  f.sim.run_until(us(2));
+  EXPECT_EQ(addrs(f.cpu_done.reads), (std::vector<std::uint64_t>{0, 64, 128, 192}));
+  EXPECT_EQ(addrs(f.cpu_done.writes), (std::vector<std::uint64_t>{4096, 4160, 4224, 4288}));
+  for (const auto* reqs : {&f.cpu_done.reads, &f.cpu_done.writes})
+    for (std::size_t i = 1; i < reqs->size(); ++i)
+      EXPECT_GT((*reqs)[i].cha_accepted, (*reqs)[i - 1].cha_accepted);
+}
+
+TEST(Ingress, AdmissionWaitIsEachRequestsBlockedTime) {
+  IngressFixture f;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    f.submit(f.cpu, mem::Op::kRead, i * 64);
+    f.submit(f.cpu, mem::Op::kWrite, 4096 + i * 64);
+  }
+  f.sim.run_until(us(2));
+  // Every request was created and submitted at tick 0, so its blocked time
+  // is its admission tick.
+  for (const auto* reqs : {&f.cpu_done.reads, &f.cpu_done.writes}) {
+    ASSERT_EQ(reqs->size(), 4u);
+    double sum_ns = 0;
+    for (const auto& r : *reqs) sum_ns += to_ns(r.cha_accepted);
+    EXPECT_GT(sum_ns, 0.0);
+    EXPECT_NEAR(f.cha->mean_admission_wait_ns(reqs->front().cls()), sum_ns / 4, 1e-9);
+  }
+}
+
+TEST(Ingress, OnlyThePeripheralWriteUsesTheReserve) {
+  IngressFixture f;
+  f.submit(f.cpu, mem::Op::kWrite, 0);
+  f.submit(f.cpu, mem::Op::kWrite, 64);  // blocked: the last entry is reserved
+  EXPECT_EQ(f.cha->write_tracker_used(), 1u);
+  f.submit(f.dev, mem::Op::kWrite, 128);  // admitted into the reserve
+  EXPECT_EQ(f.cha->write_tracker_used(), 2u);
+  f.sim.run_until(us(2));
+  ASSERT_EQ(f.cpu_done.writes.size(), 2u);
+  ASSERT_EQ(f.dev_done.writes.size(), 1u);
+  EXPECT_EQ(f.dev_done.writes[0].cha_accepted, 0);
+  EXPECT_GT(f.cpu_done.writes[1].cha_accepted, 0);
+  EXPECT_EQ(f.cha->mean_admission_wait_ns(mem::TrafficClass::kP2MWrite), 0.0);
+  EXPECT_GT(f.cha->mean_admission_wait_ns(mem::TrafficClass::kC2MWrite), 0.0);
 }
 
 }  // namespace

@@ -277,7 +277,7 @@ TEST(Checkpoint, DctcpReceiverRoundTrips) {
   // must all replay identically from a checkpoint.
   const HostConfig hc = cascade_lake();
   HostSystem host(hc, 3);
-  net::DctcpConfig cfg;
+  net::TcpConfig cfg;
   net::TcpReceiver rx(host, cfg);
   host.run(us(200), 0);
   const HostSnapshot checkpoint = host.snapshot();

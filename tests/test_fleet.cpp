@@ -196,10 +196,12 @@ TEST(FleetScenario, NegativeCasesCarryLineNumbers) {
   // Configs that used to crash (DDIO's set count divides by the ways) or
   // stall (no prep window, no forward token) are refused at `end`.
   const std::string mixed = "  c2m a c2m_read_write cores=2\n  p2m b fio_write\nend\nhosts 1 t\n";
-  // A time past 1 s (here INT64_MAX ps) would overflow the clock.
+  // A time past 1 s (here INT64_MAX ps) would overflow the clock; an MC
+  // queue of 65535 slots or more would wrap the slot arena's 16-bit index.
   for (const char* set : {"  set mc.prep_window 0\n", "  set cha.read_fwd_window 0\n",
                           "  set cha.write_fwd_window 0\n",
-                          "  set mc.timing.t_trans 9223372036854775807\n"})
+                          "  set mc.timing.t_trans 9223372036854775807\n",
+                          "  set mc.rpq_capacity 65535\n"})
     EXPECT_EQ(error_line(tmpl + set + mixed), 6u) << set;
   for (const char* set : {"  set cha.ddio_ways 0\n", "  set cha.ddio_capacity_bytes 64\n"})
     EXPECT_EQ(error_line(tmpl + "  set cha.ddio 1\n" + set + mixed), 7u) << set;

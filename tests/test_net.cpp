@@ -166,7 +166,7 @@ TEST(Rdma, WritePlacementIsFingerprinted) {
 TEST(Dctcp, IsolatedReceiverReachesWireRate) {
   const auto hc = core::cascade_lake();
   core::HostSystem host(hc);
-  DctcpConfig cfg;
+  TcpConfig cfg;
   TcpReceiver rx(host, cfg);
   host.run(us(400), us(800));
   const Tick now = host.sim().now();
@@ -181,7 +181,7 @@ TEST(Dctcp, BlueRegimeThrottlesViaFlowControlNotDrops) {
   core::HostSystem host(hc);
   for (std::uint32_t i = 0; i < 4; ++i)
     host.add_core(workloads::c2m_read(workloads::c2m_core_region(i)));
-  DctcpConfig cfg;
+  TcpConfig cfg;
   TcpReceiver rx(host, cfg);
   host.run(us(400), us(800));
   const Tick now = host.sim().now();
@@ -198,7 +198,7 @@ TEST(Dctcp, RedRegimeCongestionResponse) {
   core::HostSystem host(hc);
   for (std::uint32_t i = 0; i < 4; ++i)
     host.add_core(workloads::c2m_read_write(workloads::c2m_core_region(i)));
-  DctcpConfig cfg;
+  TcpConfig cfg;
   TcpReceiver rx(host, cfg);
   host.run(us(400), us(1000));
   const Tick now = host.sim().now();
@@ -212,7 +212,7 @@ TEST(Dctcp, CopyGeneratesC2MTraffic) {
   // controller (the paper's explanation for TCP's different behavior).
   const auto hc = core::cascade_lake();
   core::HostSystem host(hc);
-  DctcpConfig cfg;
+  TcpConfig cfg;
   TcpReceiver rx(host, cfg);
   host.run(us(300), us(500));
   const auto m = host.collect();

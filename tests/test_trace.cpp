@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/host_system.hpp"
+#include "core/parallel.hpp"
 #include "sim/trace.hpp"
 #include "workloads/workloads.hpp"
 
@@ -78,7 +79,14 @@ TEST(Tracer, CountsAndReportsEventsPastTheCap) {
   std::remove(path.c_str());
 }
 
-TEST(Tracer, GlobalHookCapturesSimulationEvents) {
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(Tracer, HostTracerCapturesSimulationEvents) {
   const char* path = "/tmp/hostnet_test_trace2.json";
   {
     Tracer t(path);
@@ -87,29 +95,55 @@ TEST(Tracer, GlobalHookCapturesSimulationEvents) {
     host.add_core(workloads::c2m_read(workloads::c2m_core_region(0)));
     host.add_storage(workloads::fio_p2m_write(hc, workloads::p2m_region()));
     host.run(us(50), us(1));
-    Tracer::set_global(&t);
+    host.sim().set_tracer(&t);
     host.run_more(us(20));
-    Tracer::set_global(nullptr);
+    host.sim().set_tracer(nullptr);
     EXPECT_GT(t.size(), 100u);  // c2m-read spans + p2m-write spans + drains
     t.flush();
   }
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string s = ss.str();
+  const std::string s = read_file(path);
   EXPECT_NE(s.find("c2m-read"), std::string::npos);
   EXPECT_NE(s.find("p2m-write"), std::string::npos);
   EXPECT_NE(s.find("write-drain"), std::string::npos);
   std::remove(path);
 }
 
-TEST(Tracer, NoGlobalMeansNoOverheadNoEvents) {
-  ASSERT_EQ(Tracer::global(), nullptr);
+TEST(Tracer, NoTracerMeansNoEvents) {
   const auto hc = core::cascade_lake();
   core::HostSystem host(hc);
+  ASSERT_EQ(host.sim().tracer(), nullptr);
   host.add_core(workloads::c2m_read(workloads::c2m_core_region(0)));
   host.run(us(20), us(20));  // must not crash without a tracer
   SUCCEED();
+}
+
+// Two hosts on two workers, each with its own sink: a C2M-only host and a
+// P2M-only host. Neither file may hold the other host's spans.
+TEST(Tracer, ParallelHostsTraceToTheirOwnSinks) {
+  const std::string dir = ::testing::TempDir();
+  const std::string paths[2] = {dir + "hostnet_trace_c2m.json", dir + "hostnet_trace_p2m.json"};
+  core::run_parallel(
+      2,
+      [&paths](std::size_t i) {
+        Tracer t(paths[i]);
+        const auto hc = core::cascade_lake();
+        core::HostSystem host(hc);
+        if (i == 0)
+          host.add_core(workloads::c2m_read(workloads::c2m_core_region(0)));
+        else
+          host.add_storage(workloads::fio_p2m_write(hc, workloads::p2m_region()));
+        host.sim().set_tracer(&t);
+        host.run(us(20), us(20));
+        host.sim().set_tracer(nullptr);
+      },
+      2);
+  const std::string c2m = read_file(paths[0]);
+  const std::string p2m = read_file(paths[1]);
+  EXPECT_NE(c2m.find("c2m-read"), std::string::npos);
+  EXPECT_EQ(c2m.find("p2m-write"), std::string::npos);
+  EXPECT_NE(p2m.find("p2m-write"), std::string::npos);
+  EXPECT_EQ(p2m.find("c2m-read"), std::string::npos);
+  for (const std::string& p : paths) std::remove(p.c_str());
 }
 
 }  // namespace
