@@ -10,22 +10,26 @@ compared. For each pair the script prints baseline, candidate, and the
 speedup (candidate relative to baseline, >1 = faster), preferring
 items_per_second (higher is better) and falling back to real_time (lower
 is better). Exits non-zero if any benchmark regressed by more than the
-threshold (default 10%), so it can gate a PR:
+threshold (default 10%), so it can gate a PR. Both files should come from
+Release builds run on the same machine: the baseline from the parent commit,
+the candidate from the change. scripts/ci_static_analysis.sh step 6 does
+exactly that:
 
-    ctest -R bench_sim_perf_json          # writes build/BENCH_sim_perf.json
-    scripts/bench_compare.py bench/baselines/BENCH_sim_perf.main.json \
-        build/BENCH_sim_perf.json
+    ctest --test-dir PARENT_BUILD -R bench_sim_perf_json
+    ctest --test-dir build-release -R bench_sim_perf_json
+    scripts/bench_compare.py PARENT_BUILD/BENCH_sim_perf.json \
+        build-release/BENCH_sim_perf.json
 
 Aggregate entries (``*_mean``, ``*_median``, ``*_stddev``, ``*_cv``) are
 skipped; raw repetition entries are averaged per name. Benchmarks present in
-only one file are listed, not compared: a benchmark new in the candidate has
-no baseline to gate against until the baseline is re-recorded.
+only one file are listed, not compared: a benchmark new or renamed in the
+candidate is gated from the next change on.
 
 ``BM_AddressDecode`` is a drift probe: no simulator change touches the
 address decoder, so when it differs from the baseline by more than 15% the
-two files were most likely recorded on different machines or under
-different load, and every ratio above carries that error too. The script
-then prints a warning; it does not change the verdict. Stdlib only.
+two runs most likely saw different load, and every ratio above carries that
+error too. The script then prints a warning; it does not change the
+verdict. Stdlib only.
 """
 
 import argparse

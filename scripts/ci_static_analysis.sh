@@ -16,10 +16,12 @@
 #                  and the golden gate, so every figure window also runs
 #                  with live invariants
 #   5. sanitizers  full suite under ASan+UBSan and TSan
-#   6. perf        release bench_sim_perf vs bench/baselines/: checked
-#                  instrumentation must compile out of release builds, so a
-#                  >10% BM_HostSimulation regression fails the gate
-#   7. golden      one release hostnet_figures run: each figure's output
+#   6. perf        Release bench_sim_perf of this tree vs the same benchmark
+#                  built from its parent commit (HEAD^, checked out in a
+#                  temporary git worktree) on this machine: a >10%
+#                  regression on any benchmark fails the gate, and checked
+#                  instrumentation must compile out of Release builds
+#   7. golden      one Release hostnet_figures run: each figure's output
 #                  vs bench/goldens/, byte-for-byte, with no orphan on
 #                  either side (scripts/check_golden.sh)
 #
@@ -71,16 +73,32 @@ step "5/7 sanitizers (ASan+UBSan, then TSan) over the full suite"
 scripts/run_asan_ubsan_tests.sh build-asan
 scripts/run_tsan_pool_tests.sh build-tsan
 
-step "6/7 release perf gate (checked instrumentation must compile out)"
-cmake -B build -S . >/dev/null
-cmake --build build -j "${jobs}"
-ctest --test-dir build -R bench_sim_perf_json --output-on-failure
+step "6/7 release perf gate (this tree vs its parent commit, same machine)"
+# Both sides are built in Release (the build type that links the library
+# with IPO) and run back to back here, so the ratio measures the change and
+# not the machine.
+parent="$(git rev-parse --verify HEAD^)"
+parent_dir="$(mktemp -d)"
+cleanup_parent() {
+  git worktree remove --force "${parent_dir}/tree" >/dev/null 2>&1 || true
+  rm -rf "${parent_dir}"
+}
+trap cleanup_parent EXIT
+git worktree add --detach "${parent_dir}/tree" "${parent}" >/dev/null
+cmake -B "${parent_dir}/build" -S "${parent_dir}/tree" -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "${parent_dir}/build" -j "${jobs}" --target bench_sim_perf
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j "${jobs}" --target bench_sim_perf hostnet_figures
+ctest --test-dir "${parent_dir}/build" -R bench_sim_perf_json --output-on-failure
+ctest --test-dir build-release -R bench_sim_perf_json --output-on-failure
 python3 scripts/bench_compare.py \
-  bench/baselines/BENCH_sim_perf.main.json build/BENCH_sim_perf.json \
+  "${parent_dir}/build/BENCH_sim_perf.json" build-release/BENCH_sim_perf.json \
   --threshold 0.10
+cleanup_parent
+trap - EXIT
 
 step "7/7 golden figure outputs (byte-for-byte vs bench/goldens/)"
-scripts/check_golden.sh build/bench
+scripts/check_golden.sh build-release/bench
 
 echo
 echo "ci_static_analysis: OK"

@@ -99,7 +99,7 @@ void Cha::start_write(mem::Request req) {
 }
 
 void Cha::route_read(const mem::Request& req) {
-  const std::uint32_t ch = mc_.address_map().decode(req.addr).channel;
+  const std::uint32_t ch = mc_.address_map().channel_of(req.addr);
   Port& p = st_.ports[ch];
   // Nothing queued ahead and a token free: forward now rather than queue
   // the request and pump it straight back out.
@@ -112,7 +112,7 @@ void Cha::route_read(const mem::Request& req) {
 }
 
 void Cha::route_write(const mem::Request& req) {
-  const std::uint32_t ch = mc_.address_map().decode(req.addr).channel;
+  const std::uint32_t ch = mc_.address_map().channel_of(req.addr);
   Port& p = st_.ports[ch];
   auto& pending = p.write_pending;
   if (pending.empty() && p.write_tokens > 0) {

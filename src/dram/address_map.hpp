@@ -64,6 +64,12 @@ class AddressMap {
   std::uint32_t banks_per_channel() const { return banks_; }
   std::uint32_t row_lines() const { return row_lines_; }
 
+  /// decode(addr).channel without the bank, row and column: the CHA's
+  /// routing needs only the channel.
+  std::uint32_t channel_of(std::uint64_t addr) const {
+    return static_cast<std::uint32_t>(((addr / kCachelineBytes) >> ch_shift_) & (channels_ - 1));
+  }
+
   Coord decode(std::uint64_t addr) const {
     const std::uint64_t line = addr / kCachelineBytes;
     const std::uint64_t ch_chunk = line >> ch_shift_;

@@ -1,5 +1,6 @@
 #include "iio/iio.hpp"
 
+#include <bit>
 #include <cassert>
 
 #include "sim/trace.hpp"
@@ -43,18 +44,24 @@ bool Iio::try_dma(mem::Op op, std::uint64_t addr, Device* dev, std::uint64_t tag
   }
   st_.read_pool.acquire(now);
   // Remember who gets the data back.
-  std::uint64_t slot = st_.pending_reads.size();
-  for (std::uint64_t i = 0; i < st_.pending_reads.size(); ++i) {
-    if (st_.pending_reads[i].dev == nullptr) {
-      slot = i;
-      break;
-    }
-  }
-  if (slot == st_.pending_reads.size()) st_.pending_reads.push_back(Pending{});
+  const std::uint64_t slot = take_read_slot();
   st_.pending_reads[slot] = Pending{dev, tag};
   const mem::Request req = ingress_.request(op, addr, now, slot);
   sim_.schedule(cfg_.t_proc_read + cfg_.t_to_cha, [this, req] { ingress_.submit(req); });
   return true;
+}
+
+std::uint64_t Iio::take_read_slot() {
+  for (std::size_t w = 0; w < st_.free_slots.size(); ++w) {
+    if (const std::uint64_t bits = st_.free_slots[w]; bits != 0) {
+      st_.free_slots[w] = bits & (bits - 1);
+      return w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
+    }
+  }
+  const std::uint64_t slot = st_.pending_reads.size();
+  st_.pending_reads.push_back(Pending{});
+  if (slot % 64 == 0) st_.free_slots.push_back(0);
+  return slot;
 }
 
 void Iio::complete(const mem::Request& req, Tick now) {
@@ -77,6 +84,9 @@ void Iio::complete(const mem::Request& req, Tick now) {
                        sim::Tracer::kTrackIio);
   const Pending p = st_.pending_reads[req.tag];
   st_.pending_reads[req.tag] = Pending{};
+  const std::uint64_t bit = std::uint64_t{1} << (req.tag % 64);
+  assert((st_.free_slots[req.tag / 64] & bit) == 0);
+  st_.free_slots[req.tag / 64] |= bit;
   st_.read_pool.notify();
   if (p.dev != nullptr) {
     sim_.schedule(cfg_.t_complete_read,

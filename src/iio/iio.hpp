@@ -97,12 +97,18 @@ class Iio final : public mem::Completer {
     flow::CreditPool write_pool;  ///< P2M-Write credits (IIO write buffer)
     flow::CreditPool read_pool;   ///< P2M-Read credits (IIO read buffer)
     std::vector<Pending> pending_reads;  ///< indexed by request tag slot
+    /// One bit per pending_reads slot, set while the slot is free: try_dma
+    /// takes the lowest set bit, which is the slot a scan from 0 would take.
+    std::vector<std::uint64_t> free_slots;
 
     bool operator==(const State&) const = default;
-    HOSTNET_FIELDS(State, write_pool, read_pool, pending_reads)
+    HOSTNET_FIELDS(State, write_pool, read_pool, pending_reads, free_slots)
   };
 
  private:
+  /// The lowest free pending_reads slot, appending one when all are taken.
+  std::uint64_t take_read_slot();
+
   sim::Simulator& sim_;
   const IioConfig cfg_;
   cha::Ingress ingress_;

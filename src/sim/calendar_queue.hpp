@@ -21,8 +21,13 @@
 // Levels:
 //   L0  -- 4096 slots of kSlotTicks (32) ticks each, covering the current
 //          kWindowTicks (131072-tick, ~131 ns at the picosecond clock)
-//          window: wide enough that almost every hot-path hop (2.7-290 ns)
-//          is filed straight into L0. A slot's list is sorted by tick and
+//          window. Hot-path hops span 2.7-290 ns, so not all of them land
+//          here: the IIO -> CHA DMA hop (t_proc_* 250 ns + t_to_cha 40 ns)
+//          never fits, and a short hop from near the aligned window's end
+//          crosses it. Those go to L1 and are moved again (~15% of the
+//          events of a q1_sweep run; DESIGN.md section 4a has the count).
+//          8192- and 16384-slot windows measured at most 1% faster, so the
+//          constants stay. A slot's list is sorted by tick and
 //          stable: a push appends when it is not earlier than the tail (the
 //          common case) and otherwise walks in from the head, behind the
 //          last event at or before its tick. A bitmap over the slots finds

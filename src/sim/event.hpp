@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <type_traits>
@@ -52,12 +53,13 @@ class Event {
     static_assert(std::is_trivially_copyable_v<D>,
                   "event closures must be trivially copyable (copied by memcpy)");
     ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-    ops_ = &ClosureOps<D>::ops;
+    invoke_ = &invoke<D>;
+    audit_bytes_ = std::has_unique_object_representations_v<D> ? sizeof(D) : 0;
   }
 
-  void operator()() { ops_->invoke(storage_); }
+  void operator()() { invoke_(storage_); }
 
-  explicit operator bool() const noexcept { return ops_ != nullptr; }
+  explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
   /// Checkpoint equality: same closure type and, where that is well-defined,
   /// identical closure bytes. The byte comparison covers exactly
@@ -65,27 +67,20 @@ class Event {
   /// and a closure with padding holes copies indeterminate source-stack
   /// bytes into them, so comparing either would make equality depend on
   /// memory-layout history rather than simulation state. Padded closures
-  /// therefore compare by type only.
+  /// therefore compare by type only. The type is identified by its
+  /// invoke<D> instantiation (distinct functions have distinct addresses),
+  /// and audit_bytes_ follows from it.
   bool operator==(const Event& o) const noexcept {
-    if (ops_ != o.ops_) return false;
-    if (ops_ == nullptr) return true;
-    return std::memcmp(storage_, o.storage_, ops_->audit_bytes) == 0;
+    if (invoke_ != o.invoke_) return false;
+    return std::memcmp(storage_, o.storage_, audit_bytes_) == 0;
   }
 
  private:
-  struct Ops {
-    void (*invoke)(void* self);
-    /// Bytes operator== may memcmp: sizeof(D) when the closure's object
-    /// representation is unique (no padding holes, so every byte is
-    /// determined by the captured values), 0 otherwise.
-    std::size_t audit_bytes;
-  };
-
   // The tree's one reinterpret_cast (audited in DESIGN.md section 4c). It is
   // well-defined because every call site upholds three preconditions:
   //  (1) identity: `s` is storage_ of an Event whose emplace()
-  //      placement-new'ed exactly a D there -- ops_ and D are selected
-  //      together, so type confusion would require corrupting ops_;
+  //      placement-new'ed exactly a D there -- invoke_ and D are selected
+  //      together, so type confusion would require corrupting invoke_;
   //  (2) alignment: storage_ is alignas(max_align_t) and emplace() rejects
   //      alignof(D) > max_align_t, so the cast pointer is aligned;
   //  (3) lifetime: the object's lifetime was started by placement new and,
@@ -101,16 +96,23 @@ class Event {
   }
 
   template <typename D>
-  struct ClosureOps {
-    static void invoke(void* s) { (*as<D>(s))(); }
-    static constexpr Ops ops{&invoke,
-                             std::has_unique_object_representations_v<D> ? sizeof(D) : 0};
-  };
+  static void invoke(void* s) {
+    (*as<D>(s))();
+  }
 
+  // The dispatch pointer sits beside the closure, so firing an event is one
+  // load and one indirect call.
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
-  const Ops* ops_ = nullptr;
+  void (*invoke_)(void* self) = nullptr;
+  /// Bytes operator== may memcmp: sizeof(D) when the closure's object
+  /// representation is unique (no padding holes, so every byte is
+  /// determined by the captured values), 0 otherwise (and for an empty
+  /// Event).
+  std::uint8_t audit_bytes_ = 0;
 };
 
 static_assert(std::is_trivially_copyable_v<Event>);
+static_assert(sizeof(Event) == Event::kInlineBytes + alignof(std::max_align_t),
+              "the invoke pointer and audit byte count share one alignment unit");
 
 }  // namespace hostnet::sim

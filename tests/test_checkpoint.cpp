@@ -328,7 +328,8 @@ std::vector<Window> differential_presets() {
     p.p2m = p2m;
     presets.push_back(p);
   }
-  {  // Ice Lake, read-write cores vs P2M-Read.
+  {  // Ice Lake, read-write cores vs P2M-Read from two devices on one IIO,
+     // which keep every read slot busy and reuse them out of order.
     Window p;
     p.host = ice_lake();
     C2MSpec c2m;
@@ -337,6 +338,8 @@ std::vector<Window> differential_presets() {
     p.c2m = c2m;
     P2MSpec p2m;
     p2m.storage = workloads::fio_p2m_read(p.host, workloads::p2m_region());
+    p2m.second_storage = p2m.storage;
+    p2m.second_storage->region.base += 2ull << 30;
     p.p2m = p2m;
     presets.push_back(p);
   }
@@ -355,7 +358,8 @@ std::vector<Window> differential_presets() {
   return presets;
 }
 
-/// `p`'s host built as execute() builds it: C2M cores, then storage.
+/// `p`'s host built as execute() builds it: C2M cores, then storage. A
+/// second device on a second stack needs that stack added first.
 void place(HostSystem& host, const Window& p) {
   if (p.c2m)
     for (std::uint32_t i = 0; i < p.c2m->cores; ++i) {
@@ -364,6 +368,8 @@ void place(HostSystem& host, const Window& p) {
       host.add_core(wl);
     }
   if (p.p2m && p.p2m->storage) host.add_storage(*p.p2m->storage);
+  if (p.p2m && p.p2m->second_storage)
+    host.add_storage(*p.p2m->second_storage, p.p2m->second_stack ? 1 : 0);
 }
 
 TEST(Checkpoint, RestoreMatchesColdAcrossPresets) {
@@ -388,6 +394,9 @@ TEST(Checkpoint, RestoreMatchesColdAcrossPresets) {
     const Metrics restored = host.collect();
     expect_identical(cold, saved);
     expect_identical(cold, restored);
+    if (p.p2m && p.p2m->second_storage) {  // two readers fill the IIO read buffer
+      EXPECT_EQ(cold.p2m_read.max_credits_used, p.host.iio.read_credits);
+    }
   }
 }
 
@@ -528,7 +537,6 @@ TEST(Executor, ExtensionWindowsMatchAHandBuiltHost) {
   HostSystem host(w.host, w.opt.seed);
   host.add_iio_stack(w.host.iio);
   place(host, w);
-  host.add_storage(*w.p2m->second_storage, 1);
   hostcc::HostCongestionController cc(host, *w.c2m->hostcc);
   host.run(w.opt.warmup, w.opt.measure);
   LatencyHistogram lfb, iio_write;

@@ -2,7 +2,11 @@
 // CHA+MC stack (small, single-purpose scenarios).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cha/cha.hpp"
+#include "common/rng.hpp"
 #include "cpu/core.hpp"
 #include "iio/iio.hpp"
 #include "iio/storage_device.hpp"
@@ -139,6 +143,102 @@ TEST(Iio, ReadCreditsBoundInFlight) {
   s.sim.run_until(us(100));
   EXPECT_LE(s.iio.read_station().max_occupancy(), 192);
   EXPECT_GT(dev.bytes_transferred(), 0u);
+}
+
+/// A PCIe device that keeps up to `window` DMA reads to random lines in
+/// flight and records every tag the IIO hands back. Its tags carry its id
+/// in the high word.
+class ReadProbe final : public iio::Device {
+ public:
+  ReadProbe(iio::Iio& iio, std::uint64_t id, std::uint64_t reads, std::uint64_t window)
+      : iio_(iio), id_(id), rng_(id), reads_(reads), window_(window) {}
+
+  void pump() {
+    while (issued_ < reads_ && issued_ - returned.size() < window_) {
+      const std::uint64_t addr = (64ull << 30) + rng_.below(1u << 20) * kCachelineBytes;
+      if (!iio_.try_dma(mem::Op::kRead, addr, this, (id_ << 32) | issued_)) return;
+      ++issued_;
+    }
+  }
+  bool done() const { return returned.size() == reads_; }
+
+  void on_credit_available(mem::Op) override { pump(); }
+  void on_read_data(std::uint64_t tag, Tick) override {
+    returned.push_back(tag);
+    pump();
+  }
+  flow::CreditWaiter& credit_waiter(mem::Op op) override { return waiters_[op]; }
+
+  std::vector<std::uint64_t> returned;
+
+ private:
+  iio::Iio& iio_;
+  const std::uint64_t id_;
+  Rng rng_;
+  const std::uint64_t reads_;
+  const std::uint64_t window_;
+  std::uint64_t issued_ = 0;
+  flow::OpWaiters<ReadProbe, &ReadProbe::on_credit_available> waiters_{*this};
+};
+
+iio::Iio::State iio_state(const iio::Iio& iio) {
+  iio::Iio::Snapshot snap;
+  iio.save_state(snap);
+  return snap.st_;
+}
+
+TEST(Iio, ReadSlotsAreLowestFreeAndReturnToTheirDevice) {
+  // Two devices on one IIO, whose windows add up to more than the read
+  // credits, keep every slot busy at times and leave several free at
+  // others, while DRAM returns their lines out of order. Event by event,
+  // the slots a step takes must be the lowest ones free after the step's
+  // own frees (the scan from slot 0 that the free-slot bitset replaces),
+  // and the bitset must mark exactly the free slots.
+  Stack s;
+  const std::uint32_t credits = iio::IioConfig{}.read_credits;
+  ReadProbe a(s.iio, 1, 3000, 150);
+  ReadProbe b(s.iio, 2, 3000, 90);
+  a.pump();
+  b.pump();
+  iio::Iio::State prev = iio_state(s.iio);
+  ASSERT_EQ(prev.pending_reads.size(), credits);
+  std::uint64_t steps = 0;
+  while (!(a.done() && b.done())) {
+    ASSERT_TRUE(s.sim.step());
+    ASSERT_LT(++steps, 2'000'000u);
+    const iio::Iio::State now = iio_state(s.iio);
+    ASSERT_LE(now.pending_reads.size(), credits);
+    ASSERT_EQ(now.free_slots.size(), (now.pending_reads.size() + 63) / 64);
+    // A taken slot was free before the step or freed by it, so it is
+    // itself a candidate: taken must be a prefix of candidates.
+    std::vector<std::uint64_t> candidates;  // free once this step's frees land
+    std::vector<std::uint64_t> taken;
+    for (std::uint64_t i = 0; i < now.pending_reads.size(); ++i) {
+      const bool free_bit = (now.free_slots[i / 64] >> (i % 64)) & 1;
+      ASSERT_EQ(free_bit, now.pending_reads[i].dev == nullptr) << "slot " << i;
+      const bool existed = i < prev.pending_reads.size();
+      const iio::Iio::Pending before = existed ? prev.pending_reads[i] : iio::Iio::Pending{};
+      const iio::Iio::Pending after = now.pending_reads[i];
+      if (before.dev == nullptr || !(before == after)) candidates.push_back(i);
+      if (after.dev != nullptr && !(before == after)) taken.push_back(i);
+    }
+    ASSERT_TRUE(std::equal(taken.begin(), taken.end(), candidates.begin()))
+        << "step " << steps << " took slot " << taken.front() << ", lowest free was "
+        << candidates.front();
+    prev = now;
+  }
+  EXPECT_EQ(s.iio.read_station().max_occupancy(), credits);
+
+  bool out_of_order = false;
+  for (const ReadProbe* p : {&a, &b}) {
+    std::vector<std::uint64_t> got = p->returned;
+    for (std::size_t i = 0; i + 1 < got.size(); ++i) out_of_order |= got[i] > got[i + 1];
+    std::sort(got.begin(), got.end());
+    const std::uint64_t id = p == &a ? 1 : 2;
+    for (std::uint64_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], (id << 32) | i) << "device " << id << " got another device's tag";
+  }
+  EXPECT_TRUE(out_of_order);
 }
 
 TEST(Iio, UnloadedWriteLatencyNearCalibration) {

@@ -60,6 +60,20 @@ TEST(AddressMap, ChannelInterleaveGranularity) {
   EXPECT_NE(m.decode(0).channel, m.decode(256).channel);
 }
 
+TEST(AddressMap, ChannelOfMatchesDecode) {
+  // The CHA routes by channel_of() and the MC queues by decode(): both must
+  // name the same channel for every line, whatever the geometry.
+  for (const AddressMap& m :
+       {cl_map(), cl_map(BankHash::kLinear), AddressMap(1, 16, 8192, 64, BankHash::kXorHash),
+        AddressMap(4, 32, 8192, 4096, BankHash::kXorHash, 2048),
+        AddressMap(8, 16, 2048, 128, BankHash::kLinear, 512)}) {
+    for (std::uint64_t a = 0; a < (4ull << 20); a += 64)
+      ASSERT_EQ(m.channel_of(a), m.decode(a).channel) << "address " << a;
+    for (std::uint64_t a = 1ull << 40; a < (1ull << 40) + (1 << 20); a += 64)
+      ASSERT_EQ(m.channel_of(a), m.decode(a).channel) << "address " << a;
+  }
+}
+
 TEST(AddressMap, SequentialStreamHasRowLocality) {
   // A sequential stream changes (bank,row) only once per bank-interleave
   // chunk per channel: with 8 KB chunks, 128 lines per channel share a row.
