@@ -376,7 +376,7 @@ void BM_TcpStackHost(benchmark::State& state) {
   // Host with a TCP receiver under each pluggable stack (Arg = TcpStackKind).
   // The pacing (bbr) and delay-window (davis) stacks schedule extra events
   // per window; this keeps their event-cost delta over dctcp perf-gated.
-  const auto kind = static_cast<core::TcpStackKind>(state.range(0));
+  const auto kind = static_cast<net::TcpStackKind>(state.range(0));
   for (auto _ : state) {
     const auto hc = core::cascade_lake();
     core::HostSystem host(hc);
@@ -384,16 +384,16 @@ void BM_TcpStackHost(benchmark::State& state) {
       host.add_core(workloads::c2m_read_write(workloads::c2m_core_region(i)));
     net::TcpConfig cfg;
     cfg.stack = kind;
-    net::TcpReceiver rx(host, cfg);
+    const net::TcpReceiver& rx = host.add_tcp_receiver(cfg);
     host.run(us(50), us(200));
     benchmark::DoNotOptimize(rx.goodput_gbps(host.sim().now()));
   }
-  state.SetLabel(core::to_string(kind) + ", 250us simulated per iteration");
+  state.SetLabel(net::to_string(kind) + ", 250us simulated per iteration");
 }
 BENCHMARK(BM_TcpStackHost)
-    ->Arg(static_cast<int>(core::TcpStackKind::kDctcp))
-    ->Arg(static_cast<int>(core::TcpStackKind::kBbr))
-    ->Arg(static_cast<int>(core::TcpStackKind::kDavis))
+    ->Arg(static_cast<int>(net::TcpStackKind::kDctcp))
+    ->Arg(static_cast<int>(net::TcpStackKind::kBbr))
+    ->Arg(static_cast<int>(net::TcpStackKind::kDavis))
     ->Unit(benchmark::kMillisecond);
 
 // ---- parallel sweep scaling ------------------------------------------------

@@ -246,12 +246,12 @@ Printer ext_tail_latency(core::Plan& plan) {
 // 25/26's root-cause view.
 Printer ext_tcp_stacks(core::Plan& plan) {
   const core::HostConfig host = core::cascade_lake();
-  static constexpr std::array<core::TcpStackKind, 3> stacks{
-      core::TcpStackKind::kDctcp, core::TcpStackKind::kBbr, core::TcpStackKind::kDavis};
+  static constexpr std::array<net::TcpStackKind, 3> stacks{
+      net::TcpStackKind::kDctcp, net::TcpStackKind::kBbr, net::TcpStackKind::kDavis};
   static constexpr Quadrant quads[] = {{"C2M-Read + TCP Rx", false, true},
                                        {"C2M-ReadWrite + TCP Rx", true, true}};
   // Default spec names, so the DCTCP windows are Fig 19's and Fig 25/26's.
-  const auto rx = [](core::TcpStackKind kind) {
+  const auto rx = [](net::TcpStackKind kind) {
     core::P2MSpec p2m = dctcp_rx();
     p2m.tcp->stack = kind;
     return p2m;
@@ -259,13 +259,13 @@ Printer ext_tcp_stacks(core::Plan& plan) {
   std::vector<std::vector<std::vector<core::ColocationRef>>> sweeps;  // [quadrant][stack]
   for (const Quadrant& q : quads) {
     sweeps.emplace_back();
-    for (core::TcpStackKind kind : stacks)
+    for (net::TcpStackKind kind : stacks)
       sweeps.back().push_back(plan.core_sweep(host, c2m_stream(q.c2m_writes), rx(kind), kCores,
                                               core::default_run_options()));
   }
   // Receiver root-cause detail: 4 read-write cores beside each stack.
   std::vector<std::size_t> detail;
-  for (core::TcpStackKind kind : stacks)
+  for (net::TcpStackKind kind : stacks)
     detail.push_back(plan.add(host, c2m_stream(true, 4), rx(kind), core::default_run_options()));
 
   return [=](const core::Outcomes& out, std::ostream& os) {
@@ -285,10 +285,10 @@ Printer ext_tcp_stacks(core::Plan& plan) {
                  Table::num(pt.p2m_degradation()) + "x", Table::num(pt.colo.p2m_score, 2),
                  core::to_string(r)});
         }
-        banner(std::string("stack: ") + core::to_string(stacks[s]), os);
+        banner(std::string("stack: ") + net::to_string(stacks[s]), os);
         t.print(os);
         onsets.row(
-            {core::to_string(stacks[s]), quads[qi].title, onset_str(blue), onset_str(red)});
+            {net::to_string(stacks[s]), quads[qi].title, onset_str(blue), onset_str(red)});
       }
     }
     banner("Regime onset per stack x quadrant (first C2M core count; - = never)", os);
@@ -297,8 +297,8 @@ Printer ext_tcp_stacks(core::Plan& plan) {
     banner("Receiver detail: 4x C2M-ReadWrite colocation", os);
     Table d({"stack", "goodput GB/s", "loss", "mark frac", "avg cwnd"});
     for (std::size_t s = 0; s < stacks.size(); ++s) {
-      const core::TransportOutcome& tr = out[detail[s]].transport;
-      d.row({core::to_string(stacks[s]), Table::num(tr.goodput_gbps, 2),
+      const net::TransportOutcome& tr = out[detail[s]].transport;
+      d.row({net::to_string(stacks[s]), Table::num(tr.goodput_gbps, 2),
              Table::pct(tr.loss_rate * 100, 3), Table::pct(tr.mark_fraction * 100, 1),
              Table::num(tr.avg_cwnd, 1)});
     }

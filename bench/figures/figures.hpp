@@ -21,7 +21,7 @@
 
 #include "common/table.hpp"
 #include "core/experiment.hpp"
-#include "net/tcp_stack.hpp"
+#include "net/dctcp.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hostnet::figures {
@@ -70,9 +70,8 @@ inline core::P2MSpec fio_stream(const core::HostConfig& host, bool writes) {
 
 /// The paper's DCTCP receiver (net::TcpConfig{}) as a P2M placement.
 inline core::P2MSpec dctcp_rx() {
-  net::install_tcp_factory();
   core::P2MSpec p;
-  p.tcp = core::TcpSpec{};
+  p.tcp = net::TcpConfig{};
   return p;
 }
 

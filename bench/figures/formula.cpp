@@ -8,7 +8,7 @@
 
 #include "analytic/formula.hpp"
 #include "figures.hpp"
-#include "net/rdma.hpp"
+#include "workloads/rdma.hpp"
 
 namespace hostnet::figures {
 
@@ -194,10 +194,10 @@ Printer fig27_28_rdma_formula(core::Plan& plan) {
   };
   // Calibration: unloaded C2M-Read, isolated ib_write_bw and ib_read_bw.
   const std::size_t cal_c2m = plan.add(host, c2m_stream(false), std::nullopt, opt);
-  const std::size_t cal_wr = plan.add(host, std::nullopt, net::rdma_write_p2m(), opt);
-  const std::size_t cal_rd = plan.add(host, std::nullopt, net::rdma_read_p2m(), opt);
-  const auto colo = plan_colocated(plan, host, quads, net::rdma_write_p2m(),
-                                   net::rdma_read_p2m());
+  const std::size_t cal_wr = plan.add(host, std::nullopt, workloads::rdma_write_p2m(), opt);
+  const std::size_t cal_rd = plan.add(host, std::nullopt, workloads::rdma_read_p2m(), opt);
+  const auto colo = plan_colocated(plan, host, quads, workloads::rdma_write_p2m(),
+                                   workloads::rdma_read_p2m());
 
   return [=](const core::Outcomes& out, std::ostream& os) {
     analytic::Constants constants;

@@ -8,7 +8,7 @@
 
 #include "core/host_system.hpp"
 #include "figures.hpp"
-#include "net/rdma.hpp"
+#include "workloads/rdma.hpp"
 
 namespace hostnet::figures {
 
@@ -16,7 +16,7 @@ namespace {
 
 /// ib_write_bw (P2M-Write at the server) or ib_read_bw (P2M-Read).
 core::P2MSpec rdma_p2m(bool writes) {
-  return writes ? net::rdma_write_p2m() : net::rdma_read_p2m();
+  return writes ? workloads::rdma_write_p2m() : workloads::rdma_read_p2m();
 }
 
 /// Fig 23: us-scale IIO write-buffer occupancy, quadrant 3, 5 C2M cores. It
@@ -27,13 +27,13 @@ void print_fig23_timeline(const core::HostConfig& host, std::ostream& os) {
   core::HostSystem sys(host, 1);
   for (std::uint32_t i = 0; i < 5; ++i)
     sys.add_core(workloads::c2m_read_write(workloads::c2m_core_region(i)));
-  const auto nic = net::attach_rdma_write_nic(sys);
+  const net::NicDevice& nic = sys.add_nic(core::RdmaWriteSpec{}.nic(host));
   sys.run(us(400), us(10));
   Table t({"t (us)", "IIO wr occupancy", "NIC paused"});
   for (int i = 0; i < 40; ++i) {
     sys.run_more(us(1));
     t.row({std::to_string(i + 1), std::to_string(sys.iio().write_station().occupancy()),
-           nic->paused() ? "yes" : "no"});
+           nic.paused() ? "yes" : "no"});
   }
   t.print(os);
   os << "(PFC keeps enough data queued at the NIC to hold the IIO buffer\n"

@@ -119,7 +119,7 @@ Printer netapp_rx(core::Plan& plan) {
   return [=](const core::Outcomes& out, std::ostream& os) {
     banner("DCTCP receiver (100G, 4 copy cores) under host-network contention", os);
     for (std::size_t i = 0; i < w.size(); ++i) {
-      const core::TransportOutcome& tr = out[w[i]].transport;
+      const net::TransportOutcome& tr = out[w[i]].transport;
       char line[256];
       std::snprintf(line, sizeof line,
                     "%-28s goodput %5.2f GB/s  loss %6.3f%%  marks %5.1f%%  cwnd %5.1f  "

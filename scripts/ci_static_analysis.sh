@@ -11,23 +11,26 @@
 #                  clang-tidy is not installed (this container ships none)
 #   4. checked     warning-free (-Werror) build and full tier-1 suite under
 #                  -DHOSTNET_CHECKED=ON: every HOSTNET_INVARIANT live,
-#                  death tests and the CreditPool registration walk included
-#                  (component member tables are checked by every build),
-#                  and the golden gate, so every figure window also runs
-#                  with live invariants
-#   5. sanitizers  full suite under ASan+UBSan and TSan
-#   6. perf        Release bench_sim_perf of this tree vs the same benchmark
+#                  death tests included (component member tables are
+#                  checked by every build), and the golden gate, so every
+#                  figure window also runs with live invariants
+#   5. perfbench   the host-time benchmark package (perfbench/, Release)
+#                  configured and built against this tree's src/, and its
+#                  perfbench_selftest run: a src/ API change that breaks the
+#                  benchmark's compile fails here
+#   6. sanitizers  full suite under ASan+UBSan and TSan
+#   7. perf        Release bench_sim_perf of this tree vs the same benchmark
 #                  built from its parent commit (HEAD^, checked out in a
 #                  temporary git worktree) on this machine: a >10%
 #                  regression on any benchmark fails the gate, and checked
 #                  instrumentation must compile out of Release builds
-#   7. golden      one Release hostnet_figures run: each figure's output
+#   8. golden      one Release hostnet_figures run: each figure's output
 #                  vs bench/goldens/, byte-for-byte, with no orphan on
 #                  either side (scripts/check_golden.sh)
 #
 # Usage: scripts/ci_static_analysis.sh [--quick]
-#   --quick   steps 1-4 only (no sanitizer rebuilds, no benchmark, no
-#             release goldens): the fast pre-push loop.
+#   --quick   steps 1-4 only (no perfbench build, no sanitizer rebuilds,
+#             no benchmark, no release goldens): the fast pre-push loop.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -38,13 +41,13 @@ jobs="$(nproc)"
 
 step() { printf '\n=== ci_static_analysis: %s ===\n' "$1"; }
 
-step "1/7 format check"
+step "1/8 format check"
 scripts/format_check.sh
 
-step "2/7 hostnet-lint (with stale-suppression sweep)"
+step "2/8 hostnet-lint (with stale-suppression sweep)"
 python3 tools/hostnet_lint.py --stale
 
-step "3/7 clang-tidy build"
+step "3/8 clang-tidy build"
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake -B build-tidy -S . -DHOSTNET_LINT=ON >/dev/null
   cmake --build build-tidy -j "${jobs}"
@@ -54,7 +57,7 @@ else
        "project-specific rules in step 2)"
 fi
 
-step "4/7 checked-invariant build + full tier-1 suite"
+step "4/8 checked-invariant build + full tier-1 suite"
 cmake -B build-checked -S . -DHOSTNET_CHECKED=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-checked -j "${jobs}"
 # The suite includes the golden gate (label golden): the checked build must
@@ -64,16 +67,23 @@ cmake --build build-checked -j "${jobs}"
 ctest --test-dir build-checked -LE perf -j "${jobs}" --output-on-failure
 
 if [[ ${quick} -eq 1 ]]; then
-  step "quick mode: skipping sanitizers + perf gate + release goldens"
+  step "quick mode: skipping perfbench + sanitizers + perf gate + release goldens"
   echo "ci_static_analysis: OK (quick)"
   exit 0
 fi
 
-step "5/7 sanitizers (ASan+UBSan, then TSan) over the full suite"
+step "5/8 perfbench package: Release build from this tree + its selftest"
+# The same build directory perfbench/run.py uses. The benchmark's sources
+# are frozen, so this is where a library change that breaks them shows.
+cmake -S perfbench -B .bench_build/perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build .bench_build/perfbench -j "${jobs}"
+ctest --test-dir .bench_build/perfbench --output-on-failure --no-tests=error
+
+step "6/8 sanitizers (ASan+UBSan, then TSan) over the full suite"
 scripts/run_asan_ubsan_tests.sh build-asan
 scripts/run_tsan_pool_tests.sh build-tsan
 
-step "6/7 release perf gate (this tree vs its parent commit, same machine)"
+step "7/8 release perf gate (this tree vs its parent commit, same machine)"
 # Both sides are built in Release (the build type that links the library
 # with IPO) and run back to back here, so the ratio measures the change and
 # not the machine.
@@ -97,7 +107,7 @@ python3 scripts/bench_compare.py \
 cleanup_parent
 trap - EXIT
 
-step "7/7 golden figure outputs (byte-for-byte vs bench/goldens/)"
+step "8/8 golden figure outputs (byte-for-byte vs bench/goldens/)"
 scripts/check_golden.sh build-release/bench
 
 echo

@@ -120,7 +120,7 @@ class Cha final : public mc::ChannelListener {
     return st_.write_pool.pressure_fraction(now);
   }
 
-  // -- credit pools (registered with flow::DomainRegistry, interior) ---------
+  // -- credit pools (in the host's flow::DomainRegistry, interior) -----------
   flow::CreditPool& read_pool() { return st_.read_pool; }    ///< read tracker (TOR)
   flow::CreditPool& write_pool() { return st_.write_pool; }  ///< write tracker
 

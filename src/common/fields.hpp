@@ -58,11 +58,10 @@
 //
 // HOSTNET_COMPONENT also defines `visit_owned(c, fn)`, calling `fn("name",
 // member)` for `st_` and each owned component. for_each_reachable() walks
-// it, and the State tables, from a root component; HostSystem's checked
-// build uses it to find every flow::CreditPool in the host.
+// it, and the State tables, from a root component; HostSystem builds its
+// flow::DomainRegistry from every flow::CreditPool it finds.
 #pragma once
 
-#include <any>
 #include <cassert>
 #include <concepts>
 #include <cstddef>
@@ -295,62 +294,6 @@ class OwnerToken {
           "holds pointers into the object that saved it)");
   }
   HOSTNET_COMPONENT_EXEMPT_ALL(OwnerToken)
-};
-
-/// A component interface for an owner that keeps components of several
-/// types in one list (HostSystem's attached externals). ErasedRef<T>
-/// implements it; its Snapshot holds T's own Snapshot, so == compares them by
-/// value.
-class Erased {
- public:
-  class Snapshot {
-   public:
-    /// The held S, made (in place of any other type) on first use.
-    template <class S>
-    S& get() {
-      if (!std::any_cast<S>(&value_)) {
-        value_.emplace<S>();
-        equal_ = [](const std::any& a, const std::any& b) {
-          return *std::any_cast<S>(&a) == *std::any_cast<S>(&b);
-        };
-      }
-      return *std::any_cast<S>(&value_);
-    }
-    /// The held S; throws std::bad_any_cast when it holds another type.
-    template <class S>
-    const S& get() const {
-      return std::any_cast<const S&>(value_);
-    }
-    bool operator==(const Snapshot& o) const {
-      return value_.type() == o.value_.type() && (!equal_ || equal_(value_, o.value_));
-    }
-
-   private:
-    std::any value_;
-    bool (*equal_)(const std::any&, const std::any&) = nullptr;
-  };
-
-  virtual ~Erased() = default;
-  virtual void save_state(Snapshot& out) const = 0;
-  virtual void load_state(const Snapshot& s) = 0;
-  HOSTNET_COMPONENT_INTERFACE(Erased)
-};
-
-/// Erased over a component `c` of type T, which the caller keeps alive;
-/// `Base` is Erased or an interface derived from it.
-template <class T, class Base>
-class ErasedRef : public Base {
- public:
-  explicit ErasedRef(T& c) : c_(c) {}
-  void save_state(Erased::Snapshot& out) const final {
-    c_.save_state(out.template get<typename T::Snapshot>());
-  }
-  void load_state(const Erased::Snapshot& s) final {
-    c_.load_state(s.template get<typename T::Snapshot>());
-  }
-
- protected:
-  T& c_;
 };
 
 namespace detail {

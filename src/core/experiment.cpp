@@ -13,19 +13,7 @@
 
 namespace hostnet::core {
 
-std::string to_string(TcpStackKind kind) {
-  switch (kind) {
-    case TcpStackKind::kDctcp: return "dctcp";
-    case TcpStackKind::kBbr: return "bbr";
-    case TcpStackKind::kDavis: return "davis";
-  }
-  return "?";
-}
-
 namespace {
-// Installed once at static-init time by src/net; read-only afterwards, so
-// executor workers can share it without synchronization.
-P2MTransportFactory installed_transport_factory = nullptr;
 
 /// A window-length override in microseconds, or `fallback` when `var` is
 /// unset. Rejects anything but a finite number (a typo must not silently
@@ -42,9 +30,6 @@ Tick env_us(const char* var, Tick fallback, bool allow_zero) {
 }
 
 }  // namespace
-
-void set_p2m_transport_factory(P2MTransportFactory f) { installed_transport_factory = f; }
-P2MTransportFactory p2m_transport_factory() { return installed_transport_factory; }
 
 Tick window_ticks(double v, bool allow_zero, const std::string& what) {
   constexpr Tick kMaxUs = std::numeric_limits<Tick>::max() / kMicrosecond;
@@ -100,61 +85,42 @@ void enc(std::string& s, const T& v) {
   }
 }
 
-/// Build the transport requested by `p2m` (nullptr when none). Must run at
-/// the same construction position on the cold and fork paths -- after cores
-/// and storage -- because the transport attaches itself to the host and event
-/// ordering depends on registration order.
-std::unique_ptr<P2MTransport> make_transport(HostSystem& host,
-                                             const std::optional<P2MSpec>& p2m) {
-  if (!p2m || (!p2m->tcp && !p2m->rdma_write)) return nullptr;
-  if (p2m->tcp && p2m->rdma_write)
-    throw std::invalid_argument("P2MSpec '" + p2m->name +
+/// Place the window's workloads on its host, in the one construction order
+/// both paths use -- a second IIO stack, cores, storage, the transport, then
+/// hostCC: component seeds and event order depend on it.
+void place(HostSystem& host, const Window& w) {
+  if (w.p2m && w.p2m->tcp && w.p2m->rdma_write)
+    throw std::invalid_argument("P2MSpec '" + w.p2m->name +
                                 "' places both a TCP and an RDMA-write transport");
-  P2MTransportFactory f = p2m_transport_factory();
-  if (!f)
-    throw std::logic_error(
-        "P2MSpec requests a network transport but no factory is installed; "
-        "link hostnet_net (net::install_tcp_factory)");
-  return f(host, *p2m);
+  const bool second_stack = w.p2m && w.p2m->second_storage && w.p2m->second_stack;
+  if (second_stack) host.add_iio_stack(w.host.iio);
+  if (w.c2m) add_c2m(host, *w.c2m);
+  if (w.p2m && w.p2m->storage) host.add_storage(*w.p2m->storage);
+  if (w.p2m && w.p2m->second_storage)
+    host.add_storage(*w.p2m->second_storage, second_stack ? 1 : 0);
+  if (w.p2m && w.p2m->tcp) host.add_tcp_receiver(*w.p2m->tcp);
+  if (w.p2m && w.p2m->rdma_write) host.add_nic(w.p2m->rdma_write->nic(w.host));
+  if (w.c2m && w.c2m->hostcc) host.add_hostcc(*w.c2m->hostcc);
 }
 
-/// A built (not yet run) host with the window's workloads placed, in the
-/// one construction order both paths use -- a second IIO stack, cores,
-/// storage, the transport, then hostCC: component seeds and registry order
-/// depend on it.
-struct BuiltHost {
-  HostSystem host;
-  /// The placed transport and hostCC controller, when any: their hooks
-  /// capture `this`, so they must live exactly as long as the host.
-  std::unique_ptr<P2MTransport> transport;
-  std::unique_ptr<hostcc::HostCongestionController> hostcc;
-
-  explicit BuiltHost(const Window& w) : host(w.host, w.opt.seed) {
-    const bool second_stack = w.p2m && w.p2m->second_storage && w.p2m->second_stack;
-    if (second_stack) host.add_iio_stack(w.host.iio);
-    if (w.c2m) add_c2m(host, *w.c2m);
-    if (w.p2m && w.p2m->storage) host.add_storage(*w.p2m->storage);
-    if (w.p2m && w.p2m->second_storage)
-      host.add_storage(*w.p2m->second_storage, second_stack ? 1 : 0);
-    transport = make_transport(host, w.p2m);
-    if (w.c2m && w.c2m->hostcc)
-      hostcc = std::make_unique<hostcc::HostCongestionController>(host, *w.c2m->hostcc);
-  }
-
-  RunOutcome collect(const Window& w) const {
-    RunOutcome out;
-    out.metrics = host.collect();
-    if (w.c2m)
-      out.c2m_score = episodic(*w.c2m) ? out.metrics.queries_per_sec : out.metrics.c2m_app_gbps;
-    if (transport) out.transport = transport->collect(host.sim().now());
-    if (w.p2m) out.p2m_score = transport ? out.transport.goodput_gbps : out.metrics.p2m_dev_gbps;
-    for (const flow::DomainRegistry::Entry& e : host.domains().entries())
-      if (e.has_domain)
-        out.latency[static_cast<std::size_t>(e.domain)].merge(e.pool->station().histogram());
-    if (hostcc) out.hostcc_throttle = hostcc->avg_throttle(host.sim().now());
-    return out;
-  }
-};
+/// The window's outcome, read off its host at the window's end.
+RunOutcome collect(const HostSystem& host, const Window& w) {
+  RunOutcome out;
+  const Tick now = host.sim().now();
+  out.metrics = host.collect();
+  if (w.c2m)
+    out.c2m_score = episodic(*w.c2m) ? out.metrics.queries_per_sec : out.metrics.c2m_app_gbps;
+  if (!host.tcp_receivers().empty()) out.transport = host.tcp_receivers().front()->collect(now);
+  if (!host.nics().empty()) out.transport = host.nics().front()->collect(now);
+  if (w.p2m)
+    out.p2m_score = w.p2m->tcp || w.p2m->rdma_write ? out.transport.goodput_gbps
+                                                    : out.metrics.p2m_dev_gbps;
+  for (const flow::DomainRegistry::Entry& e : host.domains().entries())
+    if (const std::optional<Domain> d = e.domain())
+      out.latency[static_cast<std::size_t>(*d)].merge(e.pool->station().histogram());
+  if (!host.hostcc().empty()) out.hostcc_throttle = host.hostcc().front()->avg_throttle(now);
+  return out;
+}
 
 }  // namespace
 
@@ -260,19 +226,20 @@ Outcomes execute(const Plan& plan, const ExecOptions& opt) {
       [&](std::size_t j) {
         const std::vector<Identical>& distinct = jobs[j];
         const Window& first = ws[distinct.front().front()];
-        BuiltHost b(first);  // freed with the job: warmed hosts never outlive it
+        HostSystem host(first.host, first.opt.seed);  // freed with the job
+        place(host, first);
         // run(warmup, 0) warms and resets counters, leaving the host at the
         // measurement quiesce point. run_until() drains every event at or
         // before the boundary tick, so running on window by window replays
         // the exact event sequence of a cold run(warmup, measure) to each
         // boundary, and collect() is a pure read that leaves the run as is.
-        b.host.run(first.opt.warmup, 0);
+        host.run(first.opt.warmup, 0);
         Tick measured = 0;
         for (const Identical& same : distinct) {
           const Window& w = ws[same.front()];
-          b.host.run_more(w.opt.measure - measured);
+          host.run_more(w.opt.measure - measured);
           measured = w.opt.measure;
-          const RunOutcome o = b.collect(w);
+          const RunOutcome o = collect(host, w);
           for (std::size_t i : same) out.windows[i] = o;
         }
       },

@@ -20,6 +20,8 @@
 #include "core/presets.hpp"
 #include "cpu/core.hpp"
 #include "iio/storage_device.hpp"
+#include "net/dctcp.hpp"
+#include "net/nic_device.hpp"
 
 namespace hostnet::core {
 
@@ -38,81 +40,27 @@ struct C2MSpec {
   HOSTNET_FIELDS(C2MSpec, name, workload, cores, per_core_region, region_stride, hostcc)
 };
 
-// -- P2M transports (the network seam; implemented in src/net) ----------------
+// -- P2M transports --------------------------------------------------------------
 //
 // The network case studies -- a family of TCP congestion-control stacks
 // (net::TcpStack) and an RDMA-write NIC with PFC -- are P2M placements like
-// storage. The executor stays net-agnostic: a P2MSpec requests a transport
-// by spec, and the concrete model is built through a factory that src/net
-// installs (core cannot link net).
-
-/// Which congestion-control stack drives the TCP sender model.
-enum class TcpStackKind : std::uint8_t {
-  kDctcp = 0,  ///< ECN-fraction response (the paper's baseline, Fig 19)
-  kBbr = 1,    ///< bandwidth-probing with a pacing gate (BBR-like)
-  kDavis = 2,  ///< delay-based, backs off on measured RTT inflation
-};
-
-std::string to_string(TcpStackKind kind);
-
-/// The construction-shaping knobs of a TCP receiver placement (all keyed by
-/// config_fingerprint()); per-stack CC constants stay fixed inside src/net.
-struct TcpSpec {
-  std::string name = "tcp";
-  TcpStackKind stack = TcpStackKind::kDctcp;
-  double wire_gb_per_s = 12.25;    ///< 100 Gbps link, effective
-  std::uint32_t mtu_bytes = 9216;  ///< jumbo frames
-  std::uint32_t copy_cores = 4;    ///< kernel copy cores at the receiver
-  std::uint32_t ring_packets = 192;///< socket buffer / receive window
-  Tick base_rtt = us(40);
-  HOSTNET_FIELDS(TcpSpec, name, stack, wire_gb_per_s, mtu_bytes, copy_cores, ring_packets,
-                 base_rtt)
-};
+// storage: the window's host owns the NIC or TCP receiver a P2MSpec places.
 
 /// RDMA write placement (ib_write_bw): a RoCE NIC with PFC generating
 /// line-rate inbound DMA writes. The remaining NIC knobs (MTU, RX buffer,
-/// pause thresholds) stay fixed inside src/net.
+/// pause thresholds) keep net::NicConfig's defaults.
 struct RdmaWriteSpec {
   double wire_gb_per_s = 12.25;  ///< ~98 Gbps effective
   HOSTNET_FIELDS(RdmaWriteSpec, wire_gb_per_s)
+
+  /// The NIC on `host`: this wire rate, the host's PCIe write rate.
+  net::NicConfig nic(const HostConfig& host) const {
+    net::NicConfig n;
+    n.wire_gb_per_s = wire_gb_per_s;
+    n.pcie_gb_per_s = host.pcie_write_gb_per_s;
+    return n;
+  }
 };
-
-struct P2MSpec;
-
-/// A transport's measurement-window telemetry. A quantity the transport
-/// does not have reads 0: an RDMA-write NIC has no copy cores or cwnd, and a
-/// TCP receiver's lossy NIC is never PFC-paused.
-struct TransportOutcome {
-  double goodput_gbps = 0;         ///< delivered payload GB/s (the P2M score)
-  double pause_fraction = 0;       ///< PFC-paused time / window
-  double loss_rate = 0;            ///< dropped / offered packets
-  double mark_fraction = 0;        ///< ECN-marked / accepted packets
-  double avg_cwnd = 0;             ///< epoch-sampled mean cwnd (packets)
-  double copy_lfb_latency_ns = 0;  ///< mean LFB latency of the copy cores
-  double copy_lfb_occupancy = 0;   ///< copy cores' average LFB occupancy, summed
-  std::uint64_t copy_lines = 0;    ///< cachelines the copy cores copied
-  bool operator==(const TransportOutcome&) const = default;
-};
-
-/// What the executor needs from a transport that carries a P2M placement
-/// (a TCP receiver, an RDMA-write NIC): its window telemetry, read at the
-/// window's end. Built by the factory src/net installs; owned by the caller
-/// of the factory (the transport registers its simulation hooks with the
-/// HostSystem itself).
-class P2MTransport {
- public:
-  virtual ~P2MTransport() = default;
-  virtual TransportOutcome collect(Tick now) const = 0;
-};
-
-/// Factory building the transport a P2MSpec places (its `tcp` or
-/// `rdma_write` field) onto `host`. Installed once at startup by src/net
-/// (net::install_tcp_factory); the executor throws std::logic_error on a
-/// transport placement when no factory is present.
-using P2MTransportFactory = std::unique_ptr<P2MTransport> (*)(HostSystem& host,
-                                                              const P2MSpec& spec);
-void set_p2m_transport_factory(P2MTransportFactory f);
-P2MTransportFactory p2m_transport_factory();
 
 struct P2MSpec {
   std::string name = "p2m";
@@ -124,7 +72,7 @@ struct P2MSpec {
   bool second_stack = false;
   /// TCP receiver placement (DMA writes through the IIO, like storage
   /// writes, plus kernel-copy C2M traffic). Scored by transport goodput.
-  std::optional<TcpSpec> tcp{};
+  std::optional<net::TcpConfig> tcp{};
   /// RDMA write placement, scored by the bytes the NIC accepts off the wire.
   /// (RDMA read is a storage placement: workloads::rdma_read.)
   std::optional<RdmaWriteSpec> rdma_write{};
@@ -153,7 +101,7 @@ struct RunOutcome {
   Metrics metrics{};
   double c2m_score = 0;       ///< queries/s (episodic) or core read GB/s
   double p2m_score = 0;       ///< device DMA GB/s, or the transport's goodput
-  TransportOutcome transport{};  ///< the transport placement's telemetry (zero without one)
+  net::TransportOutcome transport{};  ///< the transport placement's telemetry (zero without one)
   /// Each domain's per-request latencies over the window, indexed by Domain
   /// (all of the domain's pools merged: every core's LFB, every IIO stack).
   std::array<LatencyHistogram, mem::kNumTrafficClasses> latency{};

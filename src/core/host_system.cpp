@@ -15,30 +15,13 @@ HostSystem::HostSystem(const HostConfig& cfg, std::uint64_t seed) : cfg_(cfg), s
                                                nullptr);
   cha_ = std::make_unique<cha::Cha>(sim_, cfg_.cha, *mc_);
   mc_->set_listener(cha_.get());
-  // Every credit pool in the host joins the registry in construction order;
-  // registration order is the registry's (deterministic) iteration order.
-  for (std::uint32_t ch = 0; ch < mc_->num_channels(); ++ch) {
-    const std::string prefix = "mc.ch" + std::to_string(ch);
-    registry_.add_interior(prefix + ".rpq", &mc_->channel(ch).rpq_pool());
-    registry_.add_interior(prefix + ".wpq", &mc_->channel(ch).wpq_pool());
-  }
-  registry_.add_interior("cha.read-tor", &cha_->read_pool());
-  registry_.add_interior("cha.write-tracker", &cha_->write_pool());
   iios_.push_back(std::make_unique<iio::Iio>(sim_, *cha_, cfg_.iio, 0));
-  register_iio_pools(0);
-}
-
-void HostSystem::register_iio_pools(std::size_t stack) {
-  const std::string prefix = "iio" + std::to_string(stack);
-  registry_.add(Domain::kP2MWrite, prefix + ".write-credits", &iios_[stack]->write_pool());
-  registry_.add(Domain::kP2MRead, prefix + ".read-credits", &iios_[stack]->read_pool());
 }
 
 std::size_t HostSystem::add_iio_stack(const iio::IioConfig& icfg) {
   assert(!st_.started && "add components before run()");
   iios_.push_back(std::make_unique<iio::Iio>(
       sim_, *cha_, icfg, static_cast<std::uint16_t>(iios_.size())));
-  register_iio_pools(iios_.size() - 1);
   return iios_.size() - 1;
 }
 
@@ -48,9 +31,6 @@ cpu::Core& HostSystem::add_core(const cpu::CoreWorkload& wl) {
   std::uint64_t sm = seed_ + 0x1000 + id;
   cores_.push_back(
       std::make_unique<cpu::Core>(sim_, *cha_, cfg_.core, wl, id, splitmix64(sm)));
-  const std::string prefix = "cpu" + std::to_string(id);
-  registry_.add(Domain::kC2MRead, prefix + ".lfb", &cores_.back()->lfb_pool());
-  registry_.add(Domain::kC2MWrite, prefix + ".c2m-write", &cores_.back()->write_pool());
   return *cores_.back();
 }
 
@@ -62,12 +42,35 @@ iio::StorageDevice& HostSystem::add_storage(const iio::StorageConfig& scfg,
   return *storage_.back();
 }
 
+net::NicDevice& HostSystem::add_nic(const net::NicConfig& ncfg) {
+  assert(!st_.started && "add components before run()");
+  nics_.push_back(std::make_unique<net::NicDevice>(sim_, *iios_[0], ncfg));
+  return *nics_.back();
+}
+
+net::TcpReceiver& HostSystem::add_tcp_receiver(const net::TcpConfig& tcfg) {
+  assert(!st_.started && "add components before run()");
+  tcp_receivers_.push_back(std::make_unique<net::TcpReceiver>(
+      sim_, *cha_, *iios_[0], cfg_.core, cfg_.pcie_write_gb_per_s, tcfg));
+  return *tcp_receivers_.back();
+}
+
+hostcc::HostCongestionController& HostSystem::add_hostcc(const hostcc::HostccConfig& hcfg) {
+  assert(!st_.started && "add components before run()");
+  hostcc_.push_back(
+      std::make_unique<hostcc::HostCongestionController>(sim_, *iios_[0], cores_, hcfg));
+  return *hostcc_.back();
+}
+
 void HostSystem::run(Tick warmup, Tick measure) {
   if (!st_.started) {
     st_.started = true;
+    registry_.build(*this);
     for (auto& c : cores_) c->start();
     for (auto& d : storage_) d->start();
-    for (auto& e : externals_) e->start();
+    for (auto& n : nics_) n->start();
+    for (auto& t : tcp_receivers_) t->start();
+    for (auto& h : hostcc_) h->start();
   }
   sim_.run_until(sim_.now() + warmup);
   reset_counters();
@@ -82,10 +85,7 @@ void HostSystem::verify_invariants() const {
   cha_->verify_invariants();
   for (const auto& i : iios_) i->verify_invariants();
   for (const auto& c : cores_) c->verify_invariants();
-  registry_.verify();  // every registered pool's ledger, host-wide
-  // ... and every pool in the host is registered.
-  registry_.verify_registered(*this, "host");
-  for (const auto& e : externals_) e->verify_registered(registry_);
+  registry_.verify();  // every pool's ledger, host-wide
 }
 
 void HostSystem::reset_counters() {
@@ -97,7 +97,9 @@ void HostSystem::reset_counters() {
   for (auto& i : iios_) i->reset_counters(now);
   for (auto& c : cores_) c->reset_counters(now);
   for (auto& d : storage_) d->reset_counters();
-  for (auto& e : externals_) e->reset_counters(now);
+  for (auto& n : nics_) n->reset_counters(now);
+  for (auto& t : tcp_receivers_) t->reset_counters(now);
+  for (auto& h : hostcc_) h->reset_counters(now);
 }
 
 void HostSystem::restore(const Snapshot& s) {

@@ -1,6 +1,6 @@
 // HostSystem: wires the full host network together -- cores (LFB), CHA,
-// memory controller + DRAM, IIO + PCIe devices -- runs an experiment
-// window, and collects Metrics.
+// memory controller + DRAM, IIO + PCIe devices (storage, NICs, TCP
+// receivers), hostCC -- runs an experiment window, and collects Metrics.
 //
 // This is the main entry point of the library:
 //
@@ -10,6 +10,11 @@
 //   host.add_storage(workloads::fio_sequential_read(cfg));
 //   host.run(ms(0.5), ms(2));
 //   core::Metrics m = host.collect();
+//
+// Every component is owned here, listed once in the member table below:
+// that list is the host's checkpoint, its lifecycle order (cores, storage,
+// NICs, TCP receivers, hostCC) and, walked for flow::CreditPools, its
+// DomainRegistry.
 #pragma once
 
 #include <cassert>
@@ -20,6 +25,7 @@
 
 #include "cha/cha.hpp"
 #include "common/fields.hpp"
+#include "core/hostcc.hpp"
 #include "core/metrics.hpp"
 #include "core/presets.hpp"
 #include "cpu/core.hpp"
@@ -27,21 +33,11 @@
 #include "iio/iio.hpp"
 #include "iio/storage_device.hpp"
 #include "mc/memory_controller.hpp"
+#include "net/dctcp.hpp"
+#include "net/nic_device.hpp"
 #include "sim/simulator.hpp"
 
 namespace hostnet::core {
-
-/// A component that HostSystem::attach can wire into the host's lifecycle:
-/// start() when the simulation starts, reset_counters(now) on every counter
-/// reset, and a HOSTNET_COMPONENT table, whose generated save_state /
-/// load_state join the host's checkpoints and which the checked build's pool
-/// audit walks.
-template <class T>
-concept Attachable = fields::Component<T> && requires(T& c, Tick now) {
-  typename T::Snapshot;
-  c.start();
-  c.reset_counters(now);
-};
 
 class HostSystem {
  public:
@@ -62,16 +58,17 @@ class HostSystem {
   /// called before run().
   std::size_t add_iio_stack(const iio::IioConfig& cfg);
 
-  /// Wire an externally-owned component (a NIC, a transport, hostCC) into
-  /// the host: its start() runs when the simulation starts,
-  /// reset_counters(now) on every counter reset, and the host's Snapshot
-  /// holds its Snapshot. Checked builds audit its credit pools with
-  /// the host's. `c` must outlive the host's runs.
-  template <Attachable T>
-  void attach(T& c) {
-    assert(!st_.started && "attach components before run()");
-    externals_.push_back(std::make_unique<ExternalOf<T>>(c));
-  }
+  /// Add a NIC that DMA-writes through IIO stack 0 (NicConfig's defaults
+  /// are the RDMA-write NIC's).
+  net::NicDevice& add_nic(const net::NicConfig& ncfg);
+
+  /// Add a TCP receiver: its NIC DMA-writes through IIO stack 0 at the
+  /// host's PCIe write rate, and its copy cores are host-configured cores.
+  net::TcpReceiver& add_tcp_receiver(const net::TcpConfig& tcfg);
+
+  /// Add a hostCC controller pacing every core of the host on IIO stack 0's
+  /// write latency.
+  hostcc::HostCongestionController& add_hostcc(const hostcc::HostccConfig& hcfg);
 
   /// Run `warmup` of simulated time, reset all counters, then run `measure`.
   void run(Tick warmup, Tick measure);
@@ -93,10 +90,10 @@ class HostSystem {
   /// automatically from reset_counters() and collect(). See DESIGN.md 4c.
   void verify_invariants() const;
 
-  /// The host-wide credit-pool index: every component's flow::CreditPool is
-  /// registered here at construction, keyed by the paper's credit domains.
-  /// collect() derives the domain observations from it.
-  flow::DomainRegistry& domains() { return registry_; }
+  /// The host-wide credit-pool index, keyed by the paper's credit domains:
+  /// every flow::CreditPool in the member table, indexed when the host
+  /// starts (empty before). collect() derives the domain observations from
+  /// it.
   const flow::DomainRegistry& domains() const { return registry_; }
 
   const HostConfig& config() const { return cfg_; }
@@ -108,14 +105,20 @@ class HostSystem {
   std::size_t iio_stacks() const { return iios_.size(); }
   std::vector<std::unique_ptr<cpu::Core>>& cores() { return cores_; }
   std::vector<std::unique_ptr<iio::StorageDevice>>& storage() { return storage_; }
+  const std::vector<std::unique_ptr<net::NicDevice>>& nics() const { return nics_; }
+  const std::vector<std::unique_ptr<net::TcpReceiver>>& tcp_receivers() const {
+    return tcp_receivers_;
+  }
+  const std::vector<std::unique_ptr<hostcc::HostCongestionController>>& hostcc() const {
+    return hostcc_;
+  }
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
   //
   // The member table below generates Snapshot, save_state and load_state: a
-  // Snapshot captures every stateful component, the attached externals and
-  // the pending-event queue at a quiesce point (between events -- after
-  // run()/run_more() returns), and recycled Snapshots allocate nothing once
-  // warm. Component snapshots carry raw pointers into THIS host (event
+  // Snapshot captures every stateful component and the pending-event queue
+  // at a quiesce point (between events -- after run()/run_more() returns),
+  // and recycled Snapshots allocate nothing once warm. Component snapshots carry raw pointers into THIS host (event
   // closures' `this` captures, CreditWaiter*, mem::Request::completer), so a
   // snapshot restores only into the host that produced it: owner_ stamps it,
   // and loading it into another host throws std::logic_error. Topology
@@ -129,26 +132,6 @@ class HostSystem {
   };
 
  private:
-  /// An attached component, type-erased (attach() builds one per type); its
-  /// Snapshot holds the component's own.
-  struct External : fields::Erased {
-    virtual void start() = 0;
-    virtual void reset_counters(Tick now) = 0;
-    virtual void verify_registered(const flow::DomainRegistry& registry) const = 0;
-    HOSTNET_COMPONENT_INTERFACE(External)
-  };
-  template <class T>
-  struct ExternalOf final : fields::ErasedRef<T, External> {
-    using fields::ErasedRef<T, External>::ErasedRef;
-    void start() override { this->c_.start(); }
-    void reset_counters(Tick now) override { this->c_.reset_counters(now); }
-    void verify_registered(const flow::DomainRegistry& registry) const override {
-      registry.verify_registered(this->c_, "external");
-    }
-  };
-
-  void register_iio_pools(std::size_t stack);
-
   fields::OwnerToken owner_;
   const HostConfig cfg_;
   const std::uint64_t seed_;
@@ -159,14 +142,16 @@ class HostSystem {
   std::vector<std::unique_ptr<iio::Iio>> iios_;
   std::vector<std::unique_ptr<cpu::Core>> cores_;
   std::vector<std::unique_ptr<iio::StorageDevice>> storage_;
-  std::vector<std::unique_ptr<External>> externals_;
+  std::vector<std::unique_ptr<net::NicDevice>> nics_;
+  std::vector<std::unique_ptr<net::TcpReceiver>> tcp_receivers_;
+  std::vector<std::unique_ptr<hostcc::HostCongestionController>> hostcc_;
   State st_;
-  // Topology, not state: the registry's pool pointers are added while the
-  // host is built, before it runs. owner_ comes first, so a foreign snapshot
+  // Derived, not state: the registry indexes the pools of the components
+  // below when the host starts. owner_ comes first, so a foreign snapshot
   // is refused before anything is loaded.
   HOSTNET_COMPONENT_EXEMPT(registry_)
   HOSTNET_COMPONENT(HostSystem, owner_, cfg_, seed_, sim_, registry_, mc_, cha_, iios_, cores_,
-                    storage_, externals_, st_)
+                    storage_, nics_, tcp_receivers_, hostcc_, st_)
 
  public:
   // Declared after the member table, which defines Snapshot.

@@ -4,14 +4,8 @@
 
 namespace hostnet::hostcc {
 
-HostCongestionController::HostCongestionController(core::HostSystem& host,
-                                                   const HostccConfig& cfg)
-    : host_(host), cfg_(cfg) {
-  host_.attach(*this);
-}
-
 void HostCongestionController::sample_latency() {
-  auto& st = host_.iio().write_station();
+  auto& st = iio_.write_station();
   const double sum = st.mean_latency_ns() * static_cast<double>(st.completions());
   const std::uint64_t n = st.completions();
   if (n > st_.prev_completions) {
@@ -25,19 +19,19 @@ void HostCongestionController::sample_latency() {
 }
 
 void HostCongestionController::apply() {
-  const Tick now = host_.sim().now();
+  const Tick now = sim_.now();
   st_.throttle_integral += st_.throttle * static_cast<double>(now - st_.last_change);
   st_.last_change = now;
 
   if (st_.throttle <= 0.0) {
-    for (auto& c : host_.cores()) c->set_paused(false);
+    for (auto& c : cores_) c->set_paused(false);
     return;
   }
   // Duty cycle: pause all C2M cores for throttle x interval, then resume.
-  for (auto& c : host_.cores()) c->set_paused(true);
+  for (auto& c : cores_) c->set_paused(true);
   const auto pause = static_cast<Tick>(st_.throttle * static_cast<double>(cfg_.interval));
-  host_.sim().schedule(pause, [this] {
-    for (auto& c : host_.cores()) c->set_paused(false);
+  sim_.schedule(pause, [this] {
+    for (auto& c : cores_) c->set_paused(false);
   });
 }
 
@@ -49,7 +43,7 @@ void HostCongestionController::tick() {
     st_.throttle = std::max(0.0, st_.throttle - cfg_.step / 2.0);
   }
   apply();
-  host_.sim().schedule(cfg_.interval, [this] { tick(); });
+  sim_.schedule(cfg_.interval, [this] { tick(); });
 }
 
 double HostCongestionController::avg_throttle(Tick now) const {

@@ -14,9 +14,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "common/fields.hpp"
-#include "core/host_system.hpp"
+#include "cpu/core.hpp"
+#include "iio/iio.hpp"
+#include "sim/simulator.hpp"
 
 namespace hostnet::hostcc {
 
@@ -30,16 +34,18 @@ struct HostccConfig {
 
 class HostCongestionController {
  public:
-  /// Attaches itself to `host` (HostSystem::attach); throttles every core
-  /// that is registered with the host when P2M-Write latency exceeds the
-  /// target.
-  HostCongestionController(core::HostSystem& host, const HostccConfig& cfg);
+  /// Samples `iio`'s write latency and throttles every core in `cores` --
+  /// its host's, including any added later -- when it exceeds the target.
+  HostCongestionController(sim::Simulator& sim, iio::Iio& iio,
+                           std::vector<std::unique_ptr<cpu::Core>>& cores,
+                           const HostccConfig& cfg)
+      : sim_(sim), iio_(iio), cores_(cores), cfg_(cfg) {}
 
   double throttle() const { return st_.throttle; }
   /// Time-average throttle over the measurement window.
   double avg_throttle(Tick now) const;
 
-  // -- lifecycle (HostSystem::attach) -------------------------------------------
+  // -- lifecycle (run by the owning core::HostSystem) -------------------------
   void start() { tick(); }
   void reset_counters(Tick now) {
     st_.window_start = now;
@@ -71,10 +77,12 @@ class HostCongestionController {
   void sample_latency();
   void apply();
 
-  core::HostSystem& host_;
+  sim::Simulator& sim_;
+  iio::Iio& iio_;
+  std::vector<std::unique_ptr<cpu::Core>>& cores_;
   const HostccConfig cfg_;
   State st_;
-  HOSTNET_COMPONENT(HostCongestionController, host_, cfg_, st_)
+  HOSTNET_COMPONENT(HostCongestionController, sim_, iio_, cores_, cfg_, st_)
 };
 
 }  // namespace hostnet::hostcc

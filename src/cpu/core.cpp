@@ -12,10 +12,12 @@ Core::Core(sim::Simulator& sim, cha::Cha& cha, const CoreConfig& cfg,
   st_.rng = Rng(seed);
   flow::CreditPoolSpec lfb;
   lfb.name = "cpu.lfb";
+  lfb.domain = mem::TrafficClass::kC2MRead;
   lfb.capacity = lfb_capacity();
   st_.lfb_pool.configure(lfb);
   flow::CreditPoolSpec wr;
   wr.name = "cpu.c2m-write";
+  wr.domain = mem::TrafficClass::kC2MWrite;
   wr.capacity = 0;  // telemetry-only: the LFB entry is the binding resource
   st_.write_pool.configure(wr);
 }

@@ -77,7 +77,7 @@ class Core final : public mem::Completer {
   // -- mem::Completer ---------------------------------------------------------
   void complete(const mem::Request& req, Tick now) override;
 
-  // -- credit pools (registered with flow::DomainRegistry) --------------------
+  // -- credit pools (in the host's flow::DomainRegistry) ----------------------
   /// C2M-Read domain pool: the LFB entries themselves.
   flow::CreditPool& lfb_pool() { return st_.lfb_pool; }
   /// C2M-Write domain pool (telemetry-only, unbounded): an entry is "in use"

@@ -9,8 +9,9 @@
 
 #include "common/fields.hpp"
 #include "common/rng.hpp"
-#include "net/rdma.hpp"
+#include "net/dctcp.hpp"
 #include "net/tcp_stack.hpp"
+#include "workloads/rdma.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hostnet::fleet {
@@ -266,26 +267,24 @@ class ScenarioParser {
     if (!p2m_workload_.empty()) {
       core::P2MSpec spec;
       spec.name = p2m_workload_;
-      if (std::optional<core::TcpSpec> tcp = net::tcp_p2m_workload(p2m_workload_)) {
+      if (std::optional<net::TcpConfig> tcp = net::tcp_p2m_workload(p2m_workload_)) {
         if (!tcp_stack_override_.empty()) {
-          const std::optional<core::TcpStackKind> kind =
-              net::tcp_stack_kind(tcp_stack_override_);
+          const std::optional<net::TcpStackKind> kind = net::tcp_stack_kind(tcp_stack_override_);
           if (!kind)
             throw ScenarioError(tcp_stack_line_, "unknown tcp.stack '" + tcp_stack_override_ +
                                                      "' (want dctcp, bbr or davis)");
           tcp->stack = *kind;
-          tcp->name = "tcp_" + core::to_string(*kind);
-          spec.name = tcp->name;
+          spec.name = "tcp_" + net::to_string(*kind);
         }
-        spec.tcp = std::move(tcp);
+        spec.tcp = tcp;
       } else {
         if (!tcp_stack_override_.empty())
           throw ScenarioError(tcp_stack_line_,
                               "'set tcp.stack' needs a tcp_* p2m placement in this template");
         if (p2m_workload_ == "rdma_write")
-          spec = net::rdma_write_p2m();
+          spec = workloads::rdma_write_p2m();
         else if (p2m_workload_ == "rdma_read")
-          spec = net::rdma_read_p2m();
+          spec = workloads::rdma_read_p2m();
         else
           spec.storage = p2m_workload(p2m_line_, tmpl_.host, p2m_workload_);
       }

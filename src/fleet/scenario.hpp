@@ -30,7 +30,7 @@
 // C2M workloads: c2m_read, c2m_read_write, redis_read, redis_write,
 // gapbs_pr, gapbs_bc. P2M workloads: fio_write, fio_read, fio_4k_qd1
 // (storage DMA; workloads/workloads.hpp), rdma_write (a RoCE NIC with PFC;
-// net/rdma.hpp), rdma_read (ib_read_bw, a line-rate DMA reader), or
+// workloads/rdma.hpp), rdma_read (ib_read_bw, a line-rate DMA reader), or
 // tcp_dctcp, tcp_bbr, tcp_davis (a full net::TcpReceiver behind the named
 // congestion-control stack; net/tcp_stack.hpp). `set tcp.stack` rewrites
 // a tcp_* placement's stack -- handy for templates that differ only in

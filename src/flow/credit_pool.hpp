@@ -39,6 +39,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 
 #include "common/check.hpp"
 #include "common/fields.hpp"
@@ -97,24 +98,20 @@ enum class WakePolicy : std::uint8_t {
   kOnePerNotify,
 };
 
-/// What "backpressure" means for the pool.
-enum class BackpressurePolicy : std::uint8_t {
-  /// Senders block when no credit is free (every admission pool).
-  kBlockAtEmpty,
-  /// The pool is a drain buffer with high/low watermarks (MC WPQ): the
-  /// consumer switches on above_high() and back on at_or_below_low().
-  kHysteresis,
-};
-
 struct CreditPoolSpec {
   const char* name = "pool";       ///< diagnostics / ledger audits
+  /// The paper's credit domain the pool is (part of), declared by its owner:
+  /// a core's LFB and write pools, an IIO stack's credits. Every other pool
+  /// (CHA trackers, MC queues, copy-core LFBs) is interior.
+  std::optional<mem::TrafficClass> domain{};
   std::uint32_t capacity = 0;      ///< credits; 0 = unbounded (telemetry only)
   std::uint32_t reserve = 0;       ///< privileged-only headroom at the top
   WakePolicy wake = WakePolicy::kWhileAvailable;
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlockAtEmpty;
   bool dedup_waiters = false;      ///< drop duplicate waiter registrations
-  std::uint32_t high_watermark = 0;  ///< kHysteresis: engage drain at >= high
-  std::uint32_t low_watermark = 0;   ///< kHysteresis: disengage at <= low
+  /// Drain-buffer watermarks (MC WPQ): the consumer switches on above_high()
+  /// and back off at_or_below_low().
+  std::uint32_t high_watermark = 0;
+  std::uint32_t low_watermark = 0;
   /// Set the 0/1 pressure signal while in_use > threshold; -1 disables.
   std::int64_t pressure_threshold = -1;
 

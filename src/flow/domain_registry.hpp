@@ -1,12 +1,15 @@
 // flow::DomainRegistry -- the host-wide index of every CreditPool, keyed by
 // the paper's credit domains (DESIGN.md section 4d).
 //
-// Components register their pools at construction: domain-tagged pools are
-// the four bottleneck domains of section 4 (the cores' LFB pools under
+// build() derives it from a component's member table: every CreditPool
+// reachable from the root (fields::for_each_reachable) is an entry, in table
+// order, and its domain is the one its owner declared in its CreditPoolSpec
+// -- the four bottleneck domains of section 4 (the cores' LFB pools under
 // C2M-Read, their write-phase pools under C2M-Write, each IIO stack's
-// read/write buffers under P2M-Read/Write); interior pools (CHA trackers,
-// MC queues) are registered untagged -- they are audited and reset with
-// everyone else but are not themselves domain credit pools.
+// read/write buffers under P2M-Read/Write). Every other pool (CHA
+// trackers, MC queues, copy-core LFBs) is interior: audited with everyone
+// else but not itself a domain credit pool. A pool cannot be left out, so
+// there is no list to keep and no audit of one.
 //
 // HostSystem::collect() walks the registry to fill Metrics, and observe()
 // derives a core::DomainObservation uniformly for any domain: latency is
@@ -14,16 +17,16 @@
 // either summed (pools are disjoint buffers: P2M stacks, write phases) or
 // averaged per pool (the paper reports per-core LFB occupancy), and
 // throughput follows from pool completions over the window. Iteration is
-// always registration order, which is construction order -- deterministic
-// and stable, so float accumulation order never depends on container
+// always table order -- within a domain, cores by index and IIO stacks by
+// index -- so float accumulation order never depends on container
 // internals.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/check.hpp"
 #include "common/fields.hpp"
 #include "common/units.hpp"
 #include "core/domains.hpp"
@@ -40,30 +43,28 @@ enum class OccAggregation : std::uint8_t {
 class DomainRegistry {
  public:
   struct Entry {
-    bool has_domain = false;
-    core::Domain domain = core::Domain::kC2MRead;
-    std::string name;  ///< e.g. "cpu0.lfb", "iio0.write-credits"
+    std::string name;  ///< the pool's path in the member table, e.g. "cores_[0].st_.lfb_pool"
     CreditPool* pool = nullptr;
+    std::optional<core::Domain> domain() const { return pool->spec().domain; }
   };
 
-  /// Register a pool as (part of) one of the paper's credit domains.
-  void add(core::Domain domain, std::string name, CreditPool* pool) {
-    entries_.push_back(Entry{true, domain, std::move(name), pool});
-  }
-
-  /// Register an interior pool (CHA tracker, MC queue): audited and reset
-  /// with the rest, but not a domain credit pool.
-  void add_interior(std::string name, CreditPool* pool) {
-    entries_.push_back(Entry{false, core::Domain::kC2MRead, std::move(name), pool});
+  /// Index every CreditPool reachable from the component `root`, replacing
+  /// any previous index.
+  template <class C>
+  void build(C& root) {
+    entries_.clear();
+    fields::for_each_reachable<CreditPool>(root, [this](const std::string& path, CreditPool& pool) {
+      entries_.push_back(Entry{path, &pool});
+    });
   }
 
   const std::vector<Entry>& entries() const { return entries_; }
 
-  /// Visit the pools of `domain` in registration order.
+  /// Visit the pools of `domain` in table order.
   template <typename F>
   void for_each(core::Domain domain, F&& f) const {
     for (const Entry& e : entries_)
-      if (e.has_domain && e.domain == domain) f(e);
+      if (e.domain() == domain) f(e);
   }
 
   /// Derive the domain's observation from its pools' stations: latency is
@@ -80,7 +81,7 @@ class DomainRegistry {
     std::int64_t max_occ = 0;
     std::size_t pools = 0;
     for (const Entry& e : entries_) {
-      if (!e.has_domain || e.domain != domain) continue;
+      if (e.domain() != domain) continue;
       const counters::LatencyStation& s = e.pool->station();
       if (s.completions() > 0) {
         lat_sum += s.mean_latency_ns() * static_cast<double>(s.completions());
@@ -100,30 +101,9 @@ class DomainRegistry {
     return o;
   }
 
-  /// Checked-build audit of every registered pool's ledger.
+  /// Checked-build audit of every listed pool's ledger.
   void verify() const {
     for (const Entry& e : entries_) e.pool->verify();
-  }
-
-  /// Checked-build audit (no-op otherwise): every CreditPool reachable from
-  /// the component `root` through its member and State tables
-  /// (common/fields.hpp) is registered here. An unregistered pool is
-  /// invisible to observe(), the predictor's spec table and the fleet
-  /// aggregates. `root_name` starts the pool's path in the diagnostic.
-  template <class C>
-  void verify_registered([[maybe_unused]] const C& root,
-                         [[maybe_unused]] const char* root_name) const {
-#if HOSTNET_CHECKED
-    fields::for_each_reachable<CreditPool>(root, [&](const std::string& path,
-                                                     const CreditPool& pool) {
-      bool found = false;
-      for (const Entry& e : entries_) found = found || e.pool == &pool;
-      HOSTNET_INVARIANT(found,
-                        "%s.%s is a flow::CreditPool that is not in the host's "
-                        "DomainRegistry: register it with add() or add_interior()",
-                        root_name, path.c_str());
-    });
-#endif
   }
 
  private:

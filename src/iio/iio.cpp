@@ -13,12 +13,14 @@ Iio::Iio(sim::Simulator& sim, cha::Cha& cha, const IioConfig& cfg, std::uint16_t
   // loses the race); a device waits at most once per op.
   flow::CreditPoolSpec wr;
   wr.name = "iio.write-credits";
+  wr.domain = mem::TrafficClass::kP2MWrite;
   wr.capacity = cfg_.write_credits;
   wr.wake = flow::WakePolicy::kOnePerNotify;
   wr.dedup_waiters = true;
   st_.write_pool.configure(wr);
   flow::CreditPoolSpec rd;
   rd.name = "iio.read-credits";
+  rd.domain = mem::TrafficClass::kP2MRead;
   rd.capacity = cfg_.read_credits;
   rd.wake = flow::WakePolicy::kOnePerNotify;
   rd.dedup_waiters = true;

@@ -62,7 +62,7 @@ class Iio final : public mem::Completer {
   std::uint32_t write_credits_free() const { return cfg_.write_credits - st_.write_pool.in_use(); }
   std::uint32_t read_credits_free() const { return cfg_.read_credits - st_.read_pool.in_use(); }
 
-  // -- credit pools (registered with flow::DomainRegistry) --------------------
+  // -- credit pools (in the host's flow::DomainRegistry) ----------------------
   flow::CreditPool& write_pool() { return st_.write_pool; }  ///< P2M-Write domain
   flow::CreditPool& read_pool() { return st_.read_pool; }    ///< P2M-Read domain
 

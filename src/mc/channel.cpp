@@ -30,7 +30,6 @@ Channel::Channel(sim::Simulator& sim, const ChannelConfig& cfg, std::uint32_t ba
   flow::CreditPoolSpec wpq;
   wpq.name = "mc.wpq";
   wpq.capacity = cfg.wpq_capacity;
-  wpq.backpressure = flow::BackpressurePolicy::kHysteresis;
   wpq.high_watermark = cfg.wpq_high_wm;
   wpq.low_watermark = cfg.wpq_low_wm;
   st_.wpq_pool.configure(wpq);

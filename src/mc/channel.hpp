@@ -99,7 +99,7 @@ class Channel {
     st_.wpq_pool.reset_telemetry(now);
   }
 
-  // -- credit pools (registered with flow::DomainRegistry, interior) ---------
+  // -- credit pools (in the host's flow::DomainRegistry, interior) -----------
   /// The queues' occupancy pools: in_use mirrors the arena sizes exactly;
   /// the WPQ pool carries the drain watermarks (kHysteresis).
   flow::CreditPool& rpq_pool() { return st_.rpq_pool; }

@@ -33,6 +33,16 @@ struct Region {
   HOSTNET_FIELDS(Region, base, bytes)
 };
 
+// Address-space layout: distinct workloads use disjoint regions (the paper's
+// apps access different address spaces; intermixing them at DRAM is what
+// degrades row locality). The workload zoo (workloads/workloads.hpp) and the
+// NIC's default DMA target use them.
+inline Region c2m_core_region(std::uint32_t core_index) {
+  return Region{(4ull + core_index) << 30, 1ull << 30};
+}
+inline Region c2m_shared_region() { return Region{40ull << 30, 5ull << 30}; }
+inline Region p2m_region() { return Region{128ull << 30, 4ull << 30}; }
+
 /// Traffic class = (source, op); the four quadrant datapaths.
 enum class TrafficClass : std::uint8_t {
   kC2MRead = 0,

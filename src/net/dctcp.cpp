@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <string>
-
-#include "workloads/workloads.hpp"
 
 namespace hostnet::net {
 
@@ -20,9 +17,7 @@ constexpr std::uint64_t kPhaseAppRfo = 1;
 CopyCore::CopyCore(sim::Simulator& sim, cha::Cha& cha, const cpu::CoreConfig& cfg,
                    mem::Region socket_buf, mem::Region app_buf, Tick proto_time,
                    std::uint32_t lines_per_packet, bool app_in_cache, std::uint16_t id,
-                   RingBuffer<Tick>& ring,
-                   // hostnet-lint: allow(hot-alloc)  -- one-time wiring
-                   std::function<void()> on_packet_copied)
+                   RingBuffer<Tick>& ring, TcpReceiver& receiver)
     : sim_(sim),
       cfg_(cfg),
       socket_buf_(socket_buf),
@@ -31,7 +26,7 @@ CopyCore::CopyCore(sim::Simulator& sim, cha::Cha& cha, const cpu::CoreConfig& cf
       lines_per_packet_(lines_per_packet),
       app_in_cache_(app_in_cache),
       ring_(ring),
-      on_packet_copied_(std::move(on_packet_copied)),
+      receiver_(receiver),
       ingress_(sim, cha, mem::Source::kCpu, id, *this) {
   flow::CreditPoolSpec spec;
   spec.name = "net.copy.lfb";
@@ -91,7 +86,7 @@ void CopyCore::complete(const mem::Request& req, Tick now) {
   if (st_.lines_outstanding == 0 && st_.lines_to_issue == 0) {
     ++st_.packets_copied;
     st_.busy = false;
-    if (on_packet_copied_) on_packet_copied_();
+    receiver_.on_packet_copied();
     try_start_packet();
   } else {
     pump();
@@ -102,40 +97,31 @@ void CopyCore::complete(const mem::Request& req, Tick now) {
 // TcpReceiver
 // ---------------------------------------------------------------------------
 
-TcpReceiver::TcpReceiver(core::HostSystem& host, const TcpConfig& cfg)
-    : host_(host), cfg_(cfg), stack_(make_tcp_stack(cfg)) {
+TcpReceiver::TcpReceiver(sim::Simulator& sim, cha::Cha& cha, iio::Iio& iio,
+                         const cpu::CoreConfig& core, double pcie_gb_per_s, const TcpConfig& cfg)
+    : sim_(sim), cfg_(cfg), stack_(make_tcp_stack(cfg)) {
   NicConfig nc = cfg_.nic;
   nc.autonomous = false;
   nc.pfc = false;
   nc.wire_gb_per_s = cfg_.wire_gb_per_s;
-  nc.pcie_gb_per_s = host.config().pcie_write_gb_per_s;
+  nc.pcie_gb_per_s = pcie_gb_per_s;
   nc.mtu_bytes = cfg_.mtu_bytes;
-  if (nc.region.bytes == 0 || nc.region.base == 0) nc.region = workloads::p2m_region();
-  nic_ = std::make_unique<NicDevice>(host.sim(), host.iio(), nc,
-                                     [this](Tick now) { on_packet_delivered(now); });
+  nic_ = std::make_unique<NicDevice>(sim, iio, nc, this);
 
   const std::uint32_t lines_per_packet = cfg_.mtu_bytes / kCachelineBytes;
-  cpu::CoreConfig copy_cfg = host.config().core;
+  cpu::CoreConfig copy_cfg = core;
   copy_cfg.lfb_entries = cfg_.copy_width;
   for (std::uint32_t i = 0; i < cfg_.copy_cores; ++i) {
     mem::Region app{(160ull + i) << 30, 1ull << 30};
     copy_cores_.push_back(std::make_unique<CopyCore>(
-        host.sim(), host.cha(), copy_cfg, nc.region, app, cfg_.proto_ns_per_packet,
-        lines_per_packet, cfg_.app_buffer_cache_resident,
-        static_cast<std::uint16_t>(1000 + i), st_.ring, [this] { on_packet_copied(); }));
+        sim, cha, copy_cfg, nc.region, app, cfg_.proto_ns_per_packet, lines_per_packet,
+        cfg_.app_buffer_cache_resident, static_cast<std::uint16_t>(1000 + i), st_.ring, *this));
   }
-
-  // Every pool of the host's flow control is registered; the copy cores'
-  // LFBs are interior pools, not one of the paper's four domains.
-  for (std::uint32_t i = 0; i < cfg_.copy_cores; ++i)
-    host.domains().add_interior("tcp.copy" + std::to_string(i) + ".lfb",
-                                &copy_cores_[i]->lfb_pool());
-  host.attach(*this);
 }
 
 void TcpReceiver::start() {
   sender_pump();
-  host_.sim().schedule(cfg_.base_rtt, [this] { rtt_epoch(); });
+  sim_.schedule(cfg_.base_rtt, [this] { rtt_epoch(); });
 }
 
 void TcpReceiver::reset_counters(Tick now) {
@@ -154,14 +140,14 @@ void TcpReceiver::sender_pump() {
   const double window = std::min(stack_->cwnd(), std::max(rwnd, 0.0));
   if (static_cast<double>(st_.inflight) >= window) return;
 
-  const Tick now = host_.sim().now();
+  const Tick now = sim_.now();
   // Pacing gate (BBR-style stacks). DCTCP's gate is constant 0, so its
   // event stream -- and the fig goldens -- are untouched by this branch.
   const Tick pace = stack_->pacing_gate(now);
   if (pace > 0) {
     if (!st_.pacing_wait) {
       st_.pacing_wait = true;
-      host_.sim().schedule(pace, [this] {
+      sim_.schedule(pace, [this] {
         st_.pacing_wait = false;
         sender_pump();
       });
@@ -174,21 +160,21 @@ void TcpReceiver::sender_pump() {
   st_.wire_busy = true;
   stack_->on_send(now);
   const Tick t_packet = serialization_ticks(cfg_.mtu_bytes, cfg_.wire_gb_per_s);
-  host_.sim().schedule(t_packet, [this] {
+  sim_.schedule(t_packet, [this] {
     st_.wire_busy = false;
     sender_pump();
   });
   // One-way latency to the receiver NIC.
   const Tick sent = now;
-  host_.sim().schedule(t_packet + cfg_.base_rtt / 2, [this, sent] {
+  sim_.schedule(t_packet + cfg_.base_rtt / 2, [this, sent] {
     bool marked = false;
     const bool accepted = nic_->offer_packet(&marked);
     if (!accepted) {
       ++st_.packets_dropped;
       ++st_.telemetry.epoch_drops;
-      stack_->on_drop(host_.sim().now());
+      stack_->on_drop(sim_.now());
       // Loss detected a round-trip later (fast retransmit).
-      host_.sim().schedule(cfg_.base_rtt, [this] {
+      sim_.schedule(cfg_.base_rtt, [this] {
         assert(st_.inflight > 0);
         --st_.inflight;
         sender_pump();
@@ -206,13 +192,13 @@ void TcpReceiver::sender_pump() {
       st_.pending_acks.push_back(sent);
     } else {
       // ACK returns after the remaining half RTT.
-      host_.sim().schedule(cfg_.base_rtt / 2, [this, sent] { on_ack(sent); });
+      sim_.schedule(cfg_.base_rtt / 2, [this, sent] { on_ack(sent); });
     }
   });
 }
 
 void TcpReceiver::on_ack(Tick sent) {
-  const Tick now = host_.sim().now();
+  const Tick now = sim_.now();
   ++st_.telemetry.epoch_acks;
   st_.telemetry.note_rtt(now - sent);
   stack_->on_ack(now - sent, now);
@@ -229,7 +215,7 @@ void TcpReceiver::on_packet_delivered(Tick now) {
     // one this DMA completion belongs to. Empty unless ack_on_delivery().
     const Tick sent = st_.pending_acks.front();
     st_.pending_acks.pop_front();
-    host_.sim().schedule(cfg_.base_rtt / 2, [this, sent] { on_ack(sent); });
+    sim_.schedule(cfg_.base_rtt / 2, [this, sent] { on_ack(sent); });
   }
 }
 
@@ -239,15 +225,15 @@ void TcpReceiver::on_packet_copied() {
 }
 
 void TcpReceiver::rtt_epoch() {
-  stack_->on_epoch(st_.telemetry, host_.sim().now());
+  stack_->on_epoch(st_.telemetry, sim_.now());
   st_.telemetry.cwnd_sum += stack_->cwnd();
   ++st_.telemetry.cwnd_samples;
   st_.telemetry.clear_epoch();
-  host_.sim().schedule(cfg_.base_rtt, [this] { rtt_epoch(); });
+  sim_.schedule(cfg_.base_rtt, [this] { rtt_epoch(); });
 }
 
-core::TransportOutcome TcpReceiver::collect(Tick now) const {
-  core::TransportOutcome t;
+TransportOutcome TcpReceiver::collect(Tick now) const {
+  TransportOutcome t;
   t.goodput_gbps = goodput_gbps(now);
   t.loss_rate = loss_rate();
   t.mark_fraction = mark_fraction();

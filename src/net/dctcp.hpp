@@ -15,22 +15,28 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
-#include "common/ring_buffer.hpp"
+#include "cha/cha.hpp"
 #include "common/fields.hpp"
-#include "core/experiment.hpp"
-#include "core/host_system.hpp"
+#include "common/ring_buffer.hpp"
 #include "counters/station.hpp"
+#include "cpu/core.hpp"
 #include "flow/credit_pool.hpp"
+#include "iio/iio.hpp"
 #include "net/nic_device.hpp"
 #include "net/tcp_stack.hpp"
+#include "sim/simulator.hpp"
 
 namespace hostnet::net {
 
+/// A TCP receiver placement (core::P2MSpec::tcp): the whole struct is keyed
+/// by core::config_fingerprint().
 struct TcpConfig {
   /// Which congestion-control stack drives the sender (net/tcp_stack.hpp).
-  core::TcpStackKind stack = core::TcpStackKind::kDctcp;
+  TcpStackKind stack = TcpStackKind::kDctcp;
   double wire_gb_per_s = 12.25;       ///< 100 Gbps link, effective
   std::uint32_t mtu_bytes = 9216;     ///< jumbo frames (144 cachelines)
   std::uint32_t copy_cores = 4;       ///< iperf receiver cores
@@ -48,30 +54,38 @@ struct TcpConfig {
   double dctcp_g = 0.0625;
   double initial_cwnd = 64;           ///< packets
   /// Lossy + ECN settings; a shallower RX buffer than the RoCE default so
-  /// red-regime DMA backpressure can outrun the ECN response and drop.
+  /// red-regime DMA backpressure can outrun the ECN response and drop. The
+  /// receiver sets the NIC's wire rate, MTU and PCIe rate itself and turns
+  /// off PFC and autonomous arrivals.
   NicConfig nic = [] {
     NicConfig n;
     n.rx_buffer_bytes = 96 << 10;
     n.ecn_threshold = 56 << 10;
     return n;
   }();
+  HOSTNET_FIELDS(TcpConfig, stack, wire_gb_per_s, mtu_bytes, copy_cores, copy_width,
+                 app_buffer_cache_resident, ring_packets, base_rtt, proto_ns_per_packet, dctcp_g,
+                 initial_cwnd, nic)
 };
+
+/// Fleet p2m-workload zoo entry: "tcp_dctcp" / "tcp_bbr" / "tcp_davis" to
+/// the default receiver under that stack, or nullopt for non-TCP names.
+std::optional<TcpConfig> tcp_p2m_workload(const std::string& name);
+
+class TcpReceiver;
 
 /// One kernel copy core: pops packets from the RX ring and copies them.
 /// Per cacheline: socket-buffer read, then app-buffer RFO + write-back;
 /// the LFB slot is held through all three trips.
 class CopyCore final : public mem::Completer {
  public:
-  /// `ring` and `on_packet_copied` are one-time wiring to the owning
-  /// TcpReceiver: the shared RX ring the core pops packets from, and the
-  /// callback run after each copied packet (std::function is fine here:
-  /// installed at construction, invoked -- never created -- per packet).
+  /// `ring` and `receiver` are wiring to the owning TcpReceiver: the shared
+  /// RX ring the core pops packets from, and the receiver told of each
+  /// copied packet.
   CopyCore(sim::Simulator& sim, cha::Cha& cha, const cpu::CoreConfig& cfg,
            mem::Region socket_buf, mem::Region app_buf, Tick proto_time,
            std::uint32_t lines_per_packet, bool app_in_cache, std::uint16_t id,
-           RingBuffer<Tick>& ring,
-           // hostnet-lint: allow(hot-alloc)
-           std::function<void()> on_packet_copied);
+           RingBuffer<Tick>& ring, TcpReceiver& receiver);
 
   /// Called by the receiver when a packet is available; the core pulls from
   /// the shared ring when idle.
@@ -80,7 +94,7 @@ class CopyCore final : public mem::Completer {
   void complete(const mem::Request& req, Tick now) override;
 
   /// The copy's MLP bound (the core's LFB), an interior pool of the host's
-  /// flow::DomainRegistry.
+  /// flow::DomainRegistry (its spec declares no domain).
   flow::CreditPool& lfb_pool() { return st_.lfb; }
   const counters::LatencyStation& lfb_station() const { return st_.lfb.station(); }
   std::uint64_t packets_copied() const { return st_.packets_copied; }
@@ -93,7 +107,7 @@ class CopyCore final : public mem::Completer {
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
   // Everything the copy loop mutates but the CHA ingress; config and the
-  // ring / callback wiring are construction state.
+  // ring / receiver wiring are construction state.
   struct State {
     bool busy = false;  ///< processing a packet (incl. proto time)
     std::uint32_t lines_to_issue = 0;
@@ -121,12 +135,11 @@ class CopyCore final : public mem::Completer {
   const std::uint32_t lines_per_packet_;
   const bool app_in_cache_;
   RingBuffer<Tick>& ring_;
-  // hostnet-lint: allow(hot-alloc)  -- invoked per packet, assigned once at build
-  const std::function<void()> on_packet_copied_;
+  TcpReceiver& receiver_;
   cha::Ingress ingress_;
   State st_;
   HOSTNET_COMPONENT(CopyCore, sim_, cfg_, socket_buf_, app_buf_, proto_time_, lines_per_packet_,
-                    app_in_cache_, ring_, on_packet_copied_, ingress_, st_)
+                    app_in_cache_, ring_, receiver_, ingress_, st_)
 };
 
 /// The stack-agnostic transport engine: NIC (lossy, ECN) + RX ring + copy
@@ -134,14 +147,17 @@ class CopyCore final : public mem::Completer {
 /// control lives behind the TcpStack the config selects; the engine owns
 /// the event sites (send, accept/drop, ACK, epoch) and feeds them through
 /// TransportTelemetry.
-class TcpReceiver final : public core::P2MTransport {
+class TcpReceiver {
  public:
-  TcpReceiver(core::HostSystem& host, const TcpConfig& cfg);
+  /// The NIC DMA-writes through `iio` at `pcie_gb_per_s`; the copy cores are
+  /// `core`-configured cores (LFB width cfg.copy_width) behind `cha`.
+  TcpReceiver(sim::Simulator& sim, cha::Cha& cha, iio::Iio& iio, const cpu::CoreConfig& core,
+              double pcie_gb_per_s, const TcpConfig& cfg);
 
   // -- measurement ------------------------------------------------------------
   /// The window's telemetry: every accessor below read at `now`. The
   /// receiver's NIC is lossy (ECN), so its pause fraction is 0.
-  core::TransportOutcome collect(Tick now) const override;
+  TransportOutcome collect(Tick now) const;
   /// Application goodput: copied payload bytes over the window (GB/s).
   double goodput_gbps(Tick now) const;
   /// P2M throughput: bytes the NIC DMA-wrote toward memory (GB/s).
@@ -155,14 +171,13 @@ class TcpReceiver final : public core::P2MTransport {
   const TcpStack& stack() const { return *stack_; }
   std::vector<std::unique_ptr<CopyCore>>& copy_cores() { return copy_cores_; }
 
-  // -- lifecycle (HostSystem::attach) -------------------------------------------
+  // -- lifecycle (run by the owning core::HostSystem) -------------------------
   void start();
   void reset_counters(Tick now);
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
-  // The receiver attaches itself to its host (HostSystem::attach), so
-  // HostSystem::snapshot() carries the receiver's transport state alongside
-  // the host's own.
+  // The owning core::HostSystem's snapshot carries the receiver's transport
+  // state alongside the host's own.
   struct State {
     RingBuffer<Tick> ring;  ///< arrival time of packets awaiting copy
 
@@ -194,19 +209,22 @@ class TcpReceiver final : public core::P2MTransport {
   };
 
  private:
+  friend class NicDevice;
+  friend class CopyCore;
+
   void sender_pump();
   void on_ack(Tick sent);
-  void on_packet_delivered(Tick now);
-  void on_packet_copied();
+  void on_packet_delivered(Tick now);  ///< the NIC finished a packet's DMA
+  void on_packet_copied();             ///< a copy core finished a packet
   void rtt_epoch();
 
-  core::HostSystem& host_;
+  sim::Simulator& sim_;
   const TcpConfig cfg_;
   std::unique_ptr<NicDevice> nic_;
   std::vector<std::unique_ptr<CopyCore>> copy_cores_;
   std::unique_ptr<TcpStack> stack_;
   State st_;
-  HOSTNET_COMPONENT(TcpReceiver, host_, cfg_, nic_, copy_cores_, stack_, st_)
+  HOSTNET_COMPONENT(TcpReceiver, sim_, cfg_, nic_, copy_cores_, stack_, st_)
 };
 
 }  // namespace hostnet::net

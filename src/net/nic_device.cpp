@@ -1,33 +1,20 @@
 #include "net/nic_device.hpp"
 
-#include <cassert>
+#include "net/dctcp.hpp"
 
 namespace hostnet::net {
 
-namespace {
-/// The TX path reads from the RX region unless given its own.
-NicConfig with_tx_region(NicConfig cfg) {
-  if (cfg.tx_region.lines() == 0) cfg.tx_region = cfg.region;
-  return cfg;
-}
-}  // namespace
-
 NicDevice::NicDevice(sim::Simulator& sim, iio::Iio& iio, const NicConfig& cfg,
-                     // hostnet-lint: allow(hot-alloc)  -- one-time wiring
-                     std::function<void(Tick)> packet_delivered)
+                     TcpReceiver* receiver)
     : sim_(sim),
       iio_(iio),
-      cfg_(with_tx_region(cfg)),
+      cfg_(cfg),
       t_line_(serialization_ticks(kCachelineBytes, cfg.pcie_gb_per_s)),
       t_packet_(serialization_ticks(cfg.mtu_bytes, cfg.wire_gb_per_s)),
-      t_tx_line_(cfg.tx_gb_per_s > 0
-                     ? serialization_ticks(kCachelineBytes, cfg.tx_gb_per_s)
-                     : 0),
-      packet_delivered_(std::move(packet_delivered)) {}
+      receiver_(receiver) {}
 
 void NicDevice::start() {
   if (cfg_.autonomous) schedule_arrival();
-  if (cfg_.tx_gb_per_s > 0) tx_pump();
 }
 
 void NicDevice::schedule_arrival() {
@@ -91,7 +78,7 @@ void NicDevice::pump() {
   ++st_.dma_line_cursor;
   if (++st_.lines_in_current_packet >= cfg_.mtu_bytes / kCachelineBytes) {
     st_.lines_in_current_packet = 0;
-    if (packet_delivered_) packet_delivered_(sim_.now());
+    if (receiver_ != nullptr) receiver_->on_packet_delivered(sim_.now());
   }
   if (st_.paused && st_.buffer_bytes <= cfg_.resume_threshold) {
     note_pause(sim_.now(), false);
@@ -104,39 +91,13 @@ void NicDevice::pump() {
   });
 }
 
-// TX: stream DMA reads from host memory at the TX wire rate. Shares the
-// device with the RX pump but stalls on the IIO *read* pool, so it must
-// wait -- and be woken -- independently of the writes.
-void NicDevice::tx_pump() {
-  if (st_.tx_link_busy || st_.waiting_read_credit) return;
-  const std::uint64_t addr =
-      cfg_.tx_region.base +
-      (st_.tx_line_cursor % cfg_.tx_region.lines()) * kCachelineBytes;
-  if (!iio_.try_dma(mem::Op::kRead, addr, this, st_.tx_line_cursor)) {
-    st_.waiting_read_credit = true;
-    return;
-  }
-  ++st_.tx_line_cursor;
-  st_.tx_link_busy = true;
-  sim_.schedule(t_tx_line_, [this] {
-    st_.tx_link_busy = false;
-    tx_pump();
-  });
+void NicDevice::on_credit_available(mem::Op /*op*/) {
+  // The NIC only writes, so the freed credit is a write credit.
+  st_.waiting_write_credit = false;
+  pump();
 }
 
-void NicDevice::on_credit_available(mem::Op op) {
-  if (op == mem::Op::kWrite) {
-    st_.waiting_write_credit = false;
-    pump();
-  } else {
-    st_.waiting_read_credit = false;
-    tx_pump();
-  }
-}
-
-void NicDevice::on_read_data(std::uint64_t /*tag*/, Tick /*now*/) {
-  st_.bytes_tx += kCachelineBytes;  // payload fetched; hits the wire
-}
+void NicDevice::on_read_data(std::uint64_t /*tag*/, Tick /*now*/) {}  // issues no reads
 
 void NicDevice::note_pause(Tick now, bool pause) {
   if (pause == st_.paused) return;
@@ -148,6 +109,13 @@ void NicDevice::note_pause(Tick now, bool pause) {
   }
 }
 
+TransportOutcome NicDevice::collect(Tick now) const {
+  TransportOutcome t;
+  t.goodput_gbps = gb_per_s(st_.bytes_accepted, now - st_.window_start);
+  t.pause_fraction = pause_fraction(now);
+  return t;
+}
+
 double NicDevice::pause_fraction(Tick now) const {
   const Tick window = now - st_.window_start;
   if (window <= 0) return 0;
@@ -157,7 +125,7 @@ double NicDevice::pause_fraction(Tick now) const {
 }
 
 void NicDevice::reset_counters(Tick now) {
-  st_.bytes_accepted = st_.bytes_dma = st_.bytes_tx = 0;
+  st_.bytes_accepted = st_.bytes_dma = 0;
   st_.packets_accepted = st_.packets_dropped = st_.packets_marked = 0;
   st_.paused_time = 0;
   if (st_.paused) st_.pause_started = now;

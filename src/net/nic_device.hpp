@@ -12,11 +12,10 @@
 //     threshold.
 //
 // The NIC can generate its own line-rate arrivals (ib_write_bw-style), or
-// be fed packet-by-packet by a transport model (the DCTCP sender).
+// be fed packet-by-packet by a transport model (the TCP sender).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/fields.hpp"
 #include "iio/iio.hpp"
@@ -25,36 +24,57 @@
 
 namespace hostnet::net {
 
+class TcpReceiver;  // net/dctcp.hpp
+
+/// The defaults are the RDMA-write NIC (ib_write_bw): line-rate arrivals,
+/// PFC on.
 struct NicConfig {
   double wire_gb_per_s = 12.25;        ///< 98 Gbps effective
   double pcie_gb_per_s = 14.0;         ///< host-side DMA bandwidth
   std::uint32_t mtu_bytes = 4096;
   std::uint64_t rx_buffer_bytes = 512 << 10;
   bool autonomous = true;              ///< self-generate line-rate arrivals
-  // TX (DMA reads from host memory toward the wire); 0 disables the path.
-  double tx_gb_per_s = 0;
-  mem::Region tx_region{};             ///< TX payload source; defaults to `region`
   // PFC
   bool pfc = true;
   std::uint64_t pause_threshold = 384 << 10;
   std::uint64_t resume_threshold = 192 << 10;
   // ECN (lossy mode)
   std::uint64_t ecn_threshold = 128 << 10;
-  mem::Region region{};                ///< DMA target (RX ring buffers)
+  mem::Region region = mem::p2m_region();  ///< DMA target (RX ring buffers)
+  HOSTNET_FIELDS(NicConfig, wire_gb_per_s, pcie_gb_per_s, mtu_bytes, rx_buffer_bytes, autonomous,
+                 pfc, pause_threshold, resume_threshold, ecn_threshold, region)
+};
+
+/// A transport's measurement-window telemetry: an RDMA-write NIC's or a TCP
+/// receiver's. A quantity the transport does not have reads 0: an RDMA-write
+/// NIC has no copy cores or cwnd, and a TCP receiver's lossy NIC is never
+/// PFC-paused.
+struct TransportOutcome {
+  double goodput_gbps = 0;         ///< delivered payload GB/s (the P2M score)
+  double pause_fraction = 0;       ///< PFC-paused time / window
+  double loss_rate = 0;            ///< dropped / offered packets
+  double mark_fraction = 0;        ///< ECN-marked / accepted packets
+  double avg_cwnd = 0;             ///< epoch-sampled mean cwnd (packets)
+  double copy_lfb_latency_ns = 0;  ///< mean LFB latency of the copy cores
+  double copy_lfb_occupancy = 0;   ///< copy cores' average LFB occupancy, summed
+  std::uint64_t copy_lines = 0;    ///< cachelines the copy cores copied
+  bool operator==(const TransportOutcome&) const = default;
 };
 
 class NicDevice final : public iio::Device {
  public:
-  /// `packet_delivered` (optional) is invoked when a packet has been fully
-  /// DMA-written toward memory (per accepted packet, in arrival order); the
-  /// DCTCP model uses it to hand the packet to the kernel. It is one-time
-  /// wiring: only invoked on the hot path, never reassigned.
+  /// `receiver` is the TcpReceiver that owns this NIC, told of each packet
+  /// fully DMA-written toward memory (per accepted packet, in arrival
+  /// order) so it can hand the packet to the kernel; null for an RDMA NIC.
   NicDevice(sim::Simulator& sim, iio::Iio& iio, const NicConfig& cfg,
-            // hostnet-lint: allow(hot-alloc)
-            std::function<void(Tick)> packet_delivered = {});
+            TcpReceiver* receiver = nullptr);
 
   void start();
   void reset_counters(Tick now);
+
+  /// The RDMA-write transport's window telemetry: the wire bytes accepted
+  /// since the last counter reset (GB/s) and the PFC pause fraction.
+  TransportOutcome collect(Tick now) const;
 
   /// Feed one packet from a transport model (non-autonomous mode). Returns
   /// false if the packet was dropped (RX buffer full). `*ecn_marked` is set
@@ -69,7 +89,6 @@ class NicDevice final : public iio::Device {
   // -- measurement ------------------------------------------------------------
   std::uint64_t bytes_accepted() const { return st_.bytes_accepted; }
   std::uint64_t bytes_dma() const { return st_.bytes_dma; }
-  std::uint64_t bytes_tx() const { return st_.bytes_tx; }
   std::uint64_t packets_dropped() const { return st_.packets_dropped; }
   std::uint64_t packets_accepted() const { return st_.packets_accepted; }
   std::uint64_t packets_marked() const { return st_.packets_marked; }
@@ -80,25 +99,18 @@ class NicDevice final : public iio::Device {
 
   // -- checkpointing (DESIGN.md section 4e) -----------------------------------
   // Everything the traffic mutates; config, the derived serialization times
-  // and the packet_delivered_ wiring are construction state.
+  // and the receiver wiring are construction state.
   struct State {
     std::uint64_t buffer_bytes = 0;
     std::uint64_t dma_line_cursor = 0;
-    std::uint64_t tx_line_cursor = 0;
     std::uint64_t lines_in_current_packet = 0;
     bool link_busy = false;
-    bool tx_link_busy = false;
-    // RX (DMA write) and TX (DMA read) pumps stall on different IIO pools,
-    // so each tracks its own wait; a freed credit of one op must not wake
-    // the other pump.
     bool waiting_write_credit = false;
-    bool waiting_read_credit = false;
     bool paused = false;
     bool arrival_scheduled = false;
 
     std::uint64_t bytes_accepted = 0;
     std::uint64_t bytes_dma = 0;
-    std::uint64_t bytes_tx = 0;
     std::uint64_t packets_accepted = 0;
     std::uint64_t packets_dropped = 0;
     std::uint64_t packets_marked = 0;
@@ -107,31 +119,27 @@ class NicDevice final : public iio::Device {
     Tick window_start = 0;
 
     bool operator==(const State&) const = default;
-    HOSTNET_FIELDS(State, buffer_bytes, dma_line_cursor, tx_line_cursor, lines_in_current_packet,
-                   link_busy, tx_link_busy, waiting_write_credit, waiting_read_credit, paused,
-                   arrival_scheduled, bytes_accepted, bytes_dma, bytes_tx, packets_accepted,
-                   packets_dropped, packets_marked, pause_started, paused_time, window_start)
+    HOSTNET_FIELDS(State, buffer_bytes, dma_line_cursor, lines_in_current_packet, link_busy,
+                   waiting_write_credit, paused, arrival_scheduled, bytes_accepted, bytes_dma,
+                   packets_accepted, packets_dropped, packets_marked, pause_started, paused_time,
+                   window_start)
   };
 
  private:
   void arrival();
   void schedule_arrival();
   void pump();
-  void tx_pump();
   void note_pause(Tick now, bool pause);
 
   sim::Simulator& sim_;
   iio::Iio& iio_;
   const NicConfig cfg_;
-  const Tick t_line_;     ///< PCIe serialization per cacheline
-  const Tick t_packet_;   ///< wire serialization per MTU packet
-  const Tick t_tx_line_;  ///< TX wire serialization per cacheline (0 = TX off)
-  // hostnet-lint: allow(hot-alloc)  -- invoked per packet, assigned once at build
-  const std::function<void(Tick)> packet_delivered_;
+  const Tick t_line_;    ///< PCIe serialization per cacheline
+  const Tick t_packet_;  ///< wire serialization per MTU packet
+  TcpReceiver* const receiver_;
   flow::OpWaiters<NicDevice, &NicDevice::on_credit_available> waiters_{*this};
   State st_;
-  HOSTNET_COMPONENT(NicDevice, sim_, iio_, cfg_, t_line_, t_packet_, t_tx_line_, packet_delivered_,
-                    waiters_, st_)
+  HOSTNET_COMPONENT(NicDevice, sim_, iio_, cfg_, t_line_, t_packet_, receiver_, waiters_, st_)
 };
 
 }  // namespace hostnet::net

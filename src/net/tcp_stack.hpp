@@ -27,15 +27,26 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <variant>
 
 #include "common/fields.hpp"
 #include "common/units.hpp"
-#include "core/experiment.hpp"
 
 namespace hostnet::net {
 
 struct TcpConfig;  // net/dctcp.hpp
+
+/// Which congestion-control stack drives the TCP sender model.
+enum class TcpStackKind : std::uint8_t {
+  kDctcp = 0,  ///< ECN-fraction response (the paper's baseline, Fig 19)
+  kBbr = 1,    ///< bandwidth-probing with a pacing gate (BBR-like)
+  kDavis = 2,  ///< delay-based, backs off on measured RTT inflation
+};
+
+/// "dctcp" / "bbr" / "davis".
+std::string to_string(TcpStackKind kind);
 
 /// Shared transport telemetry: the per-epoch CC inputs the engine
 /// accumulates at its event sites and every stack consumes in on_epoch(),
@@ -99,7 +110,7 @@ class TcpStack {
  public:
   virtual ~TcpStack() = default;
 
-  virtual core::TcpStackKind kind() const = 0;
+  virtual TcpStackKind kind() const = 0;
 
   /// A packet was handed to the wire (pacing bookkeeping).
   virtual void on_send(Tick now) { (void)now; }
@@ -166,7 +177,7 @@ class DctcpStack final : public TcpStackOf<DctcpStack> {
 
   DctcpStack(double initial_cwnd, double g) : g_(g) { st_.cwnd = initial_cwnd; }
 
-  core::TcpStackKind kind() const override { return core::TcpStackKind::kDctcp; }
+  TcpStackKind kind() const override { return TcpStackKind::kDctcp; }
 
   void on_epoch(const TransportTelemetry& t, Tick now) override;
 
@@ -206,7 +217,7 @@ class BbrStack final : public TcpStackOf<BbrStack> {
 
   BbrStack(double initial_cwnd, Tick base_rtt) : base_rtt_(base_rtt) { st_.cwnd = initial_cwnd; }
 
-  core::TcpStackKind kind() const override { return core::TcpStackKind::kBbr; }
+  TcpStackKind kind() const override { return TcpStackKind::kBbr; }
 
   void on_send(Tick now) override;
   void on_epoch(const TransportTelemetry& t, Tick now) override;
@@ -251,7 +262,7 @@ class DavisStack final : public TcpStackOf<DavisStack> {
     st_.cwnd = initial_cwnd;
   }
 
-  core::TcpStackKind kind() const override { return core::TcpStackKind::kDavis; }
+  TcpStackKind kind() const override { return TcpStackKind::kDavis; }
 
   void on_epoch(const TransportTelemetry& t, Tick now) override;
 
@@ -286,25 +297,12 @@ void TcpStackOf<Self>::load_state(const TcpStack::Snapshot& s) {
 /// Build the stack a TcpConfig selects (defined in net/tcp_stacks.cpp).
 std::unique_ptr<TcpStack> make_tcp_stack(const TcpConfig& cfg);
 
-/// Map a TcpSpec onto the receiver's full config (unspecified knobs keep
-/// the TcpConfig defaults).
-TcpConfig tcp_config(const core::TcpSpec& spec);
-
-/// Canonical TcpSpec for a stack kind (the fleet grammar's tcp_* zoo).
-core::TcpSpec tcp_spec(core::TcpStackKind kind);
-
-/// Fleet p2m-workload zoo entry: "tcp_dctcp" / "tcp_bbr" / "tcp_davis" to a
-/// spec, or nullopt for non-TCP workload names.
-std::optional<core::TcpSpec> tcp_p2m_workload(const std::string& name);
-
 /// "dctcp" / "bbr" / "davis" to a kind (the `set tcp.stack` values), or
 /// nullopt for anything else.
-std::optional<core::TcpStackKind> tcp_stack_kind(const std::string& name);
+std::optional<TcpStackKind> tcp_stack_kind(const std::string& name);
 
-/// Point the core executor at the net layer's P2M transport factory (TCP
-/// receivers and RDMA-write NICs). Idempotent; runs at static-init time
-/// whenever net/tcp_stacks.cpp is linked, and callable explicitly by
-/// embedders that want to be certain.
+/// Does nothing. Kept for callers from when linking the net layer had to
+/// install a transport factory into the executor.
 void install_tcp_factory();
 
 }  // namespace hostnet::net

@@ -5,9 +5,17 @@
 #include <string>
 
 #include "net/dctcp.hpp"
-#include "net/rdma.hpp"
 
 namespace hostnet::net {
+
+std::string to_string(TcpStackKind kind) {
+  switch (kind) {
+    case TcpStackKind::kDctcp: return "dctcp";
+    case TcpStackKind::kBbr: return "bbr";
+    case TcpStackKind::kDavis: return "davis";
+  }
+  return "?";
+}
 
 // ---------------------------------------------------------------------------
 // DctcpStack
@@ -134,71 +142,37 @@ void DavisStack::on_epoch(const TransportTelemetry& t, Tick now) {
 }
 
 // ---------------------------------------------------------------------------
-// Stack/spec zoo + transport factory
+// Stack zoo
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<TcpStack> make_tcp_stack(const TcpConfig& cfg) {
   switch (cfg.stack) {
-    case core::TcpStackKind::kBbr:
+    case TcpStackKind::kBbr:
       return std::make_unique<BbrStack>(cfg.initial_cwnd, cfg.base_rtt);
-    case core::TcpStackKind::kDavis:
+    case TcpStackKind::kDavis:
       return std::make_unique<DavisStack>(cfg.initial_cwnd, cfg.base_rtt);
-    case core::TcpStackKind::kDctcp:
+    case TcpStackKind::kDctcp:
       break;
   }
   return std::make_unique<DctcpStack>(cfg.initial_cwnd, cfg.dctcp_g);
 }
 
-TcpConfig tcp_config(const core::TcpSpec& spec) {
+std::optional<TcpStackKind> tcp_stack_kind(const std::string& name) {
+  if (name == "dctcp") return TcpStackKind::kDctcp;
+  if (name == "bbr") return TcpStackKind::kBbr;
+  if (name == "davis") return TcpStackKind::kDavis;
+  return std::nullopt;
+}
+
+std::optional<TcpConfig> tcp_p2m_workload(const std::string& name) {
+  if (name.rfind("tcp_", 0) != 0) return std::nullopt;
+  const std::optional<TcpStackKind> kind = tcp_stack_kind(name.substr(4));
+  if (!kind) return std::nullopt;
   TcpConfig cfg;
-  cfg.stack = spec.stack;
-  cfg.wire_gb_per_s = spec.wire_gb_per_s;
-  cfg.mtu_bytes = spec.mtu_bytes;
-  cfg.copy_cores = spec.copy_cores;
-  cfg.ring_packets = spec.ring_packets;
-  cfg.base_rtt = spec.base_rtt;
+  cfg.stack = *kind;
   return cfg;
 }
 
-core::TcpSpec tcp_spec(core::TcpStackKind kind) {
-  core::TcpSpec spec;
-  spec.stack = kind;
-  spec.name = "tcp_" + core::to_string(kind);
-  return spec;
-}
-
-std::optional<core::TcpSpec> tcp_p2m_workload(const std::string& name) {
-  if (name == "tcp_dctcp") return tcp_spec(core::TcpStackKind::kDctcp);
-  if (name == "tcp_bbr") return tcp_spec(core::TcpStackKind::kBbr);
-  if (name == "tcp_davis") return tcp_spec(core::TcpStackKind::kDavis);
-  return std::nullopt;
-}
-
-std::optional<core::TcpStackKind> tcp_stack_kind(const std::string& name) {
-  if (name == "dctcp") return core::TcpStackKind::kDctcp;
-  if (name == "bbr") return core::TcpStackKind::kBbr;
-  if (name == "davis") return core::TcpStackKind::kDavis;
-  return std::nullopt;
-}
-
-namespace {
-
-std::unique_ptr<core::P2MTransport> make_p2m_transport(core::HostSystem& host,
-                                                       const core::P2MSpec& spec) {
-  if (spec.tcp) return std::make_unique<TcpReceiver>(host, tcp_config(*spec.tcp));
-  return make_rdma_write_transport(host, *spec.rdma_write);
-}
-
-// Self-registration: any binary that references this TU (every TcpReceiver
-// user, the fleet grammar and net::rdma_write_p2m do) gets the factory
-// installed before main().
-const bool kTcpFactoryInstalled [[maybe_unused]] = [] {
-  install_tcp_factory();
-  return true;
-}();
-
-}  // namespace
-
-void install_tcp_factory() { core::set_p2m_transport_factory(&make_p2m_transport); }
+void install_tcp_factory() {}
 
 }  // namespace hostnet::net

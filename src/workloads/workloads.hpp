@@ -28,7 +28,8 @@
 // RDMA (RoCE, Appendix C.1):
 //   rdma_read      ib_read_bw at the server: the NIC streams server memory to
 //                  the wire, a line-rate sequential DMA reader (P2M-Read).
-//                  ib_write_bw is a NIC placement: net::rdma_write_p2m().
+//                  ib_write_bw is a NIC placement: rdma_write_p2m()
+//                  (workloads/rdma.hpp).
 #pragma once
 
 #include "core/presets.hpp"
@@ -38,16 +39,11 @@
 
 namespace hostnet::workloads {
 
-// ---------------------------------------------------------------------------
-// Address-space layout: distinct workloads use disjoint regions (the paper's
-// apps access different address spaces; intermixing them at DRAM is what
-// degrades row locality).
-// ---------------------------------------------------------------------------
-inline mem::Region c2m_core_region(std::uint32_t core_index) {
-  return mem::Region{(4ull + core_index) << 30, 1ull << 30};
-}
-inline mem::Region c2m_shared_region() { return mem::Region{40ull << 30, 5ull << 30}; }
-inline mem::Region p2m_region() { return mem::Region{128ull << 30, 4ull << 30}; }
+// Address-space layout (mem/request.hpp): distinct workloads use disjoint
+// regions.
+using mem::c2m_core_region;
+using mem::c2m_shared_region;
+using mem::p2m_region;
 
 // -- C2M microbenchmarks -----------------------------------------------------
 

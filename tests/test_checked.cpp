@@ -3,22 +3,20 @@
 // In checked builds (-DHOSTNET_CHECKED=ON) the death tests prove each
 // invariant actually fires: a credit-leaking toy domain trips conservation,
 // out-of-order event injection trips the simulator/queue monotonicity
-// checks, a delay that wraps the clock trips the overflow check, and an
-// attached component's unregistered credit pool trips the registry audit. In
+// checks, and a delay that wraps the clock trips the overflow check. In
 // unchecked builds the same file proves the instrumentation compiles out:
-// a false HOSTNET_INVARIANT must do nothing, and a loaded
-// HostSystem run with verify_invariants() at every quiesce point must pass
-// in both modes.
+// a false HOSTNET_INVARIANT must do nothing. In both modes a loaded
+// HostSystem run with verify_invariants() at every quiesce point must pass,
+// and the host's DomainRegistry must list every pool of its member table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
-#include <string>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/fields.hpp"
 #include "core/host_system.hpp"
 #include "net/dctcp.hpp"
 #include "sim/calendar_queue.hpp"
@@ -27,26 +25,6 @@
 
 namespace hostnet {
 namespace {
-
-/// An attachable component with a flow::CreditPool in its State, which no
-/// one registers unless a test does.
-class PoolPort {
- public:
-  struct State {
-    flow::CreditPool txq;
-    std::uint64_t sent = 0;
-    bool operator==(const State&) const = default;
-    HOSTNET_FIELDS(State, txq, sent)
-  };
-
-  void start() {}
-  void reset_counters(Tick) {}
-  flow::CreditPool& txq() { return st_.txq; }
-
- private:
-  State st_;
-  HOSTNET_COMPONENT(PoolPort, st_)
-};
 
 #if HOSTNET_CHECKED
 
@@ -116,15 +94,6 @@ TEST(CheckedInvariantDeathTest, CalendarPushBehindCursorTripsMonotonicity) {
   EXPECT_DEATH(q.emplace(ns(2), [] {}), "HOSTNET_INVARIANT");
 }
 
-TEST(CheckedInvariantDeathTest, UnregisteredPoolTripsRegistryAudit) {
-  // The pool sits in an attached component's State, so the host's walk over
-  // the component tables finds it, and nothing registered it.
-  core::HostSystem host(core::cascade_lake());
-  PoolPort port;
-  host.attach(port);
-  EXPECT_DEATH(host.verify_invariants(), "external.st_.txq is a flow::CreditPool that is not");
-}
-
 #else  // !HOSTNET_CHECKED
 
 TEST(CheckedInvariantCompiledOut, FalseInvariantIsANoOp) {
@@ -166,33 +135,54 @@ TEST(CheckedInvariant, LoadedHostPassesQuiesceAudits) {
   EXPECT_GT(m.mem_gbps[0] + m.mem_gbps[1] + m.mem_gbps[2] + m.mem_gbps[3], 0.0);
 }
 
-TEST(CheckedInvariant, PoolWalkFindsExactlyTheRegisteredPools) {
-  // The registry audit is only as good as the walk: over the host and an
-  // attached TCP receiver it must reach every registered pool, and no other.
+TEST(CheckedInvariant, RegistryListsEveryPoolWithItsDomain) {
+  // The registry is the member table walked for pools: a host with two IIO
+  // stacks, a core, a TCP receiver and hostCC lists each of its pools once,
+  // with the domain its owner declared or none (interior), and a domain's
+  // pools in index order.
   core::HostSystem host(core::cascade_lake());
-  host.add_core(workloads::c2m_read(workloads::c2m_core_region(0)));
+  cpu::Core& core0 = host.add_core(workloads::c2m_read(workloads::c2m_core_region(0)));
   host.add_iio_stack(host.config().iio);
-  net::TcpReceiver rx(host, net::TcpConfig{});
-  std::vector<const flow::CreditPool*> found;
-  const auto collect = [&](const std::string&, const flow::CreditPool& p) { found.push_back(&p); };
-  fields::for_each_reachable<flow::CreditPool>(std::as_const(host), collect);
-  fields::for_each_reachable<flow::CreditPool>(std::as_const(rx), collect);
-  std::vector<const flow::CreditPool*> registered;
-  for (const auto& e : host.domains().entries()) registered.push_back(e.pool);
-  std::sort(found.begin(), found.end());
-  std::sort(registered.begin(), registered.end());
-  EXPECT_EQ(found, registered);
-  // RPQ + WPQ per channel, the CHA's two trackers, two IIO stacks, one
-  // core and the receiver's four copy cores.
-  EXPECT_EQ(found.size(), 2 * host.mc().num_channels() + 2 + 2 * 2 + 2 + 4u);
-}
+  net::TcpReceiver& rx = host.add_tcp_receiver(net::TcpConfig{});
+  host.add_hostcc(hostcc::HostccConfig{});
+  EXPECT_TRUE(host.domains().entries().empty());  // indexed when the host starts
+  host.run(0, 0);
 
-TEST(CheckedInvariant, RegisteredExternalPoolPassesRegistryAudit) {
-  core::HostSystem host(core::cascade_lake());
-  PoolPort port;
-  host.domains().add_interior("port.txq", &port.txq());
-  host.attach(port);
-  host.verify_invariants();
+  using Listed = std::pair<const flow::CreditPool*, std::optional<core::Domain>>;
+  std::vector<Listed> expected;
+  for (std::uint32_t ch = 0; ch < host.mc().num_channels(); ++ch) {
+    expected.emplace_back(&host.mc().channel(ch).rpq_pool(), std::nullopt);
+    expected.emplace_back(&host.mc().channel(ch).wpq_pool(), std::nullopt);
+  }
+  expected.emplace_back(&host.cha().read_pool(), std::nullopt);
+  expected.emplace_back(&host.cha().write_pool(), std::nullopt);
+  for (std::size_t i = 0; i < host.iio_stacks(); ++i) {
+    expected.emplace_back(&host.iio(i).write_pool(), core::Domain::kP2MWrite);
+    expected.emplace_back(&host.iio(i).read_pool(), core::Domain::kP2MRead);
+  }
+  expected.emplace_back(&core0.lfb_pool(), core::Domain::kC2MRead);
+  expected.emplace_back(&core0.write_pool(), core::Domain::kC2MWrite);
+  for (const auto& c : rx.copy_cores()) expected.emplace_back(&c->lfb_pool(), std::nullopt);
+  ASSERT_EQ(expected.size(), 2 * host.mc().num_channels() + 2 + 2 * 2 + 2 + 4u);
+
+  std::vector<Listed> listed;
+  for (const auto& e : host.domains().entries()) listed.emplace_back(e.pool, e.domain());
+  std::sort(expected.begin(), expected.end());
+  std::sort(listed.begin(), listed.end());
+  EXPECT_EQ(listed, expected);
+
+  const auto pools_of = [&](core::Domain d) {
+    std::vector<const flow::CreditPool*> v;
+    host.domains().for_each(d, [&](const flow::DomainRegistry::Entry& e) { v.push_back(e.pool); });
+    return v;
+  };
+  using Pools = std::vector<const flow::CreditPool*>;
+  EXPECT_EQ(pools_of(core::Domain::kP2MWrite),
+            (Pools{&host.iio(0).write_pool(), &host.iio(1).write_pool()}));
+  EXPECT_EQ(pools_of(core::Domain::kP2MRead),
+            (Pools{&host.iio(0).read_pool(), &host.iio(1).read_pool()}));
+  EXPECT_EQ(pools_of(core::Domain::kC2MRead), Pools{&core0.lfb_pool()});
+  EXPECT_EQ(pools_of(core::Domain::kC2MWrite), Pools{&core0.write_pool()});
 }
 
 }  // namespace

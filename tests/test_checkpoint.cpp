@@ -1,5 +1,6 @@
 // Tests for the checkpoint/fork engine (DESIGN.md section 4e): snapshot /
-// restore replay identity, the same-host contract, attached externals,
+// restore replay identity, the same-host contract, owned NICs, receivers
+// and hostCC,
 // collect() as a pure read, restored and forked windows bit-identical to
 // cold runs across presets, and the executor's cold/fork x thread-count
 // identity and reuse counters.
@@ -74,12 +75,12 @@ void expect_identical(const RunOutcome& a, const RunOutcome& b) {
   expect_identical(a.metrics, b.metrics);
 }
 
-/// Whole-host state equality: every component's State, the pending events
-/// and each attached external's own Snapshot (the owner stamp is not
+/// Whole-host state equality: every component's State, the owned
+/// components' included, and the pending events (the owner stamp is not
 /// compared).
 void expect_same_state(const HostSnapshot& a, const HostSnapshot& b) { EXPECT_TRUE(a == b); }
 
-/// The credit-ledger balances of every registered flow-control pool.
+/// The credit-ledger balances of every flow-control pool in the registry.
 std::vector<std::uint32_t> ledger_balances(HostSystem& host) {
   std::vector<std::uint32_t> v;
   for (const auto& e : host.domains().entries()) v.push_back(e.pool->in_use());
@@ -221,7 +222,7 @@ TEST(Checkpoint, RestoreIntoDifferentHostThrows) {
 }
 
 TEST(Checkpoint, HostccControllerRoundTrips) {
-  // hostCC attaches itself like every external: its throttle loop replays
+  // The host owns hostCC like every component: its throttle loop replays
   // identically from a checkpoint, so a throttled host is forkable.
   const HostConfig hc = cascade_lake();
   HostSystem host(hc, 5);
@@ -230,7 +231,7 @@ TEST(Checkpoint, HostccControllerRoundTrips) {
   host.add_storage(workloads::fio_p2m_write(hc, workloads::p2m_region()));
   hostcc::HostccConfig ccfg;
   ccfg.target_p2m_latency_ns = 100;  // throttles from the first sample on
-  hostcc::HostCongestionController cc(host, ccfg);
+  const hostcc::HostCongestionController& cc = host.add_hostcc(ccfg);
   host.run(us(50), 0);
   const HostSnapshot checkpoint = host.snapshot();
 
@@ -245,26 +246,26 @@ TEST(Checkpoint, HostccControllerRoundTrips) {
   EXPECT_EQ(throttle1, cc.avg_throttle(host.sim().now()));
   EXPECT_GT(throttle1, 0.0);
   const HostSnapshot end2 = host.snapshot();
-  EXPECT_EQ(end1.externals_.size(), 1u);
+  EXPECT_EQ(end1.hostcc_.size(), 1u);
   expect_same_state(end1, end2);
 }
 
 TEST(Checkpoint, AttachedExternalStateIsPartOfTheHostSnapshot) {
-  // An attached component's State is compared and restored with the host's
-  // own: editing it in one of two equal snapshots makes them unequal, and a
-  // restore hands the edit to the component.
+  // An owned component's State (hostCC's) is compared and restored with the
+  // host's own: editing it in one of two equal snapshots makes them
+  // unequal, and a restore hands the edit to the component.
   const HostConfig hc = cascade_lake();
   HostSystem host(hc, 5);
   host.add_core(workloads::c2m_read_write(workloads::c2m_core_region(0)));
   host.add_storage(workloads::fio_p2m_write(hc, workloads::p2m_region()));
   hostcc::HostccConfig ccfg;
   ccfg.target_p2m_latency_ns = 100;
-  hostcc::HostCongestionController cc(host, ccfg);
+  host.add_hostcc(ccfg);
   host.run(us(20), 0);
   const HostSnapshot a = host.snapshot();
   HostSnapshot b = host.snapshot();
   EXPECT_TRUE(a == b);
-  b.externals_[0].get<hostcc::HostCongestionController::Snapshot>().st_.throttle += 0.25;
+  b.hostcc_[0].st_.throttle += 0.25;
   EXPECT_FALSE(a == b);
   host.restore(b);
   EXPECT_TRUE(host.snapshot() == b);
@@ -273,12 +274,11 @@ TEST(Checkpoint, AttachedExternalStateIsPartOfTheHostSnapshot) {
 }
 
 TEST(Checkpoint, DctcpReceiverRoundTrips) {
-  // TcpReceiver attaches itself: the NIC, copy cores, and congestion state
-  // must all replay identically from a checkpoint.
+  // The host owns the TcpReceiver: the NIC, copy cores, and congestion
+  // state must all replay identically from a checkpoint.
   const HostConfig hc = cascade_lake();
   HostSystem host(hc, 3);
-  net::TcpConfig cfg;
-  net::TcpReceiver rx(host, cfg);
+  const net::TcpReceiver& rx = host.add_tcp_receiver(net::TcpConfig{});
   host.run(us(200), 0);
   const HostSnapshot checkpoint = host.snapshot();
 
@@ -298,7 +298,7 @@ TEST(Checkpoint, DctcpReceiverRoundTrips) {
   // The whole end state, the receiver's (NIC, copy cores, engine and
   // congestion state) included.
   const HostSnapshot end2 = host.snapshot();
-  EXPECT_EQ(end1.externals_.size(), 1u);
+  EXPECT_EQ(end1.tcp_receivers_.size(), 1u);
   expect_same_state(end1, end2);
 }
 
@@ -537,7 +537,7 @@ TEST(Executor, ExtensionWindowsMatchAHandBuiltHost) {
   HostSystem host(w.host, w.opt.seed);
   host.add_iio_stack(w.host.iio);
   place(host, w);
-  hostcc::HostCongestionController cc(host, *w.c2m->hostcc);
+  const hostcc::HostCongestionController& cc = host.add_hostcc(*w.c2m->hostcc);
   host.run(w.opt.warmup, w.opt.measure);
   LatencyHistogram lfb, iio_write;
   for (const auto& c : host.cores()) lfb.merge(c->lfb_station().histogram());
@@ -582,7 +582,7 @@ TEST(ForkSweep, FingerprintSeparatesEveryInput) {
   c2m.hostcc = hostcc::HostccConfig{};
   P2MSpec p2m = *p.p2m;
   p2m.second_storage = p2m.storage;
-  p2m.tcp = TcpSpec{};
+  p2m.tcp = net::TcpConfig{};
   p2m.rdma_write = RdmaWriteSpec{};
   const std::string all = config_fingerprint(p.host, c2m, p2m, opt.seed, opt.warmup);
   std::size_t leaves = expect_every_leaf_keyed(p.host, all, [&](const HostConfig& h) {
@@ -595,9 +595,9 @@ TEST(ForkSweep, FingerprintSeparatesEveryInput) {
   leaves += expect_every_leaf_keyed(p2m, all, [&](const P2MSpec& s) {
     return config_fingerprint(p.host, c2m, s, opt.seed, opt.warmup);
   });
-  // 54 host + 17 C2M (4 hostCC) + 26 P2M (8 per storage device): a visitor
-  // reaching nothing fails.
-  EXPECT_EQ(leaves, 97u);
+  // 54 host + 17 C2M (4 hostCC) + 41 P2M (8 per storage device, 22 for the
+  // TCP receiver, its NIC's 11 included): a visitor reaching nothing fails.
+  EXPECT_EQ(leaves, 112u);
 }
 
 }  // namespace

@@ -84,8 +84,7 @@ TEST(HostCC, ProtectsP2MInRedRegime) {
     for (std::uint32_t i = 0; i < 5; ++i)
       host.add_core(workloads::c2m_read_write(workloads::c2m_core_region(i)));
     host.add_storage(workloads::fio_p2m_write(hc, workloads::p2m_region()));
-    std::unique_ptr<hostcc::HostCongestionController> cc;
-    if (with_cc) cc = std::make_unique<hostcc::HostCongestionController>(host, hostcc::HostccConfig{});
+    if (with_cc) host.add_hostcc(hostcc::HostccConfig{});
     host.run(us(300), us(800));
     const auto m = host.collect();
     return std::pair<double, double>{m.p2m_dev_gbps, m.c2m_app_gbps};
@@ -104,7 +103,7 @@ TEST(HostCC, IdleInBlueRegime) {
   for (std::uint32_t i = 0; i < 3; ++i)
     host.add_core(workloads::c2m_read(workloads::c2m_core_region(i)));
   host.add_storage(workloads::fio_p2m_write(hc, workloads::p2m_region()));
-  hostcc::HostCongestionController cc(host, {});
+  const hostcc::HostCongestionController& cc = host.add_hostcc({});
   host.run(us(300), us(800));
   EXPECT_LT(cc.avg_throttle(host.sim().now()), 0.05);
   EXPECT_NEAR(host.collect().p2m_dev_gbps, 14.0, 0.5);

@@ -312,10 +312,10 @@ TEST(FleetScenario, ParsesTcpStackPlacements) {
     ASSERT_TRUE(t.p2m->tcp.has_value());
     EXPECT_FALSE(t.p2m->storage.has_value());
   }
-  EXPECT_EQ(sc.templates()[0].p2m->tcp->stack, core::TcpStackKind::kDctcp);
-  EXPECT_EQ(sc.templates()[1].p2m->tcp->stack, core::TcpStackKind::kBbr);
+  EXPECT_EQ(sc.templates()[0].p2m->tcp->stack, net::TcpStackKind::kDctcp);
+  EXPECT_EQ(sc.templates()[1].p2m->tcp->stack, net::TcpStackKind::kBbr);
   // The override rewrites both the stack and the placement's reported name.
-  EXPECT_EQ(sc.templates()[2].p2m->tcp->stack, core::TcpStackKind::kDavis);
+  EXPECT_EQ(sc.templates()[2].p2m->tcp->stack, net::TcpStackKind::kDavis);
   EXPECT_EQ(sc.templates()[2].p2m->name, "tcp_davis");
 }
 
@@ -486,7 +486,7 @@ TEST(FleetRunner, FingerprintDedupIsStructural) {
 }
 
 TEST(FleetRunner, MixedStacksShardAndForkBitIdentically) {
-  // Templates identical except for TcpSpec::stack: the stack kind must
+  // Templates identical except for the TCP stack: the stack kind must
   // reach the fingerprint (3 fold groups, no cross-stack aliasing) and every
   // stack's replicas must fork bit-identically to a cold run.
   const fleet::Scenario sc = fleet::Scenario::parse(kStacksScenario);

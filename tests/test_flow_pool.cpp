@@ -124,7 +124,6 @@ TEST(CreditPool, HysteresisWatermarks) {
   CreditPoolSpec spec;
   spec.name = "test.hyst";
   spec.capacity = 32;
-  spec.backpressure = BackpressurePolicy::kHysteresis;
   spec.high_watermark = 22;
   spec.low_watermark = 8;
   CreditPool pool(spec);

@@ -6,7 +6,7 @@
 #include "core/host_system.hpp"
 #include "net/dctcp.hpp"
 #include "net/nic_device.hpp"
-#include "net/rdma.hpp"
+#include "workloads/rdma.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hostnet::net {
@@ -21,10 +21,7 @@ core::RunOptions fast() {
 
 TEST(NicDevice, AutonomousModeDeliversAtWireRate) {
   core::HostSystem host(core::cascade_lake());
-  NicConfig nc;
-  nc.region = workloads::p2m_region();
-  NicDevice nic(host.sim(), host.iio(), nc);
-  host.attach(nic);
+  const NicDevice& nic = host.add_nic(NicConfig{});
   host.run(us(100), us(500));
   EXPECT_NEAR(gb_per_s(nic.bytes_accepted(), us(500)), 12.25, 0.5);
   EXPECT_EQ(nic.packets_dropped(), 0u);  // PFC: lossless
@@ -35,10 +32,8 @@ TEST(NicDevice, PfcPausesUnderDmaBackpressure) {
   // Choke the PCIe side so the RX buffer fills: PFC must pause (not drop).
   core::HostSystem host(core::cascade_lake());
   NicConfig nc;
-  nc.region = workloads::p2m_region();
   nc.pcie_gb_per_s = 6.0;  // drain slower than the 12.25 GB/s wire
-  NicDevice nic(host.sim(), host.iio(), nc);
-  host.attach(nic);
+  const NicDevice& nic = host.add_nic(nc);
   host.run(us(100), us(500));
   EXPECT_EQ(nic.packets_dropped(), 0u);
   EXPECT_GT(nic.pause_fraction(host.sim().now()), 0.3);
@@ -48,13 +43,12 @@ TEST(NicDevice, PfcPausesUnderDmaBackpressure) {
 TEST(NicDevice, LossyModeDropsWhenFull) {
   core::HostSystem host(core::cascade_lake());
   NicConfig nc;
-  nc.region = workloads::p2m_region();
   nc.pfc = false;
   nc.autonomous = false;
   nc.rx_buffer_bytes = 16 << 10;
   nc.ecn_threshold = 8 << 10;
   nc.pcie_gb_per_s = 1.0;  // nearly stuck
-  NicDevice nic(host.sim(), host.iio(), nc);
+  NicDevice& nic = host.add_nic(nc);
   host.run(us(1), us(1));
   int accepted = 0, dropped = 0, marked = 0;
   for (int i = 0; i < 32; ++i) {
@@ -71,42 +65,6 @@ TEST(NicDevice, LossyModeDropsWhenFull) {
   EXPECT_GE(marked, 1);    // packets above the 8 KB ECN threshold
 }
 
-TEST(NicDevice, MixedRxTxProgressUnderCreditExhaustion) {
-  // Regression for the single waiting_credit_ flag the NIC used to carry:
-  // with both the RX (DMA write) and TX (DMA read) pumps blocked on their
-  // exhausted IIO pools, a freed credit of one op must wake exactly that
-  // pump -- under the shared flag, the read-credit wake cleared the write
-  // wait and re-ran only the RX pump, wedging TX permanently.
-  auto hc = core::cascade_lake();
-  hc.iio.write_credits = 4;  // starve both pools so both pumps block
-  hc.iio.read_credits = 4;
-  core::HostSystem host(hc);
-  NicConfig nc;
-  nc.region = workloads::p2m_region();
-  nc.tx_gb_per_s = 12.0;
-  nc.tx_region = workloads::p2m_region();
-  nc.tx_region.base += 4ull << 30;
-  NicDevice nic(host.sim(), host.iio(), nc);
-  host.attach(nic);
-  host.run(us(100), us(500));
-  const double rx_gbps = gb_per_s(nic.bytes_dma(), us(500));
-  const double tx_gbps = gb_per_s(nic.bytes_tx(), us(500));
-  // Both directions keep flowing (the 4-credit pools throttle hard, but a
-  // wedged pump would show ~0): neither starves the other out.
-  EXPECT_GT(rx_gbps, 0.3);
-  EXPECT_GT(tx_gbps, 0.3);
-}
-
-TEST(NicDevice, TxPathOffByDefault) {
-  core::HostSystem host(core::cascade_lake());
-  NicConfig nc;
-  nc.region = workloads::p2m_region();
-  NicDevice nic(host.sim(), host.iio(), nc);
-  host.attach(nic);
-  host.run(us(100), us(200));
-  EXPECT_EQ(nic.bytes_tx(), 0u);
-}
-
 /// The colocation protocol with an RDMA P2M placement.
 core::ColocationOutcome colocate_rdma(const core::C2MSpec& c2m, const core::P2MSpec& rdma) {
   core::Plan plan;
@@ -120,7 +78,7 @@ TEST(Rdma, WriteTrafficShowsBlueRegime) {
   core::C2MSpec c2m;
   c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
   c2m.cores = 3;
-  const auto o = colocate_rdma(c2m, rdma_write_p2m());
+  const auto o = colocate_rdma(c2m, workloads::rdma_write_p2m());
   EXPECT_GT(o.c2m_degradation(), 1.15);
   EXPECT_LT(o.p2m_degradation(), 1.05);
   EXPECT_LT(o.colo.transport.pause_fraction, 0.05);
@@ -132,7 +90,7 @@ TEST(Rdma, RedRegimeTriggersPfcPauses) {
   core::C2MSpec c2m;
   c2m.workload = workloads::c2m_read_write(workloads::c2m_core_region(0));
   c2m.cores = 5;
-  const auto o = colocate_rdma(c2m, rdma_write_p2m());
+  const auto o = colocate_rdma(c2m, workloads::rdma_write_p2m());
   EXPECT_GT(o.p2m_degradation(), 1.3);
   EXPECT_GT(o.colo.transport.pause_fraction, 0.15);
   EXPECT_EQ(o.colo.metrics.channels, 2u);
@@ -142,7 +100,7 @@ TEST(Rdma, ReadTrafficUnaffectedInBlueRegime) {
   core::C2MSpec c2m;
   c2m.workload = workloads::c2m_read(workloads::c2m_core_region(0));
   c2m.cores = 3;
-  const auto o = colocate_rdma(c2m, rdma_read_p2m());
+  const auto o = colocate_rdma(c2m, workloads::rdma_read_p2m());
   EXPECT_LT(o.p2m_degradation(), 1.05);
   EXPECT_GT(o.c2m_degradation(), 1.1);
   EXPECT_EQ(o.colo.transport.pause_fraction, 0.0);  // a DMA reader: no PFC
@@ -155,19 +113,19 @@ TEST(Rdma, WritePlacementIsFingerprinted) {
   const auto fp = [&](const std::optional<core::P2MSpec>& p2m) {
     return core::config_fingerprint(hc, std::nullopt, p2m, 1, us(10));
   };
-  core::P2MSpec slow = rdma_write_p2m({6.0});
-  EXPECT_NE(fp(rdma_write_p2m()), fp(std::nullopt));
-  EXPECT_NE(fp(rdma_write_p2m()), fp(slow));
-  core::P2MSpec named_like_write = rdma_read_p2m();
+  core::P2MSpec slow = workloads::rdma_write_p2m({6.0});
+  EXPECT_NE(fp(workloads::rdma_write_p2m()), fp(std::nullopt));
+  EXPECT_NE(fp(workloads::rdma_write_p2m()), fp(slow));
+  core::P2MSpec named_like_write = workloads::rdma_read_p2m();
   named_like_write.name = "rdma_write";
-  EXPECT_NE(fp(rdma_write_p2m()), fp(named_like_write));
+  EXPECT_NE(fp(workloads::rdma_write_p2m()), fp(named_like_write));
 }
 
 TEST(Dctcp, IsolatedReceiverReachesWireRate) {
   const auto hc = core::cascade_lake();
   core::HostSystem host(hc);
   TcpConfig cfg;
-  TcpReceiver rx(host, cfg);
+  const TcpReceiver& rx = host.add_tcp_receiver(cfg);
   host.run(us(400), us(800));
   const Tick now = host.sim().now();
   EXPECT_GT(rx.goodput_gbps(now), 0.85 * cfg.wire_gb_per_s);
@@ -182,7 +140,7 @@ TEST(Dctcp, BlueRegimeThrottlesViaFlowControlNotDrops) {
   for (std::uint32_t i = 0; i < 4; ++i)
     host.add_core(workloads::c2m_read(workloads::c2m_core_region(i)));
   TcpConfig cfg;
-  TcpReceiver rx(host, cfg);
+  const TcpReceiver& rx = host.add_tcp_receiver(cfg);
   host.run(us(400), us(800));
   const Tick now = host.sim().now();
   EXPECT_LT(rx.goodput_gbps(now), 0.92 * cfg.wire_gb_per_s);  // degraded
@@ -199,7 +157,7 @@ TEST(Dctcp, RedRegimeCongestionResponse) {
   for (std::uint32_t i = 0; i < 4; ++i)
     host.add_core(workloads::c2m_read_write(workloads::c2m_core_region(i)));
   TcpConfig cfg;
-  TcpReceiver rx(host, cfg);
+  const TcpReceiver& rx = host.add_tcp_receiver(cfg);
   host.run(us(400), us(1000));
   const Tick now = host.sim().now();
   EXPECT_TRUE(rx.loss_rate() > 0.0001 || rx.mark_fraction() > 0.05)
@@ -213,7 +171,7 @@ TEST(Dctcp, CopyGeneratesC2MTraffic) {
   const auto hc = core::cascade_lake();
   core::HostSystem host(hc);
   TcpConfig cfg;
-  TcpReceiver rx(host, cfg);
+  const TcpReceiver& rx = host.add_tcp_receiver(cfg);
   host.run(us(300), us(500));
   const auto m = host.collect();
   EXPECT_GT(m.mem_gbps[0], 5.0);  // C2M reads (socket buffer)

@@ -25,10 +25,8 @@ TEST_P(NicPcieSweep, LosslessAndBounded) {
   const double pcie = GetParam();
   core::HostSystem host(core::cascade_lake());
   net::NicConfig nc;
-  nc.region = workloads::p2m_region();
   nc.pcie_gb_per_s = pcie;
-  net::NicDevice nic(host.sim(), host.iio(), nc);
-  host.attach(nic);
+  const net::NicDevice& nic = host.add_nic(nc);
   host.run(us(150), us(500));
 
   // PFC: nothing dropped, buffer bounded; over the measurement window the
@@ -52,10 +50,8 @@ TEST(NicProperty, PauseFractionMonotoneInDrainRate) {
   for (double pcie : {4.0, 8.0, 12.0, 14.0}) {
     core::HostSystem host(core::cascade_lake());
     net::NicConfig nc;
-    nc.region = workloads::p2m_region();
     nc.pcie_gb_per_s = pcie;
-    net::NicDevice nic(host.sim(), host.iio(), nc);
-    host.attach(nic);
+    const net::NicDevice& nic = host.add_nic(nc);
     host.run(us(150), us(400));
     fractions.push_back(nic.pause_fraction(host.sim().now()));
   }
@@ -69,10 +65,8 @@ TEST(NicProperty, PausedThroughputMatchesDrainRate) {
   // Under PFC the delivered rate equals the bottleneck drain rate.
   core::HostSystem host(core::cascade_lake());
   net::NicConfig nc;
-  nc.region = workloads::p2m_region();
   nc.pcie_gb_per_s = 5.0;
-  net::NicDevice nic(host.sim(), host.iio(), nc);
-  host.attach(nic);
+  const net::NicDevice& nic = host.add_nic(nc);
   host.run(us(150), us(500));
   EXPECT_NEAR(gb_per_s(nic.bytes_dma(), us(500)), 5.0, 0.4);
 }

@@ -110,8 +110,8 @@ TEST(TcpStacks, DavisBacksOffOnRttInflationWithoutDrops) {
 
 TEST(TcpStacks, SnapshotBlobRoundTripsPerStack) {
   // save_state -> keep mutating -> load_state must restore the exact CC state.
-  for (const core::TcpStackKind kind :
-       {core::TcpStackKind::kDctcp, core::TcpStackKind::kBbr, core::TcpStackKind::kDavis}) {
+  for (const TcpStackKind kind :
+       {TcpStackKind::kDctcp, TcpStackKind::kBbr, TcpStackKind::kDavis}) {
     TcpConfig cfg;
     cfg.stack = kind;
     const auto stack = make_tcp_stack(cfg);
@@ -130,18 +130,18 @@ TEST(TcpStacks, SnapshotBlobRoundTripsPerStack) {
     t.epoch_drops = 2;
     t.epoch_acks = 160;
     for (int i = 0; i < 5; ++i) stack->on_epoch(t, us(40) * (i + 2));
-    EXPECT_NE(stack->cwnd(), cwnd_at_save) << core::to_string(kind);
+    EXPECT_NE(stack->cwnd(), cwnd_at_save) << to_string(kind);
     stack->load_state(saved);
-    EXPECT_EQ(stack->cwnd(), cwnd_at_save) << core::to_string(kind);
+    EXPECT_EQ(stack->cwnd(), cwnd_at_save) << to_string(kind);
     TcpStack::Snapshot resaved;
     stack->save_state(resaved);
-    EXPECT_EQ(saved, resaved) << core::to_string(kind);
+    EXPECT_EQ(saved, resaved) << to_string(kind);
   }
 }
 
 // -- receiver-level identity per stack ---------------------------------------
 
-class TcpStackParam : public ::testing::TestWithParam<core::TcpStackKind> {};
+class TcpStackParam : public ::testing::TestWithParam<TcpStackKind> {};
 
 TEST_P(TcpStackParam, ReceiverRestoreReplaysIdenticalWindow) {
   // Randomized property per stack: warm the receiver, snapshot, run extra,
@@ -154,7 +154,7 @@ TEST_P(TcpStackParam, ReceiverRestoreReplaysIdenticalWindow) {
     core::HostSystem host(hc, rng.next() % 512 + 1);
     TcpConfig cfg;
     cfg.stack = GetParam();
-    TcpReceiver rx(host, cfg);
+    const TcpReceiver& rx = host.add_tcp_receiver(cfg);
     const Tick warmup = us(100 + rng.next() % 100);
     const Tick extra = us(150 + rng.next() % 150);
     host.run(warmup, 0);
@@ -179,8 +179,8 @@ TEST_P(TcpStackParam, ReceiverRestoreReplaysIdenticalWindow) {
 }
 
 TEST_P(TcpStackParam, ForkSweepBitIdenticalToCold) {
-  // The fork path: a TCP transport built through the core factory must
-  // fork bit-identically to a cold run, for every stack. One fingerprint at
+  // The fork path: a TCP receiver placed by the executor must fork
+  // bit-identically to a cold run, for every stack. One fingerprint at
   // three measure lengths, not in ascending plan order: the forked job
   // warms once and reads the two shorter windows on its way to the longest.
   core::Window w;
@@ -193,8 +193,9 @@ TEST_P(TcpStackParam, ForkSweepBitIdenticalToCold) {
   c2m.cores = 2;
   w.c2m = c2m;
   core::P2MSpec p2m;
-  p2m.tcp = tcp_spec(GetParam());
-  p2m.name = p2m.tcp->name;
+  p2m.tcp = TcpConfig{};
+  p2m.tcp->stack = GetParam();
+  p2m.name = "tcp_" + to_string(GetParam());
   w.p2m = p2m;
 
   core::Plan plan;
@@ -215,19 +216,14 @@ TEST_P(TcpStackParam, ForkSweepBitIdenticalToCold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, TcpStackParam,
-                         ::testing::Values(core::TcpStackKind::kDctcp,
-                                           core::TcpStackKind::kBbr,
-                                           core::TcpStackKind::kDavis),
-                         [](const ::testing::TestParamInfo<core::TcpStackKind>& info) {
-                           return core::to_string(info.param);
+                         ::testing::Values(TcpStackKind::kDctcp,
+                                           TcpStackKind::kBbr,
+                                           TcpStackKind::kDavis),
+                         [](const ::testing::TestParamInfo<TcpStackKind>& info) {
+                           return to_string(info.param);
                          });
 
 // -- config plumbing ---------------------------------------------------------
-
-TEST(TcpStacks, FactoryInstalledByLinking) {
-  // Linking net/tcp_stacks.cpp installs the transport factory before main.
-  ASSERT_NE(core::p2m_transport_factory(), nullptr);
-}
 
 TEST(TcpStacks, FingerprintSeparatesStackKinds) {
   // Same host, same everything, different stack: distinct fingerprints, so
@@ -235,16 +231,16 @@ TEST(TcpStacks, FingerprintSeparatesStackKinds) {
   const core::HostConfig host = core::cascade_lake();
   core::RunOptions opt;
   opt.seed = 7;
-  auto fp = [&](core::TcpStackKind kind) {
+  auto fp = [&](TcpStackKind kind) {
     core::P2MSpec p2m;
-    p2m.tcp = tcp_spec(kind);
+    p2m.tcp = TcpConfig{};
+    p2m.tcp->stack = kind;
     p2m.name = "tcp";  // identical names: only the stack byte may differ
-    p2m.tcp->name = "tcp";
     return core::config_fingerprint(host, std::nullopt, p2m, opt.seed, opt.warmup);
   };
-  const std::string dctcp = fp(core::TcpStackKind::kDctcp);
-  const std::string bbr = fp(core::TcpStackKind::kBbr);
-  const std::string davis = fp(core::TcpStackKind::kDavis);
+  const std::string dctcp = fp(TcpStackKind::kDctcp);
+  const std::string bbr = fp(TcpStackKind::kBbr);
+  const std::string davis = fp(TcpStackKind::kDavis);
   EXPECT_NE(dctcp, bbr);
   EXPECT_NE(dctcp, davis);
   EXPECT_NE(bbr, davis);
@@ -255,12 +251,12 @@ TEST(TcpStacks, FingerprintSeparatesStackKinds) {
 }
 
 TEST(TcpStacks, SpecZooAndStackNamesRoundTrip) {
-  for (const auto kind : {core::TcpStackKind::kDctcp, core::TcpStackKind::kBbr,
-                          core::TcpStackKind::kDavis}) {
-    const std::optional<core::TcpSpec> spec = tcp_p2m_workload("tcp_" + core::to_string(kind));
+  for (const auto kind : {TcpStackKind::kDctcp, TcpStackKind::kBbr,
+                          TcpStackKind::kDavis}) {
+    const std::optional<TcpConfig> spec = tcp_p2m_workload("tcp_" + to_string(kind));
     ASSERT_TRUE(spec.has_value());
     EXPECT_EQ(spec->stack, kind);
-    EXPECT_EQ(tcp_stack_kind(core::to_string(kind)), kind);
+    EXPECT_EQ(tcp_stack_kind(to_string(kind)), kind);
   }
   EXPECT_FALSE(tcp_p2m_workload("fio_write").has_value());
   EXPECT_FALSE(tcp_stack_kind("reno").has_value());
