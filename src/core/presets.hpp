@@ -80,6 +80,9 @@ struct HostConfig {
              std::to_string(mc::SlotQueue::kNil) + " (the MC slot arena's 16-bit index)";
     if (mc.prep_window == 0) return "mc.prep_window must be at least 1";
     if (core.lfb_entries == 0) return "core.lfb_entries must be positive";
+    if (std::uint64_t{core.lfb_entries} + core.prefetch_extra > cpu::CoreConfig::kMaxLfbSlots)
+      return "core.lfb_entries + core.prefetch_extra must be at most " +
+             std::to_string(cpu::CoreConfig::kMaxLfbSlots);
     if (iio.write_credits == 0 || iio.read_credits == 0) return "IIO needs credits";
     if (cha.read_tor == 0 || cha.write_tracker == 0) return "CHA needs tracker entries";
     if (cha.write_tracker_peripheral_reserve > cha.write_tracker)

@@ -53,6 +53,11 @@ struct CoreWorkload {
 };
 
 struct CoreConfig {
+  /// Upper bound on lfb_entries + prefetch_extra that validate() accepts:
+  /// a core holds that many reads in flight, and the figures use at most
+  /// 48. A larger sum (or one that wraps uint32) would let a core issue
+  /// billions of reads at once.
+  static constexpr std::uint32_t kMaxLfbSlots = 1024;
   std::uint32_t lfb_entries = 12;
   /// Extra outstanding-miss slots when the hardware prefetcher helps
   /// (sequential patterns only; L2 streamer running ahead).

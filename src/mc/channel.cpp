@@ -104,53 +104,40 @@ void Channel::release_inactive_banks(SlotQueue& q) {
   }
 }
 
-std::uint32_t Channel::prep_candidates() const {
-  // A prep needs an unprepped-in-window entry whose bank is free; each
-  // candidate bank is prepped exactly once, by its oldest such entry (the
-  // prep claims the bank). Counting the candidates is O(banks / 64), so the
-  // common "nothing to prep" case costs no scan at all.
-  const SlotQueue& q = active_queue();
-  const std::vector<std::uint64_t>& waiting = q.unprepped_window_banks();
-  std::uint32_t candidates = 0;
-  for (std::size_t w = 0; w < waiting.size(); ++w)
-    candidates += static_cast<std::uint32_t>(std::popcount(waiting[w] & ~st_.banks_owned[w]));
-#if HOSTNET_CHECKED
-  if (candidates == 0) {
-    // A skipped scan must be a scan that would prep nothing: walk the whole
-    // prep window dry, as the full-queue scan did, without the bank sets.
-    std::uint32_t pos = 0;
-    for (auto i = q.fifo_head(); i != SlotQueue::kNil && pos < cfg_.prep_window;
-         i = q.fifo_next(i), ++pos) {
-      const Entry& e = q.entry(i);
-      HOSTNET_INVARIANT(e.prepped || owned(e.coord.bank),
-                        "mc.prep-skip: skipped a prep scan, but entry id %llu at window "
-                        "position %u waits on free bank %u",
-                        static_cast<unsigned long long>(e.id), pos, e.coord.bank);
+void Channel::prep_banks(Tick now) {
+  auto& q = active_queue();
+  // A prep needs an unprepped in-window entry whose bank is free, and each
+  // such bank is prepped once, by the oldest entry waiting on it: the head
+  // of its waiting list (the prep claims the bank). A prep's outcome
+  // depends only on its own bank's state, so the order in which the free
+  // banks are prepped changes no row result or ready time, and
+  // mark_prepped() keeps the prepped list in age order.
+  const std::vector<std::uint64_t>& waiting = q.waiting_banks();
+  for (std::size_t w = 0; w < waiting.size(); ++w) {
+    for (std::uint64_t free = waiting[w] & ~st_.banks_owned[w]; free != 0; free &= free - 1) {
+      const auto bank = static_cast<std::uint32_t>(w * 64 + std::countr_zero(free));
+      const auto i = q.waiting_head(bank);
+      Entry& e = q.entry(i);
+      e.row_result = st_.banks[bank].prepare(now, e.coord.row, cfg_.timing);
+      e.row_ready_at = st_.banks[bank].ready_at();
+      q.mark_prepped(i);
+      set_owned(bank, true);
     }
+  }
+#if HOSTNET_CHECKED
+  // Post-condition, checked without the bank sets: walk the whole prep
+  // window, as the full-queue scan did, and find no unprepped entry that
+  // waits on a free bank.
+  std::uint32_t pos = 0;
+  for (auto i = q.fifo_head(); i != SlotQueue::kNil && pos < cfg_.prep_window;
+       i = q.fifo_next(i), ++pos) {
+    const Entry& e = q.entry(i);
+    HOSTNET_INVARIANT(e.prepped || owned(e.coord.bank),
+                      "mc.prep-skip: after a prep scan, entry id %llu at window position %u "
+                      "still waits on free bank %u",
+                      static_cast<unsigned long long>(e.id), pos, e.coord.bank);
   }
 #endif
-  return candidates;
-}
-
-void Channel::prep_banks(Tick now, std::uint32_t candidates) {
-  auto& q = active_queue();
-  // Walk the unprepped entries inside the prep window oldest first -- the
-  // same candidates the full window scan used to visit, in the same order
-  // (the sublist is age-ordered and window membership is exact) -- and stop
-  // at the last prep instead of at the end of the window.
-  for (auto i = q.unprepped_window_head(); candidates > 0;) {
-    assert(i != SlotQueue::kNil);
-    const auto next = q.unprepped_window_next(i);
-    Entry& e = q.entry(i);
-    if (!owned(e.coord.bank)) {
-      e.row_result = st_.banks[e.coord.bank].prepare(now, e.coord.row, cfg_.timing);
-      e.row_ready_at = st_.banks[e.coord.bank].ready_at();
-      q.mark_prepped(i);
-      set_owned(e.coord.bank, true);
-      --candidates;
-    }
-    i = next;
-  }
 }
 
 bool Channel::try_issue(Tick now, Tick& write_done) {
@@ -168,21 +155,25 @@ bool Channel::try_issue(Tick now, Tick& write_done) {
   }
   if (it == SlotQueue::kNil) return false;
 
-  const Entry e = q.entry(it);
+  // Copy out what the issue needs before the slot is released, not the
+  // whole entry.
+  const Entry& issued = q.entry(it);
+  const mem::Request req = issued.req;
+  const std::uint32_t bank = issued.coord.bank;
+  const dram::RowResult row_result = issued.row_result;
   q.erase(it);
-  set_owned(e.coord.bank, false);
+  set_owned(bank, false);
   // Row-buffer outcomes are accounted per issued line (formula inputs are
   // per-cacheline), using the outcome of the prep that made this issue ready.
-  st_.counters.on_row_result(e.req.op, e.row_result == dram::RowResult::kHit,
-                          e.row_result == dram::RowResult::kMissConflict);
-  st_.banks[e.coord.bank].column_access(now, e.req.op == mem::Op::kWrite, cfg_.timing);
+  st_.counters.on_row_result(req.op, row_result == dram::RowResult::kHit,
+                             row_result == dram::RowResult::kMissConflict);
+  st_.banks[bank].column_access(now, req.op == mem::Op::kWrite, cfg_.timing);
   st_.bus_free_at = now + cfg_.timing.t_trans;
 
-  if (e.req.op == mem::Op::kRead) {
-    st_.counters.on_read_issued(e.coord.bank);
+  if (req.op == mem::Op::kRead) {
+    st_.counters.on_read_issued(bank);
     st_.rpq_pool.release(now);
     const Tick done = now + cfg_.timing.t_cas + cfg_.timing.t_trans;
-    const mem::Request req = e.req;
     auto completion = [this, req, done] { listener_->on_read_data(req, done); };
     sim_.schedule_at(done, completion);
     listener_->on_rpq_slot_freed(index_, now);
@@ -310,17 +301,18 @@ void Channel::verify_invariants() const {
 }
 
 void Channel::kick() {
-  // Each step runs only when it can act: a prep scan when some waiting
-  // entry's bank is free, an issue when the data bus is. A kick that finds
-  // neither costs the mode check and the wake-up request alone.
+  // Each step acts only where it can: a prep only on the free banks that
+  // entries wait on, an issue only when the data bus is free. A kick that
+  // finds neither costs the mode check, one masked word per 64 banks and
+  // the wake-up request.
   const Tick now = sim_.now();
   maybe_switch_mode(now);
-  if (const std::uint32_t n = prep_candidates()) prep_banks(now, n);
+  prep_banks(now);
   Tick write_done = kNever;
   if (st_.bus_free_at <= now && try_issue(now, write_done)) {
     // The bus is busy until st_.bus_free_at; prepare more banks meanwhile.
     maybe_switch_mode(now);
-    if (const std::uint32_t n = prep_candidates()) prep_banks(now, n);
+    prep_banks(now);
   }
   schedule_next(now, write_done);
 }

@@ -15,9 +15,10 @@
 // Hot-path layout (DESIGN.md section 4b): the queues are fixed-capacity
 // slot arenas (slot_queue.hpp) -- entries never move, FIFO order is an
 // intrusive age list, the FR-FCFS scan walks only the prepped sublist, the
-// bank-prep scan starts only when a waiting entry's bank is free (a
-// waiting-bank set per queue and the owned-bank set, one word per 64 banks),
-// and the next-kick time comes from an incrementally maintained
+// bank prep visits only the free banks that entries wait on (the set bits
+// of a per-queue waiting-bank set masked by the owned-bank set, one word per
+// 64 banks) and preps the head of each such bank's age-ordered waiting
+// list, and the next-kick time comes from an incrementally maintained
 // earliest-row_ready_at tracker. A kick scans and issues only when it can
 // act, and a wake-up due at the tick of the write completion it just filed
 // rides that completion instead of a calendar event of its own. Scheduling
@@ -184,8 +185,7 @@ class Channel {
 
   void kick();
   void maybe_switch_mode(Tick now);
-  std::uint32_t prep_candidates() const;
-  void prep_banks(Tick now, std::uint32_t candidates);
+  void prep_banks(Tick now);
   bool try_issue(Tick now, Tick& write_done);
   void schedule_next(Tick now, Tick write_done);
   void request_kick_at(Tick at, Tick write_done = kNever);

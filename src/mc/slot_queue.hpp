@@ -20,13 +20,13 @@
 //    "when can the next issue happen" without rescanning;
 //  * the bank-prep window (the first `window` FIFO positions) is tracked
 //    explicitly: a fence index marks the first beyond-window slot, erasure
-//    advances it in O(1), and the unprepped entries inside the window form
-//    a third intrusive (age-ordered) list -- the only entries a prep scan
-//    could possibly act on;
-//  * the banks those unprepped-in-window entries target form a bank set
-//    (one bit per bank, 64 banks per word, with a per-bank entry count), so
-//    the channel can tell in O(banks / 64) whether a prep scan would find a
-//    free bank at all, and how many preps it will make.
+//    advances it in O(1), and the unprepped entries inside the window wait
+//    in one age-ordered intrusive list per target bank (head and tail per
+//    bank). A bank prep only ever acts on the head of such a list: the
+//    oldest unprepped in-window entry of a free bank;
+//  * the banks whose waiting list is non-empty form a bank set (one bit per
+//    bank, 64 banks per word), so the channel finds the banks a prep can act
+//    on as the set bits of (waiting & ~owned) without walking any entries.
 //
 // Invariants (see DESIGN.md section 4b):
 //  * prepped list ⊆ FIFO list, both ordered by ascending entry id;
@@ -37,10 +37,11 @@
 //  * earliest_ready() equals min(row_ready_at) over the prepped list
 //    (recomputed lazily after a removal that may have held the minimum);
 //  * in_window(i) <=> FIFO position of i < window; prepped ⊆ window
-//    (positions only shrink, prep only happens in-window), so the
-//    unprepped-in-window list is exactly window \ prepped, age-ordered;
-//  * bank b is in unprepped_window_banks() <=> some unprepped-in-window entry
-//    targets b.
+//    (positions only shrink, prep only happens in-window), so the waiting
+//    lists together hold exactly window \ prepped;
+//  * bank b's waiting list holds exactly the unprepped in-window entries
+//    that target b, in ascending entry id, and its tail is the youngest;
+//  * bank b is in waiting_banks() <=> bank b's waiting list is non-empty.
 #pragma once
 
 #include <cassert>
@@ -86,8 +87,8 @@ class SlotQueue {
   SlotQueue(std::uint32_t capacity, std::uint32_t window, std::uint32_t banks)
       : slots_(capacity),
         window_(window),
-        uw_bank_count_(banks, 0),
-        uw_banks_((banks + 63) / 64, 0) {
+        waiting_(banks),
+        waiting_banks_((banks + 63) / 64, 0) {
     assert(capacity > 0 && capacity < kNil && window > 0 && banks > 0);
     // Seed the free list with all slots (order is irrelevant: FIFO order is
     // defined by the intrusive list, not by slot index).
@@ -125,15 +126,15 @@ class SlotQueue {
     return static_cast<std::uint32_t>(size_) - prepped_count_;
   }
 
-  // -- unprepped-in-window sublist (age order) --------------------------------
-  // The only entries a bank-prep scan can act on: inside the first `window`
-  // FIFO positions and not yet owning a bank.
-  SlotIndex unprepped_window_head() const { return uw_head_; }
-  SlotIndex unprepped_window_next(SlotIndex i) const { return slots_[i].wnext; }
+  // -- per-bank waiting lists (age order) -------------------------------------
+  // The only entries a bank prep can act on: inside the first `window` FIFO
+  // positions and not yet owning a bank, listed by the bank they target.
+  /// Oldest unprepped in-window entry targeting `bank`, or kNil.
+  SlotIndex waiting_head(std::uint32_t bank) const { return waiting_[bank].head; }
+  SlotIndex waiting_next(SlotIndex i) const { return slots_[i].wnext; }
   bool in_window(SlotIndex i) const { return slots_[i].in_window; }
-  /// Banks targeted by at least one unprepped-in-window entry: bit b % 64 of
-  /// word b / 64.
-  const std::vector<std::uint64_t>& unprepped_window_banks() const { return uw_banks_; }
+  /// Banks with a non-empty waiting list: bit b % 64 of word b / 64.
+  const std::vector<std::uint64_t>& waiting_banks() const { return waiting_banks_; }
 
   /// Append a new entry at the FIFO tail. Caller must have checked !full().
   /// Returns its slot; the entry starts unprepped.
@@ -157,9 +158,9 @@ class SlotQueue {
     tail_ = i;
     ++size_;
     if (size_ <= window_) {
-      // Newest entry of the window: append to the unprepped-window tail.
+      // Newest entry of the window: append to its bank's waiting tail.
       s.in_window = true;
-      uw_append(i);
+      wait_append(i);
     } else {
       s.in_window = false;
       if (size_ == window_ + 1) fence_ = i;  // first slot beyond the window
@@ -174,12 +175,11 @@ class SlotQueue {
     Slot& s = slots_[i];
     assert(!s.e.prepped);
     assert(s.in_window);  // prep never reaches beyond the window
-    uw_unlink(i);
+    wait_unlink(i);
     s.e.prepped = true;
     ++prepped_count_;
-    // Age-ordered insert. prep scans run oldest-first, so the common case
-    // appends at the tail; an older entry whose bank only now became free
-    // walks a few links back.
+    // Age-ordered insert, walking back from the tail; the list holds at most
+    // one entry per bank.
     SlotIndex after = ptail_;
     while (after != kNil && slots_[after].e.id > s.e.id) after = slots_[after].pprev;
     s.pprev = after;
@@ -202,7 +202,7 @@ class SlotQueue {
     if (!s.e.prepped) return;
     s.e.prepped = false;
     unlink_prepped(i);
-    uw_insert_ordered(i);  // prepped ⊆ window, so it rejoins the window list
+    wait_insert_ordered(i);  // prepped ⊆ window, so it waits again
   }
 
   /// Release slot `i` entirely (entry issued). Unpreps first if needed.
@@ -212,7 +212,7 @@ class SlotQueue {
       s.e.prepped = false;
       unlink_prepped(i);
     } else if (s.in_window) {
-      uw_unlink(i);
+      wait_unlink(i);
     }
     if (s.prev != kNil)
       slots_[s.prev].next = s.next;
@@ -229,7 +229,7 @@ class SlotQueue {
         const SlotIndex w = fence_;
         fence_ = slots_[w].next;
         slots_[w].in_window = true;
-        uw_append(w);  // beyond-window entries are never prepped
+        wait_append(w);  // beyond-window entries are never prepped
       }
     } else if (i == fence_) {
       fence_ = s.next;
@@ -289,36 +289,40 @@ class SlotQueue {
                       "%s: earliest_ready tracker %lld != min(row_ready_at) %lld", name,
                       static_cast<long long>(earliest_ready_),
                       static_cast<long long>(min_ready));
-    // Unprepped-in-window sublist: exactly window \ prepped, never prepped.
-    std::uint32_t uw = 0;
-    for (SlotIndex i = uw_head_; i != kNil; i = slots_[i].wnext) {
-      const Slot& s = slots_[i];
-      HOSTNET_INVARIANT(s.in_window && !s.e.prepped,
-                        "%s: unprepped-window list entry id %llu is %s", name,
-                        static_cast<unsigned long long>(s.e.id),
-                        s.e.prepped ? "prepped" : "outside the window");
-      HOSTNET_INVARIANT(++uw <= cap, "%s: unprepped-window list cycles (> %u slots)", name,
-                        cap);
+    // Waiting lists: each holds only unprepped in-window entries of its own
+    // bank, oldest first, ends at its tail, and is in the bank set exactly
+    // when non-empty; together they hold window \ prepped.
+    std::uint32_t waiting = 0;
+    for (std::uint32_t b = 0; b < waiting_.size(); ++b) {
+      SlotIndex last = kNil;
+      for (SlotIndex i = waiting_[b].head; i != kNil; i = slots_[i].wnext) {
+        const Slot& s = slots_[i];
+        HOSTNET_INVARIANT(s.e.coord.bank == b,
+                          "%s: waiting list of bank %u holds entry id %llu, which targets "
+                          "bank %u",
+                          name, b, static_cast<unsigned long long>(s.e.id), s.e.coord.bank);
+        HOSTNET_INVARIANT(s.in_window && !s.e.prepped,
+                          "%s: waiting list of bank %u holds entry id %llu, which is %s", name,
+                          b, static_cast<unsigned long long>(s.e.id),
+                          s.e.prepped ? "prepped" : "outside the window");
+        HOSTNET_INVARIANT(s.wprev == last && (last == kNil || slots_[last].e.id < s.e.id),
+                          "%s: waiting list of bank %u out of age order at entry id %llu",
+                          name, b, static_cast<unsigned long long>(s.e.id));
+        last = i;
+        HOSTNET_INVARIANT(++waiting <= cap, "%s: waiting lists cycle (> %u slots)", name, cap);
+      }
+      HOSTNET_INVARIANT(waiting_[b].tail == last,
+                        "%s: waiting list of bank %u does not end at its tail", name, b);
+      const bool in_set = (waiting_banks_[b / 64] >> (b % 64)) & 1;
+      HOSTNET_INVARIANT(in_set == (last != kNil),
+                        "%s: waiting-bank set out of date at bank %u: the set %s it, its list "
+                        "is %s",
+                        name, b, in_set ? "holds" : "lacks", last != kNil ? "non-empty" : "empty");
     }
-    HOSTNET_INVARIANT(uw == window_seen - prepped,
-                      "%s: unprepped-window list holds %u entries, expected %u in-window "
-                      "minus %u prepped",
-                      name, uw, window_seen, prepped);
-    // The bank set and its counts, recomputed from the sublist.
-    std::vector<std::uint16_t> count(uw_bank_count_.size(), 0);
-    for (SlotIndex i = uw_head_; i != kNil; i = slots_[i].wnext) {
-      const std::uint32_t b = slots_[i].e.coord.bank;
-      HOSTNET_INVARIANT(b < count.size(), "%s: unprepped-window entry targets bank %u of %zu",
-                        name, b, count.size());
-      ++count[b];
-    }
-    for (std::size_t b = 0; b < count.size(); ++b) {
-      const bool in_set = (uw_banks_[b / 64] >> (b % 64)) & 1;
-      HOSTNET_INVARIANT(count[b] == uw_bank_count_[b] && in_set == (count[b] > 0),
-                        "%s: unprepped-window bank set out of date at bank %zu: %u entries "
-                        "target it, the set counts %u and %s it",
-                        name, b, count[b], uw_bank_count_[b], in_set ? "holds" : "lacks");
-    }
+    HOSTNET_INVARIANT(waiting == window_seen - prepped,
+                      "%s: waiting lists hold %u entries, expected %u in-window minus %u "
+                      "prepped",
+                      name, waiting, window_seen, prepped);
     // Free list + live entries must tile the arena exactly (slot leak check:
     // "arena occupancy == queue depth").
     std::uint32_t free_slots = 0;
@@ -334,9 +338,9 @@ class SlotQueue {
 
   /// Logical equality: the same entries (with their prepped and in-window
   /// flags) in the same FIFO order under the same prep window. Slot indices,
-  /// the free list and the capacity are storage; the prepped and
-  /// unprepped-window lists, the bank set and the earliest-ready tracker
-  /// are all determined by the FIFO contents.
+  /// the free list and the capacity are storage; the prepped and waiting
+  /// lists, the bank set and the earliest-ready tracker are all determined
+  /// by the FIFO contents.
   bool operator==(const SlotQueue& o) const {
     if (size_ != o.size_ || window_ != o.window_) return false;
     for (SlotIndex i = head_, j = o.head_; i != kNil; i = slots_[i].next, j = o.slots_[j].next)
@@ -363,69 +367,64 @@ class SlotQueue {
     Entry e;
     SlotIndex next = kNil, prev = kNil;    ///< FIFO list (doubles as free list via next)
     SlotIndex pnext = kNil, pprev = kNil;  ///< prepped sublist
-    SlotIndex wnext = kNil, wprev = kNil;  ///< unprepped-in-window sublist
+    SlotIndex wnext = kNil, wprev = kNil;  ///< its bank's waiting list
     bool in_window = false;
   };
 
-  void uw_bank_add(SlotIndex i) {
-    const std::uint32_t b = slots_[i].e.coord.bank;
-    if (uw_bank_count_[b]++ == 0) uw_banks_[b / 64] |= std::uint64_t{1} << (b % 64);
-  }
+  /// One bank's waiting list, linked through Slot::wnext/wprev.
+  struct BankList {
+    SlotIndex head = kNil, tail = kNil;
+  };
 
-  void uw_bank_remove(SlotIndex i) {
-    const std::uint32_t b = slots_[i].e.coord.bank;
-    if (--uw_bank_count_[b] == 0) uw_banks_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
-  }
-
-  void uw_append(SlotIndex i) {
-    uw_bank_add(i);
+  void wait_append(SlotIndex i) {
     Slot& s = slots_[i];
+    const std::uint32_t b = s.e.coord.bank;
+    BankList& l = waiting_[b];
     s.wnext = kNil;
-    s.wprev = uw_tail_;
-    if (uw_tail_ != kNil)
-      slots_[uw_tail_].wnext = i;
-    else
-      uw_head_ = i;
-    uw_tail_ = i;
+    s.wprev = l.tail;
+    if (l.tail != kNil) {
+      slots_[l.tail].wnext = i;
+    } else {
+      l.head = i;
+      waiting_banks_[b / 64] |= std::uint64_t{1} << (b % 64);
+    }
+    l.tail = i;
   }
 
-  void uw_unlink(SlotIndex i) {
-    uw_bank_remove(i);
+  void wait_unlink(SlotIndex i) {
     Slot& s = slots_[i];
+    const std::uint32_t b = s.e.coord.bank;
+    BankList& l = waiting_[b];
     if (s.wprev != kNil)
       slots_[s.wprev].wnext = s.wnext;
     else
-      uw_head_ = s.wnext;
+      l.head = s.wnext;
     if (s.wnext != kNil)
       slots_[s.wnext].wprev = s.wprev;
     else
-      uw_tail_ = s.wprev;
+      l.tail = s.wprev;
+    if (l.head == kNil) waiting_banks_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
     s.wnext = s.wprev = kNil;
   }
 
-  /// Age-ordered insert (for unprep: a mode-switch release returns old
-  /// entries, so walk forward from the head -- usually few steps).
-  void uw_insert_ordered(SlotIndex i) {
-    uw_bank_add(i);
+  /// Age-ordered insert (for unprep). The released entry was its bank's
+  /// oldest waiter when it prepped, so the walk from the head usually stops
+  /// at once.
+  void wait_insert_ordered(SlotIndex i) {
     Slot& s = slots_[i];
-    SlotIndex before = uw_head_;
+    SlotIndex before = waiting_[s.e.coord.bank].head;
     while (before != kNil && slots_[before].e.id < s.e.id) before = slots_[before].wnext;
-    s.wnext = before;
     if (before == kNil) {
-      s.wprev = uw_tail_;
-      if (uw_tail_ != kNil)
-        slots_[uw_tail_].wnext = i;
-      else
-        uw_head_ = i;
-      uw_tail_ = i;
-    } else {
-      s.wprev = slots_[before].wprev;
-      if (s.wprev != kNil)
-        slots_[s.wprev].wnext = i;
-      else
-        uw_head_ = i;
-      slots_[before].wprev = i;
+      wait_append(i);
+      return;
     }
+    s.wnext = before;
+    s.wprev = slots_[before].wprev;
+    if (s.wprev != kNil)
+      slots_[s.wprev].wnext = i;
+    else
+      waiting_[s.e.coord.bank].head = i;
+    slots_[before].wprev = i;
   }
 
   void unlink_prepped(SlotIndex i) {
@@ -452,10 +451,9 @@ class SlotQueue {
   std::uint32_t window_ = 0;
   SlotIndex head_ = kNil, tail_ = kNil;
   SlotIndex phead_ = kNil, ptail_ = kNil;
-  SlotIndex uw_head_ = kNil, uw_tail_ = kNil;
-  /// Unprepped-in-window entries per bank, and the set of banks with any.
-  std::vector<std::uint16_t> uw_bank_count_;
-  std::vector<std::uint64_t> uw_banks_;
+  /// Each bank's waiting list, and the set of banks whose list is non-empty.
+  std::vector<BankList> waiting_;
+  std::vector<std::uint64_t> waiting_banks_;
   SlotIndex fence_ = kNil;  ///< first beyond-window slot (kNil if none)
   SlotIndex free_head_ = kNil;
   std::uint32_t size_ = 0;

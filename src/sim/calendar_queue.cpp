@@ -34,31 +34,30 @@ void CalendarQueue::grow() {
   // high-water mark during warm-up and is recycled from then on.
   const auto base = static_cast<Handle>(chunks_.size() * kChunkNodes);
   chunks_.push_back(std::make_unique<Event[]>(kChunkNodes));
-  at_.resize(base + kChunkNodes);
-  next_.resize(base + kChunkNodes);
+  nodes_.resize(base + kChunkNodes);
   // Thread the new handles so the lowest index is handed out first.
   for (std::size_t i = kChunkNodes; i-- > 0;) {
-    next_[base + i] = free_;
+    nodes_[base + i].next = free_;
     free_ = base + static_cast<Handle>(i);
   }
 }
 
 void CalendarQueue::insert_before_tail(List& l, Handle first, Handle last, Tick at) {
-  if (at < at_[l.head]) {
-    next_[last] = l.head;
+  if (at < nodes_[l.head].at) {
+    nodes_[last].next = l.head;
     l.head = first;
     return;
   }
   // The tail is later than `at`, so the walk stops before running off the
   // list.
   Handle p = l.head;
-  while (at_[next_[p]] <= at) p = next_[p];
-  next_[last] = next_[p];
-  next_[p] = first;
+  while (nodes_[nodes_[p].next].at <= at) p = nodes_[p].next;
+  nodes_[last].next = nodes_[p].next;
+  nodes_[p].next = first;
 }
 
 void CalendarQueue::link_beyond_window(Handle h) {
-  const Tick at = at_[h];
+  const Tick at = nodes_[h].at;
   if (at < win_start_ + kHorizon) {
     // If the overflow map still holds this exact tick (scheduled when it was
     // beyond the horizon), append there so the tick's FIFO stays whole.
@@ -77,18 +76,13 @@ void CalendarQueue::link_beyond_window(Handle h) {
   append(overflow_[at], h);
 }
 
-Tick CalendarQueue::scan_l0() const {
-  const std::size_t s = find_bit_ge(slot_bits_, slot_index(cursor_));
-  return s == kNpos ? kNoEvent : at_[slots_[s].head];
-}
-
 Tick CalendarQueue::next_bucket_base() const {
   const std::size_t cb = bucket_index(win_start_);
   // The current window's bucket is always empty (filed into L0 on advance),
   // so a plain two-segment scan over the ring cannot return a stale hit at cb.
   std::size_t b = find_bit_ge(bucket_bits_, cb + 1);
   if (b == kNpos) b = find_bit_ge(bucket_bits_, 0);
-  if (b == kNpos) return kNoEvent;
+  if (b == kNpos) return kNoWindow;
   const std::size_t dist = (b - cb) & (kNumBuckets - 1);
   return win_start_ + Tick(dist) * kWindowTicks;
 }
@@ -102,8 +96,8 @@ void CalendarQueue::advance_to(Tick target) {
     bucket_bits_[cb / 64] &= ~(std::uint64_t{1} << (cb % 64));
     // Insertion order in, stable insert per slot: same-tick FIFO survives.
     for (Handle h = bucket.head; h != kNil;) {
-      const Handle next = next_[h];
-      const Tick at = at_[h];
+      const Handle next = nodes_[h].next;
+      const Tick at = nodes_[h].at;
       assert(at >= win_start_ && at < win_start_ + kWindowTicks);
       insert_run(slot_index(at), h, h, at);
       h = next;
@@ -120,23 +114,23 @@ void CalendarQueue::advance_to(Tick target) {
   }
 }
 
-Tick CalendarQueue::next_tick_slow(Tick bound) {
+std::size_t CalendarQueue::next_slot_slow(Tick bound) {
   for (;;) {
-    const Tick t = scan_l0();
-    if (t != kNoEvent) return t;
+    const std::size_t slot = find_bit_ge(slot_bits_, slot_index(cursor_));
+    if (slot != kNpos) return slot;
     // Window drained: jump to the earliest populated window (L1 or overflow).
     Tick target = next_bucket_base();
     if (!overflow_.empty()) {
       const Tick k = overflow_.begin()->first & ~kWindowMask;
-      if (target == kNoEvent || k < target) target = k;
+      if (target == kNoWindow || k < target) target = k;
     }
-    assert(target != kNoEvent && "size_ > 0 but no events found");
+    assert(target != kNoWindow && "size_ > 0 but no events found");
     // Every pending event is at >= target. If that is past the caller's
     // horizon, report "nothing to run" WITHOUT advancing: the caller's clock
     // stops at `bound`, and a committed jump would strand later pushes in
     // [clock, target) behind the window (they'd be filed into the wrong
     // window's slot and fire late).
-    if (target > bound) return kNoEvent;
+    if (target > bound) return kNumSlots;
     advance_to(target);
   }
 }
@@ -152,16 +146,17 @@ void CalendarQueue::verify_invariants() const {
     const Tick lo = win_start_ + Tick(slot) * kSlotTicks;
     Tick last = cursor_ > lo ? cursor_ : lo;
     std::size_t n = 0;
-    for (Handle h = l.head; h != kNil; h = next_[h]) {
-      HOSTNET_INVARIANT(at_[h] >= last && at_[h] < lo + kSlotTicks,
+    for (Handle h = l.head; h != kNil; h = nodes_[h].next) {
+      const Tick at = nodes_[h].at;
+      HOSTNET_INVARIANT(at >= last && at < lo + kSlotTicks,
                         "calendar-queue: L0 slot %zu out of tick order: tick %lld after "
                         "%lld (slot covers [%lld, %lld), cursor %lld)",
-                        slot, static_cast<long long>(at_[h]), static_cast<long long>(last),
+                        slot, static_cast<long long>(at), static_cast<long long>(last),
                         static_cast<long long>(lo), static_cast<long long>(lo + kSlotTicks),
                         static_cast<long long>(cursor_));
-      HOSTNET_INVARIANT(next_[h] != kNil || h == l.tail,
+      HOSTNET_INVARIANT(nodes_[h].next != kNil || h == l.tail,
                         "calendar-queue: L0 slot %zu list ends before its tail", slot);
-      last = at_[h];
+      last = at;
       HOSTNET_INVARIANT(++n <= size_, "calendar-queue: L0 slot %zu list cycles", slot);
     }
   }
@@ -169,7 +164,8 @@ void CalendarQueue::verify_invariants() const {
 }
 
 void CalendarQueue::save_list(const List& l, std::vector<Snapshot::Item>& out) const {
-  for (Handle h = l.head; h != kNil; h = next_[h]) out.push_back(Snapshot::Item{at_[h], event(h)});
+  for (Handle h = l.head; h != kNil; h = nodes_[h].next)
+    out.push_back(Snapshot::Item{nodes_[h].at, event(h)});
 }
 
 void CalendarQueue::save_state(Snapshot& out) const {
@@ -190,8 +186,8 @@ void CalendarQueue::load_state(const Snapshot& s) {
   // Thread all handles onto the free list, lowest index first; the chunks
   // themselves are kept.
   free_ = kNil;
-  for (std::size_t h = next_.size(); h-- > 0;) {
-    next_[h] = free_;
+  for (std::size_t h = nodes_.size(); h-- > 0;) {
+    nodes_[h].next = free_;
     free_ = static_cast<Handle>(h);
   }
   slots_.fill(List{});
@@ -205,7 +201,7 @@ void CalendarQueue::load_state(const Snapshot& s) {
   const auto adopt = [this](const Snapshot::Item& it) {
     const Handle h = acquire();
     event(h) = it.ev;
-    at_[h] = it.at;
+    nodes_[h].at = it.at;
     return h;
   };
   // l0 is in tick order, so each event files at its slot's tail.

@@ -8,13 +8,13 @@
 //
 // Storage (DESIGN.md "Event kernel"): every pending event's closure lives in
 // one slot of a chunked pool, where it is constructed once (emplace) and
-// fired in place (pop + fire). Closure addresses never move (the pool grows
-// by whole chunks), so a handler may schedule freely, and even grow the
-// pool, while its own closure is running. Each event's tick and list link
-// sit in two flat arrays indexed by the same handle, so walking and
-// relinking lists touches 12 bytes per event instead of a closure's cache
-// lines. Fired handles return to a LIFO free list, which keeps the live set
-// in recently used cache lines. The levels below hold intrusive {head, tail}
+// fired in place (pop_next + fire). Closure addresses never move (the pool
+// grows by whole chunks), so a handler may schedule freely, and even grow
+// the pool, while its own closure is running. Each event's tick and list
+// link sit together in one {at, next} node of a flat array indexed by the
+// same handle, so walking and relinking lists touches one 16-byte node per
+// event instead of a closure's cache lines. Fired handles return to a LIFO
+// free list, which keeps the live set in recently used cache lines. The levels below hold intrusive {head, tail}
 // index lists, so migrating events between levels relinks indices and never
 // copies a closure.
 //
@@ -32,7 +32,7 @@
 //          common case) and otherwise walks in from the head, behind the
 //          last event at or before its tick. A bitmap over the slots finds
 //          the next occupied slot with word-sized scans; the next event is
-//          that slot's head.
+//          that slot's head, and pop_next() unlinks it in the same lookup.
 //   L1  -- 4096 buckets of one window each (~537 us horizon). When the clock
 //          enters a bucket's window the bucket is filed into L0 in insertion
 //          order, with the same stable in-slot insert, which preserves
@@ -79,8 +79,7 @@ class CalendarQueue {
   static constexpr std::size_t kNumBuckets = std::size_t{1} << kBucketBits;
   /// Ticks at or beyond win_start + kHorizon go to the overflow map.
   static constexpr Tick kHorizon = Tick(1) << (kWindowBits + kBucketBits);
-  static constexpr Tick kNoEvent = -1;
-  /// Default next_tick() bound: never refuse a window advance.
+  /// Default pop_next() bound: never refuse a window advance.
   static constexpr Tick kNoBound = ~(Tick(1) << 63);
   /// Pool entries per chunk; the pool grows one chunk at a time.
   static constexpr int kChunkBits = 8;
@@ -88,6 +87,14 @@ class CalendarQueue {
 
   /// A popped event's pool handle, valid until it is passed to fire().
   using Handle = std::uint32_t;
+  /// "No event": the handle pop_next() returns when it pops nothing.
+  static constexpr Handle kNil = ~Handle{0};
+
+  /// The event pop_next() unlinked: its tick and its pool handle.
+  struct Popped {
+    Tick at;
+    Handle h;  ///< kNil when nothing was popped
+  };
 
   /// Construct `fn` directly in a pool slot and file it behind every event
   /// already pending at tick `at`. `at` must be >= the last popped tick.
@@ -103,7 +110,7 @@ class CalendarQueue {
                       static_cast<long long>(win_start_));
     const Handle h = acquire();
     event(h).emplace(std::forward<F>(fn));
-    at_[h] = at;
+    nodes_[h].at = at;
     ++size_;
     if (at < win_start_ + kWindowTicks)
       insert_run(slot_index(at), h, h, at);  // hot path: within the window
@@ -111,54 +118,51 @@ class CalendarQueue {
       link_beyond_window(h);
   }
 
-  /// Tick of the earliest pending event, or kNoEvent when empty or when
-  /// every pending event is provably later than `bound`. Advances the L0
-  /// window (an order-preserving migration) when the current window is
-  /// drained -- but never past `bound`: committing the window beyond the
-  /// caller's horizon would mis-file later pushes that target ticks between
-  /// the caller's clock and the jumped-to window (they would land in a slot
-  /// of the wrong window and fire late). A caller that stops at `bound`
-  /// (Simulator::run_until) must pass it; unbounded callers (step) use the
-  /// default.
-  Tick next_tick(Tick bound = kNoBound) {
-    if (size_ == 0) return kNoEvent;
+  /// Unlink the earliest pending event and return it, or return {_, kNil}
+  /// when the queue is empty or when every pending event is provably later
+  /// than `bound`; such an event stays pending. The event stays in its pool
+  /// slot until fire(). Advances the L0 window (an order-preserving
+  /// migration) when the current window is drained -- but never past
+  /// `bound`: committing the window beyond the caller's horizon would
+  /// mis-file later pushes that target ticks between the caller's clock and
+  /// the jumped-to window (they would land in a slot of the wrong window and
+  /// fire late). A caller that stops at `bound` (Simulator::run_until) must
+  /// pass it; unbounded callers (step) use the default.
+  Popped pop_next(Tick bound = kNoBound) {
+    if (size_ == 0) return {0, kNil};
     // Fast path: an occupied slot in the cursor's bitmap word, at or after
     // the cursor's slot. Every pending tick is >= cursor_, so the slots
     // before it are empty and the first occupied one starts (its list is
     // sorted) with the earliest pending event.
-    const std::size_t slot = slot_index(cursor_);
+    std::size_t slot = slot_index(cursor_);
     const std::uint64_t w = slot_bits_[slot / 64] & (~std::uint64_t{0} << (slot % 64));
-    if (w != 0)
-      return at_[slots_[(slot & ~std::size_t{63}) + static_cast<std::size_t>(std::countr_zero(w))]
-                     .head];
-    return next_tick_slow(bound);
-  }
-
-  /// Unlink the earliest event, whose tick `at` must be the value just
-  /// returned by next_tick(). The event stays in its pool slot until fire().
-  Handle pop(Tick at) {
-    assert(at >= win_start_ && at < win_start_ + kWindowTicks);
-    const std::size_t slot = slot_index(at);
+    if (w != 0) {
+      slot = (slot & ~std::size_t{63}) + static_cast<std::size_t>(std::countr_zero(w));
+    } else {
+      slot = next_slot_slow(bound);
+      if (slot == kNumSlots) return {0, kNil};
+    }
     List& l = slots_[slot];
-    assert(l.head != kNil && at_[l.head] == at);
     const Handle h = l.head;
-    l.head = next_[h];
+    const Tick at = nodes_[h].at;
+    if (at > bound) return {0, kNil};
+    l.head = nodes_[h].next;
     if (l.head == kNil) {
       l.tail = kNil;
       slot_bits_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
     }
     --size_;
     cursor_ = at;
-    return h;
+    return {at, h};
   }
 
   /// Invoke a popped event in its pool slot, then recycle the slot. The
   /// handler may emplace() more events, growing the pool: chunks never move,
-  /// so the running closure stays valid (the flat tick and link arrays
-  /// may reallocate, so no reference into them is held across the call).
+  /// so the running closure stays valid (the flat node array may
+  /// reallocate, so no reference into it is held across the call).
   void fire(Handle h) {
     event(h)();
-    next_[h] = free_;
+    nodes_[h].next = free_;
     free_ = h;
   }
 
@@ -207,9 +211,16 @@ class CalendarQueue {
   void load_state(const Snapshot& s);
 
  private:
-  static constexpr Handle kNil = ~Handle{0};
+  /// "No window": next_bucket_base() when L1 is empty.
+  static constexpr Tick kNoWindow = -1;
 
-  /// Intrusive list of pool handles, linked through next_.
+  /// One pool handle's tick and list link (the free list reuses `next`).
+  struct Node {
+    Tick at;
+    Handle next;
+  };
+
+  /// Intrusive list of pool handles, linked through Node::next.
   struct List {
     Handle head = kNil;
     Handle tail = kNil;
@@ -224,7 +235,7 @@ class CalendarQueue {
   Handle acquire() {
     if (free_ == kNil) grow();
     const Handle h = free_;
-    free_ = next_[h];
+    free_ = nodes_[h].next;
     return h;
   }
   void grow();
@@ -232,11 +243,11 @@ class CalendarQueue {
   /// Append handle `h` to the tail of `l` (L1 buckets and overflow entries
   /// keep insertion order).
   void append(List& l, Handle h) {
-    next_[h] = kNil;
+    nodes_[h].next = kNil;
     if (l.tail == kNil)
       l.head = h;
     else
-      next_[l.tail] = h;
+      nodes_[l.tail].next = h;
     l.tail = h;
   }
 
@@ -244,14 +255,14 @@ class CalendarQueue {
   /// slot `slot` behind every event at or before `at`.
   void insert_run(std::size_t slot, Handle first, Handle last, Tick at) {
     List& l = slots_[slot];
-    next_[last] = kNil;
+    nodes_[last].next = kNil;
     if (l.head == kNil) {
       slot_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
       l.head = first;
       l.tail = last;
-    } else if (at_[l.tail] <= at) {
+    } else if (nodes_[l.tail].at <= at) {
       // Common case: not earlier than anything pending in the slot.
-      next_[l.tail] = first;
+      nodes_[l.tail].next = first;
       l.tail = last;
     } else {
       insert_before_tail(l, first, last, at);
@@ -272,16 +283,14 @@ class CalendarQueue {
     return static_cast<std::size_t>(at >> kWindowBits) & (kNumBuckets - 1);
   }
 
-  /// next_tick() past the cursor-slot fast path: scan L0, advancing the
-  /// window (bounded by `bound`) until an occupied slot is found.
-  Tick next_tick_slow(Tick bound);
-
-  /// Tick of the earliest event in an occupied L0 slot at or after the
-  /// cursor's slot, or kNoEvent.
-  Tick scan_l0() const;
+  /// pop_next() past the cursor-slot fast path: the first occupied L0 slot
+  /// at or after the cursor's slot, advancing the window (bounded by
+  /// `bound`) until one is found; kNumSlots when every pending event lies in
+  /// a window that starts beyond `bound`.
+  std::size_t next_slot_slow(Tick bound);
 
   /// First occupied L1 bucket after the current window's bucket (ring
-  /// order), as an absolute window-base tick; kNoEvent if L1 is empty.
+  /// order), as an absolute window-base tick; kNoWindow if L1 is empty.
   Tick next_bucket_base() const;
 
   /// Move the window to the one containing `target`: file that window's L1
@@ -304,13 +313,12 @@ class CalendarQueue {
   // hostnet-lint: allow(hot-alloc)
   std::map<Tick, List> overflow_;
   std::vector<std::unique_ptr<Event[]>> chunks_;
-  std::vector<Tick> at_;
-  std::vector<Handle> next_;
+  std::vector<Node> nodes_;
   Handle free_ = kNil;
   // Every member is storage, none is state: the snapshot is the logical
   // queue (Snapshot above), and load_state() rebuilds all of this from it.
   HOSTNET_COMPONENT_EXEMPT_ALL(CalendarQueue, win_start_, cursor_, size_, slots_, buckets_, slot_bits_,
-                    bucket_bits_, overflow_, chunks_, at_, next_, free_)
+                    bucket_bits_, overflow_, chunks_, nodes_, free_)
 };
 
 }  // namespace hostnet::sim

@@ -3,26 +3,24 @@
 namespace hostnet::sim {
 
 bool Simulator::step() {
-  const Tick at = queue_.next_tick();
-  if (at == CalendarQueue::kNoEvent) return false;
-  const CalendarQueue::Handle h = queue_.pop(at);
-  st_.now = at;
+  const CalendarQueue::Popped e = queue_.pop_next();
+  if (e.h == CalendarQueue::kNil) return false;
+  st_.now = e.at;
   ++st_.executed;
-  queue_.fire(h);
+  queue_.fire(e.h);
   return true;
 }
 
 void Simulator::run_until(Tick until) {
   for (;;) {
-    // Bounding next_tick keeps the queue's L0 window at or behind `until`,
+    // Bounding pop_next keeps the queue's L0 window at or behind `until`,
     // so anything scheduled after this run (at >= now() = until) can never
-    // land behind the window. See CalendarQueue::next_tick.
-    const Tick at = queue_.next_tick(until);
-    if (at == CalendarQueue::kNoEvent || at > until) break;
-    const CalendarQueue::Handle h = queue_.pop(at);
-    st_.now = at;
+    // land behind the window. See CalendarQueue::pop_next.
+    const CalendarQueue::Popped e = queue_.pop_next(until);
+    if (e.h == CalendarQueue::kNil) break;
+    st_.now = e.at;
     ++st_.executed;
-    queue_.fire(h);
+    queue_.fire(e.h);
   }
   if (st_.now < until) st_.now = until;
 }

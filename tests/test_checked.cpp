@@ -88,9 +88,10 @@ TEST(CheckedInvariantDeathTest, DelayThatWrapsTheClockTripsOverflow) {
 TEST(CheckedInvariantDeathTest, CalendarPushBehindCursorTripsMonotonicity) {
   sim::CalendarQueue q;
   q.emplace(ns(10), [] {});
-  const Tick at = q.next_tick();
-  ASSERT_EQ(at, ns(10));
-  q.fire(q.pop(at));  // cursor is now at ns(10)
+  const sim::CalendarQueue::Popped e = q.pop_next();
+  ASSERT_NE(e.h, sim::CalendarQueue::kNil);
+  ASSERT_EQ(e.at, ns(10));
+  q.fire(e.h);  // cursor is now at ns(10)
   EXPECT_DEATH(q.emplace(ns(2), [] {}), "HOSTNET_INVARIANT");
 }
 

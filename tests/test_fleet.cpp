@@ -11,12 +11,14 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "common/fields.hpp"
 #include "common/histogram.hpp"
+#include "core/host_system.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/scenario.hpp"
 
@@ -207,6 +209,37 @@ TEST(FleetScenario, NegativeCasesCarryLineNumbers) {
     EXPECT_EQ(error_line(tmpl + "  set cha.ddio 1\n" + set + mixed), 7u) << set;
   // With DDIO off, the DDIO geometry is not read and not checked.
   EXPECT_NO_THROW(fleet::Scenario::parse(tmpl + "  set cha.ddio_ways 0\n" + mixed));
+}
+
+// A core's LFB slots (lfb_entries + prefetch_extra) are capped, and a sum
+// that wraps uint32 is refused rather than wrapped: through validate() and
+// through a fleet template's `set` lines, refused at its `end`.
+TEST(FleetScenario, LfbSlotsPastTheCapAreRefused) {
+  constexpr std::uint32_t kCap = cpu::CoreConfig::kMaxLfbSlots;
+  const auto validate = [](std::uint32_t lfb, std::uint32_t extra) {
+    core::HostConfig c = core::cascade_lake();
+    c.core.lfb_entries = lfb;
+    c.core.prefetch_extra = extra;
+    return c.validate();
+  };
+  EXPECT_EQ(validate(kCap, 0), "");
+  EXPECT_EQ(validate(kCap - 4, 4), "");
+  EXPECT_NE(validate(kCap + 1, 0), "");
+  EXPECT_NE(validate(kCap, 1), "");
+  EXPECT_NE(validate(4294967295u, 0), "");
+  EXPECT_NE(validate(12, 4294967295u), "");  // the u32 sum would wrap to 11
+  core::HostConfig huge = core::cascade_lake();
+  huge.core.lfb_entries = 4294967295u;
+  EXPECT_THROW(core::HostSystem h(huge), std::invalid_argument);
+
+  const std::string tmpl = "fleet f\ntemplate t\n";
+  const std::string placed = "  c2m a c2m_read\nend\nhosts 1 t\n";
+  for (const char* set : {"  set core.lfb_entries 4294967295\n",
+                          "  set core.lfb_entries 1025\n",
+                          "  set core.prefetch_extra 4294967295\n"})
+    EXPECT_EQ(error_line(tmpl + set + placed), 5u) << set;
+  EXPECT_NO_THROW(fleet::Scenario::parse(tmpl + "  set core.lfb_entries 1020\n" +
+                                         "  set core.prefetch_extra 4\n" + placed));
 }
 
 // The presets and every shipped scenario sit inside what validate() accepts

@@ -71,6 +71,11 @@ class BadFixtures(unittest.TestCase):
         # map, unordered_map, and a new-expression: four findings.
         self.assert_findings(fixture("src", "net", "bad_hot_alloc.cpp"), "hot-alloc", 4)
 
+    def test_hot_libcall(self):
+        # std::popcount, __builtin_popcount and __builtin_popcountll under
+        # src/mc: three findings.
+        self.assert_findings(fixture("src", "mc", "bad_hot_libcall.cpp"), "hot-libcall", 3)
+
     def test_stale_allow(self):
         # The directive suppresses nothing; only --stale reports it.
         res = run_lint("--stale", fixture("bad_stale_allow.cpp"))
@@ -122,6 +127,7 @@ class CleanFixtures(unittest.TestCase):
         ("src", "fleet", "clean_hot_alloc.cpp"),
         ("src", "flow", "clean_hot_alloc.cpp"),
         ("src", "net", "clean_hot_alloc.cpp"),
+        ("src", "mc", "clean_hot_libcall.cpp"),
         ("clean_pragma_once.hpp",),
         ("src", "sim", "clean_magic_tick.cpp"),
         ("src", "cpu", "clean_raw_credit.cpp"),
@@ -149,6 +155,16 @@ class CleanFixtures(unittest.TestCase):
         res = run_lint(fixture("bad_unordered_iter.cpp"))
         self.assertNotIn("[hot-alloc]", res.stdout)
 
+    def test_hot_libcall_outside_hot_path_is_fine(self):
+        # Bit counting off the hot path (setup, reports, tests) is legal: a
+        # copy of the bad fixture under a plain path has no hot-libcall.
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = os.path.join(tmp, "hot_libcall.cpp")
+            shutil.copy(fixture("src", "mc", "bad_hot_libcall.cpp"), copy)
+            res = run_lint(copy)
+        self.assertNotIn("[hot-libcall]", res.stdout)
+        self.assertEqual(res.returncode, 0, msg=res.stdout + res.stderr)
+
     def test_handler_state_outside_handler_dirs_is_fine(self):
         # The same mutable globals and statics are legal outside
         # src/{sim,cpu,cha,iio,mc,net}: a copy of the bad fixture under a
@@ -171,7 +187,7 @@ class ToolInterface(unittest.TestCase):
         res = run_lint("--list-checks")
         self.assertEqual(res.returncode, 0)
         for check in ("wall-clock", "raw-rand", "unordered-iter", "hot-alloc",
-                      "pragma-once", "magic-tick", "raw-credit-counter",
+                      "hot-libcall", "pragma-once", "magic-tick", "raw-credit-counter",
                       "handler-static-state", "handler-global-state", "stale-allow",
                       "bad-allow"):
             self.assertIn(check, res.stdout)

@@ -58,22 +58,36 @@ TEST(SlotQueueProperty, MatchesDequeReference) {
     ASSERT_EQ(q.size(), ref.size());
     ASSERT_EQ(q.empty(), ref.empty());
     ASSERT_EQ(q.full(), ref.size() == kCap);
-    // FIFO walk visits exactly the live entries, oldest first.
+    // FIFO walk visits exactly the live entries, oldest first, and window
+    // membership is positional. Collect each bank's unprepped in-window
+    // entries on the way, in age order.
     std::size_t pos = 0;
     std::vector<std::uint64_t> waiting_banks((kBanks + 63) / 64, 0);
+    std::vector<std::vector<std::uint64_t>> waiting(kBanks);
     for (auto i = q.fifo_head(); i != SlotQueue::kNil; i = q.fifo_next(i), ++pos) {
       ASSERT_LT(pos, ref.size());
+      ASSERT_EQ(q.in_window(i), pos < kWindow);
       if (pos < kWindow && !ref[pos].prepped) {
         const std::uint32_t b = q.entry(i).coord.bank;
         waiting_banks[b / 64] |= std::uint64_t{1} << (b % 64);
+        waiting[b].push_back(ref[pos].id);
       }
       ASSERT_EQ(q.entry(i).id, ref[pos].id);
       ASSERT_EQ(q.entry(i).prepped, ref[pos].prepped);
     }
     ASSERT_EQ(pos, ref.size());
-    // The waiting-bank set holds exactly the banks of unprepped in-window
-    // entries.
-    ASSERT_EQ(q.unprepped_window_banks(), waiting_banks);
+    // Each bank's waiting list holds exactly that bank's unprepped in-window
+    // entries, oldest first (so its head is the oldest of them), and the
+    // waiting-bank set holds exactly the banks with a non-empty list.
+    for (std::uint32_t b = 0; b < kBanks; ++b) {
+      std::vector<std::uint64_t> listed;
+      for (auto wi = q.waiting_head(b); wi != SlotQueue::kNil; wi = q.waiting_next(wi)) {
+        ASSERT_LT(listed.size(), kCap) << "waiting list of bank " << b << " cycles";
+        listed.push_back(q.entry(wi).id);
+      }
+      ASSERT_EQ(listed, waiting[b]) << "waiting list of bank " << b;
+    }
+    ASSERT_EQ(q.waiting_banks(), waiting_banks);
     // Prepped walk visits exactly the prepped entries, in the same age order,
     // and the incremental earliest-ready tracker matches a full scan.
     Tick min_ready = SlotQueue::kNoReady;
@@ -95,20 +109,6 @@ TEST(SlotQueueProperty, MatchesDequeReference) {
     if (!ref.empty()) {
       ASSERT_EQ(q.front().id, ref.front().id);
     }
-    // Window membership is positional, and the unprepped-in-window list
-    // holds exactly the unprepped entries among the first kWindow
-    // positions, in age order.
-    pos = 0;
-    auto wi = q.unprepped_window_head();
-    for (auto i = q.fifo_head(); i != SlotQueue::kNil; i = q.fifo_next(i), ++pos) {
-      ASSERT_EQ(q.in_window(i), pos < kWindow);
-      if (pos < kWindow && !q.entry(i).prepped) {
-        ASSERT_NE(wi, SlotQueue::kNil);
-        ASSERT_EQ(q.entry(wi).id, q.entry(i).id);
-        wi = q.unprepped_window_next(wi);
-      }
-    }
-    ASSERT_EQ(wi, SlotQueue::kNil);
   };
 
   for (int step = 0; step < 30000; ++step) {
@@ -116,7 +116,9 @@ TEST(SlotQueueProperty, MatchesDequeReference) {
     if (action == 0 && !q.full()) {
       const std::uint64_t id = next_id++;
       dram::Coord coord;
-      coord.bank = static_cast<std::uint32_t>(rng.below(kBanks));
+      // Half the entries crowd four banks, so waiting lists grow several
+      // entries long; the rest spread over both words of the bank set.
+      coord.bank = static_cast<std::uint32_t>(rng.chance(0.5) ? rng.below(4) : rng.below(kBanks));
       const auto idx = q.push_back(mem::Request{}, coord, Tick(step), id);
       slot_of.resize(id + 1);
       slot_of[id] = idx;
@@ -524,14 +526,20 @@ INSTANTIATE_TEST_SUITE_P(
         // reads to drain back for. Most wake-ups land on the tick of a write
         // completion and ride it.
         StreamParams{.seed = 23, .write_fraction = 0.9, .random_addresses = false,
-                     .back_to_back_writes = true, .bank_bits = 22}));
+                     .back_to_back_writes = true, .bank_bits = 22},
+        // 8 banks under the default 24-deep prep window: most window entries
+        // wait on a bank another entry owns, so a bank prep must find the
+        // few free banks without acting on their waiters.
+        StreamParams{.seed = 24, .write_fraction = 0.3, .random_addresses = true, .banks = 8,
+                     .bank_bits = 20}));
 
 #if HOSTNET_CHECKED
 TEST(McArenaDeathTest, StaleWaitingBankSetTripsAudit) {
   // Three reads to one bank: the oldest preps and owns it, the other two wait
-  // unprepped in the window. Retargeting a waiting entry to another bank
-  // behind the queue's back (through a saved snapshot) leaves the set of
-  // banks with waiting entries stale, and the checked audit must abort.
+  // unprepped in bank 70's waiting list. Retargeting a waiting entry to
+  // another bank behind the queue's back (through a saved snapshot) leaves
+  // it in the wrong bank's list, so bank 3 waits without being in the
+  // waiting-bank set, and the checked audit must abort.
   ChannelConfig cfg;
   cfg.timing = dram::ddr4_2933();
   sim::Simulator sim;
@@ -546,10 +554,10 @@ TEST(McArenaDeathTest, StaleWaitingBankSetTripsAudit) {
   Channel::Snapshot snap;
   ch.save_state(snap);
   SlotQueue& rpq = snap.st_.rpq;
-  ASSERT_NE(rpq.unprepped_window_head(), SlotQueue::kNil);
-  rpq.entry(rpq.unprepped_window_head()).coord.bank = 3;
+  ASSERT_NE(rpq.waiting_head(70), SlotQueue::kNil);
+  rpq.entry(rpq.waiting_head(70)).coord.bank = 3;
   ch.load_state(snap);
-  EXPECT_DEATH(ch.verify_invariants(), "bank set out of date");
+  EXPECT_DEATH(ch.verify_invariants(), "waiting list of bank 70 holds entry id 1, which targets bank 3");
 }
 
 TEST(McArenaDeathTest, StrayOwnedBankTripsAudit) {
@@ -572,9 +580,10 @@ TEST(McArenaDeathTest, StrayOwnedBankTripsAudit) {
 
 TEST(McArenaDeathTest, StaleWaitingBankSetTripsSkippedScanAudit) {
   // As above, a waiting entry is retargeted to free bank 3 behind the
-  // queue's back, so the set of banks with waiting entries still says bank
-  // 70 (owned) only. The next kick counts no prep candidates and skips the
-  // scan; the checked build's dry walk must find the entry it skipped.
+  // queue's back, so the waiting-bank set still says bank 70 (owned) only.
+  // The next kick finds no free bank to prep; the checked build's
+  // post-condition walk of the window must find the entry that still waits
+  // on free bank 3.
   ChannelConfig cfg;
   cfg.timing = dram::ddr4_2933();
   sim::Simulator sim;
@@ -587,7 +596,7 @@ TEST(McArenaDeathTest, StaleWaitingBankSetTripsSkippedScanAudit) {
   }
   Channel::Snapshot snap;
   ch.save_state(snap);
-  snap.st_.rpq.entry(snap.st_.rpq.unprepped_window_head()).coord.bank = 3;
+  snap.st_.rpq.entry(snap.st_.rpq.waiting_head(70)).coord.bank = 3;
   ch.load_state(snap);
   mem::Request req;
   req.addr = 3 * kCachelineBytes;

@@ -80,6 +80,27 @@ TEST(Simulator, EventsScheduledDuringRunExecute) {
   EXPECT_EQ(c.s.events_executed(), 100u);
 }
 
+TEST(Simulator, RunUntilLeavesLaterEventPendingWithoutAdvancing) {
+  // The earliest pending events lie beyond `until`: one inside the current
+  // L0 window, one several windows out. run_until must leave both pending,
+  // stop the clock at `until` and not move the window past it, so a push at
+  // until + 1 still files into the right slot and fires first.
+  for (const Tick later : {Tick(5000), 5 * CalendarQueue::kWindowTicks + 7}) {
+    Simulator s;
+    std::vector<int> order;
+    s.schedule_at(later, [&] { order.push_back(2); });
+    const Tick until = 100;
+    s.run_until(until);
+    EXPECT_EQ(s.now(), until);
+    EXPECT_EQ(s.pending(), 1u);
+    EXPECT_EQ(s.events_executed(), 0u);
+    s.schedule_at(until + 1, [&] { order.push_back(1); });
+    s.run_until(later);
+    EXPECT_EQ(order, (std::vector<int>{1, 2})) << "later event at tick " << later;
+    EXPECT_EQ(s.pending(), 0u);
+  }
+}
+
 TEST(Simulator, BoundaryEventIncluded) {
   Simulator s;
   bool fired = false;

@@ -31,6 +31,10 @@ Checks (ids are stable; use them in suppressions):
                   genuinely
                   one-time (and vector growth, which amortizes out) are
                   fine -- suppress them explicitly with a justification.
+  hot-libcall     std::popcount / __builtin_popcount* in the same hot-path
+                  subsystems: on baseline x86-64 (no POPCNT) each call is a
+                  PLT call into libgcc's __popcountdi2. Walk the set bits
+                  with countr_zero and x &= x - 1 instead, or keep a count.
   pragma-once     every header must start its include guard with
                   #pragma once.
   magic-tick      4+-digit decimal literals on Tick-typed lines outside
@@ -116,6 +120,7 @@ CHECKS = {
     "raw-rand": "unseeded/global RNG (use a seeded common/rng.hpp stream)",
     "unordered-iter": "iteration over an unordered container (order is unspecified)",
     "hot-alloc": "allocating/indirect type banned in hot-path subsystems",
+    "hot-libcall": "bit-counting builtin that is a libgcc call on baseline x86-64",
     "pragma-once": "header missing #pragma once",
     "magic-tick": "magic tick constant outside common/units.hpp",
     "raw-credit-counter": "ad-hoc credit/occupancy counter outside flow::CreditPool",
@@ -139,6 +144,7 @@ HOT_ALLOC_RE = re.compile(
     r"std::deque\s*<|std::function\s*<|std::map\s*<|std::multimap\s*<|std::list\s*<"
     r"|std::unordered_(?:map|set|multimap|multiset)\s*<"
 )
+HOT_LIBCALL_RE = re.compile(r"\bstd::popcount\b|\b__builtin_popcount(?:ll|l)?\b")
 UNORDERED_DECL_RE = re.compile(
     r"std::unordered_(?:map|set|multimap|multiset)\s*<[^;{}]*?>\s+(\w+)\s*[;={(]"
 )
@@ -437,6 +443,12 @@ def lint_file(path, display_path, collect_allows=None, stale=False):
                 report(lineno, "hot-alloc",
                        f"new-expression '{m.group(0)}' in a hot-path subsystem; "
                        "steady-state paths must not allocate")
+            m = HOT_LIBCALL_RE.search(line)
+            if m:
+                report(lineno, "hot-libcall",
+                       f"'{m.group(0)}' is a call into libgcc (__popcountdi2) on "
+                       "baseline x86-64; walk the set bits with countr_zero and "
+                       "x &= x - 1, or keep a count")
         if in_credit_scope:
             m = RAW_CREDIT_RE.search(line)
             if m:
