@@ -384,7 +384,7 @@ void BM_TcpStackHost(benchmark::State& state) {
       host.add_core(workloads::c2m_read_write(workloads::c2m_core_region(i)));
     net::TcpConfig cfg;
     cfg.stack = kind;
-    const net::TcpReceiver& rx = host.add_tcp_receiver(cfg);
+    const net::TcpReceiver& rx = host.add_tcp_receiver(cfg, core::copy_core_config(hc, cfg));
     host.run(us(50), us(200));
     benchmark::DoNotOptimize(rx.goodput_gbps(host.sim().now()));
   }

@@ -1,10 +1,13 @@
-// hostnet_figures OUT_DIR: regenerate every paper figure, table, ablation,
-// extension and worked study in one run.
+// hostnet_figures [--mode fork|cold] OUT_DIR: regenerate every paper
+// figure, table, ablation, extension and worked study in one run.
 //
-// Each figure adds its windows to one union plan; one core::execute (kFork,
-// parallel_threads() workers) simulates each distinct window once, however
+// Each figure adds its windows to one union plan; one core::execute
+// (parallel_threads() workers) simulates each distinct window once, however
 // many figures read it; then each figure's printer writes OUT_DIR/<name>.txt.
-// scripts/check_golden.sh diffs those files against bench/goldens/.
+// `--mode fork` (the default) runs each fingerprint's windows on one warmed
+// host; `--mode cold` builds and warms every distinct window, the reference
+// the fork path must match byte for byte. scripts/check_golden.sh diffs
+// those files against bench/goldens/.
 //
 // HOSTNET_THREADS, HOSTNET_MEASURE_US and HOSTNET_WARMUP_US apply as in
 // core::execute and core::default_run_options. Prints one provenance line
@@ -63,20 +66,28 @@ const fig::Figure kFigures[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 2) {
-    std::cerr << "usage: hostnet_figures OUT_DIR\n";
+  const bool with_mode = argc == 4 && std::string(argv[1]) == "--mode";
+  const std::string mode = with_mode ? argv[2] : "fork";
+  if (!(argc == 2 || with_mode) || (mode != "fork" && mode != "cold")) {
+    std::cerr << "usage: hostnet_figures [--mode fork|cold] OUT_DIR\n";
     return 2;
   }
+  hostnet::core::ExecOptions exec;
+  if (mode == "cold") exec.mode = hostnet::core::SweepMode::kCold;
   try {
-    const std::filesystem::path out_dir = argv[1];
+    const std::filesystem::path out_dir = argv[argc - 1];
     std::filesystem::create_directories(out_dir);
 
     hostnet::core::Plan plan;
     std::vector<fig::Printer> printers;
     for (const fig::Figure& f : kFigures) printers.push_back(f.plan(plan));
-    const hostnet::core::Outcomes out = hostnet::core::execute(plan);
-    std::cerr << "figures: " << plan.size() << " windows, " << out.cache.checkpoint_misses
-              << " jobs, " << out.cache.checkpoint_hits << " checkpoint hits, "
+    const hostnet::core::Outcomes out = hostnet::core::execute(plan, exec);
+    // A kCold job is one distinct window; ExecStats counts kFork jobs only.
+    const std::uint64_t jobs = exec.mode == hostnet::core::SweepMode::kFork
+                                   ? out.cache.checkpoint_misses
+                                   : plan.size() - out.cache.outcome_hits;
+    std::cerr << "figures: " << plan.size() << " windows, " << jobs << " jobs, "
+              << out.cache.checkpoint_hits << " checkpoint hits, "
               << out.cache.outcome_hits << " outcome hits\n";
 
     for (std::size_t i = 0; i < printers.size(); ++i) {

@@ -27,7 +27,7 @@ void print_fig23_timeline(const core::HostConfig& host, std::ostream& os) {
   core::HostSystem sys(host, 1);
   for (std::uint32_t i = 0; i < 5; ++i)
     sys.add_core(workloads::c2m_read_write(workloads::c2m_core_region(i)));
-  const net::NicDevice& nic = sys.add_nic(core::RdmaWriteSpec{}.nic(host));
+  const net::NicDevice& nic = sys.add_nic(core::RdmaWriteSpec{}.nic());
   sys.run(us(400), us(10));
   Table t({"t (us)", "IIO wr occupancy", "NIC paused"});
   for (int i = 0; i < 40; ++i) {

@@ -4,23 +4,25 @@
 # byte-identical to its committed golden in bench/goldens/.
 #
 # hostnet_figures runs the union plan of all 32 figures in one process (one
-# core::execute in kFork mode at HOSTNET_THREADS / nproc workers) with the
-# measurement-window overrides cleared, so the outputs are machine-
+# core::execute, kFork by default, at HOSTNET_THREADS / nproc workers) with
+# the measurement-window overrides cleared, so the outputs are machine-
 # independent, and writes <name>.txt per figure. Each is diffed against
 # bench/goldens/<name>.txt. A golden no figure writes, and a figure with no
 # golden, both fail the gate: deleting a figure cannot drop its check
-# silently. The union run reports (stderr, echoed below)
+# silently. The kFork union run reports (stderr, echoed below)
 #   figures: 907 windows, 415 jobs, 5 checkpoint hits, 487 outcome hits
 # so the goldens check the kFork job path, 5 windows of it read on the way
-# to a longer one, without restores; the restore path is checked against
-# kCold by the `checkpoint`-labelled tests and the fleet tests.
+# to a longer one, without restores. `--mode cold` checks the same goldens
+# against the kCold reference, every distinct window built and warmed on
+# its own (CI runs both; tier-1 runs kFork).
 #
 # Usage:
-#   scripts/check_golden.sh [--update] [bench_build_dir]
+#   scripts/check_golden.sh [--update] [--mode fork|cold] [bench_build_dir]
 #     bench_build_dir   defaults to build/bench
 #     --update          re-capture the goldens from the current driver
 #                       (do this only when an output change is intended,
 #                       and say why in the commit message)
+#     --mode M          hostnet_figures' sweep mode (default fork)
 #
 # Exit status: 0 = all outputs byte-identical (or updated), 1 = divergence,
 # a failing run, a figure without a golden or a golden without a figure,
@@ -36,6 +38,15 @@ if [[ "${1:-}" == "--update" ]]; then
   mode=update
   shift
 fi
+sweep=fork
+if [[ "${1:-}" == "--mode" ]]; then
+  sweep="${2:-}"
+  shift 2 || true
+fi
+if [[ "${sweep}" != fork && "${sweep}" != cold ]]; then
+  echo "check_golden: --mode must be fork or cold" >&2
+  exit 2
+fi
 bench_dir="${1:-${repo_root}/build/bench}"
 driver="${bench_dir}/hostnet_figures"
 
@@ -50,8 +61,8 @@ trap 'rm -rf "${out_dir}"' EXIT
 
 start=${EPOCHREALTIME}
 rc=0
-env -u HOSTNET_MEASURE_US -u HOSTNET_WARMUP_US "${driver}" "${out_dir}" 2> "${out_dir}/stderr.log" \
-  || rc=$?
+env -u HOSTNET_MEASURE_US -u HOSTNET_WARMUP_US "${driver}" --mode "${sweep}" "${out_dir}" \
+  2> "${out_dir}/stderr.log" || rc=$?
 took="$(awk -v a="${start}" -v b="${EPOCHREALTIME}" 'BEGIN { printf "%.1f s", b - a }')"
 if [[ "${rc}" != 0 ]]; then
   echo "FAILED   hostnet_figures: exit status ${rc} (${took})"
@@ -99,4 +110,4 @@ if [[ "${mode}" == "update" ]]; then
   echo "check_golden: goldens updated (${count} figure(s), ${took})"
   exit 0
 fi
-echo "check_golden: OK (${count} figure(s) byte-identical, one run, ${took})"
+echo "check_golden: OK (${count} figure(s) byte-identical, one ${sweep} run, ${took})"

@@ -24,9 +24,10 @@
 #                  temporary git worktree) on this machine: a >10%
 #                  regression on any benchmark fails the gate, and checked
 #                  instrumentation must compile out of Release builds
-#   8. golden      one Release hostnet_figures run: each figure's output
-#                  vs bench/goldens/, byte-for-byte, with no orphan on
-#                  either side (scripts/check_golden.sh)
+#   8. golden      two Release hostnet_figures runs, fork then cold: each
+#                  figure's output vs bench/goldens/, byte-for-byte, with
+#                  no orphan on either side (scripts/check_golden.sh), so
+#                  the union plan checks fork == cold
 #
 # Usage: scripts/ci_static_analysis.sh [--quick]
 #   --quick   steps 1-4 only (no perfbench build, no sanitizer rebuilds,
@@ -107,8 +108,9 @@ python3 scripts/bench_compare.py \
 cleanup_parent
 trap - EXIT
 
-step "8/8 golden figure outputs (byte-for-byte vs bench/goldens/)"
-scripts/check_golden.sh build-release/bench
+step "8/8 golden figure outputs, fork and cold (byte-for-byte vs bench/goldens/)"
+scripts/check_golden.sh --mode fork build-release/bench
+scripts/check_golden.sh --mode cold build-release/bench
 
 echo
 echo "ci_static_analysis: OK"

@@ -54,11 +54,7 @@ class TimeWeighted {
     start_ = now;
     integral_ = 0;
     max_ = level_;
-    time_at_cap_ = 0;
   }
-
-  /// Mark `level >= cap` time (used for "WPQ full" fractions).
-  void set_cap(std::int64_t cap) { cap_ = cap; }
 
   std::int64_t level() const { return level_; }
   std::int64_t max_level() const { return max_; }
@@ -74,13 +70,6 @@ class TimeWeighted {
                   : static_cast<double>(level_);
   }
 
-  /// Fraction of window time spent with level >= cap (a pure read).
-  double fraction_at_cap(Tick now) const {
-    const Tick dt = now - start_;
-    const Tick at_cap = time_at_cap_ + (cap_ > 0 && level_ >= cap_ ? pending(now) : 0);
-    return dt > 0 ? static_cast<double>(at_cap) / static_cast<double>(dt) : 0.0;
-  }
-
  private:
   /// Ticks since the last integration, up to `now` (what a read adds).
   Tick pending(Tick now) const { return now > last_ ? now - last_ : 0; }
@@ -88,17 +77,14 @@ class TimeWeighted {
   void integrate(Tick now) {
     if (now > last_) {
       integral_ += level_ * (now - last_);
-      if (cap_ > 0 && level_ >= cap_) time_at_cap_ += now - last_;
       last_ = now;
     }
   }
 
   std::int64_t level_ = 0;
   std::int64_t max_ = 0;
-  std::int64_t cap_ = 0;
   Tick last_ = 0;
   Tick start_ = 0;
-  Tick time_at_cap_ = 0;
   std::int64_t integral_ = 0;
 };
 

@@ -85,35 +85,43 @@ void enc(std::string& s, const T& v) {
   }
 }
 
-/// Place the window's workloads on its host, in the one construction order
-/// both paths use -- a second IIO stack, cores, storage, the transport, then
-/// hostCC: component seeds and event order depend on it.
-void place(HostSystem& host, const Window& w) {
-  if (w.p2m && w.p2m->tcp && w.p2m->rdma_write)
-    throw std::invalid_argument("P2MSpec '" + w.p2m->name +
-                                "' places both a TCP and an RDMA-write transport");
-  const bool second_stack = w.p2m && w.p2m->second_storage && w.p2m->second_stack;
-  if (second_stack) host.add_iio_stack(w.host.iio);
-  if (w.c2m) add_c2m(host, *w.c2m);
-  if (w.p2m && w.p2m->storage) host.add_storage(*w.p2m->storage);
-  if (w.p2m && w.p2m->second_storage)
-    host.add_storage(*w.p2m->second_storage, second_stack ? 1 : 0);
-  if (w.p2m && w.p2m->tcp) host.add_tcp_receiver(*w.p2m->tcp);
-  if (w.p2m && w.p2m->rdma_write) host.add_nic(w.p2m->rdma_write->nic(w.host));
-  if (w.c2m && w.c2m->hostcc) host.add_hostcc(*w.c2m->hostcc);
+/// The key of a resolved window: its leaves, then seed and warmup.
+std::string fingerprint(const Resolved& r, std::uint64_t seed, Tick warmup) {
+  std::string s;
+  s.reserve(512);
+  enc(s, r);
+  enc(s, seed);
+  enc(s, warmup);
+  return s;
+}
+
+/// Build the resolved window on its host (constructed from r.host), in the
+/// one construction order both paths use -- a second IIO stack, cores,
+/// storage, the transport, then hostCC: component seeds and event order
+/// depend on it.
+void place(HostSystem& host, const Resolved& r) {
+  const bool second_stack = r.p2m && r.p2m->second_stack;
+  if (second_stack) host.add_iio_stack(r.host.iio);
+  if (r.c2m) add_c2m(host, *r.c2m);
+  if (r.p2m && r.p2m->storage) host.add_storage(*r.p2m->storage);
+  if (r.p2m && r.p2m->second_storage)
+    host.add_storage(*r.p2m->second_storage, second_stack ? 1 : 0);
+  if (r.p2m && r.p2m->tcp) host.add_tcp_receiver(*r.p2m->tcp, *r.copy_core);
+  if (r.p2m && r.p2m->rdma_write) host.add_nic(r.p2m->rdma_write->nic());
+  if (r.c2m && r.c2m->hostcc) host.add_hostcc(*r.c2m->hostcc);
 }
 
 /// The window's outcome, read off its host at the window's end.
-RunOutcome collect(const HostSystem& host, const Window& w) {
+RunOutcome collect(const HostSystem& host, const Resolved& r) {
   RunOutcome out;
   const Tick now = host.sim().now();
   out.metrics = host.collect();
-  if (w.c2m)
-    out.c2m_score = episodic(*w.c2m) ? out.metrics.queries_per_sec : out.metrics.c2m_app_gbps;
+  if (r.c2m)
+    out.c2m_score = episodic(*r.c2m) ? out.metrics.queries_per_sec : out.metrics.c2m_app_gbps;
   if (!host.tcp_receivers().empty()) out.transport = host.tcp_receivers().front()->collect(now);
   if (!host.nics().empty()) out.transport = host.nics().front()->collect(now);
-  if (w.p2m)
-    out.p2m_score = w.p2m->tcp || w.p2m->rdma_write ? out.transport.goodput_gbps
+  if (r.p2m)
+    out.p2m_score = r.p2m->tcp || r.p2m->rdma_write ? out.transport.goodput_gbps
                                                     : out.metrics.p2m_dev_gbps;
   for (const flow::DomainRegistry::Entry& e : host.domains().entries())
     if (const std::optional<Domain> d = e.domain())
@@ -124,17 +132,41 @@ RunOutcome collect(const HostSystem& host, const Window& w) {
 
 }  // namespace
 
+cpu::CoreConfig copy_core_config(const HostConfig& host, const net::TcpConfig& tcp) {
+  cpu::CoreConfig c = host.core;
+  c.lfb_entries = tcp.copy_width;
+  return c;
+}
+
+Resolved resolve(const HostConfig& host, const std::optional<C2MSpec>& c2m,
+                 const std::optional<P2MSpec>& p2m) {
+  if (p2m && p2m->tcp && p2m->rdma_write)
+    throw std::invalid_argument("P2MSpec '" + p2m->name +
+                                "' places both a TCP and an RDMA-write transport");
+  Resolved r{host, c2m, p2m, std::nullopt};
+  r.host.name = HostConfig{}.name;
+  if (r.c2m) r.c2m->name = C2MSpec{}.name;
+  if (r.p2m) {
+    P2MSpec& p = *r.p2m;
+    p.name = P2MSpec{}.name;
+    if (!p.second_storage) p.second_stack = false;
+    if (p.tcp) {
+      net::TcpConfig& t = *p.tcp;
+      if (t.stack != net::TcpStackKind::kDctcp) t.dctcp_g = net::TcpConfig{}.dctcp_g;
+      if (!t.nic.pfc) {
+        t.nic.pause_threshold = net::NicConfig{}.pause_threshold;
+        t.nic.resume_threshold = net::NicConfig{}.resume_threshold;
+      }
+      r.copy_core = copy_core_config(r.host, t);
+    }
+  }
+  return r;
+}
+
 std::string config_fingerprint(const HostConfig& host, const std::optional<C2MSpec>& c2m,
                                const std::optional<P2MSpec>& p2m, std::uint64_t seed,
                                Tick warmup) {
-  std::string s;
-  s.reserve(512);
-  enc(s, host);
-  enc(s, c2m);
-  enc(s, p2m);
-  enc(s, seed);
-  enc(s, warmup);
-  return s;
+  return fingerprint(resolve(host, c2m, p2m), seed, warmup);
 }
 
 // -- Plan + execute -------------------------------------------------------------
@@ -187,14 +219,17 @@ Outcomes execute(const Plan& plan, const ExecOptions& opt) {
   // fingerprint + measure (kCold). jobs[j] lists the job's distinct windows,
   // each as the plan indices of its identical windows: the first is
   // simulated and the rest copy its outcome.
+  // job_cfg[j] is the resolved config job j builds.
   using Identical = std::vector<std::size_t>;
   std::vector<std::vector<Identical>> jobs;
+  std::vector<Resolved> job_cfg;
   std::unordered_map<std::string, std::size_t> job_of;
   std::unordered_map<std::string, std::pair<std::size_t, std::size_t>> window_of;
   Outcomes out;
   for (std::size_t i = 0; i < ws.size(); ++i) {
     const Window& w = ws[i];
-    const std::string fp = config_fingerprint(w.host, w.c2m, w.p2m, w.opt.seed, w.opt.warmup);
+    Resolved r = resolve(w.host, w.c2m, w.p2m);
+    const std::string fp = fingerprint(r, w.opt.seed, w.opt.warmup);
     std::string key = fp;
     key.append(reinterpret_cast<const char*>(&w.opt.measure), sizeof(w.opt.measure));
     if (const auto it = window_of.find(key); it != window_of.end()) {
@@ -203,7 +238,10 @@ Outcomes execute(const Plan& plan, const ExecOptions& opt) {
       continue;
     }
     const auto [job, fresh] = job_of.emplace(fork ? fp : key, jobs.size());
-    if (fresh) jobs.emplace_back();
+    if (fresh) {
+      jobs.emplace_back();
+      job_cfg.push_back(std::move(r));
+    }
     std::vector<Identical>& distinct = jobs[job->second];
     window_of.emplace(std::move(key), std::pair{job->second, distinct.size()});
     distinct.push_back({i});
@@ -225,9 +263,10 @@ Outcomes execute(const Plan& plan, const ExecOptions& opt) {
       jobs.size(),
       [&](std::size_t j) {
         const std::vector<Identical>& distinct = jobs[j];
+        const Resolved& r = job_cfg[j];
         const Window& first = ws[distinct.front().front()];
-        HostSystem host(first.host, first.opt.seed);  // freed with the job
-        place(host, first);
+        HostSystem host(r.host, first.opt.seed);  // freed with the job
+        place(host, r);
         // run(warmup, 0) warms and resets counters, leaving the host at the
         // measurement quiesce point. run_until() drains every event at or
         // before the boundary tick, so running on window by window replays
@@ -239,7 +278,7 @@ Outcomes execute(const Plan& plan, const ExecOptions& opt) {
           const Window& w = ws[same.front()];
           host.run_more(w.opt.measure - measured);
           measured = w.opt.measure;
-          const RunOutcome o = collect(host, w);
+          const RunOutcome o = collect(host, r);
           for (std::size_t i : same) out.windows[i] = o;
         }
       },

@@ -26,7 +26,7 @@
 namespace hostnet::core {
 
 struct C2MSpec {
-  std::string name = "c2m";
+  std::string name = "c2m";  ///< display name; resolve() resets it
   cpu::CoreWorkload workload{};
   std::uint32_t cores = 1;
   /// When true, core i's region is workload.region shifted by i strides
@@ -47,23 +47,26 @@ struct C2MSpec {
 // storage: the window's host owns the NIC or TCP receiver a P2MSpec places.
 
 /// RDMA write placement (ib_write_bw): a RoCE NIC with PFC generating
-/// line-rate inbound DMA writes. The remaining NIC knobs (MTU, RX buffer,
-/// pause thresholds) keep net::NicConfig's defaults.
+/// line-rate inbound DMA writes at its wire rate, the one knob it exposes.
+/// The host's add_nic() supplies the DMA rate (HostConfig::pcie_write_gb_per_s).
 struct RdmaWriteSpec {
   double wire_gb_per_s = 12.25;  ///< ~98 Gbps effective
   HOSTNET_FIELDS(RdmaWriteSpec, wire_gb_per_s)
 
-  /// The NIC on `host`: this wire rate, the host's PCIe write rate.
-  net::NicConfig nic(const HostConfig& host) const {
+  /// The RoCE NIC: this wire rate, 4 KB MTU, line-rate arrivals and PFC;
+  /// the RX buffer and pause thresholds keep net::NicConfig's defaults.
+  net::NicConfig nic() const {
     net::NicConfig n;
     n.wire_gb_per_s = wire_gb_per_s;
-    n.pcie_gb_per_s = host.pcie_write_gb_per_s;
+    n.mtu_bytes = 4096;
+    n.autonomous = true;
+    n.pfc = true;
     return n;
   }
 };
 
 struct P2MSpec {
-  std::string name = "p2m";
+  std::string name = "p2m";  ///< display name; resolve() resets it
   std::optional<iio::StorageConfig> storage{};
   /// A second storage device, as on hosts with "multiple IIOs" (section 7):
   /// on an IIO stack of its own (a copy of the host's) when `second_stack`,
@@ -114,11 +117,40 @@ enum class SweepMode : std::uint8_t {
   kCold,  ///< one job per distinct window: build + warm each (the reference)
 };
 
-/// Canonical fingerprint of one simulation configuration: every field of
-/// the host config and workload specs plus seed and warmup, encoded
-/// field-by-field (never whole-struct memcpy -- padding bytes are
-/// indeterminate). Equal fingerprints guarantee identical construction and
-/// warmup; execute()'s job key.
+/// A window's configuration as its components are built with it: the
+/// inputs with every leaf no component reads reset to its default, plus the
+/// configs derived from them (DESIGN.md section 4e). place() builds a
+/// window's host only from it and config_fingerprint() encodes it, so the
+/// key is what runs.
+struct Resolved {
+  HostConfig host;
+  std::optional<C2MSpec> c2m;
+  std::optional<P2MSpec> p2m;
+  /// The TCP receiver's copy cores (engaged with p2m->tcp): copy_core_config().
+  std::optional<cpu::CoreConfig> copy_core;
+  HOSTNET_FIELDS(Resolved, host, c2m, p2m, copy_core)
+};
+
+/// A TCP receiver's copy cores: the host's cores with an LFB of
+/// tcp.copy_width entries.
+cpu::CoreConfig copy_core_config(const HostConfig& host, const net::TcpConfig& tcp);
+
+/// Resolve a window's inputs. Pure. Resets, because no component reads
+/// them:
+///   * the display names HostConfig::name, C2MSpec::name and P2MSpec::name;
+///   * P2MSpec::second_stack when there is no second_storage;
+///   * TcpConfig::dctcp_g under any stack but DCTCP;
+///   * a NIC's pause_threshold and resume_threshold when its pfc is off.
+/// Throws std::invalid_argument when `p2m` places both a TCP and an
+/// RDMA-write transport.
+Resolved resolve(const HostConfig& host, const std::optional<C2MSpec>& c2m,
+                 const std::optional<P2MSpec>& p2m);
+
+/// Canonical fingerprint of one simulation configuration: every leaf of
+/// resolve(host, c2m, p2m) plus seed and warmup, encoded field by field
+/// (never whole-struct memcpy -- padding bytes are indeterminate). Equal
+/// fingerprints guarantee identical construction and warmup; execute()'s
+/// job key and the fleet's fold-group key.
 std::string config_fingerprint(const HostConfig& host, const std::optional<C2MSpec>& c2m,
                                const std::optional<P2MSpec>& p2m, std::uint64_t seed,
                                Tick warmup);
@@ -167,9 +199,10 @@ struct ColocationOutcome {
 //     read, so a run read at each boundary is the run straight to the end.
 //
 // Warmup-sharing caveat: two windows share a warmup ONLY when their
-// fingerprints -- a canonical encoding of every simulation input -- match
-// exactly. Any differing config field, workload field, seed or warmup
-// length gives a different fingerprint and its own warmup; Outcomes::cache
+// fingerprints -- a canonical encoding of the resolved config, seed and
+// warmup -- match exactly. Any differing leaf that a component reads, seed
+// or warmup length gives a different fingerprint and its own warmup; a
+// leaf resolve() resets (a display name, say) does not. Outcomes::cache
 // counts what was shared.
 
 /// Indices of one colocation's windows in a Plan. A single-sided placement

@@ -44,14 +44,16 @@ iio::StorageDevice& HostSystem::add_storage(const iio::StorageConfig& scfg,
 
 net::NicDevice& HostSystem::add_nic(const net::NicConfig& ncfg) {
   assert(!st_.started && "add components before run()");
-  nics_.push_back(std::make_unique<net::NicDevice>(sim_, *iios_[0], ncfg));
+  nics_.push_back(
+      std::make_unique<net::NicDevice>(sim_, *iios_[0], ncfg, cfg_.pcie_write_gb_per_s));
   return *nics_.back();
 }
 
-net::TcpReceiver& HostSystem::add_tcp_receiver(const net::TcpConfig& tcfg) {
+net::TcpReceiver& HostSystem::add_tcp_receiver(const net::TcpConfig& tcfg,
+                                               const cpu::CoreConfig& copy_core) {
   assert(!st_.started && "add components before run()");
   tcp_receivers_.push_back(std::make_unique<net::TcpReceiver>(
-      sim_, *cha_, *iios_[0], cfg_.core, cfg_.pcie_write_gb_per_s, tcfg));
+      sim_, *cha_, *iios_[0], copy_core, cfg_.pcie_write_gb_per_s, tcfg));
   return *tcp_receivers_.back();
 }
 

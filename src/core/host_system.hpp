@@ -58,13 +58,16 @@ class HostSystem {
   /// called before run().
   std::size_t add_iio_stack(const iio::IioConfig& cfg);
 
-  /// Add a NIC that DMA-writes through IIO stack 0 (NicConfig's defaults
-  /// are the RDMA-write NIC's).
+  /// Add a NIC that DMA-writes through IIO stack 0 at the host's PCIe
+  /// write rate (core::RdmaWriteSpec::nic() is the RDMA-write NIC).
   net::NicDevice& add_nic(const net::NicConfig& ncfg);
 
   /// Add a TCP receiver: its NIC DMA-writes through IIO stack 0 at the
-  /// host's PCIe write rate, and its copy cores are host-configured cores.
-  net::TcpReceiver& add_tcp_receiver(const net::TcpConfig& tcfg);
+  /// host's PCIe write rate, and its copy cores are `copy_core`-configured
+  /// (core::copy_core_config()). Throws std::invalid_argument when tcfg.nic
+  /// asks for autonomous arrivals or PFC.
+  net::TcpReceiver& add_tcp_receiver(const net::TcpConfig& tcfg,
+                                     const cpu::CoreConfig& copy_core);
 
   /// Add a hostCC controller pacing every core of the host on IIO stack 0's
   /// write latency.

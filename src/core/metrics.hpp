@@ -60,7 +60,11 @@ struct Metrics {
   // -- MC / DRAM measurements ----------------------------------------------------
   double avg_rpq_occupancy = 0;   ///< mean across channels
   double avg_wpq_occupancy = 0;
-  double wpq_full_fraction = 0;   ///< fraction of time WPQ at capacity
+  /// Share of the window the CHA write tracker holds more writes than its
+  /// forward pipeline (cha::Cha::wpq_blocked_fraction): writes backed up
+  /// behind WPQ admission, the measured stand-in for the paper's P_fill^WPQ.
+  /// Not the time the WPQ itself sits at capacity.
+  double wpq_full_fraction = 0;
   double row_miss_ratio_read = 0;
   double row_miss_ratio_write = 0;
   std::uint64_t mc_lines_read = 0;

@@ -1,6 +1,7 @@
 // Per-memory-channel counters: the inputs of the paper's analytical formula
 // (Table 2) plus the root-cause metrics of section 5 (row miss ratio, bank
-// load imbalance, WPQ-full fraction, mode switches).
+// load imbalance, mode switches). Queue occupancies come from the channel's
+// RPQ/WPQ credit pools, not from here.
 #pragma once
 
 #include <algorithm>
@@ -8,20 +9,13 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "common/units.hpp"
 #include "mem/request.hpp"
 
 namespace hostnet::counters {
 
 struct McChannelCounters {
   McChannelCounters() = default;
-  explicit McChannelCounters(std::uint32_t banks, std::uint32_t wpq_capacity) {
-    bank_window_counts.assign(banks, 0);
-    wpq_occ.set_cap(wpq_capacity);
-  }
-
-  TimeWeighted rpq_occ;
-  TimeWeighted wpq_occ;  ///< cap set to capacity so fraction_at_cap == "WPQ full"
+  explicit McChannelCounters(std::uint32_t banks) { bank_window_counts.assign(banks, 0); }
 
   std::uint64_t lines_read = 0;
   std::uint64_t lines_written = 0;
@@ -96,9 +90,7 @@ struct McChannelCounters {
     return total ? static_cast<double>(act_write) / static_cast<double>(total) : 0.0;
   }
 
-  void reset(Tick now) {
-    rpq_occ.reset(now);
-    wpq_occ.reset(now);
+  void reset() {
     lines_read = lines_written = 0;
     switch_cycles = 0;
     act_read = act_write = 0;

@@ -18,7 +18,7 @@ Channel::Channel(sim::Simulator& sim, const ChannelConfig& cfg, std::uint32_t ba
   st_.wpq = SlotQueue(cfg.wpq_capacity, cfg.prep_window, banks);
   st_.banks.resize(banks);
   st_.banks_owned.assign((banks + 63) / 64, 0);
-  st_.counters = counters::McChannelCounters(banks, cfg.wpq_capacity);
+  st_.counters = counters::McChannelCounters(banks);
   // Wake-up events in flight are bounded by the distinct ticks requested
   // between fires (stale-write deadlines plus near-term bus/bank kicks);
   // reserve enough that the tracking itself never allocates in steady state.

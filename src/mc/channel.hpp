@@ -95,7 +95,7 @@ class Channel {
   counters::McChannelCounters& counters() { return st_.counters; }
   const counters::McChannelCounters& counters() const { return st_.counters; }
   void reset_counters(Tick now) {
-    st_.counters.reset(now);
+    st_.counters.reset();
     st_.rpq_pool.reset_telemetry(now);
     st_.wpq_pool.reset_telemetry(now);
   }

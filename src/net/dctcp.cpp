@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace hostnet::net {
 
@@ -97,24 +98,34 @@ void CopyCore::complete(const mem::Request& req, Tick now) {
 // TcpReceiver
 // ---------------------------------------------------------------------------
 
-TcpReceiver::TcpReceiver(sim::Simulator& sim, cha::Cha& cha, iio::Iio& iio,
-                         const cpu::CoreConfig& core, double pcie_gb_per_s, const TcpConfig& cfg)
-    : sim_(sim), cfg_(cfg), stack_(make_tcp_stack(cfg)) {
-  NicConfig nc = cfg_.nic;
-  nc.autonomous = false;
-  nc.pfc = false;
-  nc.wire_gb_per_s = cfg_.wire_gb_per_s;
-  nc.pcie_gb_per_s = pcie_gb_per_s;
-  nc.mtu_bytes = cfg_.mtu_bytes;
-  nic_ = std::make_unique<NicDevice>(sim, iio, nc, this);
+namespace {
 
-  const std::uint32_t lines_per_packet = cfg_.mtu_bytes / kCachelineBytes;
-  cpu::CoreConfig copy_cfg = core;
-  copy_cfg.lfb_entries = cfg_.copy_width;
+/// `cfg`, unless its NIC asks for what a sender-fed, lossy NIC cannot do.
+const TcpConfig& lossy_nic(const TcpConfig& cfg) {
+  if (cfg.nic.autonomous)
+    throw std::invalid_argument(
+        "TcpConfig nic.autonomous: a TCP receiver's NIC is fed by its sender, not by "
+        "autonomous arrivals");
+  if (cfg.nic.pfc)
+    throw std::invalid_argument(
+        "TcpConfig nic.pfc: a TCP receiver's NIC is lossy (ECN); PFC is the RDMA-write NIC's");
+  return cfg;
+}
+
+}  // namespace
+
+TcpReceiver::TcpReceiver(sim::Simulator& sim, cha::Cha& cha, iio::Iio& iio,
+                         const cpu::CoreConfig& copy_core, double pcie_gb_per_s,
+                         const TcpConfig& cfg)
+    : sim_(sim),
+      cfg_(lossy_nic(cfg)),
+      nic_(std::make_unique<NicDevice>(sim, iio, cfg_.nic, pcie_gb_per_s, this)),
+      stack_(make_tcp_stack(cfg_)) {
+  const std::uint32_t lines_per_packet = cfg_.nic.mtu_bytes / kCachelineBytes;
   for (std::uint32_t i = 0; i < cfg_.copy_cores; ++i) {
     mem::Region app{(160ull + i) << 30, 1ull << 30};
     copy_cores_.push_back(std::make_unique<CopyCore>(
-        sim, cha, copy_cfg, nc.region, app, cfg_.proto_ns_per_packet, lines_per_packet,
+        sim, cha, copy_core, cfg_.nic.region, app, cfg_.proto_ns_per_packet, lines_per_packet,
         cfg_.app_buffer_cache_resident, static_cast<std::uint16_t>(1000 + i), st_.ring, *this));
   }
 }
@@ -159,7 +170,7 @@ void TcpReceiver::sender_pump() {
   ++st_.packets_offered;
   st_.wire_busy = true;
   stack_->on_send(now);
-  const Tick t_packet = serialization_ticks(cfg_.mtu_bytes, cfg_.wire_gb_per_s);
+  const Tick t_packet = serialization_ticks(cfg_.nic.mtu_bytes, cfg_.nic.wire_gb_per_s);
   sim_.schedule(t_packet, [this] {
     st_.wire_busy = false;
     sender_pump();
@@ -246,7 +257,7 @@ TransportOutcome TcpReceiver::collect(Tick now) const {
 
 double TcpReceiver::goodput_gbps(Tick now) const {
   const Tick w = now - st_.window_start;
-  return gb_per_s(st_.packets_copied * cfg_.mtu_bytes, w);
+  return gb_per_s(st_.packets_copied * cfg_.nic.mtu_bytes, w);
 }
 
 double TcpReceiver::p2m_gbps(Tick now) const {

@@ -32,17 +32,20 @@
 
 namespace hostnet::net {
 
-/// A TCP receiver placement (core::P2MSpec::tcp): the whole struct is keyed
-/// by core::config_fingerprint().
+/// A TCP receiver placement (core::P2MSpec::tcp). Each fact is stated once:
+/// the link's wire rate and MTU are the NIC's (`nic`), and the NIC
+/// DMA-writes at the host's PCIe write rate. core::resolve() keys the
+/// leaves the receiver reads; `dctcp_g` only under DCTCP, and the NIC's
+/// PFC thresholds never (its PFC is off).
 struct TcpConfig {
   /// Which congestion-control stack drives the sender (net/tcp_stack.hpp).
   TcpStackKind stack = TcpStackKind::kDctcp;
-  double wire_gb_per_s = 12.25;       ///< 100 Gbps link, effective
-  std::uint32_t mtu_bytes = 9216;     ///< jumbo frames (144 cachelines)
   std::uint32_t copy_cores = 4;       ///< iperf receiver cores
-  /// Outstanding cachelines per copy core (the LFB bounds the copy's MLP;
-  /// proto_ns_per_packet is sized so 4 cores just saturate 100 Gbps in
-  /// isolation, matching the paper's "sufficient to saturate" setup).
+  /// Outstanding cachelines per copy core: core::resolve() builds the copy
+  /// cores as host cores with an LFB of this many entries (the LFB bounds
+  /// the copy's MLP; proto_ns_per_packet is sized so 4 cores just saturate
+  /// 100 Gbps in isolation, matching the paper's "sufficient to saturate"
+  /// setup).
   std::uint32_t copy_width = 12;
   /// iperf reuses a small receive buffer that stays cache-resident: the
   /// copy's destination stores hit the LLC and generate no memory traffic.
@@ -51,21 +54,21 @@ struct TcpConfig {
   std::uint32_t ring_packets = 192;   ///< socket buffer / receive window
   Tick base_rtt = us(40);
   Tick proto_ns_per_packet = ns(1900);///< non-copy kernel processing per packet
-  double dctcp_g = 0.0625;
+  double dctcp_g = 0.0625;            ///< DCTCP's marking-average gain
   double initial_cwnd = 64;           ///< packets
-  /// Lossy + ECN settings; a shallower RX buffer than the RoCE default so
-  /// red-regime DMA backpressure can outrun the ECN response and drop. The
-  /// receiver sets the NIC's wire rate, MTU and PCIe rate itself and turns
-  /// off PFC and autonomous arrivals.
+  /// The receiver's NIC, fed packet by packet by the sender, whose link
+  /// runs at its wire rate and MTU (100 Gbps effective, jumbo frames).
+  /// Lossy + ECN, with a shallower RX buffer than the RoCE default so
+  /// red-regime DMA backpressure can outrun the ECN response and drop. A
+  /// NIC asking for autonomous arrivals or PFC is refused.
   NicConfig nic = [] {
     NicConfig n;
     n.rx_buffer_bytes = 96 << 10;
     n.ecn_threshold = 56 << 10;
     return n;
   }();
-  HOSTNET_FIELDS(TcpConfig, stack, wire_gb_per_s, mtu_bytes, copy_cores, copy_width,
-                 app_buffer_cache_resident, ring_packets, base_rtt, proto_ns_per_packet, dctcp_g,
-                 initial_cwnd, nic)
+  HOSTNET_FIELDS(TcpConfig, stack, copy_cores, copy_width, app_buffer_cache_resident,
+                 ring_packets, base_rtt, proto_ns_per_packet, dctcp_g, initial_cwnd, nic)
 };
 
 /// Fleet p2m-workload zoo entry: "tcp_dctcp" / "tcp_bbr" / "tcp_davis" to
@@ -149,10 +152,13 @@ class CopyCore final : public mem::Completer {
 /// TransportTelemetry.
 class TcpReceiver {
  public:
-  /// The NIC DMA-writes through `iio` at `pcie_gb_per_s`; the copy cores are
-  /// `core`-configured cores (LFB width cfg.copy_width) behind `cha`.
-  TcpReceiver(sim::Simulator& sim, cha::Cha& cha, iio::Iio& iio, const cpu::CoreConfig& core,
-              double pcie_gb_per_s, const TcpConfig& cfg);
+  /// The NIC (cfg.nic) DMA-writes through `iio` at `pcie_gb_per_s`; the
+  /// cfg.copy_cores copy cores are `copy_core`-configured cores behind
+  /// `cha`. Throws std::invalid_argument, naming the leaf, when cfg.nic asks
+  /// for autonomous arrivals or PFC: the sender feeds this NIC, and it is
+  /// lossy.
+  TcpReceiver(sim::Simulator& sim, cha::Cha& cha, iio::Iio& iio,
+              const cpu::CoreConfig& copy_core, double pcie_gb_per_s, const TcpConfig& cfg);
 
   // -- measurement ------------------------------------------------------------
   /// The window's telemetry: every accessor below read at `now`. The

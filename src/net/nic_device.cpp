@@ -5,11 +5,11 @@
 namespace hostnet::net {
 
 NicDevice::NicDevice(sim::Simulator& sim, iio::Iio& iio, const NicConfig& cfg,
-                     TcpReceiver* receiver)
+                     double pcie_gb_per_s, TcpReceiver* receiver)
     : sim_(sim),
       iio_(iio),
       cfg_(cfg),
-      t_line_(serialization_ticks(kCachelineBytes, cfg.pcie_gb_per_s)),
+      t_line_(serialization_ticks(kCachelineBytes, pcie_gb_per_s)),
       t_packet_(serialization_ticks(cfg.mtu_bytes, cfg.wire_gb_per_s)),
       receiver_(receiver) {}
 

@@ -26,23 +26,26 @@ namespace hostnet::net {
 
 class TcpReceiver;  // net/dctcp.hpp
 
-/// The defaults are the RDMA-write NIC (ib_write_bw): line-rate arrivals,
-/// PFC on.
+/// The NIC's own knobs. The defaults are a transport-fed NIC (a TCP
+/// receiver's, net::TcpConfig::nic): jumbo frames, no autonomous arrivals,
+/// lossy with ECN. core::RdmaWriteSpec::nic() is the RDMA-write NIC
+/// (ib_write_bw): 4 KB MTU, line-rate arrivals, PFC on. The host-side DMA
+/// rate is not a NIC knob: a host's NICs DMA-write at its PCIe write rate
+/// (core::HostConfig::pcie_write_gb_per_s).
 struct NicConfig {
   double wire_gb_per_s = 12.25;        ///< 98 Gbps effective
-  double pcie_gb_per_s = 14.0;         ///< host-side DMA bandwidth
-  std::uint32_t mtu_bytes = 4096;
+  std::uint32_t mtu_bytes = 9216;      ///< jumbo frames (144 cachelines)
   std::uint64_t rx_buffer_bytes = 512 << 10;
-  bool autonomous = true;              ///< self-generate line-rate arrivals
-  // PFC
-  bool pfc = true;
+  bool autonomous = false;             ///< self-generate line-rate arrivals
+  // PFC; the thresholds are read only when `pfc` is on.
+  bool pfc = false;
   std::uint64_t pause_threshold = 384 << 10;
   std::uint64_t resume_threshold = 192 << 10;
   // ECN (lossy mode)
   std::uint64_t ecn_threshold = 128 << 10;
   mem::Region region = mem::p2m_region();  ///< DMA target (RX ring buffers)
-  HOSTNET_FIELDS(NicConfig, wire_gb_per_s, pcie_gb_per_s, mtu_bytes, rx_buffer_bytes, autonomous,
-                 pfc, pause_threshold, resume_threshold, ecn_threshold, region)
+  HOSTNET_FIELDS(NicConfig, wire_gb_per_s, mtu_bytes, rx_buffer_bytes, autonomous, pfc,
+                 pause_threshold, resume_threshold, ecn_threshold, region)
 };
 
 /// A transport's measurement-window telemetry: an RDMA-write NIC's or a TCP
@@ -63,10 +66,11 @@ struct TransportOutcome {
 
 class NicDevice final : public iio::Device {
  public:
-  /// `receiver` is the TcpReceiver that owns this NIC, told of each packet
-  /// fully DMA-written toward memory (per accepted packet, in arrival
-  /// order) so it can hand the packet to the kernel; null for an RDMA NIC.
-  NicDevice(sim::Simulator& sim, iio::Iio& iio, const NicConfig& cfg,
+  /// The NIC DMA-writes through `iio` at `pcie_gb_per_s`. `receiver` is
+  /// the TcpReceiver that owns this NIC, told of each packet fully
+  /// DMA-written toward memory (per accepted packet, in arrival order) so
+  /// it can hand the packet to the kernel; null for an RDMA NIC.
+  NicDevice(sim::Simulator& sim, iio::Iio& iio, const NicConfig& cfg, double pcie_gb_per_s,
             TcpReceiver* receiver = nullptr);
 
   void start();

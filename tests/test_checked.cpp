@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "core/experiment.hpp"
 #include "core/host_system.hpp"
 #include "net/dctcp.hpp"
 #include "sim/calendar_queue.hpp"
@@ -144,7 +145,8 @@ TEST(CheckedInvariant, RegistryListsEveryPoolWithItsDomain) {
   core::HostSystem host(core::cascade_lake());
   cpu::Core& core0 = host.add_core(workloads::c2m_read(workloads::c2m_core_region(0)));
   host.add_iio_stack(host.config().iio);
-  net::TcpReceiver& rx = host.add_tcp_receiver(net::TcpConfig{});
+  net::TcpReceiver& rx =
+      host.add_tcp_receiver(net::TcpConfig{}, core::copy_core_config(host.config(), {}));
   host.add_hostcc(hostcc::HostccConfig{});
   EXPECT_TRUE(host.domains().entries().empty());  // indexed when the host starts
   host.run(0, 0);

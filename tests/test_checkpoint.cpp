@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -278,7 +279,7 @@ TEST(Checkpoint, DctcpReceiverRoundTrips) {
   // state must all replay identically from a checkpoint.
   const HostConfig hc = cascade_lake();
   HostSystem host(hc, 3);
-  const net::TcpReceiver& rx = host.add_tcp_receiver(net::TcpConfig{});
+  const net::TcpReceiver& rx = host.add_tcp_receiver(net::TcpConfig{}, copy_core_config(hc, {}));
   host.run(us(200), 0);
   const HostSnapshot checkpoint = host.snapshot();
 
@@ -504,22 +505,96 @@ void perturb(T& v) {
   else v = static_cast<T>(v + 1);
 }
 
-/// Perturbs each leaf of `root` in turn and expects `fingerprint_of(copy)`
-/// to differ from `base`; returns the number of leaves perturbed.
+/// Perturbs each leaf of `root` in turn. `fingerprint_of(copy)` must equal
+/// `base` when the leaf's dotted name is in `inert` (resolve() resets it)
+/// and differ from it otherwise; returns the number of keyed leaves.
 template <class T, class Fingerprint>
-std::size_t expect_every_leaf_keyed(const T& root, const std::string& base,
-                                    Fingerprint fingerprint_of) {
+std::size_t count_keyed_leaves(const T& root, const std::string& base,
+                               const std::set<std::string>& inert,
+                               Fingerprint fingerprint_of) {
   std::size_t n = 0;
+  std::size_t keyed = 0;
+  std::set<std::string> seen;
   fields::for_each_leaf(root, [&](const std::string& path, const auto&) {
     T copy = root;
     std::size_t i = 0;
     fields::for_each_leaf(copy, [&](const std::string&, auto& leaf) {
       if (i++ == n) perturb(leaf);
     });
-    EXPECT_TRUE(fingerprint_of(copy) != base) << path << " is not keyed";
     ++n;
+    if (inert.count(path) > 0) {
+      seen.insert(path);
+      EXPECT_TRUE(fingerprint_of(copy) == base) << path << " is inert but keyed";
+    } else {
+      ++keyed;
+      EXPECT_TRUE(fingerprint_of(copy) != base) << path << " is not keyed";
+    }
   });
-  return n;
+  EXPECT_EQ(seen, inert) << "an inert name that is no leaf";
+  return keyed;
+}
+
+/// `w` built by hand from its raw inputs -- no resolve() -- and run: cores,
+/// storage, then a TCP receiver, as execute() orders them.
+RunOutcome run_by_hand(const Window& w) {
+  HostSystem host(w.host, w.opt.seed);
+  place(host, w);
+  if (w.p2m && w.p2m->tcp)
+    host.add_tcp_receiver(*w.p2m->tcp, copy_core_config(w.host, *w.p2m->tcp));
+  host.run(w.opt.warmup, w.opt.measure);
+  RunOutcome o;
+  o.metrics = host.collect();
+  if (!host.tcp_receivers().empty())
+    o.transport = host.tcp_receivers().front()->collect(host.sim().now());
+  return o;
+}
+
+TEST(Executor, InertLeavesShareOneJob) {
+  // A window that differs from another only in a display name or a leaf
+  // resolve() resets builds the same host: the two run as one job. Built
+  // by hand from its raw inputs, where the leaf does reach the host or the
+  // receiver, it still runs exactly as the other: no code reads the leaf.
+  const Window storage = differential_presets().front();
+  Window dctcp = storage;
+  dctcp.p2m->storage.reset();
+  dctcp.p2m->tcp = net::TcpConfig{};
+  Window bbr = dctcp;
+  bbr.p2m->tcp->stack = net::TcpStackKind::kBbr;
+  Window davis = dctcp;
+  davis.p2m->tcp->stack = net::TcpStackKind::kDavis;
+
+  struct Variant {
+    const char* leaf;
+    const Window& base;
+    void (*edit)(Window&);
+  };
+  const Variant variants[] = {
+      {"host.name", storage, [](Window& w) { w.host.name = "renamed"; }},
+      {"c2m.name", storage, [](Window& w) { w.c2m->name = "tenant"; }},
+      {"p2m.name", storage, [](Window& w) { w.p2m->name = "device"; }},
+      {"p2m.second_stack (no second_storage)", storage,
+       [](Window& w) { w.p2m->second_stack = true; }},
+      {"tcp.nic.pause_threshold (pfc off)", dctcp,
+       [](Window& w) { w.p2m->tcp->nic.pause_threshold = 8 << 10; }},
+      {"tcp.nic.resume_threshold (pfc off)", dctcp,
+       [](Window& w) { w.p2m->tcp->nic.resume_threshold = 4 << 10; }},
+      {"tcp.dctcp_g (bbr)", bbr, [](Window& w) { w.p2m->tcp->dctcp_g = 0.5; }},
+      {"tcp.dctcp_g (davis)", davis, [](Window& w) { w.p2m->tcp->dctcp_g = 0.5; }},
+  };
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.leaf);
+    Window w = v.base;
+    v.edit(w);
+    Plan plan;
+    plan.add(v.base.host, v.base.c2m, v.base.p2m, v.base.opt);
+    plan.add(w.host, w.c2m, w.p2m, w.opt);
+    const Outcomes out = execute(plan, {1, SweepMode::kFork});
+    EXPECT_EQ(out.cache.checkpoint_misses, 1u);
+    expect_identical(out[0], out[1]);
+    const RunOutcome by_hand = run_by_hand(w);
+    expect_identical(out[1].metrics, by_hand.metrics);
+    EXPECT_EQ(out[1].transport, by_hand.transport);
+  }
 }
 
 TEST(Executor, ExtensionWindowsMatchAHandBuiltHost) {
@@ -574,30 +649,61 @@ TEST(ForkSweep, FingerprintSeparatesEveryInput) {
   EXPECT_NE(base, config_fingerprint(p.host, p.c2m, std::nullopt, opt.seed, opt.warmup));
   EXPECT_NE(base, config_fingerprint(p.host, std::nullopt, p.p2m, opt.seed, opt.warmup));
 
-  // Every leaf of every field table is keyed. The specs engage every
-  // optional -- hostCC, both storage devices and both transports -- so none
-  // of their leaves hides behind an empty one (execute() would reject the
-  // transport combination; the key need not).
+  // Every leaf a component reads is keyed, and every leaf resolve() resets
+  // is not. The specs engage every optional -- hostCC, both storage devices
+  // and the TCP receiver -- so no leaf hides behind an empty one; the
+  // RDMA-write transport, which resolve() refuses beside TCP, is walked on
+  // its own.
+  const auto fp = [&](const HostConfig& h, const C2MSpec& c, const P2MSpec& s) {
+    return config_fingerprint(h, c, s, opt.seed, opt.warmup);
+  };
   C2MSpec c2m = *p.c2m;
   c2m.hostcc = hostcc::HostccConfig{};
   P2MSpec p2m = *p.p2m;
   p2m.second_storage = p2m.storage;
   p2m.tcp = net::TcpConfig{};
-  p2m.rdma_write = RdmaWriteSpec{};
-  const std::string all = config_fingerprint(p.host, c2m, p2m, opt.seed, opt.warmup);
-  std::size_t leaves = expect_every_leaf_keyed(p.host, all, [&](const HostConfig& h) {
-    return config_fingerprint(h, c2m, p2m, opt.seed, opt.warmup);
+  const std::string all = fp(p.host, c2m, p2m);
+  std::size_t keyed = count_keyed_leaves(p.host, all, {"name"}, [&](const HostConfig& h) {
+    return fp(h, c2m, p2m);
   });
-  EXPECT_EQ(leaves, 54u);
-  leaves += expect_every_leaf_keyed(c2m, all, [&](const C2MSpec& c) {
-    return config_fingerprint(p.host, c, p2m, opt.seed, opt.warmup);
+  EXPECT_EQ(keyed, 53u);
+  keyed += count_keyed_leaves(c2m, all, {"name"}, [&](const C2MSpec& c) {
+    return fp(p.host, c, p2m);
   });
-  leaves += expect_every_leaf_keyed(p2m, all, [&](const P2MSpec& s) {
-    return config_fingerprint(p.host, c2m, s, opt.seed, opt.warmup);
-  });
-  // 54 host + 17 C2M (4 hostCC) + 41 P2M (8 per storage device, 22 for the
-  // TCP receiver, its NIC's 11 included): a visitor reaching nothing fails.
-  EXPECT_EQ(leaves, 112u);
+  keyed += count_keyed_leaves(p2m, all,
+                              {"name", "tcp.nic.pause_threshold", "tcp.nic.resume_threshold"},
+                              [&](const P2MSpec& s) { return fp(p.host, c2m, s); });
+  P2MSpec rdma = p2m;
+  rdma.tcp.reset();
+  rdma.rdma_write = RdmaWriteSpec{};
+  keyed += count_keyed_leaves(*rdma.rdma_write, fp(p.host, c2m, rdma), {},
+                              [&](const RdmaWriteSpec& r) {
+                                P2MSpec s = rdma;
+                                s.rdma_write = r;
+                                return fp(p.host, c2m, s);
+                              });
+  // 53 host + 16 C2M (4 hostCC) + 34 P2M (8 per storage device, 17 for the
+  // TCP receiver, its NIC's 8 included) + 1 RDMA-write of 109 leaves: a
+  // visitor reaching nothing fails.
+  EXPECT_EQ(keyed, 104u);
+
+  // The conditional resets: second_stack without a second device, and
+  // dctcp_g under the stacks that do not read it (DCTCP keys it, above).
+  P2MSpec one_device = *p.p2m;
+  one_device.second_stack = true;
+  EXPECT_TRUE(fp(p.host, c2m, *p.p2m) == fp(p.host, c2m, one_device)) << "second_stack keyed";
+  for (const net::TcpStackKind kind : {net::TcpStackKind::kBbr, net::TcpStackKind::kDavis}) {
+    P2MSpec tcp;
+    tcp.tcp = net::TcpConfig{};
+    tcp.tcp->stack = kind;
+    P2MSpec gain = tcp;
+    gain.tcp->dctcp_g *= 2;
+    EXPECT_TRUE(fp(p.host, c2m, tcp) == fp(p.host, c2m, gain))
+        << "dctcp_g keyed under " << net::to_string(kind);
+  }
+  P2MSpec both = p2m;
+  both.rdma_write = RdmaWriteSpec{};
+  EXPECT_THROW(fp(p.host, c2m, both), std::invalid_argument);
 }
 
 }  // namespace

@@ -102,15 +102,6 @@ TEST(TimeWeighted, AveragesOverTime) {
   EXPECT_EQ(tw.max_level(), 4);
 }
 
-TEST(TimeWeighted, FractionAtCap) {
-  TimeWeighted tw;
-  tw.set_cap(3);
-  tw.reset(0);
-  tw.set(0, 3);
-  tw.set(ns(25), 1);
-  EXPECT_NEAR(tw.fraction_at_cap(ns(100)), 0.25, 1e-9);
-}
-
 TEST(TimeWeighted, ResetKeepsLevel) {
   TimeWeighted tw;
   tw.set(0, 7);

@@ -82,7 +82,7 @@ TEST_P(LittlesLawProperty, RandomArrivalsAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LittlesLawProperty, ::testing::Values(1, 2, 3, 17, 99));
 
 TEST(McChannelCounters, RowResultAccounting) {
-  McChannelCounters c(32, 24);
+  McChannelCounters c(32);
   c.on_row_result(mem::Op::kRead, true, false);
   c.on_row_result(mem::Op::kRead, false, false);   // miss-empty: ACT
   c.on_row_result(mem::Op::kRead, false, true);    // conflict: ACT + PRE
@@ -97,7 +97,7 @@ TEST(McChannelCounters, RowResultAccounting) {
 }
 
 TEST(McChannelCounters, BankDeviationSampling) {
-  McChannelCounters c(8, 24);
+  McChannelCounters c(8);
   c.sample_every = 100;
   c.sample_banks = 4;
   // Concentrate all reads on bank 0: deviation = max/mean = 100/(100/4) = 4.
@@ -111,12 +111,12 @@ TEST(McChannelCounters, BankDeviationSampling) {
 }
 
 TEST(McChannelCounters, ResetClearsEverything) {
-  McChannelCounters c(8, 24);
+  McChannelCounters c(8);
   c.on_read_issued(1);
   c.on_row_result(mem::Op::kRead, false, true);
   c.lines_written = 5;
   c.switch_cycles = 2;
-  c.reset(ns(100));
+  c.reset();
   EXPECT_EQ(c.lines_read, 0u);
   EXPECT_EQ(c.lines_written, 0u);
   EXPECT_EQ(c.switch_cycles, 0u);

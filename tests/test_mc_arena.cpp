@@ -174,7 +174,7 @@ class RefChannel {
         listener_(listener),
         banks_(banks),
         bank_pending_(banks, -1),
-        counters_(banks, cfg.wpq_capacity) {}
+        counters_(banks) {}
 
   bool rpq_has_space() const { return rpq_.size() < cfg_.rpq_capacity; }
   bool wpq_has_space() const { return wpq_.size() < cfg_.wpq_capacity; }
@@ -185,14 +185,12 @@ class RefChannel {
   void enqueue_read(const mem::Request& req, const dram::Coord& coord) {
     rpq_.push_back(RefEntry{req, coord, sim_.now(), next_entry_id_++, false, 0,
                             dram::RowResult::kHit});
-    counters_.rpq_occ.add(sim_.now(), +1);
     kick();
   }
 
   void enqueue_write(const mem::Request& req, const dram::Coord& coord) {
     wpq_.push_back(RefEntry{req, coord, sim_.now(), next_entry_id_++, false, 0,
                             dram::RowResult::kHit});
-    counters_.wpq_occ.add(sim_.now(), +1);
     if (mode_ == Mode::kRead) request_kick_at(sim_.now() + cfg_.max_write_age);
     kick();
   }
@@ -286,14 +284,12 @@ class RefChannel {
 
     if (e.req.op == mem::Op::kRead) {
       counters_.on_read_issued(e.coord.bank);
-      counters_.rpq_occ.add(now, -1);
       const Tick done = now + cfg_.timing.t_cas + cfg_.timing.t_trans;
       const mem::Request req = e.req;
       sim_.schedule_at(done, [this, req, done] { listener_->on_read_data(req, done); });
       listener_->on_rpq_slot_freed(index_, now);
     } else {
       ++counters_.lines_written;
-      counters_.wpq_occ.add(now, -1);
       const Tick done = now + cfg_.timing.t_trans;
       sim_.schedule_at(done, [this, done] { listener_->on_wpq_slot_freed(index_, done); });
     }

@@ -2,6 +2,9 @@
 // RDMA placements on the executor, and the DCTCP receiver.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/experiment.hpp"
 #include "core/host_system.hpp"
 #include "net/dctcp.hpp"
@@ -21,7 +24,7 @@ core::RunOptions fast() {
 
 TEST(NicDevice, AutonomousModeDeliversAtWireRate) {
   core::HostSystem host(core::cascade_lake());
-  const NicDevice& nic = host.add_nic(NicConfig{});
+  const NicDevice& nic = host.add_nic(core::RdmaWriteSpec{}.nic());
   host.run(us(100), us(500));
   EXPECT_NEAR(gb_per_s(nic.bytes_accepted(), us(500)), 12.25, 0.5);
   EXPECT_EQ(nic.packets_dropped(), 0u);  // PFC: lossless
@@ -30,10 +33,10 @@ TEST(NicDevice, AutonomousModeDeliversAtWireRate) {
 
 TEST(NicDevice, PfcPausesUnderDmaBackpressure) {
   // Choke the PCIe side so the RX buffer fills: PFC must pause (not drop).
-  core::HostSystem host(core::cascade_lake());
-  NicConfig nc;
-  nc.pcie_gb_per_s = 6.0;  // drain slower than the 12.25 GB/s wire
-  const NicDevice& nic = host.add_nic(nc);
+  core::HostConfig hc = core::cascade_lake();
+  hc.pcie_write_gb_per_s = 6.0;  // drain slower than the 12.25 GB/s wire
+  core::HostSystem host(hc);
+  const NicDevice& nic = host.add_nic(core::RdmaWriteSpec{}.nic());
   host.run(us(100), us(500));
   EXPECT_EQ(nic.packets_dropped(), 0u);
   EXPECT_GT(nic.pause_fraction(host.sim().now()), 0.3);
@@ -41,13 +44,13 @@ TEST(NicDevice, PfcPausesUnderDmaBackpressure) {
 }
 
 TEST(NicDevice, LossyModeDropsWhenFull) {
-  core::HostSystem host(core::cascade_lake());
-  NicConfig nc;
-  nc.pfc = false;
-  nc.autonomous = false;
+  core::HostConfig hc = core::cascade_lake();
+  hc.pcie_write_gb_per_s = 1.0;  // nearly stuck
+  core::HostSystem host(hc);
+  NicConfig nc;  // transport-fed and lossy by default
+  nc.mtu_bytes = 4096;
   nc.rx_buffer_bytes = 16 << 10;
   nc.ecn_threshold = 8 << 10;
-  nc.pcie_gb_per_s = 1.0;  // nearly stuck
   NicDevice& nic = host.add_nic(nc);
   host.run(us(1), us(1));
   int accepted = 0, dropped = 0, marked = 0;
@@ -125,10 +128,10 @@ TEST(Dctcp, IsolatedReceiverReachesWireRate) {
   const auto hc = core::cascade_lake();
   core::HostSystem host(hc);
   TcpConfig cfg;
-  const TcpReceiver& rx = host.add_tcp_receiver(cfg);
+  const TcpReceiver& rx = host.add_tcp_receiver(cfg, core::copy_core_config(hc, cfg));
   host.run(us(400), us(800));
   const Tick now = host.sim().now();
-  EXPECT_GT(rx.goodput_gbps(now), 0.85 * cfg.wire_gb_per_s);
+  EXPECT_GT(rx.goodput_gbps(now), 0.85 * cfg.nic.wire_gb_per_s);
   EXPECT_LT(rx.loss_rate(), 0.01);
 }
 
@@ -140,11 +143,11 @@ TEST(Dctcp, BlueRegimeThrottlesViaFlowControlNotDrops) {
   for (std::uint32_t i = 0; i < 4; ++i)
     host.add_core(workloads::c2m_read(workloads::c2m_core_region(i)));
   TcpConfig cfg;
-  const TcpReceiver& rx = host.add_tcp_receiver(cfg);
+  const TcpReceiver& rx = host.add_tcp_receiver(cfg, core::copy_core_config(hc, cfg));
   host.run(us(400), us(800));
   const Tick now = host.sim().now();
-  EXPECT_LT(rx.goodput_gbps(now), 0.92 * cfg.wire_gb_per_s);  // degraded
-  EXPECT_LT(rx.loss_rate(), 0.01);                            // but lossless
+  EXPECT_LT(rx.goodput_gbps(now), 0.92 * cfg.nic.wire_gb_per_s);  // degraded
+  EXPECT_LT(rx.loss_rate(), 0.01);                                // but lossless
 }
 
 TEST(Dctcp, RedRegimeCongestionResponse) {
@@ -157,12 +160,12 @@ TEST(Dctcp, RedRegimeCongestionResponse) {
   for (std::uint32_t i = 0; i < 4; ++i)
     host.add_core(workloads::c2m_read_write(workloads::c2m_core_region(i)));
   TcpConfig cfg;
-  const TcpReceiver& rx = host.add_tcp_receiver(cfg);
+  const TcpReceiver& rx = host.add_tcp_receiver(cfg, core::copy_core_config(hc, cfg));
   host.run(us(400), us(1000));
   const Tick now = host.sim().now();
   EXPECT_TRUE(rx.loss_rate() > 0.0001 || rx.mark_fraction() > 0.05)
       << "loss=" << rx.loss_rate() << " marks=" << rx.mark_fraction();
-  EXPECT_LT(rx.goodput_gbps(now), 0.7 * cfg.wire_gb_per_s);
+  EXPECT_LT(rx.goodput_gbps(now), 0.7 * cfg.nic.wire_gb_per_s);
 }
 
 TEST(Dctcp, CopyGeneratesC2MTraffic) {
@@ -171,12 +174,38 @@ TEST(Dctcp, CopyGeneratesC2MTraffic) {
   const auto hc = core::cascade_lake();
   core::HostSystem host(hc);
   TcpConfig cfg;
-  const TcpReceiver& rx = host.add_tcp_receiver(cfg);
+  const TcpReceiver& rx = host.add_tcp_receiver(cfg, core::copy_core_config(hc, cfg));
   host.run(us(300), us(500));
   const auto m = host.collect();
   EXPECT_GT(m.mem_gbps[0], 5.0);  // C2M reads (socket buffer)
   EXPECT_GT(m.mem_gbps[3], 5.0);  // P2M writes (NIC DMA)
   EXPECT_GT(rx.copy_lfb_latency_ns(), 50.0);
+}
+
+TEST(Dctcp, NicAskingForAutonomousArrivalsOrPfcIsRefused) {
+  // The sender feeds a TCP receiver's NIC, and the NIC is lossy: a NIC
+  // config asking for autonomous arrivals or PFC is refused, naming the
+  // leaf, on a hand-built host and through the executor alike.
+  const auto hc = core::cascade_lake();
+  for (const bool pfc : {false, true}) {
+    const std::string leaf = pfc ? "nic.pfc" : "nic.autonomous";
+    SCOPED_TRACE(leaf);
+    TcpConfig cfg;
+    (pfc ? cfg.nic.pfc : cfg.nic.autonomous) = true;
+    core::HostSystem host(hc);
+    try {
+      host.add_tcp_receiver(cfg, core::copy_core_config(hc, cfg));
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(leaf), std::string::npos) << e.what();
+    }
+    EXPECT_TRUE(host.tcp_receivers().empty());
+    core::P2MSpec p2m;
+    p2m.tcp = cfg;
+    core::Plan plan;
+    plan.add(hc, std::nullopt, p2m, fast());
+    EXPECT_THROW(core::execute(plan, {1, core::SweepMode::kCold}), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
+#include "core/experiment.hpp"
 #include "core/host_system.hpp"
 #include "net/nic_device.hpp"
 #include "workloads/workloads.hpp"
@@ -19,13 +20,19 @@ namespace {
 // NIC under a PCIe-rate sweep: conservation and monotone pause behaviour.
 // ---------------------------------------------------------------------------
 
+/// Cascade Lake whose NICs DMA-write at `pcie` GB/s.
+core::HostConfig pcie_at(double pcie) {
+  core::HostConfig hc = core::cascade_lake();
+  hc.pcie_write_gb_per_s = pcie;
+  return hc;
+}
+
 class NicPcieSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(NicPcieSweep, LosslessAndBounded) {
   const double pcie = GetParam();
-  core::HostSystem host(core::cascade_lake());
-  net::NicConfig nc;
-  nc.pcie_gb_per_s = pcie;
+  core::HostSystem host(pcie_at(pcie));
+  const net::NicConfig nc = core::RdmaWriteSpec{}.nic();
   const net::NicDevice& nic = host.add_nic(nc);
   host.run(us(150), us(500));
 
@@ -48,10 +55,8 @@ TEST(NicProperty, PauseFractionMonotoneInDrainRate) {
   // Slower PCIe drain -> more PFC pausing. Sweep and assert monotonicity.
   std::vector<double> fractions;
   for (double pcie : {4.0, 8.0, 12.0, 14.0}) {
-    core::HostSystem host(core::cascade_lake());
-    net::NicConfig nc;
-    nc.pcie_gb_per_s = pcie;
-    const net::NicDevice& nic = host.add_nic(nc);
+    core::HostSystem host(pcie_at(pcie));
+    const net::NicDevice& nic = host.add_nic(core::RdmaWriteSpec{}.nic());
     host.run(us(150), us(400));
     fractions.push_back(nic.pause_fraction(host.sim().now()));
   }
@@ -63,10 +68,8 @@ TEST(NicProperty, PauseFractionMonotoneInDrainRate) {
 
 TEST(NicProperty, PausedThroughputMatchesDrainRate) {
   // Under PFC the delivered rate equals the bottleneck drain rate.
-  core::HostSystem host(core::cascade_lake());
-  net::NicConfig nc;
-  nc.pcie_gb_per_s = 5.0;
-  const net::NicDevice& nic = host.add_nic(nc);
+  core::HostSystem host(pcie_at(5.0));
+  const net::NicDevice& nic = host.add_nic(core::RdmaWriteSpec{}.nic());
   host.run(us(150), us(500));
   EXPECT_NEAR(gb_per_s(nic.bytes_dma(), us(500)), 5.0, 0.4);
 }

@@ -154,7 +154,7 @@ TEST_P(TcpStackParam, ReceiverRestoreReplaysIdenticalWindow) {
     core::HostSystem host(hc, rng.next() % 512 + 1);
     TcpConfig cfg;
     cfg.stack = GetParam();
-    const TcpReceiver& rx = host.add_tcp_receiver(cfg);
+    const TcpReceiver& rx = host.add_tcp_receiver(cfg, core::copy_core_config(hc, cfg));
     const Tick warmup = us(100 + rng.next() % 100);
     const Tick extra = us(150 + rng.next() % 150);
     host.run(warmup, 0);
